@@ -17,7 +17,7 @@ void RunDataset(data::Dataset ds, TextTable& t,
   std::vector<std::string> row{session.dataset().name};
   for (int theta : thetas) {
     session.SetProblem(400.0, 8);
-    session.mutable_config().market.overlap_theta = theta;
+    session.mutable_config().dysim.market.overlap_theta = theta;
     row.push_back(TextTable::Num(session.Run("dysim").sigma, 1));
   }
   t.AddRow(row);

@@ -30,17 +30,19 @@ int main() {
     api::CampaignSession session(std::move(ds), MakeConfig(effort));
     session.SetProblem(500.0, 10);
     api::PlanResult r = session.Run("dysim");
+    const int64_t simulated =
+        r.metrics.Counter(util::metric::kEvalRoundsSimulated);
+    const int64_t skipped = r.metrics.Counter(util::metric::kEvalRoundsSkipped);
     const double saved =
-        r.rounds_simulated == 0
-            ? 1.0
-            : static_cast<double>(r.rounds_simulated + r.rounds_skipped) /
-                  static_cast<double>(r.rounds_simulated);
+        simulated == 0 ? 1.0
+                       : static_cast<double>(simulated + skipped) /
+                             static_cast<double>(simulated);
     t.AddRow({session.dataset().name,
               TextTable::Int(session.dataset().NumUsers()),
               TextTable::Int(session.dataset().NumItems()),
               TextTable::Num(r.sigma, 1), TextTable::Num(r.wall_seconds, 2),
-              TextTable::Int(r.rounds_simulated),
-              TextTable::Int(r.rounds_skipped), TextTable::Num(saved, 1)});
+              TextTable::Int(simulated), TextTable::Int(skipped),
+              TextTable::Num(saved, 1)});
   }
   std::printf("%s", t.Render().c_str());
   PrintShapeNote("Fig.9(h)",

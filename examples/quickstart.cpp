@@ -50,18 +50,17 @@ int main() {
   // vs avoided (unseeded-round skips, promotion-boundary checkpoint
   // resumes, sigma-memo hits) relative to naive T-rounds-per-sample
   // re-simulation. Deterministic, so safe to diff across runs.
-  const long long naive_rounds =
-      static_cast<long long>(result.rounds_simulated + result.rounds_skipped);
+  const util::MetricsSnapshot& m = result.metrics;
+  const long long simulated = m.Counter(util::metric::kEvalRoundsSimulated);
+  const long long skipped = m.Counter(util::metric::kEvalRoundsSkipped);
   std::printf(
       "evaluation fast path: %lld promotion-rounds simulated, %lld skipped "
       "(%.1fx less than naive), %lld memoized sigma estimates\n",
-      static_cast<long long>(result.rounds_simulated),
-      static_cast<long long>(result.rounds_skipped),
-      result.rounds_simulated == 0
-          ? 1.0
-          : static_cast<double>(naive_rounds) /
-                static_cast<double>(result.rounds_simulated),
-      static_cast<long long>(result.memo_hits));
+      simulated, skipped,
+      simulated == 0 ? 1.0
+                     : static_cast<double>(simulated + skipped) /
+                           static_cast<double>(simulated),
+      static_cast<long long>(m.Counter(util::metric::kEvalMemoHits)));
 
   // 4. Inspect the schedule, round by round.
   for (const api::PlanRound& round : result.rounds) {

@@ -1,65 +1,44 @@
 #include "api/planner.h"
 
-#include <algorithm>
-
-#include "util/fault_injection.h"
+#include "util/cancel.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace imdpp::api {
 
-void MergeMetrics(PlanResult& result, const util::MetricsSnapshot& delta) {
-  result.metrics.Merge(delta);
-  // Refresh the legacy scalar mirrors from the merged snapshot so both
-  // views stay byte-for-byte interchangeable.
-  const util::MetricsSnapshot& m = result.metrics;
-  result.simulations = m.Counter(util::metric::kEvalSimulations);
-  result.rounds_simulated = m.Counter(util::metric::kEvalRoundsSimulated);
-  result.rounds_skipped = m.Counter(util::metric::kEvalRoundsSkipped);
-  result.memo_hits = m.Counter(util::metric::kEvalMemoHits);
-  result.prep_builds = m.Counter(util::metric::kPrepBuilds);
-  result.prep_reuses = m.Counter(util::metric::kPrepReuses);
-  result.prep_millis = m.Number(util::metric::kPrepMillis);
-  result.faults_injected = m.Counter(util::metric::kFaultInjected);
-  result.retries = m.Counter(util::metric::kFaultRetries);
-  result.fallbacks = m.Counter(util::metric::kFaultFallbacks);
-}
-
-void BookRobustness(PlanResult& result,
-                    const util::RobustnessCounters& before,
-                    const util::RobustnessCounters& after) {
-  // Overwrite, not add: a session's wider bracket (final σ̂ included)
-  // re-books over the delta Plan() recorded inside it.
-  result.metrics.SetCounter(util::metric::kFaultInjected,
-                            after.faults_injected - before.faults_injected);
-  result.metrics.SetCounter(util::metric::kFaultRetries,
-                            after.retries - before.retries);
-  result.metrics.SetCounter(util::metric::kFaultFallbacks,
-                            after.fallbacks - before.fallbacks);
-  result.faults_injected = after.faults_injected - before.faults_injected;
-  result.retries = after.retries - before.retries;
-  result.fallbacks = after.fallbacks - before.fallbacks;
+core::RunContext::Options RunOptions(const PlannerConfig& config) {
+  core::RunContext::Options options;
+  static_cast<core::RunSettings&>(options) = config;
+  // One master seed drives every coin flip of every planner.
+  options.campaign.base_seed = config.seed;
+  options.backend.name = config.eval.backend;
+  options.backend.ris_sketches = config.eval.ris_sketches;
+  options.backend.fallback_backend = config.eval.fallback_backend;
+  options.backend.adaptive = config.eval.adaptive;
+  options.backend.cancel = config.cancel;
+  return options;
 }
 
 PlanResult Planner::Plan(const diffusion::Problem& problem) const {
+  core::RunContext run(RunOptions(config_));
+  PlanResult result = Plan(problem, run);
+  result.metrics = run.Finish();
+  return result;
+}
+
+PlanResult Planner::Plan(const diffusion::Problem& problem,
+                         core::RunContext& run) const {
   Timer timer;
-  const util::RobustnessCounters before = util::SnapshotRobustnessCounters();
   PlanResult result;
   {
     util::trace::Span span("phase.select");
-    result = PlanImpl(problem);
+    result = PlanImpl(problem, run);
   }
   result.wall_seconds = timer.Seconds();
   result.planner = std::string(name());
-  // Robustness accounting (ISSUE 8): what this run injected, retried and
-  // degraded, as deltas of the process-wide counters. CampaignSession::Run
-  // re-books over this with its wider bracket (final σ̂ included).
-  BookRobustness(result, before, util::SnapshotRobustnessCounters());
   // A fired run token is the run's outcome, whatever PlanImpl returned:
   // planners stop at their next boundary and surface partial state.
-  if (result.status.ok() && config_.cancel != nullptr) {
-    result.status = config_.cancel->Check();
-  }
+  if (result.status.ok()) result.status = util::CheckCancel(run.cancel());
   if (result.total_cost == 0.0 && !result.seeds.empty()) {
     result.total_cost = problem.TotalCost(result.seeds);
   }

@@ -3,13 +3,14 @@
 // selection, and the Sec. VI-A comparison baselines).
 //
 // Every planner consumes the same PlannerConfig — shared search/eval
-// effort, candidate pruning, campaign-simulation settings, the Dysim
-// clustering/market knobs, and ONE master RNG seed — plus a small
-// per-algorithm option sub-struct. Every planner produces the same
-// PlanResult, so harnesses, examples and future scenarios compare
-// algorithms without per-algorithm plumbing. Concrete planners live
-// behind the string-keyed PlannerRegistry (registry.h); CampaignSession
-// (session.h) bundles a Dataset + Problem + shared evaluation engine.
+// effort, candidate pruning, campaign-simulation settings and ONE master
+// RNG seed — plus its own option sub-struct, and plans inside one
+// core::RunContext built from that config (the run's plumbing and its one
+// metrics sink). Every planner produces the same PlanResult, so
+// harnesses, examples and future scenarios compare algorithms without
+// per-algorithm plumbing. Concrete planners live behind the string-keyed
+// PlannerRegistry (registry.h); CampaignSession (session.h) bundles a
+// Dataset + Problem + shared evaluation engine.
 #ifndef IMDPP_API_PLANNER_H_
 #define IMDPP_API_PLANNER_H_
 
@@ -19,58 +20,33 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/nominee_clustering.h"
-#include "cluster/target_market.h"
+#include "baselines/opt.h"
+#include "baselines/ps.h"
+#include "core/adaptive_dysim.h"
 #include "core/dysim.h"
-#include "core/market_order.h"
-#include "core/nominee_selection.h"
+#include "core/run_context.h"
 #include "diffusion/adaptive_eval.h"
 #include "diffusion/campaign_simulator.h"
 #include "diffusion/problem.h"
 #include "diffusion/seed.h"
 #include "prep/prep.h"
 #include "util/cancel.h"
-#include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace imdpp::api {
 
-/// One configuration for all algorithms. The shared block applies to every
-/// planner; the per-algorithm sub-structs are consumed only by their
-/// namesake. The master `seed` overrides `campaign.base_seed` and derives
-/// every auxiliary stream (e.g. the adaptive "reality" draw), so a fixed
+/// One configuration for all algorithms. The shared block (the inherited
+/// core::RunSettings — samples, candidates, campaign, threads, prep knobs
+/// — plus the fields below up to `eval`) applies to every planner; the
+/// per-algorithm sub-structs are consumed only by their namesake. The
+/// master `seed` overrides `campaign.base_seed` and derives every
+/// auxiliary stream (e.g. the adaptive "reality" draw), so a fixed
 /// PlannerConfig makes every planner fully deterministic.
-struct PlannerConfig {
-  /// Monte-Carlo samples during search and for the final σ̂ report.
-  int selection_samples = 12;
-  int eval_samples = 48;
-
-  /// Candidate-universe pruning (0 = exhaustive V x I).
-  core::CandidateConfig candidates;
-
-  /// Diffusion model / step caps for every simulation.
-  diffusion::CampaignConfig campaign;
-
-  /// TMI clustering and target-market knobs (Dysim family).
-  cluster::ClusteringConfig clustering;
-  cluster::MarketPlanConfig market;
-
+struct PlannerConfig : core::RunSettings {
   /// Master RNG seed for every stochastic choice.
   uint64_t seed = 0x1234abcdULL;
-
-  /// Executor count for every Monte-Carlo sample loop the planner (or its
-  /// session) builds: util::kAutoThreads = hardware concurrency, 0 = serial
-  /// fallback. Purely a throughput knob — estimates are bit-identical for
-  /// every value (see diffusion::MonteCarloEngine).
-  int num_threads = util::kAutoThreads;
-
-  /// Optional worker pool shared by every engine the planner builds.
-  /// CampaignSession::Run injects the session's pool here, so one set of
-  /// threads serves planning and evaluation alike; null = planners create
-  /// (and share internally) their own.
-  std::shared_ptr<util::ThreadPool> shared_pool;
 
   /// Wall-clock budget for one Plan() call in milliseconds (0 = none).
   /// CampaignSession::Run turns this into a deadline token; past the
@@ -80,30 +56,11 @@ struct PlannerConfig {
   int64_t deadline_ms = 0;
 
   /// Cooperative cancellation/deadline token threaded through every
-  /// engine, prep build and greedy loop the run touches (ISSUE 8). Null =
-  /// the session derives one from deadline_ms (or the backends make
-  /// private ones). Fire it from any thread to stop the run promptly with
+  /// engine, prep build and greedy loop the run touches. Null = the
+  /// session derives one from deadline_ms (or the backends make private
+  /// ones). Fire it from any thread to stop the run promptly with
   /// kCancelled; the session and pool stay reusable.
   std::shared_ptr<util::CancelToken> cancel;
-
-  /// prep:: artifact-layer knobs (market structure built once per
-  /// dataset; see prep/prep.h).
-  struct PrepOptions {
-    /// false = bypass the session's artifact cache and rebuild per run
-    /// (the determinism tests pin cold == warm with this).
-    bool cache = true;
-    /// Gates the build's per-source Dijkstra/BFS sweeps: <= 1 runs them
-    /// inline, anything else on the shared worker pool (when one
-    /// exists). Artifacts are bit-identical for every value.
-    int build_threads = util::kAutoThreads;
-  };
-  PrepOptions prep;
-
-  /// Optional artifact cache shared across runs. CampaignSession::Run
-  /// injects the session's cache here, so Run/Compare/SetProblem and
-  /// cli::RunSweep reuse one build per dataset; null = planners build a
-  /// standalone artifact per run.
-  std::shared_ptr<prep::PrepCache> prep_cache;
 
   /// σ-evaluation backend selection (diffusion/sigma_backend.h): which
   /// registered estimator answers every σ̂ / market query the planners
@@ -114,8 +71,8 @@ struct PlannerConfig {
     std::string backend = "mc";
     /// Sketch count θ for the "ris" backend (ignored by "mc").
     int ris_sketches = 4096;
-    /// Opt-in graceful degradation (ISSUE 8): registry key of the backend
-    /// a failing primary falls back to (today: "ris" degrading to its
+    /// Opt-in graceful degradation: registry key of the backend a
+    /// failing primary falls back to (today: "ris" degrading to its
     /// embedded "mc" engine when the sketch build fails). Empty = a
     /// backend failure fails the run.
     std::string fallback_backend;
@@ -127,43 +84,13 @@ struct PlannerConfig {
   };
   EvalOptions eval;
 
-  /// Optional RIS-sketch artifact cache shared across runs (the "ris"
-  /// analogue of prep_cache). CampaignSession::Run injects the session's
-  /// cache here; null = each backend builds a standalone sketch set.
-  std::shared_ptr<prep::RisSketchCache> sketch_cache;
-
-  struct DysimOptions {
-    core::MarketOrderMetric order =
-        core::MarketOrderMetric::kAntagonisticExtent;
-    int dr_max_depth = 3;
-    bool use_target_markets = true;   ///< Fig. 10 "w/o TM" when false
-    bool use_item_priority = true;    ///< Fig. 10 "w/o IP" when false
-    bool use_theorem5_guard = true;
-  };
-  DysimOptions dysim;
-
-  struct AdaptiveOptions {
-    /// Net substitutable relevance above which two same-round items count
-    /// as antagonistic.
-    double antagonism_threshold = 0.25;
-  };
-  AdaptiveOptions adaptive;
-
-  struct PsOptions {
-    double path_threshold = 0.01;
-    int max_hops = 8;
-    double covered_discount = 0.2;
-  };
-  PsOptions ps;
-
-  struct OptOptions {
-    int max_candidates = 10;  ///< strongest singletons kept (0 = all)
-    int max_seeds = 3;        ///< seed-group size cap (0 = unbounded)
-    /// Extra nominees force-included in the pruned pool (e.g. a
-    /// heuristic's solution, so OPT provably upper-bounds it).
-    std::vector<diffusion::Nominee> extra_candidates;
-  };
-  OptOptions opt;
+  /// Per-algorithm knobs. `dysim` also carries the TMI clustering and
+  /// target-market settings (the top-level `clustering` / `market`
+  /// config keys).
+  core::DysimConfig dysim;
+  core::AdaptiveConfig adaptive;
+  baselines::PsConfig ps;
+  baselines::OptConfig opt;
 };
 
 /// Seeds placed in one promotion round, with what they spent and achieved.
@@ -182,22 +109,6 @@ struct PlanResult {
   diffusion::SeedGroup seeds;   ///< the full schedule (u, x, t)
   double sigma = 0.0;           ///< σ̂ at eval_samples
   double total_cost = 0.0;      ///< Σ c_{u,x} over the seeds
-  int64_t simulations = 0;      ///< simulator invocations spent planning
-  /// Promotion-round accounting (engines the planner owned): rounds
-  /// executed vs rounds avoided (unseeded-round skips, checkpoint
-  /// resumes, σ-memo hits) relative to naive T-rounds-per-sample
-  /// evaluation. 0/0 for planners that do not report it.
-  int64_t rounds_simulated = 0;
-  int64_t rounds_skipped = 0;
-  int64_t memo_hits = 0;        ///< σ estimates answered from the memo
-  /// prep:: artifact accounting: whether this run built the market
-  /// structure (1/0) or reused a cached bundle (0/1), and the
-  /// milliseconds of artifact construction it paid. 0/0/0 for planners
-  /// that consume no prep structure (bgrd, hag, drhga, opt, smk,
-  /// cr_greedy).
-  int64_t prep_builds = 0;
-  int64_t prep_reuses = 0;
-  double prep_millis = 0.0;     ///< wall-clock, excluded from byte-stable output
   double wall_seconds = 0.0;    ///< wall-clock planning time
   std::vector<PlanRound> rounds;  ///< per-round diagnostics
 
@@ -206,48 +117,26 @@ struct PlanResult {
   size_t num_markets = 0;
   size_t num_groups = 0;
 
-  /// How the run ended (ISSUE 8): OkStatus() for a completed plan;
-  /// kCancelled / kDeadlineExceeded when the run's token fired; the
-  /// injected or real error otherwise. A non-ok result's seeds/sigma are
-  /// whatever partial state existed at the stop and must not be compared.
+  /// How the run ended: OkStatus() for a completed plan; kCancelled /
+  /// kDeadlineExceeded when the run's token fired; the injected or real
+  /// error otherwise. A non-ok result's seeds/sigma are whatever partial
+  /// state existed at the stop and must not be compared.
   util::Status status;
-  /// Robustness accounting for this run: deltas of the process-wide
-  /// counters (util/fault_injection.h) across the run. 0/0/0 on the happy
-  /// path.
-  int64_t faults_injected = 0;  ///< armed fault points that fired
-  int64_t retries = 0;          ///< transient-fault retry attempts
-  int64_t fallbacks = 0;        ///< graceful degradations taken
 
-  /// The unified metrics snapshot for this run (ISSUE 9): every counter
-  /// above plus the σ̂ histogram, backend-specific counters, and whatever
-  /// the armed MetricRegistry recorded. The scalar fields above are
-  /// mirrors refreshed by MergeMetrics / BookRobustness — read either,
-  /// they agree; report:: serializes from here.
+  /// The run's work accounting, booked by its core::RunContext (read a
+  /// counter with metrics.Counter(name)): every engine's eval.* counters
+  /// and σ̂ histogram, prep.builds / prep.reuses / prep.millis for the
+  /// planners that lease prep artifacts, backend extras (ris.*), and the
+  /// fault.injected / fault.retries / fault.fallbacks deltas of the run.
+  /// report:: serializes from here.
   util::MetricsSnapshot metrics;
 };
 
-/// Folds a metrics delta (a planner-internal result's snapshot, or the
-/// armed registry's) into `result.metrics`, then refreshes the legacy
-/// scalar mirrors (simulations, rounds_*, memo_hits, prep_*, faults/
-/// retries/fallbacks) from the merged snapshot so both views agree. The
-/// single seam every counter hand-off goes through (ISSUE 9).
-void MergeMetrics(PlanResult& result, const util::MetricsSnapshot& delta);
-
-/// Books the robustness-counter delta `after - before` into the result as
-/// absolute values (SetCounter overwrite, so a session's wider bracket
-/// re-books over Plan()'s narrower one) and syncs the scalar mirrors.
-void BookRobustness(PlanResult& result,
-                    const util::RobustnessCounters& before,
-                    const util::RobustnessCounters& after);
-
-/// Maps the unified config onto Dysim's native struct (folding the master
-/// seed into the campaign settings). Exposed for tooling that drives
-/// core::RunTmi directly, e.g. `imdpp datasets --prep`.
-core::DysimConfig ToDysimConfig(const PlannerConfig& config);
-
-/// Maps the unified config onto a σ-backend spec (registry key, backend
-/// knobs, shared sketch cache) for diffusion::MakeSigmaBackend.
-diffusion::SigmaBackendSpec ToBackendSpec(const PlannerConfig& config);
+/// The run options a plan under `config` needs when nothing is shared:
+/// the master seed folded into the campaign, the backend spec and the
+/// config's cancel token. CampaignSession::Run adds its pool, caches and
+/// deadline token on top.
+core::RunContext::Options RunOptions(const PlannerConfig& config);
 
 /// Abstract planner. Construction binds a PlannerConfig; Plan() may be
 /// called repeatedly on different problems. Plan() times the run and
@@ -264,12 +153,20 @@ class Planner {
   /// Registry key of the concrete algorithm (e.g. "dysim").
   virtual std::string_view name() const = 0;
 
+  /// Plans in a standalone run built from config(); the result carries
+  /// that run's metrics.
   PlanResult Plan(const diffusion::Problem& problem) const;
+
+  /// Plans inside the caller's `run`. Its metrics stay in `run` until
+  /// the owner calls run.Finish(); result.metrics is left empty.
+  PlanResult Plan(const diffusion::Problem& problem,
+                  core::RunContext& run) const;
 
   const PlannerConfig& config() const { return config_; }
 
  protected:
-  virtual PlanResult PlanImpl(const diffusion::Problem& problem) const = 0;
+  virtual PlanResult PlanImpl(const diffusion::Problem& problem,
+                              core::RunContext& run) const = 0;
 
  private:
   PlannerConfig config_;

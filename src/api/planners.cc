@@ -1,7 +1,8 @@
-// The built-in planner adapters: one thin class per algorithm, mapping the
-// unified PlannerConfig/PlanResult onto each algorithm's native structs.
-// This file is the ONLY place that knows every per-algorithm header; all
-// harnesses, examples and sessions go through the registry.
+// The built-in planner adapters: one thin class per algorithm, running its
+// entry point inside the plan's core::RunContext and mapping the native
+// result onto PlanResult. This file is the ONLY place that calls every
+// per-algorithm entry point; all harnesses, examples and sessions go
+// through the registry.
 #include <memory>
 #include <utility>
 
@@ -15,43 +16,17 @@
 #include "core/adaptive_dysim.h"
 #include "core/dysim.h"
 #include "core/smk.h"
-#include "diffusion/sigma_backend.h"
-#include "util/hash.h"
 
 namespace imdpp::api {
 namespace {
 
-// ------------------------------------------------------ config adaptation
-
-/// Campaign settings with the master seed folded in: one PlannerConfig
-/// seed drives every coin flip of every planner.
-diffusion::CampaignConfig MakeCampaign(const PlannerConfig& c) {
-  diffusion::CampaignConfig campaign = c.campaign;
-  campaign.base_seed = c.seed;
-  return campaign;
-}
-
-baselines::BaselineConfig ToBaselineConfig(const PlannerConfig& c) {
-  baselines::BaselineConfig cfg;
-  cfg.selection_samples = c.selection_samples;
-  cfg.eval_samples = c.eval_samples;
-  cfg.candidates = c.candidates;
-  cfg.campaign = MakeCampaign(c);
-  cfg.backend = ToBackendSpec(c);
-  cfg.num_threads = c.num_threads;
-  cfg.shared_pool = c.shared_pool;
-  cfg.prep_cache = c.prep_cache;
-  cfg.prep_cache_enabled = c.prep.cache;
-  cfg.prep_build_threads = c.prep.build_threads;
-  return cfg;
-}
-
-PlanResult FromBaseline(baselines::BaselineResult r) {
+/// The fields every native result shares (moved out of `r`).
+template <typename Result>
+PlanResult FromResult(Result&& r) {
   PlanResult out;
   out.seeds = std::move(r.seeds);
   out.sigma = r.sigma;
   out.total_cost = r.total_cost;
-  MergeMetrics(out, r.metrics);
   out.status = std::move(r.status);
   return out;
 }
@@ -64,17 +39,13 @@ class DysimPlanner : public Planner {
   std::string_view name() const override { return "dysim"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    core::DysimResult r = core::RunDysim(problem, ToDysimConfig(config()));
-    PlanResult out;
-    out.seeds = std::move(r.seeds);
-    out.sigma = r.sigma;
-    out.total_cost = r.total_cost;
-    MergeMetrics(out, r.metrics);
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    core::DysimResult r = core::RunDysim(problem, run, config().dysim);
+    PlanResult out = FromResult(r);
     out.nominees = std::move(r.nominees);
     out.num_markets = r.plan.markets.size();
     out.num_groups = r.plan.groups.size();
-    out.status = std::move(r.status);
     return out;
   }
 };
@@ -86,17 +57,13 @@ class AdaptivePlanner : public Planner {
   std::string_view name() const override { return "adaptive"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    core::AdaptiveConfig cfg;
-    cfg.base = ToDysimConfig(config());
-    cfg.reality_seed = HashTuple(config().seed, 0xada9'711eULL);
-    cfg.antagonism_threshold = config().adaptive.antagonism_threshold;
-    core::AdaptiveResult r = core::RunAdaptiveDysim(problem, cfg);
-
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    core::AdaptiveResult r =
+        core::RunAdaptiveDysim(problem, run, config().adaptive);
     PlanResult out;
     out.seeds = std::move(r.seeds);
     out.total_cost = r.total_spent;
-    MergeMetrics(out, r.metrics);
     out.status = std::move(r.status);
     for (core::AdaptiveRound& round : r.rounds) {
       PlanRound pr;
@@ -112,16 +79,7 @@ class AdaptivePlanner : public Planner {
     // The adaptive run reports one realized trajectory; re-estimate the
     // final schedule's σ̂ from the initial state so `sigma` means the same
     // thing for every planner.
-    std::unique_ptr<diffusion::SigmaBackend> eval =
-        diffusion::MakeSigmaBackend(ToBackendSpec(config()), problem,
-                                    MakeCampaign(config()),
-                                    config().eval_samples,
-                                    config().num_threads,
-                                    config().shared_pool);
-    out.sigma = eval->Sigma(out.seeds);
-    util::MetricsSnapshot final_eval;
-    eval->AddMetrics(final_eval);
-    MergeMetrics(out, final_eval);
+    out.sigma = run.MakeEngine(problem, run.eval_samples())->Sigma(out.seeds);
     return out;
   }
 };
@@ -134,39 +92,21 @@ IMDPP_REGISTER_PLANNER("adaptive", AdaptivePlanner);
 /// time them with `schedule`, report σ̂ at eval_samples.
 template <typename SelectFn, typename ScheduleFn>
 PlanResult SelectAndFinalize(const diffusion::Problem& problem,
-                             const PlannerConfig& config,
-                             const SelectFn& select,
+                             core::RunContext& run, const SelectFn& select,
                              const ScheduleFn& schedule) {
-  // Search and final-eval engines share one worker pool (the session's
-  // when provided); the search engine memoizes σ so the selection loops'
-  // re-checks of identical seed vectors cost nothing.
-  std::shared_ptr<util::ThreadPool> pool = config.shared_pool;
-  if (pool == nullptr) pool = util::MakeWorkerPool(config.num_threads);
-  std::unique_ptr<diffusion::SigmaBackend> search_owner =
-      diffusion::MakeSigmaBackend(ToBackendSpec(config), problem,
-                                  MakeCampaign(config),
-                                  config.selection_samples,
-                                  config.num_threads, pool);
-  diffusion::SigmaBackend& search = *search_owner;
-  search.EnableSigmaMemo();
+  // The search engine memoizes σ so the selection loops' re-checks of
+  // identical seed vectors cost nothing.
+  core::RunContext::Engine search =
+      run.MakeEngine(problem, run.selection_samples());
+  search->EnableSigmaMemo();
   std::vector<diffusion::Nominee> candidates =
-      core::BuildCandidateUniverse(problem, config.candidates);
-  core::SelectionResult sel = select(search, candidates);
-  diffusion::SeedGroup seeds = schedule(search, sel.nominees);
+      core::BuildCandidateUniverse(problem, run.candidates());
+  core::SelectionResult sel = select(*search, candidates);
 
   PlanResult out;
-  std::unique_ptr<diffusion::SigmaBackend> eval_owner =
-      diffusion::MakeSigmaBackend(ToBackendSpec(config), problem,
-                                  MakeCampaign(config), config.eval_samples,
-                                  config.num_threads, pool);
-  diffusion::SigmaBackend& eval = *eval_owner;
-  out.sigma = eval.Sigma(seeds);
-  out.seeds = std::move(seeds);
+  out.seeds = schedule(*search, sel.nominees);
+  out.sigma = run.MakeEngine(problem, run.eval_samples())->Sigma(out.seeds);
   out.total_cost = problem.TotalCost(out.seeds);
-  util::MetricsSnapshot engines;
-  search.AddMetrics(engines);
-  eval.AddMetrics(engines);
-  MergeMetrics(out, engines);
   out.nominees = std::move(sel.nominees);
   return out;
 }
@@ -187,9 +127,10 @@ class SmkPlanner : public Planner {
   std::string_view name() const override { return "smk"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
     return SelectAndFinalize(
-        problem, config(),
+        problem, run,
         [&](const diffusion::SigmaBackend& engine,
             const std::vector<diffusion::Nominee>& candidates) {
           return core::SelectNomineesSmk(engine, problem, candidates,
@@ -209,18 +150,19 @@ class CrGreedyPlanner : public Planner {
   std::string_view name() const override { return "cr_greedy"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
     return SelectAndFinalize(
-        problem, config(),
+        problem, run,
         [&](const diffusion::SigmaBackend& engine,
             const std::vector<diffusion::Nominee>& candidates) {
           return core::SelectNominees(engine, problem, candidates,
                                       problem.budget);
         },
-        [this](const diffusion::SigmaBackend& engine,
+        [&run](const diffusion::SigmaBackend& engine,
                const std::vector<diffusion::Nominee>& nominees) {
           return baselines::CrGreedyTimings(engine, nominees,
-                                            config().eval.adaptive);
+                                            run.adaptive());
         });
   }
 };
@@ -234,9 +176,9 @@ class BgrdPlanner : public Planner {
   std::string_view name() const override { return "bgrd"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    return FromBaseline(
-        baselines::RunBgrd(problem, ToBaselineConfig(config())));
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    return FromResult(baselines::RunBgrd(problem, run));
   }
 };
 IMDPP_REGISTER_PLANNER("bgrd", BgrdPlanner);
@@ -247,9 +189,9 @@ class HagPlanner : public Planner {
   std::string_view name() const override { return "hag"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    return FromBaseline(
-        baselines::RunHag(problem, ToBaselineConfig(config())));
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    return FromResult(baselines::RunHag(problem, run));
   }
 };
 IMDPP_REGISTER_PLANNER("hag", HagPlanner);
@@ -260,9 +202,9 @@ class DrhgaPlanner : public Planner {
   std::string_view name() const override { return "drhga"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    return FromBaseline(
-        baselines::RunDrhga(problem, ToBaselineConfig(config())));
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    return FromResult(baselines::RunDrhga(problem, run));
   }
 };
 IMDPP_REGISTER_PLANNER("drhga", DrhgaPlanner);
@@ -273,13 +215,9 @@ class PsPlanner : public Planner {
   std::string_view name() const override { return "ps"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    baselines::PsConfig cfg;
-    static_cast<baselines::BaselineConfig&>(cfg) = ToBaselineConfig(config());
-    cfg.path_threshold = config().ps.path_threshold;
-    cfg.max_hops = config().ps.max_hops;
-    cfg.covered_discount = config().ps.covered_discount;
-    return FromBaseline(baselines::RunPs(problem, cfg));
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    return FromResult(baselines::RunPs(problem, run, config().ps));
   }
 };
 IMDPP_REGISTER_PLANNER("ps", PsPlanner);
@@ -290,51 +228,14 @@ class OptPlanner : public Planner {
   std::string_view name() const override { return "opt"; }
 
  protected:
-  PlanResult PlanImpl(const diffusion::Problem& problem) const override {
-    baselines::OptConfig cfg;
-    static_cast<baselines::BaselineConfig&>(cfg) = ToBaselineConfig(config());
-    cfg.max_candidates = config().opt.max_candidates;
-    cfg.max_seeds = config().opt.max_seeds;
-    cfg.extra_candidates = config().opt.extra_candidates;
-    return FromBaseline(baselines::RunOpt(problem, cfg));
+  PlanResult PlanImpl(const diffusion::Problem& problem,
+                      core::RunContext& run) const override {
+    return FromResult(baselines::RunOpt(problem, run, config().opt));
   }
 };
 IMDPP_REGISTER_PLANNER("opt", OptPlanner);
 
 }  // namespace
-
-core::DysimConfig ToDysimConfig(const PlannerConfig& c) {
-  core::DysimConfig cfg;
-  cfg.selection_samples = c.selection_samples;
-  cfg.eval_samples = c.eval_samples;
-  cfg.candidates = c.candidates;
-  cfg.clustering = c.clustering;
-  cfg.market = c.market;
-  cfg.order = c.dysim.order;
-  cfg.dr_max_depth = c.dysim.dr_max_depth;
-  cfg.use_target_markets = c.dysim.use_target_markets;
-  cfg.use_item_priority = c.dysim.use_item_priority;
-  cfg.use_theorem5_guard = c.dysim.use_theorem5_guard;
-  cfg.campaign = MakeCampaign(c);
-  cfg.backend = ToBackendSpec(c);
-  cfg.num_threads = c.num_threads;
-  cfg.shared_pool = c.shared_pool;
-  cfg.prep_cache = c.prep_cache;
-  cfg.prep_cache_enabled = c.prep.cache;
-  cfg.prep_build_threads = c.prep.build_threads;
-  return cfg;
-}
-
-diffusion::SigmaBackendSpec ToBackendSpec(const PlannerConfig& c) {
-  diffusion::SigmaBackendSpec spec;
-  spec.name = c.eval.backend;
-  spec.ris_sketches = c.eval.ris_sketches;
-  spec.sketch_cache = c.sketch_cache;
-  spec.cancel = c.cancel;
-  spec.fallback_backend = c.eval.fallback_backend;
-  spec.adaptive = c.eval.adaptive;
-  return spec;
-}
 
 namespace internal {
 // Anchors this translation unit: the registry calls it, the linker keeps

@@ -5,7 +5,6 @@
 
 #include "prep/ris_sketch.h"
 #include "util/check.h"
-#include "util/fault_injection.h"
 #include "util/trace.h"
 
 namespace imdpp::api {
@@ -55,46 +54,43 @@ PlanResult CampaignSession::Run(const std::string& planner_name) {
 PlanResult CampaignSession::Run(const std::string& planner_name,
                                 const PlannerConfig& config) {
   IMDPP_CHECK(problem_.graph != nullptr);  // SetProblem first
-  const util::RobustnessCounters before = util::SnapshotRobustnessCounters();
-  PlannerConfig run_config = config;
+  core::RunContext::Options options = RunOptions(config);
   {
     util::trace::Span span("phase.config");
-    if (run_config.shared_pool == nullptr) {
-      run_config.shared_pool = SharedPool(run_config.num_threads);
-    }
-    // One artifact cache serves every planner and every problem of this
-    // session: market structure is built on the first run that needs it
-    // and reused (content-keyed) from then on.
-    if (run_config.prep_cache == nullptr) {
-      run_config.prep_cache = prep_cache_;
-    }
-    if (run_config.sketch_cache == nullptr) {
-      run_config.sketch_cache = sketch_cache_;
-    }
-    // Every Run gets its own cancellation token (ISSUE 8): deadline-armed
-    // when the config asks for one, plain otherwise, so the plumbing is
-    // live — and tested — on every run. A caller-provided token wins (the
-    // caller decides its deadline), and either way a fired token never
-    // outlives this Run: the session and its pool stay reusable.
-    if (run_config.cancel == nullptr) {
-      run_config.cancel =
-          run_config.deadline_ms > 0
+    // One pool, one artifact cache and one sketch cache serve every
+    // planner and every problem of this session: market structure is
+    // built on the first run that needs it and reused (content-keyed)
+    // from then on.
+    options.pool = SharedPool(config.num_threads);
+    options.prep_cache = prep_cache_;
+    options.backend.sketch_cache = sketch_cache_;
+    // Every Run gets its own cancellation token: deadline-armed when the
+    // config asks for one, plain otherwise, so the plumbing is live — and
+    // tested — on every run. A caller-provided token wins (the caller
+    // decides its deadline), and either way a fired token never outlives
+    // this Run: the session and its pool stay reusable.
+    if (options.backend.cancel == nullptr) {
+      options.backend.cancel =
+          config.deadline_ms > 0
               ? util::CancelToken::WithDeadline(
-                    std::chrono::milliseconds(run_config.deadline_ms))
+                    std::chrono::milliseconds(config.deadline_ms))
               : std::make_shared<util::CancelToken>();
     }
   }
+  // The run's counters cover the planner's own engines; its robustness
+  // bracket covers planning plus the final σ̂ below.
+  core::RunContext run(std::move(options));
   PlanResult result;
-  // Soft lookup (ISSUE 8): an unknown planner is a structured kNotFound
-  // result, not an abort — the CLI maps it to its exit code and JSON.
+  // Soft lookup: an unknown planner is a structured kNotFound result, not
+  // an abort — the CLI maps it to its exit code and JSON.
   std::unique_ptr<Planner> planner =
-      PlannerRegistry::Create(planner_name, run_config);
+      PlannerRegistry::Create(planner_name, config);
   if (planner == nullptr) {
     result.planner = planner_name;
     result.status = util::NotFoundError(
         PlannerRegistry::UnknownMessage(planner_name));
   } else {
-    result = planner->Plan(problem_);
+    result = planner->Plan(problem_, run);
     // The final paired σ̂ on the shared engine is skipped for a failed
     // run: its seeds are partial state, and scoring them would burn the
     // deadline the run already missed.
@@ -103,9 +99,7 @@ PlanResult CampaignSession::Run(const std::string& planner_name,
       result.sigma = Sigma(result.seeds);
     }
   }
-  // Re-book the robustness deltas over the whole Run bracket (planning
-  // plus the final σ̂), superseding Plan()'s narrower bracket.
-  BookRobustness(result, before, util::SnapshotRobustnessCounters());
+  result.metrics = run.Finish();
   // The shared scoring engine may have latched an eval fault of its own
   // (its token is the session config's, not this run's). Surface it and
   // drop the poisoned engine, so the next run rebuilds a fresh one — the
@@ -148,13 +142,11 @@ PlannerConfig& CampaignSession::mutable_config() {
 diffusion::SigmaBackend& CampaignSession::engine() {
   IMDPP_CHECK(problem_.graph != nullptr);  // SetProblem first
   if (engine_ == nullptr) {
-    diffusion::CampaignConfig campaign = config_.campaign;
-    campaign.base_seed = config_.seed;
-    diffusion::SigmaBackendSpec spec = ToBackendSpec(config_);
-    if (spec.sketch_cache == nullptr) spec.sketch_cache = sketch_cache_;
+    core::RunContext::Options options = RunOptions(config_);
+    options.backend.sketch_cache = sketch_cache_;
     engine_ = diffusion::MakeSigmaBackend(
-        spec, problem_, campaign, config_.eval_samples, config_.num_threads,
-        SharedPool(config_.num_threads));
+        options.backend, problem_, options.campaign, options.eval_samples,
+        options.num_threads, SharedPool(config_.num_threads));
   }
   return *engine_;
 }

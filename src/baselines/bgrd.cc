@@ -26,14 +26,13 @@ std::vector<Nominee> BundleFor(const Problem& problem, graph::UserId u,
 
 }  // namespace
 
-BaselineResult RunBgrd(const Problem& problem, const BaselineConfig& config) {
-  std::unique_ptr<SigmaBackend> engine_owner = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.selection_samples,
-      config.num_threads, config.shared_pool);
+BaselineResult RunBgrd(const Problem& problem, RunContext& run) {
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   SigmaBackend& engine = *engine_owner;
 
   // Candidate users (top by out-degree when pruned).
-  core::CandidateConfig cand = config.candidates;
+  core::CandidateConfig cand = run.candidates();
   cand.max_items = 1;  // only used to enumerate users cheaply
   std::vector<Nominee> unit = core::BuildCandidateUniverse(problem, cand);
   std::vector<graph::UserId> users;
@@ -89,7 +88,7 @@ BaselineResult RunBgrd(const Problem& problem, const BaselineConfig& config) {
     }
     if (cands.empty()) break;
     diffusion::SelectOptions options;
-    options.adaptive = config.backend.adaptive;
+    options.adaptive = run.adaptive();
     options.min_score = 0.0;
     const diffusion::SelectBestResult r = engine.SelectBest(cands, options);
     if (r.best_index < 0) break;
@@ -101,9 +100,8 @@ BaselineResult RunBgrd(const Problem& problem, const BaselineConfig& config) {
     sigma_cur = engine.Sigma(at_first(selected));
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, config.backend.adaptive);
-  return FinalizeResult(problem, config, std::move(seeds),
-                        engine.num_simulations());
+  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
+  return FinalizeResult(problem, run, std::move(seeds));
 }
 
 }  // namespace imdpp::baselines

@@ -12,7 +12,7 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunBgrd(const Problem& problem, const BaselineConfig& config);
+BaselineResult RunBgrd(const Problem& problem, RunContext& run);
 
 }  // namespace imdpp::baselines
 

@@ -1,24 +1,20 @@
 #include "baselines/common.h"
 
+#include <utility>
+
 #include "util/cancel.h"
 
 namespace imdpp::baselines {
 
-BaselineResult FinalizeResult(const Problem& problem,
-                              const BaselineConfig& config, SeedGroup seeds,
-                              int64_t search_simulations) {
+BaselineResult FinalizeResult(const Problem& problem, RunContext& run,
+                              SeedGroup seeds) {
   BaselineResult result;
-  std::unique_ptr<SigmaBackend> eval = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.eval_samples,
-      config.num_threads, config.shared_pool);
-  result.sigma = eval->Sigma(seeds);
+  result.sigma = run.MakeEngine(problem, run.eval_samples())->Sigma(seeds);
   result.total_cost = problem.TotalCost(seeds);
   result.seeds = std::move(seeds);
-  result.metrics.AddCounter(util::metric::kEvalSimulations,
-                            search_simulations + eval->num_simulations());
   // A fired run token is the baseline's outcome (the estimates above
   // returned don't-care values once it fired).
-  result.status = util::CheckCancel(config.backend.cancel.get());
+  result.status = util::CheckCancel(run.cancel());
   return result;
 }
 

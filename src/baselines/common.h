@@ -1,68 +1,45 @@
 // Shared types for the comparison approaches of Sec. VI-A. Each baseline
 // selects nominees its own way; all are extended (as in the paper) with a
 // CR-Greedy-style timing assignment to support multiple promotions, and
-// with cost-awareness when selecting from the remaining budget.
+// with cost-awareness when selecting from the remaining budget. Every
+// baseline runs inside a core::RunContext: sample counts, candidate
+// pruning, the campaign, the backend, the pool and the prep cache come
+// from it, and it books the work of every engine and lease taken.
 #ifndef IMDPP_BASELINES_COMMON_H_
 #define IMDPP_BASELINES_COMMON_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/nominee_selection.h"
+#include "core/run_context.h"
 #include "diffusion/monte_carlo.h"
 #include "diffusion/problem.h"
-#include "prep/prep.h"
 #include "util/status.h"
 
 namespace imdpp::baselines {
 
 using core::CandidateConfig;
+using core::RunContext;
 using diffusion::Nominee;
 using diffusion::Problem;
 using diffusion::Seed;
 using diffusion::SeedGroup;
 using diffusion::SigmaBackend;
 
-struct BaselineConfig {
-  int selection_samples = 12;
-  int eval_samples = 48;
-  CandidateConfig candidates;
-  diffusion::CampaignConfig campaign;
-  /// Which σ-evaluation backend answers every estimate ("mc" default).
-  diffusion::SigmaBackendSpec backend;
-  /// Monte-Carlo executor count (util::kAutoThreads = hardware
-  /// concurrency, 0 = serial); estimates are thread-count invariant.
-  int num_threads = util::kAutoThreads;
-  /// Optional pool shared by every engine the baseline builds (sessions
-  /// pass theirs in); null = per-engine lazy pool.
-  std::shared_ptr<util::ThreadPool> shared_pool;
-  /// Optional prep-artifact cache (see core::DysimConfig); consumed by
-  /// the baselines that build graph structure (PS's influence regions).
-  std::shared_ptr<prep::PrepCache> prep_cache;
-  bool prep_cache_enabled = true;
-  int prep_build_threads = util::kAutoThreads;
-};
-
 struct BaselineResult {
   SeedGroup seeds;
   double sigma = 0.0;
   double total_cost = 0.0;
-  /// Work accounting under the canonical util::metric names (ISSUE 9):
-  /// eval.simulations for the search + final-eval estimates, plus
-  /// prep.builds / prep.reuses / prep.millis for the baselines that
-  /// build graph structure (PS's influence regions). See
-  /// core::DysimResult::metrics.
-  util::MetricsSnapshot metrics;
   /// How the run ended (see core::DysimResult::status): OkStatus() for a
   /// completed baseline, the token's reason or a prep-acquisition error
   /// otherwise. FinalizeResult fills it from the run's token.
   util::Status status;
 };
 
-/// Final σ̂ at eval_samples plus bookkeeping, shared by every baseline.
-BaselineResult FinalizeResult(const Problem& problem,
-                              const BaselineConfig& config, SeedGroup seeds,
-                              int64_t search_simulations);
+/// Final σ̂ at the run's eval_samples plus bookkeeping, shared by every
+/// baseline.
+BaselineResult FinalizeResult(const Problem& problem, RunContext& run,
+                              SeedGroup seeds);
 
 }  // namespace imdpp::baselines
 

@@ -6,14 +6,13 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunDrhga(const Problem& problem, const BaselineConfig& config) {
-  std::unique_ptr<SigmaBackend> engine_owner = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.selection_samples,
-      config.num_threads, config.shared_pool);
+BaselineResult RunDrhga(const Problem& problem, RunContext& run) {
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   SigmaBackend& engine = *engine_owner;
 
   // Candidate users (top by out-degree when pruned).
-  core::CandidateConfig cand = config.candidates;
+  core::CandidateConfig cand = run.candidates();
   cand.max_items = 1;
   std::vector<Nominee> unit = core::BuildCandidateUniverse(problem, cand);
   std::vector<graph::UserId> users;
@@ -69,7 +68,7 @@ BaselineResult RunDrhga(const Problem& problem, const BaselineConfig& config) {
       }
       if (cands.empty()) break;
       diffusion::SelectOptions options;
-      options.adaptive = config.backend.adaptive;
+      options.adaptive = run.adaptive();
       options.min_score = 0.0;
       const diffusion::SelectBestResult r =
           engine.SelectBest(cands, options);
@@ -83,9 +82,8 @@ BaselineResult RunDrhga(const Problem& problem, const BaselineConfig& config) {
     carry = share - spent_x;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, config.backend.adaptive);
-  return FinalizeResult(problem, config, std::move(seeds),
-                        engine.num_simulations());
+  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
+  return FinalizeResult(problem, run, std::move(seeds));
 }
 
 }  // namespace imdpp::baselines

@@ -11,7 +11,7 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunDrhga(const Problem& problem, const BaselineConfig& config);
+BaselineResult RunDrhga(const Problem& problem, RunContext& run);
 
 }  // namespace imdpp::baselines
 

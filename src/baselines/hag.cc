@@ -4,13 +4,12 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunHag(const Problem& problem, const BaselineConfig& config) {
-  std::unique_ptr<SigmaBackend> engine_owner = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.selection_samples,
-      config.num_threads, config.shared_pool);
+BaselineResult RunHag(const Problem& problem, RunContext& run) {
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   SigmaBackend& engine = *engine_owner;
   std::vector<Nominee> candidates =
-      core::BuildCandidateUniverse(problem, config.candidates);
+      core::BuildCandidateUniverse(problem, run.candidates());
 
   // Plain (non-lazy) greedy over pairs — deliberately the expensive
   // enumeration the paper attributes to HAG.
@@ -47,7 +46,7 @@ BaselineResult RunHag(const Problem& problem, const BaselineConfig& config) {
     }
     if (cands.empty()) break;
     diffusion::SelectOptions options;
-    options.adaptive = config.backend.adaptive;
+    options.adaptive = run.adaptive();
     options.min_score = 0.0;
     const diffusion::SelectBestResult r = engine.SelectBest(cands, options);
     if (r.best_index < 0) break;
@@ -58,9 +57,8 @@ BaselineResult RunHag(const Problem& problem, const BaselineConfig& config) {
     sigma_cur = r.best_eval.sigma;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, config.backend.adaptive);
-  return FinalizeResult(problem, config, std::move(seeds),
-                        engine.num_simulations());
+  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
+  return FinalizeResult(problem, run, std::move(seeds));
 }
 
 }  // namespace imdpp::baselines

@@ -10,7 +10,7 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunHag(const Problem& problem, const BaselineConfig& config);
+BaselineResult RunHag(const Problem& problem, RunContext& run);
 
 }  // namespace imdpp::baselines
 

@@ -34,13 +34,13 @@ void Search(const std::vector<Triple>& triples, size_t from, double remaining,
 
 }  // namespace
 
-BaselineResult RunOpt(const Problem& problem, const OptConfig& config) {
-  std::unique_ptr<SigmaBackend> engine_owner = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.selection_samples,
-      config.num_threads, config.shared_pool);
+BaselineResult RunOpt(const Problem& problem, RunContext& run,
+                      const OptConfig& config) {
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   SigmaBackend& engine = *engine_owner;
   std::vector<Nominee> candidates =
-      core::BuildCandidateUniverse(problem, config.candidates);
+      core::BuildCandidateUniverse(problem, run.candidates());
 
   // Rank candidates by singleton σ̂ and keep the strongest.
   if (config.max_candidates > 0 &&
@@ -89,8 +89,7 @@ BaselineResult RunOpt(const Problem& problem, const OptConfig& config) {
            }
          });
 
-  return FinalizeResult(problem, config, std::move(best),
-                        engine.num_simulations());
+  return FinalizeResult(problem, run, std::move(best));
 }
 
 }  // namespace imdpp::baselines

@@ -10,7 +10,7 @@
 
 namespace imdpp::baselines {
 
-struct OptConfig : BaselineConfig {
+struct OptConfig {
   /// Keep the strongest-singleton candidates (0 = all).
   int max_candidates = 10;
   /// Cap on the seed-group size (0 = unbounded).
@@ -21,7 +21,8 @@ struct OptConfig : BaselineConfig {
   std::vector<Nominee> extra_candidates;
 };
 
-BaselineResult RunOpt(const Problem& problem, const OptConfig& config);
+BaselineResult RunOpt(const Problem& problem, RunContext& run,
+                      const OptConfig& config = {});
 
 }  // namespace imdpp::baselines
 

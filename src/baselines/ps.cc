@@ -8,30 +8,25 @@
 
 namespace imdpp::baselines {
 
-BaselineResult RunPs(const Problem& problem, const PsConfig& config) {
-  std::unique_ptr<SigmaBackend> engine_owner = diffusion::MakeSigmaBackend(
-      config.backend, problem, config.campaign, config.selection_samples,
-      config.num_threads, config.shared_pool);
+BaselineResult RunPs(const Problem& problem, RunContext& run,
+                     const PsConfig& config) {
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   SigmaBackend& engine = *engine_owner;
   std::vector<Nominee> candidates =
-      core::BuildCandidateUniverse(problem, config.candidates);
+      core::BuildCandidateUniverse(problem, run.candidates());
 
   // Max-influence-path regions per distinct candidate user, from the prep
   // artifacts: batch-computed in parallel on first use, then shared with
   // Dysim's market build (same (threshold, max_hops) = same entries) and
   // with later PS runs of the session.
-  util::StatusOr<prep::PrepLease> lease_or =
-      prep::AcquirePrep(config.prep_cache, config.prep_cache_enabled, problem,
-                        config.shared_pool, config.prep_build_threads,
-                        config.backend.cancel);
-  if (!lease_or.ok()) {
+  util::StatusOr<RunContext::Lease> lease = run.LeasePrep(problem);
+  if (!lease.ok()) {
     BaselineResult failed;
-    failed.status = lease_or.status();
+    failed.status = lease.status();
     return failed;
   }
-  prep::PrepLease& lease = *lease_or;
-  prep::PrepArtifacts& art = *lease.artifacts;
-  const double prep_millis_before = lease.built ? 0.0 : art.total_millis();
+  prep::PrepArtifacts& art = lease->artifacts();
   std::vector<graph::UserId> sources;
   sources.reserve(candidates.size());
   for (const Nominee& n : candidates) sources.push_back(n.user);
@@ -47,7 +42,7 @@ BaselineResult RunPs(const Problem& problem, const PsConfig& config) {
   double spent = 0.0;
   // Greedy-iteration boundary checks (ISSUE 8): a fired token stops the
   // coverage greedy with the seeds picked so far.
-  while (util::CheckCancel(config.backend.cancel.get()).ok()) {
+  while (util::CheckCancel(run.cancel()).ok()) {
     int best = -1;
     double best_ratio = 0.0;
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -77,12 +72,8 @@ BaselineResult RunPs(const Problem& problem, const PsConfig& config) {
     for (graph::UserId v : region_of(n.user).users) covered[v] = 1;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, config.backend.adaptive);
-  BaselineResult result = FinalizeResult(problem, config, std::move(seeds),
-                                         engine.num_simulations());
-  prep::AddLeaseMetrics(result.metrics, lease,
-                        art.total_millis() - prep_millis_before);
-  return result;
+  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
+  return FinalizeResult(problem, run, std::move(seeds));
 }
 
 }  // namespace imdpp::baselines

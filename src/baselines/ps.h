@@ -12,14 +12,15 @@
 
 namespace imdpp::baselines {
 
-struct PsConfig : BaselineConfig {
+struct PsConfig {
   double path_threshold = 0.01;
   int max_hops = 8;
   /// Score multiplier for already-covered users.
   double covered_discount = 0.2;
 };
 
-BaselineResult RunPs(const Problem& problem, const PsConfig& config);
+BaselineResult RunPs(const Problem& problem, RunContext& run,
+                     const PsConfig& config = {});
 
 }  // namespace imdpp::baselines
 

@@ -224,7 +224,7 @@ util::Status LoadProblemSetup(const config::ParsedArgs& args,
       !ParseIntFlag(args, "promotions", &setup->promotions, &error) ||
       !ParseSeedFlag(args, "seed", &setup->config.seed, &error) ||
       !ParseIntFlag(args, "threads", &setup->config.num_threads, &error) ||
-      !ParseIntFlag(args, "theta", &setup->config.market.overlap_theta,
+      !ParseIntFlag(args, "theta", &setup->config.dysim.market.overlap_theta,
                     &error) ||
       !ParseIntFlag(args, "selection-samples",
                     &setup->config.selection_samples, &error) ||
@@ -553,21 +553,15 @@ int RunDatasets(const config::ParsedArgs& args, std::ostream& out,
     if (!status.ok()) return StatusError(err, status);
     diffusion::Problem problem =
         dataset.MakeProblem(setup.budget, setup.promotions);
-    core::DysimConfig dcfg = api::ToDysimConfig(setup.config);
-    std::shared_ptr<util::ThreadPool> pool =
-        util::MakeWorkerPool(dcfg.num_threads);
-    dcfg.shared_pool = pool;
-    std::unique_ptr<diffusion::SigmaBackend> engine =
-        diffusion::MakeSigmaBackend(dcfg.backend, problem, dcfg.campaign,
-                                    dcfg.selection_samples, dcfg.num_threads,
-                                    pool);
+    core::RunContext run(api::RunOptions(setup.config));
+    core::RunContext::Engine engine =
+        run.MakeEngine(problem, run.selection_samples());
     engine->EnableSigmaMemo();
-    util::StatusOr<prep::PrepLease> lease_or = prep::AcquirePrep(
-        nullptr, /*use_cache=*/true, problem, pool, dcfg.prep_build_threads);
-    if (!lease_or.ok()) return StatusError(err, lease_or.status());
-    prep::PrepLease& lease = *lease_or;
-    core::TmiResult tmi = core::RunTmi(problem, *engine, dcfg,
-                                       *lease.artifacts);
+    util::StatusOr<core::RunContext::Lease> lease = run.LeasePrep(problem);
+    if (!lease.ok()) return StatusError(err, lease.status());
+    prep::PrepArtifacts& art = lease->artifacts();
+    core::TmiResult tmi =
+        core::RunTmi(problem, *engine, run, setup.config.dysim, art);
 
     report::PrepDatasetStats s;
     s.dataset = spec;
@@ -579,8 +573,8 @@ int RunDatasets(const config::ParsedArgs& args, std::ostream& out,
     s.clusters = tmi.clusters.size();
     s.markets = tmi.plan.markets.size();
     s.groups = tmi.plan.groups.size();
-    s.mioa_regions = lease.artifacts->num_regions();
-    s.prep_millis = lease.artifacts->total_millis();
+    s.mioa_regions = art.num_regions();
+    s.prep_millis = art.total_millis();
     stats.push_back(std::move(s));
   }
 

@@ -160,8 +160,8 @@ bool ApplyMarket(const util::Json& obj, cluster::MarketPlanConfig* cfg,
   return true;
 }
 
-bool ApplyDysim(const util::Json& obj,
-                api::PlannerConfig::DysimOptions* cfg, std::string* error) {
+bool ApplyDysim(const util::Json& obj, core::DysimConfig* cfg,
+                std::string* error) {
   for (const auto& [key, v] : obj.members()) {
     if (key == "order") {
       if (!v.is_string()) {
@@ -381,13 +381,13 @@ bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
         *error = "clustering must be an object";
         return false;
       }
-      if (!ApplyClustering(v, &cfg->clustering, error)) return false;
+      if (!ApplyClustering(v, &cfg->dysim.clustering, error)) return false;
     } else if (key == "market") {
       if (!v.is_object()) {
         *error = "market must be an object";
         return false;
       }
-      if (!ApplyMarket(v, &cfg->market, error)) return false;
+      if (!ApplyMarket(v, &cfg->dysim.market, error)) return false;
     } else if (key == "dysim") {
       if (!v.is_object()) {
         *error = "dysim must be an object";
@@ -683,7 +683,9 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
                                                 error)) {
                   return false;
                 }
-                if (theta >= 0) point.config.market.overlap_theta = theta;
+                if (theta >= 0) {
+                  point.config.dysim.market.overlap_theta = theta;
+                }
                 point.config.num_threads = nt;
                 if (!backend.empty()) point.config.eval.backend = backend;
                 point.backend = point.config.eval.backend;

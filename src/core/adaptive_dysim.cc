@@ -1,12 +1,19 @@
 #include "core/adaptive_dysim.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "util/cancel.h"
+#include "util/hash.h"
 
 namespace imdpp::core {
 
 namespace {
+
+/// The reality draws' stream of the run's master seed.
+constexpr uint64_t kRealityStream = 0xada9'711eULL;
 
 std::vector<pin::UserState> InitialStates(const Problem& problem) {
   std::vector<pin::UserState> states;
@@ -21,36 +28,33 @@ std::vector<pin::UserState> InitialStates(const Problem& problem) {
 
 }  // namespace
 
-AdaptiveResult RunAdaptiveDysim(const Problem& problem,
+AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
                                 const AdaptiveConfig& config) {
   problem.Validate();
   AdaptiveResult result;
+  if (run.backend().name != "mc") {
+    result.status = util::InvalidArgumentError(
+        "planner \"adaptive\" supports only the \"mc\" backend, not \"" +
+        run.backend().name + "\"");
+    return result;
+  }
   const int T = problem.num_promotions;
   double remaining = problem.budget;
   std::vector<pin::UserState> reality = InitialStates(problem);
-
-  // One pool serves every per-round engine (ROADMAP: no thread respawn
-  // per adaptive round).
-  std::shared_ptr<util::ThreadPool> pool = config.base.shared_pool;
-  if (pool == nullptr) pool = util::MakeWorkerPool(config.base.num_threads);
+  const uint64_t reality_seed =
+      HashTuple(run.campaign().base_seed, kRealityStream);
+  const util::CancelToken* cancel = run.cancel().get();
 
   // Initial-perception substitutability oracle for the antagonism check —
   // a table lookup in the prep artifacts (the RelC/RelS tables at the
   // average initial weighting), shared with every other planner of the
   // session instead of rebuilt per adaptive run.
-  diffusion::CampaignConfig camp = config.base.campaign;
-  const std::shared_ptr<util::CancelToken>& cancel = config.base.backend.cancel;
-  util::StatusOr<prep::PrepLease> lease_or = prep::AcquirePrep(
-      config.base.prep_cache, config.base.prep_cache_enabled, problem, pool,
-      config.base.prep_build_threads, cancel);
-  if (!lease_or.ok()) {
-    result.status = lease_or.status();
+  util::StatusOr<RunContext::Lease> lease = run.LeasePrep(problem);
+  if (!lease.ok()) {
+    result.status = lease.status();
     return result;
   }
-  prep::PrepLease& lease = *lease_or;
-  const prep::PrepArtifacts& art = *lease.artifacts;
-  prep::AddLeaseMetrics(result.metrics, lease,
-                        lease.built ? art.build_millis() : 0.0);
+  const prep::PrepArtifacts& art = lease->artifacts();
   auto antagonistic = [&](kg::ItemId a, kg::ItemId b) {
     if (a == b) return false;
     double rs = art.RelS(a, b);
@@ -61,27 +65,27 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem,
     // Promotion-round boundary: a fired token (deadline, cancellation,
     // injected eval fault) stops the adaptive loop with the rounds
     // planned so far.
-    if (!util::CheckCancel(cancel.get()).ok()) break;
+    if (!util::CheckCancel(cancel).ok()) break;
     const int horizon = T - t + 1;
     // Sub-problem over the remaining horizon, starting from reality.
     Problem sub = problem;
     sub.num_promotions = horizon;
     sub.budget = remaining;
-    diffusion::MonteCarloEngine engine(sub, camp,
-                                       config.base.selection_samples,
-                                       config.base.num_threads, pool, cancel);
-    engine.SetInitialStates(&reality);
+    auto observed = std::make_unique<diffusion::MonteCarloEngine>(
+        sub, run.campaign(), run.selection_samples(), run.num_threads(),
+        run.pool(), run.cancel());
+    observed->SetInitialStates(&reality);
+    RunContext::Engine engine = run.Adopt(std::move(observed));
 
     std::vector<Nominee> candidates =
-        BuildCandidateUniverse(sub, config.base.candidates);
+        BuildCandidateUniverse(sub, run.candidates());
 
     AdaptiveRound round;
     round.promotion = t;
     SeedGroup chosen;  // sub-time: promotion index 1 = this round
     double sigma_base = 0.0;
     bool open = true;
-    while (open && !candidates.empty() &&
-           util::CheckCancel(cancel.get()).ok()) {
+    while (open && !candidates.empty() && util::CheckCancel(cancel).ok()) {
       // Highest-MCP affordable candidate over the observed state, via the
       // backend argmax seam (the gain/cost score is affine in the
       // evaluation). min_score = 0.0 keeps the historical
@@ -104,9 +108,9 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem,
       }
       if (cands.empty()) break;
       diffusion::SelectOptions options;
-      options.adaptive = config.base.backend.adaptive;
+      options.adaptive = run.adaptive();
       options.min_score = 0.0;
-      const diffusion::SelectBestResult r = engine.SelectBest(cands, options);
+      const diffusion::SelectBestResult r = engine->SelectBest(cands, options);
       if (r.best_index < 0) break;
       const int best_idx = cand_idx[static_cast<size_t>(r.best_index)];
       const double best_gain = r.best_eval.sigma - sigma_base;
@@ -129,8 +133,8 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem,
         with_now.push_back({n.user, n.item, 1});
         SeedGroup with_later = chosen;
         with_later.push_back({n.user, n.item, 2});
-        double g_now = engine.Sigma(with_now) - sigma_base;
-        double g_later = engine.Sigma(with_later) - sigma_base;
+        double g_now = engine->Sigma(with_now) - sigma_base;
+        double g_later = engine->Sigma(with_later) - sigma_base;
         if (g_later > g_now) {
           // The best candidate prefers the next promotion: close this
           // round and carry the budget over.
@@ -149,9 +153,9 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem,
     if (!chosen.empty()) {
       Problem one = problem;
       one.num_promotions = 1;
-      diffusion::CampaignSimulator sim(one, camp);
+      diffusion::CampaignSimulator sim(one, run.campaign());
       diffusion::SampleOutcome o = sim.RunSample(
-          chosen, config.reality_seed + static_cast<uint64_t>(t), nullptr,
+          chosen, reality_seed + static_cast<uint64_t>(t), nullptr,
           /*keep_states=*/true, &reality);
       reality = std::move(o.states);
       round.realized_sigma = o.sigma;
@@ -165,7 +169,7 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem,
     result.total_spent += round.spent;
     result.rounds.push_back(std::move(round));
   }
-  result.status = util::CheckCancel(cancel.get());
+  result.status = util::CheckCancel(cancel);
   return result;
 }
 

@@ -12,7 +12,12 @@
 //     TDSI-style two-slot check) — remaining budget carries over.
 // The last round spends the remaining budget greedily. After planning a
 // round, one realization of that promotion is simulated (the "reality"
-// draw) and its end state seeds the next round.
+// draw, on its own stream of the run's master seed) and its end state
+// seeds the next round.
+//
+// Replanning from an observed state needs an engine whose realizations
+// start there (MonteCarloEngine::SetInitialStates), so the planner runs
+// on the "mc" backend only and rejects any other with kInvalidArgument.
 #ifndef IMDPP_CORE_ADAPTIVE_DYSIM_H_
 #define IMDPP_CORE_ADAPTIVE_DYSIM_H_
 
@@ -23,10 +28,6 @@
 namespace imdpp::core {
 
 struct AdaptiveConfig {
-  /// Candidate pruning / sampling / campaign settings reused from Dysim.
-  DysimConfig base;
-  /// Seed of the "reality" realization (which adoptions actually happen).
-  uint64_t reality_seed = 9001;
   /// Net substitutable relevance above which two same-round items count as
   /// antagonistic.
   double antagonism_threshold = 0.25;
@@ -44,16 +45,13 @@ struct AdaptiveResult {
   double realized_sigma = 0.0;
   double total_spent = 0.0;
   std::vector<AdaptiveRound> rounds;
-  /// prep:: artifact accounting under the canonical util::metric names
-  /// (see DysimResult::metrics).
-  util::MetricsSnapshot metrics;
   /// How the run ended (see DysimResult::status); a non-ok run stops at
   /// the next promotion-round boundary with the rounds planned so far.
   util::Status status;
 };
 
-AdaptiveResult RunAdaptiveDysim(const Problem& problem,
-                                const AdaptiveConfig& config);
+AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
+                                const AdaptiveConfig& config = {});
 
 }  // namespace imdpp::core
 

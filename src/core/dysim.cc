@@ -12,14 +12,14 @@
 namespace imdpp::core {
 
 TmiResult RunTmi(const Problem& problem,
-                 const diffusion::SigmaBackend& engine,
+                 const diffusion::SigmaBackend& engine, const RunContext& run,
                  const DysimConfig& config, prep::PrepArtifacts& artifacts) {
   TmiResult tmi;
 
   // ---- Nominee selection (Procedure 2) — budget-dependent, never
   // cached; the structure below it comes from the prep artifacts. ----
   std::vector<Nominee> candidates =
-      BuildCandidateUniverse(problem, config.candidates);
+      BuildCandidateUniverse(problem, run.candidates());
   tmi.selection = SelectNominees(engine, problem, candidates, problem.budget);
 
   // ---- Clustering and market identification, from cached artifacts. ----
@@ -40,7 +40,8 @@ TmiResult RunTmi(const Problem& problem,
   return tmi;
 }
 
-DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
+DysimResult RunDysim(const Problem& problem, RunContext& run,
+                     const DysimConfig& config) {
   problem.Validate();
   DysimResult result;
   const int T = problem.num_promotions;
@@ -48,16 +49,10 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
   // phase and greedy-iteration boundary below; the engines additionally
   // check it per estimate. All checks are pure control flow while the
   // token is quiet — no-deadline runs are bit-identical.
-  const util::CancelToken* cancel = config.backend.cancel.get();
+  const util::CancelToken* cancel = run.cancel().get();
 
-  // One worker pool serves both the search and the final-eval engine
-  // (ROADMAP: no per-engine thread respawn); sessions can pass theirs in.
-  std::shared_ptr<util::ThreadPool> pool = config.shared_pool;
-  if (pool == nullptr) pool = util::MakeWorkerPool(config.num_threads);
-  std::unique_ptr<diffusion::SigmaBackend> engine_owner =
-      diffusion::MakeSigmaBackend(config.backend, problem, config.campaign,
-                                  config.selection_samples,
-                                  config.num_threads, pool);
+  RunContext::Engine engine_owner =
+      run.MakeEngine(problem, run.selection_samples());
   diffusion::SigmaBackend& engine = *engine_owner;
   // The selection sweeps below revisit identical seed vectors (singleton
   // gains re-checked by the greedy, refinement re-testing a timing); the
@@ -67,20 +62,15 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
 
   // ---- Prep artifacts: built once here, or served from the session's
   // cache (one build per dataset across Run/Compare/sweep cells). ----
-  util::StatusOr<prep::PrepLease> lease_or =
-      prep::AcquirePrep(config.prep_cache, config.prep_cache_enabled, problem,
-                        pool, config.prep_build_threads,
-                        config.backend.cancel);
-  if (!lease_or.ok()) {
-    result.status = lease_or.status();
+  util::StatusOr<RunContext::Lease> lease = run.LeasePrep(problem);
+  if (!lease.ok()) {
+    result.status = lease.status();
     return result;
   }
-  prep::PrepLease& lease = *lease_or;
-  prep::PrepArtifacts& art = *lease.artifacts;
-  const double prep_millis_before = lease.built ? 0.0 : art.total_millis();
+  prep::PrepArtifacts& art = lease->artifacts();
 
   // ---- TMI phase. ----
-  TmiResult tmi = RunTmi(problem, engine, config, art);
+  TmiResult tmi = RunTmi(problem, engine, run, config, art);
   SelectionResult& sel = tmi.selection;
   result.nominees = sel.nominees;
   result.total_cost = sel.total_cost;
@@ -139,8 +129,7 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
       }
 
       std::vector<kg::ItemId> remaining_items = market.items;
-      TimingSelector tdsi(engine, market.users, T,
-                          config.backend.adaptive);
+      TimingSelector tdsi(engine, market.users, T, run.adaptive());
       while (!remaining_items.empty() && util::CheckCancel(cancel).ok()) {
         // DRE: re-evaluate reachability under the current seed group.
         if (!sg.empty()) dre_eval->Rebase(sg);
@@ -173,10 +162,7 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
   }
 
   // ---- Theorem-5 guard: best of SG, N_first, and e_max. ----
-  std::unique_ptr<diffusion::SigmaBackend> eval_owner =
-      diffusion::MakeSigmaBackend(config.backend, problem, config.campaign,
-                                  config.eval_samples, config.num_threads,
-                                  pool);
+  RunContext::Engine eval_owner = run.MakeEngine(problem, run.eval_samples());
   diffusion::SigmaBackend& eval = *eval_owner;
   double best_sigma = eval.Sigma(all_seeds);
   SeedGroup best_seeds = all_seeds;
@@ -222,7 +208,7 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
         timings[static_cast<size_t>(t - 1)].group = std::move(with);
       }
       diffusion::SelectOptions options;
-      options.adaptive = config.backend.adaptive;
+      options.adaptive = run.adaptive();
       options.min_score = -1.0;
       const diffusion::SelectBestResult r =
           placer.SelectBest(timings, options);
@@ -287,7 +273,7 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
         }
         refined[i].promotion = original;
         diffusion::SelectOptions options;
-        options.adaptive = config.backend.adaptive;
+        options.adaptive = run.adaptive();
         options.min_score = refined_sigma;
         const diffusion::SelectBestResult r =
             refiner.SelectBest(moves, options);
@@ -311,10 +297,6 @@ DysimResult RunDysim(const Problem& problem, const DysimConfig& config) {
   result.sigma = best_sigma;
   result.total_cost = problem.TotalCost(result.seeds);
   result.plan = std::move(plan);
-  engine.AddMetrics(result.metrics);
-  eval.AddMetrics(result.metrics);
-  prep::AddLeaseMetrics(result.metrics, lease,
-                        art.total_millis() - prep_millis_before);
   // A token that fired anywhere above is the run's outcome; the seeds and
   // σ̂ carried out are the partial state at the stop.
   result.status = util::CheckCancel(cancel);

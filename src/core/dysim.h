@@ -28,20 +28,18 @@
 #include "cluster/target_market.h"
 #include "core/market_order.h"
 #include "core/nominee_selection.h"
+#include "core/run_context.h"
 #include "diffusion/monte_carlo.h"
 #include "prep/prep.h"
 #include "util/status.h"
 
 namespace imdpp::core {
 
+/// Dysim's own knobs. Sample counts, candidate pruning, the campaign, the
+/// backend, the pool and the prep cache come from the run's RunContext.
 struct DysimConfig {
-  /// Monte-Carlo samples during search and for the final report.
-  int selection_samples = 12;
-  int eval_samples = 48;
-
-  /// Candidate-universe pruning (0 = exhaustive V x I).
-  CandidateConfig candidates;
-
+  /// TMI clustering and target-market knobs (the `clustering` / `market`
+  /// config keys).
   cluster::ClusteringConfig clustering;
   cluster::MarketPlanConfig market;
   MarketOrderMetric order = MarketOrderMetric::kAntagonisticExtent;
@@ -58,51 +56,18 @@ struct DysimConfig {
   /// coordinate-ascent refinement; keep the best). The ablation study
   /// disables it so the TMI/DRE/TDSI differences stay visible.
   bool use_theorem5_guard = true;
-
-  diffusion::CampaignConfig campaign;
-
-  /// Which σ-evaluation backend answers every estimate of this run
-  /// ("mc" default; see diffusion/sigma_backend.h).
-  diffusion::SigmaBackendSpec backend;
-
-  /// Monte-Carlo executor count (util::kAutoThreads = hardware
-  /// concurrency, 0 = serial); estimates are thread-count invariant.
-  int num_threads = util::kAutoThreads;
-
-  /// Optional pool backing every Monte-Carlo engine this run builds
-  /// (sessions pass theirs in); null = one pool shared between the
-  /// search and eval engines, created on demand.
-  std::shared_ptr<util::ThreadPool> shared_pool;
-
-  /// Optional prep-artifact cache (sessions pass theirs in, so market
-  /// structure is built once per dataset and reused across Run/Compare/
-  /// sweep cells); null = a standalone artifact is built for this run.
-  std::shared_ptr<prep::PrepCache> prep_cache;
-  /// false = bypass the cache and always rebuild (determinism tests).
-  bool prep_cache_enabled = true;
-  /// Gates the prep build's per-source Dijkstra/BFS sweeps: <= 1 runs
-  /// them inline, anything else on `shared_pool` when one exists. Purely
-  /// a scheduling knob — artifacts are bit-identical for every value.
-  int prep_build_threads = util::kAutoThreads;
 };
 
 struct DysimResult {
   SeedGroup seeds;
-  double sigma = 0.0;       ///< σ̂ at eval_samples
+  double sigma = 0.0;       ///< σ̂ at the run's eval_samples
   double total_cost = 0.0;
   std::vector<Nominee> nominees;    ///< TMI output
   cluster::MarketPlan plan;         ///< diagnostics
-  /// Work accounting under the canonical util::metric names (ISSUE 9):
-  /// eval.simulations / eval.rounds_* / eval.memo_hits across both
-  /// engines, prep.builds / prep.reuses / prep.millis for the artifact
-  /// acquisition, the σ̂ histogram, and (for "ris") the sketch counters.
-  /// Replaces the per-counter fields that used to be hand-threaded here;
-  /// api::MergeMetrics folds it into PlanResult in one line.
-  util::MetricsSnapshot metrics;
-  /// How the run ended (ISSUE 8): OkStatus() for a completed plan; the
-  /// token's reason (kCancelled / kDeadlineExceeded / an injected error)
-  /// when config.backend.cancel fired, or the prep-acquisition error. A
-  /// non-ok result carries whatever partial state existed at the stop.
+  /// How the run ended: OkStatus() for a completed plan; the token's
+  /// reason (kCancelled / kDeadlineExceeded / an injected error) when the
+  /// run's cancel token fired, or the prep-acquisition error. A non-ok
+  /// result carries whatever partial state existed at the stop.
   util::Status status;
 };
 
@@ -116,14 +81,17 @@ struct TmiResult {
   cluster::MarketPlan plan;
 };
 
-/// Runs the TMI phase on `problem`, sourcing clustering distances, MIOA
-/// regions and relevance oracles from `artifacts`.
+/// Runs the TMI phase on `problem` over the run's candidate universe,
+/// sourcing clustering distances, MIOA regions and relevance oracles from
+/// `artifacts`.
 TmiResult RunTmi(const Problem& problem,
-                 const diffusion::SigmaBackend& engine,
+                 const diffusion::SigmaBackend& engine, const RunContext& run,
                  const DysimConfig& config, prep::PrepArtifacts& artifacts);
 
-/// Runs Dysim on `problem` (budget and T come from the problem).
-DysimResult RunDysim(const Problem& problem, const DysimConfig& config);
+/// Runs Dysim on `problem` (budget and T come from the problem) inside
+/// `run`, which books the work of every engine and lease it takes.
+DysimResult RunDysim(const Problem& problem, RunContext& run,
+                     const DysimConfig& config = {});
 
 }  // namespace imdpp::core
 

@@ -305,8 +305,8 @@ class SigmaBackend {
   mutable util::HistogramData sigma_estimates_ IMDPP_GUARDED_BY(stats_mu_);
 };
 
-/// Which backend to build and its backend-specific knobs — the value that
-/// travels PlannerConfig → DysimConfig/BaselineConfig → MakeSigmaBackend.
+/// Which backend to build and its backend-specific knobs — the value a
+/// core::RunContext hands MakeSigmaBackend for every engine of a run.
 struct SigmaBackendSpec {
   std::string name = "mc";
   /// "ris": reverse-reachable sketches per sketch set (θ).
@@ -374,8 +374,9 @@ class SigmaBackendRegistry {
 };
 
 /// Builds the backend `spec` names with CreateOrDie semantics — the one
-/// construction path planners, baselines and the session all use. Callers
-/// with user-provided names validate via SigmaBackendRegistry::Has first.
+/// construction path core::RunContext (for every planner and baseline)
+/// and the session's shared engine use. Callers with user-provided names
+/// validate via SigmaBackendRegistry::Has first.
 std::unique_ptr<SigmaBackend> MakeSigmaBackend(
     const SigmaBackendSpec& spec, const Problem& problem,
     const CampaignConfig& campaign, int num_samples, int num_threads,

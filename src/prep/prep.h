@@ -255,25 +255,26 @@ class PrepArtifacts {
 };
 
 /// What a planner gets back from AcquirePrep: the artifacts plus whether
-/// this acquisition built them (prep_builds = 1) or served them from a
-/// cache (prep_reuses = 1).
+/// this acquisition built them (prep.builds = 1) or served them from a
+/// cache (prep.reuses = 1). A run's prep.millis is the artifact-time
+/// delta across the lease: total_millis() at release minus its value at
+/// acquisition (0 for a fresh build) — core::RunContext books all three.
 struct PrepLease {
   std::shared_ptr<PrepArtifacts> artifacts;
   bool built = false;
   bool reused = false;
 };
 
-/// Books one acquisition into `out` under the canonical metric names:
-/// prep.builds / prep.reuses from the lease, plus `millis` of artifact
-/// construction attributable to this run (callers decide the bracket —
-/// Dysim charges the total_millis delta across its whole run, Adaptive
-/// charges the eager build only — so the helper takes the value).
-inline void AddLeaseMetrics(util::MetricsSnapshot& out, const PrepLease& lease,
-                            double millis) {
-  out.AddCounter(util::metric::kPrepBuilds, lease.built ? 1 : 0);
-  out.AddCounter(util::metric::kPrepReuses, lease.reused ? 1 : 0);
-  out.AddSum(util::metric::kPrepMillis, millis);
-}
+/// How a run acquires its artifacts (the `prep.*` config keys).
+struct PrepOptions {
+  /// false = bypass the artifact cache and rebuild per run (the
+  /// determinism tests pin cold == warm with this).
+  bool cache = true;
+  /// Gates the build's per-source Dijkstra/BFS sweeps: <= 1 runs them
+  /// inline, anything else on the run's pool (when one exists).
+  /// Artifacts are bit-identical for every value.
+  int build_threads = util::kAutoThreads;
+};
 
 /// Session-scoped artifact memo, keyed by StructuralKey. One cache serves
 /// every planner a CampaignSession runs; cli::RunSweep gets the reuse for

@@ -34,7 +34,7 @@
 // release builds and the fault-matrix suite alike.
 //
 // The injector also owns the global robustness counters
-// (faults_injected / retries / fallbacks) that PlanResult books as
+// (faults_injected / retries / fallbacks) that core::RunContext books as
 // per-run deltas and the reports serialize.
 #ifndef IMDPP_UTIL_FAULT_INJECTION_H_
 #define IMDPP_UTIL_FAULT_INJECTION_H_
@@ -52,9 +52,9 @@
 
 namespace imdpp::util {
 
-/// Cumulative process-wide robustness accounting. Monotonic: consumers
-/// (api::Planner::Plan, CampaignSession::Run) snapshot before/after and
-/// book the delta.
+/// Cumulative process-wide robustness accounting. Monotonic: a
+/// core::RunContext snapshots it when created and books the delta once,
+/// in Finish().
 struct RobustnessCounters {
   int64_t faults_injected = 0;  ///< armed fault points that fired
   int64_t retries = 0;          ///< RetryTransient re-attempts

@@ -5,9 +5,8 @@
 //   * MetricsSnapshot — a plain, copyable bag of named metric values
 //     (counters, gauges, sums, fixed-bucket histograms) held in a
 //     std::map so iteration order is the deterministic name order.
-//     Per-run counters that used to be hand-threaded fields on
-//     DysimResult/PlanResult now travel as one snapshot that layers
-//     merge with MetricsSnapshot::Merge / api::MergeMetrics.
+//     A planning run's counters live in one snapshot, the sink of its
+//     core::RunContext, which becomes PlanResult::metrics.
 //
 //   * MetricRegistry — a thread-safe process-wide registry of live
 //     metric handles (atomic counters/gauges, mutex-guarded
@@ -46,8 +45,7 @@
 
 namespace imdpp::util {
 
-// Canonical metric names. The legacy PlanResult counter fields are
-// derived views of these (see api::MergeMetrics).
+// Canonical metric names.
 namespace metric {
 inline constexpr char kEvalSimulations[] = "eval.simulations";
 inline constexpr char kEvalRoundsSimulated[] = "eval.rounds_simulated";

@@ -237,6 +237,21 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredPlanners, PlannerConformanceTest,
                            return std::string(param_info.param);
                          });
 
+// Adaptive replanning needs engines that start from observed states, which
+// only "mc" offers: any other backend is a structured invalid argument
+// naming the planner and the backend, not a silently-ignored flag.
+TEST(AdaptivePlanner, RejectsBackendsOtherThanMc) {
+  TinyWorld w = ConformanceWorld();
+  PlannerConfig cfg = FastConfig();
+  cfg.eval.backend = "ris";
+  cfg.eval.ris_sketches = 256;
+  PlanResult r = PlannerRegistry::Create("adaptive", cfg)->Plan(w.problem);
+  EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status.message().find("adaptive"), std::string::npos);
+  EXPECT_NE(r.status.message().find("\"ris\""), std::string::npos);
+  EXPECT_TRUE(r.seeds.empty());
+}
+
 TEST(CampaignSession, RunsAndComparesPlannersOnAnOwnedDataset) {
   PlannerConfig cfg = FastConfig();
   cfg.candidates.max_users = 8;

@@ -16,13 +16,20 @@ using testutil::MakeWorld;
 using testutil::TinyWorld;
 using testutil::TinyWorldSpec;
 
-BaselineConfig FastConfig() {
-  BaselineConfig cfg;
-  cfg.selection_samples = 6;
-  cfg.eval_samples = 16;
-  cfg.candidates.max_users = 8;
-  cfg.candidates.max_items = 3;
-  return cfg;
+RunContext::Options FastRun() {
+  RunContext::Options run;
+  run.selection_samples = 6;
+  run.eval_samples = 16;
+  run.candidates.max_users = 8;
+  run.candidates.max_items = 3;
+  return run;
+}
+
+RunContext::Options SamplesRun(int samples) {
+  RunContext::Options run;
+  run.selection_samples = samples;
+  run.eval_samples = samples;
+  return run;
 }
 
 TEST(CrGreedy, AssignsAllNomineesWithinHorizon) {
@@ -57,7 +64,8 @@ class BaselinesOnSample : public ::testing::Test {
 };
 
 TEST_F(BaselinesOnSample, BgrdFeasibleAndPositive) {
-  BaselineResult r = RunBgrd(problem_, FastConfig());
+  RunContext run(FastRun());
+  BaselineResult r = RunBgrd(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
   EXPECT_GT(r.sigma, 0.0);
   EXPECT_FALSE(r.seeds.empty());
@@ -66,8 +74,8 @@ TEST_F(BaselinesOnSample, BgrdFeasibleAndPositive) {
 TEST_F(BaselinesOnSample, BgrdBundlesUsers) {
   // Every selected user should carry more than one item when affordable —
   // the defining trait of bundle promotion.
-  BaselineConfig cfg = FastConfig();
-  BaselineResult r = RunBgrd(problem_, cfg);
+  RunContext run(FastRun());
+  BaselineResult r = RunBgrd(problem_, run);
   std::map<int, int> items_per_user;
   for (const diffusion::Seed& s : r.seeds) ++items_per_user[s.user];
   int max_items = 0;
@@ -76,42 +84,42 @@ TEST_F(BaselinesOnSample, BgrdBundlesUsers) {
 }
 
 TEST_F(BaselinesOnSample, HagFeasibleAndPositive) {
-  BaselineResult r = RunHag(problem_, FastConfig());
+  RunContext run(FastRun());
+  BaselineResult r = RunHag(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
   EXPECT_GT(r.sigma, 0.0);
 }
 
 TEST_F(BaselinesOnSample, PsFeasibleAndPositive) {
-  PsConfig cfg;
-  static_cast<BaselineConfig&>(cfg) = FastConfig();
-  BaselineResult r = RunPs(problem_, cfg);
+  RunContext run(FastRun());
+  BaselineResult r = RunPs(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
   EXPECT_GT(r.sigma, 0.0);
 }
 
 TEST_F(BaselinesOnSample, DrhgaFeasibleAndPositive) {
-  BaselineResult r = RunDrhga(problem_, FastConfig());
+  RunContext run(FastRun());
+  BaselineResult r = RunDrhga(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
   EXPECT_GT(r.sigma, 0.0);
 }
 
 TEST_F(BaselinesOnSample, DrhgaCoversMultipleItems) {
-  BaselineConfig cfg = FastConfig();
-  cfg.candidates.max_items = 3;
-  BaselineResult r = RunDrhga(problem_, cfg);
+  RunContext::Options options = FastRun();
+  options.candidates.max_items = 3;
+  RunContext run(options);
+  BaselineResult r = RunDrhga(problem_, run);
   std::set<int> items;
   for (const diffusion::Seed& s : r.seeds) items.insert(s.item);
   EXPECT_GE(items.size(), 2u);
 }
 
 TEST_F(BaselinesOnSample, AllDeterministic) {
-  BaselineConfig cfg = FastConfig();
-  EXPECT_EQ(RunBgrd(problem_, cfg).seeds, RunBgrd(problem_, cfg).seeds);
-  EXPECT_EQ(RunHag(problem_, cfg).seeds, RunHag(problem_, cfg).seeds);
-  EXPECT_EQ(RunDrhga(problem_, cfg).seeds, RunDrhga(problem_, cfg).seeds);
-  PsConfig pcfg;
-  static_cast<BaselineConfig&>(pcfg) = cfg;
-  EXPECT_EQ(RunPs(problem_, pcfg).seeds, RunPs(problem_, pcfg).seeds);
+  RunContext run(FastRun());
+  EXPECT_EQ(RunBgrd(problem_, run).seeds, RunBgrd(problem_, run).seeds);
+  EXPECT_EQ(RunHag(problem_, run).seeds, RunHag(problem_, run).seeds);
+  EXPECT_EQ(RunDrhga(problem_, run).seeds, RunDrhga(problem_, run).seeds);
+  EXPECT_EQ(RunPs(problem_, run).seeds, RunPs(problem_, run).seeds);
 }
 
 TEST(Opt, FindsTheExactOptimumOnTinyInstance) {
@@ -124,12 +132,11 @@ TEST(Opt, FindsTheExactOptimumOnTinyInstance) {
   s.budget = 10.0;
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}}, s);
   w.problem.budget = 10.0;
+  RunContext run(SamplesRun(8));
   OptConfig cfg;
-  cfg.selection_samples = 8;
-  cfg.eval_samples = 8;
   cfg.max_candidates = 0;
   cfg.max_seeds = 2;
-  BaselineResult r = RunOpt(w.problem, cfg);
+  BaselineResult r = RunOpt(w.problem, run, cfg);
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].user, 0);
   EXPECT_DOUBLE_EQ(r.sigma, 2.0);
@@ -138,17 +145,20 @@ TEST(Opt, FindsTheExactOptimumOnTinyInstance) {
 TEST(Opt, NeverWorseThanAnySingleton) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(60.0, 2);
+  RunContext::Options options;
+  options.selection_samples = 6;
+  options.eval_samples = 16;
+  options.candidates.max_users = 4;
+  options.candidates.max_items = 2;
+  RunContext run(options);
   OptConfig cfg;
-  cfg.selection_samples = 6;
-  cfg.eval_samples = 16;
-  cfg.candidates.max_users = 4;
-  cfg.candidates.max_items = 2;
   cfg.max_candidates = 6;
   cfg.max_seeds = 2;
-  BaselineResult opt = RunOpt(p, cfg);
+  BaselineResult opt = RunOpt(p, run, cfg);
   // Compare against each singleton of its own candidate space.
-  diffusion::MonteCarloEngine eval(p, cfg.campaign, cfg.eval_samples);
-  std::vector<Nominee> cands = core::BuildCandidateUniverse(p, cfg.candidates);
+  diffusion::MonteCarloEngine eval(p, options.campaign, options.eval_samples);
+  std::vector<Nominee> cands =
+      core::BuildCandidateUniverse(p, options.candidates);
   for (const Nominee& n : cands) {
     if (p.Cost(n.user, n.item) > p.budget) continue;
     EXPECT_GE(opt.sigma + 1e-9, eval.Sigma({{n.user, n.item, 1}}));
@@ -161,12 +171,11 @@ TEST(Opt, RespectsSeedCap) {
   s.budget = 100.0;
   TinyWorld w = MakeWorld(4, {{0, 1, 0.5}, {2, 3, 0.5}}, s);
   w.problem.budget = 100.0;
+  RunContext run(SamplesRun(4));
   OptConfig cfg;
-  cfg.selection_samples = 4;
-  cfg.eval_samples = 4;
   cfg.max_candidates = 0;
   cfg.max_seeds = 1;
-  BaselineResult r = RunOpt(w.problem, cfg);
+  BaselineResult r = RunOpt(w.problem, run, cfg);
   EXPECT_LE(r.seeds.size(), 1u);
 }
 

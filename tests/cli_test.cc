@@ -133,11 +133,13 @@ TEST(Cli, PlanJsonParsesAndMatchesInProcessSessionRun) {
     EXPECT_EQ((*seeds)[i].Find("t")->AsInt(), expected.seeds[i].promotion);
   }
   // The PR 3 work counters flow through the JSON output.
+  const util::MetricsSnapshot& m = expected.metrics;
   EXPECT_EQ(result->Find("rounds_simulated")->AsInt(),
-            expected.rounds_simulated);
+            m.Counter(util::metric::kEvalRoundsSimulated));
   EXPECT_EQ(result->Find("rounds_skipped")->AsInt(),
-            expected.rounds_skipped);
-  EXPECT_EQ(result->Find("memo_hits")->AsInt(), expected.memo_hits);
+            m.Counter(util::metric::kEvalRoundsSkipped));
+  EXPECT_EQ(result->Find("memo_hits")->AsInt(),
+            m.Counter(util::metric::kEvalMemoHits));
   // No wall-clock fields without --timings: output is byte-stable.
   EXPECT_EQ(result->Find("wall_seconds"), nullptr);
 }
@@ -486,6 +488,23 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
   util::Json neg_error = ParseOrDie(FirstLine(neg.err));
   EXPECT_EQ(neg_error.Find("error")->Find("code_name")->AsString(),
             "invalid_argument");
+}
+
+// The adaptive planner replans on "mc" engines only; asking it for another
+// backend is an invalid argument (exit 2), not a silently-ignored flag.
+TEST(Cli, AdaptivePlannerRejectsNonMcBackend) {
+  CliResult r = RunCli({"plan", "--dataset", "fig1-toy", "--planner",
+                        "adaptive", "--budget", "20", "--promotions", "2",
+                        "--selection-samples", "4", "--eval-samples", "8",
+                        "--backend", "ris"});
+  EXPECT_EQ(r.code, 2);
+  util::Json error = ParseOrDie(FirstLine(r.err));
+  EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
+            "invalid_argument");
+  const std::string message =
+      error.Find("error")->Find("message")->AsString();
+  EXPECT_NE(message.find("adaptive"), std::string::npos) << message;
+  EXPECT_NE(message.find("ris"), std::string::npos) << message;
 }
 
 // The capability listing: every backend that implements the racing seam

@@ -131,7 +131,7 @@ TEST(ConfigLoader, AppliesPartialPlannerConfigOverrides) {
   EXPECT_EQ(cfg.candidates.max_items, 0);  // untouched
   EXPECT_EQ(cfg.campaign.model, diffusion::DiffusionModel::kLinearThreshold);
   EXPECT_EQ(cfg.campaign.max_steps, 9);
-  EXPECT_EQ(cfg.market.overlap_theta, 4);
+  EXPECT_EQ(cfg.dysim.market.overlap_theta, 4);
   EXPECT_EQ(cfg.dysim.order, core::MarketOrderMetric::kProfitability);
   EXPECT_FALSE(cfg.dysim.use_item_priority);
   EXPECT_TRUE(cfg.dysim.use_target_markets);  // untouched
@@ -415,9 +415,9 @@ TEST(SweepSpec, ExpandsTheFullCrossProduct) {
   EXPECT_DOUBLE_EQ(points.back().dataset.scale, 0.2);
   // Axis values land in the resolved configs.
   EXPECT_EQ(points[0].config.selection_samples, 4);
-  EXPECT_EQ(points[0].config.market.overlap_theta, 0);
+  EXPECT_EQ(points[0].config.dysim.market.overlap_theta, 0);
   EXPECT_EQ(points[0].config.num_threads, 0);
-  EXPECT_EQ(points.back().config.market.overlap_theta, 2);
+  EXPECT_EQ(points.back().config.dysim.market.overlap_theta, 2);
   EXPECT_EQ(points.back().config.num_threads, 2);
 }
 
@@ -436,8 +436,8 @@ TEST(SweepSpec, OmittedAxesCollapseToOnePoint) {
   ASSERT_TRUE(expanded.ok()) << expanded.ToString();
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].theta, -1);  // sentinel: keep the config's theta
-  EXPECT_EQ(points[0].config.market.overlap_theta,
-            api::PlannerConfig{}.market.overlap_theta);
+  EXPECT_EQ(points[0].config.dysim.market.overlap_theta,
+            api::PlannerConfig{}.dysim.market.overlap_theta);
 }
 
 TEST(SweepSpec, PerAxisOverridesApplyInOrder) {

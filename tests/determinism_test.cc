@@ -7,7 +7,11 @@
 // also part of the regular ctest suite.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/session.h"
@@ -51,12 +55,14 @@ void ExpectSamePlan(const PlanResult& a, const PlanResult& b,
   EXPECT_EQ(a.planner, b.planner);
   EXPECT_EQ(a.sigma, b.sigma);
   EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.simulations, b.simulations);
-  // The fast-path accounting is a function of the schedule search alone,
+  // The work accounting is a function of the schedule search alone,
   // never of the thread count.
-  EXPECT_EQ(a.rounds_simulated, b.rounds_simulated);
-  EXPECT_EQ(a.rounds_skipped, b.rounds_skipped);
-  EXPECT_EQ(a.memo_hits, b.memo_hits);
+  for (const char* counter :
+       {util::metric::kEvalSimulations, util::metric::kEvalRoundsSimulated,
+        util::metric::kEvalRoundsSkipped, util::metric::kEvalMemoHits}) {
+    EXPECT_EQ(a.metrics.Counter(counter), b.metrics.Counter(counter))
+        << counter;
+  }
   ASSERT_EQ(a.seeds.size(), b.seeds.size());
   for (size_t i = 0; i < a.seeds.size(); ++i) {
     EXPECT_EQ(a.seeds[i].user, b.seeds[i].user) << "seed " << i;
@@ -117,9 +123,9 @@ TEST(DeterminismGate, QuietCancelTokenAndGenerousDeadlineAreInvisible) {
     tokened_session.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
     PlanResult tokened = tokened_session.Run(name);
     EXPECT_TRUE(tokened.status.ok()) << tokened.status.ToString();
-    EXPECT_EQ(tokened.faults_injected, 0);
-    EXPECT_EQ(tokened.retries, 0);
-    EXPECT_EQ(tokened.fallbacks, 0);
+    EXPECT_EQ(tokened.metrics.Counter(util::metric::kFaultInjected), 0);
+    EXPECT_EQ(tokened.metrics.Counter(util::metric::kFaultRetries), 0);
+    EXPECT_EQ(tokened.metrics.Counter(util::metric::kFaultFallbacks), 0);
     ExpectSamePlan(plain, tokened, "quiet explicit token");
 
     PlannerConfig with_deadline = GateConfig(2);
@@ -327,6 +333,77 @@ TEST(DeterminismGate, AdaptivePathBitIdenticalAcrossThreadCounts) {
       EXPECT_GT(race_counters(one)[0], 0) << "race never engaged";
     }
   }
+}
+
+// Golden bits: every registered planner's schedule and σ̂ bit pattern on
+// two catalog worlds, pinned as constants. The gates above compare runs
+// inside one binary; this one compares against the values the code
+// produced when the table was recorded, so a change that claims
+// bit-identity is checked, and a deliberate re-baseline rewrites it.
+struct Golden {
+  const char* world;  ///< "fig1": fig1-toy, B=20, T=2; "amazon": B=150, T=3
+  const char* planner;
+  uint64_t sigma_bits;
+  diffusion::SeedGroup seeds;
+};
+
+const Golden kGolden[] = {
+    {"fig1", "adaptive", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "bgrd", 0x40064cccccccccceULL, {{0, 0, 1}, {0, 2, 2}}},
+    {"fig1", "cr_greedy", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "drhga", 0x3ff4cccccccccccdULL, {{0, 2, 2}, {0, 3, 1}}},
+    {"fig1", "dysim", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "hag", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "opt", 0x40064cccccccccceULL, {{0, 0, 1}, {0, 2, 2}}},
+    {"fig1", "ps", 0x4001000000000000ULL, {{0, 0, 1}, {1, 0, 1}}},
+    {"fig1", "smk", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"amazon", "adaptive", 0x40287e56a3763489ULL,
+     {{7, 7, 1}, {5, 6, 3}, {10, 8, 3}, {9, 6, 3}}},
+    {"amazon", "bgrd", 0x4037b7f92357305cULL,
+     {{10, 8, 3}, {10, 6, 2}, {10, 7, 3}, {10, 11, 3}, {10, 4, 3},
+      {10, 10, 2}}},
+    {"amazon", "cr_greedy", 0x4033558b3d4deca3ULL,
+     {{7, 7, 1}, {5, 6, 2}, {10, 6, 2}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
+    {"amazon", "drhga", 0x4032301eeb04447dULL,
+     {{5, 6, 2}, {7, 7, 1}, {6, 11, 3}, {7, 10, 1}, {7, 3, 1}, {5, 1, 1}}},
+    {"amazon", "dysim", 0x40349f5ec14c9a72ULL,
+     {{5, 6, 2}, {10, 6, 1}, {10, 8, 3}, {5, 8, 2}, {8, 7, 1}, {7, 7, 1}}},
+    {"amazon", "hag", 0x4033558b3d4deca3ULL,
+     {{7, 7, 1}, {5, 6, 2}, {10, 6, 2}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
+    {"amazon", "opt", 0x40271f2551bdbf72ULL,
+     {{9, 8, 1}, {5, 6, 2}, {6, 6, 3}}},
+    {"amazon", "ps", 0x4033dd9e9d124c4fULL,
+     {{10, 8, 3}, {9, 7, 3}, {10, 7, 3}, {8, 6, 3}, {5, 6, 2}, {8, 7, 2}}},
+    {"amazon", "smk", 0x40322399ab9c04e3ULL,
+     {{5, 8, 1}, {5, 6, 1}, {7, 7, 1}, {8, 7, 1}, {10, 8, 1}, {10, 6, 1}}},
+};
+
+TEST(DeterminismGate, GoldenBitsMatchThePinnedTable) {
+  data::Dataset fig1 = data::MakeFig1Toy();
+  data::Dataset amazon = data::MakeSmallAmazonSample();
+  const diffusion::Problem fig1_problem = fig1.MakeProblem(20.0, 2);
+  const diffusion::Problem amazon_problem = amazon.MakeProblem(150.0, 3);
+  PlannerConfig cfg;
+  cfg.selection_samples = 4;
+  cfg.eval_samples = 8;
+  cfg.candidates.max_users = 6;
+  cfg.candidates.max_items = 3;
+  cfg.seed = 20261016;
+  cfg.num_threads = 1;
+  std::set<std::string> covered;
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(std::string(g.world) + " " + g.planner);
+    const diffusion::Problem& problem =
+        std::string_view(g.world) == "fig1" ? fig1_problem : amazon_problem;
+    const PlanResult r =
+        PlannerRegistry::CreateOrDie(g.planner, cfg)->Plan(problem);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.sigma), g.sigma_bits) << r.sigma;
+    EXPECT_EQ(r.seeds, g.seeds);
+    covered.insert(g.planner);
+  }
+  const std::vector<std::string> names = PlannerRegistry::Names();
+  EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()));
 }
 
 TEST(DeterminismGate, SessionSigmaThreadCountInvariant) {

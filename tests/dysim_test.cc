@@ -12,11 +12,24 @@ using testutil::MakeWorld;
 using testutil::TinyWorld;
 using testutil::TinyWorldSpec;
 
-DysimConfig FastConfig() {
-  DysimConfig cfg;
-  cfg.selection_samples = 6;
-  cfg.eval_samples = 16;
-  return cfg;
+RunContext::Options FastRun() {
+  RunContext::Options run;
+  run.selection_samples = 6;
+  run.eval_samples = 16;
+  return run;
+}
+
+/// Dysim in a standalone run.
+DysimResult Dysim(const diffusion::Problem& p, RunContext::Options options,
+                  const DysimConfig& config = {}) {
+  RunContext run(std::move(options));
+  return RunDysim(p, run, config);
+}
+
+AdaptiveResult Adaptive(const diffusion::Problem& p,
+                        RunContext::Options options) {
+  RunContext run(std::move(options));
+  return RunAdaptiveDysim(p, run);
 }
 
 TEST(Dysim, PicksTheObviousSeedOnDeterministicChain) {
@@ -27,7 +40,7 @@ TEST(Dysim, PicksTheObviousSeedOnDeterministicChain) {
   s.budget = 15.0;
   TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}}, s);
   w.problem.budget = 15.0;
-  DysimResult r = RunDysim(w.problem, FastConfig());
+  DysimResult r = Dysim(w.problem, FastRun());
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].user, 0);
   EXPECT_DOUBLE_EQ(r.sigma, 4.0);
@@ -36,10 +49,10 @@ TEST(Dysim, PicksTheObviousSeedOnDeterministicChain) {
 TEST(Dysim, RespectsBudget) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(80.0, 2);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 10;
-  cfg.candidates.max_items = 4;
-  DysimResult r = RunDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 10;
+  run.candidates.max_items = 4;
+  DysimResult r = Dysim(p, run);
   EXPECT_LE(r.total_cost, p.budget + 1e-9);
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_GE(s.promotion, 1);
@@ -50,11 +63,11 @@ TEST(Dysim, RespectsBudget) {
 TEST(Dysim, DeterministicGivenConfig) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(60.0, 2);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 8;
-  cfg.candidates.max_items = 3;
-  DysimResult a = RunDysim(p, cfg);
-  DysimResult b = RunDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 8;
+  run.candidates.max_items = 3;
+  DysimResult a = Dysim(p, run);
+  DysimResult b = Dysim(p, run);
   EXPECT_EQ(a.seeds, b.seeds);
   EXPECT_DOUBLE_EQ(a.sigma, b.sigma);
 }
@@ -62,10 +75,10 @@ TEST(Dysim, DeterministicGivenConfig) {
 TEST(Dysim, NomineesNeverExceedOnePlacementEach) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(100.0, 3);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 10;
-  cfg.candidates.max_items = 4;
-  DysimResult r = RunDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 10;
+  run.candidates.max_items = 4;
+  DysimResult r = Dysim(p, run);
   std::set<std::pair<int, int>> nominees;
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_TRUE(nominees.emplace(s.user, s.item).second)
@@ -76,17 +89,18 @@ TEST(Dysim, NomineesNeverExceedOnePlacementEach) {
 TEST(Dysim, AblationsRunAndStayFeasible) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(80.0, 3);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 8;
-  cfg.candidates.max_items = 3;
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 8;
+  run.candidates.max_items = 3;
 
+  DysimConfig cfg;
   cfg.use_target_markets = false;
-  DysimResult no_tm = RunDysim(p, cfg);
+  DysimResult no_tm = Dysim(p, run, cfg);
   EXPECT_LE(no_tm.total_cost, p.budget + 1e-9);
 
   cfg.use_target_markets = true;
   cfg.use_item_priority = false;
-  DysimResult no_ip = RunDysim(p, cfg);
+  DysimResult no_ip = Dysim(p, run, cfg);
   EXPECT_LE(no_ip.total_cost, p.budget + 1e-9);
   EXPECT_GT(no_tm.sigma, 0.0);
   EXPECT_GT(no_ip.sigma, 0.0);
@@ -95,15 +109,16 @@ TEST(Dysim, AblationsRunAndStayFeasible) {
 TEST(Dysim, MarketOrderMetricsAllRun) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(60.0, 2);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 6;
-  cfg.candidates.max_items = 3;
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 6;
+  run.candidates.max_items = 3;
+  DysimConfig cfg;
   for (MarketOrderMetric m :
        {MarketOrderMetric::kAntagonisticExtent,
         MarketOrderMetric::kProfitability, MarketOrderMetric::kSize,
         MarketOrderMetric::kRelativeMarketShare, MarketOrderMetric::kRandom}) {
     cfg.order = m;
-    DysimResult r = RunDysim(p, cfg);
+    DysimResult r = Dysim(p, run, cfg);
     EXPECT_GE(r.sigma, 0.0) << MarketOrderName(m);
   }
 }
@@ -114,7 +129,7 @@ TEST(Dysim, EmptyWhenBudgetTooSmall) {
   s.budget = 1.0;
   TinyWorld w = MakeWorld(3, {{0, 1, 0.5}}, s);
   w.problem.budget = 1.0;
-  DysimResult r = RunDysim(w.problem, FastConfig());
+  DysimResult r = Dysim(w.problem, FastRun());
   EXPECT_TRUE(r.seeds.empty());
   EXPECT_DOUBLE_EQ(r.sigma, 0.0);
 }
@@ -124,10 +139,10 @@ TEST(Dysim, TimingsRespectWindowDiscipline) {
   // order within each group (TDSI only searches [t̂, t̂+1]).
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(120.0, 4);
-  DysimConfig cfg = FastConfig();
-  cfg.candidates.max_users = 10;
-  cfg.candidates.max_items = 4;
-  DysimResult r = RunDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 10;
+  run.candidates.max_items = 4;
+  DysimResult r = Dysim(p, run);
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_LE(s.promotion, 4);
     EXPECT_GE(s.promotion, 1);
@@ -137,11 +152,10 @@ TEST(Dysim, TimingsRespectWindowDiscipline) {
 TEST(AdaptiveDysim, SpendsWithinBudgetAndObservesReality) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(80.0, 3);
-  AdaptiveConfig cfg;
-  cfg.base = FastConfig();
-  cfg.base.candidates.max_users = 8;
-  cfg.base.candidates.max_items = 3;
-  AdaptiveResult r = RunAdaptiveDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 8;
+  run.candidates.max_items = 3;
+  AdaptiveResult r = Adaptive(p, run);
   EXPECT_LE(r.total_spent, p.budget + 1e-9);
   EXPECT_EQ(r.rounds.size(), 3u);
   for (const AdaptiveRound& round : r.rounds) {
@@ -158,12 +172,11 @@ TEST(AdaptiveDysim, SpendsWithinBudgetAndObservesReality) {
 TEST(AdaptiveDysim, DeterministicInRealitySeed) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(60.0, 2);
-  AdaptiveConfig cfg;
-  cfg.base = FastConfig();
-  cfg.base.candidates.max_users = 6;
-  cfg.base.candidates.max_items = 2;
-  AdaptiveResult a = RunAdaptiveDysim(p, cfg);
-  AdaptiveResult b = RunAdaptiveDysim(p, cfg);
+  RunContext::Options run = FastRun();
+  run.candidates.max_users = 6;
+  run.candidates.max_items = 2;
+  AdaptiveResult a = Adaptive(p, run);
+  AdaptiveResult b = Adaptive(p, run);
   EXPECT_EQ(a.seeds, b.seeds);
   EXPECT_DOUBLE_EQ(a.realized_sigma, b.realized_sigma);
 }

@@ -19,6 +19,7 @@
 #include "util/cancel.h"
 #include "util/fault_injection.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace imdpp {
@@ -150,7 +151,7 @@ TEST_F(FaultMatrix, EvalSigmaFaultFailsTheRunAndSessionStaysReusable) {
   api::PlanResult failed = session.Run("dysim");
   EXPECT_EQ(failed.status.code(), util::StatusCode::kInternal)
       << failed.status.ToString();
-  EXPECT_GE(failed.faults_injected, 1);
+  EXPECT_GE(failed.metrics.Counter(util::metric::kFaultInjected), 1);
 
   // Disarmed, the SAME session produces the same plan as a fresh one: no
   // poisoned engine or cache survived the failure.
@@ -183,7 +184,7 @@ TEST_F(FaultMatrix, PoolEnqueueFaultDegradesToBitIdenticalSerial) {
   ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
   // Every batch ran inline on the calling thread instead — same indices,
   // same order, same bits — and each dispatch booked a fallback.
-  EXPECT_GE(degraded.fallbacks, 1);
+  EXPECT_GE(degraded.metrics.Counter(util::metric::kFaultFallbacks), 1);
   EXPECT_EQ(degraded.sigma, want.sigma);
   EXPECT_EQ(degraded.total_cost, want.total_cost);
   ASSERT_EQ(degraded.seeds.size(), want.seeds.size());
@@ -204,7 +205,7 @@ TEST_F(FaultMatrix, RisSketchFaultFailsTheRunWithoutAFallback) {
   api::PlanResult failed = session.Run("dysim");
   EXPECT_EQ(failed.status.code(), util::StatusCode::kInternal)
       << failed.status.ToString();
-  EXPECT_EQ(failed.fallbacks, 0);
+  EXPECT_EQ(failed.metrics.Counter(util::metric::kFaultFallbacks), 0);
 
   Injector().Reset();
   api::PlanResult recovered = session.Run("dysim");

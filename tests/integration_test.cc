@@ -25,43 +25,34 @@ World MakeWorld100(double budget, int promotions) {
   return s;
 }
 
-core::DysimConfig DysimCfg() {
-  core::DysimConfig cfg;
-  cfg.selection_samples = 8;
-  cfg.eval_samples = 32;
-  cfg.candidates.max_users = 12;
-  cfg.candidates.max_items = 5;
-  return cfg;
-}
-
-baselines::BaselineConfig BaseCfg() {
-  baselines::BaselineConfig cfg;
-  cfg.selection_samples = 8;
-  cfg.eval_samples = 32;
-  cfg.candidates.max_users = 12;
-  cfg.candidates.max_items = 5;
-  return cfg;
+core::RunContext::Options Effort() {
+  core::RunContext::Options options;
+  options.selection_samples = 8;
+  options.eval_samples = 32;
+  options.candidates.max_users = 12;
+  options.candidates.max_items = 5;
+  return options;
 }
 
 TEST(Integration, DysimBeatsPs) {
   World s = MakeWorld100(100.0, 2);
-  core::DysimResult dysim = core::RunDysim(s.problem, DysimCfg());
-  baselines::PsConfig pcfg;
-  static_cast<baselines::BaselineConfig&>(pcfg) = BaseCfg();
-  baselines::BaselineResult ps = baselines::RunPs(s.problem, pcfg);
+  core::RunContext run(Effort());
+  core::DysimResult dysim = core::RunDysim(s.problem, run);
+  baselines::BaselineResult ps = baselines::RunPs(s.problem, run);
   EXPECT_GE(dysim.sigma, ps.sigma);
 }
 
 TEST(Integration, DysimCompetitiveWithAllBaselines) {
   World s = MakeWorld100(100.0, 2);
-  core::DysimResult dysim = core::RunDysim(s.problem, DysimCfg());
+  core::RunContext run(Effort());
+  core::DysimResult dysim = core::RunDysim(s.problem, run);
   double best_baseline = 0.0;
   best_baseline =
-      std::max(best_baseline, baselines::RunBgrd(s.problem, BaseCfg()).sigma);
+      std::max(best_baseline, baselines::RunBgrd(s.problem, run).sigma);
   best_baseline =
-      std::max(best_baseline, baselines::RunHag(s.problem, BaseCfg()).sigma);
+      std::max(best_baseline, baselines::RunHag(s.problem, run).sigma);
   best_baseline =
-      std::max(best_baseline, baselines::RunDrhga(s.problem, BaseCfg()).sigma);
+      std::max(best_baseline, baselines::RunDrhga(s.problem, run).sigma);
   // Dysim should at least match the best greedy baseline up to MC noise.
   EXPECT_GE(dysim.sigma, 0.9 * best_baseline);
 }
@@ -71,22 +62,21 @@ TEST(Integration, PrunedOptStaysNearHeuristics) {
   // so heuristics that buy more cheap seeds can edge past it slightly;
   // it must nevertheless stay in the same ballpark (Fig. 8's regime).
   World s = MakeWorld100(30.0, 2);
+  core::RunContext run(Effort());
   baselines::OptConfig ocfg;
-  static_cast<baselines::BaselineConfig&>(ocfg) = BaseCfg();
   ocfg.max_candidates = 16;
   ocfg.max_seeds = 2;
-  baselines::BaselineResult opt = baselines::RunOpt(s.problem, ocfg);
-  baselines::PsConfig pcfg;
-  static_cast<baselines::BaselineConfig&>(pcfg) = BaseCfg();
-  baselines::BaselineResult ps = baselines::RunPs(s.problem, pcfg);
+  baselines::BaselineResult opt = baselines::RunOpt(s.problem, run, ocfg);
+  baselines::BaselineResult ps = baselines::RunPs(s.problem, run);
   EXPECT_GE(opt.sigma, 0.8 * ps.sigma);
 }
 
 TEST(Integration, MorePromotionsHelpDysim) {
   World s1 = MakeWorld100(100.0, 1);
   World s3 = MakeWorld100(100.0, 3);
-  core::DysimResult r1 = core::RunDysim(s1.problem, DysimCfg());
-  core::DysimResult r3 = core::RunDysim(s3.problem, DysimCfg());
+  core::RunContext run(Effort());
+  core::DysimResult r1 = core::RunDysim(s1.problem, run);
+  core::DysimResult r3 = core::RunDysim(s3.problem, run);
   // The Theorem-5 guard guarantees T=3 can fall back to the T=1-style
   // N_first placement, so it should never be materially worse.
   EXPECT_GE(r3.sigma, 0.85 * r1.sigma);
@@ -95,10 +85,11 @@ TEST(Integration, MorePromotionsHelpDysim) {
 TEST(Integration, ClassroomCampaignRuns) {
   data::Dataset ds = data::MakeClassroom(0);
   diffusion::Problem p = ds.MakeProblem(50.0, 3);
-  core::DysimConfig cfg = DysimCfg();
-  cfg.candidates.max_users = 0;  // exhaustive over 33 students
-  cfg.candidates.max_items = 6;
-  core::DysimResult r = core::RunDysim(p, cfg);
+  core::RunContext::Options options = Effort();
+  options.candidates.max_users = 0;  // exhaustive over 33 students
+  options.candidates.max_items = 6;
+  core::RunContext run(options);
+  core::DysimResult r = core::RunDysim(p, run);
   EXPECT_GT(r.sigma, 0.0);
   EXPECT_LE(r.total_cost, 50.0 + 1e-9);
 }
@@ -112,8 +103,9 @@ TEST(Integration, FrozenDynamicsLowersDysimSpread) {
   diffusion::Problem dynamic = ds.MakeProblem(100.0, 3);
   diffusion::Problem frozen =
       ds.MakeProblem(100.0, 3, pin::PerceptionParams::FrozenDynamics());
-  core::DysimResult rd = core::RunDysim(dynamic, DysimCfg());
-  core::DysimResult rf = core::RunDysim(frozen, DysimCfg());
+  core::RunContext run(Effort());
+  core::DysimResult rd = core::RunDysim(dynamic, run);
+  core::DysimResult rf = core::RunDysim(frozen, run);
   EXPECT_GE(rd.sigma, rf.sigma * 0.95);
 }
 

@@ -167,6 +167,26 @@ TEST(LintRules, StatusMustCheckSparesConsumedAndVoidCastResults) {
   }
 }
 
+TEST(LintRules, RunContextOnlyFiresOnRawFactories) {
+  std::vector<Diagnostic> d = ForRule(LintFixtures(), "run-context-only");
+  ASSERT_EQ(d.size(), 3u);
+  // The context's own MakeEngine / LeasePrep calls in the fixture stay
+  // clean.
+  EXPECT_TRUE(HasAt(d, "core/run_context_only.cc", 7));  // MakeSigmaBackend
+  EXPECT_TRUE(HasAt(d, "core/run_context_only.cc", 8));  // AcquirePrep
+  EXPECT_TRUE(HasAt(d, "core/run_context_only.cc", 9));  // MakeWorkerPool
+}
+
+TEST(LintRules, RunContextOnlyIsGatedToCoreAndBaselines) {
+  const std::string body =
+      "void F() { auto pool = util::MakeWorkerPool(2); }\n";
+  EXPECT_FALSE(LintSource("src/core/x.cc", body).empty());
+  EXPECT_FALSE(LintSource("src/baselines/x.cc", body).empty());
+  EXPECT_TRUE(LintSource("src/core/run_context.cc", body).empty());
+  EXPECT_TRUE(LintSource("src/api/x.cc", body).empty());
+  EXPECT_TRUE(LintSource("src/util/thread_pool.cc", body).empty());
+}
+
 // ------------------------------------------------------------ suppressions
 
 TEST(LintSuppressions, ReasonedSuppressionSilencesTheFinding) {

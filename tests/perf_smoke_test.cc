@@ -93,21 +93,23 @@ TEST(PerfSmoke, DysimReportsAtLeastTwofoldRoundSavings) {
   // naive T-rounds-per-sample evaluation it replaced.
   data::Dataset ds = data::MakeYelpLike(0.5);
   Problem problem = ds.MakeProblem(/*budget=*/500.0, kPromotions);
-  core::DysimConfig cfg;
-  cfg.selection_samples = 4;
-  cfg.eval_samples = 8;
-  cfg.candidates.max_users = 12;
-  cfg.candidates.max_items = 4;
-  cfg.num_threads = 0;
-  core::DysimResult r = core::RunDysim(problem, cfg);
-  const int64_t simulated =
-      r.metrics.Counter(util::metric::kEvalRoundsSimulated);
+  core::RunContext::Options options;
+  options.selection_samples = 4;
+  options.eval_samples = 8;
+  options.candidates.max_users = 12;
+  options.candidates.max_items = 4;
+  options.num_threads = 0;
+  core::RunContext run(options);
+  core::DysimResult r = core::RunDysim(problem, run);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  const util::MetricsSnapshot m = run.Finish();
+  const int64_t simulated = m.Counter(util::metric::kEvalRoundsSimulated);
   const int64_t naive_rounds =
-      simulated + r.metrics.Counter(util::metric::kEvalRoundsSkipped);
+      simulated + m.Counter(util::metric::kEvalRoundsSkipped);
   ASSERT_GT(simulated, 0);
   EXPECT_LE(2 * simulated, naive_rounds)
       << "simulated=" << simulated << " naive=" << naive_rounds;
-  EXPECT_GT(r.metrics.Counter(util::metric::kEvalMemoHits), 0);
+  EXPECT_GT(m.Counter(util::metric::kEvalMemoHits), 0);
 }
 
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same
@@ -125,18 +127,20 @@ TEST(PerfSmoke, DysimReportsAtLeastTwofoldRoundSavings) {
 TEST(PerfSmoke, AdaptiveRacingHalvesSimulatedRoundsAtEqualQuality) {
   data::Dataset ds = data::MakeYelpLike(0.5);
   Problem problem = ds.MakeProblem(/*budget=*/500.0, kPromotions);
-  core::DysimConfig cfg;
+  core::RunContext::Options options;
   // A selection budget worth racing against: candidates resolve after a
   // few paired blocks, the fixed loop pays all 32 samples every time.
-  cfg.selection_samples = 32;
-  cfg.eval_samples = 8;
-  cfg.candidates.max_users = 12;
-  cfg.candidates.max_items = 4;
-  cfg.num_threads = 0;
-  core::DysimResult fixed = core::RunDysim(problem, cfg);
+  options.selection_samples = 32;
+  options.eval_samples = 8;
+  options.candidates.max_users = 12;
+  options.candidates.max_items = 4;
+  options.num_threads = 0;
+  core::RunContext fixed_run(options);
+  core::DysimResult fixed = core::RunDysim(problem, fixed_run);
   ASSERT_TRUE(fixed.status.ok()) << fixed.status.ToString();
+  const util::MetricsSnapshot fixed_metrics = fixed_run.Finish();
 
-  core::DysimConfig acfg = cfg;
+  core::RunContext::Options acfg = options;
   acfg.backend.adaptive.enabled = true;
   // Small blocks harvest the exact-tie eliminations cheaply; the budget
   // stops the heavy-tailed comparisons no honest bound can separate at
@@ -145,24 +149,26 @@ TEST(PerfSmoke, AdaptiveRacingHalvesSimulatedRoundsAtEqualQuality) {
   acfg.backend.adaptive.min_samples = 2;
   acfg.backend.adaptive.block_samples = 2;
   acfg.backend.adaptive.max_samples = 8;
-  core::DysimResult raced = core::RunDysim(problem, acfg);
+  core::RunContext raced_run(acfg);
+  core::DysimResult raced = core::RunDysim(problem, raced_run);
   ASSERT_TRUE(raced.status.ok()) << raced.status.ToString();
+  const util::MetricsSnapshot raced_metrics = raced_run.Finish();
 
   const int64_t fixed_rounds =
-      fixed.metrics.Counter(util::metric::kEvalRoundsSimulated);
+      fixed_metrics.Counter(util::metric::kEvalRoundsSimulated);
   const int64_t raced_rounds =
-      raced.metrics.Counter(util::metric::kEvalRoundsSimulated);
+      raced_metrics.Counter(util::metric::kEvalRoundsSimulated);
   ASSERT_GT(raced_rounds, 0);
   EXPECT_LE(2 * raced_rounds, fixed_rounds)
       << "raced=" << raced_rounds << " fixed=" << fixed_rounds;
   // The machinery demonstrably engaged...
-  EXPECT_GT(raced.metrics.Counter(util::metric::kEvalBlocksRun), 0);
-  EXPECT_GT(raced.metrics.Counter(util::metric::kEvalEarlyStops), 0);
-  EXPECT_GT(raced.metrics.Counter(util::metric::kEvalSamplesSaved), 0);
+  EXPECT_GT(raced_metrics.Counter(util::metric::kEvalBlocksRun), 0);
+  EXPECT_GT(raced_metrics.Counter(util::metric::kEvalEarlyStops), 0);
+  EXPECT_GT(raced_metrics.Counter(util::metric::kEvalSamplesSaved), 0);
   // ...and the fixed run never books race counters.
-  EXPECT_EQ(fixed.metrics.Counter(util::metric::kEvalBlocksRun), 0);
+  EXPECT_EQ(fixed_metrics.Counter(util::metric::kEvalBlocksRun), 0);
   // Equal quality, independently refereed at 16x the eval samples.
-  MonteCarloEngine referee(problem, cfg.campaign, /*num_samples=*/128,
+  MonteCarloEngine referee(problem, options.campaign, /*num_samples=*/128,
                            /*num_threads=*/0);
   const double fixed_quality = referee.Sigma(fixed.seeds);
   const double raced_quality = referee.Sigma(raced.seeds);
@@ -254,31 +260,37 @@ TEST(PerfSmoke, WarmSessionRunDoesZeroPrepBuilds) {
   api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
   session.SetProblem(/*budget=*/500.0, kPromotions);
 
+  auto builds = [](const api::PlanResult& r) {
+    return r.metrics.Counter(util::metric::kPrepBuilds);
+  };
+  auto reuses = [](const api::PlanResult& r) {
+    return r.metrics.Counter(util::metric::kPrepReuses);
+  };
   api::PlanResult cold = session.Run("dysim");
-  EXPECT_EQ(cold.prep_builds, 1);
-  EXPECT_EQ(cold.prep_reuses, 0);
+  EXPECT_EQ(builds(cold), 1);
+  EXPECT_EQ(reuses(cold), 0);
 
   api::PlanResult warm = session.Run("dysim");
-  EXPECT_EQ(warm.prep_builds, 0);  // the bar: a warm Run builds nothing
-  EXPECT_EQ(warm.prep_reuses, 1);
+  EXPECT_EQ(builds(warm), 0);  // the bar: a warm Run builds nothing
+  EXPECT_EQ(reuses(warm), 1);
   EXPECT_EQ(warm.seeds, cold.seeds);
   EXPECT_EQ(warm.sigma, cold.sigma);
 
   // The artifact crosses planners: adaptive's antagonism oracle and PS's
   // influence regions come from the same bundle.
   api::PlanResult adaptive = session.Run("adaptive");
-  EXPECT_EQ(adaptive.prep_builds, 0);
-  EXPECT_EQ(adaptive.prep_reuses, 1);
+  EXPECT_EQ(builds(adaptive), 0);
+  EXPECT_EQ(reuses(adaptive), 1);
   api::PlanResult ps = session.Run("ps");
-  EXPECT_EQ(ps.prep_builds, 0);
-  EXPECT_EQ(ps.prep_reuses, 1);
+  EXPECT_EQ(builds(ps), 0);
+  EXPECT_EQ(reuses(ps), 1);
 
   // And budgets: the structure is budget-independent, so a SetProblem to
   // a new budget keeps the artifacts warm.
   session.SetProblem(/*budget=*/300.0, kPromotions);
   api::PlanResult other_budget = session.Run("dysim");
-  EXPECT_EQ(other_budget.prep_builds, 0);
-  EXPECT_EQ(other_budget.prep_reuses, 1);
+  EXPECT_EQ(builds(other_budget), 0);
+  EXPECT_EQ(reuses(other_budget), 1);
 }
 
 }  // namespace

@@ -68,13 +68,14 @@ TEST(RobustnessDeath, GraphBuilderRejectsBadWeight) {
 TEST(Robustness, DysimUnderLinearThreshold) {
   data::Dataset ds = data::MakeSmallAmazonSample();
   diffusion::Problem p = ds.MakeProblem(60.0, 2);
-  core::DysimConfig cfg;
-  cfg.selection_samples = 6;
-  cfg.eval_samples = 12;
-  cfg.candidates.max_users = 6;
-  cfg.candidates.max_items = 2;
-  cfg.campaign.model = diffusion::DiffusionModel::kLinearThreshold;
-  core::DysimResult r = core::RunDysim(p, cfg);
+  core::RunContext::Options options;
+  options.selection_samples = 6;
+  options.eval_samples = 12;
+  options.candidates.max_users = 6;
+  options.candidates.max_items = 2;
+  options.campaign.model = diffusion::DiffusionModel::kLinearThreshold;
+  core::RunContext run(options);
+  core::DysimResult r = core::RunDysim(p, run);
   EXPECT_GT(r.sigma, 0.0);
   EXPECT_LE(r.total_cost, p.budget + 1e-9);
 }
@@ -88,16 +89,15 @@ TEST(Robustness, DysimEqualsOptOnTrivialInstance) {
   s.budget = 10.0;
   TinyWorld w = MakeWorld(2, {{0, 1, 1.0}}, s);
   w.problem.budget = 10.0;
-  core::DysimConfig dcfg;
-  dcfg.selection_samples = 4;
-  dcfg.eval_samples = 4;
+  core::RunContext::Options options;
+  options.selection_samples = 4;
+  options.eval_samples = 4;
+  core::RunContext run(options);
   baselines::OptConfig ocfg;
-  ocfg.selection_samples = 4;
-  ocfg.eval_samples = 4;
   ocfg.max_candidates = 0;
   ocfg.max_seeds = 0;
-  core::DysimResult dr = core::RunDysim(w.problem, dcfg);
-  baselines::BaselineResult orr = baselines::RunOpt(w.problem, ocfg);
+  core::DysimResult dr = core::RunDysim(w.problem, run);
+  baselines::BaselineResult orr = baselines::RunOpt(w.problem, run, ocfg);
   EXPECT_DOUBLE_EQ(dr.sigma, orr.sigma);
 }
 
@@ -107,9 +107,10 @@ TEST(Robustness, AdaptiveWithZeroBudget) {
   s.budget = 0.0;
   TinyWorld w = MakeWorld(3, {{0, 1, 0.5}}, s);
   w.problem.budget = 0.0;
-  core::AdaptiveConfig cfg;
-  cfg.base.selection_samples = 2;
-  core::AdaptiveResult r = core::RunAdaptiveDysim(w.problem, cfg);
+  core::RunContext::Options options;
+  options.selection_samples = 2;
+  core::RunContext run(options);
+  core::AdaptiveResult r = core::RunAdaptiveDysim(w.problem, run);
   EXPECT_TRUE(r.seeds.empty());
   EXPECT_DOUBLE_EQ(r.realized_sigma, 0.0);
 }
@@ -123,9 +124,10 @@ TEST(Robustness, AdaptiveSingleRoundSpendsGreedily) {
   s.num_promotions = 1;
   TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {2, 3, 1.0}}, s);
   w.problem.budget = 20.0;
-  core::AdaptiveConfig cfg;
-  cfg.base.selection_samples = 4;
-  core::AdaptiveResult r = core::RunAdaptiveDysim(w.problem, cfg);
+  core::RunContext::Options options;
+  options.selection_samples = 4;
+  core::RunContext run(options);
+  core::AdaptiveResult r = core::RunAdaptiveDysim(w.problem, run);
   EXPECT_EQ(r.seeds.size(), 2u);
   EXPECT_DOUBLE_EQ(r.realized_sigma, 4.0);
 }

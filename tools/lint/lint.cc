@@ -251,6 +251,10 @@ const std::vector<RuleInfo> kRules = {
     {"status-must-check",
      "call whose util::Status result is discarded; consume it, propagate "
      "with IMDPP_RETURN_IF_ERROR, or cast to (void)"},
+    {"run-context-only",
+     "MakeSigmaBackend( / AcquirePrep( / MakeWorkerPool( in core or "
+     "baselines outside core/run_context.*; go through core::RunContext so "
+     "the run books the work"},
 };
 
 bool KnownRule(const std::string& rule) {
@@ -768,6 +772,33 @@ void CheckStatusMustCheck(const FileCtx& ctx, const Registry& reg,
   }
 }
 
+// ------------------------------------------------- rule: run-context-only
+
+/// In core/ and baselines/, engines, prep leases and worker pools come
+/// from core::RunContext, which books each one's work into the run's
+/// metrics exactly once. A raw factory call there builds something no
+/// run books.
+void CheckRunContextOnly(const FileCtx& ctx, std::vector<Diagnostic>& diags) {
+  if (!PathHasComponent(ctx.path, "core") &&
+      !PathHasComponent(ctx.path, "baselines")) {
+    return;
+  }
+  if (Stem(ctx.path) == "run_context") return;
+  const Toks& t = ctx.toks;
+  for (size_t i = 0; i + 1 < t.size(); ++i) {
+    const std::string& s = t[i].text;
+    if (s != "MakeSigmaBackend" && s != "AcquirePrep" &&
+        s != "MakeWorkerPool") {
+      continue;
+    }
+    if (t[i + 1].text != "(") continue;
+    diags.push_back({ctx.path, t[i].line, "run-context-only",
+                     "'" + s + "(' outside core/run_context: make engines, "
+                     "prep leases and pools through core::RunContext so the "
+                     "run books their work"});
+  }
+}
+
 // ------------------------------------------------------ suppressions, IO
 
 /// Applies `allow(<rule>) <reason>` suppressions: a suppression on
@@ -818,6 +849,7 @@ void LintCtx(const FileCtx& ctx, const Registry& reg,
   CheckFloatAccum(ctx, local);
   CheckLockBeforeShared(ctx, reg, local);
   CheckStatusMustCheck(ctx, reg, local);
+  CheckRunContextOnly(ctx, local);
   local = ApplySuppressions(ctx, std::move(local));
   diags.insert(diags.end(), local.begin(), local.end());
 }

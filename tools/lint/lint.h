@@ -38,6 +38,12 @@
 //                            function declared to return util::Status:
 //                            the error is dropped on the floor (ISSUE 8).
 //                            Complements Status's class [[nodiscard]].
+//   run-context-only         MakeSigmaBackend( / AcquirePrep( /
+//                            MakeWorkerPool( in core/ or baselines/
+//                            outside core/run_context.*: engines, prep
+//                            leases and pools come from core::RunContext,
+//                            which books their work into the run's
+//                            metrics exactly once.
 //
 // Suppressions: `// imdpp-lint: allow(<rule>) <reason>` on the flagged
 // line or the line directly above. The reason is mandatory — an empty one
