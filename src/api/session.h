@@ -9,7 +9,10 @@
 //   for (api::PlanResult& r : session.Compare({"dysim", "bgrd", "ps"})) ...
 //
 // Every result's σ̂ is re-estimated on the session's shared engine, so a
-// comparison is paired (same samples, same coin flips) and fair.
+// comparison is paired (same samples, same coin flips) and fair. That
+// engine draws its coins from a stream derived from the master seed but
+// distinct from the one the planners search on, so the reported σ̂ is
+// held out: scored on worlds no search decision saw.
 #ifndef IMDPP_API_SESSION_H_
 #define IMDPP_API_SESSION_H_
 
@@ -99,7 +102,8 @@ class CampaignSession {
   PlannerConfig& mutable_config();
 
   /// The shared evaluation backend (built lazily from the current problem
-  /// and config; config_.eval.backend picks the estimator).
+  /// and config; config_.eval.backend picks the estimator) on the
+  /// held-out report stream of config_.seed.
   diffusion::SigmaBackend& engine();
 
  private:

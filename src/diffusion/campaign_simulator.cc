@@ -16,8 +16,8 @@ enum Purpose : uint64_t {
   kLtThreshold = 3,
 };
 
-// Round key of a coin-aligned flip: outside the valid promotion range, so
-// an aligned coin can never collide with a round-keyed one.
+// Round key of an attempt-keyed flip: outside the valid promotion range,
+// so an attempt-keyed coin can never collide with a round-keyed one.
 constexpr uint64_t kAlignedCoinRound = ~uint64_t{0};
 
 int64_t PairKey(UserId u, ItemId x, int num_items) {
@@ -165,7 +165,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                                       int t_end,
                                       const std::vector<uint8_t>* market_mask,
                                       SimScratch& scratch,
-                                      int align_from_round) const {
+                                      CoinKeying keying) const {
   const graph::SocialGraph& g = *problem_.graph;
   const int num_items = problem_.NumItems();
   const pin::PersonalItemNetwork& pin = dynamics_->pin();
@@ -175,6 +175,11 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const kg::RelevanceModel& rel = *problem_.relevance;
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
+  // Attempt-keyed flips hash the per-pair attempt ordinal instead of
+  // (round, step): distinct hash inputs per draw (the joint distribution
+  // is exactly the historical measure), but a time-shifted cascade's k-th
+  // attempt lands on the same coin in every racing candidate.
+  const bool aligned = keying == CoinKeying::kAttempt;
 
   auto count_adoption = [&](UserId u, ItemId x) {
     scratch.sigma_ += problem_.importance[static_cast<size_t>(x)];
@@ -189,11 +194,6 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     const SeedGroup& round_seeds = sched.RoundSeeds(t);
     if (round_seeds.empty()) continue;  // no frontier, no coins: exact no-op
     ++rounds_run;
-    // Coin-aligned rounds key flips by per-pair attempt ordinal instead of
-    // (round, step): distinct hash inputs per draw (the joint distribution
-    // is exactly the historical measure), but a time-shifted cascade's
-    // k-th attempt lands on the same coin in every racing candidate.
-    const bool aligned = t >= align_from_round;
 
     // --- ζ_t = 0: seeds adopt their items. ---
     std::vector<std::pair<UserId, ItemId>>& frontier = scratch.frontier_;

@@ -18,18 +18,21 @@
 //
 // All coin flips are counter-based hashes of
 // (sample_seed, t, ζ, u', u, item, purpose), so realizations are
-// reproducible and common across seed-group variations. For adaptive
-// racing (ISSUE 10) the caller can mark a round suffix as *coin-aligned*:
-// from `align_from_round` on, flips are keyed by the per-(user,item)
-// attempt ordinal instead of (round, step). Every draw still hashes a
+// reproducible and common across seed-group variations. Two keyings
+// exist (CoinKeying). kRound, the historical one, hashes (round, step)
+// into every flip. kAttempt, for adaptive racing, hashes the
+// per-(user,item) attempt ordinal instead. Every draw still hashes a
 // distinct input — the joint coin distribution is exactly the historical
-// measure, so aligned σ̂ samples are unbiased — but a time-shifted
+// measure, so attempt-keyed σ̂ samples are unbiased — but a time-shifted
 // cascade's k-th attempt on a pair lands on the same coin in every racing
 // candidate, so paired differences collapse to the genuine timing/
 // interaction signal. (With round-keyed coins a one-round shift re-rolls
 // every flip and the difference variance is as large as σ's own.)
-// Alignment is a race-internal coupling device only: reported σ̂ always
-// comes from the historical round-keyed path.
+// Attempt keying is a race-internal coupling device only: reported σ̂ and
+// every fixed-count estimate come from round-keyed coins, because adding
+// a seed shifts the attempt ordinals and breaks the pairing that
+// set-addition differences (the nominee greedy) rely on — see README
+// "Variance-adaptive evaluation" for the measurement.
 //
 // Fast path (ISSUE 3): the per-sample state lives in a reusable SimScratch
 // arena — flat epoch-stamped arrays instead of per-sample hash containers,
@@ -60,9 +63,11 @@ namespace imdpp::diffusion {
 
 enum class DiffusionModel { kIndependentCascade, kLinearThreshold };
 
-/// `align_from_round` value meaning "never align": every coin keeps its
-/// historical (round-keyed) hash. Any round index is below it.
-inline constexpr int kNoCoinAlignment = 1 << 30;
+/// What a simulation's coin flips are keyed by (see the file comment).
+enum class CoinKeying {
+  kRound,    ///< (round, step): the historical measure of every estimate
+  kAttempt,  ///< per-(user,item) attempt ordinal: time-aligned racing CRN
+};
 
 struct CampaignConfig {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
@@ -150,7 +155,7 @@ class SimScratch {
     return lt_acc_[static_cast<size_t>(key)];
   }
   /// Next attempt ordinal for a (user,item) destination within the
-  /// current realization (0 on first touch). Time-aligned racing coins
+  /// current realization (0 on first touch). Attempt-keyed racing coins
   /// are keyed by this ordinal instead of (round, step): every draw still
   /// hashes a distinct input — the joint coin distribution is exactly the
   /// historical one — but the k-th structural attempt on a pair lands on
@@ -164,8 +169,8 @@ class SimScratch {
     return attempt_count_[static_cast<size_t>(key)]++;
   }
   /// Re-seats one captured attempt ordinal after a checkpoint restore, so
-  /// an aligned-coin simulation resumed mid-cascade draws the exact coins
-  /// a from-scratch aligned run would have drawn.
+  /// an attempt-keyed simulation resumed mid-cascade draws the exact coins
+  /// a from-scratch attempt-keyed run would have drawn.
   void RestoreAttempt(int64_t key, uint32_t count) {
     attempt_mark_[static_cast<size_t>(key)] = lt_epoch_;
     attempt_count_[static_cast<size_t>(key)] = count;
@@ -208,7 +213,7 @@ class SimScratch {
   std::vector<int64_t> lt_touched_;
   uint32_t lt_epoch_ = 0;
 
-  // Attempt ordinals for time-aligned racing coins, valid while
+  // Attempt ordinals for attempt-keyed racing coins, valid while
   // attempt_mark_[key] == lt_epoch_ (same per-realization epoch); the
   // touched keys are tracked for sparse checkpointing like lt_touched_.
   std::vector<uint32_t> attempt_count_;  ///< |V| x |I|
@@ -242,8 +247,8 @@ struct SampleCheckpoint {
   std::vector<pin::UserState> states;
   std::vector<std::pair<int64_t, double>> lt;
   /// Attempt ordinals touched so far (sparse) — populated only by
-  /// time-aligned simulations (adaptive racing); empty, and free, for the
-  /// round-keyed checkpoints of the fixed path.
+  /// attempt-keyed simulations (adaptive racing); empty, and free, for
+  /// the round-keyed checkpoints of the fixed path.
   std::vector<std::pair<int64_t, uint32_t>> attempts;
   double sigma = 0.0;
   double sigma_market = 0.0;
@@ -290,15 +295,14 @@ class CampaignSimulator {
   /// running outcome. Unseeded rounds are skipped (exact no-ops). Returns
   /// the number of rounds that did work — identical for every sample of a
   /// given (sched, t_begin, t_end), so callers can account work without
-  /// per-sample bookkeeping. Rounds >= `align_from_round` draw
-  /// round-agnostic coins (time-aligned CRN for adaptive racing, see the
-  /// file comment); the default leaves every coin on the historical
-  /// round-keyed hash.
+  /// per-sample bookkeeping. `keying` picks the coin hash (see the file
+  /// comment); a resumed simulation must use the keying its checkpoint
+  /// was built with.
   int SimulateRounds(const SeedSchedule& sched, uint64_t sample_idx,
                      int t_begin, int t_end,
                      const std::vector<uint8_t>* market_mask,
                      SimScratch& scratch,
-                     int align_from_round = kNoCoinAlignment) const;
+                     CoinKeying keying = CoinKeying::kRound) const;
 
   /// Freezes scratch's current state into `cp` (buffers reused).
   void Capture(const SimScratch& scratch, SampleCheckpoint& cp) const;

@@ -28,6 +28,18 @@ constexpr int kMinParallelSamples = 8;
 /// when the problem dimensions actually change.
 SimScratch& LocalScratch() { return ThreadLocalSimScratch(); }
 
+/// The rounds a sample loop executed per sample, from per-shard records
+/// (−1 = the shard ran no sample of the range): the first shard that ran
+/// one — a fixed function of the shard layout and the range, so
+/// deterministic. The count is a schedule property, the same for every
+/// sample.
+int RoundsPerSample(const std::vector<int>& rounds_by_shard) {
+  for (int rounds : rounds_by_shard) {
+    if (rounds >= 0) return rounds;
+  }
+  return 0;
+}
+
 }  // namespace
 
 ExpectedState::ExpectedState(int num_users, int num_items, int num_metas)
@@ -168,118 +180,70 @@ void MonteCarloEngine::MarketMemoStore(const SeedGroup& seeds,
   }
 }
 
-const std::vector<uint8_t>* MonteCarloEngine::CachedMask(
-    const std::vector<UserId>& users) const {
-  if (!mask_valid_ || users != mask_users_) {
-    mask_users_ = users;
-    mask_.assign(static_cast<size_t>(sim_.problem().NumUsers()), 0);
-    for (UserId u : users) mask_[static_cast<size_t>(u)] = 1;
-    mask_valid_ = true;
-  }
-  return &mask_;
-}
-
-void MonteCarloEngine::ChargeEstimate(int rounds_run) const {
-  num_simulations_ += num_samples_;
-  const int64_t samples = num_samples_;
+void MonteCarloEngine::Charge(int64_t samples, int rounds_run) const {
+  num_simulations_ += samples;
   num_rounds_simulated_ += samples * rounds_run;
   num_rounds_skipped_ +=
       samples * (sim_.problem().num_promotions - rounds_run);
 }
 
-double MonteCarloEngine::Sigma(const SeedGroup& seeds) const {
-  util::trace::Span span("mc.sigma");
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) return 0.0;
-  double memoized = 0.0;
-  if (MemoLookup(seeds, &memoized)) {
-    RecordSigmaEstimate(memoized);
-    return memoized;
-  }
-  const SeedSchedule sched(seeds, sim_.problem());
+int MonteCarloEngine::RunSamples(
+    const SeedSchedule& sched, int resume,
+    const std::vector<SampleCheckpoint>* start,
+    const std::vector<uint8_t>* mask, CoinKeying keying, int begin, int end,
+    const std::function<void(int, int, const SimScratch&)>& visit) const {
   const int t_end = sched.last_active_round();
-  std::vector<double> partial(NumShards(), 0.0);
-  int rounds_run = 0;
+  std::vector<int> rounds_by_shard(NumShards(), -1);
   RunShards([&](int shard) {
     SimScratch& scratch = LocalScratch();
-    double total = 0.0;
-    int rounds = 0;
-    const int end = ShardBegin(shard + 1);
-    for (int s = ShardBegin(shard); s < end; ++s) {
+    const int lo = std::max(ShardBegin(shard), begin);
+    const int hi = std::min(ShardBegin(shard + 1), end);
+    int rounds = -1;
+    for (int s = lo; s < hi; ++s) {
       if (!cancel_->Check().ok()) break;
-      sim_.Restore(nullptr, initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1, t_end,
-                                   nullptr, scratch);
-      total += scratch.sigma();
+      sim_.Restore(
+          start == nullptr ? nullptr : &(*start)[static_cast<size_t>(s)],
+          initial_states_, scratch);
+      rounds = 0;
+      if (t_end > resume) {
+        rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s),
+                                     resume + 1, t_end, mask, scratch, keying);
+      }
+      visit(shard, s, scratch);
     }
-    partial[shard] = total;
-    if (shard == 0) rounds_run = rounds;  // schedule property: same for all
+    rounds_by_shard[shard] = rounds;
   });
-  if (Cancelled()) return 0.0;
-  double total = 0.0;
-  for (double p : partial) total += p;  // fixed shard order
-  ChargeEstimate(rounds_run);
-  const double sigma = total / num_samples_;
-  MemoStore(seeds, sigma);
-  RecordSigmaEstimate(sigma);
-  return sigma;
+  return RoundsPerSample(rounds_by_shard);
+}
+
+// Every engine-level estimate is the round-0 case of CheckpointedEval: an
+// empty base has no checkpoints, so each realization starts from
+// initial_states_ or the problem start and runs the same sample loop,
+// memo and booking as a checkpointed estimate.
+double MonteCarloEngine::Sigma(const SeedGroup& seeds) const {
+  return CheckpointedEval(*this, {}).Sigma(seeds);
 }
 
 MonteCarloEngine::MarketEval MonteCarloEngine::EvalMarket(
     const SeedGroup& seeds, const std::vector<UserId>& users) const {
-  util::trace::Span span("mc.eval_market");
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) return MarketEval{};
-  MarketEval memoized;
-  if (MarketMemoLookup(seeds, users, &memoized)) {
-    RecordSigmaEstimate(memoized.sigma);
-    return memoized;
-  }
-  const std::vector<uint8_t>* mask = CachedMask(users);
-  const SeedSchedule sched(seeds, sim_.problem());
-  const int t_end = sched.last_active_round();
-  std::vector<MarketEval> partial(NumShards());
-  int rounds_run = 0;
-  RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    MarketEval acc;
-    int rounds = 0;
-    const int end = ShardBegin(shard + 1);
-    for (int s = ShardBegin(shard); s < end; ++s) {
-      if (!cancel_->Check().ok()) break;
-      sim_.Restore(nullptr, initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1, t_end,
-                                   mask, scratch);
-      acc.sigma += scratch.sigma();
-      acc.sigma_market += scratch.sigma_market();
-      acc.pi += sim_.LikelihoodPi(scratch.states(), users);
-    }
-    partial[shard] = acc;
-    if (shard == 0) rounds_run = rounds;
-  });
-  if (Cancelled()) return MarketEval{};
-  MarketEval out;
-  for (const MarketEval& acc : partial) {  // fixed shard order
-    out.sigma += acc.sigma;
-    out.sigma_market += acc.sigma_market;
-    out.pi += acc.pi;
-  }
-  ChargeEstimate(rounds_run);
-  out.sigma /= num_samples_;
-  out.sigma_market /= num_samples_;
-  out.pi /= num_samples_;
-  MarketMemoStore(seeds, users, out);
-  RecordSigmaEstimate(out.sigma);
-  return out;
+  return CheckpointedEval(*this, {}, users).EvalMarket(seeds);
 }
 
 ExpectedState MonteCarloEngine::Expected(const SeedGroup& seeds) const {
-  util::MutexLock lock(mu_);
-  if (!BeginEstimate()) {
-    const Problem& p = sim_.problem();
-    return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
+  return CheckpointedEval(*this, {}).Expected(seeds);
+}
+
+SelectBestResult MonteCarloEngine::SelectBest(
+    const std::vector<SelectCandidate>& candidates,
+    const SelectOptions& options) const {
+  // Racing needs at least two candidates to compare; everything else is
+  // the fixed-count reference loop (which a disabled race must match
+  // bit for bit — it IS the pre-adaptive code path).
+  if (!options.adaptive.enabled || candidates.size() < 2) {
+    return SigmaBackend::SelectBest(candidates, options);
   }
-  return ExpectedFrom(SeedSchedule(seeds, sim_.problem()), 1, nullptr);
+  IMDPP_CHECK(!options.use_market);
+  return CheckpointedEval(*this, {}).SelectBest(candidates, options);
 }
 
 ExpectedState MonteCarloEngine::ExpectedFrom(
@@ -348,25 +312,12 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
   if (Cancelled()) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
-  ChargeEstimate(rounds_run);
+  Charge(num_samples_, rounds_run);
   const float inv = 1.0f / static_cast<float>(num_samples_);
   for (float& v : es.adoption_prob_) v *= inv;
   for (float& v : es.avg_wmeta_) v *= inv;
   return es;
 }
-
-// --------------------------------------------------------------------------
-// Adaptive SelectBest (ISSUE 10)
-
-// Race simulations draw time-aligned (attempt-ordinal) coins from round 1
-// on — see the campaign_simulator.h file comment. Keying by each
-// cascade's own attempt ordinals makes the pairing hold for EVERY
-// candidate pair at once, wherever that pair happens to diverge: two
-// cascades that share a prefix have identical ordinal state at the end of
-// it, so corresponding post-divergence attempts land on the same coins.
-// A fixed sentinel round would only align pairs that diverge at the
-// sentinel.
-inline constexpr int kRaceAlignFromRound = 1;
 
 MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
     int num_candidates, const AdaptiveEvalConfig& config,
@@ -374,7 +325,6 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
     const {
   AdaptiveEval race(num_candidates, num_samples_, config);
   RaceOutcome out;
-  const int t_max = sim_.problem().num_promotions;
   while (!race.done()) {
     const int begin = race.block_begin();
     const int end = race.block_end();
@@ -385,18 +335,15 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
       // interrupted plain estimates); earlier completed blocks stay
       // booked — the caller reads the error off the token.
       if (rounds_run < 0) return RaceOutcome{};
-      const int64_t block = end - begin;
-      num_simulations_ += block;
-      num_rounds_simulated_ += block * rounds_run;
-      num_rounds_skipped_ += block * (t_max - rounds_run);
-      out.samples += block;
+      Charge(end - begin, rounds_run);
+      out.samples += end - begin;
     }
     race.EndBlock();
   }
   // Samples the race never ran are whole-sample skips — the fixed-count
   // path would have simulated them — so simulated + skipped still adds
   // up to the naive candidates × num_samples × T total for this argmax.
-  num_rounds_skipped_ += race.samples_saved() * t_max;
+  num_rounds_skipped_ += race.samples_saved() * sim_.problem().num_promotions;
   blocks_run_ += race.blocks_run();
   early_stops_ += race.early_stops();
   samples_saved_ += race.samples_saved();
@@ -404,101 +351,20 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
   return out;
 }
 
-SelectBestResult MonteCarloEngine::SelectBest(
-    const std::vector<SelectCandidate>& candidates,
-    const SelectOptions& options) const {
-  // Racing needs at least two candidates to compare; everything else is
-  // the fixed-count reference loop (which a disabled race must match
-  // bit for bit — it IS the pre-adaptive code path).
-  if (!options.adaptive.enabled || candidates.size() < 2) {
-    return SigmaBackend::SelectBest(candidates, options);
-  }
-  IMDPP_CHECK(!options.use_market);
-  util::trace::Span span("mc.select_best");
-  int winner = -1;
-  int64_t raced_samples = 0;
-  {
-    util::MutexLock lock(mu_);
-    if (!BeginEstimate()) return SelectBestResult{};
-    // Schedules are pure functions of the groups; build them once.
-    std::vector<SeedSchedule> scheds;
-    scheds.reserve(candidates.size());
-    for (const SelectCandidate& c : candidates) {
-      scheds.emplace_back(c.group, sim_.problem());
-    }
-    auto eval_block = [&](int cand, int begin, int end,
-                          AdaptiveEval& race) -> int {
-      const SeedSchedule& sched = scheds[static_cast<size_t>(cand)];
-      const int t_end = sched.last_active_round();
-      const auto& score = candidates[static_cast<size_t>(cand)].score;
-      std::vector<int> rounds_by_shard(NumShards(), -1);
-      RunShards([&](int shard) {
-        SimScratch& scratch = LocalScratch();
-        const int lo = std::max(ShardBegin(shard), begin);
-        const int hi = std::min(ShardBegin(shard + 1), end);
-        int rounds = -1;
-        for (int s = lo; s < hi; ++s) {
-          if (!cancel_->Check().ok()) break;
-          sim_.Restore(nullptr, initial_states_, scratch);
-          rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), 1,
-                                       t_end, nullptr, scratch,
-                                       kRaceAlignFromRound);
-          MarketEval eval;
-          eval.sigma = scratch.sigma();
-          race.Record(cand, s, score ? score(eval) : eval.sigma);
-        }
-        rounds_by_shard[shard] = rounds;
-      });
-      if (Cancelled()) return -1;
-      // The rounds executed per sample are a schedule property; take the
-      // first shard that ran samples of this block (a fixed function of
-      // the shard layout and block bounds — deterministic).
-      for (int rounds : rounds_by_shard) {
-        if (rounds >= 0) return rounds;
-      }
-      return 0;
-    };
-    const RaceOutcome raced = RaceSelect(static_cast<int>(candidates.size()),
-                                         options.adaptive, eval_block);
-    winner = raced.winner;
-    raced_samples = raced.samples;
-  }
-  if (winner < 0) return SelectBestResult{};
-  // Full-precision winner re-evaluation through the normal estimate path
-  // (memo-aware, histogram-recorded): downstream arithmetic must see the
-  // exact bits a direct Sigma call would have produced.
-  MarketEval eval;
-  eval.sigma = Sigma(candidates[static_cast<size_t>(winner)].group);
-  if (Cancelled()) return SelectBestResult{};
-  const double score = candidates[static_cast<size_t>(winner)].score
-                           ? candidates[static_cast<size_t>(winner)].score(eval)
-                           : eval.sigma;
-  SelectBestResult result;
-  result.samples_used = raced_samples + num_samples_;
-  if (score > options.min_score) {
-    result.best_index = winner;
-    result.best_score = score;
-    result.best_eval = eval;
-  }
-  return result;
-}
-
 // --------------------------------------------------------------------------
 // CheckpointedEval
 
 CheckpointedEval::CheckpointedEval(const MonteCarloEngine& engine,
                                    SeedGroup base, std::vector<UserId> market)
-    : engine_(engine), market_(std::move(market)) {
-  // Checkpoints freeze the diffusion from the problem's initial state;
-  // adaptive-style initial-state overrides are not supported here.
-  util::MutexLock lock(engine_.mu_);
-  IMDPP_CHECK(engine_.initial_states_ == nullptr);
+    : engine_(engine),
+      base_(std::move(base)),
+      base_sched_(base_, engine_.sim_.problem()),
+      market_(std::move(market)) {
   if (!market_.empty()) {
-    mask_.assign(static_cast<size_t>(engine_.sim_.problem().NumUsers()), 0);
-    for (UserId u : market_) mask_[static_cast<size_t>(u)] = 1;
+    market_mask_.assign(
+        static_cast<size_t>(engine_.sim_.problem().NumUsers()), 0);
+    for (UserId u : market_) market_mask_[static_cast<size_t>(u)] = 1;
   }
-  base_ = std::move(base);
-  base_sched_ = SeedSchedule(base_, engine_.sim_.problem());
 }
 
 int CheckpointedEval::FirstDivergence(const SeedSchedule& a,
@@ -509,91 +375,51 @@ int CheckpointedEval::FirstDivergence(const SeedSchedule& a,
   return t_max + 1;
 }
 
+int CheckpointedEval::SharedRounds(const SeedSchedule& sched) const {
+  const int t_max = engine_.sim_.problem().num_promotions;
+  const int diverge = FirstDivergence(base_sched_, sched, t_max);
+  const int shared = std::min(diverge - 1, base_sched_.last_active_round());
+  // Checkpoints freeze the diffusion from the problem's initial state; a
+  // SetInitialStates override must fail loudly rather than silently
+  // resume from the wrong state. Round-0 starts honor the override.
+  IMDPP_CHECK(shared == 0 || engine_.initial_states_ == nullptr);
+  return shared;
+}
+
 void CheckpointedEval::Rebase(SeedGroup base) {
   SeedSchedule sched(base, engine_.sim_.problem());
-  const int diverge = FirstDivergence(base_sched_, sched,
-                                      engine_.sim_.problem().num_promotions);
-  rounds_ready_ = std::min(rounds_ready_, diverge - 1);
-  cp_.resize(static_cast<size_t>(rounds_ready_));
-  aligned_rounds_ready_ = std::min(aligned_rounds_ready_, diverge - 1);
-  aligned_cp_.resize(static_cast<size_t>(aligned_rounds_ready_));
+  const int t_max = engine_.sim_.problem().num_promotions;
+  const int shared = FirstDivergence(base_sched_, sched, t_max) - 1;
+  for (Lattice* lattice : {&round_keyed_, &attempt_keyed_}) {
+    lattice->rounds_ready = std::min(lattice->rounds_ready, shared);
+    lattice->cp.resize(static_cast<size_t>(lattice->rounds_ready));
+  }
   base_ = std::move(base);
   base_sched_ = std::move(sched);
 }
 
-void CheckpointedEval::EnsureCheckpoints(int upto) {
-  upto = std::min(upto, base_sched_.last_active_round());
-  if (upto <= rounds_ready_) return;
+void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
+                            int samples_upto) {
   const int num_samples = engine_.num_samples_;
-  cp_.resize(static_cast<size_t>(upto));
-  for (int k = rounds_ready_; k < upto; ++k) {
-    cp_[static_cast<size_t>(k)].resize(static_cast<size_t>(num_samples));
-  }
-  const int from = rounds_ready_;
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
-  int rounds_built = 0;
-  engine_.RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    int rounds = 0;
-    const int end = engine_.ShardBegin(shard + 1);
-    for (int s = engine_.ShardBegin(shard); s < end; ++s) {
-      if (!engine_.cancel_->Check().ok()) break;
-      const SampleCheckpoint* start =
-          from == 0 ? nullptr
-                    : &cp_[static_cast<size_t>(from - 1)][static_cast<size_t>(s)];
-      engine_.sim_.Restore(start, nullptr, scratch);
-      rounds = 0;
-      for (int k = from + 1; k <= upto; ++k) {
-        rounds += engine_.sim_.SimulateRounds(base_sched_,
-                                              static_cast<uint64_t>(s), k, k,
-                                              mask, scratch);
-        engine_.sim_.Capture(
-            scratch, cp_[static_cast<size_t>(k - 1)][static_cast<size_t>(s)]);
-      }
-    }
-    if (shard == 0) rounds_built = rounds;
-  });
-  // A build the token interrupted left some samples unfrozen: advancing
-  // rounds_ready_ would later resume from half-built checkpoints, so
-  // leave the ready watermark (and the work accounting) untouched — the
-  // next uncancelled build redoes these rounds from the old watermark.
-  if (engine_.Cancelled()) return;
-  // Building is amortized shared work, not an estimate of its own: move
-  // its rounds from the skipped to the simulated bucket so that
-  // simulated + skipped stays exactly the naive T-rounds-per-sample
-  // total over the estimates made (a transiently negative skipped count
-  // just means checkpoints were built but not yet reused).
-  engine_.num_rounds_simulated_ +=
-      static_cast<int64_t>(num_samples) * rounds_built;
-  engine_.num_rounds_skipped_ -=
-      static_cast<int64_t>(num_samples) * rounds_built;
-  rounds_ready_ = upto;
-}
-
-void CheckpointedEval::EnsureAlignedCheckpoints(int rounds_upto,
-                                                int samples_upto) {
-  rounds_upto = std::max(rounds_upto, aligned_rounds_ready_);
-  rounds_upto = std::min(rounds_upto, base_sched_.last_active_round());
-  samples_upto = std::max(samples_upto, aligned_samples_ready_);
-  samples_upto = std::min(samples_upto, engine_.num_samples_);
+  rounds_upto = std::min(std::max(rounds_upto, lattice.rounds_ready),
+                         base_sched_.last_active_round());
+  samples_upto =
+      std::min(std::max(samples_upto, lattice.samples_ready), num_samples);
   if (rounds_upto <= 0 || samples_upto <= 0) return;
-  if (rounds_upto <= aligned_rounds_ready_ &&
-      samples_upto <= aligned_samples_ready_) {
+  if (rounds_upto <= lattice.rounds_ready &&
+      samples_upto <= lattice.samples_ready) {
     return;
   }
-  aligned_cp_.resize(static_cast<size_t>(rounds_upto));
-  for (auto& row : aligned_cp_) {
-    row.resize(static_cast<size_t>(engine_.num_samples_));
-  }
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
+  lattice.cp.resize(static_cast<size_t>(rounds_upto));
+  for (auto& row : lattice.cp) row.resize(static_cast<size_t>(num_samples));
+  const std::vector<uint8_t>* mask = MarketMask();
   // Extends the valid rectangle in two strips, both simulating the base
-  // schedule with race-aligned coins and freezing every boundary: first
-  // deepen the already-built samples to the new round watermark, then
-  // run the brand-new samples from scratch to that same watermark.
-  // Work is booked like EnsureCheckpoints: amortized shared build,
-  // moved from the skipped to the simulated bucket.
-  auto build = [&](int s_begin, int s_end, int from, int upto) {
-    if (s_begin >= s_end || from >= upto) return;
+  // schedule and freezing every boundary: first deepen the already-built
+  // samples to the new round watermark, then run the brand-new samples
+  // from scratch to that same watermark.
+  auto build = [&](int s_begin, int s_end, int from) {
+    if (s_begin >= s_end || from >= rounds_upto) return;
+    const std::vector<SampleCheckpoint>* start = lattice.Row(from);
     std::vector<int> rounds_by_shard(engine_.NumShards(), -1);
     engine_.RunShards([&](int shard) {
       SimScratch& scratch = LocalScratch();
@@ -602,102 +428,70 @@ void CheckpointedEval::EnsureAlignedCheckpoints(int rounds_upto,
       int rounds = -1;
       for (int s = lo; s < hi; ++s) {
         if (!engine_.cancel_->Check().ok()) break;
-        const SampleCheckpoint* start =
-            from == 0 ? nullptr
-                      : &aligned_cp_[static_cast<size_t>(from - 1)]
-                                    [static_cast<size_t>(s)];
-        engine_.sim_.Restore(start, nullptr, scratch);
+        engine_.sim_.Restore(
+            start == nullptr ? nullptr : &(*start)[static_cast<size_t>(s)],
+            nullptr, scratch);
         rounds = 0;
-        for (int k = from + 1; k <= upto; ++k) {
-          rounds += engine_.sim_.SimulateRounds(
-              base_sched_, static_cast<uint64_t>(s), k, k, mask, scratch,
-              kRaceAlignFromRound);
-          engine_.sim_.Capture(scratch, aligned_cp_[static_cast<size_t>(k - 1)]
-                                                   [static_cast<size_t>(s)]);
+        for (int k = from + 1; k <= rounds_upto; ++k) {
+          rounds += engine_.sim_.SimulateRounds(base_sched_,
+                                                static_cast<uint64_t>(s), k,
+                                                k, mask, scratch,
+                                                lattice.keying);
+          engine_.sim_.Capture(scratch, lattice.cp[static_cast<size_t>(k - 1)]
+                                                  [static_cast<size_t>(s)]);
         }
       }
       rounds_by_shard[shard] = rounds;
     });
     if (engine_.Cancelled()) return;
-    int rounds_built = 0;
-    for (int rounds : rounds_by_shard) {
-      if (rounds >= 0) {
-        rounds_built = rounds;
-        break;
-      }
-    }
-    engine_.num_rounds_simulated_ +=
-        static_cast<int64_t>(s_end - s_begin) * rounds_built;
-    engine_.num_rounds_skipped_ -=
-        static_cast<int64_t>(s_end - s_begin) * rounds_built;
+    // Move the build's rounds from the skipped to the simulated bucket, so
+    // simulated + skipped stays exactly the naive T-rounds-per-sample
+    // total over the estimates made (a transiently negative skipped count
+    // just means checkpoints were built but not yet reused).
+    const int64_t built = static_cast<int64_t>(s_end - s_begin) *
+                          RoundsPerSample(rounds_by_shard);
+    engine_.num_rounds_simulated_ += built;
+    engine_.num_rounds_skipped_ -= built;
   };
-  build(0, aligned_samples_ready_, aligned_rounds_ready_, rounds_upto);
-  build(aligned_samples_ready_, samples_upto, 0, rounds_upto);
-  // A cancelled build leaves the watermarks untouched (half-frozen strips
-  // must never be resumed from); the race's own cancel checks stop the
-  // run before any restore could read them.
+  build(0, lattice.samples_ready, lattice.rounds_ready);
+  build(lattice.samples_ready, samples_upto, 0);
+  // A build the token interrupted left some samples unfrozen: advancing
+  // the watermarks would later resume from half-built checkpoints, so
+  // leave them untouched — the next uncancelled build redoes the work.
   if (engine_.Cancelled()) return;
-  aligned_rounds_ready_ = rounds_upto;
-  aligned_samples_ready_ = samples_upto;
+  lattice.rounds_ready = rounds_upto;
+  lattice.samples_ready = samples_upto;
 }
 
-CheckpointedEval::Outcome CheckpointedEval::Eval(const SeedGroup& group,
-                                                 bool want_pi) {
-  // Checkpoints (and the prefix-reuse argument) assume the problem's
-  // initial state; a SetInitialStates slipped in after construction must
-  // fail loudly rather than silently evaluate from the wrong state.
-  IMDPP_CHECK(engine_.initial_states_ == nullptr);
-  const Problem& p = engine_.sim_.problem();
-  const int t_max = p.num_promotions;
-  const SeedSchedule sched(group, p);
-  const int diverge = FirstDivergence(base_sched_, sched, t_max);
-  // Stand on the last shared boundary (bounded by what the base can ever
-  // provide: rounds past its last active round are no-ops).
-  int resume = std::min(diverge - 1, base_sched_.last_active_round());
-  EnsureCheckpoints(resume);
-  resume = std::min(resume, rounds_ready_);
-  const int t_end = sched.last_active_round();
-  const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
+int CheckpointedEval::ResumeRound(const SeedSchedule& sched) {
+  const int shared = SharedRounds(sched);
+  Grow(round_keyed_, shared, engine_.num_samples_);
+  return std::min(shared, round_keyed_.rounds_ready);
+}
 
-  struct Part {
-    double sigma = 0.0;
-    double sigma_market = 0.0;
-    double pi = 0.0;
-  };
-  std::vector<Part> partial(engine_.NumShards());
-  int rounds_run = 0;
-  engine_.RunShards([&](int shard) {
-    SimScratch& scratch = LocalScratch();
-    Part acc;
-    int rounds = 0;
-    const int end = engine_.ShardBegin(shard + 1);
-    for (int s = engine_.ShardBegin(shard); s < end; ++s) {
-      if (!engine_.cancel_->Check().ok()) break;
-      const SampleCheckpoint* start =
-          resume == 0
-              ? nullptr
-              : &cp_[static_cast<size_t>(resume - 1)][static_cast<size_t>(s)];
-      engine_.sim_.Restore(start, nullptr, scratch);
-      rounds = 0;
-      if (t_end > resume) {
-        rounds = engine_.sim_.SimulateRounds(sched, static_cast<uint64_t>(s),
-                                             resume + 1, t_end, mask, scratch);
-      }
-      acc.sigma += scratch.sigma();
-      acc.sigma_market += scratch.sigma_market();
-      if (want_pi) acc.pi += engine_.sim_.LikelihoodPi(scratch.states(), market_);
-    }
-    partial[shard] = acc;
-    if (shard == 0) rounds_run = rounds;
-  });
-  if (engine_.Cancelled()) return Outcome{};
-  Outcome out;
-  for (const Part& acc : partial) {  // fixed shard order
+MarketEval CheckpointedEval::Eval(const SeedGroup& group, bool want_pi) {
+  const SeedSchedule sched(group, engine_.sim_.problem());
+  const int resume = ResumeRound(sched);
+  std::vector<MarketEval> partial(engine_.NumShards());
+  const int rounds_run = engine_.RunSamples(
+      sched, resume, round_keyed_.Row(resume), MarketMask(),
+      CoinKeying::kRound, 0, engine_.num_samples_,
+      [&](int shard, int, const SimScratch& scratch) {
+        MarketEval& acc = partial[static_cast<size_t>(shard)];
+        acc.sigma += scratch.sigma();
+        acc.sigma_market += scratch.sigma_market();
+        if (want_pi) {
+          acc.pi += engine_.sim_.LikelihoodPi(scratch.states(), market_);
+        }
+      });
+  if (engine_.Cancelled()) return MarketEval{};
+  MarketEval out;
+  for (const MarketEval& acc : partial) {  // fixed shard order
     out.sigma += acc.sigma;
     out.sigma_market += acc.sigma_market;
     out.pi += acc.pi;
   }
-  engine_.ChargeEstimate(rounds_run);
+  engine_.Charge(engine_.num_samples_, rounds_run);
   out.sigma /= engine_.num_samples_;
   out.sigma_market /= engine_.num_samples_;
   out.pi /= engine_.num_samples_;
@@ -720,19 +514,16 @@ double CheckpointedEval::Sigma(const SeedGroup& group) {
   return sigma;
 }
 
-MonteCarloEngine::MarketEval CheckpointedEval::EvalMarket(
-    const SeedGroup& group) {
-  IMDPP_CHECK(!market_.empty());
+MarketEval CheckpointedEval::EvalMarket(const SeedGroup& group) {
   util::trace::Span span("mc.eval_market");
   util::MutexLock lock(engine_.mu_);
-  if (!engine_.BeginEstimate()) return MonteCarloEngine::MarketEval{};
-  MonteCarloEngine::MarketEval memoized;
+  if (!engine_.BeginEstimate()) return MarketEval{};
+  MarketEval memoized;
   if (engine_.MarketMemoLookup(group, market_, &memoized)) {
     engine_.RecordSigmaEstimate(memoized.sigma);
     return memoized;
   }
-  const Outcome o = Eval(group, /*want_pi=*/true);
-  const MonteCarloEngine::MarketEval out{o.sigma, o.sigma_market, o.pi};
+  const MarketEval out = Eval(group, /*want_pi=*/true);
   if (engine_.Cancelled()) return out;  // partial: keep it out of the memo
   engine_.MarketMemoStore(group, market_, out);
   engine_.RecordSigmaEstimate(out.sigma);
@@ -741,19 +532,13 @@ MonteCarloEngine::MarketEval CheckpointedEval::EvalMarket(
 
 ExpectedState CheckpointedEval::Expected(const SeedGroup& group) {
   util::MutexLock lock(engine_.mu_);
-  IMDPP_CHECK(engine_.initial_states_ == nullptr);
   const Problem& p = engine_.sim_.problem();
   if (!engine_.BeginEstimate()) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
   const SeedSchedule sched(group, p);
-  const int diverge = FirstDivergence(base_sched_, sched, p.num_promotions);
-  int resume = std::min(diverge - 1, base_sched_.last_active_round());
-  EnsureCheckpoints(resume);
-  resume = std::min(resume, rounds_ready_);
-  return engine_.ExpectedFrom(
-      sched, resume + 1,
-      resume == 0 ? nullptr : &cp_[static_cast<size_t>(resume - 1)]);
+  const int resume = ResumeRound(sched);
+  return engine_.ExpectedFrom(sched, resume + 1, round_keyed_.Row(resume));
 }
 
 SelectBestResult CheckpointedEval::SelectBest(
@@ -769,82 +554,51 @@ SelectBestResult CheckpointedEval::SelectBest(
   int64_t raced_samples = 0;
   {
     util::MutexLock lock(engine_.mu_);
-    IMDPP_CHECK(engine_.initial_states_ == nullptr);
     if (!engine_.BeginEstimate()) return SelectBestResult{};
-    const Problem& p = engine_.sim_.problem();
-    const int t_max = p.num_promotions;
     // Per-candidate schedule and resume boundary against the shared base.
     struct Racer {
       SeedSchedule sched;
       int resume = 0;
-      int t_end = 0;
     };
     std::vector<Racer> racers;
     racers.reserve(candidates.size());
+    int max_resume = 0;
     for (const SelectCandidate& c : candidates) {
-      Racer racer{SeedSchedule(c.group, p)};
-      const int diverge = FirstDivergence(base_sched_, racer.sched, t_max);
-      racer.resume =
-          std::min(diverge - 1, base_sched_.last_active_round());
-      racer.t_end = racer.sched.last_active_round();
+      Racer racer{SeedSchedule(c.group, engine_.sim_.problem())};
+      racer.resume = SharedRounds(racer.sched);
+      max_resume = std::max(max_resume, racer.resume);
       racers.push_back(std::move(racer));
     }
-    // Races draw aligned coins from round 1 (kRaceAlignFromRound), so a
-    // racer can never resume from cp_: those prefixes froze round-keyed
-    // coins. It CAN resume from the aligned lattice — the base prefix
-    // simulated once per sample with the same attempt-ordinal keying the
-    // race uses, checkpoints carrying the ordinal state — which makes a
-    // resumed racer bit-identical to the engine-level race's from-scratch
-    // aligned run of the same schedule. The lattice grows lazily with the
-    // race's blocks (an early stop never paid for unraced samples), and
-    // Rebase keeps shared rounds, so consecutive races against
-    // overlapping bases (greedy placement, refinement sweeps) amortize it.
-    int max_resume = 0;
-    for (const Racer& racer : racers) {
-      max_resume = std::max(max_resume, racer.resume);
-    }
-    const std::vector<uint8_t>* mask = mask_.empty() ? nullptr : &mask_;
+    // Races draw attempt-keyed coins from round 1, so a racer resumes
+    // from the attempt-keyed lattice — the base prefix simulated once per
+    // sample with the same keying, checkpoints carrying the ordinal state
+    // — which makes a resumed racer bit-identical to a from-scratch
+    // attempt-keyed run of the same schedule. Keying by each cascade's
+    // own attempt ordinals makes the pairing hold for every candidate
+    // pair at once, wherever that pair diverges: cascades that share a
+    // prefix have identical ordinal state at its end. The lattice grows
+    // with the race's blocks, and Rebase keeps shared rounds, so
+    // consecutive races against overlapping bases (greedy placement,
+    // refinement sweeps) amortize it. An empty base never builds one.
     auto eval_block = [&](int cand, int begin, int end,
                           AdaptiveEval& race) -> int {
-      EnsureAlignedCheckpoints(max_resume, end);
+      Grow(attempt_keyed_, max_resume, end);
       if (engine_.Cancelled()) return -1;
       const Racer& racer = racers[static_cast<size_t>(cand)];
       const auto& score = candidates[static_cast<size_t>(cand)].score;
-      std::vector<int> rounds_by_shard(engine_.NumShards(), -1);
-      engine_.RunShards([&](int shard) {
-        SimScratch& scratch = LocalScratch();
-        const int lo = std::max(engine_.ShardBegin(shard), begin);
-        const int hi = std::min(engine_.ShardBegin(shard + 1), end);
-        int rounds = -1;
-        for (int s = lo; s < hi; ++s) {
-          if (!engine_.cancel_->Check().ok()) break;
-          const SampleCheckpoint* start =
-              racer.resume == 0
-                  ? nullptr
-                  : &aligned_cp_[static_cast<size_t>(racer.resume - 1)]
-                                [static_cast<size_t>(s)];
-          engine_.sim_.Restore(start, nullptr, scratch);
-          rounds = 0;
-          if (racer.t_end > racer.resume) {
-            rounds = engine_.sim_.SimulateRounds(
-                racer.sched, static_cast<uint64_t>(s), racer.resume + 1,
-                racer.t_end, mask, scratch, kRaceAlignFromRound);
-          }
-          MarketEval eval;
-          eval.sigma = scratch.sigma();
-          eval.sigma_market = scratch.sigma_market();
-          if (want_market) {
-            eval.pi = engine_.sim_.LikelihoodPi(scratch.states(), market_);
-          }
-          race.Record(cand, s, score ? score(eval) : eval.sigma);
-        }
-        rounds_by_shard[shard] = rounds;
-      });
-      if (engine_.Cancelled()) return -1;
-      for (int rounds : rounds_by_shard) {
-        if (rounds >= 0) return rounds;
-      }
-      return 0;
+      const int rounds = engine_.RunSamples(
+          racer.sched, racer.resume, attempt_keyed_.Row(racer.resume),
+          MarketMask(), CoinKeying::kAttempt, begin, end,
+          [&](int, int s, const SimScratch& scratch) {
+            MarketEval eval;
+            eval.sigma = scratch.sigma();
+            eval.sigma_market = scratch.sigma_market();
+            if (want_market) {
+              eval.pi = engine_.sim_.LikelihoodPi(scratch.states(), market_);
+            }
+            race.Record(cand, s, score ? score(eval) : eval.sigma);
+          });
+      return engine_.Cancelled() ? -1 : rounds;
     };
     const MonteCarloEngine::RaceOutcome raced = engine_.RaceSelect(
         static_cast<int>(candidates.size()), options.adaptive, eval_block);
@@ -852,8 +606,8 @@ SelectBestResult CheckpointedEval::SelectBest(
     raced_samples = raced.samples;
   }
   if (winner < 0) return SelectBestResult{};
-  // Winner re-evaluation at the full sample count through the normal
-  // checkpointed path (memo-aware, histogram-recorded).
+  // Full-precision winner re-evaluation through the normal estimate path
+  // (memo-aware, histogram-recorded).
   MarketEval eval;
   if (want_market) {
     eval = EvalMarket(candidates[static_cast<size_t>(winner)].group);

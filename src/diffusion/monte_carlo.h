@@ -29,6 +29,12 @@
 //   * an opt-in σ memo keyed on the exact seed vector, so sweeps that
 //     revisit an identical configuration (e.g. Dysim's coordinate-ascent
 //     timing refinement) pay nothing.
+// One code path serves both levels: the engine's own Sigma, EvalMarket,
+// Expected and adaptive SelectBest are a CheckpointedEval with an empty
+// base, whose every realization resumes at round 0 (from the problem
+// start or the SetInitialStates override). Inside it there is one σ/σ_τ/π
+// sample loop (RunSamples), one Expected loop (ExpectedFrom), one race
+// and one checkpoint-lattice builder, instantiated once per coin keying.
 // Work accounting: num_rounds_simulated / num_rounds_skipped split every
 // estimate's promotion-rounds into executed vs avoided (vs the naive
 // T-rounds-per-sample baseline); num_memo_hits counts memoized estimates.
@@ -90,13 +96,14 @@ class MonteCarloEngine : public SigmaBackend {
   /// σ̂(S): mean importance-weighted adoptions.
   /// Like every estimate entry point, takes the engine mutex for the whole
   /// call: concurrent estimates on one engine serialize (the memos, work
-  /// counters, mask cache and lazy pool are all IMDPP_GUARDED_BY(mu_)),
-  /// while the sample loop inside still fans out over the thread pool.
+  /// counters and lazy pool are all IMDPP_GUARDED_BY(mu_)), while the
+  /// sample loop inside still fans out over the thread pool.
   double Sigma(const SeedGroup& seeds) const override IMDPP_EXCLUDES(mu_);
 
   /// Joint estimate of σ, σ_τ and π_τ for the market `users` in one pass.
-  /// The |V| market mask is cached per user list, so repeated evaluations
-  /// of the same market (TDSI's inner loop) skip the rebuild.
+  /// Builds the |V| market mask per call; repeated evaluations of one
+  /// market (TDSI's inner loop) go through a market-bound
+  /// CheckpointedEval, which builds it once.
   MarketEval EvalMarket(const SeedGroup& seeds,
                         const std::vector<UserId>& users) const override
       IMDPP_EXCLUDES(mu_);
@@ -110,14 +117,11 @@ class MonteCarloEngine : public SigmaBackend {
       SeedGroup base, std::vector<UserId> market = {}) const override;
 
   /// Greedy σ-scored argmax (ISSUE 10). Fixed mode (the default) runs the
-  /// base-class reference loop; options.adaptive.enabled races candidates
-  /// with empirical-Bernstein stopping on paired per-sample values, then
-  /// re-evaluates the winner at the full sample count through the normal
-  /// Sigma path (memo-aware, histogram-recorded) so downstream arithmetic
-  /// sees exactly the bits a direct call would. Supports SetInitialStates
-  /// (each raced sample simulates from scratch). Stopping decisions
-  /// happen only at block boundaries over fixed-order reductions, so the
-  /// adaptive path is bit-identical across thread counts too.
+  /// base-class reference loop; options.adaptive.enabled runs the
+  /// CheckpointedEval race with an empty base, so every racer resumes at
+  /// round 0 — which is why it supports SetInitialStates. See
+  /// CheckpointedEval::SelectBest for the stopping, winner re-evaluation
+  /// and determinism contract.
   SelectBestResult SelectBest(const std::vector<SelectCandidate>& candidates,
                               const SelectOptions& options) const override
       IMDPP_EXCLUDES(mu_);
@@ -126,6 +130,8 @@ class MonteCarloEngine : public SigmaBackend {
   /// initial state (adaptive IM). Pass nullptr to reset. The pointee must
   /// outlive subsequent estimate calls. Clears (and, while set, disables)
   /// the σ memo: memoized values assume the problem's initial state.
+  /// While set, only estimates that resume at round 0 are allowed (every
+  /// engine-level one is); checkpoints assume the problem start.
   void SetInitialStates(const std::vector<pin::UserState>* states)
       IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
@@ -210,7 +216,7 @@ class MonteCarloEngine : public SigmaBackend {
   /// every estimate entry, memoized or not.
   bool BeginEstimate() const;
   /// Post-shard-loop gate: true = the token fired mid-estimate, so the
-  /// folded value is garbage — skip ChargeEstimate and the memo store
+  /// folded value is garbage — skip Charge and the memo store
   /// (a partial estimate must never poison the memo).
   bool Cancelled() const { return cancel_->Fired(); }
 
@@ -231,6 +237,21 @@ class MonteCarloEngine : public SigmaBackend {
   void RunShards(const std::function<void(int)>& fn) const
       IMDPP_REQUIRES(mu_);
 
+  /// The one sample loop behind every σ/σ_τ/π estimate and every race
+  /// block: for each sample s in [begin, end), restores the realization
+  /// after round `resume` — from (*start)[s] when `start` is set, else
+  /// from initial_states_ or the problem start — simulates the remaining
+  /// rounds of `sched` with `keying`, and calls visit(shard, s, scratch).
+  /// Returns the rounds executed per sample (a schedule property, so one
+  /// value serves the whole range); callers check Cancelled() after.
+  int RunSamples(
+      const SeedSchedule& sched, int resume,
+      const std::vector<SampleCheckpoint>* start,
+      const std::vector<uint8_t>* mask, CoinKeying keying, int begin,
+      int end,
+      const std::function<void(int, int, const SimScratch&)>& visit) const
+      IMDPP_REQUIRES(mu_);
+
   bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
     return sigma_memo_capacity_ > 0 && initial_states_ == nullptr;
   }
@@ -246,32 +267,26 @@ class MonteCarloEngine : public SigmaBackend {
   void MarketMemoStore(const SeedGroup& seeds,
                        const std::vector<UserId>& users,
                        const MarketEval& eval) const IMDPP_REQUIRES(mu_);
-  /// Shared core of Expected() and CheckpointedEval::Expected(): runs
-  /// promotions [t_begin, t_end(sched)] per sample on top of `start`
-  /// (per-sample checkpoints; nullptr = the initial state) and averages
-  /// the final states. The accumulation shape (per-shard raw float sums
-  /// folded in shard order, scaled once) is identical on both paths, so
-  /// resuming from checkpoints is bit-identical to a from-scratch run.
+  /// The one Expected loop: runs promotions [t_begin, t_end(sched)] per
+  /// sample on top of `start` (per-sample checkpoints; nullptr = the
+  /// initial state) and averages the final states. The accumulation shape
+  /// (per-shard raw float sums folded in shard order, scaled once) does
+  /// not depend on where the run resumed, so resuming from checkpoints is
+  /// bit-identical to a from-scratch run.
   ExpectedState ExpectedFrom(const SeedSchedule& sched, int t_begin,
                              const std::vector<SampleCheckpoint>* start) const
       IMDPP_REQUIRES(mu_);
-  /// |V| market mask for `users`, cached per user list. The returned
-  /// pointer is read by the sample loop of the estimate that built it —
-  /// which still holds mu_, so no other estimate can rebuild it mid-use.
-  const std::vector<uint8_t>* CachedMask(
-      const std::vector<UserId>& users) const IMDPP_REQUIRES(mu_);
-  /// Books the per-estimate work split for one estimate that executed
-  /// `rounds_run` rounds per sample.
-  void ChargeEstimate(int rounds_run) const IMDPP_REQUIRES(mu_);
+  /// Books `samples` realizations that each executed `rounds_run` of the
+  /// T promotion rounds (the rest are skips).
+  void Charge(int64_t samples, int rounds_run) const IMDPP_REQUIRES(mu_);
 
-  /// The racing driver shared by the engine-level and checkpointed
-  /// SelectBest: advances every alive candidate block by block through
-  /// `eval_block(candidate, begin, end, race)` (which fills per-sample
-  /// slots and returns the rounds executed per sample, or −1 when the
-  /// cancel token fired), charges each candidate-block, and on
-  /// completion books the whole-sample skips plus the adaptive
-  /// counters. winner −1 = cancelled mid-race (nothing terminal booked;
-  /// partial blocks stay charged, mirroring interrupted estimates).
+  /// The racing driver: advances every alive candidate block by block
+  /// through `eval_block(candidate, begin, end, race)` (which fills
+  /// per-sample slots and returns the rounds executed per sample, or −1
+  /// when the cancel token fired), charges each candidate-block, and on
+  /// completion books the whole-sample skips plus the adaptive counters.
+  /// winner −1 = cancelled mid-race (nothing terminal booked; partial
+  /// blocks stay charged, mirroring interrupted estimates).
   struct RaceOutcome {
     int winner = -1;
     int64_t samples = 0;  ///< realizations actually simulated
@@ -293,9 +308,9 @@ class MonteCarloEngine : public SigmaBackend {
   std::shared_ptr<const util::CancelToken> cancel_;
 
   /// Guards every piece of state an estimate mutates: memos, work
-  /// counters, the mask cache, the lazily created pool and the
-  /// initial-state override. Held for whole estimates (see Sigma), so
-  /// the engine is safe to share across threads at estimate granularity.
+  /// counters, the lazily created pool and the initial-state override.
+  /// Held for whole estimates (see Sigma), so the engine is safe to share
+  /// across threads at estimate granularity.
   mutable util::Mutex mu_;
   const std::vector<pin::UserState>* initial_states_ IMDPP_GUARDED_BY(mu_) =
       nullptr;
@@ -317,10 +332,6 @@ class MonteCarloEngine : public SigmaBackend {
       market_memo_ IMDPP_GUARDED_BY(mu_);
   mutable size_t market_memo_entries_ IMDPP_GUARDED_BY(mu_) = 0;
   size_t sigma_memo_capacity_ IMDPP_GUARDED_BY(mu_) = 0;
-  /// EvalMarket mask cache.
-  mutable std::vector<UserId> mask_users_ IMDPP_GUARDED_BY(mu_);
-  mutable std::vector<uint8_t> mask_ IMDPP_GUARDED_BY(mu_);
-  mutable bool mask_valid_ IMDPP_GUARDED_BY(mu_) = false;
 };
 
 /// Promotion-round checkpoint reuse over one engine (ISSUE 3 tentpole).
@@ -342,14 +353,16 @@ class MonteCarloEngine : public SigmaBackend {
 /// round where the old and new bases diverge, so the reuse compounds
 /// across iterations of those loops.
 ///
-/// Requires the engine to evaluate from the problem's initial state (no
-/// SetInitialStates). All estimates run on the engine's sharded sample
-/// loop and are charged to its work counters.
+/// With an empty base every estimate resumes at round 0: that is the
+/// engine's own estimate path, and the only one allowed while the engine
+/// has SetInitialStates on (checkpoints assume the problem start). All
+/// estimates run on the engine's sharded sample loop and are charged to
+/// its work counters.
 class CheckpointedEval final : public ScheduleEval {
  public:
-  /// `market` fixes the user list for EvalMarket() (empty = Sigma only);
-  /// checkpoints embed the market's σ_τ partials, so one CheckpointedEval
-  /// serves exactly one market.
+  /// `market` fixes the user list for EvalMarket() (empty = σ_τ and π
+  /// are 0); checkpoints embed the market's σ_τ partials, so one
+  /// CheckpointedEval serves exactly one market.
   CheckpointedEval(const MonteCarloEngine& engine, SeedGroup base,
                    std::vector<UserId> market = {});
 
@@ -380,54 +393,76 @@ class CheckpointedEval final : public ScheduleEval {
 
   /// Greedy argmax over `candidates` against the shared base (ISSUE 10).
   /// Fixed mode runs the base-class reference loop (through this
-  /// evaluator's checkpointed Sigma/EvalMarket); adaptive mode builds
-  /// the shared checkpoint prefix once, races candidates block by block
-  /// resuming each from its own divergence boundary, and re-evaluates
-  /// the winner at the full sample count through the normal memo-aware
-  /// path. See MonteCarloEngine::SelectBest for the determinism and
-  /// cancellation contract.
+  /// evaluator's checkpointed Sigma/EvalMarket). Adaptive mode races
+  /// candidates with empirical-Bernstein stopping on paired per-sample
+  /// values, block by block, each racer resuming from its own divergence
+  /// boundary on the attempt-keyed lattice; then it re-evaluates the
+  /// winner at the full sample count through the normal memo-aware path,
+  /// so downstream arithmetic sees exactly the bits a direct call would.
+  /// Stopping decisions happen only at block boundaries over fixed-order
+  /// reductions, so the race is bit-identical across thread counts too.
+  /// A fired cancel token returns best_index −1.
   SelectBestResult SelectBest(const std::vector<SelectCandidate>& candidates,
                               const SelectOptions& options) override
       IMDPP_EXCLUDES(engine_.mu_);
 
  private:
-  struct Outcome {
-    double sigma = 0.0;
-    double sigma_market = 0.0;
-    double pi = 0.0;
+  /// Checkpoints of the base schedule under one coin keying:
+  /// cp[k-1][s] = realization s frozen after base rounds 1..k, valid for
+  /// k <= rounds_ready and s < samples_ready (rows are full-width).
+  struct Lattice {
+    explicit Lattice(CoinKeying k) : keying(k) {}
+
+    CoinKeying keying;
+    std::vector<std::vector<SampleCheckpoint>> cp;
+    int rounds_ready = 0;
+    int samples_ready = 0;
+
+    /// The checkpoints a resume after `round` starts from (null = round 0).
+    const std::vector<SampleCheckpoint>* Row(int round) const {
+      return round == 0 ? nullptr : &cp[static_cast<size_t>(round - 1)];
+    }
   };
+
   /// First round where the two schedules' buckets differ (T+1 if none).
   static int FirstDivergence(const SeedSchedule& a, const SeedSchedule& b,
                              int t_max);
-  /// Simulates base rounds up to `upto` (capped at the base's last active
-  /// round), freezing every boundary along the way.
-  void EnsureCheckpoints(int upto) IMDPP_REQUIRES(engine_.mu_);
-  /// Same, for the aligned lattice: base rounds simulated with
-  /// time-aligned (attempt-ordinal) coins, checkpoints carrying the
-  /// attempt state. Races resume from these — never from cp_, whose
-  /// round-keyed prefix coins would poison the paired differences.
-  /// Grown lazily as a rectangle of `rounds_upto` x `samples_upto`
-  /// (races touch block_end samples, not all of them), so a race that
-  /// stops after one block never pays for prefixes it didn't use.
-  void EnsureAlignedCheckpoints(int rounds_upto, int samples_upto)
+  /// Last base boundary `sched` shares, bounded by what the base can ever
+  /// provide (rounds past its last active round are no-ops): the round an
+  /// estimate of `sched` resumes after. Enforces the initial-state rule.
+  int SharedRounds(const SeedSchedule& sched) const
       IMDPP_REQUIRES(engine_.mu_);
-  Outcome Eval(const SeedGroup& group, bool want_pi)
+  /// The lattice builder: grows `lattice` to base rounds 1..rounds_upto
+  /// (capped at the base's last active round) for samples
+  /// [0, samples_upto), simulating the base with the lattice's keying and
+  /// freezing every boundary. Building is amortized shared work, booked
+  /// by moving its rounds from the skipped to the simulated bucket.
+  void Grow(Lattice& lattice, int rounds_upto, int samples_upto)
+      IMDPP_REQUIRES(engine_.mu_);
+  /// The mask the simulator restricts σ_τ to (null = no market).
+  const std::vector<uint8_t>* MarketMask() const {
+    return market_mask_.empty() ? nullptr : &market_mask_;
+  }
+  /// SharedRounds(sched), with the round-keyed lattice grown to it for
+  /// every sample (a cancelled build leaves it short; resume lower then).
+  int ResumeRound(const SeedSchedule& sched) IMDPP_REQUIRES(engine_.mu_);
+  MarketEval Eval(const SeedGroup& group, bool want_pi)
       IMDPP_REQUIRES(engine_.mu_);
 
   const MonteCarloEngine& engine_;
   SeedGroup base_;
   SeedSchedule base_sched_;
   std::vector<UserId> market_;
-  std::vector<uint8_t> mask_;  ///< prebuilt; empty when market_ is empty
-  /// cp_[k-1][s] = realization s frozen after base rounds 1..k.
-  std::vector<std::vector<SampleCheckpoint>> cp_;
-  int rounds_ready_ = 0;
-  /// Aligned-coin twin of cp_, built lazily by adaptive races only;
-  /// valid for rounds < aligned_rounds_ready_, samples <
-  /// aligned_samples_ready_ (rows are allocated full-width up front).
-  std::vector<std::vector<SampleCheckpoint>> aligned_cp_;
-  int aligned_rounds_ready_ = 0;
-  int aligned_samples_ready_ = 0;
+  /// Prebuilt |V| mask of market_; empty when market_ is empty.
+  std::vector<uint8_t> market_mask_;
+  /// Every estimate resumes from this one, grown for every sample.
+  Lattice round_keyed_{CoinKeying::kRound};
+  /// Races resume from this one — never from round_keyed_, whose prefix
+  /// coins would poison the paired differences. Grown lazily with the
+  /// race's blocks (races touch block_end samples, not all of them), so a
+  /// race that stops after one block never pays for prefixes it didn't
+  /// use.
+  Lattice attempt_keyed_{CoinKeying::kAttempt};
 };
 
 }  // namespace imdpp::diffusion

@@ -79,8 +79,8 @@ class RisBackend final : public SigmaBackend {
   double Sigma(const SeedGroup& seeds) const override IMDPP_EXCLUDES(mu_);
 
   /// σ̂ plus the market-rooted restriction; pi is always 0 (see file
-  /// comment). The |V| market mask is cached per user list like the
-  /// Monte-Carlo engine's.
+  /// comment). The |V| market mask is cached per user list: TDSI's
+  /// market loop forwards here call by call.
   MarketEval EvalMarket(const SeedGroup& seeds,
                         const std::vector<UserId>& users) const override
       IMDPP_EXCLUDES(mu_);

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <map>
 #include <set>
 
 #include "api/registry.h"
 #include "api/session.h"
 #include "data/catalog.h"
 #include "data/dataset_registry.h"
+#include "diffusion/monte_carlo.h"
 #include "diffusion/sigma_backend.h"
 #include "tests/test_util.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace imdpp::api {
@@ -274,6 +278,54 @@ TEST(CampaignSession, RunsAndComparesPlannersOnAnOwnedDataset) {
   EXPECT_EQ(results.dataset, "fig1-toy");
   EXPECT_DOUBLE_EQ(results.budget, session.problem().budget);
   EXPECT_EQ(results.num_promotions, session.problem().num_promotions);
+}
+
+// The reported σ̂ is held out: scored on worlds no search decision saw.
+// Each planner's reported σ̂ is compared with a 512-sample referee on a
+// third coin stream. Scoring on the search stream (realizations
+// 0..selection_samples−1 of the report are then the worlds the greedy
+// loops optimised over) inflates every planner: averaged over the three
+// master seeds below, the mean signed relative error is +0.21 and opt's
+// is +0.46. Held out, the mean is +0.01 and the worst planner +0.05.
+// Averaging over seeds keeps the 16-sample report's noise well inside
+// the bands without diluting the in-sample share that would expose bias.
+TEST(CampaignSession, ReportedSigmaIsHeldOutForEveryPlanner) {
+  constexpr uint64_t kRefereeStream = 0x7265'6665'7265'6500ULL;
+  constexpr uint64_t kSeeds[] = {1, 2, 3};
+  PlannerConfig cfg;
+  cfg.selection_samples = 6;
+  cfg.eval_samples = 16;
+  cfg.candidates.max_users = 12;
+  cfg.candidates.max_items = 4;
+  cfg.num_threads = 2;
+  CampaignSession session(data::MakeYelpLike(0.3), /*budget=*/150.0,
+                          /*num_promotions=*/5, cfg);
+  std::map<std::string, double> rel_error;  // summed over the seeds
+  for (uint64_t seed : kSeeds) {
+    session.mutable_config().seed = seed;
+    diffusion::CampaignConfig referee_campaign;
+    referee_campaign.base_seed = HashTuple(seed, kRefereeStream);
+    diffusion::MonteCarloEngine referee(session.problem(), referee_campaign,
+                                        /*num_samples=*/512,
+                                        /*num_threads=*/2);
+    for (const std::string& name : PlannerRegistry::Names()) {
+      const PlanResult r = session.Run(name);
+      ASSERT_TRUE(r.status.ok()) << name << ": " << r.status.ToString();
+      // Run and Sigma score on the same held-out engine.
+      EXPECT_EQ(r.sigma, session.Sigma(r.seeds)) << name;
+      const double truth = referee.Sigma(r.seeds);
+      ASSERT_GT(truth, 0.0) << name;
+      rel_error[name] += (r.sigma - truth) / truth;
+    }
+  }
+  double mean = 0.0;
+  for (auto& [name, error] : rel_error) {
+    error /= std::size(kSeeds);
+    EXPECT_LE(std::abs(error), 0.35) << name << " relative error " << error;
+    mean += error;
+  }
+  mean /= static_cast<double>(rel_error.size());
+  EXPECT_LE(std::abs(mean), 0.10) << "mean signed relative error " << mean;
 }
 
 TEST(CampaignSession, SetProblemWithUnchangedCoordinatesIsANoOp) {

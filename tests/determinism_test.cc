@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -340,8 +341,13 @@ TEST(DeterminismGate, AdaptivePathBitIdenticalAcrossThreadCounts) {
 // inside one binary; this one compares against the values the code
 // produced when the table was recorded, so a change that claims
 // bit-identity is checked, and a deliberate re-baseline rewrites it.
+// The "race" rows plan the amazon world with adaptive racing on and
+// two-sample blocks, so races stop early and the aligned-coin lattice,
+// the racing driver and the winner re-evaluation are all pinned too.
 struct Golden {
-  const char* world;  ///< "fig1": fig1-toy, B=20, T=2; "amazon": B=150, T=3
+  /// "fig1": fig1-toy, B=20, T=2; "amazon": B=150, T=3; "race": the
+  /// amazon world with eval.adaptive racing in two-sample blocks.
+  const char* world;
   const char* planner;
   uint64_t sigma_bits;
   diffusion::SeedGroup seeds;
@@ -376,6 +382,24 @@ const Golden kGolden[] = {
      {{10, 8, 3}, {9, 7, 3}, {10, 7, 3}, {8, 6, 3}, {5, 6, 2}, {8, 7, 2}}},
     {"amazon", "smk", 0x40322399ab9c04e3ULL,
      {{5, 8, 1}, {5, 6, 1}, {7, 7, 1}, {8, 7, 1}, {10, 8, 1}, {10, 6, 1}}},
+    {"race", "adaptive", 0x402745f511121c2cULL,
+     {{8, 8, 1}, {6, 8, 3}, {8, 6, 3}}},
+    {"race", "bgrd", 0x4032db9a8da06096ULL,
+     {{8, 8, 1}, {8, 6, 1}, {8, 7, 1}, {8, 11, 1}, {8, 4, 2}, {8, 3, 1}}},
+    {"race", "cr_greedy", 0x40314e24625e9affULL,
+     {{7, 7, 1}, {5, 6, 1}, {10, 6, 2}, {8, 7, 1}, {5, 8, 1}, {10, 8, 2}}},
+    {"race", "drhga", 0x402d55524c8348e3ULL,
+     {{8, 6, 1}, {10, 7, 1}, {9, 11, 1}, {10, 10, 2}, {6, 3, 3}, {8, 1, 2}}},
+    {"race", "dysim", 0x40349f5ec14c9a72ULL,
+     {{7, 7, 1}, {5, 6, 2}, {10, 6, 1}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
+    {"race", "hag", 0x4033a49a745b043bULL,
+     {{8, 8, 1}, {8, 6, 1}, {7, 7, 1}, {10, 7, 1}, {10, 8, 1}, {5, 6, 2}}},
+    {"race", "opt", 0x40271f2551bdbf72ULL,
+     {{9, 8, 1}, {5, 6, 2}, {6, 6, 3}}},
+    {"race", "ps", 0x4031883c3669bd59ULL,
+     {{10, 8, 1}, {9, 7, 1}, {10, 7, 1}, {8, 6, 2}, {5, 6, 2}, {8, 7, 1}}},
+    {"race", "smk", 0x40322399ab9c04e3ULL,
+     {{5, 8, 1}, {5, 6, 1}, {7, 7, 1}, {8, 7, 1}, {10, 8, 1}, {10, 6, 1}}},
 };
 
 TEST(DeterminismGate, GoldenBitsMatchThePinnedTable) {
@@ -390,20 +414,31 @@ TEST(DeterminismGate, GoldenBitsMatchThePinnedTable) {
   cfg.candidates.max_items = 3;
   cfg.seed = 20261016;
   cfg.num_threads = 1;
-  std::set<std::string> covered;
+  PlannerConfig racing = cfg;
+  racing.eval.adaptive.enabled = true;
+  racing.eval.adaptive.min_samples = 2;
+  racing.eval.adaptive.block_samples = 2;
+  std::map<std::string, std::set<std::string>> covered;
   for (const Golden& g : kGolden) {
     SCOPED_TRACE(std::string(g.world) + " " + g.planner);
+    const std::string_view world = g.world;
     const diffusion::Problem& problem =
-        std::string_view(g.world) == "fig1" ? fig1_problem : amazon_problem;
+        world == "fig1" ? fig1_problem : amazon_problem;
     const PlanResult r =
-        PlannerRegistry::CreateOrDie(g.planner, cfg)->Plan(problem);
+        PlannerRegistry::CreateOrDie(g.planner,
+                                     world == "race" ? racing : cfg)
+            ->Plan(problem);
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(std::bit_cast<uint64_t>(r.sigma), g.sigma_bits) << r.sigma;
     EXPECT_EQ(r.seeds, g.seeds);
-    covered.insert(g.planner);
+    covered[g.world].insert(g.planner);
   }
   const std::vector<std::string> names = PlannerRegistry::Names();
-  EXPECT_EQ(covered, std::set<std::string>(names.begin(), names.end()));
+  for (const char* world : {"fig1", "amazon", "race"}) {
+    SCOPED_TRACE(world);
+    EXPECT_EQ(covered[world],
+              std::set<std::string>(names.begin(), names.end()));
+  }
 }
 
 TEST(DeterminismGate, SessionSigmaThreadCountInvariant) {

@@ -528,5 +528,72 @@ TEST(MonteCarloEngine, InitialStatesRespected) {
   EXPECT_DOUBLE_EQ(engine.Sigma({{0, 0, 1}}), 3.0);
 }
 
+// Exact work conservation: every estimate path books its realizations so
+// that executed + avoided promotion rounds equal the naive total — T
+// rounds per simulated realization, per realization a race never ran,
+// and per realization a memo hit answered.
+TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
+  TinyWorld w = DeepNoisyWorld();
+  const int64_t T = w.problem.num_promotions;  // 4
+  constexpr int kSamples = 16;
+  MonteCarloEngine engine(w.problem, {}, kSamples, /*num_threads=*/2);
+  engine.EnableSigmaMemo();
+  const std::vector<UserId> market{1, 2, 4};
+  const SeedGroup a{{0, 0, 1}, {2, 1, 2}};
+  const SeedGroup b{{0, 0, 1}, {2, 1, 3}};
+  // Candidates that add one seed at every round, plus an exact duplicate
+  // (a CRN tie, eliminated at the first boundary).
+  auto candidates_over = [&](const SeedGroup& base) {
+    std::vector<SelectCandidate> out;
+    for (int t = 1; t <= T; ++t) {
+      SeedGroup g = base;
+      g.push_back({4, 0, t});
+      out.push_back({std::move(g), nullptr});
+    }
+    out.push_back(out.front());
+    return out;
+  };
+  SelectOptions fixed;
+  SelectOptions racing;
+  racing.adaptive.enabled = true;
+  racing.adaptive.min_samples = 4;
+  racing.adaptive.block_samples = 4;
+
+  engine.Sigma(a);
+  engine.Sigma(a);  // memo hit
+  engine.EvalMarket(a, market);
+  engine.EvalMarket(a, market);  // market memo hit
+  engine.Expected(b);
+  engine.SelectBest(candidates_over(a), fixed);
+  engine.SelectBest(candidates_over(a), racing);
+  {
+    CheckpointedEval eval(engine, a, market);
+    eval.Sigma(b);
+    eval.EvalMarket(b);
+    eval.Expected({{0, 0, 1}, {2, 1, 2}, {5, 1, 4}});
+    eval.SelectBest(candidates_over(a), fixed);
+    racing.use_market = true;
+    eval.SelectBest(candidates_over(a), racing);
+    racing.use_market = false;
+    eval.Rebase(b);
+    eval.Sigma({{0, 0, 1}, {2, 1, 3}, {3, 0, 4}});
+    eval.SelectBest(candidates_over(b), racing);
+  }
+  std::vector<pin::UserState> init;
+  for (int u = 0; u < 6; ++u) init.emplace_back(2, std::vector<float>{1.0f});
+  init[3].Add(1);
+  engine.SetInitialStates(&init);
+  engine.Sigma(a);
+  engine.Expected(a);
+  engine.SelectBest(candidates_over(a), racing);
+  engine.SetInitialStates(nullptr);
+
+  EXPECT_GT(engine.num_memo_hits(), 0);
+  EXPECT_GT(engine.num_samples_saved(), 0);
+  EXPECT_EQ(engine.num_rounds_simulated() + engine.num_rounds_skipped(),
+            T * (engine.num_simulations() + engine.num_samples_saved() +
+                 engine.num_memo_hits() * kSamples));
+}
+
 }  // namespace
 }  // namespace imdpp::diffusion

@@ -160,5 +160,44 @@ TEST(CounterConservation, EveryPlannerBooksEveryEstimate) {
   }
 }
 
+// Exact conservation per planner: executed + avoided promotion rounds
+// equal T rounds per realization simulated, per realization a race never
+// ran, and per realization a memo hit answered. Only the search engines
+// (selection_samples realizations) memoize. adaptive is left out: its
+// per-round sub-problems shrink T.
+TEST(CounterConservation, RoundsAddUpToTheNaiveTotalForEveryPlanner) {
+  data::Dataset ds = data::MakeSmallAmazonSample();
+  const diffusion::Problem problem = ds.MakeProblem(100.0, 3);
+  api::PlannerConfig cfg;
+  cfg.selection_samples = 6;
+  cfg.eval_samples = 8;
+  cfg.candidates.max_users = 8;
+  cfg.candidates.max_items = 3;
+  cfg.seed = 20261016;
+  cfg.num_threads = 2;
+  cfg.opt.max_candidates = 6;
+  cfg.opt.max_seeds = 2;
+  for (bool racing : {false, true}) {
+    cfg.eval.adaptive.enabled = racing;
+    cfg.eval.adaptive.min_samples = 2;
+    cfg.eval.adaptive.block_samples = 2;
+    for (const std::string& name : api::PlannerRegistry::Names()) {
+      if (name == "adaptive") continue;
+      SCOPED_TRACE(name + (racing ? " racing" : " fixed"));
+      const api::PlanResult r =
+          api::PlannerRegistry::CreateOrDie(name, cfg)->Plan(problem);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      const util::MetricsSnapshot& m = r.metrics;
+      EXPECT_GT(m.Counter(metric::kEvalSimulations), 0);
+      EXPECT_EQ(m.Counter(metric::kEvalRoundsSimulated) +
+                    m.Counter(metric::kEvalRoundsSkipped),
+                problem.num_promotions *
+                    (m.Counter(metric::kEvalSimulations) +
+                     m.Counter(metric::kEvalSamplesSaved) +
+                     m.Counter(metric::kEvalMemoHits) * cfg.selection_samples));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace imdpp

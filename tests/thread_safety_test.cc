@@ -128,8 +128,8 @@ TEST(ThreadSafety, ConcurrentSigmaEstimatesAreExactAndFullyCounted) {
   const double want_b = reference.Sigma({{3, 1, 2}});
   const int64_t per_estimate = reference.num_simulations() / 2;
 
-  // Hammer one engine (memo ON: the memo map, counters and mask cache
-  // are all shared mutable state) from many threads.
+  // Hammer one engine (memo ON: the memo map and counters are shared
+  // mutable state) from many threads.
   diffusion::MonteCarloEngine engine(w.problem, {}, kSamples);
   engine.EnableSigmaMemo();
   constexpr int kThreads = 8;
