@@ -1,0 +1,91 @@
+#!/usr/bin/env bash
+# Bit-identity check against another revision. Builds <rev> (unpacked with
+# `git archive` into a scratch directory) and the working tree, runs the
+# same commands on both and diffs the outputs byte for byte:
+#   * `imdpp plan` JSON for every registered planner, fixed and
+#     --adaptive, on amazon-like@0.3 (B=150, T=4, 2 threads);
+#   * `imdpp sweep` JSON of configs/sweep_ci.json.
+# A refactor or kernel change that claims bit-identity must leave every
+# diff empty; a deliberate re-baseline shows up here and is named in its
+# change description. A run that fails records its exit code and stderr
+# in place of its output, so it shows up as a diff too.
+#
+# usage: scripts/bitdiff.sh <rev>
+#   exit 0 = every output identical, 1 = some output differs (the diffs
+#   are printed), 2 = usage error.
+#
+# Env knobs (all optional):
+#   BUILD_DIR    build tree of the working copy  (default: build)
+#   BITDIFF_DIR  scratch dir for <rev>'s source, both builds' outputs and
+#                <rev>'s build (default: a fresh mktemp -d, removed on exit)
+#   CMAKE_CXX_COMPILER_LAUNCHER  e.g. ccache (read natively by CMake)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <rev>" >&2
+  exit 2
+fi
+REV="$1"
+BUILD_DIR="${BUILD_DIR:-build}"
+JOBS="$(nproc 2>/dev/null || echo 4)"
+if [[ -n "${BITDIFF_DIR:-}" ]]; then
+  WORK="$BITDIFF_DIR"
+  mkdir -p "$WORK"
+else
+  WORK="$(mktemp -d)"
+  trap 'rm -rf "$WORK"' EXIT
+fi
+
+build() {  # <source dir> <build dir>
+  cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake --build "$2" -j "$JOBS" --target imdpp_cli > /dev/null
+}
+
+echo "== build $REV ==" >&2
+rm -rf "$WORK/rev-src"
+mkdir -p "$WORK/rev-src"
+git archive "$REV" | tar -x -C "$WORK/rev-src"
+build "$WORK/rev-src" "$WORK/rev-build"
+
+echo "== build working tree ==" >&2
+build . "$BUILD_DIR"
+
+# The registry lists its names in the unknown-planner error (exit 1).
+PLANNERS="$( ("$BUILD_DIR/imdpp" plan --dataset fig1-toy --planner '?' \
+  2>&1 || true) | sed -n 's/^imdpp: .*registered: //p')"
+if [[ -z "$PLANNERS" ]]; then
+  echo "bitdiff: could not read the planner registry" >&2
+  exit 2
+fi
+
+run_all() {  # <imdpp binary> <output dir>
+  local bin="$1" out="$2" planner mode
+  rm -rf "$out"
+  mkdir -p "$out"
+  for planner in $PLANNERS; do
+    for mode in fixed adaptive; do
+      local flags=()
+      [[ "$mode" == adaptive ]] && flags=(--adaptive)
+      "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
+        --budget 150 --promotions 4 --threads 2 "${flags[@]}" \
+        > "$out/plan.$planner.$mode.json" 2>&1 \
+        || echo "exit $?" >> "$out/plan.$planner.$mode.json"
+    done
+  done
+  "$bin" sweep --config configs/sweep_ci.json --quiet \
+    > "$out/sweep_ci.json" 2>&1 || echo "exit $?" >> "$out/sweep_ci.json"
+}
+
+echo "== run $REV ==" >&2
+run_all "$WORK/rev-build/imdpp" "$WORK/out-rev"
+echo "== run working tree ==" >&2
+run_all "$BUILD_DIR/imdpp" "$WORK/out-tree"
+
+if diff -r "$WORK/out-rev" "$WORK/out-tree"; then
+  echo "bitdiff: every output is byte-identical to $REV" >&2
+  exit 0
+fi
+echo "bitdiff: outputs differ from $REV" >&2
+exit 1

@@ -232,6 +232,14 @@ util::Status LoadProblemSetup(const config::ParsedArgs& args,
                     &error)) {
     return util::InvalidArgumentError(std::move(error));
   }
+  for (const std::string& range_error :
+       {config::BudgetError(setup->budget, "--budget"),
+        config::CountError(setup->promotions, "--promotions"),
+        config::CountError(setup->config.selection_samples,
+                           "--selection-samples"),
+        config::CountError(setup->config.eval_samples, "--eval-samples")}) {
+    if (!range_error.empty()) return util::InvalidArgumentError(range_error);
+  }
   // --deadline-ms (underscore alias accepted; later flag wins because both
   // parse into the same slot in order): per-run wall-clock budget, 0 = off.
   double deadline = static_cast<double>(setup->config.deadline_ms);

@@ -10,6 +10,16 @@
 
 namespace imdpp::config {
 
+std::string BudgetError(double budget, const std::string& where) {
+  if (budget >= 0.0) return "";  // also rejects NaN
+  return where + " must be >= 0";
+}
+
+std::string CountError(int count, const std::string& where) {
+  if (count >= 1) return "";
+  return where + " must be >= 1";
+}
+
 namespace {
 
 // ---------------------------------------------------- typed field readers
@@ -34,6 +44,14 @@ bool ReadDouble(const util::Json& v, const std::string& where, double* out,
   }
   *out = v.AsDouble();
   return true;
+}
+
+/// ReadInt plus CountError's range rule.
+bool ReadCount(const util::Json& v, const std::string& where, int* out,
+               std::string* error) {
+  if (!ReadInt(v, where, out, error)) return false;
+  *error = CountError(*out, where);
+  return error->empty();
 }
 
 bool ReadBool(const util::Json& v, const std::string& where, bool* out,
@@ -239,10 +257,10 @@ bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
   }
   for (const auto& [key, v] : obj.members()) {
     if (key == "selection_samples") {
-      if (!ReadInt(v, "selection_samples", &cfg->selection_samples, error))
+      if (!ReadCount(v, "selection_samples", &cfg->selection_samples, error))
         return false;
     } else if (key == "eval_samples") {
-      if (!ReadInt(v, "eval_samples", &cfg->eval_samples, error))
+      if (!ReadCount(v, "eval_samples", &cfg->eval_samples, error))
         return false;
     } else if (key == "seed") {
       if (!ReadSeed(v, "seed", &cfg->seed, error)) return false;
@@ -584,12 +602,14 @@ bool LoadSweepSpecImpl(const util::Json& obj, SweepSpec* spec,
       for (const util::Json& entry : v.elements()) {
         double b = 0.0;
         if (!ReadDouble(entry, "budgets[]", &b, error)) return false;
+        *error = BudgetError(b, "budgets[]");
+        if (!error->empty()) return false;
         spec->budgets.push_back(b);
       }
     } else if (key == "promotions") {
       for (const util::Json& entry : v.elements()) {
         int t = 0;
-        if (!ReadInt(entry, "promotions[]", &t, error)) return false;
+        if (!ReadCount(entry, "promotions[]", &t, error)) return false;
         spec->promotions.push_back(t);
       }
     } else if (key == "thetas") {

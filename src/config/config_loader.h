@@ -35,9 +35,17 @@ namespace imdpp::config {
 /// name and position). Runs the config.parse fault point first.
 util::Status LoadJsonFile(const std::string& path, util::Json* out);
 
+/// Range rules for the run settings every reader shares (CLI flags, JSON
+/// config, sweep axes): a budget is >= 0; promotion and sample counts are
+/// >= 1. Each returns "" for a valid value, else an error naming `where`.
+/// Readers turn a non-empty result into kInvalidArgument, so a bad value
+/// never reaches the CHECKs in Problem or the engine.
+std::string BudgetError(double budget, const std::string& where);
+std::string CountError(int count, const std::string& where);
+
 /// Applies a JSON object of overrides onto *cfg. Unknown keys and
-/// mistyped values fail with kInvalidArgument naming the key (a typo'd
-/// knob must not silently run the default).
+/// mistyped or out-of-range values fail with kInvalidArgument naming the
+/// key (a typo'd knob must not silently run the default).
 util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg);
 

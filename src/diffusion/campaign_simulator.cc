@@ -180,6 +180,14 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   // is exactly the historical measure), but a time-shifted cascade's k-th
   // attempt lands on the same coin in every racing candidate.
   const bool aligned = keying == CoinKeying::kAttempt;
+  // Coin hashes are a left fold (HashExtend), so the coordinates a group
+  // of coins shares are hashed once: (sseed, purpose[, round key]) here,
+  // (…, t, step) per step and (…, src, u, x) per promotion below.
+  const uint64_t lt_prefix = HashTuple(sseed, kLtThreshold);
+  const uint64_t aligned_adopt =
+      HashTuple(sseed, kAdoptFlip, kAlignedCoinRound);
+  const uint64_t aligned_extra =
+      HashTuple(sseed, kExtraFlip, kAlignedCoinRound);
 
   auto count_adoption = [&](UserId u, ItemId x) {
     scratch.sigma_ += problem_.importance[static_cast<size_t>(x)];
@@ -221,56 +229,58 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
         if (!scratch.MarkPending(PairKey(u, x, num_items))) return;
         pending.emplace_back(u, x);
       };
+      const uint64_t adopt_prefix = HashTuple(sseed, kAdoptFlip, t, step);
+      const uint64_t extra_prefix = HashTuple(sseed, kExtraFlip, t, step);
 
       for (const auto& [src, x] : frontier) {
         for (const graph::Edge& e : g.OutEdges(src)) {
           const UserId u = e.to;
-          const bool has_x = state[static_cast<size_t>(u)].Has(x);
-          const double pact =
-              act_model.Eval(e.weight, state[static_cast<size_t>(src)],
-                             state[static_cast<size_t>(u)]);
-          if (pact <= 0.0) continue;
+          const pin::UserState& su = state[static_cast<size_t>(u)];
           // A user can only be promoted an item she has not adopted.
-          if (has_x) continue;
-          const double ppref = pref_model.Eval(state[static_cast<size_t>(u)],
-                                               problem_.BasePref(u, x), x);
+          if (su.Has(x)) continue;
+          const double pact =
+              act_model.Eval(e.weight, state[static_cast<size_t>(src)], su);
+          if (pact <= 0.0) continue;
+          const double ppref = pref_model.Eval(su, problem_.BasePref(u, x), x);
           bool adopt = false;
           if (config_.model == DiffusionModel::kIndependentCascade) {
             const double p = pact * ppref;
             if (p > 0.0) {
-              const double coin =
-                  aligned
-                      ? UnitHash(sseed, kAdoptFlip, kAlignedCoinRound,
-                                 scratch.NextAttempt(PairKey(u, x, num_items)),
-                                 src, u, x)
-                      : UnitHash(sseed, kAdoptFlip, t, step, src, u, x);
-              if (coin < p) adopt = true;
+              const uint64_t h =
+                  aligned ? HashExtend(aligned_adopt,
+                                       scratch.NextAttempt(
+                                           PairKey(u, x, num_items)),
+                                       src, u, x)
+                          : HashExtend(adopt_prefix, src, u, x);
+              if (HashToUnit(h) < p) adopt = true;
             }
           } else {
             // LT: accumulate preference-scaled influence mass against a
             // per-(user,item) threshold drawn once per realization.
             double& acc = scratch.LtAcc(PairKey(u, x, num_items));
             acc += pact * ppref;
-            const double theta = UnitHash(sseed, kLtThreshold, u, x);
+            const double theta = HashToUnit(HashExtend(lt_prefix, u, x));
             if (acc >= theta) adopt = true;
           }
           if (adopt) try_queue(u, x);
 
           // Item associations: being promoted x can trigger adoption of
-          // relevant items y, independently of the adoption of x.
+          // relevant items y, independently of the adoption of x. Only
+          // items with complementary relevance can (ComplementItems).
           if (ppref <= 0.0) continue;
-          for (ItemId y : rel.RelatedItems(x)) {
-            if (state[static_cast<size_t>(u)].Has(y)) continue;
-            const double pe = assoc_model.ExtraProb(
-                state[static_cast<size_t>(u)], pact, ppref, x, y);
+          const uint64_t promotion_prefix =
+              HashExtend(extra_prefix, src, u, x);
+          for (ItemId y : rel.ComplementItems(x)) {
+            if (su.Has(y)) continue;
+            const double pe = assoc_model.ExtraProb(su, pact, ppref, x, y);
             if (pe > 0.0) {
-              const double coin =
-                  aligned
-                      ? UnitHash(sseed, kExtraFlip, kAlignedCoinRound,
-                                 scratch.NextAttempt(PairKey(u, y, num_items)),
-                                 src, u, x, y)
-                      : UnitHash(sseed, kExtraFlip, t, step, src, u, x, y);
-              if (coin < pe) try_queue(u, y);
+              const uint64_t h =
+                  aligned ? HashExtend(aligned_extra,
+                                       scratch.NextAttempt(
+                                           PairKey(u, y, num_items)),
+                                       src, u, x, y)
+                          : HashExtend(promotion_prefix, y);
+              if (HashToUnit(h) < pe) try_queue(u, y);
             }
           }
         }

@@ -9,19 +9,29 @@
 //            Pact(u',u) * Ppref(u,x) (IC) or via accumulated-threshold (LT).
 //            Being promoted x also triggers extra adoptions of relevant
 //            items y with probability Pext (item associations), flipped
-//            independently. Adoptions commit at the end of the step; then
-//            the adopters' meta-graph weightings update (which implicitly
-//            updates preferences, influence strengths and associations for
-//            the next step — the ripple effect).
+//            independently; only items with complementary relevance to x
+//            can have Pext > 0, so only those are visited
+//            (kg::RelevanceModel::ComplementItems). Adoptions commit at
+//            the end of the step; then the adopters' meta-graph
+//            weightings update (which implicitly updates preferences,
+//            influence strengths and associations for the next step — the
+//            ripple effect).
 //   The promotion ends when a step produces no adoption; then t+1 starts
 //   from the resulting state.
 //
-// All coin flips are counter-based hashes of
-// (sample_seed, t, ζ, u', u, item, purpose), so realizations are
-// reproducible and common across seed-group variations. Two keyings
-// exist (CoinKeying). kRound, the historical one, hashes (round, step)
-// into every flip. kAttempt, for adaptive racing, hashes the
-// per-(user,item) attempt ordinal instead. Every draw still hashes a
+// All coin flips are counter-based hashes, so realizations are
+// reproducible and common across seed-group variations. With sseed =
+// HashTuple(base_seed, sample_idx), an adoption flip hashes
+// (sseed, purpose, t, ζ, u', u, x), an extra-adoption flip appends the
+// associated item y, and an LT threshold hashes (sseed, purpose, u, x).
+// HashTuple is a left fold, so the simulator hashes shared leading
+// coordinates once — (sseed, purpose, t, ζ) per step, then
+// (…, u', u, x) per promotion — and extends the prefix per coin
+// (HashExtend); the hashed values are exactly those of the full tuples.
+// Two keyings exist (CoinKeying). kRound, the historical one, hashes
+// (round, step) into every flip as above. kAttempt, for adaptive racing,
+// hashes a fixed out-of-range round key and the per-(user,item) attempt
+// ordinal in place of (t, ζ). Every draw still hashes a
 // distinct input — the joint coin distribution is exactly the historical
 // measure, so attempt-keyed σ̂ samples are unbiased — but a time-shifted
 // cascade's k-th attempt on a pair lands on the same coin in every racing

@@ -1,25 +1,34 @@
 #include "kg/relevance.h"
 
+#include <numeric>
+
 #include "kg/meta_graph_matcher.h"
 
 namespace imdpp::kg {
+
+void RelevanceModel::Init(int num_items, std::vector<MetaGraph> metas) {
+  num_items_ = num_items;
+  metas_ = std::move(metas);
+  kinds_.clear();
+  for (const MetaGraph& m : metas_) kinds_.push_back(m.kind);
+  scores_.assign(static_cast<size_t>(num_items) * num_items * metas_.size(),
+                 0.0f);
+}
 
 RelevanceModel RelevanceModel::FromKg(const KnowledgeGraph& kg,
                                       std::vector<MetaGraph> metas,
                                       double kappa) {
   IMDPP_CHECK_GT(kappa, 0.0);
   RelevanceModel model;
-  model.num_items_ = kg.NumItems();
-  model.metas_ = std::move(metas);
+  model.Init(kg.NumItems(), std::move(metas));
   MetaGraphMatcher matcher(kg);
-  for (const MetaGraph& m : model.metas_) {
-    std::vector<int64_t> counts = matcher.CountAllPairs(m);
-    std::vector<float> mat(counts.size());
+  const size_t num_metas = model.metas_.size();
+  for (size_t m = 0; m < num_metas; ++m) {
+    std::vector<int64_t> counts = matcher.CountAllPairs(model.metas_[m]);
     for (size_t i = 0; i < counts.size(); ++i) {
       double c = static_cast<double>(counts[i]);
-      mat[i] = static_cast<float>(c / (c + kappa));
+      model.scores_[i * num_metas + m] = static_cast<float>(c / (c + kappa));
     }
-    model.matrices_.push_back(std::move(mat));
   }
   model.BuildRelated();
   return model;
@@ -30,13 +39,16 @@ RelevanceModel RelevanceModel::FromMatrices(
     std::vector<std::vector<float>> matrices) {
   IMDPP_CHECK_EQ(metas.size(), matrices.size());
   RelevanceModel model;
-  model.num_items_ = num_items;
-  model.metas_ = std::move(metas);
-  for (auto& mat : matrices) {
+  model.Init(num_items, std::move(metas));
+  const size_t num_metas = model.metas_.size();
+  for (size_t m = 0; m < num_metas; ++m) {
+    const std::vector<float>& mat = matrices[m];
     IMDPP_CHECK_EQ(mat.size(),
                    static_cast<size_t>(num_items) * num_items);
-    for (float v : mat) IMDPP_CHECK(v >= 0.0f && v <= 1.0f);
-    model.matrices_.push_back(std::move(mat));
+    for (size_t i = 0; i < mat.size(); ++i) {
+      IMDPP_CHECK(mat[i] >= 0.0f && mat[i] <= 1.0f);
+      model.scores_[i * num_metas + m] = mat[i];
+    }
   }
   model.BuildRelated();
   return model;
@@ -44,28 +56,49 @@ RelevanceModel RelevanceModel::FromMatrices(
 
 void RelevanceModel::BuildRelated() {
   related_.assign(num_items_, {});
+  complement_.assign(num_items_, {});
+  // Rows are gathered in reused buffers and copied once, at their exact
+  // size: growing each list push by push costs more than the scan.
+  std::vector<ItemId> related, complement;
   for (ItemId x = 0; x < num_items_; ++x) {
+    related.clear();
+    complement.clear();
     for (ItemId y = 0; y < num_items_; ++y) {
       if (y == x) continue;
-      for (int m = 0; m < NumMetas(); ++m) {
-        if (Score(m, x, y) > 0.0f) {
-          related_[x].push_back(y);
-          break;
-        }
+      bool any = false;
+      bool comp = false;
+      const std::span<const float> s = PairScores(x, y);
+      for (size_t m = 0; m < s.size(); ++m) {
+        if (s[m] <= 0.0f) continue;
+        any = true;
+        comp |= kinds_[m] == RelationKind::kComplementary;
       }
+      if (any) related.push_back(y);
+      if (comp) complement.push_back(y);
     }
+    related_[x].assign(related.begin(), related.end());
+    complement_[x].assign(complement.begin(), complement.end());
   }
 }
 
 RelevanceModel RelevanceModel::WithMetaSubset(
     const std::vector<int>& indices) const {
   IMDPP_CHECK(!indices.empty());
-  RelevanceModel model;
-  model.num_items_ = num_items_;
+  std::vector<MetaGraph> metas;
   for (int i : indices) {
     IMDPP_CHECK(i >= 0 && i < NumMetas());
-    model.metas_.push_back(metas_[i]);
-    model.matrices_.push_back(matrices_[i]);
+    metas.push_back(metas_[i]);
+  }
+  RelevanceModel model;
+  model.Init(num_items_, std::move(metas));
+  const size_t pairs = static_cast<size_t>(num_items_) * num_items_;
+  const size_t from = kinds_.size();
+  const size_t to = indices.size();
+  for (size_t p = 0; p < pairs; ++p) {
+    for (size_t k = 0; k < to; ++k) {
+      model.scores_[p * to + k] =
+          scores_[p * from + static_cast<size_t>(indices[k])];
+    }
   }
   model.BuildRelated();
   return model;
@@ -73,12 +106,9 @@ RelevanceModel RelevanceModel::WithMetaSubset(
 
 RelevanceModel RelevanceModel::WithFirstMetas(int k) const {
   IMDPP_CHECK(k >= 1 && k <= NumMetas());
-  RelevanceModel model;
-  model.num_items_ = num_items_;
-  model.metas_.assign(metas_.begin(), metas_.begin() + k);
-  model.matrices_.assign(matrices_.begin(), matrices_.begin() + k);
-  model.BuildRelated();
-  return model;
+  std::vector<int> first(static_cast<size_t>(k));
+  std::iota(first.begin(), first.end(), 0);
+  return WithMetaSubset(first);
 }
 
 }  // namespace imdpp::kg

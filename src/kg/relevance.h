@@ -1,13 +1,16 @@
 // Per-meta-graph item-item relevance s(x,y|m) in [0,1].
 //
-// The RelevanceModel owns one dense NumItems x NumItems float matrix per
-// meta-graph plus the meta-graph's relationship kind. Personal relevance is
-// a user-weighted combination of these matrices (pin/personal_item_network);
-// this class only holds the *shared* KG-derived part, which never changes
-// during a campaign.
+// The RelevanceModel owns one dense score store laid out pair-major —
+// s(x,y|m) at [(x * NumItems + y) * NumMetas + m] — plus one relationship
+// kind per meta-graph. Personal relevance is a user-weighted combination
+// of a pair's scores (pin/personal_item_network), so the pair-major layout
+// puts everything one relevance evaluation reads in one contiguous run of
+// NumMetas floats. This class only holds the *shared* KG-derived part,
+// which never changes during a campaign.
 #ifndef IMDPP_KG_RELEVANCE_H_
 #define IMDPP_KG_RELEVANCE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,14 +38,22 @@ class RelevanceModel {
   int NumMetas() const { return static_cast<int>(metas_.size()); }
 
   const MetaGraph& Meta(int m) const { return metas_[m]; }
-  RelationKind KindOf(int m) const { return metas_[m].kind; }
+  RelationKind KindOf(int m) const { return kinds_[m]; }
+  /// Every meta's kind, indexed by meta.
+  std::span<const RelationKind> Kinds() const { return kinds_; }
 
   /// s(x,y|m) in [0,1].
   float Score(int m, ItemId x, ItemId y) const {
     IMDPP_DCHECK(m >= 0 && m < NumMetas());
+    return PairScores(x, y)[static_cast<size_t>(m)];
+  }
+
+  /// s(x,y|m) for every meta m, in meta order.
+  std::span<const float> PairScores(ItemId x, ItemId y) const {
     IMDPP_DCHECK(x >= 0 && x < num_items_);
     IMDPP_DCHECK(y >= 0 && y < num_items_);
-    return matrices_[m][static_cast<size_t>(x) * num_items_ + y];
+    const size_t metas = kinds_.size();
+    return {scores_.data() + PairIndex(x, y) * metas, metas};
   }
 
   /// Items y with Score(m, x, y) > 0 for *any* meta m; precomputed sparse
@@ -50,6 +61,16 @@ class RelevanceModel {
   const std::vector<ItemId>& RelatedItems(ItemId x) const {
     IMDPP_DCHECK(x >= 0 && x < num_items_);
     return related_[x];
+  }
+
+  /// The y in RelatedItems(x) with Score(m, x, y) > 0 for some
+  /// complementary meta m, in the same order. Every other y has zero
+  /// complementary relevance under any weighting, so its net relevance
+  /// r^C - r^S is never positive and it can never trigger an extra
+  /// adoption (pin::AssociationModel).
+  const std::vector<ItemId>& ComplementItems(ItemId x) const {
+    IMDPP_DCHECK(x >= 0 && x < num_items_);
+    return complement_[x];
   }
 
   /// Restricts the model to its first `k` meta-graphs (sensitivity test,
@@ -62,12 +83,20 @@ class RelevanceModel {
 
  private:
   RelevanceModel() = default;
+  /// Sets the metas (and their kinds) and sizes the zeroed score store.
+  void Init(int num_items, std::vector<MetaGraph> metas);
+  size_t PairIndex(ItemId x, ItemId y) const {
+    return static_cast<size_t>(x) * static_cast<size_t>(num_items_) +
+           static_cast<size_t>(y);
+  }
   void BuildRelated();
 
   int num_items_ = 0;
   std::vector<MetaGraph> metas_;
-  std::vector<std::vector<float>> matrices_;
+  std::vector<RelationKind> kinds_;  ///< kinds_[m] == metas_[m].kind
+  std::vector<float> scores_;        ///< pair-major, see the file comment
   std::vector<std::vector<ItemId>> related_;
+  std::vector<std::vector<ItemId>> complement_;
 };
 
 }  // namespace imdpp::kg

@@ -15,6 +15,7 @@
 #define IMDPP_PIN_ASSOCIATION_MODEL_H_
 
 #include "pin/personal_item_network.h"
+#include "util/mathutil.h"
 
 namespace imdpp::pin {
 
@@ -25,7 +26,14 @@ class AssociationModel {
   /// Probability that being promoted x (by an edge of dynamic strength
   /// `pact`, with preference `ppref_x` for x) triggers adoption of y.
   double ExtraProb(const UserState& state, double pact, double ppref_x,
-                   kg::ItemId x, kg::ItemId y) const;
+                   kg::ItemId x, kg::ItemId y) const {
+    const PerceptionParams& params = pin_.params();
+    if (params.assoc_scale <= 0.0) return 0.0;
+    if (state.Has(y)) return 0.0;
+    const double net = pin_.RelNet(state.wmeta(), x, y);
+    if (net <= 0.0) return 0.0;
+    return Clip01(params.assoc_scale * pact * ppref_x * net);
+  }
 
  private:
   const PersonalItemNetwork& pin_;

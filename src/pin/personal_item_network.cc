@@ -4,19 +4,6 @@
 
 namespace imdpp::pin {
 
-double PersonalItemNetwork::Rel(std::span<const float> wmeta, kg::ItemId x,
-                                kg::ItemId y, kg::RelationKind kind) const {
-  if (x == y) return 0.0;
-  double s = 0.0;
-  const int metas = rel_.NumMetas();
-  IMDPP_DCHECK(static_cast<int>(wmeta.size()) >= metas);
-  for (int m = 0; m < metas; ++m) {
-    if (rel_.KindOf(m) != kind) continue;
-    s += wmeta[m] * rel_.Score(m, x, y);
-  }
-  return Clip01(s);
-}
-
 void PersonalItemNetwork::UpdateWeights(
     UserState& state, std::span<const kg::ItemId> newly_adopted) const {
   if (params_.meta_learning_rate <= 0.0 || newly_adopted.empty()) return;

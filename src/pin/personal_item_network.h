@@ -20,6 +20,7 @@
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
 #include "pin/user_state.h"
+#include "util/mathutil.h"
 
 namespace imdpp::pin {
 
@@ -32,18 +33,20 @@ class PersonalItemNetwork {
   /// Complementary relevance between x and y in the perception encoded by
   /// `wmeta`.
   double RelC(std::span<const float> wmeta, kg::ItemId x, kg::ItemId y) const {
-    return Rel(wmeta, x, y, kg::RelationKind::kComplementary);
+    return Clip01(Sums(wmeta, x, y).c);
   }
 
   /// Substitutable relevance.
   double RelS(std::span<const float> wmeta, kg::ItemId x, kg::ItemId y) const {
-    return Rel(wmeta, x, y, kg::RelationKind::kSubstitutable);
+    return Clip01(Sums(wmeta, x, y).s);
   }
 
-  /// Net relevance r^C - r^S (can be negative).
+  /// Net relevance r^C - r^S (can be negative). One pass over the pair's
+  /// scores, so it is RelC(...) - RelS(...) bit for bit at half the cost.
   double RelNet(std::span<const float> wmeta, kg::ItemId x,
                 kg::ItemId y) const {
-    return RelC(wmeta, x, y) - RelS(wmeta, x, y);
+    const KindSums sums = Sums(wmeta, x, y);
+    return Clip01(sums.c) - Clip01(sums.s);
   }
 
   /// Applies the weight update to `state` given the items newly adopted at
@@ -55,8 +58,30 @@ class PersonalItemNetwork {
   const PerceptionParams& params() const { return params_; }
 
  private:
-  double Rel(std::span<const float> wmeta, kg::ItemId x, kg::ItemId y,
-             kg::RelationKind kind) const;
+  /// Unclipped Σ Wmeta(u,m) * s(x,y|m) over the complementary (`c`) and
+  /// the substitutable (`s`) metas, each summed in meta order.
+  struct KindSums {
+    double c = 0.0;
+    double s = 0.0;
+  };
+  KindSums Sums(std::span<const float> wmeta, kg::ItemId x,
+                kg::ItemId y) const {
+    KindSums sums;
+    if (x == y) return sums;
+    const std::span<const float> scores = rel_.PairScores(x, y);
+    const std::span<const kg::RelationKind> kinds = rel_.Kinds();
+    IMDPP_DCHECK(wmeta.size() >= scores.size());
+    for (size_t m = 0; m < scores.size(); ++m) {
+      // Float product, double sum.
+      const float term = wmeta[m] * scores[m];
+      if (kinds[m] == kg::RelationKind::kComplementary) {
+        sums.c += term;
+      } else {
+        sums.s += term;
+      }
+    }
+    return sums;
+  }
 
   const kg::RelevanceModel& rel_;
   const PerceptionParams& params_;

@@ -28,13 +28,25 @@ constexpr uint64_t HashCombine(uint64_t h, uint64_t v) {
   return SplitMix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
-/// Hashes a variadic tuple of integers into one 64-bit value.
+/// Continues the left fold of HashTuple from an already hashed prefix:
+/// HashExtend(HashTuple(a, b), c) == HashTuple(a, b, c). A hot loop that
+/// draws many coins sharing leading coordinates hashes them once and
+/// extends per coin.
 template <typename... Ts>
-constexpr uint64_t HashTuple(uint64_t first, Ts... rest) {
-  uint64_t h = SplitMix64(first);
+constexpr uint64_t HashExtend(uint64_t prefix, Ts... rest) {
+  uint64_t h = prefix;
   ((h = HashCombine(h, static_cast<uint64_t>(rest))), ...);
   return h;
 }
+
+/// Hashes a variadic tuple of integers into one 64-bit value.
+template <typename... Ts>
+constexpr uint64_t HashTuple(uint64_t first, Ts... rest) {
+  return HashExtend(SplitMix64(first), rest...);
+}
+
+static_assert(HashExtend(HashTuple(1, 2), 3) == HashTuple(1, 2, 3));
+static_assert(HashExtend(HashTuple(7), 8, 9, 10) == HashTuple(7, 8, 9, 10));
 
 /// Maps a 64-bit hash to a double uniformly distributed in [0, 1).
 constexpr double HashToUnit(uint64_t h) {

@@ -428,6 +428,38 @@ TEST(Cli, GenerousDeadlineIsByteInvisibleAndValidationRejectsNegative) {
             "invalid_argument");
 }
 
+// Out-of-range run settings exit 2 with the one-line error JSON instead
+// of aborting the process in a Problem or engine CHECK.
+TEST(Cli, OutOfRangeRunSettingsAreInvalidArguments) {
+  const std::vector<std::string> base{"plan",      "--dataset", "fig1-toy",
+                                      "--planner", "bgrd"};
+  const std::string config =
+      WriteTempFile("zero_eval_samples.json", R"({"eval_samples": 0})");
+  const std::string sweep = WriteTempFile(
+      "zero_promotions_sweep.json",
+      R"({"datasets": ["fig1-toy"], "planners": ["bgrd"],
+          "budgets": [20], "promotions": [0]})");
+  for (const std::vector<std::string>& extra :
+       std::vector<std::vector<std::string>>{{"--promotions", "0"},
+                                             {"--budget", "-5"},
+                                             {"--eval-samples", "0"},
+                                             {"--selection-samples", "0"},
+                                             {"--config", config}}) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    SCOPED_TRACE(extra.front());
+    const CliResult r = RunCli(args);
+    EXPECT_EQ(r.code, 2);
+    util::Json error = ParseOrDie(FirstLine(r.err));
+    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
+              "invalid_argument");
+  }
+  const CliResult r = RunCli({"sweep", "--config", sweep, "--quiet"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("promotions[] must be >= 1"), std::string::npos)
+      << r.err;
+}
+
 // ISSUE 10: --adaptive turns on racing (the result JSON shows the race
 // counters moving), --adaptive-delta validates its range, the underscore
 // aliases parse, and the fixed-path run books zero race counters.

@@ -3,9 +3,11 @@
 // precedence, and sweep-grid expansion counts (config/config_loader).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "config/config_loader.h"
 #include "data/dataset_registry.h"
@@ -262,6 +264,30 @@ TEST(ConfigLoader, RejectsUnknownAndMistypedKnobs) {
       << bad.ToString();
 }
 
+// Out-of-range run settings used to load fine and then abort the process
+// in a Problem or engine CHECK; every reader now rejects them up front.
+TEST(ConfigLoader, RejectsOutOfRangeRunSettings) {
+  for (const char* text :
+       {R"({"eval_samples": 0})", R"({"selection_samples": 0})",
+        R"({"eval_samples": -3})"}) {
+    SCOPED_TRACE(text);
+    api::PlannerConfig cfg;
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("must be >= 1"), std::string::npos)
+        << bad.ToString();
+  }
+  EXPECT_EQ(config::BudgetError(0.0, "b"), "");
+  EXPECT_EQ(config::BudgetError(-5.0, "--budget"), "--budget must be >= 0");
+  EXPECT_NE(config::BudgetError(std::nan(""), "b"), "");
+  EXPECT_EQ(config::CountError(1, "t"), "");
+  EXPECT_EQ(config::CountError(0, "--promotions"),
+            "--promotions must be >= 1");
+}
+
 // ---------------------------------------------------------- dataset specs
 
 TEST(ConfigLoader, ParsesDatasetSpecStrings) {
@@ -497,6 +523,39 @@ TEST(SweepSpec, PerDatasetPlannerSubsets) {
     }
   }
   EXPECT_EQ(yelp_points, 4u);
+}
+
+TEST(SweepSpec, OutOfRangeAxesAndOverridesFail) {
+  for (const char* text : {
+           R"({"datasets": ["fig1-toy"], "planners": ["dysim"],
+               "budgets": [10, -5], "promotions": [1]})",
+           R"({"datasets": ["fig1-toy"], "planners": ["dysim"],
+               "budgets": [10], "promotions": [2, 0]})",
+           R"({"datasets": ["fig1-toy"], "planners": ["dysim"],
+               "budgets": [10], "promotions": [1],
+               "config": {"selection_samples": 0}})"}) {
+    SCOPED_TRACE(text);
+    config::SweepSpec spec;
+    const util::Status bad = config::LoadSweepSpec(ParseOrDie(text), &spec);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("must be >="), std::string::npos)
+        << bad.ToString();
+  }
+  // A per-planner override is resolved at expansion, and fails there.
+  config::SweepSpec spec;
+  ASSERT_TRUE(config::LoadSweepSpec(
+                  ParseOrDie(R"({"datasets": ["fig1-toy"],
+                                 "planners": [{"planner": "dysim",
+                                   "config": {"eval_samples": 0}}],
+                                 "budgets": [10], "promotions": [1]})"),
+                  &spec)
+                  .ok());
+  std::vector<config::SweepPoint> points;
+  const util::Status bad = config::ExpandSweep(spec, &points);
+  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("eval_samples must be >= 1"),
+            std::string::npos)
+      << bad.ToString();
 }
 
 TEST(SweepSpec, MissingRequiredAxesFail) {

@@ -7,10 +7,12 @@
 // also part of the regular ctest suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -438,6 +440,128 @@ TEST(DeterminismGate, GoldenBitsMatchThePinnedTable) {
     SCOPED_TRACE(world);
     EXPECT_EQ(covered[world],
               std::set<std::string>(names.begin(), names.end()));
+  }
+}
+
+// Kernel golden bits: σ̂, σ̂_τ and π̂ bit patterns of one fixed schedule
+// per world (yelp-like@0.5, amazon-like@0.5; T = 4) under both diffusion
+// models and both coin keyings, plus a frozen-dynamics row. Round-keyed
+// rows go through the engine's EvalMarket (and its Sigma must agree);
+// attempt-keyed rows drive CampaignSimulator::SimulateRounds directly
+// (values summed over the samples, not averaged), since only racing
+// reaches that keying through the engine. The diffusion
+// kernel is shared by every planner, so this table pins it directly.
+struct KernelGolden {
+  const char* world;  ///< "yelp" or "amazon"
+  const char* row;    ///< "ic-round" | "ic-attempt" | "lt-round" |
+                      ///< "lt-attempt" | "frozen" (IC, round-keyed)
+  uint64_t sigma_bits;
+  uint64_t market_bits;
+  uint64_t pi_bits;
+};
+
+const KernelGolden kKernelGolden[] = {
+    {"yelp", "ic-round", 0x404f99899e8f2629ULL, 0x4035e681a48ebe0aULL,
+     0x40156609252bd68aULL},
+    {"yelp", "ic-attempt", 0x409873097ce10bb3ULL, 0x4082673f0cddc962ULL,
+     0x40615469de9063d8ULL},
+    {"yelp", "lt-round", 0x404f48d1b1266417ULL, 0x40360d9af6b1aad6ULL,
+     0x4016b8fa487ccbf2ULL},
+    {"yelp", "lt-attempt", 0x409bbdbd6e14b42dULL, 0x408347a8e8f38709ULL,
+     0x40648639c10f19cfULL},
+    {"yelp", "frozen", 0x403554e1f1d8b635ULL, 0x40210850ad3f6a3bULL,
+     0x3ffc305cb6eb40b1ULL},
+    {"amazon", "ic-round", 0x403030befc70aa7cULL, 0x401b10cacaf0f900ULL,
+     0x3fe49ca086e93aedULL},
+    {"amazon", "ic-attempt", 0x4081768e651bba2bULL, 0x406dc2c0193e2c63ULL,
+     0x4034b4b93f7d569bULL},
+    {"amazon", "lt-round", 0x4030c07942061367ULL, 0x401b946bb98f21beULL,
+     0x3fe53a319957999aULL},
+    {"amazon", "lt-attempt", 0x4080f5303864f8b5ULL, 0x406b1cf3c67b096cULL,
+     0x403542c6e236db0dULL},
+    {"amazon", "frozen", 0x402ebd75ff61a422ULL, 0x4018c69cd517e9ceULL,
+     0x3fe27767a7ca5cc7ULL},
+};
+
+/// The eight highest-out-degree users (ties by id), each seeded with a
+/// spread-out item at a cycling promotion.
+diffusion::SeedGroup KernelSchedule(const diffusion::Problem& problem) {
+  std::vector<diffusion::UserId> users(
+      static_cast<size_t>(problem.NumUsers()));
+  for (size_t u = 0; u < users.size(); ++u) {
+    users[u] = static_cast<diffusion::UserId>(u);
+  }
+  std::stable_sort(users.begin(), users.end(), [&](auto a, auto b) {
+    return problem.graph->OutDegree(a) > problem.graph->OutDegree(b);
+  });
+  diffusion::SeedGroup seeds;
+  for (int rank = 0; rank < 8; ++rank) {
+    seeds.push_back({users[static_cast<size_t>(rank)],
+                     (rank * 7) % problem.NumItems(),
+                     1 + rank % problem.num_promotions});
+  }
+  return seeds;
+}
+
+diffusion::MarketEval KernelRow(const diffusion::Problem& problem,
+                                std::string_view row) {
+  constexpr int kSamples = 32;
+  diffusion::CampaignConfig campaign;
+  if (row.starts_with("lt")) {
+    campaign.model = diffusion::DiffusionModel::kLinearThreshold;
+  }
+  const diffusion::SeedGroup seeds = KernelSchedule(problem);
+  std::vector<diffusion::UserId> market;
+  for (diffusion::UserId u = 0; u < problem.NumUsers(); u += 3) {
+    market.push_back(u);
+  }
+  if (!row.ends_with("attempt")) {
+    diffusion::MonteCarloEngine engine(problem, campaign, kSamples, 1);
+    const diffusion::MarketEval ev = engine.EvalMarket(seeds, market);
+    EXPECT_EQ(std::bit_cast<uint64_t>(engine.Sigma(seeds)),
+              std::bit_cast<uint64_t>(ev.sigma));
+    return ev;
+  }
+  const diffusion::CampaignSimulator sim(problem, campaign);
+  const diffusion::SeedSchedule sched(seeds, problem);
+  std::vector<uint8_t> mask(static_cast<size_t>(problem.NumUsers()), 0);
+  for (diffusion::UserId u : market) mask[static_cast<size_t>(u)] = 1;
+  diffusion::SimScratch scratch;
+  diffusion::MarketEval sum;
+  for (int i = 0; i < kSamples; ++i) {
+    sim.Restore(nullptr, nullptr, scratch);
+    sim.SimulateRounds(sched, static_cast<uint64_t>(i), 1,
+                       problem.num_promotions, &mask, scratch,
+                       diffusion::CoinKeying::kAttempt);
+    sum.sigma += scratch.sigma();
+    sum.sigma_market += scratch.sigma_market();
+    sum.pi += sim.LikelihoodPi(scratch.states(), market);
+  }
+  return sum;
+}
+
+TEST(DeterminismGate, KernelGoldenBitsMatchThePinnedTable) {
+  const data::Dataset yelp = data::MakeYelpLike(0.5);
+  const data::Dataset amazon = data::MakeAmazonLike(0.5);
+  for (const KernelGolden& g : kKernelGolden) {
+    const std::string_view world = g.world;
+    const std::string_view row = g.row;
+    const data::Dataset& ds = world == "yelp" ? yelp : amazon;
+    const diffusion::Problem problem = ds.MakeProblem(
+        300.0, 4,
+        row == "frozen" ? pin::PerceptionParams::FrozenDynamics()
+                        : pin::PerceptionParams{});
+    const diffusion::MarketEval ev = KernelRow(problem, row);
+    const uint64_t got[3] = {std::bit_cast<uint64_t>(ev.sigma),
+                             std::bit_cast<uint64_t>(ev.sigma_market),
+                             std::bit_cast<uint64_t>(ev.pi)};
+    std::ostringstream line;
+    line << std::hex << "{\"" << g.world << "\", \"" << g.row << "\", 0x"
+         << got[0] << "ULL, 0x" << got[1] << "ULL, 0x" << got[2] << "ULL},";
+    SCOPED_TRACE(line.str());
+    EXPECT_EQ(got[0], g.sigma_bits) << ev.sigma;
+    EXPECT_EQ(got[1], g.market_bits) << ev.sigma_market;
+    EXPECT_EQ(got[2], g.pi_bits) << ev.pi;
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "data/catalog.h"
+#include "data/dataset_registry.h"
 #include "kg/knowledge_graph.h"
 #include "kg/meta_graph.h"
 #include "kg/meta_graph_matcher.h"
@@ -177,6 +181,83 @@ TEST(RelevanceModel, FromMatricesAndSubset) {
   EXPECT_EQ(sub.NumMetas(), 1);
   EXPECT_EQ(sub.KindOf(0), RelationKind::kSubstitutable);
   EXPECT_FLOAT_EQ(sub.Score(0, 0, 1), 0.2f);
+}
+
+/// Checks `model`'s sparse lists against its own scores: RelatedItems(x)
+/// holds every y != x with any positive score, ComplementItems(x) the
+/// ones with a positive complementary score, both in item order.
+void ExpectListsMatchScores(const RelevanceModel& model) {
+  for (ItemId x = 0; x < model.NumItems(); ++x) {
+    std::vector<ItemId> related, complement;
+    for (ItemId y = 0; y < model.NumItems(); ++y) {
+      if (y == x) continue;
+      bool any = false, comp = false;
+      for (int m = 0; m < model.NumMetas(); ++m) {
+        if (model.Score(m, x, y) <= 0.0f) continue;
+        any = true;
+        comp |= model.KindOf(m) == RelationKind::kComplementary;
+      }
+      if (any) related.push_back(y);
+      if (comp) complement.push_back(y);
+    }
+    ASSERT_EQ(model.RelatedItems(x), related) << "x=" << x;
+    ASSERT_EQ(model.ComplementItems(x), complement) << "x=" << x;
+  }
+}
+
+TEST(RelevanceModel, ComplementItemsAreTheComplementaryPositiveRelated) {
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 1.0, 0});
+    ExpectListsMatchScores(*ds.relevance);
+  }
+}
+
+// Re-packing the pair-major store keeps every selected meta's scores and
+// kind, and rebuilds the sparse lists for the subset.
+TEST(RelevanceModel, MetaSubsetsKeepEveryScore) {
+  for (const char* name : {"fig1-toy", "amazon-like", "yelp-like"}) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 1.0, 0});
+    const RelevanceModel& full = *ds.relevance;
+    const int metas = full.NumMetas();
+    std::vector<std::vector<int>> subsets;
+    std::vector<int> reversed;
+    for (int m = metas - 1; m >= 0; --m) reversed.push_back(m);
+    subsets.push_back(reversed);
+    subsets.push_back({metas - 1});
+    subsets.push_back({0, metas - 1});
+    for (const std::vector<int>& indices : subsets) {
+      const RelevanceModel sub = full.WithMetaSubset(indices);
+      ASSERT_EQ(sub.NumMetas(), static_cast<int>(indices.size()));
+      for (size_t k = 0; k < indices.size(); ++k) {
+        const int m = indices[k];
+        const int j = static_cast<int>(k);
+        EXPECT_EQ(sub.KindOf(j), full.KindOf(m));
+        for (ItemId x = 0; x < full.NumItems(); ++x) {
+          for (ItemId y = 0; y < full.NumItems(); ++y) {
+            ASSERT_EQ(sub.Score(j, x, y), full.Score(m, x, y))
+                << "meta " << m << " x=" << x << " y=" << y;
+          }
+        }
+      }
+      ExpectListsMatchScores(sub);
+    }
+    for (int k = 1; k <= metas; ++k) {
+      const RelevanceModel first = full.WithFirstMetas(k);
+      ASSERT_EQ(first.NumMetas(), k);
+      for (int m = 0; m < k; ++m) {
+        EXPECT_EQ(first.KindOf(m), full.KindOf(m));
+        for (ItemId x = 0; x < full.NumItems(); ++x) {
+          for (ItemId y = 0; y < full.NumItems(); ++y) {
+            ASSERT_EQ(first.Score(m, x, y), full.Score(m, x, y))
+                << "meta " << m << " x=" << x << " y=" << y;
+          }
+        }
+      }
+      ExpectListsMatchScores(first);
+    }
+  }
 }
 
 TEST(Fig1Toy, CatalogToyHasExpectedRelevance) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "data/dataset_registry.h"
 #include "pin/dynamics.h"
+#include "util/rng.h"
 #include "tests/test_util.h"
 
 namespace imdpp::pin {
@@ -57,6 +64,34 @@ TEST(PersonalItemNetwork, RelevanceClippedTo1) {
   PersonalItemNetwork pin(*rel, params);
   std::vector<float> w{2.0f, 0.0f};  // weights beyond 1 still clip result
   EXPECT_DOUBLE_EQ(pin.RelC(w, 0, 1), 1.0);
+}
+
+// RelNet is one fused pass over the pair-major scores; it must reproduce
+// RelC - RelS bit for bit (same float products, sums and clips), over
+// every pair of every catalog dataset. Weightings up to 2 push sums past
+// the clip at 1.
+TEST(PersonalItemNetwork, FusedRelNetIsBitIdenticalToRelCMinusRelS) {
+  Rng rng(20261017);
+  const PerceptionParams params;
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 1.0, 0});
+    const PersonalItemNetwork pin(*ds.relevance, params);
+    const int items = ds.NumItems();
+    for (double scale : {1.0, 2.0}) {
+      std::vector<float> w(static_cast<size_t>(ds.relevance->NumMetas()));
+      for (float& v : w) v = static_cast<float>(scale * rng.NextUnit());
+      for (kg::ItemId x = 0; x < items; ++x) {
+        for (kg::ItemId y = 0; y < items; ++y) {
+          const double fused = pin.RelNet(w, x, y);
+          const double split = pin.RelC(w, x, y) - pin.RelS(w, x, y);
+          ASSERT_EQ(std::bit_cast<uint64_t>(fused),
+                    std::bit_cast<uint64_t>(split))
+              << "x=" << x << " y=" << y << " scale=" << scale;
+        }
+      }
+    }
+  }
 }
 
 TEST(PersonalItemNetwork, UpdateWeightsGrowsOnEvidence) {

@@ -26,6 +26,25 @@ TEST(Hash, SensitiveToEveryComponent) {
   EXPECT_NE(HashTuple(0, 0), HashTuple(0, 0, 0));
 }
 
+// HashTuple is a left fold, so a hashed prefix extends to the whole
+// tuple at every split point — the identity the diffusion kernel's coin
+// hoisting relies on, for the mixed argument types it hashes.
+TEST(Hash, ExtendContinuesTheTupleFoldAtEverySplit) {
+  for (uint64_t i = 0; i < 200; ++i) {
+    const uint64_t a = HashTuple(i);
+    const uint64_t b = i % 3;
+    const int c = static_cast<int>(i) - 100;  // negatives sign-extend
+    const uint32_t d = static_cast<uint32_t>(i * 7);
+    const int e = static_cast<int>(i % 11);
+    const uint64_t whole = HashTuple(a, b, c, d, e);
+    EXPECT_EQ(HashExtend(HashTuple(a), b, c, d, e), whole);
+    EXPECT_EQ(HashExtend(HashTuple(a, b), c, d, e), whole);
+    EXPECT_EQ(HashExtend(HashTuple(a, b, c), d, e), whole);
+    EXPECT_EQ(HashExtend(HashExtend(HashTuple(a, b, c), d), e), whole);
+    EXPECT_EQ(HashExtend(whole), whole);  // empty extension
+  }
+}
+
 TEST(Hash, UnitRangeIsHalfOpen) {
   for (uint64_t i = 0; i < 1000; ++i) {
     double u = UnitHash(i, i * 31);
