@@ -9,6 +9,8 @@
 #   IMDPP_SANITIZE               -fsanitize list, e.g. thread / address,undefined
 #   CMAKE_CXX_COMPILER_LAUNCHER  e.g. ccache (forwarded to CMake)
 #   CC / CXX                     compiler selection (read natively by CMake)
+#   CXXFLAGS                     extra compile flags, e.g. -D_GLIBCXX_ASSERTIONS
+#                                (read natively by CMake on first configure)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

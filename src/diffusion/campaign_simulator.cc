@@ -100,6 +100,9 @@ CampaignSimulator::CampaignSimulator(const Problem& problem,
   problem_.Validate();
   dynamics_ =
       std::make_unique<pin::Dynamics>(*problem_.relevance, problem_.params);
+  if (problem_.params.assoc_scale > 0.0) {
+    start_perception_ = problem_.start_perception->Get(problem_);
+  }
 }
 
 void CampaignSimulator::Restore(
@@ -109,6 +112,8 @@ void CampaignSimulator::Restore(
   const int num_users = problem_.NumUsers();
   scratch.Bind(problem_);
   scratch.BeginSample();
+  scratch.from_start_ = cp != nullptr ? cp->from_start
+                                      : initial_states == nullptr;
   if (cp != nullptr) {
     IMDPP_CHECK_EQ(cp->states.size(), static_cast<size_t>(num_users));
     for (UserId u = 0; u < num_users; ++u) {
@@ -158,6 +163,7 @@ void CampaignSimulator::Capture(const SimScratch& scratch,
   cp.sigma = scratch.sigma_;
   cp.sigma_market = scratch.sigma_market_;
   cp.adoptions = scratch.adoptions_;
+  cp.from_start = scratch.from_start_;
 }
 
 int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
@@ -173,6 +179,12 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const pin::InfluenceModel& act_model = dynamics_->influence();
   const pin::AssociationModel& assoc_model = dynamics_->association();
   const kg::RelevanceModel& rel = *problem_.relevance;
+  const bool associations = dynamics_->params().assoc_scale > 0.0;
+  // Users who have adopted nothing in a realization that began at the
+  // problem start still hold Wmeta0(u), so their net relevances are
+  // entries of the start-perception table.
+  const StartPerceptionTable* start_nets =
+      scratch.from_start_ ? start_perception_.get() : nullptr;
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
   // Attempt-keyed flips hash the per-pair attempt ordinal instead of
@@ -267,12 +279,26 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           // Item associations: being promoted x can trigger adoption of
           // relevant items y, independently of the adoption of x. Only
           // items with complementary relevance can (ComplementItems).
-          if (ppref <= 0.0) continue;
+          if (ppref <= 0.0 || !associations) continue;
           const uint64_t promotion_prefix =
               HashExtend(extra_prefix, src, u, x);
-          for (ItemId y : rel.ComplementItems(x)) {
-            if (su.Has(y)) continue;
-            const double pe = assoc_model.ExtraProb(su, pact, ppref, x, y);
+          const std::vector<ItemId>& related = rel.ComplementItems(x);
+          // A user with no adoption has no y to skip and still perceives
+          // through Wmeta0(u), so the user's nets are one table row.
+          const double* start_row =
+              start_nets != nullptr && su.NumAdopted() == 0
+                  ? start_nets->Row(u, x)
+                  : nullptr;
+          for (size_t k = 0; k < related.size(); ++k) {
+            const ItemId y = related[k];
+            double net;
+            if (start_row != nullptr) {
+              net = start_row[k];
+            } else {
+              if (su.Has(y)) continue;
+              net = pin.RelNet(su.wmeta(), x, y);
+            }
+            const double pe = assoc_model.ExtraProb(pact, ppref, net);
             if (pe > 0.0) {
               const uint64_t h =
                   aligned ? HashExtend(aligned_extra,

@@ -56,6 +56,20 @@
 // CheckpointedEval). Both paths are bit-identical to a from-scratch run:
 // the exact same floating-point operations happen in the exact same order,
 // merely split across calls.
+//
+// Start perception: a user's meta-graph weighting changes only when the
+// user adopts, so in a realization that began at the problem start (a
+// Restore with neither checkpoint nor initial states, or a checkpoint
+// taken on top of one — SimScratch and SampleCheckpoint carry the flag) a
+// user with no adoption still holds Wmeta0(u). For such a target the
+// association sweep reads each net relevance r^C − r^S from the problem's
+// StartPerceptionTable (diffusion/start_perception.h), shared by every
+// simulator of the problem and filled by the first, instead of running
+// RelNet over the M metas; with nothing adopted there is no item to skip
+// either. Every other target, and every realization begun from
+// caller-provided initial states, computes RelNet. Both feed one Pext
+// formula (pin::AssociationModel::ExtraProb) and the table holds RelNet's
+// own results, so the coins and their outcomes are unchanged bit for bit.
 #ifndef IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 #define IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 
@@ -240,6 +254,11 @@ class SimScratch {
   std::vector<std::pair<UserId, ItemId>> pending_;
   std::vector<UserId> touched_users_;
   std::vector<std::vector<ItemId>> new_items_;  ///< |V| small lists
+
+  /// Whether the current realization began at the problem start (not at
+  /// caller-provided initial states), so a user with no adoption still
+  /// holds Wmeta0(u) and the start-perception table applies to her.
+  bool from_start_ = false;
 };
 
 /// The calling thread's shared simulation arena (one per thread, shaped
@@ -263,6 +282,8 @@ struct SampleCheckpoint {
   double sigma = 0.0;
   double sigma_market = 0.0;
   int adoptions = 0;
+  /// The realization began at the problem start (SimScratch::from_start_).
+  bool from_start = false;
 };
 
 class CampaignSimulator {
@@ -295,7 +316,8 @@ class CampaignSimulator {
 
   /// Prepares `scratch` to simulate: from a frozen boundary state (`cp`),
   /// from `initial_states`, or — when both are null — from the problem's
-  /// initial preferences/weightings.
+  /// initial preferences/weightings. Only the last (and checkpoints taken
+  /// on top of it) reads the start-perception table.
   void Restore(const SampleCheckpoint* cp,
                const std::vector<pin::UserState>* initial_states,
                SimScratch& scratch) const;
@@ -327,11 +349,17 @@ class CampaignSimulator {
   const Problem& problem() const { return problem_; }
   const pin::Dynamics& dynamics() const { return *dynamics_; }
   const CampaignConfig& config() const { return config_; }
+  /// The problem's start-perception table (null when associations are
+  /// off), shared with every other simulator of the problem.
+  const StartPerceptionTable* start_perception() const {
+    return start_perception_.get();
+  }
 
  private:
   const Problem& problem_;
   CampaignConfig config_;
   std::unique_ptr<pin::Dynamics> dynamics_;
+  std::shared_ptr<const StartPerceptionTable> start_perception_;
 };
 
 }  // namespace imdpp::diffusion

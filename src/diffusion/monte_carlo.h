@@ -132,8 +132,17 @@ class MonteCarloEngine : public SigmaBackend {
   /// the σ memo: memoized values assume the problem's initial state.
   /// While set, only estimates that resume at round 0 are allowed (every
   /// engine-level one is); checkpoints assume the problem start.
+  /// Aborts unless `states` holds one state per user, each shaped for the
+  /// problem's items and meta-graphs.
   void SetInitialStates(const std::vector<pin::UserState>* states)
       IMDPP_EXCLUDES(mu_) {
+    if (states != nullptr) {
+      const Problem& p = sim_.problem();
+      IMDPP_CHECK_EQ(states->size(), static_cast<size_t>(p.NumUsers()));
+      for (const pin::UserState& s : *states) {
+        IMDPP_CHECK(s.HasShape(p.NumItems(), p.NumMetas()));
+      }
+    }
     util::MutexLock lock(mu_);
     initial_states_ = states;
     sigma_memo_.clear();

@@ -3,10 +3,13 @@
 // Owns the per-(user,item) base preferences and seeding costs, the item
 // importance vector W, the initial personal meta-graph weightings, and the
 // budget/promotion-count knobs. The social graph and relevance model are
-// referenced, not owned (they typically live in a data::Dataset).
+// referenced, not owned (they typically live in a data::Dataset). Copies
+// share one StartPerceptionCache, so every simulator of a problem and of
+// its copies reads one start-perception table.
 #ifndef IMDPP_DIFFUSION_PROBLEM_H_
 #define IMDPP_DIFFUSION_PROBLEM_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
 #include "diffusion/seed.h"
+#include "diffusion/start_perception.h"
 
 namespace imdpp::diffusion {
 
@@ -37,6 +41,13 @@ struct Problem {
   /// Total campaign budget b and number of promotions T.
   double budget = 0.0;
   int num_promotions = 1;
+
+  /// Home of the start-perception table, filled by the first simulator
+  /// (diffusion/start_perception.h). A simulator reads the table it was
+  /// built with, so edit `relevance` and `wmeta0` before constructing
+  /// simulators; a copy with other values gets its own table.
+  std::shared_ptr<StartPerceptionCache> start_perception =
+      std::make_shared<StartPerceptionCache>();
 
   int NumUsers() const { return graph->NumUsers(); }
   int NumItems() const { return relevance->NumItems(); }

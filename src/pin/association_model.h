@@ -10,33 +10,36 @@
 //
 // Complementary relevance drives extra adoptions; substitutable relevance
 // suppresses them (antagonism). The extra adoption is flipped independently
-// of whether u actually adopts x (footnote 9 in the paper).
+// of whether u actually adopts x (footnote 9 in the paper). Items u has
+// already adopted draw no extra adoption; the simulator skips them.
+//
+// The model takes the net relevance r^C - r^S rather than u's state: the
+// simulator reads it from the start-perception table for users still at
+// their initial perception and computes it with
+// PersonalItemNetwork::RelNet otherwise (diffusion/campaign_simulator.h).
 #ifndef IMDPP_PIN_ASSOCIATION_MODEL_H_
 #define IMDPP_PIN_ASSOCIATION_MODEL_H_
 
-#include "pin/personal_item_network.h"
+#include "pin/perception_params.h"
 #include "util/mathutil.h"
 
 namespace imdpp::pin {
 
 class AssociationModel {
  public:
-  explicit AssociationModel(const PersonalItemNetwork& pin) : pin_(pin) {}
+  explicit AssociationModel(const PerceptionParams& params)
+      : params_(params) {}
 
   /// Probability that being promoted x (by an edge of dynamic strength
-  /// `pact`, with preference `ppref_x` for x) triggers adoption of y.
-  double ExtraProb(const UserState& state, double pact, double ppref_x,
-                   kg::ItemId x, kg::ItemId y) const {
-    const PerceptionParams& params = pin_.params();
-    if (params.assoc_scale <= 0.0) return 0.0;
-    if (state.Has(y)) return 0.0;
-    const double net = pin_.RelNet(state.wmeta(), x, y);
+  /// `pact`, with preference `ppref_x` for x) triggers adoption of an item
+  /// y whose net relevance to x in u's perception is `net`.
+  double ExtraProb(double pact, double ppref_x, double net) const {
     if (net <= 0.0) return 0.0;
-    return Clip01(params.assoc_scale * pact * ppref_x * net);
+    return Clip01(params_.assoc_scale * pact * ppref_x * net);
   }
 
  private:
-  const PersonalItemNetwork& pin_;
+  const PerceptionParams& params_;
 };
 
 }  // namespace imdpp::pin

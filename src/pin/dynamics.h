@@ -18,7 +18,7 @@ class Dynamics {
         pin_(relevance, params_),
         preference_(pin_),
         influence_(params_),
-        association_(pin_) {}
+        association_(params_) {}
 
   // Non-copyable: internal models hold references into this object.
   Dynamics(const Dynamics&) = delete;

@@ -62,6 +62,13 @@ class UserState {
     wmeta_.assign(other.wmeta_.begin(), other.wmeta_.end());
   }
 
+  /// Whether the state is shaped for `num_items` items and `num_metas`
+  /// meta-graph weights.
+  bool HasShape(int num_items, int num_metas) const {
+    return bits_.size() == static_cast<size_t>(num_items + 63) / 64 &&
+           wmeta_.size() == static_cast<size_t>(num_metas);
+  }
+
   /// Sorted adopted item ids.
   const std::vector<ItemId>& Adopted() const { return adopted_; }
 

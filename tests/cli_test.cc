@@ -470,7 +470,10 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
       "2",           "--eval-samples", "8",   "--selection-samples", "8"};
   CliResult plain = RunCli(base);
   ASSERT_EQ(plain.code, 0) << plain.err;
-  const util::Json* fixed_result = ParseOrDie(plain.out).Find("result");
+  // Each parsed document stays in a named local: Find returns a pointer
+  // into it.
+  const util::Json plain_doc = ParseOrDie(plain.out);
+  const util::Json* fixed_result = plain_doc.Find("result");
   ASSERT_NE(fixed_result, nullptr);
   EXPECT_EQ(fixed_result->Find("blocks_run")->AsInt(), 0);
   EXPECT_EQ(fixed_result->Find("early_stops")->AsInt(), 0);
@@ -480,7 +483,8 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
   adaptive.insert(adaptive.end(), {"--adaptive", "--adaptive-delta", "0.1"});
   CliResult raced = RunCli(adaptive);
   ASSERT_EQ(raced.code, 0) << raced.err;
-  const util::Json* result = ParseOrDie(raced.out).Find("result");
+  const util::Json raced_doc = ParseOrDie(raced.out);
+  const util::Json* result = raced_doc.Find("result");
   ASSERT_NE(result, nullptr);
   EXPECT_GT(result->Find("blocks_run")->AsInt(), 0);
   // And byte-determinism holds on the adaptive path too.
@@ -506,7 +510,8 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
                   {"--adaptive", "--adaptive-budget", "4"});
   CliResult capped = RunCli(budgeted);
   ASSERT_EQ(capped.code, 0) << capped.err;
-  const util::Json* capped_result = ParseOrDie(capped.out).Find("result");
+  const util::Json capped_doc = ParseOrDie(capped.out);
+  const util::Json* capped_result = capped_doc.Find("result");
   ASSERT_NE(capped_result, nullptr);
   EXPECT_GT(capped_result->Find("blocks_run")->AsInt(), 0);
   EXPECT_GE(capped_result->Find("samples_saved")->AsInt(),

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "data/dataset_registry.h"
 #include "diffusion/monte_carlo.h"
+#include "pin/personal_item_network.h"
 #include "tests/test_util.h"
 
 namespace imdpp::diffusion {
@@ -520,12 +525,32 @@ TEST(MonteCarloEngine, InitialStatesRespected) {
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
   MonteCarloEngine engine(w.problem, {}, 4);
   std::vector<pin::UserState> init;
-  for (int u = 0; u < 3; ++u) init.emplace_back(1, std::vector<float>{1.0f});
+  for (int u = 0; u < 3; ++u) {
+    init.emplace_back(1, std::vector<float>(w.problem.NumMetas(), 1.0f));
+  }
   init[1].Add(0);
   engine.SetInitialStates(&init);
   EXPECT_DOUBLE_EQ(engine.Sigma({{0, 0, 1}}), 1.0);
   engine.SetInitialStates(nullptr);
   EXPECT_DOUBLE_EQ(engine.Sigma({{0, 0, 1}}), 3.0);
+}
+
+// Initial states must be shaped for the problem: one per user, each with
+// the problem's item count and one weight per meta-graph. A short weight
+// vector would make UpdateWeights read past its end.
+TEST(MonteCarloEngineDeathTest, SetInitialStatesRejectsMisshapenStates) {
+  TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
+  ASSERT_EQ(w.problem.NumMetas(), 2);
+  MonteCarloEngine engine(w.problem, {}, 4);
+  std::vector<pin::UserState> fits(3, pin::UserState(1, {1.0f, 1.0f}));
+  engine.SetInitialStates(&fits);
+  engine.SetInitialStates(nullptr);
+  std::vector<pin::UserState> one_weight(3, pin::UserState(1, {1.0f}));
+  EXPECT_DEATH(engine.SetInitialStates(&one_weight), "HasShape");
+  std::vector<pin::UserState> wide(3, pin::UserState(65, {1.0f, 1.0f}));
+  EXPECT_DEATH(engine.SetInitialStates(&wide), "HasShape");
+  std::vector<pin::UserState> too_few(2, pin::UserState(1, {1.0f, 1.0f}));
+  EXPECT_DEATH(engine.SetInitialStates(&too_few), "size");
 }
 
 // Exact work conservation: every estimate path books its realizations so
@@ -580,7 +605,9 @@ TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
     eval.SelectBest(candidates_over(b), racing);
   }
   std::vector<pin::UserState> init;
-  for (int u = 0; u < 6; ++u) init.emplace_back(2, std::vector<float>{1.0f});
+  for (int u = 0; u < 6; ++u) {
+    init.emplace_back(2, std::vector<float>(w.problem.NumMetas(), 1.0f));
+  }
   init[3].Add(1);
   engine.SetInitialStates(&init);
   engine.Sigma(a);
@@ -593,6 +620,192 @@ TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
   EXPECT_EQ(engine.num_rounds_simulated() + engine.num_rounds_skipped(),
             T * (engine.num_simulations() + engine.num_samples_saved() +
                  engine.num_memo_hits() * kSamples));
+}
+
+// --- Start-perception table ---------------------------------------------
+
+/// The problem start as explicit states: the same realizations as a
+/// problem-start run, but simulated through the generic RelNet path.
+std::vector<pin::UserState> ExplicitStartStates(const Problem& p) {
+  std::vector<pin::UserState> states;
+  for (UserId u = 0; u < p.NumUsers(); ++u) {
+    const std::span<const float> w = p.Wmeta0(u);
+    states.emplace_back(p.NumItems(), std::vector<float>(w.begin(), w.end()));
+  }
+  return states;
+}
+
+/// `per_round` seeds at every promotion, spread over users and items.
+SeedGroup SpreadSchedule(const Problem& p, int per_round) {
+  SeedGroup seeds;
+  for (int t = 1; t <= p.num_promotions; ++t) {
+    for (int k = 0; k < per_round; ++k) {
+      const int i = t * per_round + k;
+      seeds.push_back({(i * 7919) % p.NumUsers(), (i * 31 + t) % p.NumItems(),
+                       t});
+    }
+  }
+  return seeds;
+}
+
+void ExpectSameRealization(const SimScratch& a, const SimScratch& b) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.sigma()),
+            std::bit_cast<uint64_t>(b.sigma()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.sigma_market()),
+            std::bit_cast<uint64_t>(b.sigma_market()));
+  EXPECT_EQ(a.adoptions(), b.adoptions());
+  ASSERT_EQ(a.states().size(), b.states().size());
+  for (size_t u = 0; u < a.states().size(); ++u) {
+    ASSERT_EQ(a.states()[u].Adopted(), b.states()[u].Adopted()) << "user " << u;
+    ASSERT_EQ(a.states()[u].wmeta(), b.states()[u].wmeta()) << "user " << u;
+  }
+}
+
+// Realizations that begin at the problem start read not-yet-adopting
+// users' net relevances from the start-perception table; the same
+// realizations begun from explicit copies of the start states compute
+// every one with RelNet. Both must agree bit for bit — σ, σ_τ, adoptions
+// and every final state — on every catalog dataset, for IC and LT, for
+// both coin keyings, and when resumed from a round-1 checkpoint.
+TEST(StartPerception, TablePathMatchesExplicitStartStatesOnEveryCatalogDataset) {
+  constexpr int kSamples = 6;
+  double sigma_with = 0.0;
+  double sigma_without = 0.0;
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 0.2, 0});
+    const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+    Problem no_assoc = p;
+    no_assoc.params.assoc_scale = 0.0;
+    const std::vector<pin::UserState> start = ExplicitStartStates(p);
+    const SeedSchedule sched(SpreadSchedule(p, 4), p);
+    std::vector<uint8_t> mask(static_cast<size_t>(p.NumUsers()));
+    for (size_t u = 0; u < mask.size(); u += 2) mask[u] = 1;
+    for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                                 DiffusionModel::kLinearThreshold}) {
+      CampaignConfig config;
+      config.model = model;
+      const CampaignSimulator sim(p, config);
+      const CampaignSimulator off(no_assoc, config);
+      ASSERT_NE(sim.start_perception(), nullptr);
+      for (CoinKeying keying : {CoinKeying::kRound, CoinKeying::kAttempt}) {
+        for (uint64_t s = 0; s < kSamples; ++s) {
+          SCOPED_TRACE(::testing::Message()
+                       << "model " << static_cast<int>(model) << " keying "
+                       << static_cast<int>(keying) << " sample " << s);
+          SimScratch table;
+          sim.Restore(nullptr, nullptr, table);
+          sim.SimulateRounds(sched, s, 1, 3, &mask, table, keying);
+          SimScratch generic;
+          sim.Restore(nullptr, &start, generic);
+          sim.SimulateRounds(sched, s, 1, 3, &mask, generic, keying);
+          ExpectSameRealization(table, generic);
+
+          SimScratch resumed;
+          SampleCheckpoint cp;
+          sim.Restore(nullptr, nullptr, resumed);
+          sim.SimulateRounds(sched, s, 1, 1, &mask, resumed, keying);
+          sim.Capture(resumed, cp);
+          sim.Restore(&cp, nullptr, resumed);
+          sim.SimulateRounds(sched, s, 2, 3, &mask, resumed, keying);
+          ExpectSameRealization(resumed, generic);
+
+          sigma_with += table.sigma();
+          off.Restore(nullptr, nullptr, table);
+          off.SimulateRounds(sched, s, 1, 3, &mask, table, keying);
+          sigma_without += table.sigma();
+        }
+      }
+    }
+  }
+  // The schedules do trigger extra adoptions, so the sweep is exercised.
+  EXPECT_GT(sigma_with, sigma_without);
+}
+
+// One table per problem, not per engine: engines and simulators of a
+// problem and of its copies share it, and its entries are RelNet under
+// the initial weightings.
+TEST(StartPerception, EnginesAndProblemCopiesShareOneTable) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(100.0, 2);
+  const MonteCarloEngine a(p, {}, 4);
+  const MonteCarloEngine b(p, {}, 4);
+  const Problem copy = p;
+  const CampaignSimulator c(copy, {});
+  const StartPerceptionTable* table = a.simulator().start_perception();
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(b.simulator().start_perception(), table);
+  EXPECT_EQ(c.start_perception(), table);
+
+  const pin::PersonalItemNetwork pin(*p.relevance, p.params);
+  for (UserId u = 0; u < p.NumUsers(); u += 17) {
+    for (ItemId x = 0; x < p.NumItems(); ++x) {
+      const std::vector<ItemId>& ys = p.relevance->ComplementItems(x);
+      for (size_t k = 0; k < ys.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(table->Row(u, x)[k]),
+                  std::bit_cast<uint64_t>(pin.RelNet(p.Wmeta0(u), x, ys[k])));
+      }
+    }
+  }
+}
+
+// A copy whose initial weightings differ gets its own table (the shared
+// holder is not reused across different inputs), and so does the
+// original afterwards; associations switched off build none.
+TEST(StartPerception, EditedWeightingsGetTheirOwnTable) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"yelp-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(100.0, 2);
+  const CampaignSimulator original(p, {});
+  Problem edited = p;
+  for (float& w : edited.wmeta0) w = 1.0f - w;
+  const CampaignSimulator other(edited, {});
+  ASSERT_NE(other.start_perception(), nullptr);
+  EXPECT_NE(other.start_perception(), original.start_perception());
+  EXPECT_TRUE(other.start_perception()->BuiltFor(edited));
+  EXPECT_FALSE(other.start_perception()->BuiltFor(p));
+  EXPECT_TRUE(original.start_perception()->BuiltFor(p));
+  const CampaignSimulator again(p, {});
+  EXPECT_TRUE(again.start_perception()->BuiltFor(p));
+
+  const pin::PersonalItemNetwork pin(*p.relevance, p.params);
+  const UserId u = p.NumUsers() - 1;
+  for (ItemId x = 0; x < p.NumItems(); ++x) {
+    const std::vector<ItemId>& ys = p.relevance->ComplementItems(x);
+    for (size_t k = 0; k < ys.size(); ++k) {
+      ASSERT_EQ(other.start_perception()->Row(u, x)[k],
+                pin.RelNet(edited.Wmeta0(u), x, ys[k]));
+    }
+  }
+
+  Problem off = p;
+  off.params.assoc_scale = 0.0;
+  EXPECT_EQ(CampaignSimulator(off, {}).start_perception(), nullptr);
+}
+
+// Caller-provided initial states never read the table, even with no
+// adoption in them: a realization begun from weightings W behaves exactly
+// like one begun at the start of a problem whose Wmeta0 is W.
+TEST(StartPerception, InitialStatesNeverReadTheTable) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(100.0, 2);
+  Problem edited = p;
+  for (float& w : edited.wmeta0) w = 1.0f - w;
+  const std::vector<pin::UserState> edited_start = ExplicitStartStates(edited);
+  const SeedSchedule sched(SpreadSchedule(p, 4), p);
+  const CampaignSimulator sim(p, {});
+  const CampaignSimulator reference(edited, {});
+  for (uint64_t s = 0; s < 8; ++s) {
+    SimScratch from_states;
+    sim.Restore(nullptr, &edited_start, from_states);
+    sim.SimulateRounds(sched, s, 1, 2, nullptr, from_states);
+    SimScratch from_start;
+    reference.Restore(nullptr, nullptr, from_start);
+    reference.SimulateRounds(sched, s, 1, 2, nullptr, from_start);
+    ExpectSameRealization(from_states, from_start);
+  }
 }
 
 }  // namespace

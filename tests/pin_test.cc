@@ -240,22 +240,29 @@ TEST(AssociationModel, ComplementTriggersSubstituteSuppresses) {
   PerceptionParams params;
   params.assoc_scale = 1.0;
   PersonalItemNetwork pin(*rel, params);
-  AssociationModel assoc(pin);
+  AssociationModel assoc(params);
   UserState st(3, {1.0f, 1.0f});
   // Promoted item 0 with pact=0.5, pref=0.8: y=1 complementary (net 0.6).
-  EXPECT_NEAR(assoc.ExtraProb(st, 0.5, 0.8, 0, 1), 0.5 * 0.8 * 0.6, 1e-6);
+  EXPECT_NEAR(assoc.ExtraProb(0.5, 0.8, pin.RelNet(st.wmeta(), 0, 1)),
+              0.5 * 0.8 * 0.6, 1e-6);
   // y=2 substitutable (net -0.5): no extra adoption.
-  EXPECT_DOUBLE_EQ(assoc.ExtraProb(st, 0.5, 0.8, 0, 2), 0.0);
+  EXPECT_DOUBLE_EQ(assoc.ExtraProb(0.5, 0.8, pin.RelNet(st.wmeta(), 0, 2)),
+                   0.0);
 }
 
-TEST(AssociationModel, AdoptedTargetExcluded) {
-  auto rel = ThreeItemRel();
-  PerceptionParams params;
-  PersonalItemNetwork pin(*rel, params);
-  AssociationModel assoc(pin);
-  UserState st(3, {1.0f, 1.0f});
-  st.Add(1);
-  EXPECT_DOUBLE_EQ(assoc.ExtraProb(st, 0.5, 0.8, 0, 1), 0.0);
+// Associations switched off (assoc_scale 0, the ablation setting) or a
+// non-positive net draw no extra adoption, and Pext saturates at 1.
+TEST(AssociationModel, OffOrNonPositiveNetGivesZeroAndLargeClips) {
+  PerceptionParams off;
+  off.assoc_scale = 0.0;
+  EXPECT_DOUBLE_EQ(AssociationModel(off).ExtraProb(0.5, 0.8, 0.6), 0.0);
+  PerceptionParams on;
+  on.assoc_scale = 1.0;
+  EXPECT_DOUBLE_EQ(AssociationModel(on).ExtraProb(0.5, 0.8, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(AssociationModel(on).ExtraProb(0.5, 0.8, -0.25), 0.0);
+  PerceptionParams strong;
+  strong.assoc_scale = 10.0;
+  EXPECT_DOUBLE_EQ(AssociationModel(strong).ExtraProb(0.5, 0.8, 0.6), 1.0);
 }
 
 TEST(Dynamics, BundlesAllModels) {
