@@ -49,6 +49,23 @@ void BM_SigmaEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmaEstimate)->Arg(8)->Arg(32);
 
+/// One-seed σ̂ on amazon-like@0.5 (T = 10, 32 samples, serial): cascades
+/// reach a few of the 400 users, so per-realization reset and
+/// bookkeeping, not diffusion, set the cost — the regime of the Fig. 9
+/// baselines' singleton estimates. items_per_second counts realizations.
+void BM_SigmaSmallCascade(benchmark::State& state) {
+  constexpr int kSamples = 32;
+  const data::Dataset& ds = AmazonDs();
+  diffusion::Problem p = ds.MakeProblem(300.0, 10);
+  diffusion::MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/0);
+  diffusion::SeedGroup seeds{{0, 0, 1}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Sigma(seeds));
+  }
+  state.SetItemsProcessed(state.iterations() * kSamples);
+}
+BENCHMARK(BM_SigmaSmallCascade);
+
 const data::Dataset& YelpDs() {
   static const data::Dataset* ds = new data::Dataset(data::MakeYelpLike(0.5));
   return *ds;

@@ -62,19 +62,12 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
     int stamp;  ///< |N| when the gain was computed
     bool operator<(const Entry& o) const { return ratio < o.ratio; }
   };
-  std::priority_queue<Entry> heap;
-
-  // First pass: singleton gains (σ̂(∅) = 0, so gain = σ̂({s})).
-  for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
-    const Nominee& n = candidates[c];
-    double gain = engine.Sigma(as_first_promotion({n}));
-    double cost = problem.Cost(n.user, n.item);
-    heap.push(Entry{gain / cost, gain, c, 0});
+  auto consider_single = [&](const Nominee& n, double gain) {
     if (gain > result.best_single_gain) {
       result.best_single_gain = gain;
       result.best_single = n;
     }
-  }
+  };
 
   double sigma_n = 0.0;  // σ̂ of the selected set seeded at t = 1
   int accepted = 0;
@@ -101,6 +94,9 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
         std::vector<Nominee> with = result.nominees;
         with.push_back(n);
         double gain = engine.Sigma(as_first_promotion(with)) - sigma_n;
+        // The first iteration's gains are the singleton gains
+        // (σ̂(∅) = 0, so gain = σ̂({s})).
+        if (result.nominees.empty()) consider_single(n, gain);
         double ratio = gain / cost;
         if (ratio > best_ratio) {
           best_ratio = ratio;
@@ -118,6 +114,15 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
     return result;
   }
 
+  // Lazy heap: seeded with the singleton gains.
+  std::priority_queue<Entry> heap;
+  for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
+    const Nominee& n = candidates[c];
+    double gain = engine.Sigma(as_first_promotion({n}));
+    double cost = problem.Cost(n.user, n.item);
+    heap.push(Entry{gain / cost, gain, c, 0});
+    if (cost <= budget) consider_single(n, gain);
+  }
   while (!heap.empty()) {
     Entry top = heap.top();
     heap.pop();

@@ -42,8 +42,10 @@ std::vector<Nominee> BuildCandidateUniverse(const Problem& problem,
 struct SelectionResult {
   std::vector<Nominee> nominees;  ///< in acceptance order
   double total_cost = 0.0;
-  /// First-pass singleton gains σ̂({(u,x,1)}) aligned with `candidates`
-  /// passed in; used for the e_max guarantee check in Theorem 5.
+  /// The best singleton gain σ̂({(u,x,1)}) over the candidates that fit
+  /// the budget, read off the exact greedy's first iteration (or, above
+  /// its size limit, the lazy heap's singleton pass); used for the e_max
+  /// guarantee check in Theorem 5.
   Nominee best_single;
   double best_single_gain = 0.0;
 };

@@ -1,6 +1,7 @@
 #include "diffusion/campaign_simulator.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/hash.h"
 #include "util/mathutil.h"
@@ -22,6 +23,12 @@ constexpr uint64_t kAlignedCoinRound = ~uint64_t{0};
 
 int64_t PairKey(UserId u, ItemId x, int num_items) {
   return static_cast<int64_t>(u) * num_items + x;
+}
+
+// Simulator serials start at 1; 0 is SimScratch's "no start".
+uint64_t NextSimulatorSerial() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -63,6 +70,9 @@ void SimScratch::Bind(const Problem& problem) {
   touched_user_mark_.assign(static_cast<size_t>(num_users), 0);
   step_epoch_ = 0;
   new_items_.resize(static_cast<size_t>(num_users));
+  changed_.clear();
+  changed_mark_.assign(static_cast<size_t>(num_users), 0);
+  start_serial_ = 0;
 }
 
 void SimScratch::BeginSample() {
@@ -96,13 +106,32 @@ void SimScratch::FlushWeightUpdates(const pin::PersonalItemNetwork& pin) {
 
 CampaignSimulator::CampaignSimulator(const Problem& problem,
                                      const CampaignConfig& config)
-    : problem_(problem), config_(config) {
+    : problem_(problem), serial_(NextSimulatorSerial()), config_(config) {
   problem_.Validate();
   dynamics_ =
       std::make_unique<pin::Dynamics>(*problem_.relevance, problem_.params);
   if (problem_.params.assoc_scale > 0.0) {
     start_perception_ = problem_.start_perception->Get(problem_);
   }
+}
+
+void CampaignSimulator::ResetToStart(SimScratch& scratch) const {
+  const int num_items = problem_.NumItems();
+  if (scratch.start_serial_ == serial_) {
+    for (UserId u : scratch.changed_) {
+      scratch.states_[static_cast<size_t>(u)].ResetTo(num_items,
+                                                      problem_.Wmeta0(u));
+      scratch.changed_mark_[static_cast<size_t>(u)] = 0;
+    }
+  } else {
+    for (UserId u = 0; u < problem_.NumUsers(); ++u) {
+      scratch.states_[static_cast<size_t>(u)].ResetTo(num_items,
+                                                      problem_.Wmeta0(u));
+    }
+    std::fill(scratch.changed_mark_.begin(), scratch.changed_mark_.end(), 0);
+    scratch.start_serial_ = serial_;
+  }
+  scratch.changed_.clear();
 }
 
 void CampaignSimulator::Restore(
@@ -112,42 +141,39 @@ void CampaignSimulator::Restore(
   const int num_users = problem_.NumUsers();
   scratch.Bind(problem_);
   scratch.BeginSample();
-  scratch.from_start_ = cp != nullptr ? cp->from_start
-                                      : initial_states == nullptr;
-  if (cp != nullptr) {
-    IMDPP_CHECK_EQ(cp->states.size(), static_cast<size_t>(num_users));
-    for (UserId u = 0; u < num_users; ++u) {
-      scratch.states_[static_cast<size_t>(u)].CopyFrom(
-          cp->states[static_cast<size_t>(u)]);
-    }
-    for (const auto& [key, acc] : cp->lt) scratch.LtAcc(key) = acc;
-    for (const auto& [key, count] : cp->attempts) {
-      scratch.RestoreAttempt(key, count);
-    }
-    scratch.sigma_ = cp->sigma;
-    scratch.sigma_market_ = cp->sigma_market;
-    scratch.adoptions_ = cp->adoptions;
-  } else if (initial_states != nullptr) {
+  if (cp == nullptr && initial_states != nullptr) {
     IMDPP_CHECK_EQ(initial_states->size(), static_cast<size_t>(num_users));
     for (UserId u = 0; u < num_users; ++u) {
       scratch.states_[static_cast<size_t>(u)].CopyFrom(
           (*initial_states)[static_cast<size_t>(u)]);
     }
-  } else {
-    const int num_items = problem_.NumItems();
-    for (UserId u = 0; u < num_users; ++u) {
-      scratch.states_[static_cast<size_t>(u)].ResetTo(num_items,
-                                                      problem_.Wmeta0(u));
-    }
+    scratch.start_serial_ = 0;
+    return;
   }
+  ResetToStart(scratch);
+  if (cp == nullptr) return;
+  IMDPP_CHECK_EQ(cp->users.size(), cp->states.size());
+  for (size_t i = 0; i < cp->users.size(); ++i) {
+    const UserId u = cp->users[i];
+    scratch.states_[static_cast<size_t>(u)].CopyFrom(cp->states[i]);
+    scratch.MarkChanged(u);
+  }
+  for (const auto& [key, acc] : cp->lt) scratch.LtAcc(key) = acc;
+  for (const auto& [key, count] : cp->attempts) {
+    scratch.RestoreAttempt(key, count);
+  }
+  scratch.sigma_ = cp->sigma;
+  scratch.sigma_market_ = cp->sigma_market;
+  scratch.adoptions_ = cp->adoptions;
 }
 
 void CampaignSimulator::Capture(const SimScratch& scratch,
                                 SampleCheckpoint& cp) const {
-  const size_t num_users = static_cast<size_t>(problem_.NumUsers());
-  cp.states.resize(num_users);
-  for (size_t u = 0; u < num_users; ++u) {
-    cp.states[u].CopyFrom(scratch.states_[u]);
+  IMDPP_CHECK(scratch.start_serial_ == serial_);
+  cp.users.assign(scratch.changed_.begin(), scratch.changed_.end());
+  cp.states.resize(cp.users.size());
+  for (size_t i = 0; i < cp.users.size(); ++i) {
+    cp.states[i].CopyFrom(scratch.states_[static_cast<size_t>(cp.users[i])]);
   }
   cp.lt.clear();
   cp.lt.reserve(scratch.lt_touched_.size());
@@ -163,7 +189,6 @@ void CampaignSimulator::Capture(const SimScratch& scratch,
   cp.sigma = scratch.sigma_;
   cp.sigma_market = scratch.sigma_market_;
   cp.adoptions = scratch.adoptions_;
-  cp.from_start = scratch.from_start_;
 }
 
 int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
@@ -184,7 +209,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   // problem start still hold Wmeta0(u), so their net relevances are
   // entries of the start-perception table.
   const StartPerceptionTable* start_nets =
-      scratch.from_start_ ? start_perception_.get() : nullptr;
+      scratch.start_serial_ == serial_ ? start_perception_.get() : nullptr;
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
   // Attempt-keyed flips hash the per-pair attempt ordinal instead of

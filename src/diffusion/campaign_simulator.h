@@ -44,9 +44,9 @@
 // set-addition differences (the nominee greedy) rely on — see README
 // "Variance-adaptive evaluation" for the measurement.
 //
-// Fast path (ISSUE 3): the per-sample state lives in a reusable SimScratch
-// arena — flat epoch-stamped arrays instead of per-sample hash containers,
-// user states reset in place instead of reconstructed — and the simulation
+// Fast path: the per-sample state lives in a reusable SimScratch arena —
+// flat epoch-stamped arrays instead of per-sample hash containers, user
+// states reset in place instead of reconstructed — and the simulation
 // core runs an arbitrary promotion range [t_begin, t_end] on top of that
 // state. Because every coin flip is a pure hash of its event coordinates
 // (never of history), the state at a promotion boundary is a function of
@@ -57,11 +57,18 @@
 // the exact same floating-point operations happen in the exact same order,
 // merely split across calls.
 //
+// Sparse state: a user's state changes only when the user adopts, and a
+// cascade usually reaches a small part of |V|. So a realization that began
+// at the problem start is its start state plus the users it changed: the
+// arena lists them as they first adopt, a reset from the start restores
+// just those (one full reset only when the arena's last start was another
+// simulator's, or not a start at all), and a checkpoint stores just those,
+// as ids plus states. Checkpoints are taken only of such realizations.
+//
 // Start perception: a user's meta-graph weighting changes only when the
 // user adopts, so in a realization that began at the problem start (a
-// Restore with neither checkpoint nor initial states, or a checkpoint
-// taken on top of one — SimScratch and SampleCheckpoint carry the flag) a
-// user with no adoption still holds Wmeta0(u). For such a target the
+// Restore with no initial states, from a checkpoint or not) a user with
+// no adoption still holds Wmeta0(u). For such a target the
 // association sweep reads each net relevance r^C − r^S from the problem's
 // StartPerceptionTable (diffusion/start_perception.h), shared by every
 // simulator of the problem and filled by the first, instead of running
@@ -211,13 +218,23 @@ class SimScratch {
   /// first-adoption order (the per-user item lists match the historical
   /// unordered_map grouping; cross-user order is irrelevant because
   /// UpdateWeights touches one user's state only).
+  /// Every state change goes through here (a successful UserState::Add,
+  /// then UpdateWeights on the same user), so it is also where a user
+  /// joins the changed list.
   void QueueNewAdoption(UserId u, ItemId x) {
     if (touched_user_mark_[static_cast<size_t>(u)] != step_epoch_) {
       touched_user_mark_[static_cast<size_t>(u)] = step_epoch_;
       new_items_[static_cast<size_t>(u)].clear();
       touched_users_.push_back(u);
+      MarkChanged(u);
     }
     new_items_[static_cast<size_t>(u)].push_back(x);
+  }
+  /// Lists u as differing from the problem start (once per realization).
+  void MarkChanged(UserId u) {
+    if (changed_mark_[static_cast<size_t>(u)]) return;
+    changed_mark_[static_cast<size_t>(u)] = 1;
+    changed_.push_back(u);
   }
   void FlushWeightUpdates(const pin::PersonalItemNetwork& pin);
 
@@ -255,10 +272,17 @@ class SimScratch {
   std::vector<UserId> touched_users_;
   std::vector<std::vector<ItemId>> new_items_;  ///< |V| small lists
 
-  /// Whether the current realization began at the problem start (not at
-  /// caller-provided initial states), so a user with no adoption still
-  /// holds Wmeta0(u) and the start-perception table applies to her.
-  bool from_start_ = false;
+  // Users whose state differs from the problem start, in first-change
+  // order. Valid while start_serial_ names a simulator: every unlisted
+  // user then holds that simulator's start state (nothing adopted,
+  // Wmeta0(u)), so a reset restores the listed users only and a user
+  // with no adoption reads the start-perception table.
+  std::vector<UserId> changed_;
+  std::vector<uint8_t> changed_mark_;  ///< |V|
+  /// CampaignSimulator serial of the current realization's start; 0 =
+  /// none (fresh or reshaped arena, or a realization begun from
+  /// caller-provided initial states).
+  uint64_t start_serial_ = 0;
 };
 
 /// The calling thread's shared simulation arena (one per thread, shaped
@@ -267,12 +291,16 @@ class SimScratch {
 /// copies of the flat |V| x |I| buffers.
 SimScratch& ThreadLocalSimScratch();
 
-/// Per-sample diffusion state frozen at a promotion boundary: the user
-/// states after promotions 1..k, the LT accumulators touched so far
-/// (sparse), and the running outcome partials. Restoring it and simulating
-/// promotions k+1..T replays the exact operation sequence of a from-scratch
-/// run of the same schedule — the basis of promotion-round checkpoint reuse.
+/// Per-sample diffusion state frozen at a promotion boundary of a
+/// realization begun at the problem start: the states of the users
+/// promotions 1..k changed (every other user still holds the start
+/// state), the LT accumulators touched so far, and the running outcome
+/// partials — all sparse. Restoring it and simulating promotions k+1..T
+/// replays the exact operation sequence of a from-scratch run of the same
+/// schedule — the basis of promotion-round checkpoint reuse.
 struct SampleCheckpoint {
+  /// users[i] holds states[i]; in first-change order.
+  std::vector<UserId> users;
   std::vector<pin::UserState> states;
   std::vector<std::pair<int64_t, double>> lt;
   /// Attempt ordinals touched so far (sparse) — populated only by
@@ -282,8 +310,6 @@ struct SampleCheckpoint {
   double sigma = 0.0;
   double sigma_market = 0.0;
   int adoptions = 0;
-  /// The realization began at the problem start (SimScratch::from_start_).
-  bool from_start = false;
 };
 
 class CampaignSimulator {
@@ -317,7 +343,11 @@ class CampaignSimulator {
   /// Prepares `scratch` to simulate: from a frozen boundary state (`cp`),
   /// from `initial_states`, or — when both are null — from the problem's
   /// initial preferences/weightings. Only the last (and checkpoints taken
-  /// on top of it) reads the start-perception table.
+  /// on top of it) reads the start-perception table. A start (with or
+  /// without `cp`) resets only the users the scratch lists as changed,
+  /// unless the scratch's last start was not this simulator's (first use
+  /// on this thread, another simulator, initial states, a reshape): then
+  /// it resets every user once.
   void Restore(const SampleCheckpoint* cp,
                const std::vector<pin::UserState>* initial_states,
                SimScratch& scratch) const;
@@ -336,7 +366,8 @@ class CampaignSimulator {
                      SimScratch& scratch,
                      CoinKeying keying = CoinKeying::kRound) const;
 
-  /// Freezes scratch's current state into `cp` (buffers reused).
+  /// Freezes scratch's current state into `cp` (buffers reused). The
+  /// realization must have begun at this simulator's problem start.
   void Capture(const SimScratch& scratch, SampleCheckpoint& cp) const;
 
   /// Likelihood π_τ(SG) of Eq. 13 evaluated on the final states of one
@@ -356,7 +387,13 @@ class CampaignSimulator {
   }
 
  private:
+  /// Resets scratch's users to the problem start (see Restore).
+  void ResetToStart(SimScratch& scratch) const;
+
   const Problem& problem_;
+  /// Never reused across simulators (addresses are): names this
+  /// simulator's start in SimScratch::start_serial_.
+  uint64_t serial_;
   CampaignConfig config_;
   std::unique_ptr<pin::Dynamics> dynamics_;
   std::shared_ptr<const StartPerceptionTable> start_perception_;

@@ -18,14 +18,18 @@
 // serial fallback). That keeps the paired marginal-gain property exact
 // under threading.
 //
-// Evaluation fast path (ISSUE 3): every estimate runs on per-worker
-// SimScratch arenas (zero per-sample allocation), skips unseeded
-// promotion rounds (exact no-ops), and exposes two reuse levers:
+// Evaluation fast path: every estimate runs on per-worker SimScratch
+// arenas (zero per-sample allocation, resets that touch only the users
+// the last cascade changed), skips unseeded promotion rounds (exact
+// no-ops), and exposes two reuse levers:
 //   * CheckpointedEval — freezes per-sample states at promotion
 //     boundaries for a base seed group, so evaluating a group that only
 //     differs from the base at rounds ≥ t resumes from the round-(t-1)
 //     checkpoint instead of re-simulating rounds 1..t-1. Exact, because
-//     coin flips are index-hashed and never depend on history.
+//     coin flips are index-hashed and never depend on history. A
+//     checkpoint holds only the users the base changed so far (the base
+//     always starts at the problem start), so its size and restore cost
+//     follow the cascade, not |V|.
 //   * an opt-in σ memo keyed on the exact seed vector, so sweeps that
 //     revisit an identical configuration (e.g. Dysim's coordinate-ascent
 //     timing refinement) pay nothing.
@@ -417,8 +421,9 @@ class CheckpointedEval final : public ScheduleEval {
 
  private:
   /// Checkpoints of the base schedule under one coin keying:
-  /// cp[k-1][s] = realization s frozen after base rounds 1..k, valid for
-  /// k <= rounds_ready and s < samples_ready (rows are full-width).
+  /// cp[k-1][s] = realization s frozen after base rounds 1..k (the users
+  /// those rounds changed), valid for k <= rounds_ready and
+  /// s < samples_ready (rows are full-width).
   struct Lattice {
     explicit Lattice(CoinKeying k) : keying(k) {}
 

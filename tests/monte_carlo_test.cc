@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <string>
 
 #include "data/dataset_registry.h"
@@ -806,6 +808,175 @@ TEST(StartPerception, InitialStatesNeverReadTheTable) {
     reference.SimulateRounds(sched, s, 1, 2, nullptr, from_start);
     ExpectSameRealization(from_states, from_start);
   }
+}
+
+// --- Sparse reset and checkpoints ----------------------------------------
+
+/// Realization `s` of `sched`, rounds [1, t_end], restored into `scratch`
+/// from the problem start or `initial_states`.
+void RunRealization(const CampaignSimulator& sim,
+                    const std::vector<pin::UserState>* initial_states,
+                    const SeedSchedule& sched, uint64_t s, int t_end,
+                    SimScratch& scratch) {
+  sim.Restore(nullptr, initial_states, scratch);
+  sim.SimulateRounds(sched, s, 1, t_end, nullptr, scratch);
+}
+
+// A reset from the start restores only the users the arena's last
+// cascade changed, so the arena must know whose start every other user
+// holds. One arena alternates between simulators of two same-shaped
+// problems with different Wmeta0 — long-lived ones, and short-lived ones
+// that may reuse each other's address — with initial-states starts in
+// between; every realization must match a fresh arena's bit for bit.
+TEST(SparseReset, AlternatingSimulatorsMatchFreshArenas) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  Problem edited = p;
+  for (float& w : edited.wmeta0) w = 1.0f - w;
+  const std::vector<pin::UserState> edited_start = ExplicitStartStates(edited);
+  const SeedSchedule sched(SpreadSchedule(p, 4), p);
+  const CampaignSimulator a(p, {});
+  const CampaignSimulator b(edited, {});
+  struct Step {
+    const CampaignSimulator* sim;  ///< null = a short-lived simulator
+    const Problem* problem;
+    const std::vector<pin::UserState>* initial_states;
+  };
+  const std::vector<Step> steps = {
+      {&a, &p, nullptr},       {&a, &p, nullptr},
+      {&b, &edited, nullptr},  {&a, &p, nullptr},
+      {&a, &p, &edited_start}, {&a, &p, nullptr},
+      {&b, &edited, nullptr},  {nullptr, &p, nullptr},
+      {nullptr, &edited, nullptr}, {nullptr, &p, nullptr},
+      {&b, &edited, &edited_start}, {&b, &edited, nullptr},
+  };
+  SimScratch shared;
+  for (uint64_t s = 0; s < 3; ++s) {
+    for (size_t i = 0; i < steps.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "sample " << s << " step " << i);
+      const Step& step = steps[i];
+      std::optional<CampaignSimulator> short_lived;
+      if (step.sim == nullptr) {
+        short_lived.emplace(*step.problem, CampaignConfig{});
+      }
+      const CampaignSimulator& sim =
+          step.sim != nullptr ? *step.sim : *short_lived;
+      const uint64_t sample = s * steps.size() + i;
+      RunRealization(sim, step.initial_states, sched, sample, 3, shared);
+      SimScratch fresh;
+      RunRealization(sim, step.initial_states, sched, sample, 3, fresh);
+      ExpectSameRealization(shared, fresh);
+    }
+  }
+}
+
+// A checkpoint lists only the users its base changed; restoring it into
+// an arena whose last cascade was larger and unrelated must still undo
+// every user that cascade touched. All final states must match a
+// from-scratch run, for IC and LT and both coin keyings.
+TEST(SparseReset, CheckpointResumeAfterLargerCascadeMatchesFromScratch) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  const SeedGroup base = {{0, 0, 1}};
+  SeedGroup full = base;
+  full.push_back({1, 1, 2});
+  full.push_back({2, 2, 3});
+  const SeedSchedule base_sched(base, p);
+  const SeedSchedule full_sched(full, p);
+  const SeedSchedule big(SpreadSchedule(p, 8), p);
+  for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                               DiffusionModel::kLinearThreshold}) {
+    CampaignConfig config;
+    config.model = model;
+    const CampaignSimulator sim(p, config);
+    for (CoinKeying keying : {CoinKeying::kRound, CoinKeying::kAttempt}) {
+      for (uint64_t s = 0; s < 6; ++s) {
+        SCOPED_TRACE(::testing::Message()
+                     << "model " << static_cast<int>(model) << " keying "
+                     << static_cast<int>(keying) << " sample " << s);
+        SimScratch scratch;
+        SampleCheckpoint cp;
+        sim.Restore(nullptr, nullptr, scratch);
+        sim.SimulateRounds(base_sched, s, 1, 1, nullptr, scratch, keying);
+        sim.Capture(scratch, cp);
+        sim.Restore(nullptr, nullptr, scratch);
+        sim.SimulateRounds(big, s + 100, 1, 3, nullptr, scratch, keying);
+        ASSERT_GT(scratch.adoptions(), cp.adoptions + 10);
+        sim.Restore(&cp, nullptr, scratch);
+        sim.SimulateRounds(full_sched, s, 2, 3, nullptr, scratch, keying);
+
+        SimScratch fresh;
+        sim.Restore(nullptr, nullptr, fresh);
+        sim.SimulateRounds(full_sched, s, 1, 3, nullptr, fresh, keying);
+        ExpectSameRealization(scratch, fresh);
+      }
+    }
+  }
+}
+
+// A one-seed base's checkpoint holds exactly the users the base changed —
+// the seed first, then the users its cascade reached — and their states,
+// even when the arena ran a larger cascade before.
+TEST(SparseReset, CheckpointHoldsOnlyTheUsersTheBaseChanged) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  const CampaignSimulator sim(p, {});
+  const SeedSchedule base(SeedGroup{{3, 1, 1}}, p);
+  const SeedSchedule big(SpreadSchedule(p, 8), p);
+  SimScratch scratch;
+  for (uint64_t s = 0; s < 8; ++s) {
+    SCOPED_TRACE(::testing::Message() << "sample " << s);
+    sim.Restore(nullptr, nullptr, scratch);
+    sim.SimulateRounds(big, s, 1, 3, nullptr, scratch);
+    sim.Restore(nullptr, nullptr, scratch);
+    sim.SimulateRounds(base, s, 1, 1, nullptr, scratch);
+    SampleCheckpoint cp;
+    sim.Capture(scratch, cp);
+
+    std::vector<UserId> adopters;
+    for (UserId u = 0; u < p.NumUsers(); ++u) {
+      if (scratch.states()[static_cast<size_t>(u)].NumAdopted() > 0) {
+        adopters.push_back(u);
+      }
+    }
+    ASSERT_EQ(cp.users.size(), cp.states.size());
+    ASSERT_FALSE(cp.users.empty());
+    EXPECT_EQ(cp.users.front(), 3);
+    std::vector<UserId> sorted = cp.users;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, adopters);
+    for (size_t i = 0; i < cp.users.size(); ++i) {
+      const pin::UserState& st =
+          scratch.states()[static_cast<size_t>(cp.users[i])];
+      EXPECT_EQ(cp.states[i].Adopted(), st.Adopted());
+      EXPECT_EQ(cp.states[i].wmeta(), st.wmeta());
+    }
+  }
+}
+
+// Checkpoints hold the changed users of a realization begun at this
+// simulator's start; one begun from initial states (or another
+// simulator's start) has no such list and must not be captured.
+TEST(SparseResetDeathTest, CaptureOfNonStartRealizationAborts) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/2);
+  const std::vector<pin::UserState> start = ExplicitStartStates(p);
+  const SeedSchedule sched(SpreadSchedule(p, 2), p);
+  const CampaignSimulator sim(p, {});
+  const CampaignSimulator other(p, {});
+  SimScratch scratch;
+  SampleCheckpoint cp;
+  sim.Restore(nullptr, &start, scratch);
+  sim.SimulateRounds(sched, 0, 1, 1, nullptr, scratch);
+  EXPECT_DEATH(sim.Capture(scratch, cp), "start_serial_");
+  other.Restore(nullptr, nullptr, scratch);
+  other.SimulateRounds(sched, 0, 1, 1, nullptr, scratch);
+  EXPECT_DEATH(sim.Capture(scratch, cp), "start_serial_");
+  other.Capture(scratch, cp);
 }
 
 }  // namespace
