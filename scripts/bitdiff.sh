@@ -8,11 +8,14 @@
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
 # change description. A run that fails records its exit code and stderr
-# in place of its output, so it shows up as a diff too.
+# in place of its output, so it shows up as a diff too. After the diffs,
+# each differing file is summarized by the JSON keys that differ (dotted
+# paths from the top level, array indices folded to []), so a re-baseline
+# that only moves work counters reads as one at a glance.
 #
 # usage: scripts/bitdiff.sh <rev>
 #   exit 0 = every output identical, 1 = some output differs (the diffs
-#   are printed), 2 = usage error.
+#   and the per-file key summary are printed), 2 = usage error.
 #
 # Env knobs (all optional):
 #   BUILD_DIR    build tree of the working copy  (default: build)
@@ -83,9 +86,51 @@ run_all "$WORK/rev-build/imdpp" "$WORK/out-rev"
 echo "== run working tree ==" >&2
 run_all "$BUILD_DIR/imdpp" "$WORK/out-tree"
 
+# Prints, per file that differs between two output dirs, the JSON key
+# paths whose values differ. Informational only: never fails the script.
+differing_keys() {  # <rev output dir> <tree output dir>
+  python3 - "$1" "$2" <<'PY' || true
+import json
+import os
+import sys
+
+def collect(a, b, path, out):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() | b.keys():
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                collect(a[key], b[key], sub, out)
+            else:
+                out.add(sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            collect(x, y, path + "[]", out)
+    elif a != b:
+        out.add(path or "(whole document)")
+
+rev_dir, tree_dir = sys.argv[1], sys.argv[2]
+print("bitdiff: JSON keys that differ, per file:")
+for name in sorted(set(os.listdir(rev_dir)) & set(os.listdir(tree_dir))):
+    with open(os.path.join(rev_dir, name)) as f:
+        rev = f.read()
+    with open(os.path.join(tree_dir, name)) as f:
+        tree = f.read()
+    if rev == tree:
+        continue
+    try:
+        keys = set()
+        collect(json.loads(rev), json.loads(tree), "", keys)
+        summary = ", ".join(sorted(keys)) or "(formatting only)"
+    except ValueError:
+        summary = "(not JSON: a run failed)"
+    print(f"  {name}: {summary}")
+PY
+}
+
 if diff -r "$WORK/out-rev" "$WORK/out-tree"; then
   echo "bitdiff: every output is byte-identical to $REV" >&2
   exit 0
 fi
+differing_keys "$WORK/out-rev" "$WORK/out-tree"
 echo "bitdiff: outputs differ from $REV" >&2
 exit 1

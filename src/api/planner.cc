@@ -1,10 +1,16 @@
 #include "api/planner.h"
 
+#include <utility>
+
 #include "util/cancel.h"
+#include "util/hash.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace imdpp::api {
+
+/// The reported-σ̂ stream of the run's master seed.
+constexpr uint64_t kReportStream = 0x7265'706f'7274ULL;  // "report"
 
 core::RunContext::Options RunOptions(const PlannerConfig& config) {
   core::RunContext::Options options;
@@ -19,9 +25,32 @@ core::RunContext::Options RunOptions(const PlannerConfig& config) {
   return options;
 }
 
+std::unique_ptr<diffusion::SigmaBackend> MakeReportEngine(
+    const PlannerConfig& config, const diffusion::Problem& problem,
+    std::shared_ptr<util::ThreadPool> pool,
+    std::shared_ptr<prep::RisSketchCache> sketch_cache) {
+  core::RunContext::Options options = RunOptions(config);
+  options.campaign.base_seed = HashTuple(config.seed, kReportStream);
+  options.backend.sketch_cache = std::move(sketch_cache);
+  return diffusion::MakeSigmaBackend(options.backend, problem,
+                                     options.campaign, options.eval_samples,
+                                     options.num_threads, std::move(pool));
+}
+
 PlanResult Planner::Plan(const diffusion::Problem& problem) const {
   core::RunContext run(RunOptions(config_));
   PlanResult result = Plan(problem, run);
+  // A failed run's seeds are partial state; it reports no σ̂.
+  if (result.status.ok()) {
+    util::trace::Span span("phase.eval");
+    core::RunContext::Engine report =
+        run.Adopt(MakeReportEngine(config_, problem, run.pool()));
+    result.sigma = report->Sigma(result.seeds);
+    // The report engine latches an eval fault on its own token.
+    if (const util::CancelToken* token = report->cancel_token()) {
+      result.status = token->Check();
+    }
+  }
   result.metrics = run.Finish();
   return result;
 }

@@ -107,7 +107,7 @@ struct PlanRound {
 struct PlanResult {
   std::string planner;          ///< registry name that produced this plan
   diffusion::SeedGroup seeds;   ///< the full schedule (u, x, t)
-  double sigma = 0.0;           ///< σ̂ at eval_samples
+  double sigma = 0.0;           ///< held-out σ̂ on the report engine
   double total_cost = 0.0;      ///< Σ c_{u,x} over the seeds
   double wall_seconds = 0.0;    ///< wall-clock planning time
   std::vector<PlanRound> rounds;  ///< per-round diagnostics
@@ -138,6 +138,16 @@ struct PlanResult {
 /// deadline token on top.
 core::RunContext::Options RunOptions(const PlannerConfig& config);
 
+/// The one engine every reported σ̂ is scored on: `config`'s backend at
+/// eval_samples, on the stream HashTuple(config.seed, kReportStream). The
+/// search engines optimise over the master seed's own stream, so scoring
+/// there would report the winner's curse; this stream holds worlds no
+/// search decision saw. `sketch_cache` (optional) serves "ris" sketches.
+std::unique_ptr<diffusion::SigmaBackend> MakeReportEngine(
+    const PlannerConfig& config, const diffusion::Problem& problem,
+    std::shared_ptr<util::ThreadPool> pool,
+    std::shared_ptr<prep::RisSketchCache> sketch_cache = nullptr);
+
 /// Abstract planner. Construction binds a PlannerConfig; Plan() may be
 /// called repeatedly on different problems. Plan() times the run and
 /// backfills the result fields every algorithm shares (name, cost,
@@ -153,12 +163,15 @@ class Planner {
   /// Registry key of the concrete algorithm (e.g. "dysim").
   virtual std::string_view name() const = 0;
 
-  /// Plans in a standalone run built from config(); the result carries
-  /// that run's metrics.
+  /// Plans in a standalone run built from config(), then scores an ok
+  /// result's σ̂ on a MakeReportEngine engine the run adopts — the value
+  /// CampaignSession::Run reports under the same config. The result
+  /// carries that run's metrics, the report estimate included.
   PlanResult Plan(const diffusion::Problem& problem) const;
 
-  /// Plans inside the caller's `run`. Its metrics stay in `run` until
-  /// the owner calls run.Finish(); result.metrics is left empty.
+  /// Plans inside the caller's `run`. result.sigma is left 0 for the
+  /// run's owner to score; its metrics stay in `run` until the owner
+  /// calls run.Finish(), and result.metrics is left empty.
   PlanResult Plan(const diffusion::Problem& problem,
                   core::RunContext& run) const;
 

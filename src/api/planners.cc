@@ -1,8 +1,8 @@
 // The built-in planner adapters: one thin class per algorithm, running its
 // entry point inside the plan's core::RunContext and mapping the native
-// result onto PlanResult. This file is the ONLY place that calls every
-// per-algorithm entry point; all harnesses, examples and sessions go
-// through the registry.
+// result onto PlanResult (schedules only: the run's owner scores σ̂). This
+// file is the ONLY place that calls every per-algorithm entry point; all
+// harnesses, examples and sessions go through the registry.
 #include <memory>
 #include <utility>
 
@@ -25,7 +25,6 @@ template <typename Result>
 PlanResult FromResult(Result&& r) {
   PlanResult out;
   out.seeds = std::move(r.seeds);
-  out.sigma = r.sigma;
   out.total_cost = r.total_cost;
   out.status = std::move(r.status);
   return out;
@@ -73,13 +72,6 @@ class AdaptivePlanner : public Planner {
       pr.realized_sigma = round.realized_sigma;
       out.rounds.push_back(std::move(pr));
     }
-    // A failed run keeps its partial trajectory; nothing left to
-    // re-estimate.
-    if (!out.status.ok()) return out;
-    // The adaptive run reports one realized trajectory; re-estimate the
-    // final schedule's σ̂ from the initial state so `sigma` means the same
-    // thing for every planner.
-    out.sigma = run.MakeEngine(problem, run.eval_samples())->Sigma(out.seeds);
     return out;
   }
 };
@@ -87,11 +79,11 @@ IMDPP_REGISTER_PLANNER("adaptive", AdaptivePlanner);
 
 // ------------------------------------------- selection-only core planners
 
-/// Shares the select-then-finalize shape of the SMK and CR-Greedy
+/// Shares the select-then-schedule shape of the SMK and CR-Greedy
 /// planners: build the candidate universe, pick nominees with `select`,
-/// time them with `schedule`, report σ̂ at eval_samples.
+/// time them with `schedule`.
 template <typename SelectFn, typename ScheduleFn>
-PlanResult SelectAndFinalize(const diffusion::Problem& problem,
+PlanResult SelectAndSchedule(const diffusion::Problem& problem,
                              core::RunContext& run, const SelectFn& select,
                              const ScheduleFn& schedule) {
   // The search engine memoizes σ so the selection loops' re-checks of
@@ -105,8 +97,6 @@ PlanResult SelectAndFinalize(const diffusion::Problem& problem,
 
   PlanResult out;
   out.seeds = schedule(*search, sel.nominees);
-  out.sigma = run.MakeEngine(problem, run.eval_samples())->Sigma(out.seeds);
-  out.total_cost = problem.TotalCost(out.seeds);
   out.nominees = std::move(sel.nominees);
   return out;
 }
@@ -129,7 +119,7 @@ class SmkPlanner : public Planner {
  protected:
   PlanResult PlanImpl(const diffusion::Problem& problem,
                       core::RunContext& run) const override {
-    return SelectAndFinalize(
+    return SelectAndSchedule(
         problem, run,
         [&](const diffusion::SigmaBackend& engine,
             const std::vector<diffusion::Nominee>& candidates) {
@@ -152,7 +142,7 @@ class CrGreedyPlanner : public Planner {
  protected:
   PlanResult PlanImpl(const diffusion::Problem& problem,
                       core::RunContext& run) const override {
-    return SelectAndFinalize(
+    return SelectAndSchedule(
         problem, run,
         [&](const diffusion::SigmaBackend& engine,
             const std::vector<diffusion::Nominee>& candidates) {

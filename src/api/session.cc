@@ -5,26 +5,9 @@
 
 #include "prep/ris_sketch.h"
 #include "util/check.h"
-#include "util/hash.h"
 #include "util/trace.h"
 
 namespace imdpp::api {
-
-namespace {
-
-/// The reported-σ̂ stream of the run's master seed.
-constexpr uint64_t kReportStream = 0x7265'706f'7274ULL;  // "report"
-
-/// The coin stream the session scores reported σ̂ on. The planners'
-/// search engines draw realizations 0..selection_samples−1 of the master
-/// seed's stream and optimise over them, so scoring on that stream again
-/// would report the optimizer's in-sample winner's curse; a derived
-/// stream gives worlds no search decision saw.
-uint64_t ReportSeed(uint64_t master_seed) {
-  return HashTuple(master_seed, kReportStream);
-}
-
-}  // namespace
 
 CampaignSession::CampaignSession(data::Dataset dataset, PlannerConfig config)
     : dataset_(std::move(dataset)),
@@ -159,12 +142,8 @@ PlannerConfig& CampaignSession::mutable_config() {
 diffusion::SigmaBackend& CampaignSession::engine() {
   IMDPP_CHECK(problem_.graph != nullptr);  // SetProblem first
   if (engine_ == nullptr) {
-    core::RunContext::Options options = RunOptions(config_);
-    options.campaign.base_seed = ReportSeed(config_.seed);
-    options.backend.sketch_cache = sketch_cache_;
-    engine_ = diffusion::MakeSigmaBackend(
-        options.backend, problem_, options.campaign, options.eval_samples,
-        options.num_threads, SharedPool(config_.num_threads));
+    engine_ = MakeReportEngine(config_, problem_,
+                               SharedPool(config_.num_threads), sketch_cache_);
   }
   return *engine_;
 }

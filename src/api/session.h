@@ -8,11 +8,10 @@
 //   api::PlanResult plan = session.Run("dysim");
 //   for (api::PlanResult& r : session.Compare({"dysim", "bgrd", "ps"})) ...
 //
-// Every result's σ̂ is re-estimated on the session's shared engine, so a
+// Every result's σ̂ is scored on the session's shared engine, so a
 // comparison is paired (same samples, same coin flips) and fair. That
-// engine draws its coins from a stream derived from the master seed but
-// distinct from the one the planners search on, so the reported σ̂ is
-// held out: scored on worlds no search decision saw.
+// engine is MakeReportEngine's (planner.h): held out from every search
+// stream, and the same bits a standalone Planner::Plan reports.
 #ifndef IMDPP_API_SESSION_H_
 #define IMDPP_API_SESSION_H_
 
@@ -69,9 +68,10 @@ class CampaignSession {
                                 double budget, int num_promotions,
                                 pin::PerceptionParams params = {});
 
-  /// Plans with the named registered planner, then re-estimates σ̂ on the
-  /// shared engine. Failures are structured (ISSUE 8), never aborts: an
-  /// unknown name returns a kNotFound result, a fired deadline /
+  /// Plans with the named registered planner, then scores σ̂ on the
+  /// shared engine (outside the run's metrics). Failures are structured,
+  /// never aborts: an unknown name returns a kNotFound result, a fired
+  /// deadline /
   /// cancellation / injected fault returns the token's reason in
   /// PlanResult::status with whatever partial state existed — and the
   /// session (engine, caches, pool) stays reusable for the next run.
@@ -101,9 +101,8 @@ class CampaignSession {
   /// settings and eval_samples feed it).
   PlannerConfig& mutable_config();
 
-  /// The shared evaluation backend (built lazily from the current problem
-  /// and config; config_.eval.backend picks the estimator) on the
-  /// held-out report stream of config_.seed.
+  /// The shared evaluation backend: MakeReportEngine over the current
+  /// problem and config, built lazily.
   diffusion::SigmaBackend& engine();
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "baselines/cr_greedy.h"
+#include "util/cancel.h"
 
 namespace imdpp::baselines {
 
@@ -101,7 +102,8 @@ BaselineResult RunBgrd(const Problem& problem, RunContext& run) {
   }
 
   SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  return FinalizeResult(problem, run, std::move(seeds));
+  const double cost = problem.TotalCost(seeds);
+  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
 }
 
 }  // namespace imdpp::baselines

@@ -28,18 +28,12 @@ using diffusion::SigmaBackend;
 
 struct BaselineResult {
   SeedGroup seeds;
-  double sigma = 0.0;
   double total_cost = 0.0;
   /// How the run ended (see core::DysimResult::status): OkStatus() for a
   /// completed baseline, the token's reason or a prep-acquisition error
-  /// otherwise. FinalizeResult fills it from the run's token.
+  /// otherwise.
   util::Status status;
 };
-
-/// Final σ̂ at the run's eval_samples plus bookkeeping, shared by every
-/// baseline.
-BaselineResult FinalizeResult(const Problem& problem, RunContext& run,
-                              SeedGroup seeds);
 
 }  // namespace imdpp::baselines
 

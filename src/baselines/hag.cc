@@ -1,6 +1,7 @@
 #include "baselines/hag.h"
 
 #include "baselines/cr_greedy.h"
+#include "util/cancel.h"
 
 namespace imdpp::baselines {
 
@@ -58,7 +59,8 @@ BaselineResult RunHag(const Problem& problem, RunContext& run) {
   }
 
   SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  return FinalizeResult(problem, run, std::move(seeds));
+  const double cost = problem.TotalCost(seeds);
+  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
 }
 
 }  // namespace imdpp::baselines

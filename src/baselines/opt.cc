@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "util/cancel.h"
+
 namespace imdpp::baselines {
 
 namespace {
@@ -89,7 +91,8 @@ BaselineResult RunOpt(const Problem& problem, RunContext& run,
            }
          });
 
-  return FinalizeResult(problem, run, std::move(best));
+  const double cost = problem.TotalCost(best);
+  return {std::move(best), cost, util::CheckCancel(run.cancel())};
 }
 
 }  // namespace imdpp::baselines

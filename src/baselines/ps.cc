@@ -73,7 +73,8 @@ BaselineResult RunPs(const Problem& problem, RunContext& run,
   }
 
   SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  return FinalizeResult(problem, run, std::move(seeds));
+  const double cost = problem.TotalCost(seeds);
+  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
 }
 
 }  // namespace imdpp::baselines

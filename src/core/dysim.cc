@@ -162,15 +162,17 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
   }
 
   // ---- Theorem-5 guard: best of SG, N_first, and e_max. ----
-  RunContext::Engine eval_owner = run.MakeEngine(problem, run.eval_samples());
-  diffusion::SigmaBackend& eval = *eval_owner;
-  double best_sigma = eval.Sigma(all_seeds);
+  // The judge engine only decides which branch wins; its scores are never
+  // reported (the run's owner scores the winner on the report engine).
+  RunContext::Engine judge_owner = run.MakeEngine(problem, run.eval_samples());
+  diffusion::SigmaBackend& judge = *judge_owner;
+  double best_sigma = judge.Sigma(all_seeds);
   SeedGroup best_seeds = all_seeds;
 
   SeedGroup n_first;
   for (const Nominee& n : sel.nominees) n_first.push_back({n.user, n.item, 1});
   if (config.use_theorem5_guard && n_first != all_seeds) {
-    double s = eval.Sigma(n_first);
+    double s = judge.Sigma(n_first);
     if (s > best_sigma) {
       best_sigma = s;
       best_seeds = n_first;
@@ -216,7 +218,7 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
       placed.push_back({n.user, n.item, best_t});
       placer.Rebase(placed);
     }
-    double s = eval.Sigma(placed);
+    double s = judge.Sigma(placed);
     if (s > best_sigma) {
       best_sigma = s;
       best_seeds = placed;
@@ -224,7 +226,7 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
   }
   if (config.use_theorem5_guard && sel.best_single_gain > 0.0) {
     SeedGroup single{{sel.best_single.user, sel.best_single.item, 1}};
-    double s = eval.Sigma(single);
+    double s = judge.Sigma(single);
     if (s > best_sigma) {
       best_sigma = s;
       best_seeds = single;
@@ -286,7 +288,7 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
       }
       if (!moved) break;
     }
-    double s = eval.Sigma(refined);
+    double s = judge.Sigma(refined);
     if (s > best_sigma) {
       best_sigma = s;
       best_seeds = refined;
@@ -294,11 +296,10 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
   }
 
   result.seeds = std::move(best_seeds);
-  result.sigma = best_sigma;
   result.total_cost = problem.TotalCost(result.seeds);
   result.plan = std::move(plan);
-  // A token that fired anywhere above is the run's outcome; the seeds and
-  // σ̂ carried out are the partial state at the stop.
+  // A token that fired anywhere above is the run's outcome; the seeds
+  // carried out are the partial state at the stop.
   result.status = util::CheckCancel(cancel);
   return result;
 }

@@ -13,7 +13,8 @@
 //
 // Finally the result is the best of {assembled seed group, all nominees in
 // the first promotion, the single best candidate} — the comparison that
-// underpins the Theorem 5 guarantee.
+// underpins the Theorem 5 guarantee. Those scores only pick the schedule;
+// the reported σ̂ is the run owner's (api::MakeReportEngine).
 //
 // Ablations (Fig. 10): `use_target_markets = false` ("w/o TM") treats all
 // nominees as one market spanning every user; `use_item_priority = false`
@@ -60,7 +61,6 @@ struct DysimConfig {
 
 struct DysimResult {
   SeedGroup seeds;
-  double sigma = 0.0;       ///< σ̂ at the run's eval_samples
   double total_cost = 0.0;
   std::vector<Nominee> nominees;    ///< TMI output
   cluster::MarketPlan plan;         ///< diagnostics

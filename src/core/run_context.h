@@ -34,7 +34,8 @@ namespace imdpp::core {
 /// The settings a planner configuration shares with its run (the shared
 /// block of api::PlannerConfig).
 struct RunSettings {
-  /// Monte-Carlo samples during search and for the final σ̂ report.
+  /// Monte-Carlo samples per search estimate, and per reported σ̂ (the
+  /// api report engine) and Theorem-5 guard decision.
   int selection_samples = 12;
   int eval_samples = 48;
 

@@ -41,6 +41,28 @@ class ForwardingScheduleEval final : public ScheduleEval {
   std::vector<UserId> market_;
 };
 
+/// The fixed-count reference loop of both base SelectBest entry points:
+/// every candidate in order through `evaluate`, keeping the strict-`>`
+/// running best. Backends without a racing override run it even when
+/// racing is on (correct, never early-stopping — e.g. "ris").
+template <typename EvaluateFn>
+SelectBestResult FixedSelectBest(const std::vector<SelectCandidate>& candidates,
+                                 double min_score, const EvaluateFn& evaluate) {
+  SelectBestResult result;
+  result.best_score = min_score;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const MarketEval eval = evaluate(candidates[i].group);
+    const double score =
+        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
+    if (score > result.best_score) {
+      result.best_score = score;
+      result.best_index = static_cast<int>(i);
+      result.best_eval = eval;
+    }
+  }
+  return result;
+}
+
 /// Meyers singleton: safe against static-initialization ordering with the
 /// self-registration statics in the backend translation units.
 util::Registry<SigmaBackendRegistry::Factory>& Impl() {
@@ -60,52 +82,20 @@ std::unique_ptr<ScheduleEval> SigmaBackend::MakeScheduleEval(
 SelectBestResult ScheduleEval::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) {
-  // The fixed-count reference loop: evaluate every candidate in order —
-  // the identical estimate sequence (memo traffic, fault-schedule hits,
-  // σ̂ histogram entries and bits) as the hand-written argmax loops this
-  // entry point replaced. Backends without a sequential-stopping
-  // override run this even when options.adaptive.enabled (correct, just
-  // never early-stopping — e.g. "ris", whose warm σ̂ is already ~free).
-  SelectBestResult result;
-  result.best_score = options.min_score;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    MarketEval eval;
-    if (options.use_market) {
-      eval = EvalMarket(candidates[i].group);
-    } else {
-      eval.sigma = Sigma(candidates[i].group);
-    }
-    const double score =
-        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
-    if (score > result.best_score) {
-      result.best_score = score;
-      result.best_index = static_cast<int>(i);
-      result.best_eval = eval;
-    }
-  }
-  return result;
+  return FixedSelectBest(
+      candidates, options.min_score, [&](const SeedGroup& g) {
+        return options.use_market ? EvalMarket(g)
+                                  : MarketEval{.sigma = Sigma(g)};
+      });
 }
 
 SelectBestResult SigmaBackend::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) const {
-  // Engine-level twin of ScheduleEval::SelectBest (same reference-loop
-  // semantics); σ-scored only — market-scored argmaxes go through a
-  // ScheduleEval bound to the market.
-  IMDPP_CHECK(!options.use_market);
-  SelectBestResult result;
-  result.best_score = options.min_score;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    MarketEval eval;
-    eval.sigma = Sigma(candidates[i].group);
-    const double score =
-        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
-    if (score > result.best_score) {
-      result.best_score = score;
-      result.best_index = static_cast<int>(i);
-      result.best_eval = eval;
-    }
-  }
+  IMDPP_CHECK(!options.use_market);  // market argmaxes need a ScheduleEval
+  SelectBestResult result = FixedSelectBest(
+      candidates, options.min_score,
+      [&](const SeedGroup& g) { return MarketEval{.sigma = Sigma(g)}; });
   result.samples_used =
       static_cast<int64_t>(candidates.size()) * num_samples();
   return result;

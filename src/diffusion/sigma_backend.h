@@ -166,8 +166,9 @@ struct SelectBestResult {
   /// The winner's full-precision evaluation (sigma only when scoring
   /// through Sigma).
   MarketEval best_eval;
-  /// Realizations actually simulated across all candidates (racing) or
-  /// candidates × num_samples (fixed).
+  /// Realizations spent (diagnostics; no planner reads it): a race's
+  /// sampled blocks plus the winner's re-evaluation; candidates ×
+  /// num_samples on the engine-level fixed loop; 0 on a ScheduleEval's.
   int64_t samples_used = 0;
 };
 
@@ -192,12 +193,12 @@ class ScheduleEval {
   virtual void Rebase(SeedGroup base) = 0;
   virtual const SeedGroup& base() const = 0;
 
-  /// Greedy argmax over `candidates` (ISSUE 10). The base implementation
-  /// is the fixed-count reference loop: evaluates every candidate in
-  /// order through Sigma/EvalMarket — the identical call sequence, memo
-  /// traffic and bits as the hand-written loops it replaced — and keeps
-  /// the strict-`>` running best. Backends with sequential stopping
-  /// override it and race when options.adaptive.enabled.
+  /// Greedy argmax over `candidates`. The base implementation is the
+  /// fixed-count reference loop shared with SigmaBackend::SelectBest:
+  /// every candidate in order through Sigma/EvalMarket — the call
+  /// sequence, memo traffic and bits of the hand-written loops it
+  /// replaced — keeping the strict-`>` running best. Backends with
+  /// sequential stopping override it and race when enabled.
   virtual SelectBestResult SelectBest(
       const std::vector<SelectCandidate>& candidates,
       const SelectOptions& options);
@@ -225,10 +226,10 @@ class SigmaBackend {
   /// Expected end-of-campaign state under `seeds`.
   virtual ExpectedState Expected(const SeedGroup& seeds) const = 0;
 
-  /// Greedy σ-scored argmax over `candidates` (ISSUE 10; the engine-level
-  /// twin of ScheduleEval::SelectBest, for consumers without a bound
-  /// market — options.use_market is not supported here). The base
-  /// implementation is the fixed-count reference loop over Sigma();
+  /// Greedy σ-scored argmax over `candidates` (the engine-level twin of
+  /// ScheduleEval::SelectBest, for consumers without a bound market —
+  /// options.use_market is not supported here). The base implementation
+  /// is the same fixed-count reference loop, over Sigma();
   /// backends flagged capabilities().select_best race with sequential
   /// stopping when options.adaptive.enabled.
   virtual SelectBestResult SelectBest(

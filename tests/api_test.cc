@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "api/registry.h"
 #include "api/session.h"
@@ -280,9 +282,42 @@ TEST(CampaignSession, RunsAndComparesPlannersOnAnOwnedDataset) {
   EXPECT_EQ(results.num_promotions, session.problem().num_promotions);
 }
 
-// The reported σ̂ is held out: scored on worlds no search decision saw.
-// Each planner's reported σ̂ is compared with a 512-sample referee on a
-// third coin stream. Scoring on the search stream (realizations
+// One final σ̂: a standalone Plan scores its schedule through the same
+// report-engine helper CampaignSession::Run scores on, so under one config
+// both report the same bits — fixed-count and racing alike.
+TEST(CampaignSession, StandalonePlanReportsTheSessionSigma) {
+  PlannerConfig cfg = FastConfig();
+  cfg.candidates.max_users = 8;
+  cfg.candidates.max_items = 3;
+  cfg.num_threads = 2;
+  cfg.opt.max_candidates = 6;
+  cfg.opt.max_seeds = 2;
+  for (bool racing : {false, true}) {
+    cfg.eval.adaptive.enabled = racing;
+    cfg.eval.adaptive.min_samples = 2;
+    cfg.eval.adaptive.block_samples = 2;
+    CampaignSession session(data::MakeSmallAmazonSample(), /*budget=*/150.0,
+                            /*num_promotions=*/3, cfg);
+    for (const std::string& name : PlannerRegistry::Names()) {
+      SCOPED_TRACE(name + (racing ? " racing" : " fixed"));
+      const PlanResult alone =
+          PlannerRegistry::CreateOrDie(name, cfg)->Plan(session.problem());
+      const PlanResult in_session = session.Run(name);
+      ASSERT_TRUE(alone.status.ok()) << alone.status.ToString();
+      ASSERT_TRUE(in_session.status.ok()) << in_session.status.ToString();
+      EXPECT_EQ(alone.seeds, in_session.seeds);
+      EXPECT_GT(alone.sigma, 0.0);
+      EXPECT_EQ(std::bit_cast<uint64_t>(alone.sigma),
+                std::bit_cast<uint64_t>(in_session.sigma))
+          << alone.sigma << " vs " << in_session.sigma;
+    }
+  }
+}
+
+// The reported σ̂ is held out: scored on worlds no search decision saw,
+// whether the plan ran in a session or standalone. Each planner's
+// reported σ̂ is compared with a 512-sample referee on a third coin
+// stream. Scoring on the search stream (realizations
 // 0..selection_samples−1 of the report are then the worlds the greedy
 // loops optimised over) inflates every planner: averaged over the three
 // master seeds below, the mean signed relative error is +0.21 and opt's
@@ -300,7 +335,8 @@ TEST(CampaignSession, ReportedSigmaIsHeldOutForEveryPlanner) {
   cfg.num_threads = 2;
   CampaignSession session(data::MakeYelpLike(0.3), /*budget=*/150.0,
                           /*num_promotions=*/5, cfg);
-  std::map<std::string, double> rel_error;  // summed over the seeds
+  // Signed relative error summed over the seeds, per path and planner.
+  std::map<std::string, std::map<std::string, double>> rel_error;
   for (uint64_t seed : kSeeds) {
     session.mutable_config().seed = seed;
     diffusion::CampaignConfig referee_campaign;
@@ -313,19 +349,31 @@ TEST(CampaignSession, ReportedSigmaIsHeldOutForEveryPlanner) {
       ASSERT_TRUE(r.status.ok()) << name << ": " << r.status.ToString();
       // Run and Sigma score on the same held-out engine.
       EXPECT_EQ(r.sigma, session.Sigma(r.seeds)) << name;
-      const double truth = referee.Sigma(r.seeds);
-      ASSERT_GT(truth, 0.0) << name;
-      rel_error[name] += (r.sigma - truth) / truth;
+      const PlanResult alone =
+          PlannerRegistry::CreateOrDie(name, session.config())
+              ->Plan(session.problem());
+      ASSERT_TRUE(alone.status.ok()) << name << ": " << alone.status.ToString();
+      for (const auto& [path, plan] :
+           {std::pair<const char*, const PlanResult&>{"session", r},
+            {"standalone", alone}}) {
+        const double truth = referee.Sigma(plan.seeds);
+        ASSERT_GT(truth, 0.0) << path << " " << name;
+        rel_error[path][name] += (plan.sigma - truth) / truth;
+      }
     }
   }
-  double mean = 0.0;
-  for (auto& [name, error] : rel_error) {
-    error /= std::size(kSeeds);
-    EXPECT_LE(std::abs(error), 0.35) << name << " relative error " << error;
-    mean += error;
+  for (auto& [path, errors] : rel_error) {
+    double mean = 0.0;
+    for (auto& [name, error] : errors) {
+      error /= std::size(kSeeds);
+      EXPECT_LE(std::abs(error), 0.35)
+          << path << " " << name << " relative error " << error;
+      mean += error;
+    }
+    mean /= static_cast<double>(errors.size());
+    EXPECT_LE(std::abs(mean), 0.10)
+        << path << " mean signed relative error " << mean;
   }
-  mean /= static_cast<double>(rel_error.size());
-  EXPECT_LE(std::abs(mean), 0.10) << "mean signed relative error " << mean;
 }
 
 TEST(CampaignSession, SetProblemWithUnchangedCoordinatesIsANoOp) {

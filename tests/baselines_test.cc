@@ -12,6 +12,7 @@
 namespace imdpp::baselines {
 namespace {
 
+using testutil::EvalSigma;
 using testutil::MakeWorld;
 using testutil::TinyWorld;
 using testutil::TinyWorldSpec;
@@ -67,7 +68,7 @@ TEST_F(BaselinesOnSample, BgrdFeasibleAndPositive) {
   RunContext run(FastRun());
   BaselineResult r = RunBgrd(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, problem_, r.seeds), 0.0);
   EXPECT_FALSE(r.seeds.empty());
 }
 
@@ -87,21 +88,21 @@ TEST_F(BaselinesOnSample, HagFeasibleAndPositive) {
   RunContext run(FastRun());
   BaselineResult r = RunHag(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, problem_, r.seeds), 0.0);
 }
 
 TEST_F(BaselinesOnSample, PsFeasibleAndPositive) {
   RunContext run(FastRun());
   BaselineResult r = RunPs(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, problem_, r.seeds), 0.0);
 }
 
 TEST_F(BaselinesOnSample, DrhgaFeasibleAndPositive) {
   RunContext run(FastRun());
   BaselineResult r = RunDrhga(problem_, run);
   EXPECT_LE(r.total_cost, problem_.budget + 1e-9);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, problem_, r.seeds), 0.0);
 }
 
 TEST_F(BaselinesOnSample, DrhgaCoversMultipleItems) {
@@ -139,7 +140,7 @@ TEST(Opt, FindsTheExactOptimumOnTinyInstance) {
   BaselineResult r = RunOpt(w.problem, run, cfg);
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].user, 0);
-  EXPECT_DOUBLE_EQ(r.sigma, 2.0);
+  EXPECT_DOUBLE_EQ(EvalSigma(run, w.problem, r.seeds), 2.0);
 }
 
 TEST(Opt, NeverWorseThanAnySingleton) {
@@ -155,13 +156,14 @@ TEST(Opt, NeverWorseThanAnySingleton) {
   cfg.max_candidates = 6;
   cfg.max_seeds = 2;
   BaselineResult opt = RunOpt(p, run, cfg);
+  const double opt_sigma = EvalSigma(run, p, opt.seeds);
   // Compare against each singleton of its own candidate space.
   diffusion::MonteCarloEngine eval(p, options.campaign, options.eval_samples);
   std::vector<Nominee> cands =
       core::BuildCandidateUniverse(p, options.candidates);
   for (const Nominee& n : cands) {
     if (p.Cost(n.user, n.item) > p.budget) continue;
-    EXPECT_GE(opt.sigma + 1e-9, eval.Sigma({{n.user, n.item, 1}}));
+    EXPECT_GE(opt_sigma + 1e-9, eval.Sigma({{n.user, n.item, 1}}));
   }
 }
 

@@ -346,6 +346,11 @@ TEST(DeterminismGate, AdaptivePathBitIdenticalAcrossThreadCounts) {
 // The "race" rows plan the amazon world with adaptive racing on and
 // two-sample blocks, so races stop early and the aligned-coin lattice,
 // the racing driver and the winner re-evaluation are all pinned too.
+// Re-baseline (σ̂ column only; the seeds column did not move): a
+// standalone Plan's σ̂ is now the held-out report σ̂, scored on the
+// report stream instead of each planner's own in-sample final engine.
+// api_test's StandalonePlanReportsTheSessionSigma proves every entry
+// equals CampaignSession::Run's σ̂ under the same config.
 struct Golden {
   /// "fig1": fig1-toy, B=20, T=2; "amazon": B=150, T=3; "race": the
   /// amazon world with eval.adaptive racing in two-sample blocks.
@@ -356,51 +361,51 @@ struct Golden {
 };
 
 const Golden kGolden[] = {
-    {"fig1", "adaptive", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
-    {"fig1", "bgrd", 0x40064cccccccccceULL, {{0, 0, 1}, {0, 2, 2}}},
-    {"fig1", "cr_greedy", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
-    {"fig1", "drhga", 0x3ff4cccccccccccdULL, {{0, 2, 2}, {0, 3, 1}}},
-    {"fig1", "dysim", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
-    {"fig1", "hag", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
-    {"fig1", "opt", 0x40064cccccccccceULL, {{0, 0, 1}, {0, 2, 2}}},
-    {"fig1", "ps", 0x4001000000000000ULL, {{0, 0, 1}, {1, 0, 1}}},
-    {"fig1", "smk", 0x40074ccccccccccdULL, {{0, 0, 1}, {2, 0, 1}}},
-    {"amazon", "adaptive", 0x40287e56a3763489ULL,
+    {"fig1", "adaptive", 0x4006000000000000ULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "bgrd", 0x4002666666666667ULL, {{0, 0, 1}, {0, 2, 2}}},
+    {"fig1", "cr_greedy", 0x4006000000000000ULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "drhga", 0x3ff1999999999999ULL, {{0, 2, 2}, {0, 3, 1}}},
+    {"fig1", "dysim", 0x4006000000000000ULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "hag", 0x4006000000000000ULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"fig1", "opt", 0x4002666666666667ULL, {{0, 0, 1}, {0, 2, 2}}},
+    {"fig1", "ps", 0x4000000000000000ULL, {{0, 0, 1}, {1, 0, 1}}},
+    {"fig1", "smk", 0x4006000000000000ULL, {{0, 0, 1}, {2, 0, 1}}},
+    {"amazon", "adaptive", 0x4029278bb0786a44ULL,
      {{7, 7, 1}, {5, 6, 3}, {10, 8, 3}, {9, 6, 3}}},
-    {"amazon", "bgrd", 0x4037b7f92357305cULL,
+    {"amazon", "bgrd", 0x403418811568b9c5ULL,
      {{10, 8, 3}, {10, 6, 2}, {10, 7, 3}, {10, 11, 3}, {10, 4, 3},
       {10, 10, 2}}},
-    {"amazon", "cr_greedy", 0x4033558b3d4deca3ULL,
+    {"amazon", "cr_greedy", 0x40322019f0205fa5ULL,
      {{7, 7, 1}, {5, 6, 2}, {10, 6, 2}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
-    {"amazon", "drhga", 0x4032301eeb04447dULL,
+    {"amazon", "drhga", 0x402f83ac5f07476aULL,
      {{5, 6, 2}, {7, 7, 1}, {6, 11, 3}, {7, 10, 1}, {7, 3, 1}, {5, 1, 1}}},
-    {"amazon", "dysim", 0x40349f5ec14c9a72ULL,
+    {"amazon", "dysim", 0x40347f94b664acc1ULL,
      {{5, 6, 2}, {10, 6, 1}, {10, 8, 3}, {5, 8, 2}, {8, 7, 1}, {7, 7, 1}}},
-    {"amazon", "hag", 0x4033558b3d4deca3ULL,
+    {"amazon", "hag", 0x40322019f0205fa5ULL,
      {{7, 7, 1}, {5, 6, 2}, {10, 6, 2}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
-    {"amazon", "opt", 0x40271f2551bdbf72ULL,
+    {"amazon", "opt", 0x402141989da43e1bULL,
      {{9, 8, 1}, {5, 6, 2}, {6, 6, 3}}},
-    {"amazon", "ps", 0x4033dd9e9d124c4fULL,
+    {"amazon", "ps", 0x4031ef79c45b3164ULL,
      {{10, 8, 3}, {9, 7, 3}, {10, 7, 3}, {8, 6, 3}, {5, 6, 2}, {8, 7, 2}}},
-    {"amazon", "smk", 0x40322399ab9c04e3ULL,
+    {"amazon", "smk", 0x40325cf0c16cb8f2ULL,
      {{5, 8, 1}, {5, 6, 1}, {7, 7, 1}, {8, 7, 1}, {10, 8, 1}, {10, 6, 1}}},
-    {"race", "adaptive", 0x402745f511121c2cULL,
+    {"race", "adaptive", 0x402714cd83104b6bULL,
      {{8, 8, 1}, {6, 8, 3}, {8, 6, 3}}},
-    {"race", "bgrd", 0x4032db9a8da06096ULL,
+    {"race", "bgrd", 0x403347e3d92e6ffaULL,
      {{8, 8, 1}, {8, 6, 1}, {8, 7, 1}, {8, 11, 1}, {8, 4, 2}, {8, 3, 1}}},
-    {"race", "cr_greedy", 0x40314e24625e9affULL,
+    {"race", "cr_greedy", 0x4030be44437aaea0ULL,
      {{7, 7, 1}, {5, 6, 1}, {10, 6, 2}, {8, 7, 1}, {5, 8, 1}, {10, 8, 2}}},
-    {"race", "drhga", 0x402d55524c8348e3ULL,
+    {"race", "drhga", 0x402fffc65900a8d6ULL,
      {{8, 6, 1}, {10, 7, 1}, {9, 11, 1}, {10, 10, 2}, {6, 3, 3}, {8, 1, 2}}},
-    {"race", "dysim", 0x40349f5ec14c9a72ULL,
+    {"race", "dysim", 0x40347f94b664acc1ULL,
      {{7, 7, 1}, {5, 6, 2}, {10, 6, 1}, {8, 7, 1}, {5, 8, 2}, {10, 8, 3}}},
-    {"race", "hag", 0x4033a49a745b043bULL,
+    {"race", "hag", 0x4031f50ce981f2e4ULL,
      {{8, 8, 1}, {8, 6, 1}, {7, 7, 1}, {10, 7, 1}, {10, 8, 1}, {5, 6, 2}}},
-    {"race", "opt", 0x40271f2551bdbf72ULL,
+    {"race", "opt", 0x402141989da43e1bULL,
      {{9, 8, 1}, {5, 6, 2}, {6, 6, 3}}},
-    {"race", "ps", 0x4031883c3669bd59ULL,
+    {"race", "ps", 0x4030e24a6006aeaeULL,
      {{10, 8, 1}, {9, 7, 1}, {10, 7, 1}, {8, 6, 2}, {5, 6, 2}, {8, 7, 1}}},
-    {"race", "smk", 0x40322399ab9c04e3ULL,
+    {"race", "smk", 0x40325cf0c16cb8f2ULL,
      {{5, 8, 1}, {5, 6, 1}, {7, 7, 1}, {8, 7, 1}, {10, 8, 1}, {10, 6, 1}}},
 };
 

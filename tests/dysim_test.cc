@@ -19,11 +19,18 @@ RunContext::Options FastRun() {
   return run;
 }
 
-/// Dysim in a standalone run.
-DysimResult Dysim(const diffusion::Problem& p, RunContext::Options options,
+/// A Dysim result plus its schedule's σ̂ on the run's eval engine.
+struct ScoredDysim : DysimResult {
+  double sigma = 0.0;
+};
+
+/// Dysim in a standalone run, scored through testutil::EvalSigma.
+ScoredDysim Dysim(const diffusion::Problem& p, RunContext::Options options,
                   const DysimConfig& config = {}) {
   RunContext run(std::move(options));
-  return RunDysim(p, run, config);
+  ScoredDysim r{RunDysim(p, run, config)};
+  r.sigma = testutil::EvalSigma(run, p, r.seeds);
+  return r;
 }
 
 AdaptiveResult Adaptive(const diffusion::Problem& p,
@@ -40,7 +47,7 @@ TEST(Dysim, PicksTheObviousSeedOnDeterministicChain) {
   s.budget = 15.0;
   TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}}, s);
   w.problem.budget = 15.0;
-  DysimResult r = Dysim(w.problem, FastRun());
+  ScoredDysim r = Dysim(w.problem, FastRun());
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].user, 0);
   EXPECT_DOUBLE_EQ(r.sigma, 4.0);
@@ -52,7 +59,7 @@ TEST(Dysim, RespectsBudget) {
   RunContext::Options run = FastRun();
   run.candidates.max_users = 10;
   run.candidates.max_items = 4;
-  DysimResult r = Dysim(p, run);
+  ScoredDysim r = Dysim(p, run);
   EXPECT_LE(r.total_cost, p.budget + 1e-9);
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_GE(s.promotion, 1);
@@ -66,8 +73,8 @@ TEST(Dysim, DeterministicGivenConfig) {
   RunContext::Options run = FastRun();
   run.candidates.max_users = 8;
   run.candidates.max_items = 3;
-  DysimResult a = Dysim(p, run);
-  DysimResult b = Dysim(p, run);
+  ScoredDysim a = Dysim(p, run);
+  ScoredDysim b = Dysim(p, run);
   EXPECT_EQ(a.seeds, b.seeds);
   EXPECT_DOUBLE_EQ(a.sigma, b.sigma);
 }
@@ -78,7 +85,7 @@ TEST(Dysim, NomineesNeverExceedOnePlacementEach) {
   RunContext::Options run = FastRun();
   run.candidates.max_users = 10;
   run.candidates.max_items = 4;
-  DysimResult r = Dysim(p, run);
+  ScoredDysim r = Dysim(p, run);
   std::set<std::pair<int, int>> nominees;
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_TRUE(nominees.emplace(s.user, s.item).second)
@@ -95,12 +102,12 @@ TEST(Dysim, AblationsRunAndStayFeasible) {
 
   DysimConfig cfg;
   cfg.use_target_markets = false;
-  DysimResult no_tm = Dysim(p, run, cfg);
+  ScoredDysim no_tm = Dysim(p, run, cfg);
   EXPECT_LE(no_tm.total_cost, p.budget + 1e-9);
 
   cfg.use_target_markets = true;
   cfg.use_item_priority = false;
-  DysimResult no_ip = Dysim(p, run, cfg);
+  ScoredDysim no_ip = Dysim(p, run, cfg);
   EXPECT_LE(no_ip.total_cost, p.budget + 1e-9);
   EXPECT_GT(no_tm.sigma, 0.0);
   EXPECT_GT(no_ip.sigma, 0.0);
@@ -118,7 +125,7 @@ TEST(Dysim, MarketOrderMetricsAllRun) {
         MarketOrderMetric::kProfitability, MarketOrderMetric::kSize,
         MarketOrderMetric::kRelativeMarketShare, MarketOrderMetric::kRandom}) {
     cfg.order = m;
-    DysimResult r = Dysim(p, run, cfg);
+    ScoredDysim r = Dysim(p, run, cfg);
     EXPECT_GE(r.sigma, 0.0) << MarketOrderName(m);
   }
 }
@@ -129,7 +136,7 @@ TEST(Dysim, EmptyWhenBudgetTooSmall) {
   s.budget = 1.0;
   TinyWorld w = MakeWorld(3, {{0, 1, 0.5}}, s);
   w.problem.budget = 1.0;
-  DysimResult r = Dysim(w.problem, FastRun());
+  ScoredDysim r = Dysim(w.problem, FastRun());
   EXPECT_TRUE(r.seeds.empty());
   EXPECT_DOUBLE_EQ(r.sigma, 0.0);
 }
@@ -142,7 +149,7 @@ TEST(Dysim, TimingsRespectWindowDiscipline) {
   RunContext::Options run = FastRun();
   run.candidates.max_users = 10;
   run.candidates.max_items = 4;
-  DysimResult r = Dysim(p, run);
+  ScoredDysim r = Dysim(p, run);
   for (const diffusion::Seed& s : r.seeds) {
     EXPECT_LE(s.promotion, 4);
     EXPECT_GE(s.promotion, 1);

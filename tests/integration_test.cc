@@ -10,9 +10,12 @@
 #include "baselines/ps.h"
 #include "core/dysim.h"
 #include "data/catalog.h"
+#include "tests/test_util.h"
 
 namespace imdpp {
 namespace {
+
+using testutil::EvalSigma;
 
 struct World {
   data::Dataset ds;
@@ -39,7 +42,8 @@ TEST(Integration, DysimBeatsPs) {
   core::RunContext run(Effort());
   core::DysimResult dysim = core::RunDysim(s.problem, run);
   baselines::BaselineResult ps = baselines::RunPs(s.problem, run);
-  EXPECT_GE(dysim.sigma, ps.sigma);
+  EXPECT_GE(EvalSigma(run, s.problem, dysim.seeds),
+            EvalSigma(run, s.problem, ps.seeds));
 }
 
 TEST(Integration, DysimCompetitiveWithAllBaselines) {
@@ -47,14 +51,13 @@ TEST(Integration, DysimCompetitiveWithAllBaselines) {
   core::RunContext run(Effort());
   core::DysimResult dysim = core::RunDysim(s.problem, run);
   double best_baseline = 0.0;
-  best_baseline =
-      std::max(best_baseline, baselines::RunBgrd(s.problem, run).sigma);
-  best_baseline =
-      std::max(best_baseline, baselines::RunHag(s.problem, run).sigma);
-  best_baseline =
-      std::max(best_baseline, baselines::RunDrhga(s.problem, run).sigma);
+  for (const baselines::BaselineResult& r :
+       {baselines::RunBgrd(s.problem, run), baselines::RunHag(s.problem, run),
+        baselines::RunDrhga(s.problem, run)}) {
+    best_baseline = std::max(best_baseline, EvalSigma(run, s.problem, r.seeds));
+  }
   // Dysim should at least match the best greedy baseline up to MC noise.
-  EXPECT_GE(dysim.sigma, 0.9 * best_baseline);
+  EXPECT_GE(EvalSigma(run, s.problem, dysim.seeds), 0.9 * best_baseline);
 }
 
 TEST(Integration, PrunedOptStaysNearHeuristics) {
@@ -68,7 +71,8 @@ TEST(Integration, PrunedOptStaysNearHeuristics) {
   ocfg.max_seeds = 2;
   baselines::BaselineResult opt = baselines::RunOpt(s.problem, run, ocfg);
   baselines::BaselineResult ps = baselines::RunPs(s.problem, run);
-  EXPECT_GE(opt.sigma, 0.8 * ps.sigma);
+  EXPECT_GE(EvalSigma(run, s.problem, opt.seeds),
+            0.8 * EvalSigma(run, s.problem, ps.seeds));
 }
 
 TEST(Integration, MorePromotionsHelpDysim) {
@@ -79,7 +83,8 @@ TEST(Integration, MorePromotionsHelpDysim) {
   core::DysimResult r3 = core::RunDysim(s3.problem, run);
   // The Theorem-5 guard guarantees T=3 can fall back to the T=1-style
   // N_first placement, so it should never be materially worse.
-  EXPECT_GE(r3.sigma, 0.85 * r1.sigma);
+  EXPECT_GE(EvalSigma(run, s3.problem, r3.seeds),
+            0.85 * EvalSigma(run, s1.problem, r1.seeds));
 }
 
 TEST(Integration, ClassroomCampaignRuns) {
@@ -90,7 +95,7 @@ TEST(Integration, ClassroomCampaignRuns) {
   options.candidates.max_items = 6;
   core::RunContext run(options);
   core::DysimResult r = core::RunDysim(p, run);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, p, r.seeds), 0.0);
   EXPECT_LE(r.total_cost, 50.0 + 1e-9);
 }
 
@@ -106,7 +111,8 @@ TEST(Integration, FrozenDynamicsLowersDysimSpread) {
   core::RunContext run(Effort());
   core::DysimResult rd = core::RunDysim(dynamic, run);
   core::DysimResult rf = core::RunDysim(frozen, run);
-  EXPECT_GE(rd.sigma, rf.sigma * 0.95);
+  EXPECT_GE(EvalSigma(run, dynamic, rd.seeds),
+            EvalSigma(run, frozen, rf.seeds) * 0.95);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 namespace imdpp {
 namespace {
 
+using testutil::EvalSigma;
 using testutil::MakeWorld;
 using testutil::TinyWorld;
 using testutil::TinyWorldSpec;
@@ -76,7 +77,7 @@ TEST(Robustness, DysimUnderLinearThreshold) {
   options.campaign.model = diffusion::DiffusionModel::kLinearThreshold;
   core::RunContext run(options);
   core::DysimResult r = core::RunDysim(p, run);
-  EXPECT_GT(r.sigma, 0.0);
+  EXPECT_GT(EvalSigma(run, p, r.seeds), 0.0);
   EXPECT_LE(r.total_cost, p.budget + 1e-9);
 }
 
@@ -98,7 +99,8 @@ TEST(Robustness, DysimEqualsOptOnTrivialInstance) {
   ocfg.max_seeds = 0;
   core::DysimResult dr = core::RunDysim(w.problem, run);
   baselines::BaselineResult orr = baselines::RunOpt(w.problem, run, ocfg);
-  EXPECT_DOUBLE_EQ(dr.sigma, orr.sigma);
+  EXPECT_DOUBLE_EQ(EvalSigma(run, w.problem, dr.seeds),
+                   EvalSigma(run, w.problem, orr.seeds));
 }
 
 TEST(Robustness, AdaptiveWithZeroBudget) {

@@ -5,7 +5,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/run_context.h"
 #include "diffusion/problem.h"
+#include "diffusion/seed.h"
 #include "graph/graph_builder.h"
 #include "kg/relevance.h"
 #include "pin/perception_params.h"
@@ -79,6 +81,17 @@ inline TinyWorld MakeWorld(
   p.budget = spec.budget;
   p.num_promotions = spec.num_promotions;
   return w;
+}
+
+/// σ̂ of `seeds` on a fresh `run` engine at the run's eval_samples (the
+/// planners' master-seed stream, booked into `run`). Native entry points
+/// return schedules only; tests that threshold a native result's spread
+/// score it here, bit for bit the in-sample value those entry points
+/// once returned.
+inline double EvalSigma(core::RunContext& run,
+                        const diffusion::Problem& problem,
+                        const diffusion::SeedGroup& seeds) {
+  return run.MakeEngine(problem, run.eval_samples())->Sigma(seeds);
 }
 
 }  // namespace imdpp::testutil
