@@ -175,8 +175,8 @@ void BM_SigmaCheckpointed(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmaCheckpointed)->Arg(0)->Arg(1);
 
-/// CR-Greedy-style timing placement (the loop TDSI/Theorem-5 guard/
-/// CrGreedyTimings all share) on yelp-like, T = 10: plain per-candidate
+/// CR-Greedy-style timing placement (the loop shape TDSI and
+/// core::PlaceByRound share) on yelp-like, T = 10: plain per-candidate
 /// engine.Sigma (Arg 0) vs checkpoint-resumed candidates (Arg 1). The
 /// rounds_simulated counter is the per-placement promotion-round work;
 /// rounds_naive is what the pre-PR evaluation (T rounds per sample per

@@ -4,6 +4,9 @@
 # same commands on both and diffs the outputs byte for byte:
 #   * `imdpp plan` JSON for every registered planner, fixed and
 #     --adaptive, on amazon-like@0.3 (B=150, T=4, 2 threads);
+#   * `imdpp plan` JSON for every registered planner but `opt` (exhaustive,
+#     it would take most of the script's time), fixed, on yelp-like@0.3
+#     (B=300, T=10, 2 threads): placement and refinement over ten rounds;
 #   * `imdpp sweep` JSON of configs/sweep_ci.json.
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
@@ -76,6 +79,11 @@ run_all() {  # <imdpp binary> <output dir>
         > "$out/plan.$planner.$mode.json" 2>&1 \
         || echo "exit $?" >> "$out/plan.$planner.$mode.json"
     done
+    [[ "$planner" == opt ]] && continue
+    "$bin" plan --dataset yelp-like@0.3 --planner "$planner" \
+      --budget 300 --promotions 10 --threads 2 \
+      > "$out/plan.$planner.yelp-t10.json" 2>&1 \
+      || echo "exit $?" >> "$out/plan.$planner.yelp-t10.json"
   done
   "$bin" sweep --config configs/sweep_ci.json --quiet \
     > "$out/sweep_ci.json" 2>&1 || echo "exit $?" >> "$out/sweep_ci.json"

@@ -8,7 +8,6 @@
 
 #include "api/registry.h"
 #include "baselines/bgrd.h"
-#include "baselines/cr_greedy.h"
 #include "baselines/drhga.h"
 #include "baselines/hag.h"
 #include "baselines/opt.h"
@@ -101,16 +100,6 @@ PlanResult SelectAndSchedule(const diffusion::Problem& problem,
   return out;
 }
 
-diffusion::SeedGroup AllInFirstPromotion(
-    const std::vector<diffusion::Nominee>& nominees) {
-  diffusion::SeedGroup seeds;
-  seeds.reserve(nominees.size());
-  for (const diffusion::Nominee& n : nominees) {
-    seeds.push_back({n.user, n.item, 1});
-  }
-  return seeds;
-}
-
 class SmkPlanner : public Planner {
  public:
   using Planner::Planner;
@@ -128,7 +117,7 @@ class SmkPlanner : public Planner {
         },
         [](const diffusion::SigmaBackend&,
            const std::vector<diffusion::Nominee>& nominees) {
-          return AllInFirstPromotion(nominees);
+          return diffusion::AtFirstPromotion(nominees);
         });
   }
 };
@@ -149,10 +138,11 @@ class CrGreedyPlanner : public Planner {
           return core::SelectNominees(engine, problem, candidates,
                                       problem.budget);
         },
-        [&run](const diffusion::SigmaBackend& engine,
-               const std::vector<diffusion::Nominee>& nominees) {
-          return baselines::CrGreedyTimings(engine, nominees,
-                                            run.adaptive());
+        [&](const diffusion::SigmaBackend& engine,
+            const std::vector<diffusion::Nominee>& nominees) {
+          return core::PlaceByRound(*engine.MakeScheduleEval({}), nominees,
+                                    problem.num_promotions, run.adaptive(),
+                                    run.cancel().get());
         });
   }
 };

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
-#include "baselines/cr_greedy.h"
-#include "util/cancel.h"
-
 namespace imdpp::baselines {
 
 namespace {
 
-/// The affordable prefix of the bundle for user u: items in descending
-/// importance while the running cost fits the remaining budget.
+/// The affordable bundle for user u: items in descending importance, each
+/// kept when it fits the budget left after the ones kept before it (an
+/// item that does not fit is skipped, and later ones are still tried).
 std::vector<Nominee> BundleFor(const Problem& problem, graph::UserId u,
                                const std::vector<kg::ItemId>& items_by_w,
                                double remaining) {
@@ -52,22 +50,12 @@ BaselineResult RunBgrd(const Problem& problem, RunContext& run) {
   std::vector<uint8_t> used(users.size(), 0);
   double spent = 0.0;
   double sigma_cur = 0.0;
-  auto at_first = [](const std::vector<Nominee>& ns) {
-    SeedGroup g;
-    for (const Nominee& n : ns) g.push_back({n.user, n.item, 1});
-    return g;
-  };
-
   while (true) {
-    // One candidate per unused user with a non-empty affordable bundle,
-    // in user order, scored by gain/cost against the current σ̂. The
-    // ratio is affine in the evaluation, so the adaptive race optimizes
-    // the same objective; min_score = 0.0 is the historical accumulator
-    // seed (only strictly positive ratios are accepted).
-    std::vector<diffusion::SelectCandidate> cands;
-    std::vector<size_t> cand_user;
-    std::vector<std::vector<Nominee>> cand_bundle;
-    std::vector<double> cand_cost;
+    // One addition per unused user with a non-empty affordable bundle, in
+    // user order; the bundles are rebuilt against the remaining budget
+    // every iteration.
+    std::vector<core::Addition> bundles;
+    std::vector<size_t> bundle_user;
     for (size_t i = 0; i < users.size(); ++i) {
       if (used[i]) continue;
       std::vector<Nominee> bundle =
@@ -75,35 +63,22 @@ BaselineResult RunBgrd(const Problem& problem, RunContext& run) {
       if (bundle.empty()) continue;
       double cost = 0.0;
       for (const Nominee& n : bundle) cost += problem.Cost(n.user, n.item);
-      std::vector<Nominee> with = selected;
-      with.insert(with.end(), bundle.begin(), bundle.end());
-      diffusion::SelectCandidate sc;
-      sc.group = at_first(with);
-      sc.score = [sigma_cur, cost](const diffusion::MarketEval& ev) {
-        return (ev.sigma - sigma_cur) / cost;
-      };
-      cands.push_back(std::move(sc));
-      cand_user.push_back(i);
-      cand_bundle.push_back(std::move(bundle));
-      cand_cost.push_back(cost);
+      bundles.push_back({std::move(bundle), cost});
+      bundle_user.push_back(i);
     }
-    if (cands.empty()) break;
-    diffusion::SelectOptions options;
-    options.adaptive = run.adaptive();
-    options.min_score = 0.0;
-    const diffusion::SelectBestResult r = engine.SelectBest(cands, options);
+    const diffusion::SelectBestResult r = core::PickByRatio(
+        engine, selected, sigma_cur, bundles, run.adaptive());
     if (r.best_index < 0) break;
-    used[cand_user[static_cast<size_t>(r.best_index)]] = 1;
-    for (const Nominee& n : cand_bundle[static_cast<size_t>(r.best_index)]) {
+    const size_t best = static_cast<size_t>(r.best_index);
+    used[bundle_user[best]] = 1;
+    for (const Nominee& n : bundles[best].nominees) {
       spent += problem.Cost(n.user, n.item);
       selected.push_back(n);
     }
-    sigma_cur = engine.Sigma(at_first(selected));
+    sigma_cur = r.best_eval.sigma;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  const double cost = problem.TotalCost(seeds);
-  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
+  return PlaceSelected(engine, problem, selected, run);
 }
 
 }  // namespace imdpp::baselines

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "baselines/cr_greedy.h"
-#include "util/cancel.h"
-
 namespace imdpp::baselines {
 
 BaselineResult RunDrhga(const Problem& problem, RunContext& run) {
@@ -31,12 +28,6 @@ BaselineResult RunDrhga(const Problem& problem, RunContext& run) {
   double w_total = 0.0;
   for (double w : problem.importance) w_total += w;
 
-  auto at_first = [](const std::vector<Nominee>& ns) {
-    SeedGroup g;
-    for (const Nominee& n : ns) g.push_back({n.user, n.item, 1});
-    return g;
-  };
-
   std::vector<Nominee> selected;
   double carry = 0.0;  // unspent share rolls over to the next item
   double sigma_cur = 0.0;
@@ -45,47 +36,19 @@ BaselineResult RunDrhga(const Problem& problem, RunContext& run) {
         w_total > 0.0
             ? problem.budget * (problem.importance[x] / w_total) + carry
             : carry;
-    double spent_x = 0.0;
-    std::vector<uint8_t> used(users.size(), 0);
-    while (true) {
-      // Gain/cost argmax over affordable users for item x via the backend
-      // seam (ratio is affine in the evaluation); min_score = 0.0 keeps
-      // the historical only-positive-ratios acceptance.
-      std::vector<diffusion::SelectCandidate> cands;
-      std::vector<size_t> cand_idx;
-      for (size_t i = 0; i < users.size(); ++i) {
-        if (used[i]) continue;
-        double cost = problem.Cost(users[i], x);
-        if (cost > share - spent_x) continue;
-        std::vector<Nominee> with = selected;
-        with.push_back(Nominee{users[i], x});
-        diffusion::SelectCandidate sc;
-        sc.group = at_first(with);
-        sc.score = [sigma_cur, cost](const diffusion::MarketEval& ev) {
-          return (ev.sigma - sigma_cur) / cost;
-        };
-        cands.push_back(std::move(sc));
-        cand_idx.push_back(i);
-      }
-      if (cands.empty()) break;
-      diffusion::SelectOptions options;
-      options.adaptive = run.adaptive();
-      options.min_score = 0.0;
-      const diffusion::SelectBestResult r =
-          engine.SelectBest(cands, options);
-      if (r.best_index < 0) break;
-      const size_t best = cand_idx[static_cast<size_t>(r.best_index)];
-      used[best] = 1;
-      selected.push_back(Nominee{users[best], x});
-      spent_x += problem.Cost(users[best], x);
-      sigma_cur = r.best_eval.sigma;
-    }
-    carry = share - spent_x;
+    // Gain/cost greedy over the users for item x, within its share.
+    std::vector<Nominee> pairs;
+    pairs.reserve(users.size());
+    for (graph::UserId u : users) pairs.push_back(Nominee{u, x});
+    core::RatioGreedyResult greedy = core::RatioGreedy(
+        engine, selected, sigma_cur, pairs, share, run.adaptive());
+    selected.insert(selected.end(), greedy.picked.begin(),
+                    greedy.picked.end());
+    sigma_cur = greedy.sigma;
+    carry = share - greedy.cost;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  const double cost = problem.TotalCost(seeds);
-  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
+  return PlaceSelected(engine, problem, selected, run);
 }
 
 }  // namespace imdpp::baselines

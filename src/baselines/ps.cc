@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "baselines/cr_greedy.h"
 #include "graph/graph_algos.h"
 #include "util/cancel.h"
 
@@ -72,9 +71,7 @@ BaselineResult RunPs(const Problem& problem, RunContext& run,
     for (graph::UserId v : region_of(n.user).users) covered[v] = 1;
   }
 
-  SeedGroup seeds = CrGreedyTimings(engine, selected, run.adaptive());
-  const double cost = problem.TotalCost(seeds);
-  return {std::move(seeds), cost, util::CheckCancel(run.cancel())};
+  return PlaceSelected(engine, problem, selected, run);
 }
 
 }  // namespace imdpp::baselines

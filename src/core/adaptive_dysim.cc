@@ -82,45 +82,30 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
 
     AdaptiveRound round;
     round.promotion = t;
-    SeedGroup chosen;  // sub-time: promotion index 1 = this round
+    std::vector<Nominee> chosen;  // seeded at sub-time 1 = this round
     double sigma_base = 0.0;
     bool open = true;
     while (open && !candidates.empty() && util::CheckCancel(cancel).ok()) {
-      // Highest-MCP affordable candidate over the observed state, via the
-      // backend argmax seam (the gain/cost score is affine in the
-      // evaluation). min_score = 0.0 keeps the historical
-      // only-positive-ratios acceptance.
-      std::vector<diffusion::SelectCandidate> cands;
+      // Highest-MCP affordable candidate over the observed state.
+      std::vector<Addition> additions;
       std::vector<int> cand_idx;
       for (int i = 0; i < static_cast<int>(candidates.size()); ++i) {
         const Nominee& n = candidates[i];
         double cost = sub.Cost(n.user, n.item);
         if (cost > remaining - round.spent) continue;
-        if (diffusion::ContainsNominee(chosen, n)) continue;
-        diffusion::SelectCandidate sc;
-        sc.group = chosen;
-        sc.group.push_back({n.user, n.item, 1});
-        sc.score = [sigma_base, cost](const diffusion::MarketEval& ev) {
-          return (ev.sigma - sigma_base) / cost;
-        };
-        cands.push_back(std::move(sc));
+        additions.push_back({{n}, cost});
         cand_idx.push_back(i);
       }
-      if (cands.empty()) break;
-      diffusion::SelectOptions options;
-      options.adaptive = run.adaptive();
-      options.min_score = 0.0;
-      const diffusion::SelectBestResult r = engine->SelectBest(cands, options);
+      const diffusion::SelectBestResult r = PickByRatio(
+          *engine, chosen, sigma_base, additions, run.adaptive());
       if (r.best_index < 0) break;
       const int best_idx = cand_idx[static_cast<size_t>(r.best_index)];
-      const double best_gain = r.best_eval.sigma - sigma_base;
-      if (best_gain <= 0.0) break;
       const Nominee n = candidates[best_idx];
 
       // Antagonism: never promote substitutable items in the same round.
       bool clash = false;
-      for (const diffusion::Seed& s : chosen) {
-        if (antagonistic(s.item, n.item)) {
+      for (const Nominee& c : chosen) {
+        if (antagonistic(c.item, n.item)) {
           clash = true;
           break;
         }
@@ -129,10 +114,10 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
 
       // Two-slot timing check (skip in the final round).
       if (t < T && horizon >= 2) {
-        SeedGroup with_now = chosen;
+        SeedGroup with_now = diffusion::AtFirstPromotion(chosen);
         with_now.push_back({n.user, n.item, 1});
-        SeedGroup with_later = chosen;
-        with_later.push_back({n.user, n.item, 2});
+        SeedGroup with_later = with_now;
+        with_later.back().promotion = 2;
         double g_now = engine->Sigma(with_now) - sigma_base;
         double g_later = engine->Sigma(with_later) - sigma_base;
         if (g_later > g_now) {
@@ -143,9 +128,9 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
         }
       }
 
-      chosen.push_back({n.user, n.item, 1});
+      chosen.push_back(n);
       round.spent += sub.Cost(n.user, n.item);
-      sigma_base += best_gain;
+      sigma_base = r.best_eval.sigma;
       candidates.erase(candidates.begin() + best_idx);
     }
 
@@ -155,15 +140,16 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
       one.num_promotions = 1;
       diffusion::CampaignSimulator sim(one, run.campaign());
       diffusion::SampleOutcome o = sim.RunSample(
-          chosen, reality_seed + static_cast<uint64_t>(t), nullptr,
+          diffusion::AtFirstPromotion(chosen),
+          reality_seed + static_cast<uint64_t>(t), nullptr,
           /*keep_states=*/true, &reality);
       reality = std::move(o.states);
       round.realized_sigma = o.sigma;
       result.realized_sigma += o.sigma;
     }
-    for (const diffusion::Seed& s : chosen) {
-      round.seeds.push_back({s.user, s.item, t});
-      result.seeds.push_back({s.user, s.item, t});
+    for (const Nominee& n : chosen) {
+      round.seeds.push_back({n.user, n.item, t});
+      result.seeds.push_back({n.user, n.item, t});
     }
     remaining -= round.spent;
     result.total_spent += round.spent;

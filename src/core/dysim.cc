@@ -18,9 +18,9 @@ TmiResult RunTmi(const Problem& problem,
 
   // ---- Nominee selection (Procedure 2) — budget-dependent, never
   // cached; the structure below it comes from the prep artifacts. ----
-  std::vector<Nominee> candidates =
-      BuildCandidateUniverse(problem, run.candidates());
-  tmi.selection = SelectNominees(engine, problem, candidates, problem.budget);
+  tmi.candidates = BuildCandidateUniverse(problem, run.candidates());
+  tmi.selection =
+      SelectNominees(engine, problem, tmi.candidates, problem.budget);
 
   // ---- Clustering and market identification, from cached artifacts. ----
   if (config.use_target_markets) {
@@ -40,6 +40,114 @@ TmiResult RunTmi(const Problem& problem,
   return tmi;
 }
 
+namespace {
+
+/// Theorem-5 guard: the best of SG (the assembled schedule), N_first, the
+/// CR-greedy round placement of the nominees, e_max and a timing
+/// refinement of the leader. The judge engine (eval_samples on the master
+/// stream) only decides which branch wins; its scores are never reported
+/// (the run's owner scores the winner on the report engine).
+SeedGroup Theorem5Guard(const Problem& problem,
+                        const diffusion::SigmaBackend& engine,
+                        RunContext& run, const TmiResult& tmi,
+                        const SeedGroup& sg) {
+  const int T = problem.num_promotions;
+  const util::CancelToken* cancel = run.cancel().get();
+  const std::vector<Nominee>& nominees = tmi.selection.nominees;
+  RunContext::Engine judge = run.MakeEngine(problem, run.eval_samples());
+  double best_sigma = judge->Sigma(sg);
+  SeedGroup best_seeds = sg;
+  auto consider = [&](const SeedGroup& seeds) {
+    const double s = judge->Sigma(seeds);
+    if (s > best_sigma) {
+      best_sigma = s;
+      best_seeds = seeds;
+    }
+  };
+
+  const SeedGroup n_first = diffusion::AtFirstPromotion(nominees);
+  if (n_first != sg) consider(n_first);
+  // One evaluator serves both the placement and the refinement: they
+  // search overlapping schedules, so the refinement resumes from the
+  // placement's surviving checkpoints (Rebase keeps every shared-prefix
+  // round). The extra resumes land in rounds_skipped; estimates stay
+  // bit-identical.
+  std::unique_ptr<diffusion::ScheduleEval> guard_eval;
+  if (T > 1) {
+    guard_eval = engine.MakeScheduleEval(SeedGroup{});
+    if (!nominees.empty()) {
+      consider(PlaceByRound(*guard_eval, nominees, T, run.adaptive(),
+                            cancel));
+    }
+  }
+  // e_max: on a memoizing engine these estimates are the greedy's first
+  // iteration, so they cost no simulation.
+  const diffusion::SelectBestResult single =
+      BestSingleton(engine, tmi.candidates, problem.budget);
+  if (single.best_index >= 0) {
+    consider(diffusion::AtFirstPromotion(
+        {tmi.candidates[static_cast<size_t>(single.best_index)]}));
+  }
+  if (T == 1 || best_seeds.empty()) return best_seeds;
+
+  // Timing refinement: coordinate ascent over the chosen seeds' rounds.
+  // Greedy per-nominee placement is myopic (it fixes each timing before
+  // later seeds exist); two sweeps of "move one seed to its best round
+  // given all the others" recover most of the jointly-scheduled value.
+  SeedGroup refined = best_seeds;
+  double refined_sigma = engine.Sigma(refined);
+  // Moving seed i to round t only perturbs rounds >= min(t, original), so
+  // each trial σ̂ resumes from the checkpoints of `refined` without seed
+  // i; identical configurations revisited across sweeps hit the σ memo
+  // outright.
+  diffusion::ScheduleEval& refiner = *guard_eval;
+  refiner.Rebase(refined);
+  for (int sweep = 0; sweep < 2 && util::CheckCancel(cancel).ok(); ++sweep) {
+    bool moved = false;
+    for (size_t i = 0; i < refined.size(); ++i) {
+      if (!util::CheckCancel(cancel).ok()) break;
+      int original = refined[i].promotion;
+      int best_t = original;
+      SeedGroup without = refined;
+      without.erase(without.begin() + static_cast<ptrdiff_t>(i));
+      refiner.Rebase(std::move(without));
+      // Candidates are the T−1 alternative rounds for seed i, in round
+      // order; min_score = the current σ̂, so a move is accepted only when
+      // it strictly improves — the old running-update loop's exact
+      // acceptance rule and call order.
+      std::vector<diffusion::SelectCandidate> moves;
+      std::vector<int> move_t;
+      moves.reserve(static_cast<size_t>(T - 1));
+      move_t.reserve(static_cast<size_t>(T - 1));
+      for (int t = 1; t <= T; ++t) {
+        if (t == original) continue;
+        refined[i].promotion = t;
+        diffusion::SelectCandidate sc;
+        sc.group = refined;
+        moves.push_back(std::move(sc));
+        move_t.push_back(t);
+      }
+      refined[i].promotion = original;
+      diffusion::SelectOptions options;
+      options.adaptive = run.adaptive();
+      options.min_score = refined_sigma;
+      const diffusion::SelectBestResult r =
+          refiner.SelectBest(moves, options);
+      if (r.best_index >= 0) {
+        refined_sigma = r.best_score;
+        best_t = move_t[static_cast<size_t>(r.best_index)];
+        moved = true;
+      }
+      refined[i].promotion = best_t;
+    }
+    if (!moved) break;
+  }
+  consider(refined);
+  return best_seeds;
+}
+
+}  // namespace
+
 DysimResult RunDysim(const Problem& problem, RunContext& run,
                      const DysimConfig& config) {
   problem.Validate();
@@ -54,9 +162,9 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
   RunContext::Engine engine_owner =
       run.MakeEngine(problem, run.selection_samples());
   diffusion::SigmaBackend& engine = *engine_owner;
-  // The selection sweeps below revisit identical seed vectors (singleton
-  // gains re-checked by the greedy, refinement re-testing a timing); the
-  // memo returns the identical bits without re-simulating.
+  // The selection sweeps below revisit identical seed vectors (e_max
+  // re-reading the greedy's singleton gains, refinement re-testing a
+  // timing); the memo returns the identical bits without re-simulating.
   engine.EnableSigmaMemo();
   const pin::PersonalItemNetwork& pin = engine.simulator().dynamics().pin();
 
@@ -71,9 +179,7 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
 
   // ---- TMI phase. ----
   TmiResult tmi = RunTmi(problem, engine, run, config, art);
-  SelectionResult& sel = tmi.selection;
-  result.nominees = sel.nominees;
-  result.total_cost = sel.total_cost;
+  result.nominees = tmi.selection.nominees;
   cluster::MarketPlan plan = std::move(tmi.plan);
 
   MarketOrderContext octx;
@@ -161,141 +267,9 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
     all_seeds.insert(all_seeds.end(), sg.begin(), sg.end());
   }
 
-  // ---- Theorem-5 guard: best of SG, N_first, and e_max. ----
-  // The judge engine only decides which branch wins; its scores are never
-  // reported (the run's owner scores the winner on the report engine).
-  RunContext::Engine judge_owner = run.MakeEngine(problem, run.eval_samples());
-  diffusion::SigmaBackend& judge = *judge_owner;
-  double best_sigma = judge.Sigma(all_seeds);
-  SeedGroup best_seeds = all_seeds;
-
-  SeedGroup n_first;
-  for (const Nominee& n : sel.nominees) n_first.push_back({n.user, n.item, 1});
-  if (config.use_theorem5_guard && n_first != all_seeds) {
-    double s = judge.Sigma(n_first);
-    if (s > best_sigma) {
-      best_sigma = s;
-      best_seeds = n_first;
-    }
-  }
-  // One CheckpointedEval serves BOTH Theorem-5 guard branches below
-  // (ROADMAP item): the round-greedy placement and the coordinate-ascent
-  // refinement search overlapping schedules, so the refinement resumes
-  // from the placement loop's surviving checkpoints (Rebase keeps every
-  // shared-prefix round) instead of rebuilding its own from scratch. The
-  // extra resumes land in rounds_skipped; estimates stay bit-identical.
-  std::unique_ptr<diffusion::ScheduleEval> guard_eval;
-  if (config.use_theorem5_guard && T > 1) {
-    guard_eval = engine.MakeScheduleEval(SeedGroup{});
-  }
-
-  // Round-greedy placement of the same nominees (CR-Greedy style): for each
-  // nominee in selection order, the promotion with the highest paired σ̂.
-  // Candidate (n, t) shares `placed`'s rounds < t, so each σ̂ resumes from
-  // the round-(t-1) checkpoint; accepting a seed at best_t keeps every
-  // checkpoint below best_t alive.
-  if (config.use_theorem5_guard && T > 1 && !sel.nominees.empty()) {
-    diffusion::ScheduleEval& placer = *guard_eval;
-    SeedGroup placed;
-    for (const Nominee& n : sel.nominees) {
-      if (!util::CheckCancel(cancel).ok()) break;
-      // Race the T timings of this nominee (candidate index i ↔ round
-      // i+1). min_score = -1.0 reproduces the historical `best_s` seed,
-      // so the fixed path is the exact old loop.
-      std::vector<diffusion::SelectCandidate> timings(
-          static_cast<size_t>(T));
-      for (int t = 1; t <= T; ++t) {
-        SeedGroup with = placed;
-        with.push_back({n.user, n.item, t});
-        timings[static_cast<size_t>(t - 1)].group = std::move(with);
-      }
-      diffusion::SelectOptions options;
-      options.adaptive = run.adaptive();
-      options.min_score = -1.0;
-      const diffusion::SelectBestResult r =
-          placer.SelectBest(timings, options);
-      const int best_t = r.best_index < 0 ? 1 : r.best_index + 1;
-      placed.push_back({n.user, n.item, best_t});
-      placer.Rebase(placed);
-    }
-    double s = judge.Sigma(placed);
-    if (s > best_sigma) {
-      best_sigma = s;
-      best_seeds = placed;
-    }
-  }
-  if (config.use_theorem5_guard && sel.best_single_gain > 0.0) {
-    SeedGroup single{{sel.best_single.user, sel.best_single.item, 1}};
-    double s = judge.Sigma(single);
-    if (s > best_sigma) {
-      best_sigma = s;
-      best_seeds = single;
-    }
-  }
-
-  // Timing refinement: coordinate ascent over the chosen seeds' rounds.
-  // Greedy per-nominee placement is myopic (it fixes each timing before
-  // later seeds exist); two sweeps of "move one seed to its best round
-  // given all the others" recover most of the jointly-scheduled value.
-  if (config.use_theorem5_guard && T > 1 && !best_seeds.empty()) {
-    SeedGroup refined = best_seeds;
-    double refined_sigma = engine.Sigma(refined);
-    // Moving seed i to round t only perturbs rounds >= min(t, original),
-    // so each trial σ̂ resumes from the checkpoints of `refined` without
-    // seed i; identical configurations revisited across sweeps hit the σ
-    // memo outright. Rebasing the shared guard evaluator (instead of a
-    // fresh one) carries the placement loop's checkpoints over for every
-    // round the two schedules share.
-    diffusion::ScheduleEval& refiner = *guard_eval;
-    refiner.Rebase(refined);
-    for (int sweep = 0; sweep < 2 && util::CheckCancel(cancel).ok(); ++sweep) {
-      bool moved = false;
-      for (size_t i = 0; i < refined.size(); ++i) {
-        if (!util::CheckCancel(cancel).ok()) break;
-        int original = refined[i].promotion;
-        int best_t = original;
-        SeedGroup without = refined;
-        without.erase(without.begin() + static_cast<ptrdiff_t>(i));
-        refiner.Rebase(std::move(without));
-        // Candidates are the T−1 alternative rounds for seed i, in round
-        // order; min_score = the current σ̂, so a move is accepted only
-        // when it strictly improves — the old running-update loop's exact
-        // acceptance rule and call order.
-        std::vector<diffusion::SelectCandidate> moves;
-        std::vector<int> move_t;
-        moves.reserve(static_cast<size_t>(T - 1));
-        move_t.reserve(static_cast<size_t>(T - 1));
-        for (int t = 1; t <= T; ++t) {
-          if (t == original) continue;
-          refined[i].promotion = t;
-          diffusion::SelectCandidate sc;
-          sc.group = refined;
-          moves.push_back(std::move(sc));
-          move_t.push_back(t);
-        }
-        refined[i].promotion = original;
-        diffusion::SelectOptions options;
-        options.adaptive = run.adaptive();
-        options.min_score = refined_sigma;
-        const diffusion::SelectBestResult r =
-            refiner.SelectBest(moves, options);
-        if (r.best_index >= 0) {
-          refined_sigma = r.best_score;
-          best_t = move_t[static_cast<size_t>(r.best_index)];
-          moved = true;
-        }
-        refined[i].promotion = best_t;
-      }
-      if (!moved) break;
-    }
-    double s = judge.Sigma(refined);
-    if (s > best_sigma) {
-      best_sigma = s;
-      best_seeds = refined;
-    }
-  }
-
-  result.seeds = std::move(best_seeds);
+  result.seeds = config.use_theorem5_guard
+                     ? Theorem5Guard(problem, engine, run, tmi, all_seeds)
+                     : std::move(all_seeds);
   result.total_cost = problem.TotalCost(result.seeds);
   result.plan = std::move(plan);
   // A token that fired anywhere above is the run's outcome; the seeds

@@ -12,9 +12,10 @@
 //          [t̂, min(t̂+1, Σ_{i≤k} T_{τ_i})].
 //
 // Finally the result is the best of {assembled seed group, all nominees in
-// the first promotion, the single best candidate} — the comparison that
-// underpins the Theorem 5 guarantee. Those scores only pick the schedule;
-// the reported σ̂ is the run owner's (api::MakeReportEngine).
+// the first promotion, their CR-greedy round placement, the single best
+// candidate (e_max), a timing refinement of the leader} — the comparison
+// that underpins the Theorem 5 guarantee. Those scores only pick the
+// schedule; the reported σ̂ is the run owner's (api::MakeReportEngine).
 //
 // Ablations (Fig. 10): `use_target_markets = false` ("w/o TM") treats all
 // nominees as one market spanning every user; `use_item_priority = false`
@@ -76,6 +77,7 @@ struct DysimResult {
 /// *unordered* — OrderGroups is the caller's, because the PF metric needs
 /// the run's engine.
 struct TmiResult {
+  std::vector<Nominee> candidates;  ///< the universe Procedure 2 ran over
   SelectionResult selection;
   std::vector<std::vector<Nominee>> clusters;
   cluster::MarketPlan plan;

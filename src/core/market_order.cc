@@ -25,13 +25,12 @@ const char* MarketOrderName(MarketOrderMetric metric) {
 double Profitability(const cluster::TargetMarket& market,
                      const diffusion::Problem& problem,
                      const diffusion::SigmaBackend& engine) {
-  diffusion::SeedGroup seeds;
   double cost = 0.0;
   for (const diffusion::Nominee& n : market.nominees) {
-    seeds.push_back({n.user, n.item, 1});
     cost += problem.Cost(n.user, n.item);
   }
-  diffusion::MarketEval ev = engine.EvalMarket(seeds, market.users);
+  diffusion::MarketEval ev = engine.EvalMarket(
+      diffusion::AtFirstPromotion(market.nominees), market.users);
   return ev.sigma_market - cost;
 }
 

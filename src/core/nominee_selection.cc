@@ -41,37 +41,65 @@ std::vector<Nominee> BuildCandidateUniverse(const Problem& problem,
   return out;
 }
 
+diffusion::SelectBestResult PickByRatio(
+    const SigmaBackend& engine, const std::vector<Nominee>& base,
+    double base_sigma, const std::vector<Addition>& additions,
+    const diffusion::AdaptiveEvalConfig& adaptive) {
+  if (additions.empty()) return {};
+  const SeedGroup base_group = diffusion::AtFirstPromotion(base);
+  std::vector<diffusion::SelectCandidate> cands(additions.size());
+  for (size_t i = 0; i < additions.size(); ++i) {
+    const SeedGroup added = diffusion::AtFirstPromotion(additions[i].nominees);
+    cands[i].group = base_group;
+    cands[i].group.insert(cands[i].group.end(), added.begin(), added.end());
+    cands[i].score = [base_sigma, cost = additions[i].cost](
+                         const diffusion::MarketEval& ev) {
+      return (ev.sigma - base_sigma) / cost;
+    };
+  }
+  diffusion::SelectOptions options;
+  options.adaptive = adaptive;
+  options.min_score = 0.0;
+  return engine.SelectBest(cands, options);
+}
+
+RatioGreedyResult RatioGreedy(const SigmaBackend& engine,
+                              std::vector<Nominee> base, double base_sigma,
+                              const std::vector<Nominee>& candidates,
+                              double budget,
+                              const diffusion::AdaptiveEvalConfig& adaptive) {
+  const Problem& problem = engine.simulator().problem();
+  RatioGreedyResult result;
+  result.sigma = base_sigma;
+  std::vector<uint8_t> used(candidates.size(), 0);
+  while (true) {
+    std::vector<Addition> additions;
+    std::vector<size_t> index;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (used[i]) continue;
+      const Nominee& n = candidates[i];
+      const double cost = problem.Cost(n.user, n.item);
+      if (cost > budget - result.cost) continue;
+      additions.push_back({{n}, cost});
+      index.push_back(i);
+    }
+    const diffusion::SelectBestResult r =
+        PickByRatio(engine, base, result.sigma, additions, adaptive);
+    if (r.best_index < 0) break;
+    const size_t best = index[static_cast<size_t>(r.best_index)];
+    used[best] = 1;
+    base.push_back(candidates[best]);
+    result.picked.push_back(candidates[best]);
+    result.cost += additions[static_cast<size_t>(r.best_index)].cost;
+    result.sigma = r.best_eval.sigma;
+  }
+  return result;
+}
+
 SelectionResult SelectNominees(const SigmaBackend& engine,
                                const Problem& problem,
                                const std::vector<Nominee>& candidates,
                                double budget) {
-  SelectionResult result;
-  if (candidates.empty()) return result;
-
-  auto as_first_promotion = [](const std::vector<Nominee>& ns) {
-    SeedGroup g;
-    g.reserve(ns.size());
-    for (const Nominee& n : ns) g.push_back({n.user, n.item, 1});
-    return g;
-  };
-
-  struct Entry {
-    double ratio;
-    double gain;
-    int candidate;
-    int stamp;  ///< |N| when the gain was computed
-    bool operator<(const Entry& o) const { return ratio < o.ratio; }
-  };
-  auto consider_single = [&](const Nominee& n, double gain) {
-    if (gain > result.best_single_gain) {
-      result.best_single_gain = gain;
-      result.best_single = n;
-    }
-  };
-
-  double sigma_n = 0.0;  // σ̂ of the selected set seeded at t = 1
-  int accepted = 0;
-
   // Under dynamic perception σ̂ is non-submodular (Lemma 1's caveat):
   // marginal gains can *grow* as complementary items join N, so CELF's
   // stale upper bounds can starve exactly the candidates Dysim should
@@ -81,47 +109,29 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
   // the near-submodular bulk dominates.
   constexpr size_t kExactGreedyLimit = 512;
   if (candidates.size() <= kExactGreedyLimit) {
-    std::vector<uint8_t> used(candidates.size(), 0);
-    while (true) {
-      int best = -1;
-      double best_ratio = 0.0;
-      double best_gain = 0.0;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (used[i]) continue;
-        const Nominee& n = candidates[i];
-        double cost = problem.Cost(n.user, n.item);
-        if (cost > budget - result.total_cost) continue;
-        std::vector<Nominee> with = result.nominees;
-        with.push_back(n);
-        double gain = engine.Sigma(as_first_promotion(with)) - sigma_n;
-        // The first iteration's gains are the singleton gains
-        // (σ̂(∅) = 0, so gain = σ̂({s})).
-        if (result.nominees.empty()) consider_single(n, gain);
-        double ratio = gain / cost;
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          best_gain = gain;
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0 || best_gain <= 0.0) break;
-      used[best] = 1;
-      result.nominees.push_back(candidates[best]);
-      result.total_cost +=
-          problem.Cost(candidates[best].user, candidates[best].item);
-      sigma_n += best_gain;
-    }
-    return result;
+    RatioGreedyResult greedy =
+        RatioGreedy(engine, {}, 0.0, candidates, budget, /*adaptive=*/{});
+    return {std::move(greedy.picked), greedy.cost};
   }
+
+  struct Entry {
+    double ratio;
+    double gain;
+    int candidate;
+    int stamp;  ///< |N| when the gain was computed
+    bool operator<(const Entry& o) const { return ratio < o.ratio; }
+  };
+  SelectionResult result;
+  double sigma_n = 0.0;  // σ̂ of the selected set seeded at t = 1
+  int accepted = 0;
 
   // Lazy heap: seeded with the singleton gains.
   std::priority_queue<Entry> heap;
   for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
     const Nominee& n = candidates[c];
-    double gain = engine.Sigma(as_first_promotion({n}));
+    double gain = engine.Sigma(diffusion::AtFirstPromotion({n}));
     double cost = problem.Cost(n.user, n.item);
     heap.push(Entry{gain / cost, gain, c, 0});
-    if (cost <= budget) consider_single(n, gain);
   }
   while (!heap.empty()) {
     Entry top = heap.top();
@@ -133,7 +143,8 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
       // Stale: re-evaluate the marginal gain against the current set.
       std::vector<Nominee> with = result.nominees;
       with.push_back(n);
-      double gain = engine.Sigma(as_first_promotion(with)) - sigma_n;
+      double gain =
+          engine.Sigma(diffusion::AtFirstPromotion(with)) - sigma_n;
       heap.push(Entry{gain / cost, gain, top.candidate, accepted});
       continue;
     }
@@ -144,6 +155,56 @@ SelectionResult SelectNominees(const SigmaBackend& engine,
     ++accepted;
   }
   return result;
+}
+
+diffusion::SelectBestResult BestSingleton(
+    const SigmaBackend& engine, const std::vector<Nominee>& candidates,
+    double budget) {
+  const Problem& problem = engine.simulator().problem();
+  std::vector<diffusion::SelectCandidate> singles;
+  std::vector<int> index;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Nominee& n = candidates[i];
+    if (problem.Cost(n.user, n.item) > budget) continue;
+    singles.push_back({diffusion::AtFirstPromotion({n}), nullptr});
+    index.push_back(static_cast<int>(i));
+  }
+  diffusion::SelectOptions options;
+  options.min_score = 0.0;
+  diffusion::SelectBestResult r = engine.SelectBest(singles, options);
+  if (r.best_index >= 0) {
+    r.best_index = index[static_cast<size_t>(r.best_index)];
+  }
+  return r;
+}
+
+SeedGroup PlaceByRound(diffusion::ScheduleEval& eval,
+                       const std::vector<Nominee>& nominees,
+                       int num_promotions,
+                       const diffusion::AdaptiveEvalConfig& adaptive,
+                       const util::CancelToken* cancel) {
+  SeedGroup placed;
+  for (const Nominee& n : nominees) {
+    if (!util::CheckCancel(cancel).ok()) break;
+    // Candidate i is round i+1. min_score = -1.0 is below any σ̂, so
+    // ties keep the earliest round; −1 comes back only when the engine's
+    // token fired mid-race, and the nominee then goes to round 1.
+    std::vector<diffusion::SelectCandidate> timings(
+        static_cast<size_t>(num_promotions));
+    for (int t = 1; t <= num_promotions; ++t) {
+      SeedGroup with = placed;
+      with.push_back({n.user, n.item, t});
+      timings[static_cast<size_t>(t - 1)].group = std::move(with);
+    }
+    diffusion::SelectOptions options;
+    options.adaptive = adaptive;
+    options.min_score = -1.0;
+    const diffusion::SelectBestResult r = eval.SelectBest(timings, options);
+    const int best_t = r.best_index < 0 ? 1 : r.best_index + 1;
+    placed.push_back({n.user, n.item, best_t});
+    eval.Rebase(placed);
+  }
+  return placed;
 }
 
 }  // namespace imdpp::core

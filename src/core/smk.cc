@@ -212,27 +212,16 @@ SelectionResult SelectNomineesSmk(
     cost[i] = problem.Cost(candidates[i].user, candidates[i].item);
   }
   SetFunction f = [&](const std::vector<int>& idx) {
-    diffusion::SeedGroup seeds;
-    seeds.reserve(idx.size());
-    for (int i : idx) {
-      seeds.push_back({candidates[i].user, candidates[i].item, 1});
-    }
-    return engine.Sigma(seeds);
+    std::vector<diffusion::Nominee> set;
+    set.reserve(idx.size());
+    for (int i : idx) set.push_back(candidates[i]);
+    return engine.Sigma(diffusion::AtFirstPromotion(set));
   };
   SmkResult smk =
       SolveSmk(static_cast<int>(candidates.size()), f, cost, budget);
   for (int i : smk.selected) {
     result.nominees.push_back(candidates[i]);
     result.total_cost += cost[i];
-  }
-  // Best singleton for the Theorem-5 guard.
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (cost[i] > budget) continue;
-    double v = f({static_cast<int>(i)});
-    if (v > result.best_single_gain) {
-      result.best_single_gain = v;
-      result.best_single = candidates[i];
-    }
   }
   return result;
 }

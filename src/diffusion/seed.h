@@ -64,6 +64,15 @@ inline SeedGroup SubgroupAt(const SeedGroup& seeds, int t) {
   return out;
 }
 
+/// Every nominee seeded in the first promotion, in order: the group whose
+/// σ̂ is f(N) for set-function selection (MCP, SMK, N_first).
+inline SeedGroup AtFirstPromotion(const std::vector<Nominee>& nominees) {
+  SeedGroup seeds;
+  seeds.reserve(nominees.size());
+  for (const Nominee& n : nominees) seeds.push_back({n.user, n.item, 1});
+  return seeds;
+}
+
 /// True if the (user, item) nominee already appears at any timing.
 inline bool ContainsNominee(const SeedGroup& seeds, const Nominee& n) {
   for (const Seed& s : seeds) {

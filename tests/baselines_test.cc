@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bgrd.h"
-#include "baselines/cr_greedy.h"
 #include "baselines/drhga.h"
 #include "baselines/hag.h"
 #include "baselines/opt.h"
@@ -31,27 +30,6 @@ RunContext::Options SamplesRun(int samples) {
   run.selection_samples = samples;
   run.eval_samples = samples;
   return run;
-}
-
-TEST(CrGreedy, AssignsAllNomineesWithinHorizon) {
-  TinyWorldSpec s;
-  s.params = pin::PerceptionParams::FrozenDynamics();
-  s.params.act_cap = 1.0;
-  s.num_promotions = 3;
-  TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {2, 3, 1.0}}, s);
-  diffusion::MonteCarloEngine engine(w.problem, {}, 8);
-  SeedGroup seeds = CrGreedyTimings(engine, {{0, 0}, {2, 0}});
-  ASSERT_EQ(seeds.size(), 2u);
-  for (const diffusion::Seed& seed : seeds) {
-    EXPECT_GE(seed.promotion, 1);
-    EXPECT_LE(seed.promotion, 3);
-  }
-}
-
-TEST(CrGreedy, EmptyNominees) {
-  TinyWorld w = MakeWorld(2, {{0, 1, 0.5}});
-  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
-  EXPECT_TRUE(CrGreedyTimings(engine, {}).empty());
 }
 
 class BaselinesOnSample : public ::testing::Test {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/dre.h"
 #include "core/market_order.h"
 #include "core/nominee_selection.h"
 #include "core/tdsi.h"
+#include "data/catalog.h"
 #include "tests/test_util.h"
 
 namespace imdpp::core {
@@ -91,8 +95,25 @@ TEST(SelectNominees, PicksHighestImpactFirst) {
   SelectionResult r = SelectNominees(engine, w.problem, cands, 100.0);
   ASSERT_FALSE(r.nominees.empty());
   EXPECT_EQ(r.nominees[0].user, 0);
-  EXPECT_EQ(r.best_single.user, 0);
-  EXPECT_DOUBLE_EQ(r.best_single_gain, 4.0);
+  const diffusion::SelectBestResult e_max =
+      BestSingleton(engine, cands, 100.0);
+  ASSERT_GE(e_max.best_index, 0);
+  EXPECT_EQ(cands[static_cast<size_t>(e_max.best_index)].user, 0);
+  EXPECT_DOUBLE_EQ(e_max.best_score, 4.0);
+}
+
+TEST(BestSingleton, SkipsCandidatesOverBudget) {
+  // User 0 reaches everyone but costs 40; user 2 reaches user 3 at 5.
+  TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {2, 3, 1.0}}, DetSpec());
+  w.problem.cost = {40.0f, 5.0f, 5.0f, 5.0f};
+  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
+  std::vector<Nominee> cands = BuildCandidateUniverse(w.problem, {});
+  const diffusion::SelectBestResult e_max =
+      BestSingleton(engine, cands, 10.0);
+  ASSERT_GE(e_max.best_index, 0);
+  EXPECT_EQ(cands[static_cast<size_t>(e_max.best_index)].user, 2);
+  EXPECT_DOUBLE_EQ(e_max.best_score, 2.0);
+  EXPECT_EQ(BestSingleton(engine, cands, 1.0).best_index, -1);
 }
 
 TEST(SelectNominees, CostNormalizationMatters) {
@@ -115,6 +136,162 @@ TEST(SelectNominees, EmptyCandidates) {
   SelectionResult r = SelectNominees(engine, w.problem, {}, 10.0);
   EXPECT_TRUE(r.nominees.empty());
   EXPECT_DOUBLE_EQ(r.total_cost, 0.0);
+}
+
+// ---- RatioGreedy against the Procedure-2 loop it replaced ------------------
+
+/// Procedure 2's exact branch as it was hand-written before it ran through
+/// PickByRatio: a running σ̂ sum, strict `>` against a 0 ratio, stop on no
+/// positive gain.
+struct ReferenceSelection {
+  std::vector<Nominee> nominees;
+  double total_cost = 0.0;
+  double sigma = 0.0;  ///< running sum of the accepted gains
+};
+
+ReferenceSelection ReferenceProcedure2(const diffusion::SigmaBackend& engine,
+                                       const diffusion::Problem& problem,
+                                       const std::vector<Nominee>& candidates,
+                                       double budget) {
+  ReferenceSelection result;
+  std::vector<uint8_t> used(candidates.size(), 0);
+  while (true) {
+    int best = -1;
+    double best_ratio = 0.0;
+    double best_gain = 0.0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (used[i]) continue;
+      const Nominee& n = candidates[i];
+      double cost = problem.Cost(n.user, n.item);
+      if (cost > budget - result.total_cost) continue;
+      std::vector<Nominee> with = result.nominees;
+      with.push_back(n);
+      double gain =
+          engine.Sigma(diffusion::AtFirstPromotion(with)) - result.sigma;
+      double ratio = gain / cost;
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        best_gain = gain;
+        best = static_cast<int>(i);
+      }
+    }
+    if (best < 0 || best_gain <= 0.0) break;
+    used[best] = 1;
+    result.nominees.push_back(candidates[best]);
+    result.total_cost +=
+        problem.Cost(candidates[best].user, candidates[best].item);
+    result.sigma += best_gain;
+  }
+  return result;
+}
+
+TEST(RatioGreedy, MatchesTheHandWrittenLoopOnCatalogProblems) {
+  // CLI effort: 10 selection samples over 24 users x 8 items.
+  CandidateConfig cli;
+  cli.max_users = 24;
+  cli.max_items = 8;
+  const data::Dataset yelp = data::MakeYelpLike(0.3);
+  const data::Dataset amazon = data::MakeAmazonLike(0.3);
+  const diffusion::Problem problems[] = {yelp.MakeProblem(300.0, 10),
+                                         amazon.MakeProblem(150.0, 4)};
+  for (const diffusion::Problem& p : problems) {
+    diffusion::MonteCarloEngine engine(p, {}, 10);
+    // The reference fills the memo, so the loop under test re-reads the
+    // same estimates instead of re-simulating them.
+    engine.EnableSigmaMemo();
+    const std::vector<Nominee> cands = BuildCandidateUniverse(p, cli);
+    const ReferenceSelection want =
+        ReferenceProcedure2(engine, p, cands, p.budget);
+    const SelectionResult got = SelectNominees(engine, p, cands, p.budget);
+    ASSERT_FALSE(want.nominees.empty());
+    EXPECT_EQ(got.nominees, want.nominees);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.total_cost),
+              std::bit_cast<uint64_t>(want.total_cost));
+  }
+}
+
+TEST(RatioGreedy, MatchesTheRunningSumWhenAStepMoreThanDoublesSigma) {
+  // Items 0 and 1 are worth 0.03 and 0.08 per adoption. User 4 is
+  // isolated; user 0 heads the chain 0->1->2->3. The picks are (4,0)
+  // (σ̂ 0.03), then (0,1) (σ̂ 0.35: a step that more than doubles σ̂, the
+  // one case where the running sum σ̂ + (σ̂' − σ̂) rounds away from the
+  // winner's estimate σ̂'), then (4,1), whose gain is taken against the
+  // two different bases.
+  TinyWorld w = MakeWorld(5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}},
+                          DetSpec(2));
+  w.problem.importance = {0.03, 0.08};
+  w.problem.cost.assign(10, 1000.0f);  // row-major |V| x |I|
+  w.problem.cost[4 * 2 + 0] = 0.01f;
+  w.problem.cost[0 * 2 + 1] = 50.0f;
+  w.problem.cost[4 * 2 + 1] = 40.0f;
+  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
+  const std::vector<Nominee> cands = BuildCandidateUniverse(w.problem, {});
+  const ReferenceSelection want =
+      ReferenceProcedure2(engine, w.problem, cands, w.problem.budget);
+  const RatioGreedyResult got =
+      RatioGreedy(engine, {}, 0.0, cands, w.problem.budget, {});
+  const std::vector<Nominee> picks{{4, 0}, {0, 1}, {4, 1}};
+  EXPECT_EQ(want.nominees, picks);
+  EXPECT_EQ(got.picked, want.nominees);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.cost),
+            std::bit_cast<uint64_t>(want.total_cost));
+  // The second step does split the two σ̂ trackings ...
+  const double one = engine.Sigma({{4, 0, 1}});
+  const double two = engine.Sigma({{4, 0, 1}, {0, 1, 1}});
+  EXPECT_GT(two, 2.0 * one);
+  EXPECT_NE(one + (two - one), two);
+  // ... and the loop reports the winner's estimate itself.
+  EXPECT_EQ(got.sigma,
+            engine.Sigma(diffusion::AtFirstPromotion(got.picked)));
+}
+
+TEST(RatioGreedy, ExtendsTheBaseWithinTheBudget) {
+  // Three disconnected pairs; the base already holds user 0.
+  TinyWorldSpec s = DetSpec();
+  s.cost = 10.0;
+  TinyWorld w = MakeWorld(6, {{0, 1, 1.0}, {2, 3, 1.0}, {4, 5, 1.0}}, s);
+  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
+  const std::vector<Nominee> base{{0, 0}};
+  const double base_sigma = engine.Sigma(diffusion::AtFirstPromotion(base));
+  const RatioGreedyResult got = RatioGreedy(
+      engine, base, base_sigma, {{2, 0}, {4, 0}}, /*budget=*/15.0, {});
+  ASSERT_EQ(got.picked.size(), 1u);  // only one 10-cost pick fits
+  EXPECT_EQ(got.picked[0].user, 2);
+  EXPECT_DOUBLE_EQ(got.cost, 10.0);
+  EXPECT_DOUBLE_EQ(got.sigma, 4.0);
+}
+
+// ---- PlaceByRound ----------------------------------------------------------
+
+TEST(PlaceByRound, AssignsAllNomineesWithinHorizon) {
+  TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {2, 3, 1.0}}, DetSpec(1, 3));
+  diffusion::MonteCarloEngine engine(w.problem, {}, 8);
+  SeedGroup seeds = PlaceByRound(*engine.MakeScheduleEval({}),
+                                 {{0, 0}, {2, 0}}, 3, {}, nullptr);
+  ASSERT_EQ(seeds.size(), 2u);
+  for (const diffusion::Seed& seed : seeds) {
+    EXPECT_GE(seed.promotion, 1);
+    EXPECT_LE(seed.promotion, 3);
+  }
+}
+
+TEST(PlaceByRound, EmptyNominees) {
+  TinyWorld w = MakeWorld(2, {{0, 1, 0.5}}, DetSpec(1, 2));
+  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
+  EXPECT_TRUE(
+      PlaceByRound(*engine.MakeScheduleEval({}), {}, 2, {}, nullptr).empty());
+}
+
+TEST(PlaceByRound, FiredTokenStopsBeforeTheNextNominee) {
+  TinyWorld w = MakeWorld(4, {{0, 1, 1.0}, {2, 3, 1.0}}, DetSpec(1, 3));
+  diffusion::MonteCarloEngine engine(w.problem, {}, 4);
+  util::CancelToken token;
+  token.Cancel();
+  const int64_t before = engine.num_simulations();
+  EXPECT_TRUE(PlaceByRound(*engine.MakeScheduleEval({}), {{0, 0}, {2, 0}}, 3,
+                           {}, &token)
+                  .empty());
+  EXPECT_EQ(engine.num_simulations(), before);  // no timing was estimated
 }
 
 // ---- DRE -------------------------------------------------------------------

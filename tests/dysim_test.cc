@@ -4,6 +4,7 @@
 #include "core/dysim.h"
 #include "data/catalog.h"
 #include "tests/test_util.h"
+#include "util/metrics.h"
 
 namespace imdpp::core {
 namespace {
@@ -154,6 +155,27 @@ TEST(Dysim, TimingsRespectWindowDiscipline) {
     EXPECT_LE(s.promotion, 4);
     EXPECT_GE(s.promotion, 1);
   }
+}
+
+TEST(Dysim, GuardOffBooksNoEstimateAtEvalSamples) {
+  // With the Theorem-5 guard off no judge engine is built, so the run's
+  // work does not depend on eval_samples at all.
+  data::Dataset ds = data::MakeSmallAmazonSample();
+  diffusion::Problem p = ds.MakeProblem(60.0, 2);
+  DysimConfig cfg;
+  cfg.use_theorem5_guard = false;
+  auto simulations = [&](int eval_samples) {
+    RunContext::Options options = FastRun();
+    options.candidates.max_users = 8;
+    options.candidates.max_items = 3;
+    options.eval_samples = eval_samples;
+    RunContext run(std::move(options));
+    EXPECT_TRUE(RunDysim(p, run, cfg).status.ok());
+    return run.Finish().Counter(util::metric::kEvalSimulations);
+  };
+  const int64_t at_16 = simulations(16);
+  EXPECT_GT(at_16, 0);
+  EXPECT_EQ(simulations(64), at_16);
 }
 
 TEST(AdaptiveDysim, SpendsWithinBudgetAndObservesReality) {
