@@ -9,6 +9,7 @@
 
 #include "api/registry.h"
 #include "cluster/mioa.h"
+#include "core/nominee_selection.h"
 #include "data/catalog.h"
 #include "data/dataset_registry.h"
 #include "diffusion/monte_carlo.h"
@@ -277,6 +278,49 @@ void BM_GreedySelectAdaptive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelectAdaptive)->Arg(0)->Arg(1);
+
+/// One Procedure-2 iteration: core::PickByRatio over the CLI's 24x8
+/// candidate universe on yelp-like@0.5 (B = 300, T = 10), against a
+/// 10-nominee base, 10 samples, serial — every candidate is the base plus
+/// one nominee at round 1, the shape base replay serves. The
+/// attempts_replayed_share counter is the fraction of promotion attempts
+/// replayed from the base's log instead of computed.
+void BM_RatioPickReplay(benchmark::State& state) {
+  const data::Dataset& ds = YelpDs();
+  const diffusion::Problem p = ds.MakeProblem(300.0, 10);
+  constexpr int kSamples = 10;
+  const std::vector<diffusion::Nominee> universe =
+      core::BuildCandidateUniverse(p, {.max_users = 24, .max_items = 8});
+  std::vector<diffusion::Nominee> base;
+  std::vector<core::Addition> additions;
+  for (size_t i = 0; i < universe.size(); ++i) {
+    if (i % 19 == 0 && base.size() < 10) {
+      base.push_back(universe[i]);
+    } else {
+      additions.push_back(
+          {{universe[i]}, p.Cost(universe[i].user, universe[i].item)});
+    }
+  }
+  const double base_sigma =
+      diffusion::MonteCarloEngine(p, {}, kSamples, /*num_threads=*/0)
+          .Sigma(diffusion::AtFirstPromotion(base));
+  int64_t computed = 0;
+  int64_t replayed = 0;
+  for (auto _ : state) {
+    const diffusion::MonteCarloEngine engine(p, {}, kSamples,
+                                             /*num_threads=*/0);
+    const diffusion::SelectBestResult r =
+        core::PickByRatio(engine, base, base_sigma, additions, {});
+    benchmark::DoNotOptimize(r.best_index);
+    computed += engine.num_attempts_computed();
+    replayed += engine.num_attempts_replayed();
+  }
+  if (computed + replayed > 0) {
+    state.counters["attempts_replayed_share"] =
+        static_cast<double>(replayed) / static_cast<double>(computed + replayed);
+  }
+}
+BENCHMARK(BM_RatioPickReplay)->Unit(benchmark::kMillisecond);
 
 void BM_MetaGraphAllPairs(benchmark::State& state) {
   const data::Dataset& ds = AmazonDs();

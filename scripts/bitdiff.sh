@@ -7,6 +7,9 @@
 #   * `imdpp plan` JSON for every registered planner but `opt` (exhaustive,
 #     it would take most of the script's time), fixed, on yelp-like@0.3
 #     (B=300, T=10, 2 threads): placement and refinement over ten rounds;
+#   * the same planners, fixed, on amazon-like@0.3 (B=150, T=4, 2 threads)
+#     under the linear-threshold model (a --config setting campaign.model
+#     to "lt"), the diffusion model no other run exercises;
 #   * `imdpp sweep` JSON of configs/sweep_ci.json.
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
@@ -66,6 +69,10 @@ if [[ -z "$PLANNERS" ]]; then
   exit 2
 fi
 
+# The LT world's planner config, shared by both builds' runs.
+LT_CONFIG="$WORK/lt_campaign.json"
+echo '{"campaign": {"model": "lt"}}' > "$LT_CONFIG"
+
 run_all() {  # <imdpp binary> <output dir>
   local bin="$1" out="$2" planner mode
   rm -rf "$out"
@@ -84,6 +91,10 @@ run_all() {  # <imdpp binary> <output dir>
       --budget 300 --promotions 10 --threads 2 \
       > "$out/plan.$planner.yelp-t10.json" 2>&1 \
       || echo "exit $?" >> "$out/plan.$planner.yelp-t10.json"
+    "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
+      --budget 150 --promotions 4 --threads 2 --config "$LT_CONFIG" \
+      > "$out/plan.$planner.lt.json" 2>&1 \
+      || echo "exit $?" >> "$out/plan.$planner.lt.json"
   done
   "$bin" sweep --config configs/sweep_ci.json --quiet \
     > "$out/sweep_ci.json" 2>&1 || echo "exit $?" >> "$out/sweep_ci.json"

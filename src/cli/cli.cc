@@ -233,7 +233,8 @@ util::Status LoadProblemSetup(const config::ParsedArgs& args,
     return util::InvalidArgumentError(std::move(error));
   }
   for (const std::string& range_error :
-       {config::BudgetError(setup->budget, "--budget"),
+       {config::ScaleError(setup->dataset.scale, "--scale"),
+       config::BudgetError(setup->budget, "--budget"),
         config::CountError(setup->promotions, "--promotions"),
         config::CountError(setup->config.selection_samples,
                            "--selection-samples"),

@@ -20,6 +20,11 @@ std::string CountError(int count, const std::string& where) {
   return where + " must be >= 1";
 }
 
+std::string ScaleError(double scale, const std::string& where) {
+  if (std::isfinite(scale) && scale > 0.0) return "";
+  return where + " must be a finite number > 0";
+}
+
 namespace {
 
 // ---------------------------------------------------- typed field readers
@@ -481,7 +486,8 @@ bool DatasetSpecFromJsonImpl(const util::Json& value, data::DatasetSpec* spec,
   *config_overrides = util::Json();
   if (value.is_string()) {
     *spec = data::ParseDatasetSpec(value.AsString());
-    return true;
+    *error = ScaleError(spec->scale, "dataset.scale");
+    return error->empty();
   }
   if (!value.is_object()) {
     *error = "dataset entry must be a string or an object";
@@ -506,7 +512,9 @@ bool DatasetSpecFromJsonImpl(const util::Json& value, data::DatasetSpec* spec,
       return false;
     }
   }
-  return true;
+  // The scale may come from "scale" or from a "name@scale" name.
+  *error = ScaleError(spec->scale, "dataset.scale");
+  return error->empty();
 }
 
 }  // namespace

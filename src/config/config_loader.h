@@ -37,11 +37,13 @@ util::Status LoadJsonFile(const std::string& path, util::Json* out);
 
 /// Range rules for the run settings every reader shares (CLI flags, JSON
 /// config, sweep axes): a budget is >= 0; promotion and sample counts are
-/// >= 1. Each returns "" for a valid value, else an error naming `where`.
+/// >= 1; a dataset scale is finite and > 0. Each returns "" for a valid
+/// value, else an error naming `where`.
 /// Readers turn a non-empty result into kInvalidArgument, so a bad value
 /// never reaches the CHECKs in Problem or the engine.
 std::string BudgetError(double budget, const std::string& where);
 std::string CountError(int count, const std::string& where);
+std::string ScaleError(double scale, const std::string& where);
 
 /// Applies a JSON object of overrides onto *cfg. Unknown keys and
 /// mistyped or out-of-range values fail with kInvalidArgument naming the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 
 #include "util/hash.h"
 #include "util/mathutil.h"
@@ -73,6 +74,12 @@ void SimScratch::Bind(const Problem& problem) {
   changed_.clear();
   changed_mark_.assign(static_cast<size_t>(num_users), 0);
   start_serial_ = 0;
+  dirty_mark_.assign(static_cast<size_t>(num_users), 0);
+  replay_epoch_ = 0;
+  batch_pos_.assign(static_cast<size_t>(num_users), 0);
+  batch_pos_mark_.assign(static_cast<size_t>(num_users), 0);
+  entry_mark_.assign(static_cast<size_t>(num_users), 0);
+  entry_head_.assign(static_cast<size_t>(num_users), -1);
 }
 
 void SimScratch::BeginSample() {
@@ -92,6 +99,8 @@ void SimScratch::BeginStep() {
   if (++step_epoch_ == 0) {
     std::fill(pending_mark_.begin(), pending_mark_.end(), 0u);
     std::fill(touched_user_mark_.begin(), touched_user_mark_.end(), 0u);
+    std::fill(batch_pos_mark_.begin(), batch_pos_mark_.end(), 0u);
+    std::fill(entry_mark_.begin(), entry_mark_.end(), 0u);
     step_epoch_ = 1;
   }
 }
@@ -102,6 +111,110 @@ void SimScratch::FlushWeightUpdates(const pin::PersonalItemNetwork& pin) {
                       new_items_[static_cast<size_t>(u)]);
   }
   touched_users_.clear();
+}
+
+void ReplayLog::KeepRounds(int round) {
+  size_t keep = 0;
+  while (keep < steps.size() && steps[keep].round <= round) ++keep;
+  if (keep == steps.size()) return;
+  const Step& first = steps[keep];
+  calls.resize(first.entries_begin < entries.size()
+                   ? entries[first.entries_begin].calls_begin
+                   : calls.size());
+  entries.resize(first.entries_begin);
+  batch.resize(first.batch_begin);
+  steps.resize(keep);
+}
+
+void SimScratch::BeginReplay(const ReplayLog& log, int t_begin) {
+  if (++replay_epoch_ == 0) {
+    std::fill(dirty_mark_.begin(), dirty_mark_.end(), 0u);
+    replay_epoch_ = 1;
+  }
+  replay_ = &log;
+  replay_cursor_ = 0;
+  while (replay_cursor_ < log.steps.size() &&
+         log.steps[replay_cursor_].round < t_begin) {
+    ++replay_cursor_;
+  }
+  if (entry_next_.size() < log.entries.size()) {
+    entry_next_.resize(log.entries.size());
+  }
+}
+
+bool SimScratch::EnterReplayStep(int t, int step) {
+  const ReplayLog& log = *replay_;
+  if (replay_cursor_ >= log.steps.size()) return false;
+  const ReplayLog::Step& base = log.steps[replay_cursor_];
+  if (base.round != t || base.step != step) return false;
+  // Chains each src's entries in log order (built back to front).
+  for (uint32_t i = log.EntriesEnd(replay_cursor_); i-- > base.entries_begin;) {
+    const auto src = static_cast<size_t>(log.entries[i].src);
+    entry_next_[i] = entry_mark_[src] == step_epoch_ ? entry_head_[src] : -1;
+    entry_mark_[src] = step_epoch_;
+    entry_head_[src] = static_cast<int>(i);
+  }
+  return true;
+}
+
+int SimScratch::FindEntry(UserId src, ItemId x) const {
+  if (entry_mark_[static_cast<size_t>(src)] != step_epoch_ || Dirty(src)) {
+    return -1;
+  }
+  for (int i = entry_head_[static_cast<size_t>(src)]; i >= 0;
+       i = entry_next_[static_cast<size_t>(i)]) {
+    if (replay_->entries[static_cast<size_t>(i)].item == x) return i;
+  }
+  return -1;
+}
+
+void SimScratch::SyncReplay(int t, int step) {
+  const ReplayLog& log = *replay_;
+  auto at_or_after = [&](const ReplayLog::Step& s) {
+    return s.round > t || (s.round == t && s.step >= step);
+  };
+  // Base steps this realization never ran: their adopters now differ.
+  for (; replay_cursor_ < log.steps.size() &&
+         !at_or_after(log.steps[replay_cursor_]);
+       ++replay_cursor_) {
+    for (uint32_t i = log.steps[replay_cursor_].batch_begin;
+         i < log.BatchEnd(replay_cursor_); ++i) {
+      MarkDirty(log.batch[i].first);
+    }
+  }
+  const bool matched = replay_cursor_ < log.steps.size() &&
+                       log.steps[replay_cursor_].round == t &&
+                       log.steps[replay_cursor_].step == step;
+  if (matched) {
+    // Walk the base's batch against this step's per-user item lists.
+    for (uint32_t i = log.steps[replay_cursor_].batch_begin;
+         i < log.BatchEnd(replay_cursor_); ++i) {
+      const auto [u, x] = log.batch[i];
+      const auto ui = static_cast<size_t>(u);
+      if (Dirty(u)) continue;
+      if (touched_user_mark_[ui] != step_epoch_) {
+        MarkDirty(u);
+        continue;
+      }
+      if (batch_pos_mark_[ui] != step_epoch_) {
+        batch_pos_mark_[ui] = step_epoch_;
+        batch_pos_[ui] = 0;
+      }
+      const std::vector<ItemId>& mine = new_items_[ui];
+      if (batch_pos_[ui] >= mine.size() || mine[batch_pos_[ui]] != x) {
+        MarkDirty(u);
+      }
+      ++batch_pos_[ui];
+    }
+    ++replay_cursor_;
+  }
+  // A user whose batch holds items the base's does not.
+  for (UserId u : touched_users_) {
+    const auto ui = static_cast<size_t>(u);
+    const uint32_t matched_items =
+        matched && batch_pos_mark_[ui] == step_epoch_ ? batch_pos_[ui] : 0;
+    if (matched_items != new_items_[ui].size()) MarkDirty(u);
+  }
 }
 
 CampaignSimulator::CampaignSimulator(const Problem& problem,
@@ -195,8 +308,9 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                                       uint64_t sample_idx, int t_begin,
                                       int t_end,
                                       const std::vector<uint8_t>* market_mask,
-                                      SimScratch& scratch,
-                                      CoinKeying keying) const {
+                                      SimScratch& scratch, CoinKeying keying,
+                                      const ReplayLog* replay,
+                                      ReplayLog* record) const {
   const graph::SocialGraph& g = *problem_.graph;
   const int num_items = problem_.NumItems();
   const pin::PersonalItemNetwork& pin = dynamics_->pin();
@@ -217,6 +331,12 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   // is exactly the historical measure), but a time-shifted cascade's k-th
   // attempt lands on the same coin in every racing candidate.
   const bool aligned = keying == CoinKeying::kAttempt;
+  // Base replay is exact for round-keyed IC only (see the file comment).
+  if (aligned || config_.model != DiffusionModel::kIndependentCascade) {
+    replay = nullptr;
+    record = nullptr;
+  }
+  if (replay != nullptr) scratch.BeginReplay(*replay, t_begin);
   // Coin hashes are a left fold (HashExtend), so the coordinates a group
   // of coins shares are hashed once: (sseed, purpose[, round key]) here,
   // (…, t, step) per step and (…, src, u, x) per promotion below.
@@ -232,6 +352,19 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     if (market_mask != nullptr && (*market_mask)[static_cast<size_t>(u)]) {
       scratch.sigma_market_ += problem_.importance[static_cast<size_t>(x)];
     }
+    if (record != nullptr) record->batch.emplace_back(u, x);
+  };
+  auto begin_logged_step = [&](int t, int step) {
+    if (record == nullptr) return;
+    record->steps.push_back({t, step,
+                             static_cast<uint32_t>(record->entries.size()),
+                             static_cast<uint32_t>(record->batch.size())});
+  };
+  // Commits end every step: after the adoptions are queued, replay learns
+  // which users' batches left the base's, then perceptions update.
+  auto end_step = [&](int t, int step) {
+    if (replay != nullptr) scratch.SyncReplay(t, step);
+    scratch.FlushWeightUpdates(pin);
   };
 
   int rounds_run = 0;
@@ -244,6 +377,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     std::vector<std::pair<UserId, ItemId>>& frontier = scratch.frontier_;
     frontier.clear();
     scratch.BeginStep();
+    begin_logged_step(t, 0);
     for (const Seed& s : round_seeds) {
       if (state[static_cast<size_t>(s.user)].Add(s.item)) {
         count_adoption(s.user, s.item);
@@ -253,7 +387,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
       // it again (Lemma 1's re-seeding case).
       frontier.emplace_back(s.user, s.item);
     }
-    scratch.FlushWeightUpdates(pin);
+    end_step(t, 0);
 
     // --- ζ_t ≥ 1: influence propagation. ---
     for (int step = 1; step <= config_.max_steps && !frontier.empty();
@@ -261,6 +395,9 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
       std::vector<std::pair<UserId, ItemId>>& pending = scratch.pending_;
       pending.clear();
       scratch.BeginStep();
+      begin_logged_step(t, step);
+      const bool replaying =
+          replay != nullptr && scratch.EnterReplayStep(t, step);
       auto try_queue = [&](UserId u, ItemId x) {
         if (state[static_cast<size_t>(u)].Has(x)) return;
         if (!scratch.MarkPending(PairKey(u, x, num_items))) return;
@@ -269,9 +406,43 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
       const uint64_t adopt_prefix = HashTuple(sseed, kAdoptFlip, t, step);
       const uint64_t extra_prefix = HashTuple(sseed, kExtraFlip, t, step);
 
+      // A successful coin of the attempt over out-edge k: logged for
+      // replay when recording, then queued.
+      auto coin_won = [&](uint32_t k, UserId u, ItemId y) {
+        if (record != nullptr) record->calls.push_back({k, y});
+        try_queue(u, y);
+      };
+
       for (const auto& [src, x] : frontier) {
-        for (const graph::Edge& e : g.OutEdges(src)) {
+        const std::span<const graph::Edge> edges = g.OutEdges(src);
+        const auto degree = static_cast<uint32_t>(edges.size());
+        if (record != nullptr) {
+          record->entries.push_back(
+              {src, x, static_cast<uint32_t>(record->calls.size())});
+        }
+        // An entry the base walked from the same src state (-1 = none):
+        // its logged calls stand in for the attempts at clean targets.
+        const int entry = replaying ? scratch.FindEntry(src, x) : -1;
+        uint32_t c = 0;
+        uint32_t c_end = 0;
+        if (entry >= 0) {
+          c = replay->entries[static_cast<size_t>(entry)].calls_begin;
+          c_end = replay->CallsEnd(static_cast<size_t>(entry));
+        }
+        for (uint32_t k = 0; k < degree; ++k) {
+          const graph::Edge& e = edges[k];
           const UserId u = e.to;
+          if (entry >= 0) {
+            const bool clean = !scratch.Dirty(u);
+            for (; c < c_end && replay->calls[c].edge == k; ++c) {
+              if (clean) try_queue(u, replay->calls[c].item);
+            }
+            if (clean) {
+              ++scratch.attempts_replayed_;
+              continue;
+            }
+          }
+          ++scratch.attempts_computed_;
           const pin::UserState& su = state[static_cast<size_t>(u)];
           // A user can only be promoted an item she has not adopted.
           if (su.Has(x)) continue;
@@ -299,7 +470,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
             const double theta = HashToUnit(HashExtend(lt_prefix, u, x));
             if (acc >= theta) adopt = true;
           }
-          if (adopt) try_queue(u, x);
+          if (adopt) coin_won(k, u, x);
 
           // Item associations: being promoted x can trigger adoption of
           // relevant items y, independently of the adoption of x. Only
@@ -314,11 +485,11 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
               start_nets != nullptr && su.NumAdopted() == 0
                   ? start_nets->Row(u, x)
                   : nullptr;
-          for (size_t k = 0; k < related.size(); ++k) {
-            const ItemId y = related[k];
+          for (size_t r = 0; r < related.size(); ++r) {
+            const ItemId y = related[r];
             double net;
             if (start_row != nullptr) {
-              net = start_row[k];
+              net = start_row[r];
             } else {
               if (su.Has(y)) continue;
               net = pin.RelNet(su.wmeta(), x, y);
@@ -331,7 +502,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                                            PairKey(u, y, num_items)),
                                        src, u, x, y)
                           : HashExtend(promotion_prefix, y);
-              if (HashToUnit(h) < pe) try_queue(u, y);
+              if (HashToUnit(h) < pe) coin_won(k, u, y);
             }
           }
         }
@@ -345,7 +516,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           scratch.QueueNewAdoption(u, x);
         }
       }
-      scratch.FlushWeightUpdates(pin);
+      end_step(t, step);
       frontier.swap(pending);
     }
   }

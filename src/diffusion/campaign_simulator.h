@@ -77,9 +77,26 @@
 // caller-provided initial states, computes RelNet. Both feed one Pext
 // formula (pin::AssociationModel::ExtraProb) and the table holds RelNet's
 // own results, so the coins and their outcomes are unchanged bit for bit.
+//
+// Base replay: a promotion attempt — frontier entry (u', x) at (t, ζ)
+// walking one out-edge to u — makes its try-to-adopt calls as a pure
+// function of (sample, t, ζ, u', u, x) and the states of u' and u at the
+// step start. A simulation given a ReplayLog of a *base* realization of
+// the same sample (recorded by another SimulateRounds) therefore repeats
+// the base's logged calls for every attempt whose entry the base also had
+// at that (t, ζ) and whose src and target are both *clean*: a user is
+// clean while each of its per-step adoption batches equals the base's
+// (equal batches from equal states give equal states, because weight
+// updates are a function of the state and the batch alone). Every other
+// attempt is computed. The commit loop, σ accumulation, weight updates and
+// every read-out run as always, so a replayed realization is the
+// from-scratch one bit for bit. Replay and recording are for round-keyed
+// IC only: an LT attempt's outcome depends on threshold mass other srcs
+// accumulated, and attempt keying renumbers coins across schedules.
 #ifndef IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 #define IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -149,6 +166,49 @@ class SeedSchedule {
   int last_active_ = 0;
 };
 
+/// The log of one base realization that a later simulation of the same
+/// sample replays (see "Base replay" in the file comment): every step the
+/// base simulated, in order (ζ = 0, the seeds' adoptions, included), the
+/// frontier entries each step walked, the try-to-adopt calls each entry's
+/// out-edges made, and each step's commit batch. Flat arrays: a step's
+/// entries and batch, and an entry's calls, run up to the next one's begin.
+struct ReplayLog {
+  struct Step {
+    int round;
+    int step;
+    uint32_t entries_begin;
+    uint32_t batch_begin;
+  };
+  struct Entry {
+    UserId src;
+    ItemId item;
+    uint32_t calls_begin;
+  };
+  struct Call {
+    uint32_t edge;  ///< index into OutEdges(src)
+    ItemId item;
+  };
+  std::vector<Step> steps;
+  std::vector<Entry> entries;
+  std::vector<Call> calls;
+  std::vector<std::pair<UserId, ItemId>> batch;
+
+  uint32_t EntriesEnd(size_t step) const {
+    return step + 1 < steps.size() ? steps[step + 1].entries_begin
+                                   : static_cast<uint32_t>(entries.size());
+  }
+  uint32_t BatchEnd(size_t step) const {
+    return step + 1 < steps.size() ? steps[step + 1].batch_begin
+                                   : static_cast<uint32_t>(batch.size());
+  }
+  uint32_t CallsEnd(size_t entry) const {
+    return entry + 1 < entries.size() ? entries[entry + 1].calls_begin
+                                      : static_cast<uint32_t>(calls.size());
+  }
+  /// Drops every step of the rounds after `round`.
+  void KeepRounds(int round);
+};
+
 /// Reusable per-worker simulation arena: user states reset in place, flat
 /// epoch-stamped LT accumulators / pending-dedup stamps instead of
 /// per-sample unordered_map/unordered_set, and the running outcome of the
@@ -164,6 +224,11 @@ class SimScratch {
   double sigma_market() const { return sigma_market_; }
   int adoptions() const { return adoptions_; }
   const std::vector<pin::UserState>& states() const { return states_; }
+  /// Running totals over every realization this arena simulated: the
+  /// promotion attempts (frontier entry × out-edge) it computed, and the
+  /// ones it replayed from a ReplayLog instead. Bookkeeping only.
+  int64_t attempts_computed() const { return attempts_computed_; }
+  int64_t attempts_replayed() const { return attempts_replayed_; }
 
  private:
   friend class CampaignSimulator;
@@ -238,6 +303,30 @@ class SimScratch {
   }
   void FlushWeightUpdates(const pin::PersonalItemNetwork& pin);
 
+  // --- Base replay (see the file comment). ---
+  /// Starts replaying `log` for a simulation resuming at round t_begin:
+  /// every user clean, the cursor on the base's first step of a round
+  /// >= t_begin.
+  void BeginReplay(const ReplayLog& log, int t_begin);
+  bool Dirty(UserId u) const {
+    return dirty_mark_[static_cast<size_t>(u)] == replay_epoch_;
+  }
+  void MarkDirty(UserId u) {
+    if (Dirty(u)) return;
+    dirty_mark_[static_cast<size_t>(u)] = replay_epoch_;
+  }
+  /// The base's step (t, step) when it has one: indexes its frontier
+  /// entries by src for FindEntry and returns true. Call after the
+  /// propagation step's BeginStep.
+  bool EnterReplayStep(int t, int step);
+  /// Index of the base's entry (src, x) in the entered step, or −1 when
+  /// the base had none or src is dirty.
+  int FindEntry(UserId src, ItemId x) const;
+  /// After a commit at (t, step), before the weight flush: dirties every
+  /// user whose batch at this step differs from the base's, and every
+  /// adopter of the base steps this realization skipped.
+  void SyncReplay(int t, int step);
+
   int num_users_ = 0;
   int num_items_ = 0;
   int num_metas_ = 0;
@@ -283,6 +372,21 @@ class SimScratch {
   /// none (fresh or reshaped arena, or a realization begun from
   /// caller-provided initial states).
   uint64_t start_serial_ = 0;
+
+  // Base replay state of the current SimulateRounds call. Dirty users are
+  // those with dirty_mark_[u] == replay_epoch_ (one bump per replayed
+  // call); the per-step stamps below use step_epoch_.
+  const ReplayLog* replay_ = nullptr;
+  size_t replay_cursor_ = 0;  ///< first base step not yet synced
+  std::vector<uint32_t> dirty_mark_;  ///< |V|
+  uint32_t replay_epoch_ = 0;
+  std::vector<uint32_t> batch_pos_;       ///< |V| per-user batch cursor
+  std::vector<uint32_t> batch_pos_mark_;  ///< |V|
+  std::vector<uint32_t> entry_mark_;      ///< |V|
+  std::vector<int> entry_head_;           ///< |V| first entry per src
+  std::vector<int> entry_next_;           ///< per entry of the base log
+  int64_t attempts_computed_ = 0;
+  int64_t attempts_replayed_ = 0;
 };
 
 /// The calling thread's shared simulation arena (one per thread, shaped
@@ -360,11 +464,21 @@ class CampaignSimulator {
   /// per-sample bookkeeping. `keying` picks the coin hash (see the file
   /// comment); a resumed simulation must use the keying its checkpoint
   /// was built with.
+  /// `replay` (optional) is the log of a base realization of the same
+  /// sample whose state before round t_begin equals scratch's (both began
+  /// at this simulator's problem start, or resumed from the base's
+  /// checkpoint): attempts the group leaves clean repeat the base's calls
+  /// instead of being computed ("Base replay" in the file comment).
+  /// `record` (optional) appends this simulation's own log. Both are
+  /// ignored unless the simulation is round-keyed IC. Neither changes a
+  /// bit of the realization.
   int SimulateRounds(const SeedSchedule& sched, uint64_t sample_idx,
                      int t_begin, int t_end,
                      const std::vector<uint8_t>* market_mask,
                      SimScratch& scratch,
-                     CoinKeying keying = CoinKeying::kRound) const;
+                     CoinKeying keying = CoinKeying::kRound,
+                     const ReplayLog* replay = nullptr,
+                     ReplayLog* record = nullptr) const;
 
   /// Freezes scratch's current state into `cp` (buffers reused). The
   /// realization must have begun at this simulator's problem start.

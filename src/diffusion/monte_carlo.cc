@@ -28,16 +28,52 @@ constexpr int kMinParallelSamples = 8;
 /// when the problem dimensions actually change.
 SimScratch& LocalScratch() { return ThreadLocalSimScratch(); }
 
-/// The rounds a sample loop executed per sample, from per-shard records
-/// (−1 = the shard ran no sample of the range): the first shard that ran
-/// one — a fixed function of the shard layout and the range, so
-/// deterministic. The count is a schedule property, the same for every
-/// sample.
-int RoundsPerSample(const std::vector<int>& rounds_by_shard) {
-  for (int rounds : rounds_by_shard) {
-    if (rounds >= 0) return rounds;
+/// One shard's SampleWork: the arena's attempt totals when the shard
+/// started, subtracted when it ends.
+class ShardTally {
+ public:
+  explicit ShardTally(const SimScratch& scratch)
+      : scratch_(scratch),
+        computed_(scratch.attempts_computed()),
+        replayed_(scratch.attempts_replayed()) {}
+  SampleWork Done(int rounds) const {
+    return {rounds, scratch_.attempts_computed() - computed_,
+            scratch_.attempts_replayed() - replayed_};
   }
-  return 0;
+
+ private:
+  const SimScratch& scratch_;
+  int64_t computed_;
+  int64_t replayed_;
+};
+
+/// A sample loop's work from its per-shard records, folded in shard order:
+/// the rounds of the first shard that ran a sample (−1 = ran none) — a
+/// fixed function of the shard layout and the range, and a schedule
+/// property, the same for every sample — and the summed attempts.
+SampleWork FoldShards(const std::vector<SampleWork>& by_shard) {
+  SampleWork out;
+  for (const SampleWork& w : by_shard) {
+    if (out.rounds < 0) out.rounds = w.rounds;
+    out.attempts_computed += w.attempts_computed;
+    out.attempts_replayed += w.attempts_replayed;
+  }
+  out.rounds = std::max(out.rounds, 0);
+  return out;
+}
+
+/// The longest seed-vector prefix every candidate shares.
+SeedGroup CommonPrefix(const std::vector<SelectCandidate>& candidates) {
+  const SeedGroup& first = candidates.front().group;
+  size_t n = first.size();
+  for (const SelectCandidate& c : candidates) {
+    n = static_cast<size_t>(
+        std::mismatch(first.begin(), first.begin() + static_cast<ptrdiff_t>(n),
+                      c.group.begin(), c.group.end())
+            .first -
+        first.begin());
+  }
+  return SeedGroup(first.begin(), first.begin() + static_cast<ptrdiff_t>(n));
 }
 
 }  // namespace
@@ -180,40 +216,45 @@ void MonteCarloEngine::MarketMemoStore(const SeedGroup& seeds,
   }
 }
 
-void MonteCarloEngine::Charge(int64_t samples, int rounds_run) const {
+void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
   num_simulations_ += samples;
-  num_rounds_simulated_ += samples * rounds_run;
+  num_rounds_simulated_ += samples * work.rounds;
   num_rounds_skipped_ +=
-      samples * (sim_.problem().num_promotions - rounds_run);
+      samples * (sim_.problem().num_promotions - work.rounds);
+  num_attempts_computed_ += work.attempts_computed;
+  num_attempts_replayed_ += work.attempts_replayed;
 }
 
-int MonteCarloEngine::RunSamples(
+SampleWork MonteCarloEngine::RunSamples(
     const SeedSchedule& sched, int resume,
     const std::vector<SampleCheckpoint>* start,
-    const std::vector<uint8_t>* mask, CoinKeying keying, int begin, int end,
+    const std::vector<ReplayLog>* replay, const std::vector<uint8_t>* mask,
+    CoinKeying keying, int begin, int end,
     const std::function<void(int, int, const SimScratch&)>& visit) const {
   const int t_end = sched.last_active_round();
-  std::vector<int> rounds_by_shard(NumShards(), -1);
+  std::vector<SampleWork> by_shard(NumShards());
   RunShards([&](int shard) {
     SimScratch& scratch = LocalScratch();
+    const ShardTally tally(scratch);
     const int lo = std::max(ShardBegin(shard), begin);
     const int hi = std::min(ShardBegin(shard + 1), end);
     int rounds = -1;
     for (int s = lo; s < hi; ++s) {
       if (!cancel_->Check().ok()) break;
-      sim_.Restore(
-          start == nullptr ? nullptr : &(*start)[static_cast<size_t>(s)],
-          initial_states_, scratch);
+      const auto si = static_cast<size_t>(s);
+      sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
+                   initial_states_, scratch);
       rounds = 0;
       if (t_end > resume) {
-        rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s),
-                                     resume + 1, t_end, mask, scratch, keying);
+        rounds = sim_.SimulateRounds(
+            sched, static_cast<uint64_t>(s), resume + 1, t_end, mask, scratch,
+            keying, replay == nullptr ? nullptr : &(*replay)[si]);
       }
       visit(shard, s, scratch);
     }
-    rounds_by_shard[shard] = rounds;
+    by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
   });
-  return RoundsPerSample(rounds_by_shard);
+  return FoldShards(by_shard);
 }
 
 // Every engine-level estimate is the round-0 case of CheckpointedEval: an
@@ -237,37 +278,53 @@ SelectBestResult MonteCarloEngine::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) const {
   // Racing needs at least two candidates to compare; everything else is
-  // the fixed-count reference loop (which a disabled race must match
-  // bit for bit — it IS the pre-adaptive code path).
+  // the fixed-count reference loop.
+  IMDPP_CHECK(!options.use_market);  // market argmaxes need a ScheduleEval
   if (!options.adaptive.enabled || candidates.size() < 2) {
-    return SigmaBackend::SelectBest(candidates, options);
+    // The fixed-count reference loop (which a disabled race must match
+    // bit for bit — it IS the pre-adaptive code path), on an evaluator
+    // based at the shared prefix: estimates are unchanged, the work is
+    // not. Checkpoints assume the problem start, so an initial-state
+    // override keeps the base empty.
+    SeedGroup base;
+    if (candidates.size() >= 2) {
+      util::MutexLock lock(mu_);
+      if (initial_states_ == nullptr) base = CommonPrefix(candidates);
+    }
+    SelectBestResult result =
+        CheckpointedEval(*this, std::move(base)).SelectBest(candidates, options);
+    result.samples_used =
+        static_cast<int64_t>(candidates.size()) * num_samples_;
+    return result;
   }
-  IMDPP_CHECK(!options.use_market);
   return CheckpointedEval(*this, {}).SelectBest(candidates, options);
 }
 
 ExpectedState MonteCarloEngine::ExpectedFrom(
     const SeedSchedule& sched, int t_begin,
-    const std::vector<SampleCheckpoint>* start) const {
+    const std::vector<SampleCheckpoint>* start,
+    const std::vector<ReplayLog>* replay) const {
   const Problem& p = sim_.problem();
   const int num_shards = NumShards();
   const int t_end = sched.last_active_round();
   ExpectedState es(p.NumUsers(), p.NumItems(), p.NumMetas());
-  int rounds_run = 0;
+  std::vector<SampleWork> by_shard(static_cast<size_t>(num_shards));
   // Raw per-shard sums (adoption counts, weighting totals), scaled by
   // 1/num_samples only after the shard-order fold so the arithmetic is
   // identical for every thread count.
   auto accumulate = [&](int shard, ExpectedState& acc) {
     SimScratch& scratch = LocalScratch();
-    int rounds = 0;
+    const ShardTally tally(scratch);
+    int rounds = -1;
     const int end = ShardBegin(shard + 1);
     for (int s = ShardBegin(shard); s < end; ++s) {
       if (!cancel_->Check().ok()) break;
-      sim_.Restore(start == nullptr ? nullptr
-                                    : &(*start)[static_cast<size_t>(s)],
+      const auto si = static_cast<size_t>(s);
+      sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
                    initial_states_, scratch);
-      rounds = sim_.SimulateRounds(sched, static_cast<uint64_t>(s), t_begin,
-                                   t_end, nullptr, scratch);
+      rounds = sim_.SimulateRounds(
+          sched, static_cast<uint64_t>(s), t_begin, t_end, nullptr, scratch,
+          CoinKeying::kRound, replay == nullptr ? nullptr : &(*replay)[si]);
       for (UserId u = 0; u < p.NumUsers(); ++u) {
         const pin::UserState& st = scratch.states()[u];
         for (ItemId x : st.Adopted()) {
@@ -280,7 +337,7 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
         }
       }
     }
-    if (shard == 0) rounds_run = rounds;
+    by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
   };
   auto fold = [&](const ExpectedState& acc) {
     for (size_t i = 0; i < es.adoption_prob_.size(); ++i) {
@@ -312,7 +369,7 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
   if (Cancelled()) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
-  Charge(num_samples_, rounds_run);
+  Charge(num_samples_, FoldShards(by_shard));
   const float inv = 1.0f / static_cast<float>(num_samples_);
   for (float& v : es.adoption_prob_) v *= inv;
   for (float& v : es.avg_wmeta_) v *= inv;
@@ -321,7 +378,7 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
 
 MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
     int num_candidates, const AdaptiveEvalConfig& config,
-    const std::function<int(int, int, int, AdaptiveEval&)>& eval_block)
+    const std::function<SampleWork(int, int, int, AdaptiveEval&)>& eval_block)
     const {
   AdaptiveEval race(num_candidates, num_samples_, config);
   RaceOutcome out;
@@ -330,12 +387,12 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
     const int end = race.block_end();
     for (int i = 0; i < num_candidates; ++i) {
       if (!race.IsAlive(i)) continue;
-      const int rounds_run = eval_block(i, begin, end, race);
+      const SampleWork work = eval_block(i, begin, end, race);
       // A fired token mid-block leaves that block uncharged (mirroring
       // interrupted plain estimates); earlier completed blocks stay
       // booked — the caller reads the error off the token.
-      if (rounds_run < 0) return RaceOutcome{};
-      Charge(end - begin, rounds_run);
+      if (work.rounds < 0) return RaceOutcome{};
+      Charge(end - begin, work);
       out.samples += end - begin;
     }
     race.EndBlock();
@@ -393,9 +450,11 @@ void CheckpointedEval::Rebase(SeedGroup base) {
   for (Lattice* lattice : {&round_keyed_, &attempt_keyed_}) {
     lattice->rounds_ready = std::min(lattice->rounds_ready, shared);
     lattice->cp.resize(static_cast<size_t>(lattice->rounds_ready));
+    for (ReplayLog& log : lattice->logs) log.KeepRounds(lattice->rounds_ready);
   }
   base_ = std::move(base);
   base_sched_ = std::move(sched);
+  replay_wanted_ = false;
 }
 
 void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
@@ -412,6 +471,11 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
   }
   lattice.cp.resize(static_cast<size_t>(rounds_upto));
   for (auto& row : lattice.cp) row.resize(static_cast<size_t>(num_samples));
+  // Round-keyed IC lattices record each sample's replay log alongside.
+  const bool record =
+      lattice.keying == CoinKeying::kRound &&
+      engine_.sim_.config().model == DiffusionModel::kIndependentCascade;
+  if (record) lattice.logs.resize(static_cast<size_t>(num_samples));
   const std::vector<uint8_t>* mask = MarketMask();
   // Extends the valid rectangle in two strips, both simulating the base
   // schedule and freezing every boundary: first deepen the already-built
@@ -420,38 +484,43 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
   auto build = [&](int s_begin, int s_end, int from) {
     if (s_begin >= s_end || from >= rounds_upto) return;
     const std::vector<SampleCheckpoint>* start = lattice.Row(from);
-    std::vector<int> rounds_by_shard(engine_.NumShards(), -1);
+    std::vector<SampleWork> by_shard(static_cast<size_t>(engine_.NumShards()));
     engine_.RunShards([&](int shard) {
       SimScratch& scratch = LocalScratch();
+      const ShardTally tally(scratch);
       const int lo = std::max(engine_.ShardBegin(shard), s_begin);
       const int hi = std::min(engine_.ShardBegin(shard + 1), s_end);
       int rounds = -1;
       for (int s = lo; s < hi; ++s) {
         if (!engine_.cancel_->Check().ok()) break;
-        engine_.sim_.Restore(
-            start == nullptr ? nullptr : &(*start)[static_cast<size_t>(s)],
-            nullptr, scratch);
+        const auto si = static_cast<size_t>(s);
+        engine_.sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
+                             nullptr, scratch);
+        // A log holds exactly the rounds its checkpoints do (an earlier
+        // cancelled build may have left more).
+        ReplayLog* log = record ? &lattice.logs[si] : nullptr;
+        if (log != nullptr) log->KeepRounds(from);
         rounds = 0;
         for (int k = from + 1; k <= rounds_upto; ++k) {
-          rounds += engine_.sim_.SimulateRounds(base_sched_,
-                                                static_cast<uint64_t>(s), k,
-                                                k, mask, scratch,
-                                                lattice.keying);
-          engine_.sim_.Capture(scratch, lattice.cp[static_cast<size_t>(k - 1)]
-                                                  [static_cast<size_t>(s)]);
+          rounds += engine_.sim_.SimulateRounds(
+              base_sched_, static_cast<uint64_t>(s), k, k, mask, scratch,
+              lattice.keying, /*replay=*/nullptr, log);
+          engine_.sim_.Capture(scratch,
+                               lattice.cp[static_cast<size_t>(k - 1)][si]);
         }
       }
-      rounds_by_shard[shard] = rounds;
+      by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
     });
     if (engine_.Cancelled()) return;
     // Move the build's rounds from the skipped to the simulated bucket, so
     // simulated + skipped stays exactly the naive T-rounds-per-sample
     // total over the estimates made (a transiently negative skipped count
     // just means checkpoints were built but not yet reused).
-    const int64_t built = static_cast<int64_t>(s_end - s_begin) *
-                          RoundsPerSample(rounds_by_shard);
+    const SampleWork work = FoldShards(by_shard);
+    const int64_t built = static_cast<int64_t>(s_end - s_begin) * work.rounds;
     engine_.num_rounds_simulated_ += built;
     engine_.num_rounds_skipped_ -= built;
+    engine_.num_attempts_computed_ += work.attempts_computed;
   };
   build(0, lattice.samples_ready, lattice.rounds_ready);
   build(lattice.samples_ready, samples_upto, 0);
@@ -463,18 +532,39 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
   lattice.samples_ready = samples_upto;
 }
 
-int CheckpointedEval::ResumeRound(const SeedSchedule& sched) {
+CheckpointedEval::Resume CheckpointedEval::Prepare(
+    const SeedSchedule& sched) {
   const int shared = SharedRounds(sched);
-  Grow(round_keyed_, shared, engine_.num_samples_);
-  return std::min(shared, round_keyed_.rounds_ready);
+  // Replay needs the base's log past the shared rounds, recorded from the
+  // problem start (the lattice builds from there) for round-keyed IC.
+  const int last = base_sched_.last_active_round();
+  bool replay =
+      shared < last && engine_.initial_states_ == nullptr &&
+      engine_.sim_.config().model == DiffusionModel::kIndependentCascade;
+  // Extending the log costs one base simulation per sample, which only a
+  // second replaying estimate earns back: the first one per base runs
+  // without it (a lone estimate — a race winner's re-evaluation — never
+  // builds).
+  if (replay && round_keyed_.rounds_ready < last && !replay_wanted_) {
+    replay_wanted_ = true;
+    replay = false;
+  }
+  Grow(round_keyed_, replay ? last : shared, engine_.num_samples_);
+  Resume resume;
+  resume.round = std::min(shared, round_keyed_.rounds_ready);
+  resume.start = round_keyed_.Row(resume.round);
+  if (replay && round_keyed_.rounds_ready > resume.round) {
+    resume.replay = &round_keyed_.logs;
+  }
+  return resume;
 }
 
 MarketEval CheckpointedEval::Eval(const SeedGroup& group, bool want_pi) {
   const SeedSchedule sched(group, engine_.sim_.problem());
-  const int resume = ResumeRound(sched);
+  const Resume resume = Prepare(sched);
   std::vector<MarketEval> partial(engine_.NumShards());
-  const int rounds_run = engine_.RunSamples(
-      sched, resume, round_keyed_.Row(resume), MarketMask(),
+  const SampleWork work = engine_.RunSamples(
+      sched, resume.round, resume.start, resume.replay, MarketMask(),
       CoinKeying::kRound, 0, engine_.num_samples_,
       [&](int shard, int, const SimScratch& scratch) {
         MarketEval& acc = partial[static_cast<size_t>(shard)];
@@ -491,7 +581,7 @@ MarketEval CheckpointedEval::Eval(const SeedGroup& group, bool want_pi) {
     out.sigma_market += acc.sigma_market;
     out.pi += acc.pi;
   }
-  engine_.Charge(engine_.num_samples_, rounds_run);
+  engine_.Charge(engine_.num_samples_, work);
   out.sigma /= engine_.num_samples_;
   out.sigma_market /= engine_.num_samples_;
   out.pi /= engine_.num_samples_;
@@ -537,8 +627,9 @@ ExpectedState CheckpointedEval::Expected(const SeedGroup& group) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
   const SeedSchedule sched(group, p);
-  const int resume = ResumeRound(sched);
-  return engine_.ExpectedFrom(sched, resume + 1, round_keyed_.Row(resume));
+  const Resume resume = Prepare(sched);
+  return engine_.ExpectedFrom(sched, resume.round + 1, resume.start,
+                              resume.replay);
 }
 
 SelectBestResult CheckpointedEval::SelectBest(
@@ -581,14 +672,14 @@ SelectBestResult CheckpointedEval::SelectBest(
     // consecutive races against overlapping bases (greedy placement,
     // refinement sweeps) amortize it. An empty base never builds one.
     auto eval_block = [&](int cand, int begin, int end,
-                          AdaptiveEval& race) -> int {
+                          AdaptiveEval& race) -> SampleWork {
       Grow(attempt_keyed_, max_resume, end);
-      if (engine_.Cancelled()) return -1;
+      if (engine_.Cancelled()) return SampleWork{};
       const Racer& racer = racers[static_cast<size_t>(cand)];
       const auto& score = candidates[static_cast<size_t>(cand)].score;
-      const int rounds = engine_.RunSamples(
+      const SampleWork work = engine_.RunSamples(
           racer.sched, racer.resume, attempt_keyed_.Row(racer.resume),
-          MarketMask(), CoinKeying::kAttempt, begin, end,
+          /*replay=*/nullptr, MarketMask(), CoinKeying::kAttempt, begin, end,
           [&](int, int s, const SimScratch& scratch) {
             MarketEval eval;
             eval.sigma = scratch.sigma();
@@ -598,7 +689,7 @@ SelectBestResult CheckpointedEval::SelectBest(
             }
             race.Record(cand, s, score ? score(eval) : eval.sigma);
           });
-      return engine_.Cancelled() ? -1 : rounds;
+      return engine_.Cancelled() ? SampleWork{} : work;
     };
     const MonteCarloEngine::RaceOutcome raced = engine_.RaceSelect(
         static_cast<int>(candidates.size()), options.adaptive, eval_block);

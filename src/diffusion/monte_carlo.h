@@ -21,7 +21,7 @@
 // Evaluation fast path: every estimate runs on per-worker SimScratch
 // arenas (zero per-sample allocation, resets that touch only the users
 // the last cascade changed), skips unseeded promotion rounds (exact
-// no-ops), and exposes two reuse levers:
+// no-ops), and exposes three reuse levers:
 //   * CheckpointedEval — freezes per-sample states at promotion
 //     boundaries for a base seed group, so evaluating a group that only
 //     differs from the base at rounds ≥ t resumes from the round-(t-1)
@@ -30,6 +30,15 @@
 //     checkpoint holds only the users the base changed so far (the base
 //     always starts at the problem start), so its size and restore cost
 //     follow the cascade, not |V|.
+//   * base replay — the same lattice build records each sample's base
+//     realization as a ReplayLog, and the rounds a group re-simulates
+//     after its divergence replay the base's coin outcomes wherever the
+//     group leaves the state untouched (campaign_simulator.h, "Base
+//     replay"). Round-keyed IC from the problem start only; exact by
+//     construction. The engine's fixed-mode SelectBest bases its loop at
+//     the candidates' longest common seed prefix, so a set-addition
+//     greedy (every candidate = the current set + one addition)
+//     re-simulates only what each addition changes.
 //   * an opt-in σ memo keyed on the exact seed vector, so sweeps that
 //     revisit an identical configuration (e.g. Dysim's coordinate-ascent
 //     timing refinement) pay nothing.
@@ -41,7 +50,10 @@
 // and one checkpoint-lattice builder, instantiated once per coin keying.
 // Work accounting: num_rounds_simulated / num_rounds_skipped split every
 // estimate's promotion-rounds into executed vs avoided (vs the naive
-// T-rounds-per-sample baseline); num_memo_hits counts memoized estimates.
+// T-rounds-per-sample baseline); num_memo_hits counts memoized estimates;
+// num_attempts_computed / num_attempts_replayed split the promotion
+// attempts (frontier entry × out-edge) every simulation walked, lattice
+// builds included, into computed vs replayed from a base log.
 #ifndef IMDPP_DIFFUSION_MONTE_CARLO_H_
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
@@ -58,6 +70,16 @@
 #include "util/thread_pool.h"
 
 namespace imdpp::diffusion {
+
+/// What one sample loop did: promotion rounds per sample (a schedule
+/// property, the same for every sample; −1 = nothing ran) and the
+/// promotion attempts its arenas computed and replayed, folded from
+/// per-shard tallies in shard order.
+struct SampleWork {
+  int rounds = -1;
+  int64_t attempts_computed = 0;
+  int64_t attempts_replayed = 0;
+};
 
 /// The "mc" SigmaBackend: the accuracy reference every other backend is
 /// gated against (tests/backend_test.cc).
@@ -121,11 +143,15 @@ class MonteCarloEngine : public SigmaBackend {
       SeedGroup base, std::vector<UserId> market = {}) const override;
 
   /// Greedy σ-scored argmax (ISSUE 10). Fixed mode (the default) runs the
-  /// base-class reference loop; options.adaptive.enabled runs the
-  /// CheckpointedEval race with an empty base, so every racer resumes at
-  /// round 0 — which is why it supports SetInitialStates. See
-  /// CheckpointedEval::SelectBest for the stopping, winner re-evaluation
-  /// and determinism contract.
+  /// reference loop on a CheckpointedEval based at the candidates' longest
+  /// common seed prefix (empty for a single candidate or while
+  /// SetInitialStates is on), so each estimate resumes the shared rounds
+  /// and replays the base where its candidate leaves it untouched — the
+  /// estimates, call order and memo traffic of SigmaBackend::SelectBest,
+  /// bit for bit. options.adaptive.enabled runs the CheckpointedEval race
+  /// with an empty base, so every racer resumes at round 0 — which is why
+  /// it supports SetInitialStates. See CheckpointedEval::SelectBest for
+  /// the stopping, winner re-evaluation and determinism contract.
   SelectBestResult SelectBest(const std::vector<SelectCandidate>& candidates,
                               const SelectOptions& options) const override
       IMDPP_EXCLUDES(mu_);
@@ -212,6 +238,16 @@ class MonteCarloEngine : public SigmaBackend {
     util::MutexLock lock(mu_);
     return samples_saved_;
   }
+  /// Promotion attempts computed / replayed from a base log (see the file
+  /// comment). Their sum over one estimate does not depend on replay.
+  int64_t num_attempts_computed() const override IMDPP_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return num_attempts_computed_;
+  }
+  int64_t num_attempts_replayed() const override IMDPP_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return num_attempts_replayed_;
+  }
 
   /// The token estimates check; never null (see the constructor).
   const util::CancelToken* cancel_token() const override {
@@ -254,12 +290,13 @@ class MonteCarloEngine : public SigmaBackend {
   /// block: for each sample s in [begin, end), restores the realization
   /// after round `resume` — from (*start)[s] when `start` is set, else
   /// from initial_states_ or the problem start — simulates the remaining
-  /// rounds of `sched` with `keying`, and calls visit(shard, s, scratch).
-  /// Returns the rounds executed per sample (a schedule property, so one
-  /// value serves the whole range); callers check Cancelled() after.
-  int RunSamples(
+  /// rounds of `sched` with `keying` (replaying (*replay)[s] when set),
+  /// and calls visit(shard, s, scratch). Returns the loop's work; callers
+  /// check Cancelled() after.
+  SampleWork RunSamples(
       const SeedSchedule& sched, int resume,
       const std::vector<SampleCheckpoint>* start,
+      const std::vector<ReplayLog>* replay,
       const std::vector<uint8_t>* mask, CoinKeying keying, int begin,
       int end,
       const std::function<void(int, int, const SimScratch&)>& visit) const
@@ -287,16 +324,18 @@ class MonteCarloEngine : public SigmaBackend {
   /// not depend on where the run resumed, so resuming from checkpoints is
   /// bit-identical to a from-scratch run.
   ExpectedState ExpectedFrom(const SeedSchedule& sched, int t_begin,
-                             const std::vector<SampleCheckpoint>* start) const
+                             const std::vector<SampleCheckpoint>* start,
+                             const std::vector<ReplayLog>* replay) const
       IMDPP_REQUIRES(mu_);
-  /// Books `samples` realizations that each executed `rounds_run` of the
-  /// T promotion rounds (the rest are skips).
-  void Charge(int64_t samples, int rounds_run) const IMDPP_REQUIRES(mu_);
+  /// Books `samples` realizations that each executed `work.rounds` of the
+  /// T promotion rounds (the rest are skips), and the loop's attempts.
+  void Charge(int64_t samples, const SampleWork& work) const
+      IMDPP_REQUIRES(mu_);
 
   /// The racing driver: advances every alive candidate block by block
   /// through `eval_block(candidate, begin, end, race)` (which fills
-  /// per-sample slots and returns the rounds executed per sample, or −1
-  /// when the cancel token fired), charges each candidate-block, and on
+  /// per-sample slots and returns the block's work, rounds −1 when the
+  /// cancel token fired), charges each candidate-block, and on
   /// completion books the whole-sample skips plus the adaptive counters.
   /// winner −1 = cancelled mid-race (nothing terminal booked; partial
   /// blocks stay charged, mirroring interrupted estimates).
@@ -306,7 +345,8 @@ class MonteCarloEngine : public SigmaBackend {
   };
   RaceOutcome RaceSelect(
       int num_candidates, const AdaptiveEvalConfig& config,
-      const std::function<int(int, int, int, AdaptiveEval&)>& eval_block)
+      const std::function<SampleWork(int, int, int, AdaptiveEval&)>&
+          eval_block)
       const IMDPP_REQUIRES(mu_);
 
   CampaignSimulator sim_;
@@ -335,6 +375,8 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t blocks_run_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t early_stops_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t samples_saved_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable int64_t num_attempts_computed_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable int64_t num_attempts_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
   /// σ memo keyed on the exact seed vector (0 capacity = disabled), and
   /// the EvalMarket memo keyed on (market users, seed vector) behind the
   /// same opt-in flag. Nested maps so each market's user list is stored
@@ -365,6 +407,16 @@ class MonteCarloEngine : public SigmaBackend {
 /// Rebase() adopts a new base and keeps every checkpoint before the first
 /// round where the old and new bases diverge, so the reuse compounds
 /// across iterations of those loops.
+///
+/// Base replay: the round-keyed lattice build also records each sample's
+/// base realization as a ReplayLog. An estimate whose group diverges
+/// before the base's last active round grows the lattice (and the log) to
+/// that round once per base — from the second such estimate on, so a lone
+/// estimate never pays for a build — then replays the base's coin
+/// outcomes in the rounds it re-simulates wherever the group leaves the
+/// state untouched.
+/// Rebase keeps the log rounds it keeps checkpoints for. Off while the
+/// engine has SetInitialStates on and for LT (the log is never recorded).
 ///
 /// With an empty base every estimate resumes at round 0: that is the
 /// engine's own estimate path, and the only one allowed while the engine
@@ -423,12 +475,15 @@ class CheckpointedEval final : public ScheduleEval {
   /// Checkpoints of the base schedule under one coin keying:
   /// cp[k-1][s] = realization s frozen after base rounds 1..k (the users
   /// those rounds changed), valid for k <= rounds_ready and
-  /// s < samples_ready (rows are full-width).
+  /// s < samples_ready (rows are full-width). logs[s] = realization s's
+  /// replay log over the same rounds (round-keyed IC lattices only; empty
+  /// otherwise).
   struct Lattice {
     explicit Lattice(CoinKeying k) : keying(k) {}
 
     CoinKeying keying;
     std::vector<std::vector<SampleCheckpoint>> cp;
+    std::vector<ReplayLog> logs;
     int rounds_ready = 0;
     int samples_ready = 0;
 
@@ -448,18 +503,29 @@ class CheckpointedEval final : public ScheduleEval {
       IMDPP_REQUIRES(engine_.mu_);
   /// The lattice builder: grows `lattice` to base rounds 1..rounds_upto
   /// (capped at the base's last active round) for samples
-  /// [0, samples_upto), simulating the base with the lattice's keying and
-  /// freezing every boundary. Building is amortized shared work, booked
-  /// by moving its rounds from the skipped to the simulated bucket.
+  /// [0, samples_upto), simulating the base with the lattice's keying,
+  /// freezing every boundary and (round-keyed) recording the replay logs.
+  /// Building is amortized shared work, booked by moving its rounds from
+  /// the skipped to the simulated bucket.
   void Grow(Lattice& lattice, int rounds_upto, int samples_upto)
       IMDPP_REQUIRES(engine_.mu_);
   /// The mask the simulator restricts σ_τ to (null = no market).
   const std::vector<uint8_t>* MarketMask() const {
     return market_mask_.empty() ? nullptr : &market_mask_;
   }
+  /// Where a round-keyed estimate of a schedule starts: the round it
+  /// resumes after, that round's checkpoints (null = round 0) and the
+  /// base logs it replays (null = none).
+  struct Resume {
+    int round = 0;
+    const std::vector<SampleCheckpoint>* start = nullptr;
+    const std::vector<ReplayLog>* replay = nullptr;
+  };
   /// SharedRounds(sched), with the round-keyed lattice grown to it for
-  /// every sample (a cancelled build leaves it short; resume lower then).
-  int ResumeRound(const SeedSchedule& sched) IMDPP_REQUIRES(engine_.mu_);
+  /// every sample — or, when `sched` diverges before the base's last
+  /// active round and replay applies, to that round with its logs (a
+  /// cancelled build leaves it short; resume and replay less then).
+  Resume Prepare(const SeedSchedule& sched) IMDPP_REQUIRES(engine_.mu_);
   MarketEval Eval(const SeedGroup& group, bool want_pi)
       IMDPP_REQUIRES(engine_.mu_);
 
@@ -477,6 +543,9 @@ class CheckpointedEval final : public ScheduleEval {
   /// race that stops after one block never pays for prefixes it didn't
   /// use.
   Lattice attempt_keyed_{CoinKeying::kAttempt};
+  /// An estimate of the current base could have replayed a log the
+  /// lattice did not reach yet (see Prepare).
+  bool replay_wanted_ = false;
 };
 
 }  // namespace imdpp::diffusion

@@ -120,6 +120,12 @@ class RisBackend final : public SigmaBackend {
     util::MutexLock lock(mu_);
     return num_memo_hits_ + mc_.num_memo_hits();
   }
+  int64_t num_attempts_computed() const override {
+    return mc_.num_attempts_computed();
+  }
+  int64_t num_attempts_replayed() const override {
+    return mc_.num_attempts_replayed();
+  }
 
   /// Base counters/histogram plus the ris-specific instrumentation
   /// (sketch builds/reuses, coverage-query count) and the embedded

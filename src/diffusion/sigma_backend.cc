@@ -123,6 +123,8 @@ void SigmaBackend::AddMetrics(util::MetricsSnapshot& out) const {
   out.AddCounter(util::metric::kEvalBlocksRun, num_blocks_run());
   out.AddCounter(util::metric::kEvalEarlyStops, num_early_stops());
   out.AddCounter(util::metric::kEvalSamplesSaved, num_samples_saved());
+  out.AddCounter(util::metric::kEvalAttemptsComputed, num_attempts_computed());
+  out.AddCounter(util::metric::kEvalAttemptsReplayed, num_attempts_replayed());
   AddSigmaHistogram(out);
 }
 

@@ -275,8 +275,15 @@ class SigmaBackend {
   virtual int64_t num_early_stops() const { return 0; }
   virtual int64_t num_samples_saved() const { return 0; }
 
+  /// Kernel counters: promotion attempts (frontier entry × out-edge) the
+  /// backend's simulations computed, and the ones they replayed from a
+  /// base realization instead (mc base replay). Zero on backends that
+  /// never simulate.
+  virtual int64_t num_attempts_computed() const { return 0; }
+  virtual int64_t num_attempts_replayed() const { return 0; }
+
   /// Books this backend's work into `out` under the canonical
-  /// util::metric names: the four counters above plus the histogram of
+  /// util::metric names: the counters above plus the histogram of
   /// every σ̂ the backend returned (eval.sigma_hat). Backends with
   /// extra instrumentation (ris sketch counters) extend this.
   virtual void AddMetrics(util::MetricsSnapshot& out) const;

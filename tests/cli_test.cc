@@ -460,6 +460,24 @@ TEST(Cli, OutOfRangeRunSettingsAreInvalidArguments) {
       << r.err;
 }
 
+// A dataset scale must be finite and positive: 0, negatives, NaN and inf
+// exit 2 with the one-line error JSON instead of building a floor-size
+// (or NaN-sized) dataset.
+TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
+  for (const char* scale : {"0", "-2", "nan", "inf"}) {
+    SCOPED_TRACE(scale);
+    const CliResult r = RunCli({"plan", "--dataset", "amazon-like",
+                                "--planner", "bgrd", "--scale", scale});
+    EXPECT_EQ(r.code, 2);
+    util::Json error = ParseOrDie(FirstLine(r.err));
+    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
+              "invalid_argument");
+    EXPECT_NE(r.err.find("--scale must be a finite number > 0"),
+              std::string::npos)
+        << r.err;
+  }
+}
+
 // ISSUE 10: --adaptive turns on racing (the result JSON shows the race
 // counters moving), --adaptive-delta validates its range, the underscore
 // aliases parse, and the fixed-path run books zero race counters.

@@ -558,6 +558,40 @@ TEST(SweepSpec, OutOfRangeAxesAndOverridesFail) {
       << bad.ToString();
 }
 
+TEST(SweepSpec, NonPositiveDatasetScaleFails) {
+  for (const char* scale : {"0", "-2", "1e999"}) {
+    SCOPED_TRACE(scale);
+    const std::string text =
+        std::string(R"({"datasets": [{"name": "yelp-like", "scale": )") +
+        scale + R"(}], "planners": ["dysim"], "budgets": [10],
+                   "promotions": [1]})";
+    config::SweepSpec spec;
+    const util::Status bad = config::LoadSweepSpec(ParseOrDie(text), &spec);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("dataset.scale must be a finite number > 0"),
+              std::string::npos)
+        << bad.ToString();
+  }
+  // "name@scale" accepts any strtod value > 0, inf included, in the string
+  // form and in an object's "name".
+  for (const char* entry :
+       {R"("yelp-like@inf")", R"("yelp-like@1e999")",
+        R"({"name": "yelp-like@infinity"})"}) {
+    SCOPED_TRACE(entry);
+    const std::string text = std::string(R"({"datasets": [)") + entry +
+                             R"(], "planners": ["dysim"], "budgets": [10],
+                   "promotions": [1]})";
+    config::SweepSpec spec;
+    const util::Status bad = config::LoadSweepSpec(ParseOrDie(text), &spec);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("dataset.scale must be a finite number > 0"),
+              std::string::npos)
+        << bad.ToString();
+  }
+  EXPECT_EQ(config::ScaleError(0.5, "--scale"), "");
+  EXPECT_NE(config::ScaleError(std::nan(""), "--scale"), "");
+}
+
 TEST(SweepSpec, MissingRequiredAxesFail) {
   config::SweepSpec spec;
   util::Status bad = config::LoadSweepSpec(

@@ -62,7 +62,9 @@ void ExpectSamePlan(const PlanResult& a, const PlanResult& b,
   // never of the thread count.
   for (const char* counter :
        {util::metric::kEvalSimulations, util::metric::kEvalRoundsSimulated,
-        util::metric::kEvalRoundsSkipped, util::metric::kEvalMemoHits}) {
+        util::metric::kEvalRoundsSkipped, util::metric::kEvalMemoHits,
+        util::metric::kEvalAttemptsComputed,
+        util::metric::kEvalAttemptsReplayed}) {
     EXPECT_EQ(a.metrics.Counter(counter), b.metrics.Counter(counter))
         << counter;
   }

@@ -9,6 +9,8 @@
 #include "diffusion/monte_carlo.h"
 #include "pin/personal_item_network.h"
 #include "tests/test_util.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace imdpp::diffusion {
 namespace {
@@ -977,6 +979,285 @@ TEST(SparseResetDeathTest, CaptureOfNonStartRealizationAborts) {
   other.SimulateRounds(sched, 0, 1, 1, nullptr, scratch);
   EXPECT_DEATH(sim.Capture(scratch, cp), "start_serial_");
   other.Capture(scratch, cp);
+}
+
+// --- Base replay --------------------------------------------------------
+
+/// `n` seeds at random users, items and rounds.
+SeedGroup RandomSchedule(const Problem& p, Rng& rng, int n) {
+  SeedGroup seeds;
+  for (int i = 0; i < n; ++i) {
+    seeds.push_back(
+        {static_cast<UserId>(rng.NextBelow(static_cast<uint32_t>(p.NumUsers()))),
+         static_cast<ItemId>(rng.NextBelow(static_cast<uint32_t>(p.NumItems()))),
+         1 + static_cast<int>(
+                 rng.NextBelow(static_cast<uint32_t>(p.num_promotions)))});
+  }
+  return seeds;
+}
+
+/// The groups a search evaluates against `base`: one random seed added at
+/// every round (supersets), two seeds dropped (subsets), two seeds moved
+/// one round later (time shifts, wrapping), and the base itself.
+std::vector<SeedGroup> ReplayVariants(const Problem& p, const SeedGroup& base,
+                                      Rng& rng) {
+  std::vector<SeedGroup> out;
+  for (int t = 1; t <= p.num_promotions; ++t) {
+    SeedGroup g = base;
+    Seed added = RandomSchedule(p, rng, 1).front();
+    added.promotion = t;
+    g.push_back(added);
+    out.push_back(std::move(g));
+  }
+  for (int k = 0; k < 2; ++k) {
+    const auto i = static_cast<ptrdiff_t>(
+        rng.NextBelow(static_cast<uint32_t>(base.size())));
+    SeedGroup subset = base;
+    subset.erase(subset.begin() + i);
+    out.push_back(std::move(subset));
+    SeedGroup shifted = base;
+    shifted[static_cast<size_t>(i)].promotion =
+        shifted[static_cast<size_t>(i)].promotion % p.num_promotions + 1;
+    out.push_back(std::move(shifted));
+  }
+  out.push_back(base);
+  return out;
+}
+
+/// Entries of two expected states that differ in any bit.
+int ExpectedMismatches(const ExpectedState& a, const ExpectedState& b,
+                       const Problem& p) {
+  int mismatches = 0;
+  for (UserId u = 0; u < p.NumUsers(); ++u) {
+    for (ItemId x = 0; x < p.NumItems(); ++x) {
+      mismatches += std::bit_cast<uint64_t>(a.AdoptionProb(u, x)) !=
+                    std::bit_cast<uint64_t>(b.AdoptionProb(u, x));
+    }
+    const std::span<const float> wa = a.AvgWmeta(u);
+    const std::span<const float> wb = b.AvgWmeta(u);
+    for (size_t m = 0; m < wa.size(); ++m) {
+      mismatches +=
+          std::bit_cast<uint32_t>(wa[m]) != std::bit_cast<uint32_t>(wb[m]);
+    }
+  }
+  return mismatches;
+}
+
+void ExpectSameMarketEval(const MarketEval& a, const MarketEval& b) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.sigma), std::bit_cast<uint64_t>(b.sigma));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.sigma_market),
+            std::bit_cast<uint64_t>(b.sigma_market));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.pi), std::bit_cast<uint64_t>(b.pi));
+}
+
+/// What a fresh engine answers for one group.
+struct Reference {
+  double sigma;
+  MarketEval market;
+  ExpectedState expected;
+};
+
+/// Every group through a based CheckpointedEval on `engine` — Sigma,
+/// EvalMarket and Expected — against a fresh engine's answers.
+void ExpectReplayMatches(const MonteCarloEngine& engine, const Problem& p,
+                         const std::vector<UserId>& market,
+                         const std::vector<SeedGroup>& bases,
+                         const std::vector<std::vector<SeedGroup>>& groups,
+                         const std::vector<std::vector<Reference>>& want) {
+  CheckpointedEval eval(engine, bases.front(), market);
+  for (size_t b = 0; b < bases.size(); ++b) {
+    eval.Rebase(bases[b]);
+    for (size_t i = 0; i < groups[b].size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "base " << b << " group " << i);
+      const Reference& ref = want[b][i];
+      EXPECT_EQ(std::bit_cast<uint64_t>(eval.Sigma(groups[b][i])),
+                std::bit_cast<uint64_t>(ref.sigma));
+      ExpectSameMarketEval(eval.EvalMarket(groups[b][i]), ref.market);
+      EXPECT_EQ(ExpectedMismatches(eval.Expected(groups[b][i]), ref.expected,
+                                   p),
+                0);
+    }
+  }
+}
+
+// Replay repeats a base realization's coin outcomes wherever a group
+// leaves the state untouched; every estimate must still be the fresh
+// engine's, bit for bit: on every catalog dataset, for random bases and
+// their supersets, subsets and time-shifted variants, at every thread
+// count. The bases follow each other through Rebase: the second diverges
+// from the first at round 1 but keeps its later rounds (so its groups
+// resume checkpoints past a divergence the first base's logs predate),
+// and the third has every seed at round 1 (the set-addition greedy).
+TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
+  constexpr int kSamples = 8;
+  int64_t replayed = 0;
+  int64_t computed = 0;
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 0.2, 0});
+    const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+    Rng rng(HashTuple(uint64_t{0x5eed}, name.size(), p.NumUsers()));
+    std::vector<UserId> market;
+    for (UserId u = 0; u < p.NumUsers(); u += 3) market.push_back(u);
+    const SeedGroup random_base = RandomSchedule(p, rng, 6);
+    SeedGroup early = random_base;
+    early.insert(early.begin(), RandomSchedule(p, rng, 1).front());
+    early.front().promotion = 1;
+    SeedGroup first_round = random_base;
+    for (Seed& s : first_round) s.promotion = 1;
+    const std::vector<SeedGroup> bases = {random_base, early, first_round};
+    std::vector<std::vector<SeedGroup>> groups;
+    std::vector<std::vector<Reference>> want;
+    const MonteCarloEngine fresh(p, {}, kSamples, /*num_threads=*/0);
+    for (const SeedGroup& base : bases) {
+      groups.push_back(ReplayVariants(p, base, rng));
+      want.emplace_back();
+      for (const SeedGroup& g : groups.back()) {
+        want.back().push_back(
+            {fresh.Sigma(g), fresh.EvalMarket(g, market), fresh.Expected(g)});
+      }
+    }
+    for (int threads : {0, 1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads);
+      const MonteCarloEngine engine(p, {}, kSamples, threads);
+      ExpectReplayMatches(engine, p, market, bases, groups, want);
+      replayed += engine.num_attempts_replayed();
+      computed += engine.num_attempts_computed();
+    }
+  }
+  // Replay did the bulk of the work, so the comparisons exercised it.
+  EXPECT_GT(replayed, computed);
+}
+
+// Where replay is off — LT, attempt-keyed races, SetInitialStates — every
+// estimate still matches and not one attempt is replayed.
+TEST(BaseReplay, OffForLinearThresholdRacesAndInitialStates) {
+  constexpr int kSamples = 8;
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  Rng rng(7);
+  const std::vector<UserId> market = {0, 3, 6, 9, 12};
+  const SeedGroup base = RandomSchedule(p, rng, 6);
+  const std::vector<SeedGroup> variants = ReplayVariants(p, base, rng);
+
+  {  // LT: the base log is never recorded.
+    CampaignConfig lt;
+    lt.model = DiffusionModel::kLinearThreshold;
+    const MonteCarloEngine fresh(p, lt, kSamples, /*num_threads=*/0);
+    std::vector<Reference> want;
+    for (const SeedGroup& g : variants) {
+      want.push_back(
+          {fresh.Sigma(g), fresh.EvalMarket(g, market), fresh.Expected(g)});
+    }
+    const MonteCarloEngine engine(p, lt, kSamples, /*num_threads=*/2);
+    ExpectReplayMatches(engine, p, market, {base}, {variants}, {want});
+    EXPECT_GT(engine.num_attempts_computed(), 0);
+    EXPECT_EQ(engine.num_attempts_replayed(), 0);
+  }
+  {  // Races draw attempt-keyed coins, resumed from the attempt lattice.
+    std::vector<SelectCandidate> candidates;
+    for (int t = 1; t <= p.num_promotions; ++t) {
+      candidates.push_back({variants[static_cast<size_t>(t - 1)], nullptr});
+    }
+    SelectOptions racing;
+    racing.adaptive.enabled = true;
+    racing.adaptive.min_samples = 4;
+    racing.adaptive.block_samples = 4;
+    const MonteCarloEngine flat(p, {}, kSamples, /*num_threads=*/2);
+    const SelectBestResult want = flat.SelectBest(candidates, racing);
+    const MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
+    CheckpointedEval eval(engine, base);
+    const SelectBestResult got = eval.SelectBest(candidates, racing);
+    EXPECT_EQ(got.best_index, want.best_index);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
+              std::bit_cast<uint64_t>(want.best_score));
+    EXPECT_EQ(engine.num_attempts_replayed(), 0);
+  }
+  {  // Initial states: the fixed argmax keeps an empty base.
+    std::vector<pin::UserState> init = ExplicitStartStates(p);
+    init[1].Add(0);
+    std::vector<SelectCandidate> candidates;
+    for (const SeedGroup& g : variants) candidates.push_back({g, nullptr});
+    MonteCarloEngine fresh(p, {}, kSamples, /*num_threads=*/0);
+    fresh.SetInitialStates(&init);
+    SelectBestResult want;
+    want.best_score = -1.0;
+    for (size_t i = 0; i < variants.size(); ++i) {
+      const double sigma = fresh.Sigma(variants[i]);
+      if (sigma > want.best_score) {
+        want.best_score = sigma;
+        want.best_index = static_cast<int>(i);
+      }
+    }
+    MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
+    engine.SetInitialStates(&init);
+    SelectOptions fixed;
+    fixed.min_score = -1.0;
+    const SelectBestResult got = engine.SelectBest(candidates, fixed);
+    EXPECT_EQ(got.best_index, want.best_index);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
+              std::bit_cast<uint64_t>(want.best_score));
+    EXPECT_EQ(engine.num_attempts_replayed(), 0);
+    // Without the override, the supersets' shared prefix is replayed.
+    engine.SetInitialStates(nullptr);
+    candidates.resize(static_cast<size_t>(p.num_promotions));
+    engine.SelectBest(candidates, fixed);
+    EXPECT_GT(engine.num_attempts_replayed(), 0);
+  }
+}
+
+// Replay moves attempts from computed to replayed and nothing else: for
+// every group, computed + replayed on the replay path equals computed on
+// a plain estimate of the same group (groups that diverge from the base
+// at round 1, so neither path resumes a checkpoint). The engine's fixed
+// argmax over set additions (Procedure 2's shape) replays most of its
+// attempts.
+TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
+  constexpr int kSamples = 10;
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"yelp-like", 0.3, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  Rng rng(11);
+  SeedGroup base = RandomSchedule(p, rng, 8);
+  for (Seed& s : base) s.promotion = 1;
+  std::vector<SeedGroup> variants = ReplayVariants(p, base, rng);
+  // Supersets at later rounds and the base itself resume checkpoints.
+  variants.pop_back();
+  variants.erase(variants.begin() + 1, variants.begin() + p.num_promotions);
+  const MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
+  CheckpointedEval eval(engine, base);
+  int64_t replayed = 0;
+  for (const SeedGroup& g : variants) {
+    const MonteCarloEngine plain(p, {}, kSamples, /*num_threads=*/2);
+    const double want = plain.Sigma(g);
+    EXPECT_EQ(plain.num_attempts_replayed(), 0);
+    // The first estimate extends no log; the second builds it (the build's
+    // attempts are computed work too), so count from the third on.
+    eval.Sigma(variants.front());
+    eval.Sigma(variants.back());
+    const int64_t computed0 = engine.num_attempts_computed();
+    const int64_t replayed0 = engine.num_attempts_replayed();
+    EXPECT_EQ(std::bit_cast<uint64_t>(eval.Sigma(g)),
+              std::bit_cast<uint64_t>(want));
+    const int64_t computed = engine.num_attempts_computed() - computed0;
+    replayed += engine.num_attempts_replayed() - replayed0;
+    EXPECT_EQ(computed + engine.num_attempts_replayed() - replayed0,
+              plain.num_attempts_computed());
+  }
+  EXPECT_GT(replayed, 0);
+
+  std::vector<SelectCandidate> additions;
+  for (int k = 0; k < 12; ++k) {
+    SeedGroup g = base;
+    Seed added = RandomSchedule(p, rng, 1).front();
+    added.promotion = 1;
+    g.push_back(added);
+    additions.push_back({std::move(g), nullptr});
+  }
+  const MonteCarloEngine greedy(p, {}, kSamples, /*num_threads=*/2);
+  greedy.SelectBest(additions, SelectOptions{});
+  EXPECT_GT(greedy.num_attempts_replayed(), greedy.num_attempts_computed());
 }
 
 }  // namespace
