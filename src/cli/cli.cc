@@ -160,6 +160,8 @@ bool ParseIntFlag(const config::ParsedArgs& args, const char* key, int* out,
                   std::string* error) {
   double v = *out;
   if (!ParseNumberFlag(args, key, &v, error)) return false;
+  *error = config::IntError(v, std::string("--") + key);
+  if (!error->empty()) return false;
   *out = static_cast<int>(v);
   return true;
 }
@@ -626,7 +628,6 @@ int RunBackends(const config::ParsedArgs&, std::ostream& out,
     if (caps.resimulates_dynamics) tags += " resimulates-dynamics";
     if (caps.market_likelihood_pi) tags += " market-likelihood-pi";
     if (caps.prefix_checkpointing) tags += " prefix-checkpointing";
-    if (caps.initial_state_override) tags += " initial-state-override";
     if (caps.sketch_prep) tags += " sketch-prep";
     if (caps.select_best) tags += " select-best";
     if (tags.empty()) tags = " (none)";

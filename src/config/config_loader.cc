@@ -3,12 +3,24 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "diffusion/sigma_backend.h"
 #include "util/fault_injection.h"
 
 namespace imdpp::config {
+
+std::string IntError(double value, const std::string& where) {
+  if (value == std::floor(value) &&  // also rejects NaN and infinities
+      value >= std::numeric_limits<int>::min() &&
+      value <= std::numeric_limits<int>::max()) {
+    return "";
+  }
+  return where + " must be an integer within [" +
+         std::to_string(std::numeric_limits<int>::min()) + ", " +
+         std::to_string(std::numeric_limits<int>::max()) + "]";
+}
 
 std::string BudgetError(double budget, const std::string& where) {
   if (budget >= 0.0) return "";  // also rejects NaN
@@ -33,11 +45,13 @@ namespace {
 
 bool ReadInt(const util::Json& v, const std::string& where, int* out,
              std::string* error) {
-  if (!v.is_number() || v.AsDouble() != std::floor(v.AsDouble())) {
+  if (!v.is_number()) {
     *error = where + " must be an integer";
     return false;
   }
-  *out = static_cast<int>(v.AsInt());
+  *error = IntError(v.AsDouble(), where);
+  if (!error->empty()) return false;
+  *out = static_cast<int>(v.AsDouble());
   return true;
 }
 
@@ -57,6 +71,24 @@ bool ReadCount(const util::Json& v, const std::string& where, int* out,
   if (!ReadInt(v, where, out, error)) return false;
   *error = CountError(*out, where);
   return error->empty();
+}
+
+/// ReadInt plus a >= 0 rule (a depth).
+bool ReadNonNegative(const util::Json& v, const std::string& where, int* out,
+                     std::string* error) {
+  if (!ReadInt(v, where, out, error)) return false;
+  if (*out >= 0) return true;
+  *error = where + " must be >= 0";
+  return false;
+}
+
+/// ReadDouble plus a (0, 1] rule (a path-probability threshold).
+bool ReadProbability(const util::Json& v, const std::string& where,
+                     double* out, std::string* error) {
+  if (!ReadDouble(v, where, out, error)) return false;
+  if (*out > 0.0 && *out <= 1.0) return true;  // also rejects NaN
+  *error = where + " must be in (0, 1]";
+  return false;
 }
 
 bool ReadBool(const util::Json& v, const std::string& where, bool* out,
@@ -166,8 +198,8 @@ bool ApplyMarket(const util::Json& obj, cluster::MarketPlanConfig* cfg,
                  std::string* error) {
   for (const auto& [key, v] : obj.members()) {
     if (key == "mioa_threshold") {
-      if (!ReadDouble(v, "market.mioa_threshold", &cfg->mioa_threshold,
-                      error))
+      if (!ReadProbability(v, "market.mioa_threshold", &cfg->mioa_threshold,
+                           error))
         return false;
     } else if (key == "mioa_max_hops") {
       if (!ReadInt(v, "market.mioa_max_hops", &cfg->mioa_max_hops, error))
@@ -208,7 +240,8 @@ bool ApplyDysim(const util::Json& obj, core::DysimConfig* cfg,
         return false;
       }
     } else if (key == "dr_max_depth") {
-      if (!ReadInt(v, "dysim.dr_max_depth", &cfg->dr_max_depth, error))
+      if (!ReadNonNegative(v, "dysim.dr_max_depth", &cfg->dr_max_depth,
+                           error))
         return false;
     } else if (key == "use_target_markets") {
       if (!ReadBool(v, "dysim.use_target_markets", &cfg->use_target_markets,
@@ -288,10 +321,6 @@ bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
         if (pkey == "cache") {
           if (!ReadBool(pv, "prep.cache", &cfg->prep.cache, error))
             return false;
-        } else if (pkey == "build_threads") {
-          if (!ReadInt(pv, "prep.build_threads", &cfg->prep.build_threads,
-                       error))
-            return false;
         } else {
           *error = "unknown prep key \"" + pkey + "\"";
           return false;
@@ -331,8 +360,8 @@ bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
           }
           cfg->eval.fallback_backend = ev.AsString();
         } else if (ekey == "ris_sketches") {
-          if (!ReadInt(ev, "eval.ris_sketches", &cfg->eval.ris_sketches,
-                       error))
+          if (!ReadCount(ev, "eval.ris_sketches", &cfg->eval.ris_sketches,
+                         error))
             return false;
         } else if (ekey == "adaptive") {
           if (!ev.is_object()) {

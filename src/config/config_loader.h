@@ -36,11 +36,13 @@ namespace imdpp::config {
 util::Status LoadJsonFile(const std::string& path, util::Json* out);
 
 /// Range rules for the run settings every reader shares (CLI flags, JSON
-/// config, sweep axes): a budget is >= 0; promotion and sample counts are
-/// >= 1; a dataset scale is finite and > 0. Each returns "" for a valid
-/// value, else an error naming `where`.
+/// config, sweep axes): an integer setting is a whole number within int
+/// (checked on the parsed double, before any cast); a budget is >= 0;
+/// promotion and sample counts are >= 1; a dataset scale is finite and
+/// > 0. Each returns "" for a valid value, else an error naming `where`.
 /// Readers turn a non-empty result into kInvalidArgument, so a bad value
 /// never reaches the CHECKs in Problem or the engine.
+std::string IntError(double value, const std::string& where);
 std::string BudgetError(double budget, const std::string& where);
 std::string CountError(int count, const std::string& where);
 std::string ScaleError(double scale, const std::string& where);

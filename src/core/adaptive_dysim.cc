@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "util/cancel.h"
@@ -14,17 +13,6 @@ namespace {
 
 /// The reality draws' stream of the run's master seed.
 constexpr uint64_t kRealityStream = 0xada9'711eULL;
-
-std::vector<pin::UserState> InitialStates(const Problem& problem) {
-  std::vector<pin::UserState> states;
-  states.reserve(problem.NumUsers());
-  for (graph::UserId u = 0; u < problem.NumUsers(); ++u) {
-    std::span<const float> w0 = problem.Wmeta0(u);
-    states.emplace_back(problem.NumItems(),
-                        std::vector<float>(w0.begin(), w0.end()));
-  }
-  return states;
-}
 
 }  // namespace
 
@@ -40,7 +28,9 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
   }
   const int T = problem.num_promotions;
   double remaining = problem.budget;
-  std::vector<pin::UserState> reality = InitialStates(problem);
+  // The observed state: the problem, started where the promotions so far
+  // left the one realization that is reality.
+  Problem observed = problem;
   const uint64_t reality_seed =
       HashTuple(run.campaign().base_seed, kRealityStream);
   const util::CancelToken* cancel = run.cancel().get();
@@ -68,14 +58,10 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
     if (!util::CheckCancel(cancel).ok()) break;
     const int horizon = T - t + 1;
     // Sub-problem over the remaining horizon, starting from reality.
-    Problem sub = problem;
+    Problem sub = observed;
     sub.num_promotions = horizon;
     sub.budget = remaining;
-    auto observed = std::make_unique<diffusion::MonteCarloEngine>(
-        sub, run.campaign(), run.selection_samples(), run.num_threads(),
-        run.pool(), run.cancel());
-    observed->SetInitialStates(&reality);
-    RunContext::Engine engine = run.Adopt(std::move(observed));
+    RunContext::Engine engine = run.MakeEngine(sub, run.selection_samples());
 
     std::vector<Nominee> candidates =
         BuildCandidateUniverse(sub, run.candidates());
@@ -136,14 +122,14 @@ AdaptiveResult RunAdaptiveDysim(const Problem& problem, RunContext& run,
 
     // Realize this promotion once from the observed state.
     if (!chosen.empty()) {
-      Problem one = problem;
+      Problem one = observed;
       one.num_promotions = 1;
       diffusion::CampaignSimulator sim(one, run.campaign());
       diffusion::SampleOutcome o = sim.RunSample(
           diffusion::AtFirstPromotion(chosen),
           reality_seed + static_cast<uint64_t>(t), nullptr,
-          /*keep_states=*/true, &reality);
-      reality = std::move(o.states);
+          /*keep_states=*/true);
+      observed = problem.StartedAt(o.states);
       round.realized_sigma = o.sigma;
       result.realized_sigma += o.sigma;
     }

@@ -15,9 +15,11 @@
 // draw, on its own stream of the run's master seed) and its end state
 // seeds the next round.
 //
-// Replanning from an observed state needs an engine whose realizations
-// start there (MonteCarloEngine::SetInitialStates), so the planner runs
-// on the "mc" backend only and rejects any other with kInvalidArgument.
+// Each round plans on an engine over the problem started at the observed
+// state (Problem::StartedAt), so its estimates resume checkpoints and
+// replay base realizations like every other planner's. The planner runs
+// on the "mc" backend only and rejects any other with kInvalidArgument:
+// the ris backend's sketches ignore start adoptions.
 #ifndef IMDPP_CORE_ADAPTIVE_DYSIM_H_
 #define IMDPP_CORE_ADAPTIVE_DYSIM_H_
 

@@ -64,7 +64,7 @@ util::StatusOr<RunContext::Lease> RunContext::LeasePrep(
   IMDPP_CHECK(!finished_);
   util::StatusOr<prep::PrepLease> lease = prep::AcquirePrep(
       options_.prep_cache, options_.prep.cache, problem, options_.pool,
-      options_.prep.build_threads, options_.backend.cancel);
+      options_.backend.cancel);
   if (!lease.ok()) return lease.status();
   return Lease(this, std::move(*lease));
 }

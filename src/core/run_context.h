@@ -132,8 +132,8 @@ class RunContext {
   /// on the run's pool. `problem` must outlive the engine.
   Engine MakeEngine(const diffusion::Problem& problem, int num_samples);
 
-  /// Takes over an engine built elsewhere (e.g. a MonteCarloEngine that
-  /// needed SetInitialStates first), so it books like a made one.
+  /// Takes over an engine built elsewhere (e.g. the api report engine),
+  /// so it books like a made one.
   Engine Adopt(std::unique_ptr<diffusion::SigmaBackend> engine);
 
   /// The run's prep artifacts: served from the prep cache when one is set

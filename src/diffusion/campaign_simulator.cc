@@ -230,39 +230,27 @@ CampaignSimulator::CampaignSimulator(const Problem& problem,
 
 void CampaignSimulator::ResetToStart(SimScratch& scratch) const {
   const int num_items = problem_.NumItems();
+  auto reset = [&](UserId u) {
+    scratch.states_[static_cast<size_t>(u)].ResetTo(
+        num_items, problem_.StartAdopted(u), problem_.Wmeta0(u));
+  };
   if (scratch.start_serial_ == serial_) {
     for (UserId u : scratch.changed_) {
-      scratch.states_[static_cast<size_t>(u)].ResetTo(num_items,
-                                                      problem_.Wmeta0(u));
+      reset(u);
       scratch.changed_mark_[static_cast<size_t>(u)] = 0;
     }
   } else {
-    for (UserId u = 0; u < problem_.NumUsers(); ++u) {
-      scratch.states_[static_cast<size_t>(u)].ResetTo(num_items,
-                                                      problem_.Wmeta0(u));
-    }
+    for (UserId u = 0; u < problem_.NumUsers(); ++u) reset(u);
     std::fill(scratch.changed_mark_.begin(), scratch.changed_mark_.end(), 0);
     scratch.start_serial_ = serial_;
   }
   scratch.changed_.clear();
 }
 
-void CampaignSimulator::Restore(
-    const SampleCheckpoint* cp,
-    const std::vector<pin::UserState>* initial_states,
-    SimScratch& scratch) const {
-  const int num_users = problem_.NumUsers();
+void CampaignSimulator::Restore(const SampleCheckpoint* cp,
+                                SimScratch& scratch) const {
   scratch.Bind(problem_);
   scratch.BeginSample();
-  if (cp == nullptr && initial_states != nullptr) {
-    IMDPP_CHECK_EQ(initial_states->size(), static_cast<size_t>(num_users));
-    for (UserId u = 0; u < num_users; ++u) {
-      scratch.states_[static_cast<size_t>(u)].CopyFrom(
-          (*initial_states)[static_cast<size_t>(u)]);
-    }
-    scratch.start_serial_ = 0;
-    return;
-  }
   ResetToStart(scratch);
   if (cp == nullptr) return;
   IMDPP_CHECK_EQ(cp->users.size(), cp->states.size());
@@ -319,11 +307,10 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const pin::AssociationModel& assoc_model = dynamics_->association();
   const kg::RelevanceModel& rel = *problem_.relevance;
   const bool associations = dynamics_->params().assoc_scale > 0.0;
-  // Users who have adopted nothing in a realization that began at the
-  // problem start still hold Wmeta0(u), so their net relevances are
-  // entries of the start-perception table.
-  const StartPerceptionTable* start_nets =
-      scratch.start_serial_ == serial_ ? start_perception_.get() : nullptr;
+  // Users who have adopted nothing still hold Wmeta0(u), so their net
+  // relevances are entries of the start-perception table.
+  IMDPP_DCHECK(scratch.start_serial_ == serial_);
+  const StartPerceptionTable* start_nets = start_perception_.get();
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
   // Attempt-keyed flips hash the per-pair attempt ordinal instead of
@@ -530,19 +517,17 @@ SimScratch& ThreadLocalSimScratch() {
 
 SampleOutcome CampaignSimulator::RunSample(
     const SeedGroup& seeds, uint64_t sample_idx,
-    const std::vector<uint8_t>* market_mask, bool keep_states,
-    const std::vector<pin::UserState>* initial_states) const {
+    const std::vector<uint8_t>* market_mask, bool keep_states) const {
   return RunSample(seeds, sample_idx, market_mask, keep_states,
-                   initial_states, &ThreadLocalSimScratch());
+                   &ThreadLocalSimScratch());
 }
 
 SampleOutcome CampaignSimulator::RunSample(
     const SeedGroup& seeds, uint64_t sample_idx,
     const std::vector<uint8_t>* market_mask, bool keep_states,
-    const std::vector<pin::UserState>* initial_states,
     SimScratch* scratch) const {
   SeedSchedule sched(seeds, problem_);
-  Restore(nullptr, initial_states, *scratch);
+  Restore(nullptr, *scratch);
   SimulateRounds(sched, sample_idx, 1, sched.last_active_round(), market_mask,
                  *scratch);
   SampleOutcome out;

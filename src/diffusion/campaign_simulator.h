@@ -57,26 +57,28 @@
 // the exact same floating-point operations happen in the exact same order,
 // merely split across calls.
 //
+// Every realization begins at the problem start: each user's start
+// adoptions (Problem::start_adopted, empty for a catalog problem) and
+// Wmeta0(u). Adaptive replanning starts a problem at an observed state
+// (Problem::StartedAt) rather than overriding the start here.
+//
 // Sparse state: a user's state changes only when the user adopts, and a
-// cascade usually reaches a small part of |V|. So a realization that began
-// at the problem start is its start state plus the users it changed: the
-// arena lists them as they first adopt, a reset from the start restores
-// just those (one full reset only when the arena's last start was another
-// simulator's, or not a start at all), and a checkpoint stores just those,
-// as ids plus states. Checkpoints are taken only of such realizations.
+// cascade usually reaches a small part of |V|. So a realization is its
+// start state plus the users it changed: the arena lists them as they
+// first adopt, a reset from the start restores just those (one full reset
+// only when the arena's last start was another simulator's), and a
+// checkpoint stores just those, as ids plus states.
 //
 // Start perception: a user's meta-graph weighting changes only when the
-// user adopts, so in a realization that began at the problem start (a
-// Restore with no initial states, from a checkpoint or not) a user with
-// no adoption still holds Wmeta0(u). For such a target the
-// association sweep reads each net relevance r^C − r^S from the problem's
-// StartPerceptionTable (diffusion/start_perception.h), shared by every
-// simulator of the problem and filled by the first, instead of running
-// RelNet over the M metas; with nothing adopted there is no item to skip
-// either. Every other target, and every realization begun from
-// caller-provided initial states, computes RelNet. Both feed one Pext
-// formula (pin::AssociationModel::ExtraProb) and the table holds RelNet's
-// own results, so the coins and their outcomes are unchanged bit for bit.
+// user adopts, so a user with no adoption still holds Wmeta0(u). For such
+// a target the association sweep reads each net relevance r^C − r^S from
+// the problem's StartPerceptionTable (diffusion/start_perception.h),
+// shared by every simulator of the problem and filled by the first,
+// instead of running RelNet over the M metas; with nothing adopted there
+// is no item to skip either. Every other target computes RelNet. Both
+// feed one Pext formula (pin::AssociationModel::ExtraProb) and the table
+// holds RelNet's own results, so the coins and their outcomes are
+// unchanged bit for bit.
 //
 // Base replay: a promotion attempt — frontier entry (u', x) at (t, ζ)
 // walking one out-edge to u — makes its try-to-adopt calls as a pure
@@ -363,14 +365,12 @@ class SimScratch {
 
   // Users whose state differs from the problem start, in first-change
   // order. Valid while start_serial_ names a simulator: every unlisted
-  // user then holds that simulator's start state (nothing adopted,
-  // Wmeta0(u)), so a reset restores the listed users only and a user
-  // with no adoption reads the start-perception table.
+  // user then holds that simulator's start state (start adoptions,
+  // Wmeta0(u)), so a reset restores the listed users only.
   std::vector<UserId> changed_;
   std::vector<uint8_t> changed_mark_;  ///< |V|
   /// CampaignSimulator serial of the current realization's start; 0 =
-  /// none (fresh or reshaped arena, or a realization begun from
-  /// caller-provided initial states).
+  /// none (fresh or reshaped arena).
   uint64_t start_serial_ = 0;
 
   // Base replay state of the current SimulateRounds call. Dirty users are
@@ -396,12 +396,12 @@ class SimScratch {
 SimScratch& ThreadLocalSimScratch();
 
 /// Per-sample diffusion state frozen at a promotion boundary of a
-/// realization begun at the problem start: the states of the users
-/// promotions 1..k changed (every other user still holds the start
-/// state), the LT accumulators touched so far, and the running outcome
-/// partials — all sparse. Restoring it and simulating promotions k+1..T
-/// replays the exact operation sequence of a from-scratch run of the same
-/// schedule — the basis of promotion-round checkpoint reuse.
+/// realization: the states of the users promotions 1..k changed (every
+/// other user still holds the start state), the LT accumulators touched
+/// so far, and the running outcome partials — all sparse. Restoring it and
+/// simulating promotions k+1..T replays the exact operation sequence of a
+/// from-scratch run of the same schedule — the basis of promotion-round
+/// checkpoint reuse.
 struct SampleCheckpoint {
   /// users[i] holds states[i]; in first-change order.
   std::vector<UserId> users;
@@ -423,38 +423,26 @@ class CampaignSimulator {
   /// Runs realization `sample_idx` of the campaign induced by `seeds`.
   /// `market_mask` (optional, size |V|) restricts sigma_market.
   /// `keep_states` returns the final per-user states (for π / expected
-  /// perception extraction). `initial_states` (optional) starts the
-  /// campaign from a previously observed state instead of the problem's
-  /// initial preferences/weightings — the hook for adaptive IM (Sec. V-D).
-  /// Uses a thread-local scratch arena, so repeated calls on one thread
-  /// are allocation-free.
-  SampleOutcome RunSample(
-      const SeedGroup& seeds, uint64_t sample_idx,
-      const std::vector<uint8_t>* market_mask = nullptr,
-      bool keep_states = false,
-      const std::vector<pin::UserState>* initial_states = nullptr) const;
+  /// perception extraction). Uses a thread-local scratch arena, so
+  /// repeated calls on one thread are allocation-free.
+  SampleOutcome RunSample(const SeedGroup& seeds, uint64_t sample_idx,
+                          const std::vector<uint8_t>* market_mask = nullptr,
+                          bool keep_states = false) const;
 
   /// Same, on a caller-owned arena (embedders and the scratch-reuse
   /// bit-identity tests).
   SampleOutcome RunSample(const SeedGroup& seeds, uint64_t sample_idx,
                           const std::vector<uint8_t>* market_mask,
-                          bool keep_states,
-                          const std::vector<pin::UserState>* initial_states,
-                          SimScratch* scratch) const;
+                          bool keep_states, SimScratch* scratch) const;
 
   // --- Checkpointed fast path (MonteCarloEngine internals). ---
 
   /// Prepares `scratch` to simulate: from a frozen boundary state (`cp`),
-  /// from `initial_states`, or — when both are null — from the problem's
-  /// initial preferences/weightings. Only the last (and checkpoints taken
-  /// on top of it) reads the start-perception table. A start (with or
-  /// without `cp`) resets only the users the scratch lists as changed,
-  /// unless the scratch's last start was not this simulator's (first use
-  /// on this thread, another simulator, initial states, a reshape): then
-  /// it resets every user once.
-  void Restore(const SampleCheckpoint* cp,
-               const std::vector<pin::UserState>* initial_states,
-               SimScratch& scratch) const;
+  /// or — when null — from the problem start. Either resets only the
+  /// users the scratch lists as changed, unless the scratch's last start
+  /// was not this simulator's (first use on this thread, another
+  /// simulator, a reshape): then it resets every user once.
+  void Restore(const SampleCheckpoint* cp, SimScratch& scratch) const;
 
   /// Simulates promotions [t_begin, t_end] of `sched` for realization
   /// `sample_idx` on top of scratch's current state, accumulating into its
@@ -463,12 +451,12 @@ class CampaignSimulator {
   /// given (sched, t_begin, t_end), so callers can account work without
   /// per-sample bookkeeping. `keying` picks the coin hash (see the file
   /// comment); a resumed simulation must use the keying its checkpoint
-  /// was built with.
+  /// was built with. Call after this simulator's Restore.
   /// `replay` (optional) is the log of a base realization of the same
   /// sample whose state before round t_begin equals scratch's (both began
-  /// at this simulator's problem start, or resumed from the base's
-  /// checkpoint): attempts the group leaves clean repeat the base's calls
-  /// instead of being computed ("Base replay" in the file comment).
+  /// at the problem start, or resumed from the base's checkpoint):
+  /// attempts the group leaves clean repeat the base's calls instead of
+  /// being computed ("Base replay" in the file comment).
   /// `record` (optional) appends this simulation's own log. Both are
   /// ignored unless the simulation is round-keyed IC. Neither changes a
   /// bit of the realization.
@@ -481,7 +469,7 @@ class CampaignSimulator {
                      ReplayLog* record = nullptr) const;
 
   /// Freezes scratch's current state into `cp` (buffers reused). The
-  /// realization must have begun at this simulator's problem start.
+  /// realization must have begun at this simulator's Restore.
   void Capture(const SimScratch& scratch, SampleCheckpoint& cp) const;
 
   /// Likelihood π_τ(SG) of Eq. 13 evaluated on the final states of one
@@ -501,7 +489,8 @@ class CampaignSimulator {
   }
 
  private:
-  /// Resets scratch's users to the problem start (see Restore).
+  /// Resets scratch's users to the problem start: start adoptions plus
+  /// Wmeta0(u) (see Restore).
   void ResetToStart(SimScratch& scratch) const;
 
   const Problem& problem_;

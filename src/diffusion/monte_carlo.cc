@@ -118,6 +118,11 @@ double ExpectedState::AvgRelS(const pin::PersonalItemNetwork& pin,
 ExpectedState ExpectedState::InitialOf(const Problem& problem) {
   ExpectedState es(problem.NumUsers(), problem.NumItems(), problem.NumMetas());
   es.avg_wmeta_ = problem.wmeta0;
+  for (UserId u = 0; u < problem.NumUsers(); ++u) {
+    for (ItemId x : problem.StartAdopted(u)) {
+      es.adoption_prob_[problem.UserItemIndex(u, x)] = 1.0f;
+    }
+  }
   return es;
 }
 
@@ -242,8 +247,7 @@ SampleWork MonteCarloEngine::RunSamples(
     for (int s = lo; s < hi; ++s) {
       if (!cancel_->Check().ok()) break;
       const auto si = static_cast<size_t>(s);
-      sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
-                   initial_states_, scratch);
+      sim_.Restore(start == nullptr ? nullptr : &(*start)[si], scratch);
       rounds = 0;
       if (t_end > resume) {
         rounds = sim_.SimulateRounds(
@@ -258,9 +262,9 @@ SampleWork MonteCarloEngine::RunSamples(
 }
 
 // Every engine-level estimate is the round-0 case of CheckpointedEval: an
-// empty base has no checkpoints, so each realization starts from
-// initial_states_ or the problem start and runs the same sample loop,
-// memo and booking as a checkpointed estimate.
+// empty base has no checkpoints, so each realization starts from the
+// problem start and runs the same sample loop, memo and booking as a
+// checkpointed estimate.
 double MonteCarloEngine::Sigma(const SeedGroup& seeds) const {
   return CheckpointedEval(*this, {}).Sigma(seeds);
 }
@@ -284,13 +288,9 @@ SelectBestResult MonteCarloEngine::SelectBest(
     // The fixed-count reference loop (which a disabled race must match
     // bit for bit — it IS the pre-adaptive code path), on an evaluator
     // based at the shared prefix: estimates are unchanged, the work is
-    // not. Checkpoints assume the problem start, so an initial-state
-    // override keeps the base empty.
+    // not.
     SeedGroup base;
-    if (candidates.size() >= 2) {
-      util::MutexLock lock(mu_);
-      if (initial_states_ == nullptr) base = CommonPrefix(candidates);
-    }
+    if (candidates.size() >= 2) base = CommonPrefix(candidates);
     SelectBestResult result =
         CheckpointedEval(*this, std::move(base)).SelectBest(candidates, options);
     result.samples_used =
@@ -320,8 +320,7 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
     for (int s = ShardBegin(shard); s < end; ++s) {
       if (!cancel_->Check().ok()) break;
       const auto si = static_cast<size_t>(s);
-      sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
-                   initial_states_, scratch);
+      sim_.Restore(start == nullptr ? nullptr : &(*start)[si], scratch);
       rounds = sim_.SimulateRounds(
           sched, static_cast<uint64_t>(s), t_begin, t_end, nullptr, scratch,
           CoinKeying::kRound, replay == nullptr ? nullptr : &(*replay)[si]);
@@ -435,12 +434,7 @@ int CheckpointedEval::FirstDivergence(const SeedSchedule& a,
 int CheckpointedEval::SharedRounds(const SeedSchedule& sched) const {
   const int t_max = engine_.sim_.problem().num_promotions;
   const int diverge = FirstDivergence(base_sched_, sched, t_max);
-  const int shared = std::min(diverge - 1, base_sched_.last_active_round());
-  // Checkpoints freeze the diffusion from the problem's initial state; a
-  // SetInitialStates override must fail loudly rather than silently
-  // resume from the wrong state. Round-0 starts honor the override.
-  IMDPP_CHECK(shared == 0 || engine_.initial_states_ == nullptr);
-  return shared;
+  return std::min(diverge - 1, base_sched_.last_active_round());
 }
 
 void CheckpointedEval::Rebase(SeedGroup base) {
@@ -495,7 +489,7 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
         if (!engine_.cancel_->Check().ok()) break;
         const auto si = static_cast<size_t>(s);
         engine_.sim_.Restore(start == nullptr ? nullptr : &(*start)[si],
-                             nullptr, scratch);
+                             scratch);
         // A log holds exactly the rounds its checkpoints do (an earlier
         // cancelled build may have left more).
         ReplayLog* log = record ? &lattice.logs[si] : nullptr;
@@ -535,11 +529,11 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
 CheckpointedEval::Resume CheckpointedEval::Prepare(
     const SeedSchedule& sched) {
   const int shared = SharedRounds(sched);
-  // Replay needs the base's log past the shared rounds, recorded from the
-  // problem start (the lattice builds from there) for round-keyed IC.
+  // Replay needs the base's log past the shared rounds, recorded for
+  // round-keyed IC only.
   const int last = base_sched_.last_active_round();
   bool replay =
-      shared < last && engine_.initial_states_ == nullptr &&
+      shared < last &&
       engine_.sim_.config().model == DiffusionModel::kIndependentCascade;
   // Extending the log costs one base simulation per sample, which only a
   // second replaying estimate earns back: the first one per base runs

@@ -34,18 +34,19 @@
 //     realization as a ReplayLog, and the rounds a group re-simulates
 //     after its divergence replay the base's coin outcomes wherever the
 //     group leaves the state untouched (campaign_simulator.h, "Base
-//     replay"). Round-keyed IC from the problem start only; exact by
-//     construction. The engine's fixed-mode SelectBest bases its loop at
-//     the candidates' longest common seed prefix, so a set-addition
-//     greedy (every candidate = the current set + one addition)
-//     re-simulates only what each addition changes.
+//     replay"). Round-keyed IC only; exact by construction. The
+//     engine's fixed-mode SelectBest bases its loop at the candidates'
+//     longest common seed prefix, so a set-addition greedy (every
+//     candidate = the current set + one addition) re-simulates only what
+//     each addition changes.
 //   * an opt-in σ memo keyed on the exact seed vector, so sweeps that
 //     revisit an identical configuration (e.g. Dysim's coordinate-ascent
 //     timing refinement) pay nothing.
 // One code path serves both levels: the engine's own Sigma, EvalMarket,
 // Expected and adaptive SelectBest are a CheckpointedEval with an empty
-// base, whose every realization resumes at round 0 (from the problem
-// start or the SetInitialStates override). Inside it there is one σ/σ_τ/π
+// base, whose every realization resumes at round 0, from the problem
+// start (a started problem's observed state for adaptive replanning,
+// Problem::StartedAt). Inside it there is one σ/σ_τ/π
 // sample loop (RunSamples), one Expected loop (ExpectedFrom), one race
 // and one checkpoint-lattice builder, instantiated once per coin keying.
 // Work accounting: num_rounds_simulated / num_rounds_skipped split every
@@ -111,7 +112,6 @@ class MonteCarloEngine : public SigmaBackend {
     caps.resimulates_dynamics = true;
     caps.market_likelihood_pi = true;
     caps.prefix_checkpointing = true;
-    caps.initial_state_override = true;
     caps.select_best = true;
     return caps;
   }
@@ -144,41 +144,16 @@ class MonteCarloEngine : public SigmaBackend {
 
   /// Greedy σ-scored argmax (ISSUE 10). Fixed mode (the default) runs the
   /// reference loop on a CheckpointedEval based at the candidates' longest
-  /// common seed prefix (empty for a single candidate or while
-  /// SetInitialStates is on), so each estimate resumes the shared rounds
-  /// and replays the base where its candidate leaves it untouched — the
-  /// estimates, call order and memo traffic of SigmaBackend::SelectBest,
-  /// bit for bit. options.adaptive.enabled runs the CheckpointedEval race
-  /// with an empty base, so every racer resumes at round 0 — which is why
-  /// it supports SetInitialStates. See CheckpointedEval::SelectBest for
-  /// the stopping, winner re-evaluation and determinism contract.
+  /// common seed prefix (empty for a single candidate), so each estimate
+  /// resumes the shared rounds and replays the base where its candidate
+  /// leaves it untouched — the estimates, call order and memo traffic of
+  /// SigmaBackend::SelectBest, bit for bit. options.adaptive.enabled runs
+  /// the CheckpointedEval race with an empty base, so every racer resumes
+  /// at round 0. See CheckpointedEval::SelectBest for the stopping, winner
+  /// re-evaluation and determinism contract.
   SelectBestResult SelectBest(const std::vector<SelectCandidate>& candidates,
                               const SelectOptions& options) const override
       IMDPP_EXCLUDES(mu_);
-
-  /// Starts every realization from `states` instead of the problem's
-  /// initial state (adaptive IM). Pass nullptr to reset. The pointee must
-  /// outlive subsequent estimate calls. Clears (and, while set, disables)
-  /// the σ memo: memoized values assume the problem's initial state.
-  /// While set, only estimates that resume at round 0 are allowed (every
-  /// engine-level one is); checkpoints assume the problem start.
-  /// Aborts unless `states` holds one state per user, each shaped for the
-  /// problem's items and meta-graphs.
-  void SetInitialStates(const std::vector<pin::UserState>* states)
-      IMDPP_EXCLUDES(mu_) {
-    if (states != nullptr) {
-      const Problem& p = sim_.problem();
-      IMDPP_CHECK_EQ(states->size(), static_cast<size_t>(p.NumUsers()));
-      for (const pin::UserState& s : *states) {
-        IMDPP_CHECK(s.HasShape(p.NumItems(), p.NumMetas()));
-      }
-    }
-    util::MutexLock lock(mu_);
-    initial_states_ = states;
-    sigma_memo_.clear();
-    market_memo_.clear();
-    market_memo_entries_ = 0;
-  }
 
   /// Opts in to memoizing estimates by exact input (identical input =>
   /// identical estimate, so a hit returns the previously computed bits
@@ -289,7 +264,7 @@ class MonteCarloEngine : public SigmaBackend {
   /// The one sample loop behind every σ/σ_τ/π estimate and every race
   /// block: for each sample s in [begin, end), restores the realization
   /// after round `resume` — from (*start)[s] when `start` is set, else
-  /// from initial_states_ or the problem start — simulates the remaining
+  /// from the problem start — simulates the remaining
   /// rounds of `sched` with `keying` (replaying (*replay)[s] when set),
   /// and calls visit(shard, s, scratch). Returns the loop's work; callers
   /// check Cancelled() after.
@@ -303,7 +278,7 @@ class MonteCarloEngine : public SigmaBackend {
       IMDPP_REQUIRES(mu_);
 
   bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
-    return sigma_memo_capacity_ > 0 && initial_states_ == nullptr;
+    return sigma_memo_capacity_ > 0;
   }
   /// Memo lookup; on hit books the skipped work and returns true.
   bool MemoLookup(const SeedGroup& seeds, double* sigma) const
@@ -319,7 +294,7 @@ class MonteCarloEngine : public SigmaBackend {
                        const MarketEval& eval) const IMDPP_REQUIRES(mu_);
   /// The one Expected loop: runs promotions [t_begin, t_end(sched)] per
   /// sample on top of `start` (per-sample checkpoints; nullptr = the
-  /// initial state) and averages the final states. The accumulation shape
+  /// problem start) and averages the final states. The accumulation shape
   /// (per-shard raw float sums folded in shard order, scaled once) does
   /// not depend on where the run resumed, so resuming from checkpoints is
   /// bit-identical to a from-scratch run.
@@ -361,12 +336,10 @@ class MonteCarloEngine : public SigmaBackend {
   std::shared_ptr<const util::CancelToken> cancel_;
 
   /// Guards every piece of state an estimate mutates: memos, work
-  /// counters, the lazily created pool and the initial-state override.
-  /// Held for whole estimates (see Sigma), so the engine is safe to share
-  /// across threads at estimate granularity.
+  /// counters and the lazily created pool. Held for whole estimates (see
+  /// Sigma), so the engine is safe to share across threads at estimate
+  /// granularity.
   mutable util::Mutex mu_;
-  const std::vector<pin::UserState>* initial_states_ IMDPP_GUARDED_BY(mu_) =
-      nullptr;
   mutable std::unique_ptr<util::ThreadPool> pool_ IMDPP_GUARDED_BY(mu_);
   mutable int64_t num_simulations_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_rounds_simulated_ IMDPP_GUARDED_BY(mu_) = 0;
@@ -415,14 +388,12 @@ class MonteCarloEngine : public SigmaBackend {
 /// estimate never pays for a build — then replays the base's coin
 /// outcomes in the rounds it re-simulates wherever the group leaves the
 /// state untouched.
-/// Rebase keeps the log rounds it keeps checkpoints for. Off while the
-/// engine has SetInitialStates on and for LT (the log is never recorded).
+/// Rebase keeps the log rounds it keeps checkpoints for. Off for LT (the
+/// log is never recorded).
 ///
 /// With an empty base every estimate resumes at round 0: that is the
-/// engine's own estimate path, and the only one allowed while the engine
-/// has SetInitialStates on (checkpoints assume the problem start). All
-/// estimates run on the engine's sharded sample loop and are charged to
-/// its work counters.
+/// engine's own estimate path. All estimates run on the engine's sharded
+/// sample loop and are charged to its work counters.
 class CheckpointedEval final : public ScheduleEval {
  public:
   /// `market` fixes the user list for EvalMarket() (empty = σ_τ and π
@@ -498,9 +469,8 @@ class CheckpointedEval final : public ScheduleEval {
                              int t_max);
   /// Last base boundary `sched` shares, bounded by what the base can ever
   /// provide (rounds past its last active round are no-ops): the round an
-  /// estimate of `sched` resumes after. Enforces the initial-state rule.
-  int SharedRounds(const SeedSchedule& sched) const
-      IMDPP_REQUIRES(engine_.mu_);
+  /// estimate of `sched` resumes after.
+  int SharedRounds(const SeedSchedule& sched) const;
   /// The lattice builder: grows `lattice` to base rounds 1..rounds_upto
   /// (capped at the base's last active round) for samples
   /// [0, samples_upto), simulating the base with the lattice's keying,

@@ -21,6 +21,29 @@ void Problem::Validate() const {
   for (float p : base_pref) IMDPP_CHECK(p >= 0.0f && p <= 1.0f);
   for (float c : cost) IMDPP_CHECK_GT(c, 0.0f);
   for (float w : wmeta0) IMDPP_CHECK(w >= 0.0f && w <= 1.0f);
+  IMDPP_CHECK(start_adopted.empty() || start_adopted.size() == v);
+  for (const std::vector<ItemId>& items : start_adopted) {
+    for (size_t k = 0; k < items.size(); ++k) {
+      IMDPP_CHECK(items[k] >= 0 && items[k] < NumItems());
+      IMDPP_CHECK(k == 0 || items[k - 1] < items[k]);
+    }
+  }
+}
+
+Problem Problem::StartedAt(const std::vector<pin::UserState>& states) const {
+  IMDPP_CHECK_EQ(states.size(), static_cast<size_t>(NumUsers()));
+  Problem started = *this;
+  started.wmeta0.clear();
+  started.start_adopted.clear();
+  for (const pin::UserState& s : states) {
+    IMDPP_CHECK_EQ(s.wmeta().size(), static_cast<size_t>(NumMetas()));
+    started.wmeta0.insert(started.wmeta0.end(), s.wmeta().begin(),
+                          s.wmeta().end());
+    started.start_adopted.push_back(s.Adopted());
+  }
+  started.start_perception = std::make_shared<StartPerceptionCache>();
+  started.Validate();
+  return started;
 }
 
 }  // namespace imdpp::diffusion

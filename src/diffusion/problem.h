@@ -1,11 +1,17 @@
 // The IMDPP problem instance: everything Definition 2 takes as given.
 //
 // Owns the per-(user,item) base preferences and seeding costs, the item
-// importance vector W, the initial personal meta-graph weightings, and the
+// importance vector W, the start of every realization (the initial
+// personal meta-graph weightings and adoption sets), and the
 // budget/promotion-count knobs. The social graph and relevance model are
 // referenced, not owned (they typically live in a data::Dataset). Copies
 // share one StartPerceptionCache, so every simulator of a problem and of
 // its copies reads one start-perception table.
+//
+// A catalog problem starts with nothing adopted. Adaptive IM (Sec. V-D)
+// replans from an observed state: StartedAt builds the problem whose
+// realizations begin there, so every estimate path — checkpoints, base
+// replay, the σ memo — serves it unchanged.
 #ifndef IMDPP_DIFFUSION_PROBLEM_H_
 #define IMDPP_DIFFUSION_PROBLEM_H_
 
@@ -18,6 +24,7 @@
 #include "pin/perception_params.h"
 #include "diffusion/seed.h"
 #include "diffusion/start_perception.h"
+#include "pin/user_state.h"
 
 namespace imdpp::diffusion {
 
@@ -38,6 +45,10 @@ struct Problem {
   /// Row-major |V| x NumMetas initial weightings Wmeta(u, m, 0) in [0,1].
   std::vector<float> wmeta0;
 
+  /// Items each user has adopted at the start: empty (the default) when
+  /// nobody has, else one sorted, duplicate-free list per user.
+  std::vector<std::vector<ItemId>> start_adopted;
+
   /// Total campaign budget b and number of promotions T.
   double budget = 0.0;
   int num_promotions = 1;
@@ -45,7 +56,8 @@ struct Problem {
   /// Home of the start-perception table, filled by the first simulator
   /// (diffusion/start_perception.h). A simulator reads the table it was
   /// built with, so edit `relevance` and `wmeta0` before constructing
-  /// simulators; a copy with other values gets its own table.
+  /// simulators; a copy with other values gets its own table, which
+  /// replaces the one its copies share.
   std::shared_ptr<StartPerceptionCache> start_perception =
       std::make_shared<StartPerceptionCache>();
 
@@ -69,12 +81,21 @@ struct Problem {
     const size_t metas = static_cast<size_t>(NumMetas());
     return {wmeta0.data() + static_cast<size_t>(u) * metas, metas};
   }
+  std::span<const ItemId> StartAdopted(UserId u) const {
+    if (start_adopted.empty()) return {};
+    return start_adopted[static_cast<size_t>(u)];
+  }
 
   double TotalCost(const SeedGroup& seeds) const {
     double c = 0.0;
     for (const Seed& s : seeds) c += Cost(s.user, s.item);
     return c;
   }
+
+  /// This problem, starting at the observed `states` (one per user): the
+  /// copy's weightings and start adoptions are theirs, and it gets its own
+  /// StartPerceptionCache, so this problem's table is never replaced.
+  Problem StartedAt(const std::vector<pin::UserState>& states) const;
 
   /// Sanity-checks array shapes and value ranges; aborts on violation.
   void Validate() const;

@@ -19,14 +19,13 @@ RisBackend::RisBackend(const Problem& problem, const CampaignConfig& config,
                   : std::make_shared<const util::CancelToken>()),
       mc_(problem, config, num_samples, num_threads, shared_pool, cancel_),
       spec_(std::move(spec)),
-      pool_(std::move(shared_pool)),
-      build_threads_(num_threads) {}
+      pool_(std::move(shared_pool)) {}
 
 util::Status RisBackend::EnsureSketches() const {
   if (sketches_ != nullptr) return util::OkStatus();
   util::StatusOr<prep::RisSketchLease> lease = prep::AcquireRisSketches(
       spec_.sketch_cache, problem_, mc_.simulator().config(),
-      spec_.ris_sketches, pool_, build_threads_, cancel_);
+      spec_.ris_sketches, pool_, cancel_);
   if (!lease.ok()) return lease.status();
   sketches_ = lease->sketches;
   sketch_builds_ += lease->built ? 1 : 0;

@@ -193,7 +193,6 @@ class RisBackend final : public SigmaBackend {
   MonteCarloEngine mc_;
   SigmaBackendSpec spec_;
   std::shared_ptr<util::ThreadPool> pool_;
-  int build_threads_;
 
   /// Guards the lazily acquired sketch set, the query scratch, the memos,
   /// the mask cache and the work counters — the engine-mutex pattern of

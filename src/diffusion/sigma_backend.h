@@ -80,7 +80,8 @@ class ExpectedState {
 
   int num_users() const { return num_users_; }
 
-  /// Expected state before any promotion: zero adoptions, initial Wmeta.
+  /// Expected state before any promotion: the start adoptions (certain)
+  /// and initial Wmeta.
   static ExpectedState InitialOf(const Problem& problem);
 
  private:
@@ -115,9 +116,6 @@ struct BackendCapabilities {
   /// MakeScheduleEval reuses promotion-round prefixes across estimates
   /// (checkpointing) instead of plain forwarding.
   bool prefix_checkpointing = false;
-  /// Supports starting realizations from an observed state
-  /// (SetInitialStates-style adaptive replanning).
-  bool initial_state_override = false;
   /// Builds a content-hash-keyed prep:: sketch artifact at first use.
   bool sketch_prep = false;
   /// SelectBest honors eval.adaptive.* sequential stopping (racing on

@@ -44,13 +44,17 @@ class UserState {
     return true;
   }
 
-  /// In-place reset to "nothing adopted, weightings = wmeta0". Reuses the
-  /// existing buffers (no frees/allocations when the shape is unchanged),
-  /// which is what lets a simulation scratch arena recycle its per-user
-  /// states across Monte-Carlo realizations.
-  void ResetTo(int num_items, std::span<const float> wmeta0) {
+  /// In-place reset to "adopted = `adopted` (sorted), weightings =
+  /// wmeta0". Reuses the existing buffers (no frees/allocations when the
+  /// shape is unchanged), which is what lets a simulation scratch arena
+  /// recycle its per-user states across Monte-Carlo realizations.
+  void ResetTo(int num_items, std::span<const ItemId> adopted,
+               std::span<const float> wmeta0) {
     bits_.assign(static_cast<size_t>(num_items + 63) / 64, 0);
-    adopted_.clear();
+    for (ItemId x : adopted) {
+      bits_[static_cast<size_t>(x) >> 6] |= uint64_t{1} << (x & 63);
+    }
+    adopted_.assign(adopted.begin(), adopted.end());
     wmeta_.assign(wmeta0.begin(), wmeta0.end());
   }
 

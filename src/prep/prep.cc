@@ -77,17 +77,15 @@ uint64_t StructuralKey(const diffusion::Problem& problem) {
 
 PrepArtifacts::PrepArtifacts(const diffusion::Problem& problem,
                              std::shared_ptr<util::ThreadPool> pool,
-                             int build_threads,
                              std::shared_ptr<const util::CancelToken> cancel)
     : graph_(problem.graph),
       pool_(std::move(pool)),
-      build_threads_(build_threads),
       cancel_(std::move(cancel)),
       num_items_(problem.NumItems()) {
   // No locking in here: the object is not shared until construction
   // returns (and clang's analysis exempts constructors accordingly).
   util::trace::Span span("prep.build");
-  const Exec exec{graph_, pool_, build_threads_, cancel_};
+  const Exec exec{graph_, pool_, cancel_};
   Timer timer;
 
   // Average initial weighting — the exact float accumulation the inline
@@ -132,9 +130,7 @@ void PrepArtifacts::RunBatch(const Exec& exec, int n,
     if (util::CancelFired(exec.cancel.get())) return;
     fn(i);
   };
-  const bool parallel = exec.pool != nullptr && n >= 2 &&
-                        util::ResolveNumThreads(exec.build_threads) > 1;
-  if (parallel) {
+  if (exec.pool != nullptr && n >= 2) {
     exec.pool->ParallelFor(n, guarded);
   } else {
     for (int i = 0; i < n; ++i) guarded(i);
@@ -332,7 +328,7 @@ cluster::MarketPlan PrepArtifacts::Plan(
 
 util::StatusOr<PrepLease> PrepCache::Acquire(
     const diffusion::Problem& problem, std::shared_ptr<util::ThreadPool> pool,
-    int build_threads, std::shared_ptr<const util::CancelToken> cancel) {
+    std::shared_ptr<const util::CancelToken> cancel) {
   util::trace::Span span("prep.acquire");
   IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
   PrepLease lease;
@@ -348,15 +344,14 @@ util::StatusOr<PrepLease> PrepCache::Acquire(
     lease.artifacts = it->second;
     // Lazy sweeps on the reused artifact run on THIS run's graph pointer
     // and executors (content-equal by key; see Rebind).
-    lease.artifacts->Rebind(problem, std::move(pool), build_threads,
-                            std::move(cancel));
+    lease.artifacts->Rebind(problem, std::move(pool), std::move(cancel));
     lease.reused = true;
     ++reuses_;
     return lease;
   }
   IMDPP_RETURN_IF_ERROR(PrepBuildGate(cancel.get()));
-  lease.artifacts = std::make_shared<PrepArtifacts>(problem, std::move(pool),
-                                                    build_threads, cancel);
+  lease.artifacts =
+      std::make_shared<PrepArtifacts>(problem, std::move(pool), cancel);
   // A token that fired during the build left the artifact incomplete
   // (batch tasks early-exit): return the reason WITHOUT counting the
   // build or inserting — the cache never holds a partial artifact, and
@@ -372,16 +367,15 @@ util::StatusOr<PrepLease> PrepCache::Acquire(
 util::StatusOr<PrepLease> AcquirePrep(
     const std::shared_ptr<PrepCache>& cache, bool use_cache,
     const diffusion::Problem& problem, std::shared_ptr<util::ThreadPool> pool,
-    int build_threads, std::shared_ptr<const util::CancelToken> cancel) {
+    std::shared_ptr<const util::CancelToken> cancel) {
   util::trace::Span span("phase.prep");
   if (cache != nullptr && use_cache) {
-    return cache->Acquire(problem, std::move(pool), build_threads,
-                          std::move(cancel));
+    return cache->Acquire(problem, std::move(pool), std::move(cancel));
   }
   IMDPP_RETURN_IF_ERROR(PrepBuildGate(cancel.get()));
   PrepLease lease;
-  lease.artifacts = std::make_shared<PrepArtifacts>(problem, std::move(pool),
-                                                    build_threads, cancel);
+  lease.artifacts =
+      std::make_shared<PrepArtifacts>(problem, std::move(pool), cancel);
   IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
   lease.built = true;
   return lease;

@@ -84,14 +84,13 @@ uint64_t StructuralKey(const diffusion::Problem& problem);
 class PrepArtifacts {
  public:
   /// Builds the eager artifacts (w̄0, RelC/RelS tables, share vector) and
-  /// times the build. `pool` (optional, typically the session's) backs
-  /// the parallel sweeps; `build_threads` gates them (<= 1 = inline,
-  /// anything else = the pool's workers when a pool exists). `cancel`
+  /// times the build. `pool` (optional, typically the session's) runs
+  /// the parallel sweeps; without one they run inline. `cancel`
   /// (optional) lets batch tasks early-exit once the run's token fires —
   /// a cancelled build is incomplete, which is why PrepCache::Acquire
   /// re-checks the token before caching what this constructor built.
   PrepArtifacts(const diffusion::Problem& problem,
-                std::shared_ptr<util::ThreadPool> pool, int build_threads,
+                std::shared_ptr<util::ThreadPool> pool,
                 std::shared_ptr<const util::CancelToken> cancel = nullptr);
 
   /// Re-points the lazy sweeps at the acquiring run's problem and
@@ -104,13 +103,12 @@ class PrepArtifacts {
   /// rebound for the same reason: lazy sweeps must answer to the
   /// acquiring run's deadline, not the builder's.
   void Rebind(const diffusion::Problem& problem,
-              std::shared_ptr<util::ThreadPool> pool, int build_threads,
+              std::shared_ptr<util::ThreadPool> pool,
               std::shared_ptr<const util::CancelToken> cancel = nullptr)
       IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     graph_ = problem.graph;
     pool_ = std::move(pool);
-    build_threads_ = build_threads;
     cancel_ = std::move(cancel);
   }
 
@@ -199,16 +197,15 @@ class PrepArtifacts {
   struct Exec {
     const graph::SocialGraph* graph = nullptr;
     std::shared_ptr<util::ThreadPool> pool;
-    int build_threads = 1;
     std::shared_ptr<const util::CancelToken> cancel;
   };
   Exec Executors() IMDPP_REQUIRES(mu_) {
-    return Exec{graph_, pool_, build_threads_, cancel_};
+    return Exec{graph_, pool_, cancel_};
   }
 
-  /// Runs fn(0..n-1) — on the pool when parallel prep is enabled, inline
-  /// otherwise. Pure scheduling: every task writes its own slot. Static
-  /// on a snapshot: callers must NOT hold mu_ (tasks may re-lock it).
+  /// Runs fn(0..n-1) — on the pool when there is one, inline otherwise.
+  /// Pure scheduling: every task writes its own slot. Static on a
+  /// snapshot: callers must NOT hold mu_ (tasks may re-lock it).
   static void RunBatch(const Exec& exec, int n,
                        const std::function<void(int)>& fn);
   SourceRegion& RegionEntry(UserId src, double threshold, int max_hops)
@@ -229,7 +226,6 @@ class PrepArtifacts {
 
   const graph::SocialGraph* graph_ IMDPP_GUARDED_BY(mu_);
   std::shared_ptr<util::ThreadPool> pool_ IMDPP_GUARDED_BY(mu_);
-  int build_threads_ IMDPP_GUARDED_BY(mu_);
   std::shared_ptr<const util::CancelToken> cancel_ IMDPP_GUARDED_BY(mu_);
   int num_items_;
 
@@ -270,10 +266,6 @@ struct PrepOptions {
   /// false = bypass the artifact cache and rebuild per run (the
   /// determinism tests pin cold == warm with this).
   bool cache = true;
-  /// Gates the build's per-source Dijkstra/BFS sweeps: <= 1 runs them
-  /// inline, anything else on the run's pool (when one exists).
-  /// Artifacts are bit-identical for every value.
-  int build_threads = util::kAutoThreads;
 };
 
 /// Session-scoped artifact memo, keyed by StructuralKey. One cache serves
@@ -293,7 +285,7 @@ class PrepCache {
   /// (tests/fault_matrix_test.cc regression-tests exactly this).
   util::StatusOr<PrepLease> Acquire(
       const diffusion::Problem& problem,
-      std::shared_ptr<util::ThreadPool> pool, int build_threads,
+      std::shared_ptr<util::ThreadPool> pool,
       std::shared_ptr<const util::CancelToken> cancel = nullptr)
       IMDPP_EXCLUDES(mu_);
 
@@ -328,7 +320,7 @@ class PrepCache {
 util::StatusOr<PrepLease> AcquirePrep(
     const std::shared_ptr<PrepCache>& cache, bool use_cache,
     const diffusion::Problem& problem,
-    std::shared_ptr<util::ThreadPool> pool, int build_threads,
+    std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel = nullptr);
 
 }  // namespace imdpp::prep

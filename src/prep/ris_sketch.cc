@@ -33,13 +33,11 @@ int ShardBegin(int num_sketches, int shards, int shard) {
   return static_cast<int>(static_cast<int64_t>(num_sketches) * shard / shards);
 }
 
-/// Runs fn(0..n-1) — on the pool when parallel builds are enabled, inline
-/// otherwise. Pure scheduling: every task writes its own slots.
-void RunBatch(const std::shared_ptr<util::ThreadPool>& pool, int build_threads,
-              int n, const std::function<void(int)>& fn) {
-  const bool parallel = pool != nullptr && n >= 2 &&
-                        util::ResolveNumThreads(build_threads) > 1;
-  if (parallel) {
+/// Runs fn(0..n-1) — on the pool when there is one, inline otherwise.
+/// Pure scheduling: every task writes its own slots.
+void RunBatch(const std::shared_ptr<util::ThreadPool>& pool, int n,
+              const std::function<void(int)>& fn) {
+  if (pool != nullptr && n >= 2) {
     pool->ParallelFor(n, fn);
   } else {
     for (int i = 0; i < n; ++i) fn(i);
@@ -79,7 +77,6 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
                            const diffusion::CampaignConfig& campaign,
                            int num_sketches,
                            std::shared_ptr<util::ThreadPool> pool,
-                           int build_threads,
                            std::shared_ptr<const util::CancelToken> cancel)
     : num_users_(problem.NumUsers()),
       num_items_(problem.NumItems()),
@@ -132,7 +129,7 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
   std::vector<std::vector<UserId>> members(
       static_cast<size_t>(num_sketches_));
   const int shards = NumShards(num_sketches_);
-  RunBatch(pool, build_threads, shards, [&](int shard) {
+  RunBatch(pool, shards, [&](int shard) {
     std::vector<uint32_t> mark(static_cast<size_t>(num_users_), 0);
     uint32_t epoch = 0;
     std::vector<UserId> frontier;
@@ -207,7 +204,7 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
 util::StatusOr<RisSketchLease> RisSketchCache::Acquire(
     const diffusion::Problem& problem,
     const diffusion::CampaignConfig& campaign, int num_sketches,
-    std::shared_ptr<util::ThreadPool> pool, int build_threads,
+    std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel) {
   IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
   RisSketchLease lease;
@@ -224,7 +221,7 @@ util::StatusOr<RisSketchLease> RisSketchCache::Acquire(
   }
   IMDPP_RETURN_IF_ERROR(SketchBuildGate(cancel.get()));
   lease.sketches = std::make_shared<const RisSketchSet>(
-      problem, campaign, num_sketches, std::move(pool), build_threads, cancel);
+      problem, campaign, num_sketches, std::move(pool), cancel);
   // A token that fired during the build left the set incomplete: return
   // the reason WITHOUT counting the build or inserting, so the cache
   // never holds a partial sketch set.
@@ -240,16 +237,16 @@ util::StatusOr<RisSketchLease> AcquireRisSketches(
     const std::shared_ptr<RisSketchCache>& cache,
     const diffusion::Problem& problem,
     const diffusion::CampaignConfig& campaign, int num_sketches,
-    std::shared_ptr<util::ThreadPool> pool, int build_threads,
+    std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel) {
   if (cache != nullptr) {
     return cache->Acquire(problem, campaign, num_sketches, std::move(pool),
-                          build_threads, std::move(cancel));
+                          std::move(cancel));
   }
   IMDPP_RETURN_IF_ERROR(SketchBuildGate(cancel.get()));
   RisSketchLease lease;
   lease.sketches = std::make_shared<const RisSketchSet>(
-      problem, campaign, num_sketches, std::move(pool), build_threads, cancel);
+      problem, campaign, num_sketches, std::move(pool), cancel);
   IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
   lease.built = true;
   return lease;

@@ -78,14 +78,14 @@ uint64_t RisSketchKey(const diffusion::Problem& problem,
 class RisSketchSet {
  public:
   /// Builds θ = `num_sketches` sketches. `pool` (optional, typically the
-  /// session's) backs the sharded build; `build_threads` gates it (<= 1 =
-  /// inline). Results are bit-identical for every executor count.
+  /// session's) runs the sharded build; without one it runs inline.
+  /// Results are bit-identical for every executor count.
   /// `cancel` (optional) lets shard tasks stop early once the run's token
   /// fires — the set is then incomplete, which is why AcquireRisSketches
   /// re-checks the token before caching or leasing what was built.
   RisSketchSet(const diffusion::Problem& problem,
                const diffusion::CampaignConfig& campaign, int num_sketches,
-               std::shared_ptr<util::ThreadPool> pool, int build_threads,
+               std::shared_ptr<util::ThreadPool> pool,
                std::shared_ptr<const util::CancelToken> cancel = nullptr);
 
   int num_sketches() const { return num_sketches_; }
@@ -153,7 +153,7 @@ class RisSketchCache {
   util::StatusOr<RisSketchLease> Acquire(
       const diffusion::Problem& problem,
       const diffusion::CampaignConfig& campaign, int num_sketches,
-      std::shared_ptr<util::ThreadPool> pool, int build_threads,
+      std::shared_ptr<util::ThreadPool> pool,
       std::shared_ptr<const util::CancelToken> cancel = nullptr)
       IMDPP_EXCLUDES(mu_);
 
@@ -186,7 +186,7 @@ util::StatusOr<RisSketchLease> AcquireRisSketches(
     const std::shared_ptr<RisSketchCache>& cache,
     const diffusion::Problem& problem,
     const diffusion::CampaignConfig& campaign, int num_sketches,
-    std::shared_ptr<util::ThreadPool> pool, int build_threads,
+    std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel = nullptr);
 
 }  // namespace imdpp::prep

@@ -478,6 +478,30 @@ TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
   }
 }
 
+// Integer flags take whole numbers within int: --promotions 2.5 used to
+// run T = 2, and values past int's range went through an undefined cast.
+TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--promotions", "2.5"},
+      {"--selection-samples", "4294967297"},
+      {"--eval-samples", "1e300"},
+      {"--threads", "-3000000000"},
+      {"--theta", "nan"},
+  };
+  for (const auto& [flag, value] : cases) {
+    SCOPED_TRACE(std::string(flag) + " " + value);
+    const CliResult r = RunCli(
+        {"plan", "--dataset", "fig1-toy", "--planner", "bgrd", flag, value});
+    EXPECT_EQ(r.code, 2);
+    util::Json error = ParseOrDie(FirstLine(r.err));
+    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
+              "invalid_argument");
+    EXPECT_NE(r.err.find(std::string(flag) + " must be an integer"),
+              std::string::npos)
+        << r.err;
+  }
+}
+
 // ISSUE 10: --adaptive turns on racing (the result JSON shows the race
 // counters moving), --adaptive-delta validates its range, the underscore
 // aliases parse, and the fixed-path run books zero race counters.

@@ -144,12 +144,18 @@ TEST(ConfigLoader, ParsesPrepCacheKnobs) {
   util::Json obj;
   std::string error;
   ASSERT_TRUE(util::Json::Parse(
-      R"({"prep": {"cache": false, "build_threads": 3}})", &obj, &error));
+      R"({"prep": {"cache": false}})", &obj, &error));
   api::PlannerConfig cfg;
   const util::Status applied = config::ApplyPlannerConfigJson(obj, &cfg);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
   EXPECT_FALSE(cfg.prep.cache);
-  EXPECT_EQ(cfg.prep.build_threads, 3);
+
+  // Builds go parallel exactly when the run has a pool; there is no
+  // separate build-thread knob.
+  ASSERT_TRUE(
+      util::Json::Parse(R"({"prep": {"build_threads": 3}})", &obj, &error));
+  EXPECT_EQ(config::ApplyPlannerConfigJson(obj, &cfg).code(),
+            util::StatusCode::kInvalidArgument);
 
   ASSERT_TRUE(util::Json::Parse(R"({"prep": {"cash": true}})", &obj, &error));
   const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
@@ -286,6 +292,69 @@ TEST(ConfigLoader, RejectsOutOfRangeRunSettings) {
   EXPECT_EQ(config::CountError(1, "t"), "");
   EXPECT_EQ(config::CountError(0, "--promotions"),
             "--promotions must be >= 1");
+}
+
+// An integer knob holds a whole number within int: fractions and values
+// past int's range used to be cast (4294967297 samples ran as 1).
+TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
+  for (const char* text :
+       {R"({"selection_samples": 4294967297})", R"({"eval_samples": 2.5})",
+        R"({"num_threads": -2147483649})", R"({"eval_samples": 1e300})",
+        R"({"campaign": {"max_steps": 3000000000}})"}) {
+    SCOPED_TRACE(text);
+    api::PlannerConfig cfg;
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("must be an integer"), std::string::npos)
+        << bad.ToString();
+  }
+  EXPECT_EQ(config::IntError(2147483647.0, "n"), "");
+  EXPECT_EQ(config::IntError(-2147483648.0, "n"), "");
+  EXPECT_NE(config::IntError(2147483648.0, "n"), "");
+  EXPECT_NE(config::IntError(std::nan(""), "n"), "");
+  EXPECT_NE(config::IntError(INFINITY, "n"), "");
+}
+
+// Values the engine CHECKs (a sketch count, a DR depth, an MIOA path
+// threshold) used to load fine and then abort the process; the reader
+// rejects them, naming the key.
+TEST(ConfigLoader, RejectsValuesTheEngineWouldAbortOn) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"eval": {"ris_sketches": 0}})", "eval.ris_sketches must be >= 1"},
+      {R"({"eval": {"ris_sketches": -4}})", "eval.ris_sketches must be >= 1"},
+      {R"({"dysim": {"dr_max_depth": -1}})", "dysim.dr_max_depth must be >= 0"},
+      {R"({"market": {"mioa_threshold": 0}})",
+       "market.mioa_threshold must be in (0, 1]"},
+      {R"({"market": {"mioa_threshold": 1.5}})",
+       "market.mioa_threshold must be in (0, 1]"},
+      {R"({"market": {"mioa_threshold": -0.1}})",
+       "market.mioa_threshold must be in (0, 1]"},
+  };
+  for (const auto& [text, message] : cases) {
+    SCOPED_TRACE(text);
+    api::PlannerConfig cfg;
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find(message), std::string::npos)
+        << bad.ToString();
+  }
+  // The edges of each range load.
+  for (const char* text :
+       {R"({"eval": {"ris_sketches": 1}})", R"({"dysim": {"dr_max_depth": 0}})",
+        R"({"market": {"mioa_threshold": 1}})"}) {
+    SCOPED_TRACE(text);
+    api::PlannerConfig cfg;
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
+    EXPECT_TRUE(config::ApplyPlannerConfigJson(obj, &cfg).ok());
+  }
 }
 
 // ---------------------------------------------------------- dataset specs

@@ -178,7 +178,8 @@ TEST(DeterminismGate, CheckpointedSigmaMatchesPlainForEveryPlanner) {
 // The prep:: artifact layer (ISSUE 5) must be invisible in the results:
 // every registered planner produces a bit-identical plan with the
 // session's artifact cache cold vs warm, with the cache bypassed
-// entirely, and with the artifact built at 1/2/hardware build threads.
+// entirely, and with the artifact built by sessions of 0/1/2/hardware
+// threads (inline without a pool, on the session's pool with one).
 TEST(DeterminismGate, PrepCacheColdVsWarmBitIdenticalForEveryPlanner) {
   const int hardware = util::HardwareConcurrency();
   for (const std::string& name : PlannerRegistry::Names()) {
@@ -196,11 +197,11 @@ TEST(DeterminismGate, PrepCacheColdVsWarmBitIdenticalForEveryPlanner) {
     PlanResult rebuilt = session.Run(name, no_cache);
     ExpectSamePlan(cold, rebuilt, "cached vs cache-bypassed");
 
-    // The artifact build's parallel sweeps merge in fixed source order,
-    // so the build thread count never leaks into the schedule.
-    for (int threads : {1, 2, hardware}) {
-      PlannerConfig cfg = GateConfig(2);
-      cfg.prep.build_threads = threads;
+    // The artifact build's sweeps run inline without a pool and on the
+    // session's pool with one, merging in fixed source order either way,
+    // so the executor count never leaks into the schedule.
+    for (int threads : {0, 1, 2, hardware}) {
+      PlannerConfig cfg = GateConfig(threads);
       CampaignSession fresh(data::MakeSmallAmazonSample(), cfg);
       fresh.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
       PlanResult r = fresh.Run(name);
@@ -536,7 +537,7 @@ diffusion::MarketEval KernelRow(const diffusion::Problem& problem,
   diffusion::SimScratch scratch;
   diffusion::MarketEval sum;
   for (int i = 0; i < kSamples; ++i) {
-    sim.Restore(nullptr, nullptr, scratch);
+    sim.Restore(nullptr, scratch);
     sim.SimulateRounds(sched, static_cast<uint64_t>(i), 1,
                        problem.num_promotions, &mask, scratch,
                        diffusion::CoinKeying::kAttempt);

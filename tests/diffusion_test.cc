@@ -118,13 +118,12 @@ TEST(CampaignSimulator, KeepStatesReflectsAdoptions) {
   EXPECT_TRUE(o.states[2].Has(0));
 }
 
-TEST(CampaignSimulator, InitialStatesSkipReAdoption) {
+TEST(CampaignSimulator, StartAdoptionsSkipReAdoption) {
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
-  CampaignSimulator sim(w.problem, {});
-  std::vector<pin::UserState> init;
-  for (int u = 0; u < 3; ++u) init.emplace_back(1, std::vector<float>{1.0f});
-  init[1].Add(0);  // user 1 already owns the item
-  SampleOutcome o = sim.RunSample({{0, 0, 1}}, 0, nullptr, true, &init);
+  Problem started = w.problem;
+  started.start_adopted = {{}, {0}, {}};  // user 1 already owns the item
+  CampaignSimulator sim(started, {});
+  SampleOutcome o = sim.RunSample({{0, 0, 1}}, 0, nullptr, true);
   // User 1 cannot be promoted again and never re-propagates: only the seed
   // adopts (user 2 is unreachable because 1 never "newly adopts").
   EXPECT_DOUBLE_EQ(o.sigma, 1.0);
@@ -253,16 +252,12 @@ TEST(CampaignSimulator, DynamicInfluenceStrengthensWithSimilarity) {
   for (uint64_t i = 0; i < n; ++i) {
     plain += sim.RunSample({{1, 0, 1}}, i).adoptions == 2;
   }
-  // Pre-adopt item 1 for both users via initial states.
-  std::vector<pin::UserState> init;
-  for (int u = 0; u < 3; ++u) {
-    init.emplace_back(2, std::vector<float>{1.0f, 1.0f});
-  }
-  init[1].Add(1);
-  init[2].Add(1);
+  // Pre-adopt item 1 for both users: a problem that starts there.
+  Problem started = w.problem;
+  started.start_adopted = {{}, {1}, {1}};
+  CampaignSimulator started_sim(started, {});
   for (uint64_t i = 0; i < n; ++i) {
-    SampleOutcome o = sim.RunSample({{1, 0, 1}}, i, nullptr, false, &init);
-    boosted += o.adoptions == 2;
+    boosted += started_sim.RunSample({{1, 0, 1}}, i).adoptions == 2;
   }
   EXPECT_GT(boosted, plain + 50);
 }

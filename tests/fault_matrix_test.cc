@@ -109,19 +109,19 @@ TEST_F(FaultMatrix, PrepBuildFaultLeavesNoPartialCacheEntry) {
   prep::PrepCache cache;
   ASSERT_TRUE(Injector().Arm("prep.build:1:internal").ok());
 
-  util::StatusOr<prep::PrepLease> failed = cache.Acquire(problem, nullptr, 1);
+  util::StatusOr<prep::PrepLease> failed = cache.Acquire(problem, nullptr);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), util::StatusCode::kInternal);
   EXPECT_EQ(cache.builds(), 0);
   EXPECT_EQ(cache.reuses(), 0);
 
-  util::StatusOr<prep::PrepLease> rebuilt = cache.Acquire(problem, nullptr, 1);
+  util::StatusOr<prep::PrepLease> rebuilt = cache.Acquire(problem, nullptr);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_FALSE(rebuilt->reused);
   ASSERT_NE(rebuilt->artifacts, nullptr);
   EXPECT_EQ(cache.builds(), 1);
 
-  util::StatusOr<prep::PrepLease> again = cache.Acquire(problem, nullptr, 1);
+  util::StatusOr<prep::PrepLease> again = cache.Acquire(problem, nullptr);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->reused);
   EXPECT_EQ(again->artifacts, rebuilt->artifacts);
@@ -136,7 +136,7 @@ TEST_F(FaultMatrix, PrepBuildTransientFaultIsRetriedInvisibly) {
   ASSERT_TRUE(
       Injector().Arm("prep.build:1-2:resource_exhausted").ok());
   const util::RobustnessCounters before = util::SnapshotRobustnessCounters();
-  util::StatusOr<prep::PrepLease> lease = cache.Acquire(problem, nullptr, 1);
+  util::StatusOr<prep::PrepLease> lease = cache.Acquire(problem, nullptr);
   ASSERT_TRUE(lease.ok()) << lease.status().ToString();
   EXPECT_FALSE(lease->reused);
   const util::RobustnessCounters after = util::SnapshotRobustnessCounters();

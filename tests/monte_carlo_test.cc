@@ -106,6 +106,18 @@ TEST(ExpectedState, InitialOfMatchesProblem) {
   ExpectedState es = ExpectedState::InitialOf(w.problem);
   EXPECT_DOUBLE_EQ(es.AdoptionProb(0, 0), 0.0);
   EXPECT_FLOAT_EQ(es.AvgWmeta(1)[0], 0.4f);
+
+  // A started problem's start adoptions are certain, and a realization
+  // with no seed ends where it started.
+  Problem started = w.problem;
+  started.start_adopted = {{}, {0}, {}};
+  const ExpectedState at_start = ExpectedState::InitialOf(started);
+  EXPECT_DOUBLE_EQ(at_start.AdoptionProb(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(at_start.AdoptionProb(1, 0), 1.0);
+  const ExpectedState unseeded = MonteCarloEngine(started, {}, 4).Expected({});
+  for (UserId u = 0; u < 3; ++u) {
+    EXPECT_EQ(unseeded.AdoptionProb(u, 0), at_start.AdoptionProb(u, 0));
+  }
 }
 
 TEST(ExpectedState, SeedAdoptionProbabilityIsOne) {
@@ -271,8 +283,8 @@ TEST(CampaignSimulator, ScratchReuseMatchesFreshAllocation) {
   for (uint64_t i = 0; i < 24; ++i) {
     const SeedGroup& g = groups[i % 3];
     SimScratch fresh;
-    SampleOutcome a = sim.RunSample(g, i, nullptr, true, nullptr, &fresh);
-    SampleOutcome b = sim.RunSample(g, i, nullptr, true, nullptr, &reused);
+    SampleOutcome a = sim.RunSample(g, i, nullptr, true, &fresh);
+    SampleOutcome b = sim.RunSample(g, i, nullptr, true, &reused);
     EXPECT_EQ(a.sigma, b.sigma) << "sample " << i;
     EXPECT_EQ(a.sigma_market, b.sigma_market) << "sample " << i;
     EXPECT_EQ(a.adoptions, b.adoptions) << "sample " << i;
@@ -525,36 +537,49 @@ TEST(CheckpointedEval, EvalMarketConsultsTheSharedMemo) {
   EXPECT_EQ(engine.num_memo_hits(), 1);
 }
 
-TEST(MonteCarloEngine, InitialStatesRespected) {
+TEST(MonteCarloEngine, StartedProblemStartsAtTheObservedState) {
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
-  MonteCarloEngine engine(w.problem, {}, 4);
-  std::vector<pin::UserState> init;
-  for (int u = 0; u < 3; ++u) {
-    init.emplace_back(1, std::vector<float>(w.problem.NumMetas(), 1.0f));
-  }
-  init[1].Add(0);
-  engine.SetInitialStates(&init);
-  EXPECT_DOUBLE_EQ(engine.Sigma({{0, 0, 1}}), 1.0);
-  engine.SetInitialStates(nullptr);
-  EXPECT_DOUBLE_EQ(engine.Sigma({{0, 0, 1}}), 3.0);
+  std::vector<pin::UserState> observed(
+      3, pin::UserState(1, std::vector<float>(w.problem.NumMetas(), 1.0f)));
+  observed[1].Add(0);
+  const Problem started = w.problem.StartedAt(observed);
+  EXPECT_EQ(started.StartAdopted(1).size(), 1u);
+  EXPECT_TRUE(w.problem.StartAdopted(1).empty());
+  EXPECT_DOUBLE_EQ(MonteCarloEngine(started, {}, 4).Sigma({{0, 0, 1}}), 1.0);
+  EXPECT_DOUBLE_EQ(MonteCarloEngine(w.problem, {}, 4).Sigma({{0, 0, 1}}),
+                   3.0);
 }
 
-// Initial states must be shaped for the problem: one per user, each with
-// the problem's item count and one weight per meta-graph. A short weight
-// vector would make UpdateWeights read past its end.
-TEST(MonteCarloEngineDeathTest, SetInitialStatesRejectsMisshapenStates) {
-  TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec());
+// A problem's start must fit it: no start lists or one sorted,
+// duplicate-free list of valid items per user, and one weight per user
+// and meta-graph (a short weight vector would make UpdateWeights read
+// past its end). Observed states are one per user, each with one weight
+// per meta-graph.
+TEST(ProblemDeathTest, ValidateRejectsMisshapenStarts) {
+  TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec(2));
   ASSERT_EQ(w.problem.NumMetas(), 2);
-  MonteCarloEngine engine(w.problem, {}, 4);
-  std::vector<pin::UserState> fits(3, pin::UserState(1, {1.0f, 1.0f}));
-  engine.SetInitialStates(&fits);
-  engine.SetInitialStates(nullptr);
-  std::vector<pin::UserState> one_weight(3, pin::UserState(1, {1.0f}));
-  EXPECT_DEATH(engine.SetInitialStates(&one_weight), "HasShape");
-  std::vector<pin::UserState> wide(3, pin::UserState(65, {1.0f, 1.0f}));
-  EXPECT_DEATH(engine.SetInitialStates(&wide), "HasShape");
-  std::vector<pin::UserState> too_few(2, pin::UserState(1, {1.0f, 1.0f}));
-  EXPECT_DEATH(engine.SetInitialStates(&too_few), "size");
+  Problem p = w.problem;
+  p.start_adopted = {{}, {0, 1}, {1}};
+  p.Validate();
+  p.start_adopted = {{}, {0}};
+  EXPECT_DEATH(p.Validate(), "start_adopted.size");
+  p.start_adopted = {{}, {1, 0}, {}};
+  EXPECT_DEATH(p.Validate(), "items.k - 1. < items.k.");
+  p.start_adopted = {{}, {0, 0}, {}};
+  EXPECT_DEATH(p.Validate(), "items.k - 1. < items.k.");
+  p.start_adopted = {{}, {2}, {}};
+  EXPECT_DEATH(p.Validate(), "NumItems");
+  p.start_adopted.clear();
+  p.wmeta0.pop_back();
+  EXPECT_DEATH(p.Validate(), "wmeta0.size");
+
+  const std::vector<pin::UserState> fits(3, pin::UserState(2, {1.0f, 1.0f}));
+  w.problem.StartedAt(fits);
+  const std::vector<pin::UserState> one_weight(3, pin::UserState(2, {1.0f}));
+  EXPECT_DEATH(w.problem.StartedAt(one_weight), "NumMetas");
+  const std::vector<pin::UserState> too_few(2,
+                                            pin::UserState(2, {1.0f, 1.0f}));
+  EXPECT_DEATH(w.problem.StartedAt(too_few), "states.size");
 }
 
 // Exact work conservation: every estimate path books its realizations so
@@ -563,9 +588,13 @@ TEST(MonteCarloEngineDeathTest, SetInitialStatesRejectsMisshapenStates) {
 // and per realization a memo hit answered.
 TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
   TinyWorld w = DeepNoisyWorld();
-  const int64_t T = w.problem.num_promotions;  // 4
+  // A started problem: every path runs from a start with adoptions.
+  Problem started = w.problem;
+  started.start_adopted.assign(6, {});
+  started.start_adopted[3] = {1};
+  const int64_t T = started.num_promotions;  // 4
   constexpr int kSamples = 16;
-  MonteCarloEngine engine(w.problem, {}, kSamples, /*num_threads=*/2);
+  MonteCarloEngine engine(started, {}, kSamples, /*num_threads=*/2);
   engine.EnableSigmaMemo();
   const std::vector<UserId> market{1, 2, 4};
   const SeedGroup a{{0, 0, 1}, {2, 1, 2}};
@@ -608,17 +637,6 @@ TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
     eval.Sigma({{0, 0, 1}, {2, 1, 3}, {3, 0, 4}});
     eval.SelectBest(candidates_over(b), racing);
   }
-  std::vector<pin::UserState> init;
-  for (int u = 0; u < 6; ++u) {
-    init.emplace_back(2, std::vector<float>(w.problem.NumMetas(), 1.0f));
-  }
-  init[3].Add(1);
-  engine.SetInitialStates(&init);
-  engine.Sigma(a);
-  engine.Expected(a);
-  engine.SelectBest(candidates_over(a), racing);
-  engine.SetInitialStates(nullptr);
-
   EXPECT_GT(engine.num_memo_hits(), 0);
   EXPECT_GT(engine.num_samples_saved(), 0);
   EXPECT_EQ(engine.num_rounds_simulated() + engine.num_rounds_skipped(),
@@ -627,17 +645,6 @@ TEST(MonteCarloEngine, WorkIsConservedAcrossEveryEstimatePath) {
 }
 
 // --- Start-perception table ---------------------------------------------
-
-/// The problem start as explicit states: the same realizations as a
-/// problem-start run, but simulated through the generic RelNet path.
-std::vector<pin::UserState> ExplicitStartStates(const Problem& p) {
-  std::vector<pin::UserState> states;
-  for (UserId u = 0; u < p.NumUsers(); ++u) {
-    const std::span<const float> w = p.Wmeta0(u);
-    states.emplace_back(p.NumItems(), std::vector<float>(w.begin(), w.end()));
-  }
-  return states;
-}
 
 /// `per_round` seeds at every promotion, spread over users and items.
 SeedGroup SpreadSchedule(const Problem& p, int per_round) {
@@ -650,6 +657,20 @@ SeedGroup SpreadSchedule(const Problem& p, int per_round) {
     }
   }
   return seeds;
+}
+
+/// `p` started where a realization ends that seeds every fifth user with
+/// two items in consecutive rounds, plus SpreadSchedule(p, 4): users with
+/// adoptions and moved weightings, as an adaptive replan sees them.
+Problem ObservedStart(const Problem& p) {
+  SeedGroup seeds = SpreadSchedule(p, 4);
+  for (UserId u = 0; u < p.NumUsers(); u += 5) {
+    seeds.push_back({u, u % p.NumItems(), 1});
+    seeds.push_back({u, (u + 1) % p.NumItems(), 2});
+  }
+  const CampaignSimulator sim(p, {});
+  return p.StartedAt(
+      sim.RunSample(seeds, 99, nullptr, /*keep_states=*/true).states);
 }
 
 void ExpectSameRealization(const SimScratch& a, const SimScratch& b) {
@@ -665,23 +686,41 @@ void ExpectSameRealization(const SimScratch& a, const SimScratch& b) {
   }
 }
 
-// Realizations that begin at the problem start read not-yet-adopting
-// users' net relevances from the start-perception table; the same
-// realizations begun from explicit copies of the start states compute
-// every one with RelNet. Both must agree bit for bit — σ, σ_τ, adoptions
-// and every final state — on every catalog dataset, for IC and LT, for
-// both coin keyings, and when resumed from a round-1 checkpoint.
-TEST(StartPerception, TablePathMatchesExplicitStartStatesOnEveryCatalogDataset) {
+// The table holds RelNet's own results: every entry equals RelNet under
+// the user's start weightings bit for bit, on every catalog dataset, for
+// the catalog problem and for a problem started at an observed state.
+// Realizations that read it agree with ones resumed from a round-1
+// checkpoint, for IC and LT and both coin keyings, and the schedules do
+// trigger extra adoptions, so the table is exercised.
+TEST(StartPerception, TableMatchesRelNetOnEveryCatalogDataset) {
   constexpr int kSamples = 6;
   double sigma_with = 0.0;
   double sigma_without = 0.0;
   for (const std::string& name : data::DatasetRegistry::Names()) {
     SCOPED_TRACE(name);
     const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 0.2, 0});
-    const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+    const Problem catalog =
+        ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+    for (const Problem& p : {catalog, ObservedStart(catalog)}) {
+      const StartPerceptionTable* table =
+          CampaignSimulator(p, {}).start_perception();
+      ASSERT_NE(table, nullptr);
+      const pin::PersonalItemNetwork pin(*p.relevance, p.params);
+      for (UserId u = 0; u < p.NumUsers(); ++u) {
+        for (ItemId x = 0; x < p.NumItems(); ++x) {
+          const std::vector<ItemId>& ys = p.relevance->ComplementItems(x);
+          for (size_t k = 0; k < ys.size(); ++k) {
+            ASSERT_EQ(
+                std::bit_cast<uint64_t>(table->Row(u, x)[k]),
+                std::bit_cast<uint64_t>(pin.RelNet(p.Wmeta0(u), x, ys[k])))
+                << "user " << u << " item " << x << " entry " << k;
+          }
+        }
+      }
+    }
+    const Problem& p = catalog;
     Problem no_assoc = p;
     no_assoc.params.assoc_scale = 0.0;
-    const std::vector<pin::UserState> start = ExplicitStartStates(p);
     const SeedSchedule sched(SpreadSchedule(p, 4), p);
     std::vector<uint8_t> mask(static_cast<size_t>(p.NumUsers()));
     for (size_t u = 0; u < mask.size(); u += 2) mask[u] = 1;
@@ -691,38 +730,32 @@ TEST(StartPerception, TablePathMatchesExplicitStartStatesOnEveryCatalogDataset) 
       config.model = model;
       const CampaignSimulator sim(p, config);
       const CampaignSimulator off(no_assoc, config);
-      ASSERT_NE(sim.start_perception(), nullptr);
       for (CoinKeying keying : {CoinKeying::kRound, CoinKeying::kAttempt}) {
         for (uint64_t s = 0; s < kSamples; ++s) {
           SCOPED_TRACE(::testing::Message()
                        << "model " << static_cast<int>(model) << " keying "
                        << static_cast<int>(keying) << " sample " << s);
           SimScratch table;
-          sim.Restore(nullptr, nullptr, table);
+          sim.Restore(nullptr, table);
           sim.SimulateRounds(sched, s, 1, 3, &mask, table, keying);
-          SimScratch generic;
-          sim.Restore(nullptr, &start, generic);
-          sim.SimulateRounds(sched, s, 1, 3, &mask, generic, keying);
-          ExpectSameRealization(table, generic);
 
           SimScratch resumed;
           SampleCheckpoint cp;
-          sim.Restore(nullptr, nullptr, resumed);
+          sim.Restore(nullptr, resumed);
           sim.SimulateRounds(sched, s, 1, 1, &mask, resumed, keying);
           sim.Capture(resumed, cp);
-          sim.Restore(&cp, nullptr, resumed);
+          sim.Restore(&cp, resumed);
           sim.SimulateRounds(sched, s, 2, 3, &mask, resumed, keying);
-          ExpectSameRealization(resumed, generic);
+          ExpectSameRealization(resumed, table);
 
           sigma_with += table.sigma();
-          off.Restore(nullptr, nullptr, table);
+          off.Restore(nullptr, table);
           off.SimulateRounds(sched, s, 1, 3, &mask, table, keying);
           sigma_without += table.sigma();
         }
       }
     }
   }
-  // The schedules do trigger extra adoptions, so the sweep is exercised.
   EXPECT_GT(sigma_with, sigma_without);
 }
 
@@ -788,70 +821,64 @@ TEST(StartPerception, EditedWeightingsGetTheirOwnTable) {
   EXPECT_EQ(CampaignSimulator(off, {}).start_perception(), nullptr);
 }
 
-// Caller-provided initial states never read the table, even with no
-// adoption in them: a realization begun from weightings W behaves exactly
-// like one begun at the start of a problem whose Wmeta0 is W.
-TEST(StartPerception, InitialStatesNeverReadTheTable) {
+// A problem started at an observed state gets its own table, built from
+// the observed weightings, which its copies share; the problem it was
+// started from keeps its table in its cache.
+TEST(StartPerception, StartedProblemGetsItsOwnTable) {
   const data::Dataset ds =
       data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
   const Problem p = ds.MakeProblem(100.0, 2);
-  Problem edited = p;
-  for (float& w : edited.wmeta0) w = 1.0f - w;
-  const std::vector<pin::UserState> edited_start = ExplicitStartStates(edited);
-  const SeedSchedule sched(SpreadSchedule(p, 4), p);
-  const CampaignSimulator sim(p, {});
-  const CampaignSimulator reference(edited, {});
-  for (uint64_t s = 0; s < 8; ++s) {
-    SimScratch from_states;
-    sim.Restore(nullptr, &edited_start, from_states);
-    sim.SimulateRounds(sched, s, 1, 2, nullptr, from_states);
-    SimScratch from_start;
-    reference.Restore(nullptr, nullptr, from_start);
-    reference.SimulateRounds(sched, s, 1, 2, nullptr, from_start);
-    ExpectSameRealization(from_states, from_start);
-  }
+  const CampaignSimulator original(p, {});
+  const Problem started = ObservedStart(p);
+  ASSERT_NE(started.wmeta0, p.wmeta0);
+  const CampaignSimulator sim(started, {});
+  ASSERT_NE(sim.start_perception(), nullptr);
+  EXPECT_NE(sim.start_perception(), original.start_perception());
+  EXPECT_TRUE(sim.start_perception()->BuiltFor(started));
+  const Problem copy = started;
+  EXPECT_EQ(CampaignSimulator(copy, {}).start_perception(),
+            sim.start_perception());
+  EXPECT_EQ(CampaignSimulator(p, {}).start_perception(),
+            original.start_perception());
 }
 
 // --- Sparse reset and checkpoints ----------------------------------------
 
 /// Realization `s` of `sched`, rounds [1, t_end], restored into `scratch`
-/// from the problem start or `initial_states`.
-void RunRealization(const CampaignSimulator& sim,
-                    const std::vector<pin::UserState>* initial_states,
-                    const SeedSchedule& sched, uint64_t s, int t_end,
-                    SimScratch& scratch) {
-  sim.Restore(nullptr, initial_states, scratch);
+/// from the problem start.
+void RunRealization(const CampaignSimulator& sim, const SeedSchedule& sched,
+                    uint64_t s, int t_end, SimScratch& scratch) {
+  sim.Restore(nullptr, scratch);
   sim.SimulateRounds(sched, s, 1, t_end, nullptr, scratch);
 }
 
 // A reset from the start restores only the users the arena's last
 // cascade changed, so the arena must know whose start every other user
-// holds. One arena alternates between simulators of two same-shaped
-// problems with different Wmeta0 — long-lived ones, and short-lived ones
-// that may reuse each other's address — with initial-states starts in
-// between; every realization must match a fresh arena's bit for bit.
+// holds. One arena alternates between simulators of three same-shaped
+// problems — two with different Wmeta0, and one started at an observed
+// state with adoptions — long-lived ones, and short-lived ones that may
+// reuse each other's address; every realization must match a fresh
+// arena's bit for bit.
 TEST(SparseReset, AlternatingSimulatorsMatchFreshArenas) {
   const data::Dataset ds =
       data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
   const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
   Problem edited = p;
   for (float& w : edited.wmeta0) w = 1.0f - w;
-  const std::vector<pin::UserState> edited_start = ExplicitStartStates(edited);
+  const Problem started = ObservedStart(p);
   const SeedSchedule sched(SpreadSchedule(p, 4), p);
   const CampaignSimulator a(p, {});
   const CampaignSimulator b(edited, {});
+  const CampaignSimulator c(started, {});
   struct Step {
     const CampaignSimulator* sim;  ///< null = a short-lived simulator
     const Problem* problem;
-    const std::vector<pin::UserState>* initial_states;
   };
   const std::vector<Step> steps = {
-      {&a, &p, nullptr},       {&a, &p, nullptr},
-      {&b, &edited, nullptr},  {&a, &p, nullptr},
-      {&a, &p, &edited_start}, {&a, &p, nullptr},
-      {&b, &edited, nullptr},  {nullptr, &p, nullptr},
-      {nullptr, &edited, nullptr}, {nullptr, &p, nullptr},
-      {&b, &edited, &edited_start}, {&b, &edited, nullptr},
+      {&a, &p},        {&a, &p},        {&b, &edited},   {&a, &p},
+      {&c, &started},  {&a, &p},        {&b, &edited},   {nullptr, &p},
+      {nullptr, &edited}, {nullptr, &started}, {nullptr, &p},
+      {&c, &started},  {&c, &started},  {&b, &edited},
   };
   SimScratch shared;
   for (uint64_t s = 0; s < 3; ++s) {
@@ -865,9 +892,9 @@ TEST(SparseReset, AlternatingSimulatorsMatchFreshArenas) {
       const CampaignSimulator& sim =
           step.sim != nullptr ? *step.sim : *short_lived;
       const uint64_t sample = s * steps.size() + i;
-      RunRealization(sim, step.initial_states, sched, sample, 3, shared);
+      RunRealization(sim, sched, sample, 3, shared);
       SimScratch fresh;
-      RunRealization(sim, step.initial_states, sched, sample, 3, fresh);
+      RunRealization(sim, sched, sample, 3, fresh);
       ExpectSameRealization(shared, fresh);
     }
   }
@@ -900,17 +927,17 @@ TEST(SparseReset, CheckpointResumeAfterLargerCascadeMatchesFromScratch) {
                      << static_cast<int>(keying) << " sample " << s);
         SimScratch scratch;
         SampleCheckpoint cp;
-        sim.Restore(nullptr, nullptr, scratch);
+        sim.Restore(nullptr, scratch);
         sim.SimulateRounds(base_sched, s, 1, 1, nullptr, scratch, keying);
         sim.Capture(scratch, cp);
-        sim.Restore(nullptr, nullptr, scratch);
+        sim.Restore(nullptr, scratch);
         sim.SimulateRounds(big, s + 100, 1, 3, nullptr, scratch, keying);
         ASSERT_GT(scratch.adoptions(), cp.adoptions + 10);
-        sim.Restore(&cp, nullptr, scratch);
+        sim.Restore(&cp, scratch);
         sim.SimulateRounds(full_sched, s, 2, 3, nullptr, scratch, keying);
 
         SimScratch fresh;
-        sim.Restore(nullptr, nullptr, fresh);
+        sim.Restore(nullptr, fresh);
         sim.SimulateRounds(full_sched, s, 1, 3, nullptr, fresh, keying);
         ExpectSameRealization(scratch, fresh);
       }
@@ -931,9 +958,9 @@ TEST(SparseReset, CheckpointHoldsOnlyTheUsersTheBaseChanged) {
   SimScratch scratch;
   for (uint64_t s = 0; s < 8; ++s) {
     SCOPED_TRACE(::testing::Message() << "sample " << s);
-    sim.Restore(nullptr, nullptr, scratch);
+    sim.Restore(nullptr, scratch);
     sim.SimulateRounds(big, s, 1, 3, nullptr, scratch);
-    sim.Restore(nullptr, nullptr, scratch);
+    sim.Restore(nullptr, scratch);
     sim.SimulateRounds(base, s, 1, 1, nullptr, scratch);
     SampleCheckpoint cp;
     sim.Capture(scratch, cp);
@@ -960,22 +987,19 @@ TEST(SparseReset, CheckpointHoldsOnlyTheUsersTheBaseChanged) {
 }
 
 // Checkpoints hold the changed users of a realization begun at this
-// simulator's start; one begun from initial states (or another
-// simulator's start) has no such list and must not be captured.
-TEST(SparseResetDeathTest, CaptureOfNonStartRealizationAborts) {
+// simulator's start; one begun at another simulator's start (its list is
+// relative to that start) or in a fresh arena must not be captured.
+TEST(SparseResetDeathTest, CaptureOfAnotherSimulatorsRealizationAborts) {
   const data::Dataset ds =
       data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
   const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/2);
-  const std::vector<pin::UserState> start = ExplicitStartStates(p);
   const SeedSchedule sched(SpreadSchedule(p, 2), p);
   const CampaignSimulator sim(p, {});
   const CampaignSimulator other(p, {});
   SimScratch scratch;
   SampleCheckpoint cp;
-  sim.Restore(nullptr, &start, scratch);
-  sim.SimulateRounds(sched, 0, 1, 1, nullptr, scratch);
   EXPECT_DEATH(sim.Capture(scratch, cp), "start_serial_");
-  other.Restore(nullptr, nullptr, scratch);
+  other.Restore(nullptr, scratch);
   other.SimulateRounds(sched, 0, 1, 1, nullptr, scratch);
   EXPECT_DEATH(sim.Capture(scratch, cp), "start_serial_");
   other.Capture(scratch, cp);
@@ -1129,9 +1153,9 @@ TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
   EXPECT_GT(replayed, computed);
 }
 
-// Where replay is off — LT, attempt-keyed races, SetInitialStates — every
-// estimate still matches and not one attempt is replayed.
-TEST(BaseReplay, OffForLinearThresholdRacesAndInitialStates) {
+// Where replay is off — LT and attempt-keyed races — every estimate still
+// matches and not one attempt is replayed.
+TEST(BaseReplay, OffForLinearThresholdAndRaces) {
   constexpr int kSamples = 8;
   const data::Dataset ds =
       data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
@@ -1174,37 +1198,58 @@ TEST(BaseReplay, OffForLinearThresholdRacesAndInitialStates) {
               std::bit_cast<uint64_t>(want.best_score));
     EXPECT_EQ(engine.num_attempts_replayed(), 0);
   }
-  {  // Initial states: the fixed argmax keeps an empty base.
-    std::vector<pin::UserState> init = ExplicitStartStates(p);
-    init[1].Add(0);
-    std::vector<SelectCandidate> candidates;
-    for (const SeedGroup& g : variants) candidates.push_back({g, nullptr});
-    MonteCarloEngine fresh(p, {}, kSamples, /*num_threads=*/0);
-    fresh.SetInitialStates(&init);
-    SelectBestResult want;
-    want.best_score = -1.0;
-    for (size_t i = 0; i < variants.size(); ++i) {
-      const double sigma = fresh.Sigma(variants[i]);
-      if (sigma > want.best_score) {
-        want.best_score = sigma;
-        want.best_index = static_cast<int>(i);
-      }
-    }
-    MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
-    engine.SetInitialStates(&init);
-    SelectOptions fixed;
-    fixed.min_score = -1.0;
-    const SelectBestResult got = engine.SelectBest(candidates, fixed);
-    EXPECT_EQ(got.best_index, want.best_index);
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
-              std::bit_cast<uint64_t>(want.best_score));
-    EXPECT_EQ(engine.num_attempts_replayed(), 0);
-    // Without the override, the supersets' shared prefix is replayed.
-    engine.SetInitialStates(nullptr);
-    candidates.resize(static_cast<size_t>(p.num_promotions));
-    engine.SelectBest(candidates, fixed);
-    EXPECT_GT(engine.num_attempts_replayed(), 0);
+}
+
+// A problem started at an observed state (users with adoptions and moved
+// weightings, as adaptive replanning builds it) resumes checkpoints and
+// replays base realizations like any other: every estimate matches a
+// fresh engine's bit for bit, and the engine's fixed argmax over set
+// additions (the adaptive planner's greedy) matches a plain σ loop while
+// replaying attempts.
+TEST(BaseReplay, StartedProblemMatchesAFreshEngine) {
+  constexpr int kSamples = 8;
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"amazon-like", 0.2, 0});
+  const Problem p = ObservedStart(
+      ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3));
+  Rng rng(11);
+  const std::vector<UserId> market = {0, 3, 6, 9, 12};
+  const SeedGroup base = RandomSchedule(p, rng, 6);
+  const std::vector<SeedGroup> variants = ReplayVariants(p, base, rng);
+  const MonteCarloEngine fresh(p, {}, kSamples, /*num_threads=*/0);
+  std::vector<Reference> want;
+  for (const SeedGroup& g : variants) {
+    want.push_back(
+        {fresh.Sigma(g), fresh.EvalMarket(g, market), fresh.Expected(g)});
   }
+  const MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
+  ExpectReplayMatches(engine, p, market, {base}, {variants}, {want});
+  EXPECT_GT(engine.num_attempts_replayed(), 0);
+
+  SeedGroup chosen = base;
+  for (Seed& seed : chosen) seed.promotion = 1;
+  std::vector<SelectCandidate> candidates;
+  SelectBestResult loop;
+  loop.best_score = -1.0;
+  for (int i = 0; i < 8; ++i) {
+    SeedGroup g = chosen;
+    g.push_back(RandomSchedule(p, rng, 1).front());
+    g.back().promotion = 1;
+    const double sigma = fresh.Sigma(g);
+    if (sigma > loop.best_score) {
+      loop.best_score = sigma;
+      loop.best_index = i;
+    }
+    candidates.push_back({std::move(g), nullptr});
+  }
+  const MonteCarloEngine picker(p, {}, kSamples, /*num_threads=*/2);
+  SelectOptions fixed;
+  fixed.min_score = -1.0;
+  const SelectBestResult got = picker.SelectBest(candidates, fixed);
+  EXPECT_EQ(got.best_index, loop.best_index);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
+            std::bit_cast<uint64_t>(loop.best_score));
+  EXPECT_GT(picker.num_attempts_replayed(), 0);
 }
 
 // Replay moves attempts from computed to replayed and nothing else: for

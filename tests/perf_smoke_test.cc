@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "api/session.h"
+#include "core/adaptive_dysim.h"
 #include "core/dysim.h"
 #include "data/catalog.h"
 #include "diffusion/monte_carlo.h"
@@ -110,6 +111,26 @@ TEST(PerfSmoke, DysimReportsAtLeastTwofoldRoundSavings) {
   EXPECT_LE(2 * simulated, naive_rounds)
       << "simulated=" << simulated << " naive=" << naive_rounds;
   EXPECT_GT(m.Counter(util::metric::kEvalMemoHits), 0);
+}
+
+// Adaptive Dysim replans each round on a problem started at the observed
+// state, so its greedy resumes checkpoints and replays base realizations
+// like every other planner's: the run books replayed promotion attempts.
+TEST(PerfSmoke, AdaptiveDysimReplaysBaseRealizations) {
+  data::Dataset ds = data::MakeYelpLike(0.5);
+  Problem problem = ds.MakeProblem(/*budget=*/300.0, kPromotions);
+  core::RunContext::Options options;
+  options.selection_samples = 4;
+  options.eval_samples = 8;
+  options.candidates.max_users = 12;
+  options.candidates.max_items = 4;
+  options.num_threads = 0;
+  core::RunContext run(options);
+  const core::AdaptiveResult r = core::RunAdaptiveDysim(problem, run);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_FALSE(r.seeds.empty());
+  const util::MetricsSnapshot m = run.Finish();
+  EXPECT_GT(m.Counter(util::metric::kEvalAttemptsReplayed), 0);
 }
 
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same

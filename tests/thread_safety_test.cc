@@ -53,7 +53,7 @@ TEST(ThreadSafety, ConcurrentPrepCacheAcquireCountsOneBuild) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         util::StatusOr<prep::PrepLease> lease =
-            cache->Acquire(problem, /*pool=*/nullptr, /*build_threads=*/1);
+            cache->Acquire(problem, /*pool=*/nullptr);
         ASSERT_TRUE(lease.ok()) << lease.status().ToString();
         leases[static_cast<size_t>(i)] = std::move(*lease);
       });
@@ -77,7 +77,7 @@ TEST(ThreadSafety, ConcurrentLazySweepsMatchSerialAnswers) {
   const graph::UserId n = problem.NumUsers();
 
   // Serial reference: every pairwise hop distance and region size.
-  prep::PrepArtifacts serial(problem, nullptr, 1);
+  prep::PrepArtifacts serial(problem, nullptr);
   std::vector<int> want_hops;
   for (graph::UserId a = 0; a < n; ++a) {
     for (graph::UserId b = 0; b < n; ++b) {
@@ -88,7 +88,7 @@ TEST(ThreadSafety, ConcurrentLazySweepsMatchSerialAnswers) {
   // Concurrent: all threads interleave cold-cache Region / HopDistance
   // lookups on one shared artifact. Values must match the serial run
   // exactly, and the caches must end up with one entry per source.
-  prep::PrepArtifacts shared(problem, nullptr, 1);
+  prep::PrepArtifacts shared(problem, nullptr);
   constexpr int kThreads = 8;
   std::vector<std::vector<int>> got(kThreads);
   std::vector<std::thread> threads;
@@ -219,7 +219,7 @@ TEST(ThreadSafety, ConcurrentAcquireWithOneFailingBuildStaysConsistent) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         util::StatusOr<prep::PrepLease> lease =
-            cache->Acquire(problem, nullptr, 1);
+            cache->Acquire(problem, nullptr);
         results[static_cast<size_t>(i)] = lease.status();
         if (lease.ok()) {
           EXPECT_NE(lease->artifacts, nullptr);
@@ -243,7 +243,7 @@ TEST(ThreadSafety, ConcurrentAcquireWithOneFailingBuildStaysConsistent) {
             static_cast<int64_t>(kThreads - failed));
   EXPECT_GE(cache->builds(), 1);
   // And the cache is not poisoned: a fresh acquire succeeds and reuses.
-  util::StatusOr<prep::PrepLease> again = cache->Acquire(problem, nullptr, 1);
+  util::StatusOr<prep::PrepLease> again = cache->Acquire(problem, nullptr);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->reused);
 }
