@@ -38,9 +38,9 @@
 namespace imdpp::api {
 
 /// One configuration for all algorithms. The shared block (the inherited
-/// core::RunSettings — samples, candidates, campaign, threads, prep knobs
-/// — plus the fields below up to `eval`) applies to every planner; the
-/// per-algorithm sub-structs are consumed only by their namesake. The
+/// core::RunSettings — samples, candidates, campaign, threads — plus the
+/// fields below up to `eval`) applies to every planner; the per-algorithm
+/// sub-structs are consumed only by their namesake. The
 /// master `seed` overrides `campaign.base_seed` and derives every
 /// auxiliary stream (e.g. the adaptive "reality" draw), so a fixed
 /// PlannerConfig makes every planner fully deterministic.

@@ -1,6 +1,5 @@
 #include "cli/cli.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -46,28 +45,36 @@ shared flags (plan, compare):
   --dataset-seed N         dataset RNG seed (0 = the flavor's default)
   --budget B               campaign budget        (default 300)
   --promotions T           promotion rounds       (default 10)
-  --config FILE            planner-config JSON overrides
-  --seed N                 master RNG seed
-  --threads N              Monte-Carlo executors (-1 = hardware, 0 = serial)
+  --config FILE            planner-config JSON overrides; a flag below that
+                           names a config key in parentheses sets that key
+                           by the same rule, after --config
+  --seed N                 master RNG seed (seed)
+  --threads N              Monte-Carlo executors (num_threads; -1 =
+                           hardware, 0 = serial)
   --theta N                market-overlap theta (market.overlap_theta)
   --selection-samples N    search-time Monte-Carlo samples
+                           (selection_samples)
   --eval-samples N         final-evaluation Monte-Carlo samples
-  --backend NAME           σ-evaluation backend (default mc; see `imdpp
-                           backends`)
-  --adaptive               variance-adaptive sequential stopping for the
+                           (eval_samples)
+  --backend NAME           σ-evaluation backend (eval.backend; default mc,
+                           see `imdpp backends`)
+  --adaptive[=BOOL]        variance-adaptive sequential stopping for the
                            greedy argmax loops (eval.adaptive.enabled):
                            candidates race on paired per-sample values and
                            resolved ones stop early. Off = the fixed-count
                            reference loops (bit-identical across releases)
-  --adaptive-delta D       racing error budget δ in (0, 1) (default 0.05;
-                           implies nothing unless --adaptive)
-  --adaptive-budget N      racing sample budget (eval.adaptive.max_samples):
-                           the race decides on at most N samples per
-                           candidate; the winner is still re-evaluated at
-                           the full count (0 = no budget, the default)
-  --deadline-ms N          per-run wall-clock budget in milliseconds
-                           (0 = none); an expired deadline fails the run
-                           with deadline_exceeded instead of finishing
+  --adaptive-delta D       racing error budget δ in (0, 1)
+                           (eval.adaptive.delta; default 0.05; implies
+                           nothing unless --adaptive)
+  --adaptive-budget N      racing sample budget, a whole number
+                           (eval.adaptive.max_samples): the race decides on
+                           at most N samples per candidate; the winner is
+                           still re-evaluated at the full count (0 = no
+                           budget, the default)
+  --deadline-ms N          per-run wall-clock budget in whole milliseconds
+                           (deadline_ms; 0 = none); an expired deadline
+                           fails the run with deadline_exceeded instead of
+                           finishing
   --timings                include wall-clock fields (breaks byte-stability)
   --out FILE               write JSON here instead of stdout
   --trace-out FILE         record Chrome trace-event JSON spans for the run
@@ -92,8 +99,9 @@ robustness: failures are structured — every error prints one JSON line
 human message, and exits 2 for invalid_argument, 1 otherwise.
 --fail-on SPEC[,SPEC...] (or the IMDPP_FAIL_ON env var) arms named fault
 points for testing, SPEC = point[:RANGE][:CODE], e.g.
-`prep.build:1:resource_exhausted`. Underscore spellings --deadline_ms /
---fail_on are accepted aliases.
+`prep.build:1:resource_exhausted`. Underscore spellings of the shared
+flags (--deadline_ms, --adaptive_delta, ...) and --fail_on are accepted
+aliases.
 
 Identical invocations print identical bytes (unless --timings), so
 `imdpp plan ... | diff - <(imdpp plan ...)` is a determinism check.
@@ -141,51 +149,6 @@ int StatusError(std::ostream& err, const util::Status& status) {
   return status.code() == util::StatusCode::kInvalidArgument ? 2 : 1;
 }
 
-bool ParseNumberFlag(const config::ParsedArgs& args, const char* key,
-                     double* out, std::string* error) {
-  const std::string* v = args.Find(key);
-  if (v == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (v->empty() || end == nullptr || *end != '\0') {
-    *error = std::string("--") + key + " expects a number, got \"" + *v +
-             "\"";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntFlag(const config::ParsedArgs& args, const char* key, int* out,
-                  std::string* error) {
-  double v = *out;
-  if (!ParseNumberFlag(args, key, &v, error)) return false;
-  *error = config::IntError(v, std::string("--") + key);
-  if (!error->empty()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Seeds parse through strtoull (base 0: decimal or 0x...), not strtod —
-/// a 64-bit seed above 2^53 must reach the engine bit-exact, and a
-/// negative or overflowing value must fail instead of casting to UB.
-bool ParseSeedFlag(const config::ParsedArgs& args, const char* key,
-                   uint64_t* out, std::string* error) {
-  const std::string* v = args.Find(key);
-  if (v == nullptr) return true;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
-  if (v->empty() || end == nullptr || *end != '\0' ||
-      v->front() == '-' || errno == ERANGE) {
-    *error = std::string("--") + key +
-             " expects an unsigned 64-bit seed, got \"" + *v + "\"";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
 /// Shared plan/compare setup: dataset spec + resolved PlannerConfig +
 /// problem coordinates from flags (and an optional --config JSON file).
 struct ProblemSetup {
@@ -201,17 +164,13 @@ struct ProblemSetup {
 util::Status LoadProblemSetup(const config::ParsedArgs& args,
                               ProblemSetup* setup,
                               bool dataset_required = true) {
-  std::string error;
   const std::string* dataset = args.Find("dataset");
   if (dataset == nullptr && dataset_required) {
     return util::InvalidArgumentError("--dataset is required");
   }
   if (dataset != nullptr) setup->dataset = data::ParseDatasetSpec(*dataset);
-  if (!ParseNumberFlag(args, "scale", &setup->dataset.scale, &error) ||
-      !ParseSeedFlag(args, "dataset-seed", &setup->dataset.seed, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-
+  IMDPP_RETURN_IF_ERROR(config::ApplyProblemFlags(
+      args, &setup->dataset, &setup->budget, &setup->promotions));
   if (const std::string* config_path = args.Find("config")) {
     util::Json overrides;
     IMDPP_RETURN_IF_ERROR(config::LoadJsonFile(*config_path, &overrides));
@@ -222,68 +181,8 @@ util::Status LoadProblemSetup(const config::ParsedArgs& args,
                           *config_path + ": " + applied.message());
     }
   }
-  if (!ParseNumberFlag(args, "budget", &setup->budget, &error) ||
-      !ParseIntFlag(args, "promotions", &setup->promotions, &error) ||
-      !ParseSeedFlag(args, "seed", &setup->config.seed, &error) ||
-      !ParseIntFlag(args, "threads", &setup->config.num_threads, &error) ||
-      !ParseIntFlag(args, "theta", &setup->config.dysim.market.overlap_theta,
-                    &error) ||
-      !ParseIntFlag(args, "selection-samples",
-                    &setup->config.selection_samples, &error) ||
-      !ParseIntFlag(args, "eval-samples", &setup->config.eval_samples,
-                    &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  for (const std::string& range_error :
-       {config::ScaleError(setup->dataset.scale, "--scale"),
-       config::BudgetError(setup->budget, "--budget"),
-        config::CountError(setup->promotions, "--promotions"),
-        config::CountError(setup->config.selection_samples,
-                           "--selection-samples"),
-        config::CountError(setup->config.eval_samples, "--eval-samples")}) {
-    if (!range_error.empty()) return util::InvalidArgumentError(range_error);
-  }
-  // --deadline-ms (underscore alias accepted; later flag wins because both
-  // parse into the same slot in order): per-run wall-clock budget, 0 = off.
-  double deadline = static_cast<double>(setup->config.deadline_ms);
-  if (!ParseNumberFlag(args, "deadline-ms", &deadline, &error) ||
-      !ParseNumberFlag(args, "deadline_ms", &deadline, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (deadline < 0) {
-    return util::InvalidArgumentError("--deadline-ms must be >= 0");
-  }
-  setup->config.deadline_ms = static_cast<int64_t>(deadline);
-  if (const std::string* backend = args.Find("backend")) {
-    if (!diffusion::SigmaBackendRegistry::Has(*backend)) {
-      return util::NotFoundError(
-          diffusion::SigmaBackendRegistry::UnknownMessage(*backend));
-    }
-    setup->config.eval.backend = *backend;
-  }
-  // --adaptive: variance-adaptive sequential stopping for the greedy
-  // argmax loops; --adaptive-delta tightens/loosens the racing error
-  // budget (underscore alias accepted, deadline-ms pattern).
-  if (args.Has("adaptive")) setup->config.eval.adaptive.enabled = true;
-  double adaptive_delta = setup->config.eval.adaptive.delta;
-  if (!ParseNumberFlag(args, "adaptive-delta", &adaptive_delta, &error) ||
-      !ParseNumberFlag(args, "adaptive_delta", &adaptive_delta, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (adaptive_delta <= 0.0 || adaptive_delta >= 1.0) {
-    return util::InvalidArgumentError("--adaptive-delta must be in (0, 1)");
-  }
-  setup->config.eval.adaptive.delta = adaptive_delta;
-  double adaptive_budget =
-      static_cast<double>(setup->config.eval.adaptive.max_samples);
-  if (!ParseNumberFlag(args, "adaptive-budget", &adaptive_budget, &error) ||
-      !ParseNumberFlag(args, "adaptive_budget", &adaptive_budget, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  if (adaptive_budget < 0.0) {
-    return util::InvalidArgumentError("--adaptive-budget must be >= 0");
-  }
-  setup->config.eval.adaptive.max_samples = static_cast<int>(adaptive_budget);
+  // Planner-knob flags override --config.
+  IMDPP_RETURN_IF_ERROR(config::ApplyPlannerFlags(args, &setup->config));
   setup->timings = args.Has("timings");
   setup->trace_out = args.GetOr("trace-out", "");
   setup->metrics_out = args.GetOr("metrics-out", "");

@@ -1,10 +1,14 @@
 #include "config/config_loader.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "diffusion/sigma_backend.h"
 #include "util/fault_injection.h"
@@ -40,8 +44,14 @@ std::string ScaleError(double scale, const std::string& where) {
 namespace {
 
 // ---------------------------------------------------- typed field readers
-// Each returns false with a "section.key"-qualified message; a mistyped
-// or misspelled knob must fail loudly, never silently run a default.
+// One reader per value kind. Each checks a JSON value against its kind's
+// range rule before any cast and returns false with a message naming
+// `where` (the dotted config key, or the --flag). A mistyped or
+// misspelled knob must fail loudly, never silently run a default.
+
+template <typename T>
+using Reader = bool (*)(const util::Json& v, const std::string& where,
+                        T* out, std::string* error);
 
 bool ReadInt(const util::Json& v, const std::string& where, int* out,
              std::string* error) {
@@ -73,7 +83,7 @@ bool ReadCount(const util::Json& v, const std::string& where, int* out,
   return error->empty();
 }
 
-/// ReadInt plus a >= 0 rule (a depth).
+/// ReadInt plus a >= 0 rule (a depth, a sample budget).
 bool ReadNonNegative(const util::Json& v, const std::string& where, int* out,
                      std::string* error) {
   if (!ReadInt(v, where, out, error)) return false;
@@ -82,12 +92,43 @@ bool ReadNonNegative(const util::Json& v, const std::string& where, int* out,
   return false;
 }
 
+/// A whole number within [0, 2^63) (a millisecond budget).
+bool ReadNonNegativeInt64(const util::Json& v, const std::string& where,
+                          int64_t* out, std::string* error) {
+  const double d = v.is_number() ? v.AsDouble() : -1.0;
+  // Also rejects NaN and infinities.
+  if (d >= 0.0 && d < 9223372036854775808.0 && d == std::floor(d)) {
+    *out = static_cast<int64_t>(d);
+    return true;
+  }
+  *error = where + " must be an integer within [0, " +
+           std::to_string(std::numeric_limits<int64_t>::max()) + "]";
+  return false;
+}
+
+/// ReadDouble plus BudgetError's range rule.
+bool ReadBudget(const util::Json& v, const std::string& where, double* out,
+                std::string* error) {
+  if (!ReadDouble(v, where, out, error)) return false;
+  *error = BudgetError(*out, where);
+  return error->empty();
+}
+
 /// ReadDouble plus a (0, 1] rule (a path-probability threshold).
 bool ReadProbability(const util::Json& v, const std::string& where,
                      double* out, std::string* error) {
   if (!ReadDouble(v, where, out, error)) return false;
   if (*out > 0.0 && *out <= 1.0) return true;  // also rejects NaN
   *error = where + " must be in (0, 1]";
+  return false;
+}
+
+/// ReadDouble plus a (0, 1) rule (an error budget δ).
+bool ReadOpenUnit(const util::Json& v, const std::string& where, double* out,
+                  std::string* error) {
+  if (!ReadDouble(v, where, out, error)) return false;
+  if (*out > 0.0 && *out < 1.0) return true;  // also rejects NaN
+  *error = where + " must be in (0, 1)";
   return false;
 }
 
@@ -101,166 +142,302 @@ bool ReadBool(const util::Json& v, const std::string& where, bool* out,
   return true;
 }
 
-/// Seeds may exceed JSON's exact double range, so strings of digits are
-/// accepted alongside numbers.
+/// A 64-bit seed: a whole number below 2^64, or a digit string (decimal
+/// or 0x hex) for seeds past a double's exact range. Negatives,
+/// fractions and values past 2^64 - 1 fail before any cast.
 bool ReadSeed(const util::Json& v, const std::string& where, uint64_t* out,
               std::string* error) {
   if (v.is_number()) {
     const double d = v.AsDouble();
-    if (d < 0.0 || d != std::floor(d)) {  // negative → UB cast; reject
-      *error = where + " must be a non-negative integer or a digit string";
-      return false;
+    // Also rejects NaN and infinities.
+    if (d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d)) {
+      *out = static_cast<uint64_t>(d);
+      return true;
     }
-    *out = static_cast<uint64_t>(d);
-    return true;
-  }
-  if (v.is_string()) {
+  } else if (v.is_string()) {
+    const std::string& s = v.AsString();
+    errno = 0;
     char* end = nullptr;
-    *out = std::strtoull(v.AsString().c_str(), &end, 0);
-    if (end != nullptr && *end == '\0' && !v.AsString().empty()) return true;
+    const unsigned long long parsed = std::strtoull(s.c_str(), &end, 0);
+    // strtoull wraps a leading '-' instead of failing.
+    if (!s.empty() && *end == '\0' && errno != ERANGE &&
+        s.find('-') == std::string::npos) {
+      *out = parsed;
+      return true;
+    }
   }
-  *error = where + " must be a number or a digit string";
+  *error = where + " must be an integer within [0, " +
+           std::to_string(std::numeric_limits<uint64_t>::max()) +
+           "], as a number or a digit string";
   return false;
 }
 
-bool ApplyCandidates(const util::Json& obj, core::CandidateConfig* cfg,
-                     std::string* error) {
+/// One of a fixed list of names, stored as its enum value.
+template <typename E, size_t N>
+bool ReadEnum(const util::Json& v, const std::string& where,
+              const std::pair<std::string_view, E> (&names)[N], E* out,
+              std::string* error) {
+  if (!v.is_string()) {
+    *error = where + " must be a string";
+    return false;
+  }
+  std::string expected;
+  for (const auto& [name, value] : names) {
+    if (v.AsString() == name) {
+      *out = value;
+      return true;
+    }
+    expected += (expected.empty() ? "" : ", ") + std::string(name);
+  }
+  *error = "unknown " + where + " \"" + v.AsString() + "\" (expected " +
+           expected + ")";
+  return false;
+}
+
+bool ReadModel(const util::Json& v, const std::string& where,
+               diffusion::DiffusionModel* out, std::string* error) {
+  using diffusion::DiffusionModel;
+  static constexpr std::pair<std::string_view, DiffusionModel> kNames[] = {
+      {"ic", DiffusionModel::kIndependentCascade},
+      {"lt", DiffusionModel::kLinearThreshold}};
+  return ReadEnum(v, where, kNames, out, error);
+}
+
+bool ReadOrder(const util::Json& v, const std::string& where,
+               core::MarketOrderMetric* out, std::string* error) {
+  using core::MarketOrderMetric;
+  static constexpr std::pair<std::string_view, MarketOrderMetric> kNames[] = {
+      {"ae", MarketOrderMetric::kAntagonisticExtent},
+      {"pf", MarketOrderMetric::kProfitability},
+      {"sz", MarketOrderMetric::kSize},
+      {"rms", MarketOrderMetric::kRelativeMarketShare},
+      {"rd", MarketOrderMetric::kRandom}};
+  return ReadEnum(v, where, kNames, out, error);
+}
+
+/// A registered σ backend, checked at load time so a typo fails naming
+/// the registered keys.
+bool ReadBackend(const util::Json& v, const std::string& where,
+                 std::string* out, std::string* error) {
+  if (!v.is_string()) {
+    *error = where + " must be a string";
+    return false;
+  }
+  if (!diffusion::SigmaBackendRegistry::Has(v.AsString())) {
+    *error = where + ": " +
+             diffusion::SigmaBackendRegistry::UnknownMessage(v.AsString());
+    return false;
+  }
+  *out = v.AsString();
+  return true;
+}
+
+/// ReadBackend, or "" (no degradation: a backend failure fails the run).
+bool ReadFallbackBackend(const util::Json& v, const std::string& where,
+                         std::string* out, std::string* error) {
+  if (v.is_string() && v.AsString().empty()) {
+    out->clear();
+    return true;
+  }
+  return ReadBackend(v, where, out, error);
+}
+
+// ------------------------------------------------------------ flag text
+
+/// A flag's text as the JSON scalar a reader of T takes; the one place
+/// flag text is converted. int, int64 and double fields get a number via
+/// strtod, bool fields a bool from "true" / "false" (a bare switch reads
+/// "true"), seeds and names the text itself. Text that does not convert
+/// stays a string, which the number and bool readers reject naming the
+/// flag.
+template <typename T>
+util::Json FlagScalar(const std::string& text) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (text == "true" || text == "false") return text == "true";
+  } else if constexpr (std::is_same_v<T, int> || std::is_same_v<T, int64_t> ||
+                       std::is_same_v<T, double>) {
+    char* end = nullptr;
+    const double number = std::strtod(text.c_str(), &end);
+    if (!text.empty() && *end == '\0') return number;
+  }
+  return text;
+}
+
+/// The last value of --flag or of its underscore spelling
+/// (--adaptive_delta), or nullptr.
+const std::string* FindFlag(const ParsedArgs& args, std::string_view flag) {
+  std::string underscored(flag);
+  std::replace(underscored.begin(), underscored.end(), '-', '_');
+  const std::string* found = nullptr;
+  for (const auto& [key, value] : args.flags) {
+    if (key == flag || key == underscored) found = &value;
+  }
+  return found;
+}
+
+/// Reads --flag, if given, through `read`; an absent flag keeps *out.
+template <typename T>
+bool ReadFlag(const ParsedArgs& args, std::string_view flag, Reader<T> read,
+              T* out, std::string* error) {
+  const std::string* text = FindFlag(args, flag);
+  return text == nullptr ||
+         read(FlagScalar<T>(*text), "--" + std::string(flag), out, error);
+}
+
+// ---------------------------------------------------------- option table
+
+/// One settable PlannerConfig knob.
+struct Option {
+  std::string_view key;   ///< dotted config key
+  std::string_view flag;  ///< flag without "--"; "" = config only
+  /// Reads `v` (named `where` in messages) into the knob's field.
+  std::function<bool(const util::Json& v, const std::string& where,
+                     api::PlannerConfig* cfg, std::string* error)>
+      read;
+  /// FlagScalar for the field's type.
+  util::Json (*flag_scalar)(const std::string& text);
+};
+
+/// A row: `field` maps a config to the knob's field, which `read` sets.
+template <typename T, typename Field>
+Option Row(std::string_view key, std::string_view flag, Reader<T> read,
+           Field field) {
+  return {key, flag,
+          [read, field](const util::Json& v, const std::string& where,
+                        api::PlannerConfig* cfg, std::string* error) {
+            return read(v, where, field(*cfg), error);
+          },
+          &FlagScalar<T>};
+}
+
+using C = api::PlannerConfig;
+
+/// Every settable knob, once. JSON keys and CLI flags both set a knob
+/// through its row, so they share one range rule and one message.
+const std::vector<Option>& Options() {
+  static const std::vector<Option> kOptions = {
+      Row("selection_samples", "selection-samples", ReadCount,
+          [](C& c) { return &c.selection_samples; }),
+      Row("eval_samples", "eval-samples", ReadCount,
+          [](C& c) { return &c.eval_samples; }),
+      Row("seed", "seed", ReadSeed, [](C& c) { return &c.seed; }),
+      Row("num_threads", "threads", ReadInt,
+          [](C& c) { return &c.num_threads; }),
+      Row("deadline_ms", "deadline-ms", ReadNonNegativeInt64,
+          [](C& c) { return &c.deadline_ms; }),
+      Row("eval.backend", "backend", ReadBackend,
+          [](C& c) { return &c.eval.backend; }),
+      Row("eval.fallback_backend", "", ReadFallbackBackend,
+          [](C& c) { return &c.eval.fallback_backend; }),
+      Row("eval.ris_sketches", "", ReadCount,
+          [](C& c) { return &c.eval.ris_sketches; }),
+      Row("eval.adaptive.enabled", "adaptive", ReadBool,
+          [](C& c) { return &c.eval.adaptive.enabled; }),
+      Row("eval.adaptive.delta", "adaptive-delta", ReadOpenUnit,
+          [](C& c) { return &c.eval.adaptive.delta; }),
+      Row("eval.adaptive.block_samples", "", ReadCount,
+          [](C& c) { return &c.eval.adaptive.block_samples; }),
+      Row("eval.adaptive.min_samples", "", ReadCount,
+          [](C& c) { return &c.eval.adaptive.min_samples; }),
+      Row("eval.adaptive.max_samples", "adaptive-budget", ReadNonNegative,
+          [](C& c) { return &c.eval.adaptive.max_samples; }),
+      Row("candidates.max_users", "", ReadInt,
+          [](C& c) { return &c.candidates.max_users; }),
+      Row("candidates.max_items", "", ReadInt,
+          [](C& c) { return &c.candidates.max_items; }),
+      Row("campaign.model", "", ReadModel,
+          [](C& c) { return &c.campaign.model; }),
+      Row("campaign.max_steps", "", ReadInt,
+          [](C& c) { return &c.campaign.max_steps; }),
+      Row("clustering.social_weight", "", ReadDouble,
+          [](C& c) { return &c.dysim.clustering.social_weight; }),
+      Row("clustering.relevance_weight", "", ReadDouble,
+          [](C& c) { return &c.dysim.clustering.relevance_weight; }),
+      Row("clustering.merge_threshold", "", ReadDouble,
+          [](C& c) { return &c.dysim.clustering.merge_threshold; }),
+      Row("clustering.max_hops", "", ReadInt,
+          [](C& c) { return &c.dysim.clustering.max_hops; }),
+      Row("market.mioa_threshold", "", ReadProbability,
+          [](C& c) { return &c.dysim.market.mioa_threshold; }),
+      Row("market.mioa_max_hops", "", ReadInt,
+          [](C& c) { return &c.dysim.market.mioa_max_hops; }),
+      Row("market.overlap_theta", "theta", ReadInt,
+          [](C& c) { return &c.dysim.market.overlap_theta; }),
+      Row("dysim.order", "", ReadOrder, [](C& c) { return &c.dysim.order; }),
+      Row("dysim.dr_max_depth", "", ReadNonNegative,
+          [](C& c) { return &c.dysim.dr_max_depth; }),
+      Row("dysim.use_target_markets", "", ReadBool,
+          [](C& c) { return &c.dysim.use_target_markets; }),
+      Row("dysim.use_item_priority", "", ReadBool,
+          [](C& c) { return &c.dysim.use_item_priority; }),
+      Row("dysim.use_theorem5_guard", "", ReadBool,
+          [](C& c) { return &c.dysim.use_theorem5_guard; }),
+      Row("adaptive.antagonism_threshold", "", ReadDouble,
+          [](C& c) { return &c.adaptive.antagonism_threshold; }),
+      Row("ps.path_threshold", "", ReadDouble,
+          [](C& c) { return &c.ps.path_threshold; }),
+      Row("ps.max_hops", "", ReadInt, [](C& c) { return &c.ps.max_hops; }),
+      Row("ps.covered_discount", "", ReadDouble,
+          [](C& c) { return &c.ps.covered_discount; }),
+      Row("opt.max_candidates", "", ReadInt,
+          [](C& c) { return &c.opt.max_candidates; }),
+      Row("opt.max_seeds", "", ReadInt, [](C& c) { return &c.opt.max_seeds; }),
+  };
+  return kOptions;
+}
+
+const Option* FindOption(std::string_view key) {
+  for (const Option& row : Options()) {
+    if (row.key == key) return &row;
+  }
+  return nullptr;
+}
+
+/// True when `path` is a section: a proper dotted prefix of some key.
+bool IsSection(std::string_view path) {
+  for (const Option& row : Options()) {
+    if (row.key.size() > path.size() && row.key.starts_with(path) &&
+        row.key[path.size()] == '.') {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Applies the members of `obj`, the section at dotted `prefix` ("" = the
+/// top level), each through its row; a member naming a section recurses.
+bool ApplySection(const util::Json& obj, const std::string& prefix,
+                  api::PlannerConfig* cfg, std::string* error) {
   for (const auto& [key, v] : obj.members()) {
-    if (key == "max_users") {
-      if (!ReadInt(v, "candidates.max_users", &cfg->max_users, error))
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    const bool plain = key.find('.') == std::string::npos;
+    if (const Option* row = plain ? FindOption(path) : nullptr) {
+      if (!row->read(v, path, cfg, error)) return false;
+    } else if (plain && IsSection(path)) {
+      if (!v.is_object()) {
+        *error = path + " must be an object";
         return false;
-    } else if (key == "max_items") {
-      if (!ReadInt(v, "candidates.max_items", &cfg->max_items, error))
-        return false;
+      }
+      if (!ApplySection(v, path, cfg, error)) return false;
     } else {
-      *error = "unknown candidates key \"" + key + "\"";
+      *error = "unknown " + (prefix.empty() ? "planner config" : prefix) +
+               " key \"" + key + "\"";
       return false;
     }
   }
   return true;
 }
 
-bool ApplyCampaign(const util::Json& obj, diffusion::CampaignConfig* cfg,
-                   std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "model") {
-      if (!v.is_string()) {
-        *error = "campaign.model must be a string";
-        return false;
-      }
-      const std::string& m = v.AsString();
-      if (m == "ic") {
-        cfg->model = diffusion::DiffusionModel::kIndependentCascade;
-      } else if (m == "lt") {
-        cfg->model = diffusion::DiffusionModel::kLinearThreshold;
-      } else {
-        *error = "unknown campaign.model \"" + m + "\" (expected ic, lt)";
-        return false;
-      }
-    } else if (key == "max_steps") {
-      if (!ReadInt(v, "campaign.max_steps", &cfg->max_steps, error))
-        return false;
-    } else {
-      *error = "unknown campaign key \"" + key + "\"";
-      return false;
-    }
+/// The bool + error-string core the recursive parsers below share; the
+/// public surface wraps it into util::Status (kInvalidArgument).
+bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
+                                std::string* error) {
+  if (obj.is_null()) return true;  // no overrides
+  if (!obj.is_object()) {
+    *error = "planner config must be a JSON object";
+    return false;
   }
-  return true;
-}
-
-bool ApplyClustering(const util::Json& obj, cluster::ClusteringConfig* cfg,
-                     std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "social_weight") {
-      if (!ReadDouble(v, "clustering.social_weight", &cfg->social_weight,
-                      error))
-        return false;
-    } else if (key == "relevance_weight") {
-      if (!ReadDouble(v, "clustering.relevance_weight",
-                      &cfg->relevance_weight, error))
-        return false;
-    } else if (key == "merge_threshold") {
-      if (!ReadDouble(v, "clustering.merge_threshold", &cfg->merge_threshold,
-                      error))
-        return false;
-    } else if (key == "max_hops") {
-      if (!ReadInt(v, "clustering.max_hops", &cfg->max_hops, error))
-        return false;
-    } else {
-      *error = "unknown clustering key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ApplyMarket(const util::Json& obj, cluster::MarketPlanConfig* cfg,
-                 std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "mioa_threshold") {
-      if (!ReadProbability(v, "market.mioa_threshold", &cfg->mioa_threshold,
-                           error))
-        return false;
-    } else if (key == "mioa_max_hops") {
-      if (!ReadInt(v, "market.mioa_max_hops", &cfg->mioa_max_hops, error))
-        return false;
-    } else if (key == "overlap_theta") {
-      if (!ReadInt(v, "market.overlap_theta", &cfg->overlap_theta, error))
-        return false;
-    } else {
-      *error = "unknown market key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ApplyDysim(const util::Json& obj, core::DysimConfig* cfg,
-                std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "order") {
-      if (!v.is_string()) {
-        *error = "dysim.order must be a string";
-        return false;
-      }
-      const std::string& o = v.AsString();
-      if (o == "ae") {
-        cfg->order = core::MarketOrderMetric::kAntagonisticExtent;
-      } else if (o == "pf") {
-        cfg->order = core::MarketOrderMetric::kProfitability;
-      } else if (o == "sz") {
-        cfg->order = core::MarketOrderMetric::kSize;
-      } else if (o == "rms") {
-        cfg->order = core::MarketOrderMetric::kRelativeMarketShare;
-      } else if (o == "rd") {
-        cfg->order = core::MarketOrderMetric::kRandom;
-      } else {
-        *error = "unknown dysim.order \"" + o +
-                 "\" (expected ae, pf, sz, rms, rd)";
-        return false;
-      }
-    } else if (key == "dr_max_depth") {
-      if (!ReadNonNegative(v, "dysim.dr_max_depth", &cfg->dr_max_depth,
-                           error))
-        return false;
-    } else if (key == "use_target_markets") {
-      if (!ReadBool(v, "dysim.use_target_markets", &cfg->use_target_markets,
-                    error))
-        return false;
-    } else if (key == "use_item_priority") {
-      if (!ReadBool(v, "dysim.use_item_priority", &cfg->use_item_priority,
-                    error))
-        return false;
-    } else if (key == "use_theorem5_guard") {
-      if (!ReadBool(v, "dysim.use_theorem5_guard", &cfg->use_theorem5_guard,
-                    error))
-        return false;
-    } else {
-      *error = "unknown dysim key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
+  return ApplySection(obj, "", cfg, error);
 }
 
 }  // namespace
@@ -283,231 +460,6 @@ util::Status LoadJsonFile(const std::string& path, util::Json* out) {
 }
 
 namespace {
-
-/// The bool + error-string core the recursive parsers below share; the
-/// public surface wraps it into util::Status (kInvalidArgument).
-bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
-                                std::string* error) {
-  if (obj.is_null()) return true;  // no overrides
-  if (!obj.is_object()) {
-    *error = "planner config must be a JSON object";
-    return false;
-  }
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "selection_samples") {
-      if (!ReadCount(v, "selection_samples", &cfg->selection_samples, error))
-        return false;
-    } else if (key == "eval_samples") {
-      if (!ReadCount(v, "eval_samples", &cfg->eval_samples, error))
-        return false;
-    } else if (key == "seed") {
-      if (!ReadSeed(v, "seed", &cfg->seed, error)) return false;
-    } else if (key == "num_threads") {
-      if (!ReadInt(v, "num_threads", &cfg->num_threads, error)) return false;
-    } else if (key == "deadline_ms") {
-      int deadline = static_cast<int>(cfg->deadline_ms);
-      if (!ReadInt(v, "deadline_ms", &deadline, error)) return false;
-      if (deadline < 0) {
-        *error = "deadline_ms must be >= 0";
-        return false;
-      }
-      cfg->deadline_ms = deadline;
-    } else if (key == "prep") {
-      if (!v.is_object()) {
-        *error = "prep must be an object";
-        return false;
-      }
-      for (const auto& [pkey, pv] : v.members()) {
-        if (pkey == "cache") {
-          if (!ReadBool(pv, "prep.cache", &cfg->prep.cache, error))
-            return false;
-        } else {
-          *error = "unknown prep key \"" + pkey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "eval") {
-      if (!v.is_object()) {
-        *error = "eval must be an object";
-        return false;
-      }
-      for (const auto& [ekey, ev] : v.members()) {
-        if (ekey == "backend") {
-          if (!ev.is_string()) {
-            *error = "eval.backend must be a string";
-            return false;
-          }
-          // Validated against the registry here so a typo'd backend fails
-          // at config-load time, naming the registered keys.
-          if (!diffusion::SigmaBackendRegistry::Has(ev.AsString())) {
-            *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-                ev.AsString());
-            return false;
-          }
-          cfg->eval.backend = ev.AsString();
-        } else if (ekey == "fallback_backend") {
-          if (!ev.is_string()) {
-            *error = "eval.fallback_backend must be a string";
-            return false;
-          }
-          // "" disables degradation; anything else must be a registered
-          // backend, checked now for the same fail-at-load reason.
-          if (!ev.AsString().empty() &&
-              !diffusion::SigmaBackendRegistry::Has(ev.AsString())) {
-            *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-                ev.AsString());
-            return false;
-          }
-          cfg->eval.fallback_backend = ev.AsString();
-        } else if (ekey == "ris_sketches") {
-          if (!ReadCount(ev, "eval.ris_sketches", &cfg->eval.ris_sketches,
-                         error))
-            return false;
-        } else if (ekey == "adaptive") {
-          if (!ev.is_object()) {
-            *error = "eval.adaptive must be an object";
-            return false;
-          }
-          for (const auto& [akey, av] : ev.members()) {
-            if (akey == "enabled") {
-              if (!ReadBool(av, "eval.adaptive.enabled",
-                            &cfg->eval.adaptive.enabled, error))
-                return false;
-            } else if (akey == "delta") {
-              if (!ReadDouble(av, "eval.adaptive.delta",
-                              &cfg->eval.adaptive.delta, error))
-                return false;
-              if (cfg->eval.adaptive.delta <= 0.0 ||
-                  cfg->eval.adaptive.delta >= 1.0) {
-                *error = "eval.adaptive.delta must be in (0, 1)";
-                return false;
-              }
-            } else if (akey == "block_samples") {
-              if (!ReadInt(av, "eval.adaptive.block_samples",
-                           &cfg->eval.adaptive.block_samples, error))
-                return false;
-              if (cfg->eval.adaptive.block_samples < 1) {
-                *error = "eval.adaptive.block_samples must be >= 1";
-                return false;
-              }
-            } else if (akey == "min_samples") {
-              if (!ReadInt(av, "eval.adaptive.min_samples",
-                           &cfg->eval.adaptive.min_samples, error))
-                return false;
-              if (cfg->eval.adaptive.min_samples < 1) {
-                *error = "eval.adaptive.min_samples must be >= 1";
-                return false;
-              }
-            } else if (akey == "max_samples") {
-              if (!ReadInt(av, "eval.adaptive.max_samples",
-                           &cfg->eval.adaptive.max_samples, error))
-                return false;
-              if (cfg->eval.adaptive.max_samples < 0) {
-                *error = "eval.adaptive.max_samples must be >= 0";
-                return false;
-              }
-            } else {
-              *error = "unknown eval.adaptive key \"" + akey + "\"";
-              return false;
-            }
-          }
-        } else {
-          *error = "unknown eval key \"" + ekey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "candidates") {
-      if (!v.is_object()) {
-        *error = "candidates must be an object";
-        return false;
-      }
-      if (!ApplyCandidates(v, &cfg->candidates, error)) return false;
-    } else if (key == "campaign") {
-      if (!v.is_object()) {
-        *error = "campaign must be an object";
-        return false;
-      }
-      if (!ApplyCampaign(v, &cfg->campaign, error)) return false;
-    } else if (key == "clustering") {
-      if (!v.is_object()) {
-        *error = "clustering must be an object";
-        return false;
-      }
-      if (!ApplyClustering(v, &cfg->dysim.clustering, error)) return false;
-    } else if (key == "market") {
-      if (!v.is_object()) {
-        *error = "market must be an object";
-        return false;
-      }
-      if (!ApplyMarket(v, &cfg->dysim.market, error)) return false;
-    } else if (key == "dysim") {
-      if (!v.is_object()) {
-        *error = "dysim must be an object";
-        return false;
-      }
-      if (!ApplyDysim(v, &cfg->dysim, error)) return false;
-    } else if (key == "adaptive") {
-      if (!v.is_object()) {
-        *error = "adaptive must be an object";
-        return false;
-      }
-      for (const auto& [akey, av] : v.members()) {
-        if (akey == "antagonism_threshold") {
-          if (!ReadDouble(av, "adaptive.antagonism_threshold",
-                          &cfg->adaptive.antagonism_threshold, error))
-            return false;
-        } else {
-          *error = "unknown adaptive key \"" + akey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "ps") {
-      if (!v.is_object()) {
-        *error = "ps must be an object";
-        return false;
-      }
-      for (const auto& [pkey, pv] : v.members()) {
-        if (pkey == "path_threshold") {
-          if (!ReadDouble(pv, "ps.path_threshold", &cfg->ps.path_threshold,
-                          error))
-            return false;
-        } else if (pkey == "max_hops") {
-          if (!ReadInt(pv, "ps.max_hops", &cfg->ps.max_hops, error))
-            return false;
-        } else if (pkey == "covered_discount") {
-          if (!ReadDouble(pv, "ps.covered_discount",
-                          &cfg->ps.covered_discount, error))
-            return false;
-        } else {
-          *error = "unknown ps key \"" + pkey + "\"";
-          return false;
-        }
-      }
-    } else if (key == "opt") {
-      if (!v.is_object()) {
-        *error = "opt must be an object";
-        return false;
-      }
-      for (const auto& [okey, ov] : v.members()) {
-        if (okey == "max_candidates") {
-          if (!ReadInt(ov, "opt.max_candidates", &cfg->opt.max_candidates,
-                       error))
-            return false;
-        } else if (okey == "max_seeds") {
-          if (!ReadInt(ov, "opt.max_seeds", &cfg->opt.max_seeds, error))
-            return false;
-        } else {
-          *error = "unknown opt key \"" + okey + "\"";
-          return false;
-        }
-      }
-    } else {
-      *error = "unknown planner config key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
 
 bool DatasetSpecFromJsonImpl(const util::Json& value, data::DatasetSpec* spec,
                              util::Json* config_overrides,
@@ -638,9 +590,7 @@ bool LoadSweepSpecImpl(const util::Json& obj, SweepSpec* spec,
     } else if (key == "budgets") {
       for (const util::Json& entry : v.elements()) {
         double b = 0.0;
-        if (!ReadDouble(entry, "budgets[]", &b, error)) return false;
-        *error = BudgetError(b, "budgets[]");
-        if (!error->empty()) return false;
+        if (!ReadBudget(entry, "budgets[]", &b, error)) return false;
         spec->budgets.push_back(b);
       }
     } else if (key == "promotions") {
@@ -663,16 +613,9 @@ bool LoadSweepSpecImpl(const util::Json& obj, SweepSpec* spec,
       }
     } else if (key == "backends") {
       for (const util::Json& entry : v.elements()) {
-        if (!entry.is_string()) {
-          *error = "backends[] must be strings";
-          return false;
-        }
-        if (!diffusion::SigmaBackendRegistry::Has(entry.AsString())) {
-          *error = diffusion::SigmaBackendRegistry::UnknownMessage(
-              entry.AsString());
-          return false;
-        }
-        spec->backends.push_back(entry.AsString());
+        std::string backend;
+        if (!ReadBackend(entry, "backends[]", &backend, error)) return false;
+        spec->backends.push_back(std::move(backend));
       }
     } else if (key == "config") {
       if (!ApplyPlannerConfigJsonImpl(v, &spec->base, error)) return false;
@@ -886,6 +829,45 @@ util::Status ParseArgs(const std::vector<std::string>& args, ParsedArgs* out) {
   if (!ParseArgsImpl(args, out, &error)) {
     return util::InvalidArgumentError(std::move(error));
   }
+  return util::OkStatus();
+}
+
+// ------------------------------------------------------------ flag values
+
+std::vector<OptionName> OptionNames() {
+  std::vector<OptionName> names;
+  for (const Option& row : Options()) names.push_back({row.key, row.flag});
+  return names;
+}
+
+util::Status ApplyPlannerFlags(const ParsedArgs& args,
+                               api::PlannerConfig* cfg) {
+  std::string error;
+  for (const Option& row : Options()) {
+    if (row.flag.empty()) continue;
+    const std::string* text = FindFlag(args, row.flag);
+    if (text != nullptr && !row.read(row.flag_scalar(*text),
+                                     "--" + std::string(row.flag), cfg,
+                                     &error)) {
+      return util::InvalidArgumentError(std::move(error));
+    }
+  }
+  return util::OkStatus();
+}
+
+util::Status ApplyProblemFlags(const ParsedArgs& args,
+                               data::DatasetSpec* dataset, double* budget,
+                               int* promotions) {
+  std::string error;
+  if (!ReadFlag(args, "scale", ReadDouble, &dataset->scale, &error) ||
+      !ReadFlag(args, "dataset-seed", ReadSeed, &dataset->seed, &error) ||
+      !ReadFlag(args, "budget", ReadBudget, budget, &error) ||
+      !ReadFlag(args, "promotions", ReadCount, promotions, &error)) {
+    return util::InvalidArgumentError(std::move(error));
+  }
+  // The scale may come from --scale or from a "name@scale" --dataset.
+  error = ScaleError(dataset->scale, "--scale");
+  if (!error.empty()) return util::InvalidArgumentError(std::move(error));
   return util::OkStatus();
 }
 

@@ -3,9 +3,12 @@
 // recompiled C++.
 //
 // Three layers:
-//   * ApplyPlannerConfigJson — a JSON object of partial overrides applied
-//     onto an api::PlannerConfig (absent keys keep their values), covering
-//     the shared knobs and every per-algorithm sub-struct;
+//   * ApplyPlannerConfigJson / ApplyPlannerFlags — a JSON object of
+//     partial overrides, or the CLI flags, applied onto an
+//     api::PlannerConfig (absent keys keep their values). Both go through
+//     one option table: each settable knob, shared or per-algorithm, is
+//     one row giving its dotted key, its flag, its typed range-checked
+//     reader and the field it sets;
 //   * DatasetSpecFromJson / ParseDatasetSpec — "yelp-like@0.5"-style
 //     strings or {name, scale, seed} objects onto data::DatasetSpec;
 //   * SweepSpec / ExpandSweep — a sweep config (datasets × planners ×
@@ -47,9 +50,10 @@ std::string BudgetError(double budget, const std::string& where);
 std::string CountError(int count, const std::string& where);
 std::string ScaleError(double scale, const std::string& where);
 
-/// Applies a JSON object of overrides onto *cfg. Unknown keys and
-/// mistyped or out-of-range values fail with kInvalidArgument naming the
-/// key (a typo'd knob must not silently run the default).
+/// Applies a JSON object of overrides onto *cfg, each member through its
+/// option-table row. Unknown keys and mistyped or out-of-range values
+/// fail with kInvalidArgument naming the dotted key (a typo'd knob must
+/// not silently run the default).
 util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg);
 
@@ -135,6 +139,35 @@ struct ParsedArgs {
 };
 
 util::Status ParseArgs(const std::vector<std::string>& args, ParsedArgs* out);
+
+/// A row of the option table: a settable PlannerConfig knob's dotted
+/// config key and its flag without "--" ("" = config only).
+struct OptionName {
+  std::string_view key;
+  std::string_view flag;
+};
+
+/// Every row of the option table, in table order, one per knob.
+std::vector<OptionName> OptionNames();
+
+/// Applies every option-table flag present in `args` onto *cfg through
+/// the same reader as its config key, with "--flag" naming it in the
+/// message. A flag's underscore spelling (--adaptive_delta) is accepted;
+/// the last occurrence of either spelling wins. A flag's text becomes a
+/// JSON scalar first: a number via strtod, a bool from true/false (a bare
+/// switch is true), a seed or name as a string. Callers apply --config
+/// first, so flags override it. Failures are kInvalidArgument.
+util::Status ApplyPlannerFlags(const ParsedArgs& args,
+                               api::PlannerConfig* cfg);
+
+/// The problem-coordinate flags (--scale, --dataset-seed, --budget,
+/// --promotions). They are not PlannerConfig knobs, so they sit outside
+/// the table, but their text is converted and range-checked by the same
+/// readers. An absent flag keeps its value; the final scale (from --scale
+/// or a "name@scale" dataset) must be finite and > 0.
+util::Status ApplyProblemFlags(const ParsedArgs& args,
+                               data::DatasetSpec* dataset, double* budget,
+                               int* promotions);
 
 }  // namespace imdpp::config
 

@@ -63,8 +63,7 @@ util::StatusOr<RunContext::Lease> RunContext::LeasePrep(
     const diffusion::Problem& problem) {
   IMDPP_CHECK(!finished_);
   util::StatusOr<prep::PrepLease> lease = prep::AcquirePrep(
-      options_.prep_cache, options_.prep.cache, problem, options_.pool,
-      options_.backend.cancel);
+      options_.prep_cache, problem, options_.pool, options_.backend.cancel);
   if (!lease.ok()) return lease.status();
   return Lease(this, std::move(*lease));
 }

@@ -51,10 +51,6 @@ struct RunSettings {
   /// Purely a throughput knob — estimates are bit-identical for every
   /// value (see diffusion::MonteCarloEngine).
   int num_threads = util::kAutoThreads;
-
-  /// prep:: artifact-layer knobs (market structure built once per
-  /// dataset; see prep/prep.h).
-  prep::PrepOptions prep;
 };
 
 class RunContext {
@@ -136,8 +132,8 @@ class RunContext {
   /// so it books like a made one.
   Engine Adopt(std::unique_ptr<diffusion::SigmaBackend> engine);
 
-  /// The run's prep artifacts: served from the prep cache when one is set
-  /// and Options::prep.cache is on, else built standalone. Honors the
+  /// The run's prep artifacts: served from the prep cache when one is
+  /// set, else built standalone. Honors the
   /// run's cancel token; a failed acquisition books nothing.
   util::StatusOr<Lease> LeasePrep(const diffusion::Problem& problem);
 

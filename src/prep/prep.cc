@@ -365,11 +365,11 @@ util::StatusOr<PrepLease> PrepCache::Acquire(
 }
 
 util::StatusOr<PrepLease> AcquirePrep(
-    const std::shared_ptr<PrepCache>& cache, bool use_cache,
+    const std::shared_ptr<PrepCache>& cache,
     const diffusion::Problem& problem, std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel) {
   util::trace::Span span("phase.prep");
-  if (cache != nullptr && use_cache) {
+  if (cache != nullptr) {
     return cache->Acquire(problem, std::move(pool), std::move(cancel));
   }
   IMDPP_RETURN_IF_ERROR(PrepBuildGate(cancel.get()));

@@ -261,13 +261,6 @@ struct PrepLease {
   bool reused = false;
 };
 
-/// How a run acquires its artifacts (the `prep.*` config keys).
-struct PrepOptions {
-  /// false = bypass the artifact cache and rebuild per run (the
-  /// determinism tests pin cold == warm with this).
-  bool cache = true;
-};
-
 /// Session-scoped artifact memo, keyed by StructuralKey. One cache serves
 /// every planner a CampaignSession runs; cli::RunSweep gets the reuse for
 /// free through the session it already keeps per dataset.
@@ -313,12 +306,11 @@ class PrepCache {
   int64_t reuses_ IMDPP_GUARDED_BY(mu_) = 0;
 };
 
-/// The one entry point planners call: serves from `cache` when present
-/// and `use_cache` is on, else builds a standalone artifact (counted as a
-/// build either way). Both paths run the prep.build fault point (with
+/// The one entry point planners call: serves from `cache` when present,
+/// else builds a standalone artifact (counted as a build either way). Both paths run the prep.build fault point (with
 /// transient retry) and honor `cancel`; see PrepCache::Acquire.
 util::StatusOr<PrepLease> AcquirePrep(
-    const std::shared_ptr<PrepCache>& cache, bool use_cache,
+    const std::shared_ptr<PrepCache>& cache,
     const diffusion::Problem& problem,
     std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel = nullptr);

@@ -435,16 +435,22 @@ TEST(Cli, OutOfRangeRunSettingsAreInvalidArguments) {
                                       "--planner", "bgrd"};
   const std::string config =
       WriteTempFile("zero_eval_samples.json", R"({"eval_samples": 0})");
+  const std::string unknown_backend =
+      WriteTempFile("unknown_backend.json", R"({"eval": {"backend": "zzz"}})");
   const std::string sweep = WriteTempFile(
       "zero_promotions_sweep.json",
       R"({"datasets": ["fig1-toy"], "planners": ["bgrd"],
           "budgets": [20], "promotions": [0]})");
+  // An unknown backend is a bad argument from the flag as from the key
+  // (the flag used to exit 1 with not_found).
   for (const std::vector<std::string>& extra :
        std::vector<std::vector<std::string>>{{"--promotions", "0"},
                                              {"--budget", "-5"},
                                              {"--eval-samples", "0"},
                                              {"--selection-samples", "0"},
-                                             {"--config", config}}) {
+                                             {"--config", config},
+                                             {"--backend", "zzz"},
+                                             {"--config", unknown_backend}}) {
     std::vector<std::string> args = base;
     args.insert(args.end(), extra.begin(), extra.end());
     SCOPED_TRACE(extra.front());
@@ -478,8 +484,10 @@ TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
   }
 }
 
-// Integer flags take whole numbers within int: --promotions 2.5 used to
-// run T = 2, and values past int's range went through an undefined cast.
+// Integer flags take whole numbers within their type: --promotions 2.5
+// used to run T = 2, --deadline-ms 0.5 ran with no deadline,
+// --adaptive-budget 2.5 was truncated, and values past the range (or NaN)
+// went through an undefined cast.
 TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
   const std::pair<const char*, const char*> cases[] = {
       {"--promotions", "2.5"},
@@ -487,12 +495,20 @@ TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
       {"--eval-samples", "1e300"},
       {"--threads", "-3000000000"},
       {"--theta", "nan"},
+      {"--deadline-ms", "0.5"},
+      {"--deadline-ms", "nan"},
+      {"--deadline-ms", "1e300"},
+      {"--adaptive-budget", "2.5"},
+      {"--adaptive-budget", "1e300"},
+      {"--seed", "-1"},
+      {"--seed", "99999999999999999999999"},
+      {"--dataset-seed", "-1"},
   };
   for (const auto& [flag, value] : cases) {
     SCOPED_TRACE(std::string(flag) + " " + value);
     const CliResult r = RunCli(
         {"plan", "--dataset", "fig1-toy", "--planner", "bgrd", flag, value});
-    EXPECT_EQ(r.code, 2);
+    ASSERT_EQ(r.code, 2) << r.out;
     util::Json error = ParseOrDie(FirstLine(r.err));
     EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
               "invalid_argument");
@@ -537,13 +553,26 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
   alias.insert(alias.end(), {"--adaptive", "--adaptive_delta", "0.1"});
   EXPECT_EQ(RunCli(alias).out, raced.out);
 
-  std::vector<std::string> bad = base;
-  bad.insert(bad.end(), {"--adaptive", "--adaptive-delta", "1.5"});
-  CliResult rejected = RunCli(bad);
-  EXPECT_EQ(rejected.code, 2);
-  util::Json error = ParseOrDie(FirstLine(rejected.err));
-  EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-            "invalid_argument");
+  // --adaptive is a bool: =false leaves racing off (it used to turn
+  // racing on, since only the flag's presence was checked).
+  std::vector<std::string> off = base;
+  off.push_back("--adaptive=false");
+  CliResult fixed = RunCli(off);
+  ASSERT_EQ(fixed.code, 0) << fixed.err;
+  const util::Json off_doc = ParseOrDie(fixed.out);
+  EXPECT_EQ(off_doc.Find("result")->Find("blocks_run")->AsInt(), 0);
+  EXPECT_EQ(fixed.out, plain.out);
+
+  for (const char* flag : {"--adaptive-delta=1.5", "--adaptive=yes"}) {
+    SCOPED_TRACE(flag);
+    std::vector<std::string> bad = base;
+    bad.insert(bad.end(), {"--adaptive", flag});
+    CliResult rejected = RunCli(bad);
+    EXPECT_EQ(rejected.code, 2);
+    util::Json error = ParseOrDie(FirstLine(rejected.err));
+    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
+              "invalid_argument");
+  }
 
   // --adaptive-budget caps the race's decision samples (more skipped
   // simulations than the un-budgeted race) and rejects negatives.
@@ -567,6 +596,60 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
   util::Json neg_error = ParseOrDie(FirstLine(neg.err));
   EXPECT_EQ(neg_error.Find("error")->Find("code_name")->AsString(),
             "invalid_argument");
+}
+
+// Each flag sets its config key through the same option-table row, so
+// `--flag v` and `--config {key: v}` print the same bytes. Every row with
+// a flag needs a value here; a new flag without one fails the test.
+TEST(Cli, EveryFlagMatchesItsConfigKey) {
+  // flag -> {flag text, the JSON value of the same setting}
+  const std::map<std::string, std::pair<std::string, std::string>> values = {
+      {"selection-samples", {"6", "6"}},
+      {"eval-samples", {"10", "10"}},
+      {"seed", {"7", "\"7\""}},
+      {"threads", {"2", "2"}},
+      {"deadline-ms", {"60000", "60000"}},
+      {"backend", {"ris", "\"ris\""}},
+      {"adaptive", {"true", "true"}},
+      {"adaptive-delta", {"0.2", "0.2"}},
+      {"adaptive-budget", {"4", "4"}},
+      {"theta", {"1", "1"}},
+  };
+  const std::vector<std::string> base{"plan",         "--dataset",
+                                      "fig1-toy",     "--budget",
+                                      "20",           "--promotions",
+                                      "2"};
+  size_t flagged = 0;
+  for (const config::OptionName& row : config::OptionNames()) {
+    if (row.flag.empty()) continue;
+    ++flagged;
+    const std::string flag(row.flag);
+    SCOPED_TRACE(flag);
+    const auto it = values.find(flag);
+    ASSERT_NE(it, values.end()) << "no test value for --" << flag;
+    const auto& [text, json] = it->second;
+
+    // {"eval": {"adaptive": {"delta": 0.2}}} from "eval.adaptive.delta".
+    std::string key(row.key);
+    std::string object = json;
+    for (size_t dot; (dot = key.rfind('.')) != std::string::npos;
+         key.resize(dot)) {
+      object = "{\"" + key.substr(dot + 1) + "\": " + object + "}";
+    }
+    object = "{\"" + key + "\": " + object + "}";
+    const std::string config = WriteTempFile("flag_" + flag + ".json", object);
+
+    std::vector<std::string> by_flag = base;
+    by_flag.insert(by_flag.end(), {"--" + flag, text});
+    std::vector<std::string> by_key = base;
+    by_key.insert(by_key.end(), {"--config", config});
+    const CliResult a = RunCli(by_flag);
+    const CliResult b = RunCli(by_key);
+    ASSERT_EQ(a.code, 0) << a.err;
+    ASSERT_EQ(b.code, 0) << b.err;
+    EXPECT_EQ(a.out, b.out) << object;
+  }
+  EXPECT_EQ(flagged, values.size());
 }
 
 // The adaptive planner replans on "mc" engines only; asking it for another

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -140,27 +141,24 @@ TEST(ConfigLoader, AppliesPartialPlannerConfigOverrides) {
   EXPECT_EQ(cfg.ps.max_hops, 3);
 }
 
+// Prep has no knobs: a session's cache always serves, and builds go
+// parallel exactly when the run has a pool. Every "prep" object is an
+// unknown key.
 TEST(ConfigLoader, ParsesPrepCacheKnobs) {
-  util::Json obj;
-  std::string error;
-  ASSERT_TRUE(util::Json::Parse(
-      R"({"prep": {"cache": false}})", &obj, &error));
-  api::PlannerConfig cfg;
-  const util::Status applied = config::ApplyPlannerConfigJson(obj, &cfg);
-  ASSERT_TRUE(applied.ok()) << applied.ToString();
-  EXPECT_FALSE(cfg.prep.cache);
-
-  // Builds go parallel exactly when the run has a pool; there is no
-  // separate build-thread knob.
-  ASSERT_TRUE(
-      util::Json::Parse(R"({"prep": {"build_threads": 3}})", &obj, &error));
-  EXPECT_EQ(config::ApplyPlannerConfigJson(obj, &cfg).code(),
-            util::StatusCode::kInvalidArgument);
-
-  ASSERT_TRUE(util::Json::Parse(R"({"prep": {"cash": true}})", &obj, &error));
-  const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
-  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("prep"), std::string::npos) << bad.ToString();
+  for (const char* text : {R"({"prep": {"cache": false}})",
+                           R"({"prep": {"build_threads": 3}})",
+                           R"({"prep": {}})"}) {
+    SCOPED_TRACE(text);
+    util::Json obj;
+    std::string error;
+    ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
+    api::PlannerConfig cfg;
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("unknown planner config key \"prep\""),
+              std::string::npos)
+        << bad.ToString();
+  }
 }
 
 TEST(ConfigLoader, ParsesRobustnessKnobs) {
@@ -294,13 +292,20 @@ TEST(ConfigLoader, RejectsOutOfRangeRunSettings) {
             "--promotions must be >= 1");
 }
 
-// An integer knob holds a whole number within int: fractions and values
-// past int's range used to be cast (4294967297 samples ran as 1).
+// An integer knob holds a whole number within its type: fractions and
+// values past the range used to be cast (4294967297 samples ran as 1, a
+// "-1" seed wrapped to 2^64 - 1, a 1e300 seed was an undefined cast).
 TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
   for (const char* text :
        {R"({"selection_samples": 4294967297})", R"({"eval_samples": 2.5})",
         R"({"num_threads": -2147483649})", R"({"eval_samples": 1e300})",
-        R"({"campaign": {"max_steps": 3000000000}})"}) {
+        R"({"campaign": {"max_steps": 3000000000}})",
+        // Seeds: no negative digit string, nothing past 2^64 - 1.
+        R"({"seed": "-1"})", R"({"seed": 1e300})",
+        R"({"seed": "99999999999999999999999"})",
+        R"({"seed": 18446744073709551616})", R"({"seed": 2.5})",
+        // A millisecond budget is a whole number within int64.
+        R"({"deadline_ms": 0.5})", R"({"deadline_ms": 1e300})"}) {
     SCOPED_TRACE(text);
     api::PlannerConfig cfg;
     util::Json obj;
@@ -316,6 +321,37 @@ TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
   EXPECT_NE(config::IntError(2147483648.0, "n"), "");
   EXPECT_NE(config::IntError(std::nan(""), "n"), "");
   EXPECT_NE(config::IntError(INFINITY, "n"), "");
+}
+
+// One row per settable knob: keys and flags are unique, every flag is
+// spelled with dashes, and each key's sections reject non-objects.
+TEST(ConfigLoader, OptionTableHasOneRowPerKnob) {
+  const std::vector<config::OptionName> rows = config::OptionNames();
+  EXPECT_EQ(rows.size(), 35u);
+  std::set<std::string_view> keys, flags;
+  for (const config::OptionName& row : rows) {
+    SCOPED_TRACE(row.key);
+    EXPECT_TRUE(keys.insert(row.key).second);
+    if (!row.flag.empty()) {
+      EXPECT_TRUE(flags.insert(row.flag).second);
+      EXPECT_EQ(row.flag.find('_'), std::string_view::npos);
+    }
+    const size_t dot = row.key.find('.');
+    if (dot == std::string_view::npos) continue;
+    const std::string section(row.key.substr(0, dot));
+    util::Json obj = util::Json::Object();
+    obj.Set(section, 1);
+    api::PlannerConfig cfg;
+    const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.message(), section + " must be an object");
+  }
+  EXPECT_EQ(flags.size(), 10u);
+  // A dotted key is not a shortcut for its section.
+  util::Json obj = util::Json::Object();
+  obj.Set("eval.backend", "ris");
+  api::PlannerConfig cfg;
+  EXPECT_EQ(config::ApplyPlannerConfigJson(obj, &cfg).message(),
+            "unknown planner config key \"eval.backend\"");
 }
 
 // Values the engine CHECKs (a sketch count, a DR depth, an MIOA path
@@ -344,10 +380,12 @@ TEST(ConfigLoader, RejectsValuesTheEngineWouldAbortOn) {
     EXPECT_NE(bad.message().find(message), std::string::npos)
         << bad.ToString();
   }
-  // The edges of each range load.
+  // The edges of each range load, seeds up to 2^64 - 1 included.
   for (const char* text :
        {R"({"eval": {"ris_sketches": 1}})", R"({"dysim": {"dr_max_depth": 0}})",
-        R"({"market": {"mioa_threshold": 1}})"}) {
+        R"({"market": {"mioa_threshold": 1}})",
+        R"({"seed": "18446744073709551615"})",
+        R"({"seed": 18446744073709549568})"}) {
     SCOPED_TRACE(text);
     api::PlannerConfig cfg;
     util::Json obj;
