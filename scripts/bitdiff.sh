@@ -10,6 +10,10 @@
 #   * the same planners, fixed, on amazon-like@0.3 (B=150, T=4, 2 threads)
 #     under the linear-threshold model (a --config setting campaign.model
 #     to "lt"), the diffusion model no other run exercises;
+#   * `imdpp plan` JSON for every planner but `adaptive` (it replans on
+#     "mc" only) with --backend ris on amazon-like@0.3 (B=150, T=4,
+#     2 threads), plus one `imdpp compare --backend ris` over several
+#     planners, whose session builds one sketch set and reuses it;
 #   * `imdpp sweep` JSON of configs/sweep_ci.json.
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
@@ -86,6 +90,12 @@ run_all() {  # <imdpp binary> <output dir>
         > "$out/plan.$planner.$mode.json" 2>&1 \
         || echo "exit $?" >> "$out/plan.$planner.$mode.json"
     done
+    if [[ "$planner" != adaptive ]]; then
+      "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
+        --budget 150 --promotions 4 --threads 2 --backend ris \
+        > "$out/plan.$planner.ris.json" 2>&1 \
+        || echo "exit $?" >> "$out/plan.$planner.ris.json"
+    fi
     [[ "$planner" == opt ]] && continue
     "$bin" plan --dataset yelp-like@0.3 --planner "$planner" \
       --budget 300 --promotions 10 --threads 2 \
@@ -96,6 +106,9 @@ run_all() {  # <imdpp binary> <output dir>
       > "$out/plan.$planner.lt.json" 2>&1 \
       || echo "exit $?" >> "$out/plan.$planner.lt.json"
   done
+  "$bin" compare --dataset amazon-like@0.3 --planners dysim,bgrd,hag,ps,drhga \
+    --budget 150 --promotions 4 --threads 2 --backend ris \
+    > "$out/compare.ris.json" 2>&1 || echo "exit $?" >> "$out/compare.ris.json"
   "$bin" sweep --config configs/sweep_ci.json --quiet \
     > "$out/sweep_ci.json" 2>&1 || echo "exit $?" >> "$out/sweep_ci.json"
 }

@@ -1,9 +1,12 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "api/session.h"
@@ -96,7 +99,8 @@ flag files: --flagfile FILE splices whitespace-separated tokens from FILE
 
 robustness: failures are structured — every error prints one JSON line
 {"error":{"code":...,"code_name":...,"message":...}} on stderr before the
-human message, and exits 2 for invalid_argument, 1 otherwise.
+human message, and exits 2 for invalid_argument, 1 otherwise. A flag the
+command does not read is an invalid_argument.
 --fail-on SPEC[,SPEC...] (or the IMDPP_FAIL_ON env var) arms named fault
 points for testing, SPEC = point[:RANGE][:CODE], e.g.
 `prep.build:1:resource_exhausted`. Underscore spellings of the shared
@@ -147,6 +151,43 @@ int StatusError(std::ostream& err, const util::Status& status) {
   err << wrapper.Dump() << "\n";
   err << "imdpp: " << status.ToString() << "\n";
   return status.code() == util::StatusCode::kInvalidArgument ? 2 : 1;
+}
+
+/// Rejects a flag `args.command` does not read, so a typo'd flag fails
+/// loudly instead of silently running the default. Every command takes
+/// --help and --fail-on (either spelling); plan, compare and datasets
+/// --prep also take the shared flags of kUsage, which include the
+/// option-table and problem-coordinate flags in either spelling. Unknown
+/// commands pass (the dispatch reports them).
+util::Status CheckFlags(const config::ParsedArgs& args) {
+  static const std::map<std::string_view, std::vector<std::string_view>>
+      kOwnFlags = {{"plan", {"planner"}},
+                   {"compare", {"planners"}},
+                   {"datasets", {"prep"}},
+                   {"sweep", {"config", "out", "csv", "timings", "quiet"}},
+                   {"backends", {}}};
+  static const std::vector<std::string_view> kSharedFlags = {
+      "dataset", "config", "timings", "out", "trace-out", "metrics-out"};
+  const auto own = kOwnFlags.find(args.command);
+  if (own == kOwnFlags.end()) return util::OkStatus();
+  const bool shared = args.command == "plan" || args.command == "compare" ||
+                      (args.command == "datasets" && args.Has("prep"));
+  const auto lists = [](const std::vector<std::string_view>& names,
+                        const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const auto& [name, value] : args.flags) {
+    if (name == "help" || name == "fail-on" || name == "fail_on" ||
+        lists(own->second, name) ||
+        (shared && (lists(kSharedFlags, name) ||
+                    config::IsPlannerOrProblemFlag(name)))) {
+      continue;
+    }
+    return util::InvalidArgumentError("unknown flag --" + name +
+                                      " for imdpp " + args.command +
+                                      " (run `imdpp help` for usage)");
+  }
+  return util::OkStatus();
 }
 
 /// Shared plan/compare setup: dataset spec + resolved PlannerConfig +
@@ -568,6 +609,8 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
       (parsed.command.empty() && !parsed.Has("help") ? err : out) << kUsage;
       return parsed.command.empty() && !parsed.Has("help") ? 2 : 0;
     }
+    const util::Status flags = CheckFlags(parsed);
+    if (!flags.ok()) return StatusError(err, flags);
     if (parsed.command == "plan") return RunPlan(parsed, out, err);
     if (parsed.command == "compare") return RunCompare(parsed, out, err);
     if (parsed.command == "sweep") return RunSweepCommand(parsed, out, err);

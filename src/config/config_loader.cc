@@ -263,14 +263,20 @@ util::Json FlagScalar(const std::string& text) {
   return text;
 }
 
-/// The last value of --flag or of its underscore spelling
-/// (--adaptive_delta), or nullptr.
-const std::string* FindFlag(const ParsedArgs& args, std::string_view flag) {
+/// Whether `key` spells --flag: as written, or with its hyphens
+/// underscored (--adaptive_delta).
+bool SpellsFlag(std::string_view key, std::string_view flag) {
+  if (key == flag) return true;
   std::string underscored(flag);
   std::replace(underscored.begin(), underscored.end(), '-', '_');
+  return key == underscored;
+}
+
+/// The last value of --flag in either spelling, or nullptr.
+const std::string* FindFlag(const ParsedArgs& args, std::string_view flag) {
   const std::string* found = nullptr;
   for (const auto& [key, value] : args.flags) {
-    if (key == flag || key == underscored) found = &value;
+    if (SpellsFlag(key, flag)) found = &value;
   }
   return found;
 }
@@ -853,6 +859,18 @@ util::Status ApplyPlannerFlags(const ParsedArgs& args,
     }
   }
   return util::OkStatus();
+}
+
+bool IsPlannerOrProblemFlag(std::string_view name) {
+  for (const Option& row : Options()) {
+    if (!row.flag.empty() && SpellsFlag(name, row.flag)) return true;
+  }
+  // The flags ApplyProblemFlags reads.
+  for (std::string_view flag : {"scale", "dataset-seed", "budget",
+                                "promotions"}) {
+    if (SpellsFlag(name, flag)) return true;
+  }
+  return false;
 }
 
 util::Status ApplyProblemFlags(const ParsedArgs& args,

@@ -160,6 +160,10 @@ std::vector<OptionName> OptionNames();
 util::Status ApplyPlannerFlags(const ParsedArgs& args,
                                api::PlannerConfig* cfg);
 
+/// Whether --`name` is a flag ApplyPlannerFlags or ApplyProblemFlags
+/// reads, in either spelling.
+bool IsPlannerOrProblemFlag(std::string_view name);
+
 /// The problem-coordinate flags (--scale, --dataset-seed, --budget,
 /// --promotions). They are not PlannerConfig knobs, so they sit outside
 /// the table, but their text is converted and range-checked by the same

@@ -16,7 +16,7 @@ void RunContext::EngineRelease::operator()(
 RunContext::Lease::Lease(RunContext* run, prep::PrepLease lease)
     : run_(run),
       lease_(std::move(lease)),
-      millis_before_(lease_.built ? 0.0 : lease_.artifacts->total_millis()) {
+      millis_before_(lease_.built ? 0.0 : lease_.artifact->total_millis()) {
   ++run_->live_;
 }
 
@@ -31,7 +31,7 @@ RunContext::Lease::~Lease() {
   sink.AddCounter(util::metric::kPrepBuilds, lease_.built ? 1 : 0);
   sink.AddCounter(util::metric::kPrepReuses, lease_.reused ? 1 : 0);
   sink.AddSum(util::metric::kPrepMillis,
-              lease_.artifacts->total_millis() - millis_before_);
+              lease_.artifact->total_millis() - millis_before_);
   --run_->live_;
 }
 

@@ -82,7 +82,7 @@ class RunContext {
     Lease& operator=(Lease&&) = delete;
     ~Lease();
 
-    prep::PrepArtifacts& artifacts() const { return *lease_.artifacts; }
+    prep::PrepArtifacts& artifacts() const { return *lease_.artifact; }
 
    private:
     friend class RunContext;

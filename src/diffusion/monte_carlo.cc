@@ -10,13 +10,6 @@ namespace imdpp::diffusion {
 
 namespace {
 
-/// Shard-count cap. Enough shards to load-balance any plausible core
-/// count, few enough that per-shard partial state (one ExpectedState in
-/// Expected()) stays small. Must depend on nothing but this constant and
-/// the sample count: the shard layout IS the reduction tree, and a fixed
-/// tree is what makes results bit-identical across thread counts.
-constexpr int kMaxShards = 32;
-
 /// Serial cutoff (ISSUE 3): below this many realizations per estimate the
 /// pool dispatch overhead is not worth paying; run inline. Scheduling
 /// only — the shard layout and therefore the results are unchanged.
@@ -147,15 +140,6 @@ bool MonteCarloEngine::BeginEstimate() const {
   return cancel_->Check().ok();
 }
 
-int MonteCarloEngine::NumShards() const {
-  return std::min(num_samples_, kMaxShards);
-}
-
-int MonteCarloEngine::ShardBegin(int shard) const {
-  return static_cast<int>(static_cast<int64_t>(num_samples_) * shard /
-                          NumShards());
-}
-
 bool MonteCarloEngine::RunsParallel() const {
   return num_threads_ > 1 && NumShards() > 1 &&
          num_samples_ >= kMinParallelSamples;
@@ -182,43 +166,25 @@ void MonteCarloEngine::RunShards(const std::function<void(int)>& fn) const {
 
 bool MonteCarloEngine::MemoLookup(const SeedGroup& seeds,
                                   double* sigma) const {
-  if (!MemoEnabled()) return false;
-  auto it = sigma_memo_.find(seeds);
-  if (it == sigma_memo_.end()) return false;
+  const double* hit = memo_.FindSigma(seeds);
+  if (hit == nullptr) return false;
   ++num_memo_hits_;
   num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
                          sim_.problem().num_promotions;
-  *sigma = it->second;
+  *sigma = *hit;
   return true;
-}
-
-void MonteCarloEngine::MemoStore(const SeedGroup& seeds, double sigma) const {
-  if (!MemoEnabled() || sigma_memo_.size() >= sigma_memo_capacity_) return;
-  sigma_memo_.emplace(seeds, sigma);
 }
 
 bool MonteCarloEngine::MarketMemoLookup(const SeedGroup& seeds,
                                         const std::vector<UserId>& users,
                                         MarketEval* eval) const {
-  if (!MemoEnabled()) return false;
-  auto market_it = market_memo_.find(users);
-  if (market_it == market_memo_.end()) return false;
-  auto it = market_it->second.find(seeds);
-  if (it == market_it->second.end()) return false;
+  const MarketEval* hit = memo_.FindMarket(seeds, users);
+  if (hit == nullptr) return false;
   ++num_memo_hits_;
   num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
                          sim_.problem().num_promotions;
-  *eval = it->second;
+  *eval = *hit;
   return true;
-}
-
-void MonteCarloEngine::MarketMemoStore(const SeedGroup& seeds,
-                                       const std::vector<UserId>& users,
-                                       const MarketEval& eval) const {
-  if (!MemoEnabled() || market_memo_entries_ >= sigma_memo_capacity_) return;
-  if (market_memo_[users].emplace(seeds, eval).second) {
-    ++market_memo_entries_;
-  }
 }
 
 void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
@@ -593,7 +559,7 @@ double CheckpointedEval::Sigma(const SeedGroup& group) {
   }
   const double sigma = Eval(group, /*want_pi=*/false).sigma;
   if (engine_.Cancelled()) return sigma;  // partial: keep it out of the memo
-  engine_.MemoStore(group, sigma);
+  engine_.memo_.StoreSigma(group, sigma);
   engine_.RecordSigmaEstimate(sigma);
   return sigma;
 }
@@ -609,7 +575,7 @@ MarketEval CheckpointedEval::EvalMarket(const SeedGroup& group) {
   }
   const MarketEval out = Eval(group, /*want_pi=*/true);
   if (engine_.Cancelled()) return out;  // partial: keep it out of the memo
-  engine_.MarketMemoStore(group, market_, out);
+  engine_.memo_.StoreMarket(group, market_, out);
   engine_.RecordSigmaEstimate(out.sigma);
   return out;
 }

@@ -59,12 +59,12 @@
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "diffusion/campaign_simulator.h"
 #include "diffusion/sigma_backend.h"
+#include "diffusion/sigma_memo.h"
 #include "util/cancel.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -163,7 +163,7 @@ class MonteCarloEngine : public SigmaBackend {
   void EnableSigmaMemo(size_t max_entries = 1 << 14) override
       IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    sigma_memo_capacity_ = max_entries;
+    memo_.set_capacity(max_entries);
   }
 
   const CampaignSimulator& simulator() const override { return sim_; }
@@ -244,11 +244,12 @@ class MonteCarloEngine : public SigmaBackend {
   /// (a partial estimate must never poison the memo).
   bool Cancelled() const { return cancel_->Fired(); }
 
-  /// Number of per-estimate shards: min(num_samples, kMaxShards). A
-  /// function of the sample count only, so the reduction tree is fixed.
-  int NumShards() const;
-  /// First sample index of `shard` (shard == NumShards() -> num_samples).
-  int ShardBegin(int shard) const;
+  /// The per-estimate shard layout over the samples (util::NumShards /
+  /// util::ShardBegin), so the reduction tree is fixed.
+  int NumShards() const { return util::NumShards(num_samples_); }
+  int ShardBegin(int shard) const {
+    return util::ShardBegin(num_samples_, shard);
+  }
   /// Whether RunShards will use a pool (purely a scheduling question —
   /// results never depend on it). Serial below kMinParallelSamples: pool
   /// dispatch is not worth it for a handful of realizations.
@@ -277,21 +278,13 @@ class MonteCarloEngine : public SigmaBackend {
       const std::function<void(int, int, const SimScratch&)>& visit) const
       IMDPP_REQUIRES(mu_);
 
-  bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
-    return sigma_memo_capacity_ > 0;
-  }
   /// Memo lookup; on hit books the skipped work and returns true.
   bool MemoLookup(const SeedGroup& seeds, double* sigma) const
-      IMDPP_REQUIRES(mu_);
-  void MemoStore(const SeedGroup& seeds, double sigma) const
       IMDPP_REQUIRES(mu_);
   /// Same, for EvalMarket keyed on (seed vector, market user list).
   bool MarketMemoLookup(const SeedGroup& seeds,
                         const std::vector<UserId>& users,
                         MarketEval* eval) const IMDPP_REQUIRES(mu_);
-  void MarketMemoStore(const SeedGroup& seeds,
-                       const std::vector<UserId>& users,
-                       const MarketEval& eval) const IMDPP_REQUIRES(mu_);
   /// The one Expected loop: runs promotions [t_begin, t_end(sched)] per
   /// sample on top of `start` (per-sample checkpoints; nullptr = the
   /// problem start) and averages the final states. The accumulation shape
@@ -350,16 +343,8 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t samples_saved_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_computed_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
-  /// σ memo keyed on the exact seed vector (0 capacity = disabled), and
-  /// the EvalMarket memo keyed on (market users, seed vector) behind the
-  /// same opt-in flag. Nested maps so each market's user list is stored
-  /// once and lookups compare in place — no per-call key construction on
-  /// the TDSI hot path.
-  mutable std::map<SeedGroup, double> sigma_memo_ IMDPP_GUARDED_BY(mu_);
-  mutable std::map<std::vector<UserId>, std::map<SeedGroup, MarketEval>>
-      market_memo_ IMDPP_GUARDED_BY(mu_);
-  mutable size_t market_memo_entries_ IMDPP_GUARDED_BY(mu_) = 0;
-  size_t sigma_memo_capacity_ IMDPP_GUARDED_BY(mu_) = 0;
+  /// Sigma() / EvalMarket() memo (disabled until EnableSigmaMemo).
+  mutable SigmaMemo memo_ IMDPP_GUARDED_BY(mu_);
 };
 
 /// Promotion-round checkpoint reuse over one engine (ISSUE 3 tentpole).

@@ -23,11 +23,12 @@ RisBackend::RisBackend(const Problem& problem, const CampaignConfig& config,
 
 util::Status RisBackend::EnsureSketches() const {
   if (sketches_ != nullptr) return util::OkStatus();
-  util::StatusOr<prep::RisSketchLease> lease = prep::AcquireRisSketches(
-      spec_.sketch_cache, problem_, mc_.simulator().config(),
-      spec_.ris_sketches, pool_, cancel_);
+  auto lease = prep::RisSketchCache::Acquire(
+      spec_.sketch_cache.get(), cancel_.get(),
+      prep::RisSketchRecipe(problem_, mc_.simulator().config(),
+                            spec_.ris_sketches, pool_, cancel_));
   if (!lease.ok()) return lease.status();
-  sketches_ = lease->sketches;
+  sketches_ = lease->artifact;
   sketch_builds_ += lease->built ? 1 : 0;
   sketch_reuses_ += lease->reused ? 1 : 0;
   covered_mark_.assign(static_cast<size_t>(sketches_->num_sketches()), 0);
@@ -112,14 +113,11 @@ double RisBackend::Sigma(const SeedGroup& seeds) const {
     util::MutexLock lock(mu_);
     if (!degraded_) {
       if (!BeginEstimate()) return 0.0;
-      if (MemoEnabled()) {
-        auto it = sigma_memo_.find(seeds);
-        if (it != sigma_memo_.end()) {
-          ++num_memo_hits_;
-          ChargeEstimate();
-          RecordSigmaEstimate(it->second);
-          return it->second;
-        }
+      if (const double* memoized = memo_.FindSigma(seeds)) {
+        ++num_memo_hits_;
+        ChargeEstimate();
+        RecordSigmaEstimate(*memoized);
+        return *memoized;
       }
       util::Status acquired = EnsureSketches();
       if (acquired.ok()) {
@@ -127,9 +125,7 @@ double RisBackend::Sigma(const SeedGroup& seeds) const {
             sketches_->scale_per_sketch() *
             static_cast<double>(CountCovered(seeds, nullptr, nullptr));
         ChargeEstimate();
-        if (MemoEnabled() && sigma_memo_.size() < sigma_memo_capacity_) {
-          sigma_memo_.emplace(seeds, sigma);
-        }
+        memo_.StoreSigma(seeds, sigma);
         RecordSigmaEstimate(sigma);
         return sigma;
       }
@@ -148,17 +144,11 @@ MarketEval RisBackend::EvalMarket(const SeedGroup& seeds,
     util::MutexLock lock(mu_);
     if (!degraded_) {
       if (!BeginEstimate()) return MarketEval{};
-      if (MemoEnabled()) {
-        auto market_it = market_memo_.find(users);
-        if (market_it != market_memo_.end()) {
-          auto it = market_it->second.find(seeds);
-          if (it != market_it->second.end()) {
-            ++num_memo_hits_;
-            ChargeEstimate();
-            RecordSigmaEstimate(it->second.sigma);
-            return it->second;
-          }
-        }
+      if (const MarketEval* memoized = memo_.FindMarket(seeds, users)) {
+        ++num_memo_hits_;
+        ChargeEstimate();
+        RecordSigmaEstimate(memoized->sigma);
+        return *memoized;
       }
       util::Status acquired = EnsureSketches();
       if (acquired.ok()) {
@@ -172,11 +162,7 @@ MarketEval RisBackend::EvalMarket(const SeedGroup& seeds,
                            static_cast<double>(covered_market);
         out.pi = 0.0;  // no likelihood model on sketches (see header)
         ChargeEstimate();
-        if (MemoEnabled() && market_memo_entries_ < sigma_memo_capacity_) {
-          if (market_memo_[users].emplace(seeds, out).second) {
-            ++market_memo_entries_;
-          }
-        }
+        memo_.StoreMarket(seeds, users, out);
         RecordSigmaEstimate(out.sigma);
         return out;
       }

@@ -32,12 +32,12 @@
 #define IMDPP_DIFFUSION_RIS_BACKEND_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "diffusion/monte_carlo.h"
 #include "diffusion/sigma_backend.h"
+#include "diffusion/sigma_memo.h"
 #include "prep/ris_sketch.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -93,7 +93,7 @@ class RisBackend final : public SigmaBackend {
   void EnableSigmaMemo(size_t max_entries = 1 << 14) override
       IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    sigma_memo_capacity_ = max_entries;
+    memo_.set_capacity(max_entries);
   }
 
   const CampaignSimulator& simulator() const override {
@@ -158,8 +158,9 @@ class RisBackend final : public SigmaBackend {
   }
 
  private:
-  /// Acquires the sketch set on first use (cache-served when the spec
-  /// carries a shared cache). Non-ok = the acquisition failed (injected
+  /// Acquires the sketch set on first use through
+  /// prep::RisSketchCache::Acquire (cache-served when the spec carries a
+  /// shared cache). Non-ok = the acquisition failed (injected
   /// prep.sketch fault, cancellation, deadline); the caller routes the
   /// status through HandleSketchFailure.
   util::Status EnsureSketches() const IMDPP_REQUIRES(mu_);
@@ -180,9 +181,6 @@ class RisBackend final : public SigmaBackend {
                        int64_t* covered_market) const IMDPP_REQUIRES(mu_);
   const std::vector<uint8_t>* CachedMask(const std::vector<UserId>& users)
       const IMDPP_REQUIRES(mu_);
-  bool MemoEnabled() const IMDPP_REQUIRES(mu_) {
-    return sigma_memo_capacity_ > 0;
-  }
   /// Books one coverage estimate (all rounds skipped) / one memo hit.
   void ChargeEstimate() const IMDPP_REQUIRES(mu_);
 
@@ -211,12 +209,8 @@ class RisBackend final : public SigmaBackend {
   /// Coverage countings answered from the sketch set (memo hits and
   /// degraded estimates excluded).
   mutable int64_t num_coverage_queries_ IMDPP_GUARDED_BY(mu_) = 0;
-  /// σ / market memos, keyed exactly like the Monte-Carlo engine's.
-  mutable std::map<SeedGroup, double> sigma_memo_ IMDPP_GUARDED_BY(mu_);
-  mutable std::map<std::vector<UserId>, std::map<SeedGroup, MarketEval>>
-      market_memo_ IMDPP_GUARDED_BY(mu_);
-  mutable size_t market_memo_entries_ IMDPP_GUARDED_BY(mu_) = 0;
-  size_t sigma_memo_capacity_ IMDPP_GUARDED_BY(mu_) = 0;
+  /// Sigma() / EvalMarket() memo, the Monte-Carlo engine's type.
+  mutable SigmaMemo memo_ IMDPP_GUARDED_BY(mu_);
   mutable std::vector<UserId> mask_users_ IMDPP_GUARDED_BY(mu_);
   mutable std::vector<uint8_t> mask_ IMDPP_GUARDED_BY(mu_);
   mutable bool mask_valid_ IMDPP_GUARDED_BY(mu_) = false;

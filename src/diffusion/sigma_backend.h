@@ -50,7 +50,12 @@
 #include "util/thread_pool.h"
 
 namespace imdpp::prep {
-class RisSketchCache;
+template <typename T>
+class ArtifactCache;
+class RisSketchSet;
+/// Declared here as in prep/ris_sketch.h, so this header needs no prep::
+/// include.
+using RisSketchCache = ArtifactCache<const RisSketchSet>;
 }  // namespace imdpp::prep
 
 namespace imdpp::diffusion {
@@ -317,7 +322,8 @@ struct SigmaBackendSpec {
   std::string name = "mc";
   /// "ris": reverse-reachable sketches per sketch set (θ).
   int ris_sketches = 4096;
-  /// Optional shared sketch-artifact cache (sessions inject theirs so
+  /// Optional shared sketch-artifact cache — a prep::ArtifactCache, the
+  /// one cache type behind PrepCache too (sessions inject theirs so
   /// planners and sweeps reuse one build per dataset); null = the backend
   /// builds a private sketch set.
   std::shared_ptr<prep::RisSketchCache> sketch_cache;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "core/market_order.h"
 #include "pin/personal_item_network.h"
-#include "util/fault_injection.h"
 #include "util/hash.h"
-#include "util/retry.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -35,17 +34,6 @@ std::vector<UserId> SortedUnique(std::vector<UserId> users) {
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
   return users;
-}
-
-/// The pre-build gate both acquisition paths run: the prep.build fault
-/// point (transient codes retried with bounded backoff) and the run's
-/// cancellation token. Non-ok = do not build, do not touch any cache.
-util::Status PrepBuildGate(const util::CancelToken* cancel) {
-  return util::RetryTransient([&] {
-    util::Status fault = util::FaultInjector::Global().Hit("prep.build");
-    if (!fault.ok()) return fault;
-    return util::CheckCancel(cancel);
-  });
 }
 
 }  // namespace
@@ -104,7 +92,7 @@ PrepArtifacts::PrepArtifacts(const diffusion::Problem& problem,
   const pin::PersonalItemNetwork pin(*problem.relevance, problem.params);
   rel_c_.assign(static_cast<size_t>(num_items_) * num_items_, 0.0);
   rel_s_.assign(static_cast<size_t>(num_items_) * num_items_, 0.0);
-  RunBatch(exec, num_items_, [&](int x) {
+  util::RunBatch(exec.pool.get(), num_items_, exec.cancel.get(), [&](int x) {
     for (ItemId y = 0; y < num_items_; ++y) {
       rel_c_[static_cast<size_t>(x) * num_items_ + y] =
           pin.RelC(avg_wmeta0_, x, y);
@@ -116,25 +104,7 @@ PrepArtifacts::PrepArtifacts(const diffusion::Problem& problem,
   // Top-preference share — the scan RelativeMarketShare used to repeat.
   share_ = core::TopPreferenceShare(problem);
 
-  build_millis_ = timer.Millis();
-  total_millis_ = build_millis_;
-}
-
-void PrepArtifacts::RunBatch(const Exec& exec, int n,
-                             const std::function<void(int)>& fn) {
-  // Cooperative cancellation: once the run's token fires, remaining tasks
-  // are skipped (their slots stay default-constructed — callers must not
-  // merge a batch whose token fired). Pure control flow while the token
-  // is quiet, so results stay bit-identical.
-  const std::function<void(int)> guarded = [&](int i) {
-    if (util::CancelFired(exec.cancel.get())) return;
-    fn(i);
-  };
-  if (exec.pool != nullptr && n >= 2) {
-    exec.pool->ParallelFor(n, guarded);
-  } else {
-    for (int i = 0; i < n; ++i) guarded(i);
-  }
+  total_millis_ = timer.Millis();
 }
 
 PrepArtifacts::SourceRegion& PrepArtifacts::RegionEntry(UserId src,
@@ -181,7 +151,8 @@ void PrepArtifacts::PrefetchRegions(std::vector<UserId> sources,
   // entry if a concurrent prefetcher raced us to a source (both computed
   // the identical region, so which copy wins is immaterial).
   std::vector<SourceRegion> computed(missing.size());
-  RunBatch(exec, static_cast<int>(missing.size()), [&](int i) {
+  util::RunBatch(exec.pool.get(), static_cast<int>(missing.size()),
+                 exec.cancel.get(), [&](int i) {
     computed[static_cast<size_t>(i)].paths = graph::MaxInfluencePaths(
         *exec.graph, missing[static_cast<size_t>(i)], threshold, max_hops);
     computed[static_cast<size_t>(i)].region =
@@ -234,7 +205,8 @@ void PrepArtifacts::PrefetchHopRows(std::vector<UserId> sources,
   }
   Timer timer;
   std::vector<std::unordered_map<UserId, int>> rows(missing.size());
-  RunBatch(exec, static_cast<int>(missing.size()), [&](int i) {
+  util::RunBatch(exec.pool.get(), static_cast<int>(missing.size()),
+                 exec.cancel.get(), [&](int i) {
     // Truncated BFS over both edge directions: level of first encounter
     // is exactly what graph::UndirectedHopDistance returns pairwise.
     const UserId src = missing[static_cast<size_t>(i)];
@@ -271,10 +243,7 @@ std::vector<std::vector<Nominee>> PrepArtifacts::Clusters(
   {
     util::MutexLock lock(mu_);
     auto it = cluster_memo_.find(key);
-    if (it != cluster_memo_.end()) {
-      ++derivation_hits_;
-      return it->second;
-    }
+    if (it != cluster_memo_.end()) return it->second;
   }
   // Derivation runs unlocked: the hop oracle below re-locks per lookup,
   // and a concurrent identical derivation just computes the same clusters.
@@ -300,10 +269,7 @@ cluster::MarketPlan PrepArtifacts::Plan(
   {
     util::MutexLock lock(mu_);
     auto it = plan_memo_.find(key);
-    if (it != plan_memo_.end()) {
-      ++derivation_hits_;
-      return it->second;
-    }
+    if (it != plan_memo_.end()) return it->second;
   }
   std::vector<UserId> sources;
   for (const std::vector<Nominee>& c : clusters) {
@@ -326,42 +292,25 @@ cluster::MarketPlan PrepArtifacts::Plan(
   return plan;
 }
 
-util::StatusOr<PrepLease> PrepCache::Acquire(
-    const diffusion::Problem& problem, std::shared_ptr<util::ThreadPool> pool,
-    std::shared_ptr<const util::CancelToken> cancel) {
-  util::trace::Span span("prep.acquire");
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  PrepLease lease;
+PrepCache::Recipe PrepRecipe(const diffusion::Problem& problem,
+                             std::shared_ptr<util::ThreadPool> pool,
+                             std::shared_ptr<const util::CancelToken> cancel) {
+  PrepCache::Recipe recipe;
+  recipe.fault_point = "prep.build";
   // The content hash per acquisition IS the cache's correctness story —
   // it is what lets mutated problems re-key instead of serving stale
   // structure. One linear scan per planner run is noise next to the
-  // Monte-Carlo planning it gates. Hashed before taking mu_ so concurrent
-  // acquirers only serialize on the map probe and (rarely) a build.
-  const uint64_t key = StructuralKey(problem);
-  util::MutexLock lock(mu_);
-  auto it = artifacts_.find(key);
-  if (it != artifacts_.end()) {
-    lease.artifacts = it->second;
-    // Lazy sweeps on the reused artifact run on THIS run's graph pointer
-    // and executors (content-equal by key; see Rebind).
-    lease.artifacts->Rebind(problem, std::move(pool), std::move(cancel));
-    lease.reused = true;
-    ++reuses_;
-    return lease;
-  }
-  IMDPP_RETURN_IF_ERROR(PrepBuildGate(cancel.get()));
-  lease.artifacts =
-      std::make_shared<PrepArtifacts>(problem, std::move(pool), cancel);
-  // A token that fired during the build left the artifact incomplete
-  // (batch tasks early-exit): return the reason WITHOUT counting the
-  // build or inserting — the cache never holds a partial artifact, and
-  // the next acquirer rebuilds from scratch.
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  lease.built = true;
-  ++builds_;
-  if (artifacts_.size() >= kMaxArtifacts) artifacts_.clear();
-  artifacts_.emplace(key, lease.artifacts);
-  return lease;
+  // Monte-Carlo planning it gates.
+  recipe.key = [&problem] { return StructuralKey(problem); };
+  recipe.build = [&problem, pool, cancel] {
+    return std::make_shared<PrepArtifacts>(problem, pool, cancel);
+  };
+  // Lazy sweeps on a reused artifact run on THIS run's graph pointer and
+  // executors (content-equal by key; see Rebind).
+  recipe.reuse = [&problem, pool, cancel](PrepArtifacts& artifacts) {
+    artifacts.Rebind(problem, pool, cancel);
+  };
+  return recipe;
 }
 
 util::StatusOr<PrepLease> AcquirePrep(
@@ -369,16 +318,10 @@ util::StatusOr<PrepLease> AcquirePrep(
     const diffusion::Problem& problem, std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel) {
   util::trace::Span span("phase.prep");
-  if (cache != nullptr) {
-    return cache->Acquire(problem, std::move(pool), std::move(cancel));
-  }
-  IMDPP_RETURN_IF_ERROR(PrepBuildGate(cancel.get()));
-  PrepLease lease;
-  lease.artifacts =
-      std::make_shared<PrepArtifacts>(problem, std::move(pool), cancel);
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  lease.built = true;
-  return lease;
+  std::optional<util::trace::Span> acquire;
+  if (cache != nullptr) acquire.emplace("prep.acquire");
+  return PrepCache::Acquire(cache.get(), cancel.get(),
+                            PrepRecipe(problem, std::move(pool), cancel));
 }
 
 }  // namespace imdpp::prep

@@ -27,20 +27,21 @@
 // so planner schedules are bit-identical to pre-prep values (enforced by
 // tests/determinism_test.cc).
 //
-// Caching: PrepCache memoizes artifacts by a content hash of everything
-// they are a function of (graph edges, initial weightings/preferences,
-// relevance matrices); config-dependent derivations carry their config in
-// their own memo keys, so ONE artifact per dataset serves every theta /
-// clustering override of a sweep. api::CampaignSession owns one PrepCache
-// and injects it into every planner it runs, so Run/Compare/SetProblem
-// and cli::RunSweep reuse one build per dataset.
+// Caching: PrepCache (a prep::ArtifactCache, artifact_cache.h) memoizes
+// artifacts by a content hash of everything they are a function of (graph
+// edges, initial weightings/preferences, relevance matrices);
+// config-dependent derivations carry their config in their own memo keys,
+// so ONE artifact per dataset serves every theta / clustering override of
+// a sweep. api::CampaignSession owns one PrepCache and injects it into
+// every planner it runs, so Run/Compare/SetProblem and cli::RunSweep
+// reuse one build per dataset.
 //
 // Lifetime: an artifact keeps a pointer to the problem's SocialGraph (for
 // the lazy sweeps) but copies everything else out of the Problem; the
 // graph — in practice owned by the session's Dataset — must outlive it.
 //
-// Thread safety (ISSUE 6): PrepCache and PrepArtifacts are safe to share
-// across threads. One mutex per object guards the lazy caches, memos and
+// Thread safety: PrepArtifacts is safe to share across
+// threads. One mutex per object guards the lazy caches, memos and
 // rebindable executors (annotated IMDPP_GUARDED_BY, enforced by clang
 // -Wthread-safety and imdpp-lint's lock-before-shared rule); the eager
 // tables are constructor-written and immutable after sharing. Sweep
@@ -61,6 +62,7 @@
 #include "cluster/target_market.h"
 #include "diffusion/problem.h"
 #include "graph/graph_algos.h"
+#include "prep/artifact_cache.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
@@ -87,7 +89,7 @@ class PrepArtifacts {
   /// times the build. `pool` (optional, typically the session's) runs
   /// the parallel sweeps; without one they run inline. `cancel`
   /// (optional) lets batch tasks early-exit once the run's token fires —
-  /// a cancelled build is incomplete, which is why PrepCache::Acquire
+  /// a cancelled build is incomplete, which is why ArtifactCache::Acquire
   /// re-checks the token before caching what this constructor built.
   PrepArtifacts(const diffusion::Problem& problem,
                 std::shared_ptr<util::ThreadPool> pool,
@@ -160,8 +162,6 @@ class PrepArtifacts {
       IMDPP_EXCLUDES(mu_);
 
   // ------------------------------------------------------- accounting
-  /// Milliseconds spent building the eager artifacts (constructor).
-  double build_millis() const { return build_millis_; }
   /// Cumulative milliseconds of artifact construction: the eager build
   /// plus every per-source sweep computed since.
   double total_millis() const IMDPP_EXCLUDES(mu_) {
@@ -177,11 +177,6 @@ class PrepArtifacts {
     util::MutexLock lock(mu_);
     return hop_rows_.size();
   }
-  /// Cluster/plan derivations answered from the memo.
-  int64_t derivation_hits() const IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return derivation_hits_;
-  }
 
  private:
   struct SourceRegion {
@@ -193,7 +188,8 @@ class PrepArtifacts {
   using HopKey = std::pair<UserId, int>;
 
   /// Snapshot of the executors a sweep runs on, taken under mu_ so the
-  /// compute phase never reads rebindable members unlocked.
+  /// compute phase never reads rebindable members unlocked. Sweeps run
+  /// util::RunBatch on it with mu_ released (tasks may re-lock it).
   struct Exec {
     const graph::SocialGraph* graph = nullptr;
     std::shared_ptr<util::ThreadPool> pool;
@@ -203,11 +199,6 @@ class PrepArtifacts {
     return Exec{graph_, pool_, cancel_};
   }
 
-  /// Runs fn(0..n-1) — on the pool when there is one, inline otherwise.
-  /// Pure scheduling: every task writes its own slot. Static on a
-  /// snapshot: callers must NOT hold mu_ (tasks may re-lock it).
-  static void RunBatch(const Exec& exec, int n,
-                       const std::function<void(int)>& fn);
   SourceRegion& RegionEntry(UserId src, double threshold, int max_hops)
       IMDPP_REQUIRES(mu_);
 
@@ -219,7 +210,7 @@ class PrepArtifacts {
 
   /// One mutex guards the rebindable executors, the lazy sweep caches and
   /// the memo/accounting state. The eager tables (avg_wmeta0_, rel_c_,
-  /// rel_s_, share_, build_millis_, num_items_) are written only by the
+  /// rel_s_, share_, num_items_) are written only by the
   /// constructor — immutable once the object is shared, so reads need no
   /// lock.
   mutable util::Mutex mu_;
@@ -245,70 +236,30 @@ class PrepArtifacts {
            cluster::MarketPlan>
       plan_memo_ IMDPP_GUARDED_BY(mu_);
 
-  int64_t derivation_hits_ IMDPP_GUARDED_BY(mu_) = 0;
-  double build_millis_ = 0.0;
   double total_millis_ IMDPP_GUARDED_BY(mu_) = 0.0;
 };
 
-/// What a planner gets back from AcquirePrep: the artifacts plus whether
-/// this acquisition built them (prep.builds = 1) or served them from a
-/// cache (prep.reuses = 1). A run's prep.millis is the artifact-time
-/// delta across the lease: total_millis() at release minus its value at
-/// acquisition (0 for a fresh build) — core::RunContext books all three.
-struct PrepLease {
-  std::shared_ptr<PrepArtifacts> artifacts;
-  bool built = false;
-  bool reused = false;
-};
+/// What a planner gets back from AcquirePrep. A run's prep.millis is the
+/// artifact-time delta across the lease: total_millis() at release minus
+/// its value at acquisition (0 for a fresh build) — core::RunContext
+/// books it with prep.builds / prep.reuses.
+using PrepLease = ArtifactLease<PrepArtifacts>;
 
 /// Session-scoped artifact memo, keyed by StructuralKey. One cache serves
 /// every planner a CampaignSession runs; cli::RunSweep gets the reuse for
 /// free through the session it already keeps per dataset.
-class PrepCache {
- public:
-  /// Thread-safe: concurrent acquirers serialize on the map probe only —
-  /// the content hash is computed before mu_ is taken.
-  ///
-  /// Robustness (ISSUE 8): the prep.build fault point fires before a
-  /// miss's build (transient codes are retried with bounded backoff), and
-  /// `cancel` is checked on entry and again between the build and the
-  /// cache insert. A failed or cancelled acquisition returns its Status
-  /// WITHOUT touching the cache map or the builds counter: no partial
-  /// artifact is ever cached, and the next acquirer rebuilds cleanly
-  /// (tests/fault_matrix_test.cc regression-tests exactly this).
-  util::StatusOr<PrepLease> Acquire(
-      const diffusion::Problem& problem,
-      std::shared_ptr<util::ThreadPool> pool,
-      std::shared_ptr<const util::CancelToken> cancel = nullptr)
-      IMDPP_EXCLUDES(mu_);
+using PrepCache = ArtifactCache<PrepArtifacts>;
 
-  int64_t builds() const IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return builds_;
-  }
-  int64_t reuses() const IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return reuses_;
-  }
+/// How PrepArtifacts are keyed (StructuralKey), built and — on a cache
+/// hit — rebound to the acquiring run; fault point prep.build. The recipe
+/// refers to `problem`, which must outlive it.
+PrepCache::Recipe PrepRecipe(const diffusion::Problem& problem,
+                             std::shared_ptr<util::ThreadPool> pool,
+                             std::shared_ptr<const util::CancelToken> cancel);
 
- private:
-  /// Bundle bound: a session normally holds one bundle per structural
-  /// config, but loops that re-key every iteration (e.g. the Fig. 13
-  /// meta-subset sweep) would otherwise pin every bundle they ever
-  /// built. On overflow the map is cleared (leases keep live bundles
-  /// alive via shared_ptr).
-  static constexpr size_t kMaxArtifacts = 8;
-
-  mutable util::Mutex mu_;
-  std::map<uint64_t, std::shared_ptr<PrepArtifacts>> artifacts_
-      IMDPP_GUARDED_BY(mu_);
-  int64_t builds_ IMDPP_GUARDED_BY(mu_) = 0;
-  int64_t reuses_ IMDPP_GUARDED_BY(mu_) = 0;
-};
-
-/// The one entry point planners call: serves from `cache` when present,
-/// else builds a standalone artifact (counted as a build either way). Both paths run the prep.build fault point (with
-/// transient retry) and honor `cancel`; see PrepCache::Acquire.
+/// The one entry point planners call: ArtifactCache::Acquire on
+/// PrepRecipe, serving from `cache` when present and building a
+/// standalone artifact otherwise.
 util::StatusOr<PrepLease> AcquirePrep(
     const std::shared_ptr<PrepCache>& cache,
     const diffusion::Problem& problem,

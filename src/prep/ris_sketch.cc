@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <utility>
 
 #include "pin/dynamics.h"
 #include "prep/prep.h"
 #include "util/check.h"
-#include "util/fault_injection.h"
 #include "util/hash.h"
-#include "util/retry.h"
 
 namespace imdpp::prep {
 
@@ -21,39 +18,6 @@ namespace {
 constexpr uint64_t kRisItemTag = 0x52495349ULL;  // "RISI": root item draw
 constexpr uint64_t kRisRootTag = 0x52495355ULL;  // "RISU": root user draw
 constexpr uint64_t kRisEdgeTag = 0x52495345ULL;  // "RISE": live-edge coins
-
-/// Sketch shards for the parallel build: a function of θ only (mirrors
-/// the Monte-Carlo engine's shard rule), so the work split never depends
-/// on the executor count.
-constexpr int kMaxShards = 32;
-
-int NumShards(int num_sketches) { return std::min(num_sketches, kMaxShards); }
-
-int ShardBegin(int num_sketches, int shards, int shard) {
-  return static_cast<int>(static_cast<int64_t>(num_sketches) * shard / shards);
-}
-
-/// Runs fn(0..n-1) — on the pool when there is one, inline otherwise.
-/// Pure scheduling: every task writes its own slots.
-void RunBatch(const std::shared_ptr<util::ThreadPool>& pool, int n,
-              const std::function<void(int)>& fn) {
-  if (pool != nullptr && n >= 2) {
-    pool->ParallelFor(n, fn);
-  } else {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
-}
-
-/// The pre-build gate both acquisition paths run: the prep.sketch fault
-/// point (transient codes retried with bounded backoff) and the run's
-/// cancellation token. Non-ok = do not build, do not touch any cache.
-util::Status SketchBuildGate(const util::CancelToken* cancel) {
-  return util::RetryTransient([&] {
-    util::Status fault = util::FaultInjector::Global().Hit("prep.sketch");
-    if (!fault.ok()) return fault;
-    return util::CheckCancel(cancel);
-  });
-}
 
 }  // namespace
 
@@ -92,15 +56,15 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
     running += problem.importance[static_cast<size_t>(x)];
     cum[static_cast<size_t>(x)] = running;
   }
-  w_total_ = running;
-  scale_ = w_total_ * num_users_ / num_sketches_;
+  const double w_total = running;
+  scale_ = w_total * num_users_ / num_sketches_;
 
   root_user_.resize(static_cast<size_t>(num_sketches_));
   root_item_.resize(static_cast<size_t>(num_sketches_));
   for (int j = 0; j < num_sketches_; ++j) {
     ItemId x = static_cast<ItemId>(j % std::max(1, num_items_));
-    if (w_total_ > 0.0) {
-      const double draw = UnitHash(seed, kRisItemTag, j) * w_total_;
+    if (w_total > 0.0) {
+      const double draw = UnitHash(seed, kRisItemTag, j) * w_total;
       x = static_cast<ItemId>(
           std::upper_bound(cum.begin(), cum.end(), draw) - cum.begin());
       x = std::min(x, static_cast<ItemId>(num_items_ - 1));
@@ -128,17 +92,17 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
   // ascending order — bit-identical at any thread count.
   std::vector<std::vector<UserId>> members(
       static_cast<size_t>(num_sketches_));
-  const int shards = NumShards(num_sketches_);
-  RunBatch(pool, shards, [&](int shard) {
+  const int shards = util::NumShards(num_sketches_);
+  util::RunBatch(pool.get(), shards, cancel.get(), [&](int shard) {
     std::vector<uint32_t> mark(static_cast<size_t>(num_users_), 0);
     uint32_t epoch = 0;
     std::vector<UserId> frontier;
     std::vector<UserId> next;
-    const int begin = ShardBegin(num_sketches_, shards, shard);
-    const int end = ShardBegin(num_sketches_, shards, shard + 1);
+    const int begin = util::ShardBegin(num_sketches_, shard);
+    const int end = util::ShardBegin(num_sketches_, shard + 1);
     for (int j = begin; j < end; ++j) {
       // Cooperative cancellation at sketch granularity: a fired token
-      // leaves this set incomplete, and the acquisition paths re-check
+      // leaves this set incomplete, and ArtifactCache::Acquire re-checks
       // the token before ever caching or leasing it.
       if (util::CancelFired(cancel.get())) break;
       const ItemId x = root_item_[static_cast<size_t>(j)];
@@ -201,55 +165,23 @@ RisSketchSet::RisSketchSet(const diffusion::Problem& problem,
   }
 }
 
-util::StatusOr<RisSketchLease> RisSketchCache::Acquire(
+RisSketchCache::Recipe RisSketchRecipe(
     const diffusion::Problem& problem,
     const diffusion::CampaignConfig& campaign, int num_sketches,
     std::shared_ptr<util::ThreadPool> pool,
     std::shared_ptr<const util::CancelToken> cancel) {
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  RisSketchLease lease;
-  // Content-hashed per acquisition, like PrepCache: mutated problems
-  // re-key instead of serving stale sketches. Hashed before taking mu_.
-  const uint64_t key = RisSketchKey(problem, campaign, num_sketches);
-  util::MutexLock lock(mu_);
-  auto it = sketches_.find(key);
-  if (it != sketches_.end()) {
-    lease.sketches = it->second;
-    lease.reused = true;
-    ++reuses_;
-    return lease;
-  }
-  IMDPP_RETURN_IF_ERROR(SketchBuildGate(cancel.get()));
-  lease.sketches = std::make_shared<const RisSketchSet>(
-      problem, campaign, num_sketches, std::move(pool), cancel);
-  // A token that fired during the build left the set incomplete: return
-  // the reason WITHOUT counting the build or inserting, so the cache
-  // never holds a partial sketch set.
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  lease.built = true;
-  ++builds_;
-  if (sketches_.size() >= kMaxArtifacts) sketches_.clear();
-  sketches_.emplace(key, lease.sketches);
-  return lease;
-}
-
-util::StatusOr<RisSketchLease> AcquireRisSketches(
-    const std::shared_ptr<RisSketchCache>& cache,
-    const diffusion::Problem& problem,
-    const diffusion::CampaignConfig& campaign, int num_sketches,
-    std::shared_ptr<util::ThreadPool> pool,
-    std::shared_ptr<const util::CancelToken> cancel) {
-  if (cache != nullptr) {
-    return cache->Acquire(problem, campaign, num_sketches, std::move(pool),
-                          std::move(cancel));
-  }
-  IMDPP_RETURN_IF_ERROR(SketchBuildGate(cancel.get()));
-  RisSketchLease lease;
-  lease.sketches = std::make_shared<const RisSketchSet>(
-      problem, campaign, num_sketches, std::move(pool), cancel);
-  IMDPP_RETURN_IF_ERROR(util::CheckCancel(cancel.get()));
-  lease.built = true;
-  return lease;
+  RisSketchCache::Recipe recipe;
+  recipe.fault_point = "prep.sketch";
+  // Content-hashed per acquisition, like PrepRecipe: mutated problems
+  // re-key instead of serving stale sketches.
+  recipe.key = [&problem, &campaign, num_sketches] {
+    return RisSketchKey(problem, campaign, num_sketches);
+  };
+  recipe.build = [&problem, &campaign, num_sketches, pool, cancel] {
+    return std::make_shared<const RisSketchSet>(problem, campaign,
+                                                num_sketches, pool, cancel);
+  };
+  return recipe;
 }
 
 }  // namespace imdpp::prep

@@ -24,35 +24,34 @@
 // Determinism: every coin is a counter-based hash of
 // (base_seed, sketch, edge, item) — util/hash.h — so a sketch set is a
 // pure function of (problem structure, importances, base_seed, θ, model,
-// step cap). The parallel build shards sketches by index with a layout
-// that depends only on θ, each shard fills its own slots, and the merge
+// step cap). The parallel build shards sketches by index with the shared
+// util::NumShards layout (a function of θ only), each shard fills its own
+// slots, and the merge
 // into the postings CSR walks sketches in ascending index order — sketch
 // sets are bit-identical at any build thread count.
 //
-// Caching: RisSketchCache memoizes sketch sets by a content hash of
+// Caching: RisSketchCache — the same prep::ArtifactCache as PrepCache
+// (artifact_cache.h) — memoizes sketch sets by a content hash of
 // everything they are a function of (prep::StructuralKey plus the
 // importance vector and the sampling knobs). api::CampaignSession owns one
 // and injects it into every planner run, so sweeps over budgets and
-// planners build each sketch set once (the PrepCache story, ISSUE 5).
+// planners build each sketch set once. RisBackend::EnsureSketches is the
+// one acquirer, through RisSketchRecipe (fault point prep.sketch).
 //
 // Thread safety (ISSUE 6): a built RisSketchSet is immutable — share it
-// freely. RisSketchCache serializes acquisitions on one mutex
-// (IMDPP_GUARDED_BY, enforced by clang -Wthread-safety).
+// freely.
 #ifndef IMDPP_PREP_RIS_SKETCH_H_
 #define IMDPP_PREP_RIS_SKETCH_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "diffusion/campaign_simulator.h"
 #include "diffusion/problem.h"
+#include "prep/artifact_cache.h"
 #include "util/cancel.h"
-#include "util/mutex.h"
-#include "util/status.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace imdpp::prep {
@@ -81,26 +80,20 @@ class RisSketchSet {
   /// session's) runs the sharded build; without one it runs inline.
   /// Results are bit-identical for every executor count.
   /// `cancel` (optional) lets shard tasks stop early once the run's token
-  /// fires — the set is then incomplete, which is why AcquireRisSketches
-  /// re-checks the token before caching or leasing what was built.
+  /// fires — the set is then incomplete, which is why
+  /// ArtifactCache::Acquire re-checks the token before caching or leasing
+  /// what was built.
   RisSketchSet(const diffusion::Problem& problem,
                const diffusion::CampaignConfig& campaign, int num_sketches,
                std::shared_ptr<util::ThreadPool> pool,
                std::shared_ptr<const util::CancelToken> cancel = nullptr);
 
   int num_sketches() const { return num_sketches_; }
-  int num_users() const { return num_users_; }
-  int num_items() const { return num_items_; }
-  /// Σ_x w_x at build time.
-  double total_importance() const { return w_total_; }
   /// σ̂ contribution of one covered sketch: W_total * |V| / θ.
   double scale_per_sketch() const { return scale_; }
 
   UserId root_user(int sketch) const {
     return root_user_[static_cast<size_t>(sketch)];
-  }
-  ItemId root_item(int sketch) const {
-    return root_item_[static_cast<size_t>(sketch)];
   }
 
   /// Sketches rooted at item x that contain user u, ascending.
@@ -110,16 +103,10 @@ class RisSketchSet {
             postings_.data() + offsets_[key + 1]};
   }
 
-  /// Total stored (sketch, user) memberships — the artifact's size.
-  int64_t total_postings() const {
-    return static_cast<int64_t>(postings_.size());
-  }
-
  private:
   int num_users_ = 0;
   int num_items_ = 0;
   int num_sketches_ = 0;
-  double w_total_ = 0.0;
   double scale_ = 0.0;
   std::vector<int32_t> root_user_;  ///< θ
   std::vector<ItemId> root_item_;  ///< θ
@@ -128,66 +115,19 @@ class RisSketchSet {
   std::vector<int32_t> postings_;
 };
 
-/// What a backend gets back from AcquireRisSketches: the sketch set plus
-/// whether this acquisition built it or served it from a cache.
-struct RisSketchLease {
-  std::shared_ptr<const RisSketchSet> sketches;
-  bool built = false;
-  bool reused = false;
-};
+/// Session-scoped sketch-set memo, keyed by RisSketchKey. One cache serves
+/// every backend instance a CampaignSession builds, so a sweep's (budget,
+/// planner) grid reuses one build per (dataset, θ, seed).
+using RisSketchCache = ArtifactCache<const RisSketchSet>;
 
-/// Session-scoped sketch-set memo, keyed by RisSketchKey — the PrepCache
-/// of the "ris" backend. One cache serves every backend instance a
-/// CampaignSession builds, so a sweep's (budget, planner) grid reuses one
-/// build per (dataset, θ, seed).
-class RisSketchCache {
- public:
-  /// Thread-safe; a build happens under the lock (concurrent acquirers of
-  /// the same key wait rather than duplicate the work).
-  ///
-  /// Robustness (ISSUE 8): the prep.sketch fault point fires before a
-  /// miss's build (transient codes retried), and `cancel` is checked on
-  /// entry and again between the build and the cache insert, so a failed
-  /// or cancelled acquisition never caches a partial sketch set and never
-  /// counts a build.
-  util::StatusOr<RisSketchLease> Acquire(
-      const diffusion::Problem& problem,
-      const diffusion::CampaignConfig& campaign, int num_sketches,
-      std::shared_ptr<util::ThreadPool> pool,
-      std::shared_ptr<const util::CancelToken> cancel = nullptr)
-      IMDPP_EXCLUDES(mu_);
-
-  int64_t builds() const IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return builds_;
-  }
-  int64_t reuses() const IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return reuses_;
-  }
-
- private:
-  /// Same pressure valve as PrepCache::kMaxArtifacts: loops that re-key
-  /// every iteration must not pin every sketch set they ever built.
-  static constexpr size_t kMaxArtifacts = 8;
-
-  mutable util::Mutex mu_;
-  std::map<uint64_t, std::shared_ptr<const RisSketchSet>> sketches_
-      IMDPP_GUARDED_BY(mu_);
-  int64_t builds_ IMDPP_GUARDED_BY(mu_) = 0;
-  int64_t reuses_ IMDPP_GUARDED_BY(mu_) = 0;
-};
-
-/// The one entry point the "ris" backend calls: serves from `cache` when
-/// present, else builds a standalone sketch set. Both paths run the
-/// prep.sketch fault point (with transient retry) and honor `cancel`;
-/// see RisSketchCache::Acquire.
-util::StatusOr<RisSketchLease> AcquireRisSketches(
-    const std::shared_ptr<RisSketchCache>& cache,
+/// How a sketch set is keyed (RisSketchKey) and built; fault point
+/// prep.sketch. The recipe refers to `problem` and `campaign`, which must
+/// outlive it.
+RisSketchCache::Recipe RisSketchRecipe(
     const diffusion::Problem& problem,
     const diffusion::CampaignConfig& campaign, int num_sketches,
     std::shared_ptr<util::ThreadPool> pool,
-    std::shared_ptr<const util::CancelToken> cancel = nullptr);
+    std::shared_ptr<const util::CancelToken> cancel);
 
 }  // namespace imdpp::prep
 

@@ -13,11 +13,12 @@
 //   pool.enqueue — util::ThreadPool::ParallelFor dispatch; the pool
 //                  degrades to inline serial execution (bit-identical)
 //                  and books a fallback instead of failing the batch
-//   prep.build   — the PrepArtifacts build inside PrepCache::Acquire /
-//                  prep::AcquirePrep (transient codes are retried)
-//   prep.sketch  — the RisSketchSet build inside AcquireRisSketches; a
+//   prep.build   — the PrepArtifacts build of prep::AcquirePrep
+//   prep.sketch  — the RisSketchSet build of RisBackend::EnsureSketches; a
 //                  "ris" backend with eval.fallback_backend set degrades
 //                  to its embedded "mc" engine instead of failing
+//                  (both run inside prep::ArtifactCache::Acquire, which
+//                  retries transient codes)
 //
 // Arming is a spec string `point[:RANGE][:CODE]`:
 //   RANGE — which 1-based hits of the point fail: `N` (the Nth only),

@@ -7,7 +7,7 @@
 // MutexLock is a scoped acquisition the analysis tracks, and CondVar
 // keeps the capability held across a wait the way the analysis expects.
 // Every mutex-protected structure in the repo (util::ThreadPool,
-// prep::PrepCache / PrepArtifacts memos, the MonteCarloEngine memos)
+// prep::ArtifactCache / PrepArtifacts memos, the σ backends' memos)
 // locks through these so an unguarded access to an IMDPP_GUARDED_BY
 // field is a build break under the clang static-analysis CI job.
 #ifndef IMDPP_UTIL_MUTEX_H_

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "util/cancel.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -44,6 +45,18 @@ std::shared_ptr<ThreadPool> MakeWorkerPool(int num_threads) {
   const int resolved = ResolveNumThreads(num_threads);
   if (resolved <= 1) return nullptr;  // serial: no pool at all
   return std::make_shared<ThreadPool>(resolved - 1);
+}
+
+void RunBatch(ThreadPool* pool, int n, const CancelToken* cancel,
+              const std::function<void(int)>& fn) {
+  const std::function<void(int)> guarded = [&](int i) {
+    if (!CancelFired(cancel)) fn(i);
+  };
+  if (pool != nullptr && n >= 2) {
+    pool->ParallelFor(n, guarded);
+  } else {
+    for (int i = 0; i < n; ++i) guarded(i);
+  }
 }
 
 ThreadPool::ThreadPool(int num_workers) {

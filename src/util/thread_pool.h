@@ -45,6 +45,7 @@ int HardwareConcurrency();
 /// returned as requested (0 = serial fallback, no pool at all).
 int ResolveNumThreads(int requested);
 
+class CancelToken;
 class ThreadPool;
 
 /// The standard worker pool for `num_threads` total executors: the
@@ -92,6 +93,27 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(0) ... fn(n-1): on `pool` when there is one and n >= 2, inline
+/// otherwise. Pure scheduling: every task writes its own slot. Once
+/// `cancel` (may be null) fires, the remaining tasks are skipped and their
+/// slots stay untouched, so a caller must not merge a batch whose token
+/// fired; while the token is quiet the check is pure control flow.
+void RunBatch(ThreadPool* pool, int n, const CancelToken* cancel,
+              const std::function<void(int)>& fn);
+
+/// The fixed shard layout of a parallel loop over n items (Monte-Carlo
+/// samples, RIS sketches): min(n, kMaxShards) shards, shard s starting at
+/// item ShardBegin(n, s) (ShardBegin(n, NumShards(n)) = n). Enough shards
+/// to load-balance any plausible core count, few enough that per-shard
+/// partial state stays small. The layout depends on n alone: it IS the
+/// reduction tree, and a fixed tree keeps results bit-identical across
+/// thread counts.
+inline constexpr int kMaxShards = 32;
+inline int NumShards(int n) { return n < kMaxShards ? n : kMaxShards; }
+inline int ShardBegin(int n, int shard) {
+  return static_cast<int>(static_cast<int64_t>(n) * shard / NumShards(n));
+}
 
 }  // namespace imdpp::util
 

@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -341,6 +342,35 @@ std::string FirstLine(const std::string& text) {
   return text.substr(0, text.find('\n'));
 }
 
+/// The structured error line stderr leads with:
+/// {"error":{"code":...,"code_name":...,"message":...}}.
+struct CliError {
+  int64_t code = 0;
+  std::string code_name;
+  std::string message;
+};
+
+/// Parses r's error line into *out, ASSERTing that every member is there.
+/// Call through ASSERT_NO_FATAL_FAILURE: a run that wrongly succeeded (no
+/// error line) then fails its own test instead of dereferencing null.
+void ReadCliError(const CliResult& r, CliError* out) {
+  util::Json line;
+  std::string error;
+  ASSERT_TRUE(util::Json::Parse(FirstLine(r.err), &line, &error))
+      << error << "\nexit " << r.code << ", stderr:\n" << r.err;
+  const util::Json* detail = line.Find("error");
+  ASSERT_NE(detail, nullptr) << r.err;
+  const util::Json* code = detail->Find("code");
+  const util::Json* code_name = detail->Find("code_name");
+  const util::Json* message = detail->Find("message");
+  ASSERT_TRUE(code != nullptr && code->is_number()) << r.err;
+  ASSERT_TRUE(code_name != nullptr && code_name->is_string()) << r.err;
+  ASSERT_TRUE(message != nullptr && message->is_string()) << r.err;
+  out->code = code->AsInt();
+  out->code_name = code_name->AsString();
+  out->message = message->AsString();
+}
+
 TEST(Cli, FailOnFlagInjectsAStructuredErrorAndDoesNotLeak) {
   const std::vector<std::string> args{"plan",      "--dataset", "fig1-toy",
                                       "--planner", "bgrd",      "--budget",
@@ -349,13 +379,11 @@ TEST(Cli, FailOnFlagInjectsAStructuredErrorAndDoesNotLeak) {
   CliResult r = RunCli(args);
   EXPECT_EQ(r.code, 1);
   // stderr leads with the machine-readable error line.
-  util::Json error = ParseOrDie(FirstLine(r.err));
-  const util::Json* detail = error.Find("error");
-  ASSERT_NE(detail, nullptr) << r.err;
-  EXPECT_EQ(detail->Find("code")->AsInt(), 13);
-  EXPECT_EQ(detail->Find("code_name")->AsString(), "internal");
-  EXPECT_NE(detail->Find("message")->AsString().find("data.load"),
-            std::string::npos);
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+  EXPECT_EQ(error.code, 13);
+  EXPECT_EQ(error.code_name, "internal");
+  EXPECT_NE(error.message.find("data.load"), std::string::npos);
   // Deterministic: the same injected failure renders the same bytes.
   EXPECT_EQ(r.err, RunCli(args).err);
 
@@ -376,15 +404,13 @@ TEST(Cli, FailOnRejectsUnknownPointsListingTheCatalog) {
   CliResult r = RunCli({"plan", "--dataset", "fig1-toy", "--planner",
                         "bgrd", "--fail-on", "no.such.point"});
   EXPECT_EQ(r.code, 2);
-  util::Json error = ParseOrDie(FirstLine(r.err));
-  const util::Json* detail = error.Find("error");
-  ASSERT_NE(detail, nullptr) << r.err;
-  EXPECT_EQ(detail->Find("code_name")->AsString(), "invalid_argument");
-  const std::string message = detail->Find("message")->AsString();
-  EXPECT_NE(message.find("no.such.point"), std::string::npos);
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+  EXPECT_EQ(error.code_name, "invalid_argument");
+  EXPECT_NE(error.message.find("no.such.point"), std::string::npos);
   for (const char* point : {"config.parse", "data.load", "eval.sigma",
                             "pool.enqueue", "prep.build", "prep.sketch"}) {
-    EXPECT_NE(message.find(point), std::string::npos) << point;
+    EXPECT_NE(error.message.find(point), std::string::npos) << point;
   }
 }
 
@@ -395,11 +421,10 @@ TEST(Cli, TinyDeadlineFailsWithDeadlineExceededJson) {
       "2",            "--deadline-ms", "1"};
   CliResult r = RunCli(args);
   EXPECT_EQ(r.code, 1);
-  util::Json error = ParseOrDie(FirstLine(r.err));
-  const util::Json* detail = error.Find("error");
-  ASSERT_NE(detail, nullptr) << r.err;
-  EXPECT_EQ(detail->Find("code")->AsInt(), 4);
-  EXPECT_EQ(detail->Find("code_name")->AsString(), "deadline_exceeded");
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+  EXPECT_EQ(error.code, 4);
+  EXPECT_EQ(error.code_name, "deadline_exceeded");
 }
 
 TEST(Cli, GenerousDeadlineIsByteInvisibleAndValidationRejectsNegative) {
@@ -423,9 +448,9 @@ TEST(Cli, GenerousDeadlineIsByteInvisibleAndValidationRejectsNegative) {
   negative.insert(negative.end(), {"--deadline-ms", "-1"});
   CliResult rejected = RunCli(negative);
   EXPECT_EQ(rejected.code, 2);
-  util::Json error = ParseOrDie(FirstLine(rejected.err));
-  EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-            "invalid_argument");
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(rejected, &error));
+  EXPECT_EQ(error.code_name, "invalid_argument");
 }
 
 // Out-of-range run settings exit 2 with the one-line error JSON instead
@@ -456,9 +481,9 @@ TEST(Cli, OutOfRangeRunSettingsAreInvalidArguments) {
     SCOPED_TRACE(extra.front());
     const CliResult r = RunCli(args);
     EXPECT_EQ(r.code, 2);
-    util::Json error = ParseOrDie(FirstLine(r.err));
-    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-              "invalid_argument");
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
   }
   const CliResult r = RunCli({"sweep", "--config", sweep, "--quiet"});
   EXPECT_EQ(r.code, 2);
@@ -475,9 +500,9 @@ TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
     const CliResult r = RunCli({"plan", "--dataset", "amazon-like",
                                 "--planner", "bgrd", "--scale", scale});
     EXPECT_EQ(r.code, 2);
-    util::Json error = ParseOrDie(FirstLine(r.err));
-    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-              "invalid_argument");
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
     EXPECT_NE(r.err.find("--scale must be a finite number > 0"),
               std::string::npos)
         << r.err;
@@ -509,9 +534,9 @@ TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
     const CliResult r = RunCli(
         {"plan", "--dataset", "fig1-toy", "--planner", "bgrd", flag, value});
     ASSERT_EQ(r.code, 2) << r.out;
-    util::Json error = ParseOrDie(FirstLine(r.err));
-    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-              "invalid_argument");
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
     EXPECT_NE(r.err.find(std::string(flag) + " must be an integer"),
               std::string::npos)
         << r.err;
@@ -569,9 +594,9 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
     bad.insert(bad.end(), {"--adaptive", flag});
     CliResult rejected = RunCli(bad);
     EXPECT_EQ(rejected.code, 2);
-    util::Json error = ParseOrDie(FirstLine(rejected.err));
-    EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-              "invalid_argument");
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(rejected, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
   }
 
   // --adaptive-budget caps the race's decision samples (more skipped
@@ -593,9 +618,9 @@ TEST(Cli, AdaptiveFlagEnablesRacingAndValidatesDelta) {
                   {"--adaptive", "--adaptive-budget", "-1"});
   CliResult neg = RunCli(negative);
   EXPECT_EQ(neg.code, 2);
-  util::Json neg_error = ParseOrDie(FirstLine(neg.err));
-  EXPECT_EQ(neg_error.Find("error")->Find("code_name")->AsString(),
-            "invalid_argument");
+  CliError neg_error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(neg, &neg_error));
+  EXPECT_EQ(neg_error.code_name, "invalid_argument");
 }
 
 // Each flag sets its config key through the same option-table row, so
@@ -660,13 +685,62 @@ TEST(Cli, AdaptivePlannerRejectsNonMcBackend) {
                         "--selection-samples", "4", "--eval-samples", "8",
                         "--backend", "ris"});
   EXPECT_EQ(r.code, 2);
-  util::Json error = ParseOrDie(FirstLine(r.err));
-  EXPECT_EQ(error.Find("error")->Find("code_name")->AsString(),
-            "invalid_argument");
-  const std::string message =
-      error.Find("error")->Find("message")->AsString();
-  EXPECT_NE(message.find("adaptive"), std::string::npos) << message;
-  EXPECT_NE(message.find("ris"), std::string::npos) << message;
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+  EXPECT_EQ(error.code_name, "invalid_argument");
+  EXPECT_NE(error.message.find("adaptive"), std::string::npos)
+      << error.message;
+  EXPECT_NE(error.message.find("ris"), std::string::npos) << error.message;
+}
+
+// A flag no command reads is an invalid argument naming the flag: typo'd
+// flags used to run silently with the defaults (B = 300 below). The
+// option-table and problem-coordinate flags parse in either spelling, and
+// each command takes only its own flags.
+TEST(Cli, UnknownFlagsAreInvalidArgumentsNamingTheFlag) {
+  const CliResult typo =
+      RunCli({"plan", "--dataset", "fig1-toy", "--bugdet", "5",
+              "--promotions", "2", "--eval-sampels", "3"});
+  EXPECT_EQ(typo.code, 2) << typo.out;
+  CliError error;
+  ASSERT_NO_FATAL_FAILURE(ReadCliError(typo, &error));
+  EXPECT_EQ(error.code_name, "invalid_argument");
+  EXPECT_NE(error.message.find("--bugdet"), std::string::npos)
+      << error.message;
+
+  // {command line, the flag its error must name}
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      rejected = {
+          {{"compare", "--dataset", "fig1-toy", "--planners", "bgrd",
+            "--planner", "bgrd"},
+           "--planner"},
+          {{"sweep", "--config", "unused.json", "--threads", "2"},
+           "--threads"},
+          {{"datasets", "--prpe"}, "--prpe"},
+          {{"datasets", "--budget", "20"}, "--budget"},  // only with --prep
+          {{"backends", "--dataset", "fig1-toy"}, "--dataset"},
+          {{"plan", "--dataset", "fig1-toy", "--trace_out", "trace.json"},
+           "--trace_out"},
+      };
+  for (const auto& [args, flag] : rejected) {
+    SCOPED_TRACE(args.front() + " " + flag);
+    const CliResult r = RunCli(args);
+    EXPECT_EQ(r.code, 2) << r.out;
+    CliError rejection;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &rejection));
+    EXPECT_EQ(rejection.code_name, "invalid_argument");
+    EXPECT_NE(rejection.message.find("unknown flag " + flag + " "),
+              std::string::npos)
+        << rejection.message;
+  }
+
+  // Both spellings of a table or coordinate flag still parse.
+  const CliResult spelled =
+      RunCli({"plan", "--dataset", "fig1-toy", "--planner", "bgrd",
+              "--budget", "20", "--promotions", "2", "--eval_samples", "8",
+              "--selection-samples", "4", "--dataset_seed", "3",
+              "--fail_on", "config.parse"});
+  EXPECT_EQ(spelled.code, 0) << spelled.err;
 }
 
 // The capability listing: every backend that implements the racing seam

@@ -106,42 +106,46 @@ TEST_F(FaultMatrix, PrepBuildFaultLeavesNoPartialCacheEntry) {
   // entry (or bump a counter), and the next Acquire rebuilds cleanly.
   data::Dataset ds = data::MakeFig1Toy();
   diffusion::Problem problem = ds.MakeProblem(20.0, 2);
-  prep::PrepCache cache;
+  auto cache = std::make_shared<prep::PrepCache>();
   ASSERT_TRUE(Injector().Arm("prep.build:1:internal").ok());
 
-  util::StatusOr<prep::PrepLease> failed = cache.Acquire(problem, nullptr);
+  util::StatusOr<prep::PrepLease> failed =
+      prep::AcquirePrep(cache, problem, nullptr);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), util::StatusCode::kInternal);
-  EXPECT_EQ(cache.builds(), 0);
-  EXPECT_EQ(cache.reuses(), 0);
+  EXPECT_EQ(cache->builds(), 0);
+  EXPECT_EQ(cache->reuses(), 0);
 
-  util::StatusOr<prep::PrepLease> rebuilt = cache.Acquire(problem, nullptr);
+  util::StatusOr<prep::PrepLease> rebuilt =
+      prep::AcquirePrep(cache, problem, nullptr);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_FALSE(rebuilt->reused);
-  ASSERT_NE(rebuilt->artifacts, nullptr);
-  EXPECT_EQ(cache.builds(), 1);
+  ASSERT_NE(rebuilt->artifact, nullptr);
+  EXPECT_EQ(cache->builds(), 1);
 
-  util::StatusOr<prep::PrepLease> again = cache.Acquire(problem, nullptr);
+  util::StatusOr<prep::PrepLease> again =
+      prep::AcquirePrep(cache, problem, nullptr);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->reused);
-  EXPECT_EQ(again->artifacts, rebuilt->artifacts);
-  EXPECT_EQ(cache.builds(), 1);
-  EXPECT_EQ(cache.reuses(), 1);
+  EXPECT_EQ(again->artifact, rebuilt->artifact);
+  EXPECT_EQ(cache->builds(), 1);
+  EXPECT_EQ(cache->reuses(), 1);
 }
 
 TEST_F(FaultMatrix, PrepBuildTransientFaultIsRetriedInvisibly) {
   data::Dataset ds = data::MakeFig1Toy();
   diffusion::Problem problem = ds.MakeProblem(20.0, 2);
-  prep::PrepCache cache;
+  auto cache = std::make_shared<prep::PrepCache>();
   ASSERT_TRUE(
       Injector().Arm("prep.build:1-2:resource_exhausted").ok());
   const util::RobustnessCounters before = util::SnapshotRobustnessCounters();
-  util::StatusOr<prep::PrepLease> lease = cache.Acquire(problem, nullptr);
+  util::StatusOr<prep::PrepLease> lease =
+      prep::AcquirePrep(cache, problem, nullptr);
   ASSERT_TRUE(lease.ok()) << lease.status().ToString();
   EXPECT_FALSE(lease->reused);
   const util::RobustnessCounters after = util::SnapshotRobustnessCounters();
   EXPECT_EQ(after.retries - before.retries, 2);
-  EXPECT_EQ(cache.builds(), 1);
+  EXPECT_EQ(cache->builds(), 1);
 }
 
 TEST_F(FaultMatrix, EvalSigmaFaultFailsTheRunAndSessionStaysReusable) {

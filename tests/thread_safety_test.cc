@@ -53,7 +53,7 @@ TEST(ThreadSafety, ConcurrentPrepCacheAcquireCountsOneBuild) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         util::StatusOr<prep::PrepLease> lease =
-            cache->Acquire(problem, /*pool=*/nullptr);
+            prep::AcquirePrep(cache, problem, /*pool=*/nullptr);
         ASSERT_TRUE(lease.ok()) << lease.status().ToString();
         leases[static_cast<size_t>(i)] = std::move(*lease);
       });
@@ -66,8 +66,8 @@ TEST(ThreadSafety, ConcurrentPrepCacheAcquireCountsOneBuild) {
   EXPECT_EQ(cache->builds(), 1);
   EXPECT_EQ(cache->reuses(), kThreads - 1);
   for (const prep::PrepLease& lease : leases) {
-    ASSERT_NE(lease.artifacts, nullptr);
-    EXPECT_EQ(lease.artifacts, leases[0].artifacts);  // one shared bundle
+    ASSERT_NE(lease.artifact, nullptr);
+    EXPECT_EQ(lease.artifact, leases[0].artifact);  // one shared bundle
   }
 }
 
@@ -219,10 +219,10 @@ TEST(ThreadSafety, ConcurrentAcquireWithOneFailingBuildStaysConsistent) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         util::StatusOr<prep::PrepLease> lease =
-            cache->Acquire(problem, nullptr);
+            prep::AcquirePrep(cache, problem, nullptr);
         results[static_cast<size_t>(i)] = lease.status();
         if (lease.ok()) {
-          EXPECT_NE(lease->artifacts, nullptr);
+          EXPECT_NE(lease->artifact, nullptr);
         }
       });
     }
@@ -243,7 +243,8 @@ TEST(ThreadSafety, ConcurrentAcquireWithOneFailingBuildStaysConsistent) {
             static_cast<int64_t>(kThreads - failed));
   EXPECT_GE(cache->builds(), 1);
   // And the cache is not poisoned: a fresh acquire succeeds and reuses.
-  util::StatusOr<prep::PrepLease> again = cache->Acquire(problem, nullptr);
+  util::StatusOr<prep::PrepLease> again =
+      prep::AcquirePrep(cache, problem, nullptr);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->reused);
 }
