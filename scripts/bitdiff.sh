@@ -14,7 +14,14 @@
 #     "mc" only) with --backend ris on amazon-like@0.3 (B=150, T=4,
 #     2 threads), plus one `imdpp compare --backend ris` over several
 #     planners, whose session builds one sketch set and reuses it;
-#   * `imdpp sweep` JSON of configs/sweep_ci.json.
+#   * `imdpp plan` JSON for every planner but `opt` on a SyntheticSpec
+#     file dataset (small-world, uniform importance, renamed KG types;
+#     B=150, T=4, 2 threads), written to the scratch dir like the LT
+#     config;
+#   * `imdpp sweep` JSON of configs/sweep_ci.json, and of a sweep whose
+#     dataset entries are objects (scale, seed, config, planners; one of
+#     them the spec file at scale 0.5) and whose planner entries are
+#     objects with a config.
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
 # change description. A run that fails records its exit code and stderr
@@ -77,6 +84,29 @@ fi
 LT_CONFIG="$WORK/lt_campaign.json"
 echo '{"campaign": {"model": "lt"}}' > "$LT_CONFIG"
 
+# A spec-file dataset (non-default topology, importance and KG type
+# names), and a sweep whose dataset and planner entries are objects.
+SPEC_FILE="$WORK/spec_world.json"
+cat > "$SPEC_FILE" <<JSON
+{"name": "bitdiff-world", "seed": 7, "num_users": 150, "num_items": 24,
+ "num_features": 18, "num_brands": 5, "num_categories": 4,
+ "topology": "small-world", "sw_neighbors": 3, "sw_rewire": 0.2,
+ "importance": "uniform", "types": {"item": "GADGET", "feature": "SPEC"}}
+JSON
+SWEEP_OBJECTS="$WORK/sweep_objects.json"
+cat > "$SWEEP_OBJECTS" <<JSON
+{"name": "sweep-objects",
+ "datasets": [
+   {"name": "yelp-like", "scale": 0.2, "seed": 5,
+    "config": {"eval_samples": 12},
+    "planners": ["dysim", {"planner": "ps", "config": {"seed": 3}}]},
+   {"name": "$SPEC_FILE", "scale": 0.5}],
+ "planners": ["bgrd", {"planner": "dysim", "config": {"selection_samples": 4}}],
+ "budgets": [100], "promotions": [3],
+ "config": {"selection_samples": 6, "eval_samples": 16,
+            "candidates": {"max_users": 16, "max_items": 6}}}
+JSON
+
 run_all() {  # <imdpp binary> <output dir>
   local bin="$1" out="$2" planner mode
   rm -rf "$out"
@@ -105,12 +135,19 @@ run_all() {  # <imdpp binary> <output dir>
       --budget 150 --promotions 4 --threads 2 --config "$LT_CONFIG" \
       > "$out/plan.$planner.lt.json" 2>&1 \
       || echo "exit $?" >> "$out/plan.$planner.lt.json"
+    "$bin" plan --dataset "$SPEC_FILE" --planner "$planner" \
+      --budget 150 --promotions 4 --threads 2 \
+      > "$out/plan.$planner.spec.json" 2>&1 \
+      || echo "exit $?" >> "$out/plan.$planner.spec.json"
   done
   "$bin" compare --dataset amazon-like@0.3 --planners dysim,bgrd,hag,ps,drhga \
     --budget 150 --promotions 4 --threads 2 --backend ris \
     > "$out/compare.ris.json" 2>&1 || echo "exit $?" >> "$out/compare.ris.json"
   "$bin" sweep --config configs/sweep_ci.json --quiet \
     > "$out/sweep_ci.json" 2>&1 || echo "exit $?" >> "$out/sweep_ci.json"
+  "$bin" sweep --config "$SWEEP_OBJECTS" --quiet \
+    > "$out/sweep_objects.json" 2>&1 \
+    || echo "exit $?" >> "$out/sweep_objects.json"
 }
 
 echo "== run $REV ==" >&2

@@ -71,10 +71,10 @@ struct PlannerConfig : core::RunSettings {
     std::string backend = "mc";
     /// Sketch count θ for the "ris" backend (ignored by "mc").
     int ris_sketches = 4096;
-    /// Opt-in graceful degradation: registry key of the backend a
-    /// failing primary falls back to (today: "ris" degrading to its
-    /// embedded "mc" engine when the sketch build fails). Empty = a
-    /// backend failure fails the run.
+    /// Opt-in graceful degradation: "mc" lets a "ris" backend whose
+    /// sketch build fails answer from its embedded "mc" engine, the one
+    /// degradation there is (the config reader accepts nothing else).
+    /// Empty = a backend failure fails the run.
     std::string fallback_backend;
     /// Variance-adaptive sequential stopping for the greedy argmax loops
     /// (diffusion/adaptive_eval.h; the `eval.adaptive.*` config keys and

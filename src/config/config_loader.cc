@@ -1,96 +1,33 @@
 #include "config/config_loader.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 
 #include "diffusion/sigma_backend.h"
 #include "util/fault_injection.h"
+#include "util/json_table.h"
 
 namespace imdpp::config {
 
-std::string IntError(double value, const std::string& where) {
-  if (value == std::floor(value) &&  // also rejects NaN and infinities
-      value >= std::numeric_limits<int>::min() &&
-      value <= std::numeric_limits<int>::max()) {
-    return "";
-  }
-  return where + " must be an integer within [" +
-         std::to_string(std::numeric_limits<int>::min()) + ", " +
-         std::to_string(std::numeric_limits<int>::max()) + "]";
-}
-
-std::string BudgetError(double budget, const std::string& where) {
-  if (budget >= 0.0) return "";  // also rejects NaN
-  return where + " must be >= 0";
-}
-
-std::string CountError(int count, const std::string& where) {
-  if (count >= 1) return "";
-  return where + " must be >= 1";
-}
-
-std::string ScaleError(double scale, const std::string& where) {
-  if (std::isfinite(scale) && scale > 0.0) return "";
-  return where + " must be a finite number > 0";
-}
-
 namespace {
 
-// ---------------------------------------------------- typed field readers
-// One reader per value kind. Each checks a JSON value against its kind's
-// range rule before any cast and returns false with a message naming
-// `where` (the dotted config key, or the --flag). A mistyped or
-// misspelled knob must fail loudly, never silently run a default.
+using util::ReadBool;
+using util::ReadCount;
+using util::ReadDouble;
+using util::ReadEnum;
+using util::ReadInt;
+using util::ReadIntIn;
+using util::ReadSeed;
+using util::ReadUnitIn;
 
-template <typename T>
-using Reader = bool (*)(const util::Json& v, const std::string& where,
-                        T* out, std::string* error);
-
-bool ReadInt(const util::Json& v, const std::string& where, int* out,
-             std::string* error) {
-  if (!v.is_number()) {
-    *error = where + " must be an integer";
-    return false;
-  }
-  *error = IntError(v.AsDouble(), where);
-  if (!error->empty()) return false;
-  *out = static_cast<int>(v.AsDouble());
-  return true;
-}
-
-bool ReadDouble(const util::Json& v, const std::string& where, double* out,
-                std::string* error) {
-  if (!v.is_number()) {
-    *error = where + " must be a number";
-    return false;
-  }
-  *out = v.AsDouble();
-  return true;
-}
-
-/// ReadInt plus CountError's range rule.
-bool ReadCount(const util::Json& v, const std::string& where, int* out,
-               std::string* error) {
-  if (!ReadInt(v, where, out, error)) return false;
-  *error = CountError(*out, where);
-  return error->empty();
-}
-
-/// ReadInt plus a >= 0 rule (a depth, a sample budget).
-bool ReadNonNegative(const util::Json& v, const std::string& where, int* out,
-                     std::string* error) {
-  if (!ReadInt(v, where, out, error)) return false;
-  if (*out >= 0) return true;
-  *error = where + " must be >= 0";
-  return false;
-}
+// ------------------------------------------------- planner kind readers
+// The planner-only kinds; the shared ones live in util/json_table.h.
 
 /// A whole number within [0, 2^63) (a millisecond budget).
 bool ReadNonNegativeInt64(const util::Json& v, const std::string& where,
@@ -106,114 +43,25 @@ bool ReadNonNegativeInt64(const util::Json& v, const std::string& where,
   return false;
 }
 
-/// ReadDouble plus BudgetError's range rule.
+/// A number >= 0 (NaN is not).
 bool ReadBudget(const util::Json& v, const std::string& where, double* out,
                 std::string* error) {
   if (!ReadDouble(v, where, out, error)) return false;
-  *error = BudgetError(*out, where);
-  return error->empty();
-}
-
-/// ReadDouble plus a (0, 1] rule (a path-probability threshold).
-bool ReadProbability(const util::Json& v, const std::string& where,
-                     double* out, std::string* error) {
-  if (!ReadDouble(v, where, out, error)) return false;
-  if (*out > 0.0 && *out <= 1.0) return true;  // also rejects NaN
-  *error = where + " must be in (0, 1]";
+  if (*out >= 0.0) return true;
+  *error = where + " must be >= 0";
   return false;
 }
 
-/// ReadDouble plus a (0, 1) rule (an error budget δ).
-bool ReadOpenUnit(const util::Json& v, const std::string& where, double* out,
-                  std::string* error) {
-  if (!ReadDouble(v, where, out, error)) return false;
-  if (*out > 0.0 && *out < 1.0) return true;  // also rejects NaN
-  *error = where + " must be in (0, 1)";
-  return false;
-}
+constexpr std::pair<std::string_view, diffusion::DiffusionModel> kModels[] = {
+    {"ic", diffusion::DiffusionModel::kIndependentCascade},
+    {"lt", diffusion::DiffusionModel::kLinearThreshold}};
 
-bool ReadBool(const util::Json& v, const std::string& where, bool* out,
-              std::string* error) {
-  if (!v.is_bool()) {
-    *error = where + " must be a bool";
-    return false;
-  }
-  *out = v.AsBool();
-  return true;
-}
-
-/// A 64-bit seed: a whole number below 2^64, or a digit string (decimal
-/// or 0x hex) for seeds past a double's exact range. Negatives,
-/// fractions and values past 2^64 - 1 fail before any cast.
-bool ReadSeed(const util::Json& v, const std::string& where, uint64_t* out,
-              std::string* error) {
-  if (v.is_number()) {
-    const double d = v.AsDouble();
-    // Also rejects NaN and infinities.
-    if (d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d)) {
-      *out = static_cast<uint64_t>(d);
-      return true;
-    }
-  } else if (v.is_string()) {
-    const std::string& s = v.AsString();
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(s.c_str(), &end, 0);
-    // strtoull wraps a leading '-' instead of failing.
-    if (!s.empty() && *end == '\0' && errno != ERANGE &&
-        s.find('-') == std::string::npos) {
-      *out = parsed;
-      return true;
-    }
-  }
-  *error = where + " must be an integer within [0, " +
-           std::to_string(std::numeric_limits<uint64_t>::max()) +
-           "], as a number or a digit string";
-  return false;
-}
-
-/// One of a fixed list of names, stored as its enum value.
-template <typename E, size_t N>
-bool ReadEnum(const util::Json& v, const std::string& where,
-              const std::pair<std::string_view, E> (&names)[N], E* out,
-              std::string* error) {
-  if (!v.is_string()) {
-    *error = where + " must be a string";
-    return false;
-  }
-  std::string expected;
-  for (const auto& [name, value] : names) {
-    if (v.AsString() == name) {
-      *out = value;
-      return true;
-    }
-    expected += (expected.empty() ? "" : ", ") + std::string(name);
-  }
-  *error = "unknown " + where + " \"" + v.AsString() + "\" (expected " +
-           expected + ")";
-  return false;
-}
-
-bool ReadModel(const util::Json& v, const std::string& where,
-               diffusion::DiffusionModel* out, std::string* error) {
-  using diffusion::DiffusionModel;
-  static constexpr std::pair<std::string_view, DiffusionModel> kNames[] = {
-      {"ic", DiffusionModel::kIndependentCascade},
-      {"lt", DiffusionModel::kLinearThreshold}};
-  return ReadEnum(v, where, kNames, out, error);
-}
-
-bool ReadOrder(const util::Json& v, const std::string& where,
-               core::MarketOrderMetric* out, std::string* error) {
-  using core::MarketOrderMetric;
-  static constexpr std::pair<std::string_view, MarketOrderMetric> kNames[] = {
-      {"ae", MarketOrderMetric::kAntagonisticExtent},
-      {"pf", MarketOrderMetric::kProfitability},
-      {"sz", MarketOrderMetric::kSize},
-      {"rms", MarketOrderMetric::kRelativeMarketShare},
-      {"rd", MarketOrderMetric::kRandom}};
-  return ReadEnum(v, where, kNames, out, error);
-}
+constexpr std::pair<std::string_view, core::MarketOrderMetric> kOrders[] = {
+    {"ae", core::MarketOrderMetric::kAntagonisticExtent},
+    {"pf", core::MarketOrderMetric::kProfitability},
+    {"sz", core::MarketOrderMetric::kSize},
+    {"rms", core::MarketOrderMetric::kRelativeMarketShare},
+    {"rd", core::MarketOrderMetric::kRandom}};
 
 /// A registered σ backend, checked at load time so a typo fails naming
 /// the registered keys.
@@ -232,14 +80,17 @@ bool ReadBackend(const util::Json& v, const std::string& where,
   return true;
 }
 
-/// ReadBackend, or "" (no degradation: a backend failure fails the run).
+/// "" (a backend failure fails the run) or "mc": the one degradation that
+/// exists is a "ris" backend answering from its embedded Monte-Carlo
+/// engine when its sketch build fails.
 bool ReadFallbackBackend(const util::Json& v, const std::string& where,
                          std::string* out, std::string* error) {
-  if (v.is_string() && v.AsString().empty()) {
-    out->clear();
+  if (v.is_string() && (v.AsString().empty() || v.AsString() == "mc")) {
+    *out = v.AsString();
     return true;
   }
-  return ReadBackend(v, where, out, error);
+  *error = where + " must be \"\" or \"mc\" (got " + v.Dump() + ")";
+  return false;
 }
 
 // ------------------------------------------------------------ flag text
@@ -283,8 +134,8 @@ const std::string* FindFlag(const ParsedArgs& args, std::string_view flag) {
 
 /// Reads --flag, if given, through `read`; an absent flag keeps *out.
 template <typename T>
-bool ReadFlag(const ParsedArgs& args, std::string_view flag, Reader<T> read,
-              T* out, std::string* error) {
+bool ReadFlag(const ParsedArgs& args, std::string_view flag,
+              util::JsonReader<T> read, T* out, std::string* error) {
   const std::string* text = FindFlag(args, flag);
   return text == nullptr ||
          read(FlagScalar<T>(*text), "--" + std::string(flag), out, error);
@@ -292,158 +143,98 @@ bool ReadFlag(const ParsedArgs& args, std::string_view flag, Reader<T> read,
 
 // ---------------------------------------------------------- option table
 
-/// One settable PlannerConfig knob.
-struct Option {
-  std::string_view key;   ///< dotted config key
+using C = api::PlannerConfig;
+
+/// One settable PlannerConfig knob: a row plus its flag.
+struct Option : util::JsonRow<C> {
+  template <typename T, typename Field>
+  Option(std::string_view key, std::string_view flag,
+         util::JsonReader<T> read, Field field)
+      : JsonRow(key, read, field), flag(flag), flag_scalar(&FlagScalar<T>) {}
+
   std::string_view flag;  ///< flag without "--"; "" = config only
-  /// Reads `v` (named `where` in messages) into the knob's field.
-  std::function<bool(const util::Json& v, const std::string& where,
-                     api::PlannerConfig* cfg, std::string* error)>
-      read;
   /// FlagScalar for the field's type.
   util::Json (*flag_scalar)(const std::string& text);
 };
-
-/// A row: `field` maps a config to the knob's field, which `read` sets.
-template <typename T, typename Field>
-Option Row(std::string_view key, std::string_view flag, Reader<T> read,
-           Field field) {
-  return {key, flag,
-          [read, field](const util::Json& v, const std::string& where,
-                        api::PlannerConfig* cfg, std::string* error) {
-            return read(v, where, field(*cfg), error);
-          },
-          &FlagScalar<T>};
-}
-
-using C = api::PlannerConfig;
 
 /// Every settable knob, once. JSON keys and CLI flags both set a knob
 /// through its row, so they share one range rule and one message.
 const std::vector<Option>& Options() {
   static const std::vector<Option> kOptions = {
-      Row("selection_samples", "selection-samples", ReadCount,
-          [](C& c) { return &c.selection_samples; }),
-      Row("eval_samples", "eval-samples", ReadCount,
-          [](C& c) { return &c.eval_samples; }),
-      Row("seed", "seed", ReadSeed, [](C& c) { return &c.seed; }),
-      Row("num_threads", "threads", ReadInt,
-          [](C& c) { return &c.num_threads; }),
-      Row("deadline_ms", "deadline-ms", ReadNonNegativeInt64,
-          [](C& c) { return &c.deadline_ms; }),
-      Row("eval.backend", "backend", ReadBackend,
-          [](C& c) { return &c.eval.backend; }),
-      Row("eval.fallback_backend", "", ReadFallbackBackend,
-          [](C& c) { return &c.eval.fallback_backend; }),
-      Row("eval.ris_sketches", "", ReadCount,
-          [](C& c) { return &c.eval.ris_sketches; }),
-      Row("eval.adaptive.enabled", "adaptive", ReadBool,
-          [](C& c) { return &c.eval.adaptive.enabled; }),
-      Row("eval.adaptive.delta", "adaptive-delta", ReadOpenUnit,
-          [](C& c) { return &c.eval.adaptive.delta; }),
-      Row("eval.adaptive.block_samples", "", ReadCount,
-          [](C& c) { return &c.eval.adaptive.block_samples; }),
-      Row("eval.adaptive.min_samples", "", ReadCount,
-          [](C& c) { return &c.eval.adaptive.min_samples; }),
-      Row("eval.adaptive.max_samples", "adaptive-budget", ReadNonNegative,
-          [](C& c) { return &c.eval.adaptive.max_samples; }),
-      Row("candidates.max_users", "", ReadInt,
-          [](C& c) { return &c.candidates.max_users; }),
-      Row("candidates.max_items", "", ReadInt,
-          [](C& c) { return &c.candidates.max_items; }),
-      Row("campaign.model", "", ReadModel,
-          [](C& c) { return &c.campaign.model; }),
-      Row("campaign.max_steps", "", ReadInt,
-          [](C& c) { return &c.campaign.max_steps; }),
-      Row("clustering.social_weight", "", ReadDouble,
-          [](C& c) { return &c.dysim.clustering.social_weight; }),
-      Row("clustering.relevance_weight", "", ReadDouble,
-          [](C& c) { return &c.dysim.clustering.relevance_weight; }),
-      Row("clustering.merge_threshold", "", ReadDouble,
-          [](C& c) { return &c.dysim.clustering.merge_threshold; }),
-      Row("clustering.max_hops", "", ReadInt,
-          [](C& c) { return &c.dysim.clustering.max_hops; }),
-      Row("market.mioa_threshold", "", ReadProbability,
-          [](C& c) { return &c.dysim.market.mioa_threshold; }),
-      Row("market.mioa_max_hops", "", ReadInt,
-          [](C& c) { return &c.dysim.market.mioa_max_hops; }),
-      Row("market.overlap_theta", "theta", ReadInt,
-          [](C& c) { return &c.dysim.market.overlap_theta; }),
-      Row("dysim.order", "", ReadOrder, [](C& c) { return &c.dysim.order; }),
-      Row("dysim.dr_max_depth", "", ReadNonNegative,
-          [](C& c) { return &c.dysim.dr_max_depth; }),
-      Row("dysim.use_target_markets", "", ReadBool,
-          [](C& c) { return &c.dysim.use_target_markets; }),
-      Row("dysim.use_item_priority", "", ReadBool,
-          [](C& c) { return &c.dysim.use_item_priority; }),
-      Row("dysim.use_theorem5_guard", "", ReadBool,
-          [](C& c) { return &c.dysim.use_theorem5_guard; }),
-      Row("adaptive.antagonism_threshold", "", ReadDouble,
-          [](C& c) { return &c.adaptive.antagonism_threshold; }),
-      Row("ps.path_threshold", "", ReadDouble,
-          [](C& c) { return &c.ps.path_threshold; }),
-      Row("ps.max_hops", "", ReadInt, [](C& c) { return &c.ps.max_hops; }),
-      Row("ps.covered_discount", "", ReadDouble,
-          [](C& c) { return &c.ps.covered_discount; }),
-      Row("opt.max_candidates", "", ReadInt,
-          [](C& c) { return &c.opt.max_candidates; }),
-      Row("opt.max_seeds", "", ReadInt, [](C& c) { return &c.opt.max_seeds; }),
+      {"selection_samples", "selection-samples", ReadCount,
+       &C::selection_samples},
+      {"eval_samples", "eval-samples", ReadCount, &C::eval_samples},
+      {"seed", "seed", ReadSeed, &C::seed},
+      {"num_threads", "threads", ReadInt, &C::num_threads},
+      {"deadline_ms", "deadline-ms", ReadNonNegativeInt64, &C::deadline_ms},
+      {"eval.backend", "backend", ReadBackend,
+       [](C& c) { return &c.eval.backend; }},
+      {"eval.fallback_backend", "", ReadFallbackBackend,
+       [](C& c) { return &c.eval.fallback_backend; }},
+      {"eval.ris_sketches", "", ReadCount,
+       [](C& c) { return &c.eval.ris_sketches; }},
+      {"eval.adaptive.enabled", "adaptive", ReadBool,
+       [](C& c) { return &c.eval.adaptive.enabled; }},
+      {"eval.adaptive.delta", "adaptive-delta", ReadUnitIn<true, true>,
+       [](C& c) { return &c.eval.adaptive.delta; }},
+      {"eval.adaptive.block_samples", "", ReadCount,
+       [](C& c) { return &c.eval.adaptive.block_samples; }},
+      {"eval.adaptive.min_samples", "", ReadCount,
+       [](C& c) { return &c.eval.adaptive.min_samples; }},
+      {"eval.adaptive.max_samples", "adaptive-budget", ReadIntIn<0>,
+       [](C& c) { return &c.eval.adaptive.max_samples; }},
+      {"candidates.max_users", "", ReadInt,
+       [](C& c) { return &c.candidates.max_users; }},
+      {"candidates.max_items", "", ReadInt,
+       [](C& c) { return &c.candidates.max_items; }},
+      {"campaign.model", "", ReadEnum<kModels>,
+       [](C& c) { return &c.campaign.model; }},
+      {"campaign.max_steps", "", ReadInt,
+       [](C& c) { return &c.campaign.max_steps; }},
+      {"clustering.social_weight", "", ReadDouble,
+       [](C& c) { return &c.dysim.clustering.social_weight; }},
+      {"clustering.relevance_weight", "", ReadDouble,
+       [](C& c) { return &c.dysim.clustering.relevance_weight; }},
+      {"clustering.merge_threshold", "", ReadDouble,
+       [](C& c) { return &c.dysim.clustering.merge_threshold; }},
+      {"clustering.max_hops", "", ReadInt,
+       [](C& c) { return &c.dysim.clustering.max_hops; }},
+      {"market.mioa_threshold", "", ReadUnitIn<true, false>,
+       [](C& c) { return &c.dysim.market.mioa_threshold; }},
+      {"market.mioa_max_hops", "", ReadInt,
+       [](C& c) { return &c.dysim.market.mioa_max_hops; }},
+      {"market.overlap_theta", "theta", ReadInt,
+       [](C& c) { return &c.dysim.market.overlap_theta; }},
+      {"dysim.order", "", ReadEnum<kOrders>,
+       [](C& c) { return &c.dysim.order; }},
+      {"dysim.dr_max_depth", "", ReadIntIn<0>,
+       [](C& c) { return &c.dysim.dr_max_depth; }},
+      {"dysim.use_target_markets", "", ReadBool,
+       [](C& c) { return &c.dysim.use_target_markets; }},
+      {"dysim.use_item_priority", "", ReadBool,
+       [](C& c) { return &c.dysim.use_item_priority; }},
+      {"dysim.use_theorem5_guard", "", ReadBool,
+       [](C& c) { return &c.dysim.use_theorem5_guard; }},
+      {"adaptive.antagonism_threshold", "", ReadDouble,
+       [](C& c) { return &c.adaptive.antagonism_threshold; }},
+      {"ps.path_threshold", "", ReadDouble,
+       [](C& c) { return &c.ps.path_threshold; }},
+      {"ps.max_hops", "", ReadInt, [](C& c) { return &c.ps.max_hops; }},
+      {"ps.covered_discount", "", ReadDouble,
+       [](C& c) { return &c.ps.covered_discount; }},
+      {"opt.max_candidates", "", ReadInt,
+       [](C& c) { return &c.opt.max_candidates; }},
+      {"opt.max_seeds", "", ReadInt, [](C& c) { return &c.opt.max_seeds; }},
   };
   return kOptions;
 }
 
-const Option* FindOption(std::string_view key) {
-  for (const Option& row : Options()) {
-    if (row.key == key) return &row;
-  }
-  return nullptr;
-}
-
-/// True when `path` is a section: a proper dotted prefix of some key.
-bool IsSection(std::string_view path) {
-  for (const Option& row : Options()) {
-    if (row.key.size() > path.size() && row.key.starts_with(path) &&
-        row.key[path.size()] == '.') {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Applies the members of `obj`, the section at dotted `prefix` ("" = the
-/// top level), each through its row; a member naming a section recurses.
-bool ApplySection(const util::Json& obj, const std::string& prefix,
-                  api::PlannerConfig* cfg, std::string* error) {
-  for (const auto& [key, v] : obj.members()) {
-    const std::string path = prefix.empty() ? key : prefix + "." + key;
-    const bool plain = key.find('.') == std::string::npos;
-    if (const Option* row = plain ? FindOption(path) : nullptr) {
-      if (!row->read(v, path, cfg, error)) return false;
-    } else if (plain && IsSection(path)) {
-      if (!v.is_object()) {
-        *error = path + " must be an object";
-        return false;
-      }
-      if (!ApplySection(v, path, cfg, error)) return false;
-    } else {
-      *error = "unknown " + (prefix.empty() ? "planner config" : prefix) +
-               " key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The bool + error-string core the recursive parsers below share; the
-/// public surface wraps it into util::Status (kInvalidArgument).
+/// The bool + error-string core the parsers below share; the public
+/// surface wraps it into util::Status (kInvalidArgument).
 bool ApplyPlannerConfigJsonImpl(const util::Json& obj, api::PlannerConfig* cfg,
                                 std::string* error) {
   if (obj.is_null()) return true;  // no overrides
-  if (!obj.is_object()) {
-    *error = "planner config must be a JSON object";
-    return false;
-  }
-  return ApplySection(obj, "", cfg, error);
+  return util::ApplyJsonRows(Options(), obj, "", "planner config", cfg, error);
 }
 
 }  // namespace
@@ -465,47 +256,6 @@ util::Status LoadJsonFile(const std::string& path, util::Json* out) {
   return util::OkStatus();
 }
 
-namespace {
-
-bool DatasetSpecFromJsonImpl(const util::Json& value, data::DatasetSpec* spec,
-                             util::Json* config_overrides,
-                             std::string* error) {
-  *config_overrides = util::Json();
-  if (value.is_string()) {
-    *spec = data::ParseDatasetSpec(value.AsString());
-    *error = ScaleError(spec->scale, "dataset.scale");
-    return error->empty();
-  }
-  if (!value.is_object()) {
-    *error = "dataset entry must be a string or an object";
-    return false;
-  }
-  const util::Json* name = value.Find("name");
-  if (name == nullptr || !name->is_string()) {
-    *error = "dataset entry needs a string \"name\"";
-    return false;
-  }
-  *spec = data::ParseDatasetSpec(name->AsString());
-  for (const auto& [key, v] : value.members()) {
-    if (key == "name") continue;
-    if (key == "scale") {
-      if (!ReadDouble(v, "dataset.scale", &spec->scale, error)) return false;
-    } else if (key == "seed") {
-      if (!ReadSeed(v, "dataset.seed", &spec->seed, error)) return false;
-    } else if (key == "config") {
-      *config_overrides = v;
-    } else {
-      *error = "unknown dataset entry key \"" + key + "\"";
-      return false;
-    }
-  }
-  // The scale may come from "scale" or from a "name@scale" name.
-  *error = ScaleError(spec->scale, "dataset.scale");
-  return error->empty();
-}
-
-}  // namespace
-
 util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg) {
   std::string error;
@@ -515,136 +265,137 @@ util::Status ApplyPlannerConfigJson(const util::Json& obj,
   return util::OkStatus();
 }
 
-util::Status DatasetSpecFromJson(const util::Json& value,
-                                 data::DatasetSpec* spec,
-                                 util::Json* config_overrides) {
-  std::string error;
-  if (!DatasetSpecFromJsonImpl(value, spec, config_overrides, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  return util::OkStatus();
-}
-
-// -------------------------------------------------------------- sweeps
+// ------------------------------------------------ dataset entries, sweeps
 
 namespace {
 
-bool ParsePlannerAxes(const util::Json& array,
-                      std::vector<SweepSpec::PlannerAxis>* out,
-                      std::string* error) {
-  for (const util::Json& entry : array.elements()) {
-    SweepSpec::PlannerAxis axis;
-    if (entry.is_string()) {
-      axis.name = entry.AsString();
-    } else if (entry.is_object()) {
-      const util::Json* name = entry.Find("planner");
-      if (name == nullptr || !name->is_string()) {
-        *error = "planner entry needs a string \"planner\"";
-        return false;
-      }
-      axis.name = name->AsString();
-      if (const util::Json* o = entry.Find("config")) axis.overrides = *o;
-    } else {
-      *error = "planner entry must be a string or an object";
-      return false;
-    }
-    out->push_back(std::move(axis));
+/// null or an object of PlannerConfig overrides, kept as written: its keys
+/// are checked when the sweep expands and applies it.
+bool ReadOverrides(const util::Json& v, const std::string& where,
+                   util::Json* out, std::string* error) {
+  if (!v.is_null() && !v.is_object()) {
+    *error = where + " must be an object";
+    return false;
   }
+  *out = v;
   return true;
 }
 
-bool ParseDatasetAxis(const util::Json& entry, SweepSpec::DatasetAxis* axis,
-                      std::string* error) {
-  // A dataset entry may carry its own "planners" array; strip it before
-  // handing the rest to the plain dataset-spec parser.
-  util::Json without_planners = entry;
-  if (entry.is_object()) {
-    if (const util::Json* planners = entry.Find("planners")) {
-      if (!ParsePlannerAxes(*planners, &axis->planners, error)) return false;
-      without_planners = util::Json::Object();
-      for (const auto& [key, v] : entry.members()) {
-        if (key != "planners") without_planners.Set(key, v);
-      }
-    }
+/// A string (the planner's name) or a {planner, config} object.
+bool ReadPlannerAxis(const util::Json& v, const std::string& /*where*/,
+                     SweepSpec::PlannerAxis* axis, std::string* error) {
+  using P = SweepSpec::PlannerAxis;
+  static const std::vector<util::JsonRow<P>> kRows = {
+      {"planner", util::ReadString, &P::name},
+      {"config", ReadOverrides, &P::overrides}};
+  if (v.is_string()) {
+    axis->name = v.AsString();
+    return true;
   }
-  return DatasetSpecFromJsonImpl(without_planners, &axis->spec,
-                                 &axis->overrides, error);
+  if (!v.is_object()) {
+    *error = "planner entry must be a string or an object";
+    return false;
+  }
+  if (v.Find("planner") == nullptr) {
+    *error = "planner entry needs a string \"planner\"";
+    return false;
+  }
+  return util::ApplyJsonRows(kRows, v, "", "planner entry", axis, error);
+}
+
+/// A dataset entry's members as written: its "name" may carry "@scale",
+/// which a "scale" member overrides in whichever order they come.
+struct DatasetEntry {
+  std::string name;
+  std::optional<double> scale;
+  SweepSpec::DatasetAxis axis;  ///< seed, config and planners land here
+};
+
+/// {name, scale, seed, config}; a sweep's entries add "planners". Keyed
+/// under "dataset" so messages name "dataset.scale".
+std::vector<util::JsonRow<DatasetEntry>> DatasetRows(bool sweep) {
+  using E = DatasetEntry;
+  std::vector<util::JsonRow<E>> rows = {
+      {"dataset.name", util::ReadString, &E::name},
+      {"dataset.scale", ReadDouble, [](E& e) { return &e.scale.emplace(); }},
+      {"dataset.seed", ReadSeed, [](E& e) { return &e.axis.spec.seed; }},
+      {"dataset.config", ReadOverrides,
+       [](E& e) { return &e.axis.overrides; }}};
+  if (sweep) {
+    rows.emplace_back("dataset.planners",
+                      util::ReadList<SweepSpec::PlannerAxis, ReadPlannerAxis>,
+                      [](E& e) { return &e.axis.planners; });
+  }
+  return rows;
+}
+
+/// A "name[@scale]" string or an object of `rows`, resolved to *axis.
+bool ReadDatasetEntry(const util::Json& v,
+                      const std::vector<util::JsonRow<DatasetEntry>>& rows,
+                      SweepSpec::DatasetAxis* axis, std::string* error) {
+  DatasetEntry entry;
+  if (v.is_string()) {
+    entry.name = v.AsString();
+  } else if (!v.is_object()) {
+    *error = "dataset entry must be a string or an object";
+    return false;
+  } else if (v.Find("name") == nullptr) {
+    *error = "dataset entry needs a string \"name\"";
+    return false;
+  } else if (!util::ApplyJsonRows(rows, v, "dataset", "dataset entry",
+                                  &entry, error)) {
+    return false;
+  }
+  const data::DatasetSpec named = data::ParseDatasetSpec(entry.name);
+  *axis = std::move(entry.axis);
+  axis->spec.name = named.name;
+  axis->spec.scale = entry.scale.value_or(named.scale);
+  *error = data::ScaleError(axis->spec.scale, "dataset.scale");
+  return error->empty();
+}
+
+bool ReadSweepDataset(const util::Json& v, const std::string& /*where*/,
+                      SweepSpec::DatasetAxis* axis, std::string* error) {
+  static const std::vector<util::JsonRow<DatasetEntry>> kRows =
+      DatasetRows(/*sweep=*/true);
+  return ReadDatasetEntry(v, kRows, axis, error);
+}
+
+bool ReadPlannerConfig(const util::Json& v, const std::string& /*where*/,
+                       api::PlannerConfig* cfg, std::string* error) {
+  return ApplyPlannerConfigJsonImpl(v, cfg, error);
 }
 
 bool LoadSweepSpecImpl(const util::Json& obj, SweepSpec* spec,
                        std::string* error) {
-  if (!obj.is_object()) {
-    *error = "sweep config must be a JSON object";
+  using S = SweepSpec;
+  static const std::vector<util::JsonRow<S>> kRows = {
+      {"name", util::ReadString, &S::name},
+      {"datasets", util::ReadList<S::DatasetAxis, ReadSweepDataset>,
+       &S::datasets},
+      {"planners", util::ReadList<S::PlannerAxis, ReadPlannerAxis>,
+       &S::planners},
+      {"budgets", util::ReadList<double, ReadBudget>, &S::budgets},
+      {"promotions", util::ReadList<int, ReadCount>, &S::promotions},
+      {"thetas", util::ReadList<int, ReadInt>, &S::thetas},
+      {"threads", util::ReadList<int, ReadInt>, &S::num_threads},
+      {"backends", util::ReadList<std::string, ReadBackend>, &S::backends},
+      {"config", ReadPlannerConfig, &S::base}};
+  *spec = SweepSpec{};
+  if (!util::ApplyJsonRows(kRows, obj, "", "sweep config", spec, error)) {
     return false;
   }
-  *spec = SweepSpec{};
-  for (const auto& [key, v] : obj.members()) {
-    if (key == "name") {
-      if (!v.is_string()) {
-        *error = "name must be a string";
-        return false;
-      }
-      spec->name = v.AsString();
-    } else if (key == "datasets") {
-      for (const util::Json& entry : v.elements()) {
-        SweepSpec::DatasetAxis axis;
-        if (!ParseDatasetAxis(entry, &axis, error)) return false;
-        spec->datasets.push_back(std::move(axis));
-      }
-    } else if (key == "planners") {
-      if (!ParsePlannerAxes(v, &spec->planners, error)) return false;
-    } else if (key == "budgets") {
-      for (const util::Json& entry : v.elements()) {
-        double b = 0.0;
-        if (!ReadBudget(entry, "budgets[]", &b, error)) return false;
-        spec->budgets.push_back(b);
-      }
-    } else if (key == "promotions") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadCount(entry, "promotions[]", &t, error)) return false;
-        spec->promotions.push_back(t);
-      }
-    } else if (key == "thetas") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadInt(entry, "thetas[]", &t, error)) return false;
-        spec->thetas.push_back(t);
-      }
-    } else if (key == "threads") {
-      for (const util::Json& entry : v.elements()) {
-        int t = 0;
-        if (!ReadInt(entry, "threads[]", &t, error)) return false;
-        spec->num_threads.push_back(t);
-      }
-    } else if (key == "backends") {
-      for (const util::Json& entry : v.elements()) {
-        std::string backend;
-        if (!ReadBackend(entry, "backends[]", &backend, error)) return false;
-        spec->backends.push_back(std::move(backend));
-      }
-    } else if (key == "config") {
-      if (!ApplyPlannerConfigJsonImpl(v, &spec->base, error)) return false;
-    } else {
-      *error = "unknown sweep config key \"" + key + "\"";
+  const std::pair<bool, const char*> required[] = {
+      {spec->datasets.empty(), "datasets"},
+      {spec->planners.empty(), "planners"},
+      {spec->budgets.empty(), "budgets"},
+      {spec->promotions.empty(), "promotions"}};
+  for (const auto& [empty, key] : required) {
+    if (empty) {
+      *error = std::string("sweep config needs a non-empty \"") + key +
+               "\" array";
       return false;
     }
-  }
-  if (spec->datasets.empty()) {
-    *error = "sweep config needs a non-empty \"datasets\" array";
-    return false;
-  }
-  if (spec->planners.empty()) {
-    *error = "sweep config needs a non-empty \"planners\" array";
-    return false;
-  }
-  if (spec->budgets.empty()) {
-    *error = "sweep config needs a non-empty \"budgets\" array";
-    return false;
-  }
-  if (spec->promotions.empty()) {
-    *error = "sweep config needs a non-empty \"promotions\" array";
-    return false;
   }
   return true;
 }
@@ -694,8 +445,6 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
                 }
                 point.config.num_threads = nt;
                 if (!backend.empty()) point.config.eval.backend = backend;
-                point.backend = point.config.eval.backend;
-                point.adaptive = point.config.eval.adaptive.enabled;
                 points->push_back(std::move(point));
               }
             }
@@ -708,6 +457,21 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
 }
 
 }  // namespace
+
+util::Status DatasetSpecFromJson(const util::Json& value,
+                                 data::DatasetSpec* spec,
+                                 util::Json* config_overrides) {
+  static const std::vector<util::JsonRow<DatasetEntry>> kRows =
+      DatasetRows(/*sweep=*/false);
+  SweepSpec::DatasetAxis axis;
+  std::string error;
+  if (!ReadDatasetEntry(value, kRows, &axis, &error)) {
+    return util::InvalidArgumentError(std::move(error));
+  }
+  *spec = axis.spec;
+  *config_overrides = std::move(axis.overrides);
+  return util::OkStatus();
+}
 
 util::Status LoadSweepSpec(const util::Json& obj, SweepSpec* spec) {
   std::string error;
@@ -884,7 +648,7 @@ util::Status ApplyProblemFlags(const ParsedArgs& args,
     return util::InvalidArgumentError(std::move(error));
   }
   // The scale may come from --scale or from a "name@scale" --dataset.
-  error = ScaleError(dataset->scale, "--scale");
+  error = data::ScaleError(dataset->scale, "--scale");
   if (!error.empty()) return util::InvalidArgumentError(std::move(error));
   return util::OkStatus();
 }

@@ -1,20 +1,23 @@
 // ConfigLoader: the bridge from JSON/flag-files to the api:: layer — so
 // planner settings, dataset choices and whole sweep grids are data, not
-// recompiled C++.
+// recompiled C++. Every JSON input is read through util/json_table.h:
+// one row per key (dotted key, typed range-checked reader, the field it
+// sets), one walker that rejects unknown keys, and messages that name the
+// key.
 //
 // Three layers:
 //   * ApplyPlannerConfigJson / ApplyPlannerFlags — a JSON object of
 //     partial overrides, or the CLI flags, applied onto an
 //     api::PlannerConfig (absent keys keep their values). Both go through
 //     one option table: each settable knob, shared or per-algorithm, is
-//     one row giving its dotted key, its flag, its typed range-checked
-//     reader and the field it sets;
+//     one row that also names its flag;
 //   * DatasetSpecFromJson / ParseDatasetSpec — "yelp-like@0.5"-style
-//     strings or {name, scale, seed} objects onto data::DatasetSpec;
+//     strings or {name, scale, seed, config} objects onto
+//     data::DatasetSpec;
 //   * SweepSpec / ExpandSweep — a sweep config (datasets × planners ×
-//     budgets × promotions × thetas × threads, with per-axis config
-//     overrides on dataset and planner entries) expanded into the full
-//     cross-product of resolved SweepPoints.
+//     budgets × promotions × thetas × threads × backends, with per-axis
+//     config overrides on dataset and planner entries) expanded into the
+//     full cross-product of resolved SweepPoints.
 // Plus flag-file support: ParseArgs splices "--flagfile FILE" tokens
 // inline, and later flags override earlier ones — so command-line flags
 // after a flag-file take precedence over the file's contents.
@@ -38,18 +41,6 @@ namespace imdpp::config {
 /// name and position). Runs the config.parse fault point first.
 util::Status LoadJsonFile(const std::string& path, util::Json* out);
 
-/// Range rules for the run settings every reader shares (CLI flags, JSON
-/// config, sweep axes): an integer setting is a whole number within int
-/// (checked on the parsed double, before any cast); a budget is >= 0;
-/// promotion and sample counts are >= 1; a dataset scale is finite and
-/// > 0. Each returns "" for a valid value, else an error naming `where`.
-/// Readers turn a non-empty result into kInvalidArgument, so a bad value
-/// never reaches the CHECKs in Problem or the engine.
-std::string IntError(double value, const std::string& where);
-std::string BudgetError(double budget, const std::string& where);
-std::string CountError(int count, const std::string& where);
-std::string ScaleError(double scale, const std::string& where);
-
 /// Applies a JSON object of overrides onto *cfg, each member through its
 /// option-table row. Unknown keys and mistyped or out-of-range values
 /// fail with kInvalidArgument naming the dotted key (a typo'd knob must
@@ -58,7 +49,9 @@ util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg);
 
 /// Dataset reference: "yelp-like@0.5" string or {name, scale, seed}
-/// object, with an optional per-dataset "config" override object.
+/// object, with an optional per-dataset "config" override object (null or
+/// an object; its keys are checked when applied). A "scale" member
+/// overrides a "name@scale" scale; the result must pass data::ScaleError.
 util::Status DatasetSpecFromJson(const util::Json& value,
                                  data::DatasetSpec* spec,
                                  util::Json* config_overrides);
@@ -72,8 +65,6 @@ struct SweepPoint {
   int num_promotions = 0;
   int theta = -1;        ///< applied to market.overlap_theta; -1 = config's
   int num_threads = util::kAutoThreads;
-  std::string backend;   ///< resolved σ backend (config.eval.backend)
-  bool adaptive = false;  ///< resolved config.eval.adaptive.enabled
   api::PlannerConfig config;
 };
 
@@ -109,7 +100,8 @@ struct SweepSpec {
 ///    "budgets": [...], "promotions": [...], "thetas": [...],
 ///    "threads": [...], "backends": [...], "config": {...}}
 /// datasets/planners/budgets/promotions are required and non-empty.
-/// A dataset entry may carry its own "planners" array (subset sweeps).
+/// A dataset entry may carry its own "planners" array (subset sweeps); a
+/// planner entry is a name or a {planner, config} object.
 util::Status LoadSweepSpec(const util::Json& obj, SweepSpec* spec);
 
 /// The full cross-product, datasets outermost then promotions, budgets,
@@ -168,7 +160,7 @@ bool IsPlannerOrProblemFlag(std::string_view name);
 /// --promotions). They are not PlannerConfig knobs, so they sit outside
 /// the table, but their text is converted and range-checked by the same
 /// readers. An absent flag keeps its value; the final scale (from --scale
-/// or a "name@scale" dataset) must be finite and > 0.
+/// or a "name@scale" dataset) must pass data::ScaleError.
 util::Status ApplyProblemFlags(const ParsedArgs& args,
                                data::DatasetSpec* dataset, double* budget,
                                int* promotions);

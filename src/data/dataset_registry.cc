@@ -11,6 +11,7 @@
 #include "data/catalog.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/json_table.h"
 #include "util/registry.h"
 #include "util/retry.h"
 
@@ -58,7 +59,7 @@ int ParseScaleN(std::string_view name) {
   for (char c : digits) {
     if (c < '0' || c > '9') return -1;
     n = n * 10 + (c - '0');
-    if (n > 10'000'000) return -1;  // sanity cap
+    if (n > kMaxBaseCount) return -1;
   }
   return n;
 }
@@ -66,6 +67,97 @@ int ParseScaleN(std::string_view name) {
 bool LooksLikeSpecFile(std::string_view name) {
   return name.find('/') != std::string_view::npos ||
          (name.size() > 5 && name.substr(name.size() - 5) == ".json");
+}
+
+// ------------------------------------------------- SyntheticSpec ← JSON
+
+using util::ReadIntIn;
+using util::ReadString;
+using util::ReadUnitIn;
+
+/// A finite number (an infinity turns into a NaN preference, importance
+/// or cost, which Problem::Validate CHECKs); kPositive adds > 0.
+template <bool kPositive = false>
+bool ReadFinite(const util::Json& v, const std::string& where, double* out,
+                std::string* error) {
+  if (!util::ReadDouble(v, where, out, error)) return false;
+  if (std::isfinite(*out) && (!kPositive || *out > 0.0)) return true;
+  *error = where + " must be a finite number" + (kPositive ? " > 0" : "");
+  return false;
+}
+
+constexpr std::pair<std::string_view, SocialTopology> kTopologies[] = {
+    {"preferential-attachment", SocialTopology::kPreferentialAttachment},
+    {"small-world", SocialTopology::kSmallWorld},
+    {"community", SocialTopology::kCommunity}};
+
+constexpr std::pair<std::string_view, ImportanceKind> kImportances[] = {
+    {"lognormal-price", ImportanceKind::kLogNormalPrice},
+    {"uniform", ImportanceKind::kUniformRandom}};
+
+using S = SyntheticSpec;
+
+/// Every key of a spec file, once. The counts a scale multiplies are
+/// capped at kMaxBaseCount (see ScaleError).
+const std::vector<util::JsonRow<S>>& SpecRows() {
+  static const std::vector<util::JsonRow<S>> kRows = {
+      {"name", ReadString, &S::name},
+      {"seed", util::ReadSeed, &S::seed},
+      {"types.item", ReadString, [](S& s) { return &s.types.item; }},
+      {"types.feature", ReadString, [](S& s) { return &s.types.feature; }},
+      {"types.brand", ReadString, [](S& s) { return &s.types.brand; }},
+      {"types.category", ReadString, [](S& s) { return &s.types.category; }},
+      {"types.supports", ReadString, [](S& s) { return &s.types.supports; }},
+      {"types.has_brand", ReadString,
+       [](S& s) { return &s.types.has_brand; }},
+      {"types.in_category", ReadString,
+       [](S& s) { return &s.types.in_category; }},
+      {"types.also_bought", ReadString,
+       [](S& s) { return &s.types.also_bought; }},
+      {"types.also_viewed", ReadString,
+       [](S& s) { return &s.types.also_viewed; }},
+      {"num_items", ReadIntIn<2, kMaxBaseCount>, &S::num_items},
+      {"num_features", ReadIntIn<1, kMaxBaseCount>, &S::num_features},
+      {"num_brands", ReadIntIn<1, kMaxBaseCount>, &S::num_brands},
+      {"num_categories", ReadIntIn<1, kMaxBaseCount>, &S::num_categories},
+      {"features_per_item", ReadIntIn<0>, &S::features_per_item},
+      {"also_bought_per_item", ReadIntIn<0>, &S::also_bought_per_item},
+      {"also_viewed_per_item", ReadIntIn<0>, &S::also_viewed_per_item},
+      {"relevance_kappa", ReadFinite<true>, &S::relevance_kappa},
+      {"num_users", ReadIntIn<2, kMaxBaseCount>, &S::num_users},
+      {"topology", util::ReadEnum<kTopologies>, &S::topology},
+      {"directed", util::ReadBool, &S::directed},
+      {"mean_influence", ReadFinite<>, &S::mean_influence},
+      {"pa_edges_per_node", util::ReadCount, &S::pa_edges_per_node},
+      {"sw_neighbors", util::ReadInt, &S::sw_neighbors},
+      {"sw_rewire", ReadUnitIn<false, false>, &S::sw_rewire},
+      {"community_blocks", util::ReadCount, &S::community_blocks},
+      {"community_p_in", ReadFinite<>, &S::community_p_in},
+      {"community_p_out", ReadFinite<>, &S::community_p_out},
+      {"base_pref_lo", ReadFinite<>, &S::base_pref_lo},
+      {"base_pref_hi", ReadFinite<>, &S::base_pref_hi},
+      {"interest_boost", ReadFinite<>, &S::interest_boost},
+      {"wmeta_lo", ReadUnitIn<false, false>, &S::wmeta_lo},
+      {"wmeta_hi", ReadUnitIn<false, false>, &S::wmeta_hi},
+      {"importance", util::ReadEnum<kImportances>, &S::importance},
+      {"importance_mu", ReadFinite<>, &S::importance_mu},
+      {"importance_sigma", ReadFinite<>, &S::importance_sigma},
+      {"target_median_cost", ReadFinite<>, &S::target_median_cost},
+  };
+  return kRows;
+}
+
+/// The cross-field rules, checked on the scaled spec.
+std::string SpecError(const SyntheticSpec& spec) {
+  if (spec.topology == SocialTopology::kSmallWorld &&
+      2LL * spec.sw_neighbors >= spec.num_users) {
+    return "sw_neighbors must be < num_users / 2 on a small-world topology";
+  }
+  if (spec.wmeta_lo > spec.wmeta_hi) return "wmeta_lo must be <= wmeta_hi";
+  if (spec.base_pref_lo > spec.base_pref_hi) {
+    return "base_pref_lo must be <= base_pref_hi";
+  }
+  return "";
 }
 
 util::Status MakeFromSpecFile(const DatasetSpec& spec, Dataset* out) {
@@ -94,6 +186,10 @@ util::Status MakeFromSpecFile(const DatasetSpec& spec, Dataset* out) {
     synth.num_categories = Scaled(synth.num_categories, spec.scale);
   }
   if (spec.seed != 0) synth.seed = spec.seed;
+  const std::string error = SpecError(synth);
+  if (!error.empty()) {
+    return util::InvalidArgumentError(spec.name + ": " + error);
+  }
   *out = GenerateSynthetic(synth);
   return util::OkStatus();
 }
@@ -162,11 +258,19 @@ bool DatasetRegistry::Register(std::string name, Factory factory) {
   return Impl().Register(std::move(name), factory);
 }
 
+std::string ScaleError(double scale, const std::string& where) {
+  if (scale > 0.0 && scale <= kMaxScale) return "";  // also rejects NaN
+  return where + " must be a finite number > 0 and <= " +
+         util::JsonNumberToString(kMaxScale);
+}
+
 util::Status DatasetRegistry::Make(const DatasetSpec& spec, Dataset* out) {
   // The data.load fault point (ISSUE 8): transient codes are retried so an
   // armed `data.load:1:resource_exhausted` recovers on the second attempt.
   IMDPP_RETURN_IF_ERROR(util::RetryTransient(
       [] { return util::FaultInjector::Global().Hit("data.load"); }));
+  std::string error = ScaleError(spec.scale, "scale");
+  if (!error.empty()) return util::InvalidArgumentError(std::move(error));
   if (const Factory* factory = Impl().Find(spec.name)) {
     *out = (*factory)(spec.scale, spec.seed);
     return util::OkStatus();
@@ -202,167 +306,11 @@ std::string DatasetRegistry::UnknownMessage(std::string_view name) {
          " (also recognized: scale-<N>, a path to a SyntheticSpec .json)";
 }
 
-// --------------------------------------------------- SyntheticSpec ← JSON
-
-namespace {
-
-bool TypeNamesFromJson(const util::Json& obj, KgTypeNames* types,
-                       std::string* error) {
-  for (const auto& [key, value] : obj.members()) {
-    std::string* slot = nullptr;
-    if (key == "item") slot = &types->item;
-    else if (key == "feature") slot = &types->feature;
-    else if (key == "brand") slot = &types->brand;
-    else if (key == "category") slot = &types->category;
-    else if (key == "supports") slot = &types->supports;
-    else if (key == "has_brand") slot = &types->has_brand;
-    else if (key == "in_category") slot = &types->in_category;
-    else if (key == "also_bought") slot = &types->also_bought;
-    else if (key == "also_viewed") slot = &types->also_viewed;
-    if (slot == nullptr) {
-      *error = "unknown types key \"" + key + "\"";
-      return false;
-    }
-    if (!value.is_string()) {
-      *error = "types." + key + " must be a string";
-      return false;
-    }
-    *slot = value.AsString();
-  }
-  return true;
-}
-
-bool ApplySyntheticSpecJsonImpl(const util::Json& obj, SyntheticSpec* spec,
-                                std::string* error) {
-  if (!obj.is_object()) {
-    *error = "dataset spec must be a JSON object";
-    return false;
-  }
-  for (const auto& [key, value] : obj.members()) {
-    auto number = [&](auto* slot) {
-      if (!value.is_number()) {
-        *error = "\"" + key + "\" must be a number";
-        return false;
-      }
-      *slot = static_cast<std::remove_pointer_t<decltype(slot)>>(
-          value.AsDouble());
-      return true;
-    };
-    if (key == "name") {
-      if (!value.is_string()) {
-        *error = "\"name\" must be a string";
-        return false;
-      }
-      spec->name = value.AsString();
-    } else if (key == "seed") {
-      if (!number(&spec->seed)) return false;
-    } else if (key == "num_items") {
-      if (!number(&spec->num_items)) return false;
-    } else if (key == "num_features") {
-      if (!number(&spec->num_features)) return false;
-    } else if (key == "num_brands") {
-      if (!number(&spec->num_brands)) return false;
-    } else if (key == "num_categories") {
-      if (!number(&spec->num_categories)) return false;
-    } else if (key == "features_per_item") {
-      if (!number(&spec->features_per_item)) return false;
-    } else if (key == "also_bought_per_item") {
-      if (!number(&spec->also_bought_per_item)) return false;
-    } else if (key == "also_viewed_per_item") {
-      if (!number(&spec->also_viewed_per_item)) return false;
-    } else if (key == "relevance_kappa") {
-      if (!number(&spec->relevance_kappa)) return false;
-    } else if (key == "num_users") {
-      if (!number(&spec->num_users)) return false;
-    } else if (key == "directed") {
-      if (!value.is_bool()) {
-        *error = "\"directed\" must be a bool";
-        return false;
-      }
-      spec->directed = value.AsBool();
-    } else if (key == "mean_influence") {
-      if (!number(&spec->mean_influence)) return false;
-    } else if (key == "pa_edges_per_node") {
-      if (!number(&spec->pa_edges_per_node)) return false;
-    } else if (key == "sw_neighbors") {
-      if (!number(&spec->sw_neighbors)) return false;
-    } else if (key == "sw_rewire") {
-      if (!number(&spec->sw_rewire)) return false;
-    } else if (key == "community_blocks") {
-      if (!number(&spec->community_blocks)) return false;
-    } else if (key == "community_p_in") {
-      if (!number(&spec->community_p_in)) return false;
-    } else if (key == "community_p_out") {
-      if (!number(&spec->community_p_out)) return false;
-    } else if (key == "base_pref_lo") {
-      if (!number(&spec->base_pref_lo)) return false;
-    } else if (key == "base_pref_hi") {
-      if (!number(&spec->base_pref_hi)) return false;
-    } else if (key == "interest_boost") {
-      if (!number(&spec->interest_boost)) return false;
-    } else if (key == "wmeta_lo") {
-      if (!number(&spec->wmeta_lo)) return false;
-    } else if (key == "wmeta_hi") {
-      if (!number(&spec->wmeta_hi)) return false;
-    } else if (key == "importance_mu") {
-      if (!number(&spec->importance_mu)) return false;
-    } else if (key == "importance_sigma") {
-      if (!number(&spec->importance_sigma)) return false;
-    } else if (key == "target_median_cost") {
-      if (!number(&spec->target_median_cost)) return false;
-    } else if (key == "topology") {
-      if (!value.is_string()) {
-        *error = "\"topology\" must be a string";
-        return false;
-      }
-      const std::string& t = value.AsString();
-      if (t == "preferential-attachment") {
-        spec->topology = SocialTopology::kPreferentialAttachment;
-      } else if (t == "small-world") {
-        spec->topology = SocialTopology::kSmallWorld;
-      } else if (t == "community") {
-        spec->topology = SocialTopology::kCommunity;
-      } else {
-        *error = "unknown topology \"" + t +
-                 "\" (expected preferential-attachment, small-world, "
-                 "community)";
-        return false;
-      }
-    } else if (key == "importance") {
-      if (!value.is_string()) {
-        *error = "\"importance\" must be a string";
-        return false;
-      }
-      const std::string& k = value.AsString();
-      if (k == "lognormal-price") {
-        spec->importance = ImportanceKind::kLogNormalPrice;
-      } else if (k == "uniform") {
-        spec->importance = ImportanceKind::kUniformRandom;
-      } else {
-        *error = "unknown importance \"" + k +
-                 "\" (expected lognormal-price, uniform)";
-        return false;
-      }
-    } else if (key == "types") {
-      if (!value.is_object()) {
-        *error = "\"types\" must be an object";
-        return false;
-      }
-      if (!TypeNamesFromJson(value, &spec->types, error)) return false;
-    } else {
-      *error = "unknown dataset spec key \"" + key + "\"";
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 util::Status ApplySyntheticSpecJson(const util::Json& obj,
                                     SyntheticSpec* spec) {
   std::string error;
-  if (!ApplySyntheticSpecJsonImpl(obj, spec, &error)) {
+  if (!util::ApplyJsonRows(SpecRows(), obj, "", "dataset spec", spec,
+                           &error)) {
     return util::InvalidArgumentError(std::move(error));
   }
   return util::OkStatus();

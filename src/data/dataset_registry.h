@@ -12,7 +12,10 @@
 //     N users (scalability sweeps without a bespoke flavor);
 //   * file paths       — "path/to/spec.json" (or any name containing '/')
 //     loads a data::SyntheticSpec from a JSON file, so a brand-new
-//     workload is a config file away.
+//     workload is a config file away. The file is read through the same
+//     typed, range-checked rows as every other JSON input
+//     (util/json_table.h), so a bad value fails naming its key instead of
+//     reaching a CHECK in the generator.
 // Every lookup failure reports the sorted list of registered keys.
 #ifndef IMDPP_DATA_DATASET_REGISTRY_H_
 #define IMDPP_DATA_DATASET_REGISTRY_H_
@@ -39,6 +42,21 @@ struct DatasetSpec {
 /// Parses "name" or "name@scale" (e.g. "yelp-like@0.5").
 DatasetSpec ParseDatasetSpec(std::string_view text);
 
+/// The largest count a scale multiplies: a scale-<N> N, and a spec file's
+/// user, item, feature, brand and category counts (the catalog flavors'
+/// counts are far below it).
+inline constexpr int kMaxBaseCount = 10'000'000;
+
+/// The largest scale: every scaled count, at most kMaxBaseCount × scale,
+/// fits in int.
+inline constexpr double kMaxScale = 2147483647.0 / kMaxBaseCount;
+
+/// The one scale rule, for every reader of a scale (--scale, "name@scale",
+/// a dataset entry's "scale") and for DatasetRegistry::Make: finite, > 0
+/// and <= kMaxScale. Returns "" for a valid scale, else an error naming
+/// `where`.
+std::string ScaleError(double scale, const std::string& where);
+
 class DatasetRegistry {
  public:
   using Factory = Dataset (*)(double scale, uint64_t seed);
@@ -48,9 +66,11 @@ class DatasetRegistry {
 
   /// Materializes `spec` (registered key, scale-<N>, or JSON file path).
   /// Structured failures (ISSUE 8): an unknown name or missing spec file
-  /// is kNotFound (the message lists the registered keys), a malformed
-  /// spec file kInvalidArgument; *out is untouched on failure. Runs the
-  /// data.load fault point before any build.
+  /// is kNotFound (the message lists the registered keys); a scale that
+  /// fails ScaleError, or a malformed spec file (an unknown key, a value
+  /// out of its row's range, a SpecError), is kInvalidArgument naming the
+  /// key; *out is untouched on failure. Runs the data.load fault point
+  /// before any build.
   static util::Status Make(const DatasetSpec& spec, Dataset* out);
 
   /// Like Make but aborts with the key listing on a miss.
@@ -68,8 +88,10 @@ class DatasetRegistry {
 };
 
 /// Applies the members of a JSON object onto *spec (partial override:
-/// absent keys keep their current values). Unknown keys or mistyped
-/// values fail with kInvalidArgument naming the key.
+/// absent keys keep their current values), one util::JsonRow per key;
+/// the KG type names sit in a "types" section. Unknown keys and mistyped
+/// or out-of-range values fail with kInvalidArgument naming the key
+/// (README lists each key's range).
 util::Status ApplySyntheticSpecJson(const util::Json& obj,
                                     SyntheticSpec* spec);
 

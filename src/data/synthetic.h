@@ -32,6 +32,8 @@ struct KgTypeNames {
   std::string in_category = "IN_CATEGORY";
   std::string also_bought = "ALSO_BOUGHT";
   std::string also_viewed = "ALSO_VIEWED";
+
+  bool operator==(const KgTypeNames&) const = default;
 };
 
 enum class SocialTopology { kPreferentialAttachment, kSmallWorld, kCommunity };
@@ -79,6 +81,8 @@ struct SyntheticSpec {
 
   // --- costs (c ∝ outdeg / pref, rescaled to a target median) ---
   double target_median_cost = 25.0;
+
+  bool operator==(const SyntheticSpec&) const = default;
 };
 
 /// Generates the dataset; deterministic in `spec.seed`.

@@ -125,8 +125,8 @@ util::Json SweepJson(const std::string& name,
     p.Set("promotions", rec.point.num_promotions);
     if (rec.point.theta >= 0) p.Set("theta", rec.point.theta);
     p.Set("threads", rec.point.num_threads);
-    p.Set("backend", rec.point.backend.empty() ? "mc" : rec.point.backend);
-    p.Set("adaptive", rec.point.adaptive);
+    p.Set("backend", rec.point.config.eval.backend);
+    p.Set("adaptive", rec.point.config.eval.adaptive.enabled);
     p.Set("result", PlanResultJson(rec.result, include_timings));
     points.Append(std::move(p));
   }
@@ -165,8 +165,8 @@ std::string SweepCsv(const std::vector<SweepRecord>& records,
         std::to_string(rec.point.num_promotions),
         rec.point.theta >= 0 ? std::to_string(rec.point.theta) : "-",
         std::to_string(rec.point.num_threads),
-        rec.point.backend.empty() ? "mc" : rec.point.backend,
-        rec.point.adaptive ? "yes" : "no",
+        rec.point.config.eval.backend,
+        rec.point.config.eval.adaptive.enabled ? "yes" : "no",
         std::string(util::StatusCodeName(r.status.code())),
         Fixed(r.sigma, 4),
         Fixed(r.total_cost, 2),

@@ -491,21 +491,87 @@ TEST(Cli, OutOfRangeRunSettingsAreInvalidArguments) {
       << r.err;
 }
 
-// A dataset scale must be finite and positive: 0, negatives, NaN and inf
-// exit 2 with the one-line error JSON instead of building a floor-size
-// (or NaN-sized) dataset.
+// A dataset scale must be finite, positive and small enough that every
+// scaled count fits in int: 0, negatives, NaN, inf and 1e300 exit 2 with
+// the one-line error JSON instead of building a floor-size (or NaN-sized)
+// dataset or casting an out-of-range count (1e300 aborted in the
+// topology generator), from --scale, a "name@scale" dataset and a sweep
+// entry's "scale" alike.
 TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
-  for (const char* scale : {"0", "-2", "nan", "inf"}) {
-    SCOPED_TRACE(scale);
-    const CliResult r = RunCli({"plan", "--dataset", "amazon-like",
-                                "--planner", "bgrd", "--scale", scale});
+  const std::string sweep = WriteTempFile(
+      "huge_scale_sweep.json",
+      R"({"datasets": [{"name": "yelp-like", "scale": 1e300}],
+          "planners": ["bgrd"], "budgets": [20], "promotions": [1]})");
+  std::vector<std::pair<std::vector<std::string>, std::string>> runs;
+  for (const char* scale : {"0", "-2", "nan", "inf", "1e300"}) {
+    runs.push_back({{"plan", "--dataset", "amazon-like", "--planner", "bgrd",
+                     "--scale", scale},
+                    "--scale must be a finite number > 0"});
+  }
+  runs.push_back({{"plan", "--dataset", "scale-1000@1e300", "--planner",
+                   "bgrd"},
+                  "--scale must be a finite number > 0"});
+  runs.push_back({{"sweep", "--config", sweep, "--quiet"},
+                  "dataset.scale must be a finite number > 0"});
+  for (const auto& [args, message] : runs) {
+    SCOPED_TRACE(args.back());
+    const CliResult r = RunCli(args);
     EXPECT_EQ(r.code, 2);
     CliError error;
     ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
     EXPECT_EQ(error.code_name, "invalid_argument");
-    EXPECT_NE(r.err.find("--scale must be a finite number > 0"),
-              std::string::npos)
-        << r.err;
+    EXPECT_NE(error.message.find(message), std::string::npos) << r.err;
+  }
+  // The library entry point holds the same rule.
+  data::Dataset dataset;
+  const util::Status made =
+      data::DatasetRegistry::Make({"yelp-like", 1e300}, &dataset);
+  EXPECT_EQ(made.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(made.message().find("scale"), std::string::npos)
+      << made.ToString();
+}
+
+// Each of these spec files aborted the process (a generator CHECK, a
+// SIGFPE on num_brands 0) or was silently truncated (2.7 items, a -1
+// seed cast); each now fails naming its key, from DatasetRegistry::Make
+// with kInvalidArgument and from `imdpp plan` with exit 2.
+TEST(Cli, OutOfRangeSpecFileValuesAreInvalidArguments) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"num_users": -5})", "num_users"},
+      {R"({"num_users": 1e300})", "num_users"},
+      {R"({"relevance_kappa": 0})", "relevance_kappa"},
+      {R"({"pa_edges_per_node": 0})", "pa_edges_per_node"},
+      {R"({"num_features": 0})", "num_features"},
+      {R"({"community_blocks": 0, "topology": "community"})",
+       "community_blocks"},
+      {R"({"wmeta_lo": 2, "wmeta_hi": 1})", "wmeta_lo"},
+      {R"({"topology": "small-world", "sw_neighbors": 200})", "sw_neighbors"},
+      {R"({"topology": "small-world", "sw_rewire": 2})", "sw_rewire"},
+      {R"({"num_brands": 0})", "num_brands"},
+      {R"({"num_items": 2.7})", "num_items"},
+      {R"({"seed": -1})", "seed"},
+      // Two more that reached a CHECK, and an inverted range.
+      {R"({"num_categories": 0})", "num_categories"},
+      {R"({"wmeta_lo": 0.5, "wmeta_hi": 1.5})", "wmeta_hi"},
+      {R"({"base_pref_lo": 0.9, "base_pref_hi": 0.1})", "base_pref_lo"},
+  };
+  int index = 0;
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    const std::string path =
+        WriteTempFile("bad_spec_" + std::to_string(index++) + ".json", text);
+    data::Dataset dataset;
+    const util::Status made = data::DatasetRegistry::Make({path}, &dataset);
+    EXPECT_EQ(made.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(made.message().find(key), std::string::npos)
+        << made.ToString();
+    const CliResult r = RunCli({"plan", "--dataset", path, "--planner", "bgrd",
+                                "--budget", "20", "--promotions", "2"});
+    EXPECT_EQ(r.code, 2);
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
+    EXPECT_NE(error.message.find(key), std::string::npos) << r.err;
   }
 }
 

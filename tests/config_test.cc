@@ -13,6 +13,7 @@
 #include "config/config_loader.h"
 #include "data/dataset_registry.h"
 #include "util/json.h"
+#include "util/json_table.h"
 #include "util/status.h"
 
 namespace imdpp {
@@ -179,13 +180,25 @@ TEST(ConfigLoader, ParsesRobustnessKnobs) {
   EXPECT_NE(bad.message().find("deadline_ms"), std::string::npos)
       << bad.ToString();
 
-  // A typo'd fallback backend fails at load time with the key listing,
-  // exactly like eval.backend.
-  ASSERT_TRUE(util::Json::Parse(R"({"eval": {"fallback_backend": "zzz"}})",
+  // The one degradation that exists is "ris" answering from its embedded
+  // "mc" engine, so "" and "mc" are the only fallbacks: a typo and "ris"
+  // (which used to load and silently mean "mc") fail at load time.
+  for (const char* fallback : {"zzz", "ris"}) {
+    ASSERT_TRUE(util::Json::Parse(
+        std::string(R"({"eval": {"fallback_backend": ")") + fallback +
+            "\"}}",
+        &obj, &error));
+    bad = config::ApplyPlannerConfigJson(obj, &cfg);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find("eval.fallback_backend"), std::string::npos)
+        << bad.ToString();
+    EXPECT_NE(bad.message().find(fallback), std::string::npos)
+        << bad.ToString();
+  }
+  ASSERT_TRUE(util::Json::Parse(R"({"eval": {"fallback_backend": ""}})",
                                 &obj, &error));
-  bad = config::ApplyPlannerConfigJson(obj, &cfg);
-  EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("zzz"), std::string::npos) << bad.ToString();
+  ASSERT_TRUE(config::ApplyPlannerConfigJson(obj, &cfg).ok());
+  EXPECT_EQ(cfg.eval.fallback_backend, "");
 }
 
 // ISSUE 10: the eval.adaptive.* knobs parse, validate their ranges, and
@@ -284,12 +297,26 @@ TEST(ConfigLoader, RejectsOutOfRangeRunSettings) {
     EXPECT_NE(bad.message().find("must be >= 1"), std::string::npos)
         << bad.ToString();
   }
-  EXPECT_EQ(config::BudgetError(0.0, "b"), "");
-  EXPECT_EQ(config::BudgetError(-5.0, "--budget"), "--budget must be >= 0");
-  EXPECT_NE(config::BudgetError(std::nan(""), "b"), "");
-  EXPECT_EQ(config::CountError(1, "t"), "");
-  EXPECT_EQ(config::CountError(0, "--promotions"),
-            "--promotions must be >= 1");
+  for (const char* budget : {"0", "-5", "nan"}) {
+    SCOPED_TRACE(budget);
+    config::ParsedArgs args;
+    args.flags = {{"budget", budget}};
+    data::DatasetSpec dataset;
+    double b = 1.0;
+    int promotions = 1;
+    const util::Status read =
+        config::ApplyProblemFlags(args, &dataset, &b, &promotions);
+    if (std::string(budget) == "0") {
+      EXPECT_TRUE(read.ok()) << read.ToString();
+    } else {
+      EXPECT_EQ(read.message(), "--budget must be >= 0");
+    }
+  }
+  int count = 0;
+  std::string message;
+  EXPECT_TRUE(util::ReadCount(1, "t", &count, &message));
+  EXPECT_FALSE(util::ReadCount(0, "--promotions", &count, &message));
+  EXPECT_EQ(message, "--promotions must be >= 1");
 }
 
 // An integer knob holds a whole number within its type: fractions and
@@ -316,11 +343,13 @@ TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
     EXPECT_NE(bad.message().find("must be an integer"), std::string::npos)
         << bad.ToString();
   }
-  EXPECT_EQ(config::IntError(2147483647.0, "n"), "");
-  EXPECT_EQ(config::IntError(-2147483648.0, "n"), "");
-  EXPECT_NE(config::IntError(2147483648.0, "n"), "");
-  EXPECT_NE(config::IntError(std::nan(""), "n"), "");
-  EXPECT_NE(config::IntError(INFINITY, "n"), "");
+  int n = 0;
+  std::string message;
+  EXPECT_TRUE(util::ReadInt(2147483647.0, "n", &n, &message));
+  EXPECT_TRUE(util::ReadInt(-2147483648.0, "n", &n, &message));
+  EXPECT_FALSE(util::ReadInt(2147483648.0, "n", &n, &message));
+  EXPECT_FALSE(util::ReadInt(std::nan(""), "n", &n, &message));
+  EXPECT_FALSE(util::ReadInt(INFINITY, "n", &n, &message));
 }
 
 // One row per settable knob: keys and flags are unique, every flag is
@@ -452,6 +481,69 @@ TEST(DatasetRegistry, SyntheticSpecFileRoundTrip) {
   EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(bad.message().find("num_userz"), std::string::npos)
       << bad.ToString();
+}
+
+// Every spec-file key set to its own non-default value loads into the spec
+// set by hand: a row that writes the wrong field leaves one field at its
+// default and another at a foreign value.
+TEST(DatasetRegistry, EverySpecKeySetsItsOwnField) {
+  data::SyntheticSpec expected;
+  expected.name = "every-key";
+  expected.seed = 4242;
+  expected.types = {"I", "F", "B", "C", "S", "HB", "IC", "AB", "AV"};
+  expected.num_items = 41;
+  expected.num_features = 31;
+  expected.num_brands = 9;
+  expected.num_categories = 7;
+  expected.features_per_item = 4;
+  expected.also_bought_per_item = 5;
+  expected.also_viewed_per_item = 6;
+  expected.relevance_kappa = 2.5;
+  expected.num_users = 201;
+  expected.topology = data::SocialTopology::kCommunity;
+  expected.directed = true;
+  expected.mean_influence = 0.11;
+  expected.pa_edges_per_node = 2;
+  expected.sw_neighbors = 3;
+  expected.sw_rewire = 0.15;
+  expected.community_blocks = 5;
+  expected.community_p_in = 0.25;
+  expected.community_p_out = 0.02;
+  expected.base_pref_lo = 0.03;
+  expected.base_pref_hi = 0.4;
+  expected.interest_boost = 0.35;
+  expected.wmeta_lo = 0.1;
+  expected.wmeta_hi = 0.8;
+  expected.importance = data::ImportanceKind::kUniformRandom;
+  expected.importance_mu = 0.45;
+  expected.importance_sigma = 0.55;
+  expected.target_median_cost = 26.0;
+
+  util::Json obj;
+  std::string error;
+  ASSERT_TRUE(util::Json::Parse(R"({
+    "name": "every-key", "seed": 4242,
+    "types": {"item": "I", "feature": "F", "brand": "B", "category": "C",
+              "supports": "S", "has_brand": "HB", "in_category": "IC",
+              "also_bought": "AB", "also_viewed": "AV"},
+    "num_items": 41, "num_features": 31, "num_brands": 9,
+    "num_categories": 7, "features_per_item": 4, "also_bought_per_item": 5,
+    "also_viewed_per_item": 6, "relevance_kappa": 2.5, "num_users": 201,
+    "topology": "community", "directed": true, "mean_influence": 0.11,
+    "pa_edges_per_node": 2, "sw_neighbors": 3, "sw_rewire": 0.15,
+    "community_blocks": 5, "community_p_in": 0.25, "community_p_out": 0.02,
+    "base_pref_lo": 0.03, "base_pref_hi": 0.4, "interest_boost": 0.35,
+    "wmeta_lo": 0.1, "wmeta_hi": 0.8, "importance": "uniform",
+    "importance_mu": 0.45, "importance_sigma": 0.55,
+    "target_median_cost": 26.0})",
+                                &obj, &error))
+      << error;
+  data::SyntheticSpec loaded;
+  const util::Status applied = data::ApplySyntheticSpecJson(obj, &loaded);
+  ASSERT_TRUE(applied.ok()) << applied.ToString();
+  EXPECT_TRUE(loaded == expected);
+  EXPECT_TRUE(loaded.types == expected.types);
+  EXPECT_FALSE(loaded == data::SyntheticSpec{});
 }
 
 // -------------------------------------------------------------- flag files
@@ -632,6 +724,92 @@ TEST(SweepSpec, PerDatasetPlannerSubsets) {
   EXPECT_EQ(yelp_points, 4u);
 }
 
+// Every sweep key, object-form dataset and planner entries included, lands
+// in its own field: the spec built by hand from the same values matches.
+TEST(SweepSpec, EverySweepKeySetsItsOwnField) {
+  config::SweepSpec spec;
+  const util::Status loaded = config::LoadSweepSpec(ParseOrDie(R"({
+    "name": "every-key",
+    "datasets": [
+      {"name": "yelp-like@0.3", "scale": 0.25, "seed": 9,
+       "config": {"eval_samples": 7},
+       "planners": ["dysim", {"planner": "ps", "config": {"seed": 5}}]},
+      {"scale": 0.5, "name": "amazon-like@0.2"}
+    ],
+    "planners": [{"planner": "bgrd", "config": {"eval_samples": 3}}],
+    "budgets": [10, 20.5],
+    "promotions": [3, 4],
+    "thetas": [1, 2],
+    "threads": [2, 3],
+    "backends": ["ris", "mc"],
+    "config": {"selection_samples": 6}
+  })"),
+                                                   &spec);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(spec.name, "every-key");
+  ASSERT_EQ(spec.datasets.size(), 2u);
+  const config::SweepSpec::DatasetAxis& yelp = spec.datasets[0];
+  EXPECT_EQ(yelp.spec.name, "yelp-like");
+  EXPECT_EQ(yelp.spec.scale, 0.25);  // "scale" beats "name@scale"
+  EXPECT_EQ(yelp.spec.seed, 9u);
+  EXPECT_EQ(yelp.overrides, ParseOrDie(R"({"eval_samples": 7})"));
+  ASSERT_EQ(yelp.planners.size(), 2u);
+  EXPECT_EQ(yelp.planners[0].name, "dysim");
+  EXPECT_TRUE(yelp.planners[0].overrides.is_null());
+  EXPECT_EQ(yelp.planners[1].name, "ps");
+  EXPECT_EQ(yelp.planners[1].overrides, ParseOrDie(R"({"seed": 5})"));
+  const config::SweepSpec::DatasetAxis& amazon = spec.datasets[1];
+  EXPECT_EQ(amazon.spec.name, "amazon-like");
+  EXPECT_EQ(amazon.spec.scale, 0.5);  // in whichever member order
+  EXPECT_EQ(amazon.spec.seed, 0u);
+  EXPECT_TRUE(amazon.overrides.is_null());
+  EXPECT_TRUE(amazon.planners.empty());
+  ASSERT_EQ(spec.planners.size(), 1u);
+  EXPECT_EQ(spec.planners[0].name, "bgrd");
+  EXPECT_EQ(spec.planners[0].overrides, ParseOrDie(R"({"eval_samples": 3})"));
+  EXPECT_EQ(spec.budgets, (std::vector<double>{10, 20.5}));
+  EXPECT_EQ(spec.promotions, (std::vector<int>{3, 4}));
+  EXPECT_EQ(spec.thetas, (std::vector<int>{1, 2}));
+  EXPECT_EQ(spec.num_threads, (std::vector<int>{2, 3}));
+  EXPECT_EQ(spec.backends, (std::vector<std::string>{"ris", "mc"}));
+  EXPECT_EQ(spec.base.selection_samples, 6);
+  api::PlannerConfig defaults;
+  defaults.selection_samples = 6;
+  EXPECT_EQ(spec.base.eval_samples, defaults.eval_samples);
+  EXPECT_EQ(spec.base.seed, defaults.seed);
+
+  // Mistyped entries fail naming the key; a planner entry takes no keys
+  // but "planner" and "config".
+  const std::pair<const char*, const char*> bad_cases[] = {
+      {R"("datasets": [{"name": "fig1-toy", "seed": -1}])", "dataset.seed"},
+      {R"("datasets": [{"name": "fig1-toy", "config": 3}])",
+       "dataset.config must be an object"},
+      {R"("datasets": [{"name": "fig1-toy", "planners": "ps"}])",
+       "dataset.planners must be an array"},
+      {R"("datasets": [{"name": "fig1-toy", "planner": ["ps"]}])",
+       "unknown dataset entry key \"planner\""},
+      {R"("datasets": "fig1-toy")", "datasets must be an array"},
+      {R"("planners": [{"planner": "ps", "confg": {}}])",
+       "unknown planner entry key \"confg\""},
+      {R"("thetas": 2)", "thetas must be an array"},
+      {R"("threads": [1.5])", "threads[] must be an integer"},
+      {R"("backends": ["zzz"])", "backends[]"},
+  };
+  for (const auto& [member, message] : bad_cases) {
+    SCOPED_TRACE(member);
+    util::Json obj = ParseOrDie(R"({"datasets": ["fig1-toy"],
+        "planners": ["ps"], "budgets": [10], "promotions": [1]})");
+    const util::Json bad_member = ParseOrDie("{" + std::string(member) + "}");
+    for (const auto& [key, value] : bad_member.members()) {
+      obj.Set(key, value);  // replaces the valid member
+    }
+    const util::Status bad = config::LoadSweepSpec(obj, &spec);
+    EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.message().find(message), std::string::npos)
+        << bad.ToString();
+  }
+}
+
 TEST(SweepSpec, OutOfRangeAxesAndOverridesFail) {
   for (const char* text : {
            R"({"datasets": ["fig1-toy"], "planners": ["dysim"],
@@ -695,8 +873,8 @@ TEST(SweepSpec, NonPositiveDatasetScaleFails) {
               std::string::npos)
         << bad.ToString();
   }
-  EXPECT_EQ(config::ScaleError(0.5, "--scale"), "");
-  EXPECT_NE(config::ScaleError(std::nan(""), "--scale"), "");
+  EXPECT_EQ(data::ScaleError(0.5, "--scale"), "");
+  EXPECT_NE(data::ScaleError(std::nan(""), "--scale"), "");
 }
 
 TEST(SweepSpec, MissingRequiredAxesFail) {
