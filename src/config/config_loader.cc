@@ -38,6 +38,10 @@ bool ReadNonNegativeInt64(const util::Json& v, const std::string& where,
     *out = static_cast<int64_t>(d);
     return true;
   }
+  if (util::IsFraction(d)) {
+    *error = where + " must be a whole number";
+    return false;
+  }
   *error = where + " must be an integer within [0, " +
            std::to_string(std::numeric_limits<int64_t>::max()) + "]";
   return false;
@@ -311,28 +315,21 @@ struct DatasetEntry {
   SweepSpec::DatasetAxis axis;  ///< seed, config and planners land here
 };
 
-/// {name, scale, seed, config}; a sweep's entries add "planners". Keyed
-/// under "dataset" so messages name "dataset.scale".
-std::vector<util::JsonRow<DatasetEntry>> DatasetRows(bool sweep) {
+/// A sweep's dataset entry: a "name[@scale]" string or an object of
+/// {name, scale, seed, config, planners}, resolved to *axis. Keyed under
+/// "dataset" so messages name "dataset.scale".
+bool ReadSweepDataset(const util::Json& v, const std::string& /*where*/,
+                      SweepSpec::DatasetAxis* axis, std::string* error) {
   using E = DatasetEntry;
-  std::vector<util::JsonRow<E>> rows = {
+  static const std::vector<util::JsonRow<E>> kRows = {
       {"dataset.name", util::ReadString, &E::name},
       {"dataset.scale", ReadDouble, [](E& e) { return &e.scale.emplace(); }},
       {"dataset.seed", ReadSeed, [](E& e) { return &e.axis.spec.seed; }},
       {"dataset.config", ReadOverrides,
-       [](E& e) { return &e.axis.overrides; }}};
-  if (sweep) {
-    rows.emplace_back("dataset.planners",
-                      util::ReadList<SweepSpec::PlannerAxis, ReadPlannerAxis>,
-                      [](E& e) { return &e.axis.planners; });
-  }
-  return rows;
-}
-
-/// A "name[@scale]" string or an object of `rows`, resolved to *axis.
-bool ReadDatasetEntry(const util::Json& v,
-                      const std::vector<util::JsonRow<DatasetEntry>>& rows,
-                      SweepSpec::DatasetAxis* axis, std::string* error) {
+       [](E& e) { return &e.axis.overrides; }},
+      {"dataset.planners",
+       util::ReadList<SweepSpec::PlannerAxis, ReadPlannerAxis>,
+       [](E& e) { return &e.axis.planners; }}};
   DatasetEntry entry;
   if (v.is_string()) {
     entry.name = v.AsString();
@@ -342,7 +339,7 @@ bool ReadDatasetEntry(const util::Json& v,
   } else if (v.Find("name") == nullptr) {
     *error = "dataset entry needs a string \"name\"";
     return false;
-  } else if (!util::ApplyJsonRows(rows, v, "dataset", "dataset entry",
+  } else if (!util::ApplyJsonRows(kRows, v, "dataset", "dataset entry",
                                   &entry, error)) {
     return false;
   }
@@ -352,13 +349,6 @@ bool ReadDatasetEntry(const util::Json& v,
   axis->spec.scale = entry.scale.value_or(named.scale);
   *error = data::ScaleError(axis->spec.scale, "dataset.scale");
   return error->empty();
-}
-
-bool ReadSweepDataset(const util::Json& v, const std::string& /*where*/,
-                      SweepSpec::DatasetAxis* axis, std::string* error) {
-  static const std::vector<util::JsonRow<DatasetEntry>> kRows =
-      DatasetRows(/*sweep=*/true);
-  return ReadDatasetEntry(v, kRows, axis, error);
 }
 
 bool ReadPlannerConfig(const util::Json& v, const std::string& /*where*/,
@@ -457,21 +447,6 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
 }
 
 }  // namespace
-
-util::Status DatasetSpecFromJson(const util::Json& value,
-                                 data::DatasetSpec* spec,
-                                 util::Json* config_overrides) {
-  static const std::vector<util::JsonRow<DatasetEntry>> kRows =
-      DatasetRows(/*sweep=*/false);
-  SweepSpec::DatasetAxis axis;
-  std::string error;
-  if (!ReadDatasetEntry(value, kRows, &axis, &error)) {
-    return util::InvalidArgumentError(std::move(error));
-  }
-  *spec = axis.spec;
-  *config_overrides = std::move(axis.overrides);
-  return util::OkStatus();
-}
 
 util::Status LoadSweepSpec(const util::Json& obj, SweepSpec* spec) {
   std::string error;

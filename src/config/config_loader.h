@@ -11,13 +11,12 @@
 //     api::PlannerConfig (absent keys keep their values). Both go through
 //     one option table: each settable knob, shared or per-algorithm, is
 //     one row that also names its flag;
-//   * DatasetSpecFromJson / ParseDatasetSpec — "yelp-like@0.5"-style
-//     strings or {name, scale, seed, config} objects onto
-//     data::DatasetSpec;
 //   * SweepSpec / ExpandSweep — a sweep config (datasets × planners ×
-//     budgets × promotions × thetas × threads × backends, with per-axis
-//     config overrides on dataset and planner entries) expanded into the
-//     full cross-product of resolved SweepPoints.
+//     budgets × promotions × thetas × threads × backends; a dataset entry
+//     is a "yelp-like@0.5"-style string or a {name, scale, seed, config,
+//     planners} object, and dataset and planner entries carry per-axis
+//     config overrides) expanded into the full cross-product of resolved
+//     SweepPoints.
 // Plus flag-file support: ParseArgs splices "--flagfile FILE" tokens
 // inline, and later flags override earlier ones — so command-line flags
 // after a flag-file take precedence over the file's contents.
@@ -47,14 +46,6 @@ util::Status LoadJsonFile(const std::string& path, util::Json* out);
 /// not silently run the default).
 util::Status ApplyPlannerConfigJson(const util::Json& obj,
                                     api::PlannerConfig* cfg);
-
-/// Dataset reference: "yelp-like@0.5" string or {name, scale, seed}
-/// object, with an optional per-dataset "config" override object (null or
-/// an object; its keys are checked when applied). A "scale" member
-/// overrides a "name@scale" scale; the result must pass data::ScaleError.
-util::Status DatasetSpecFromJson(const util::Json& value,
-                                 data::DatasetSpec* spec,
-                                 util::Json* config_overrides);
 
 /// One expanded grid point with its fully resolved configuration
 /// (base config + dataset overrides + planner overrides + axis values).

@@ -16,7 +16,7 @@ int Scaled(int base, double scale) {
 
 }  // namespace
 
-Dataset MakeAmazonLike(double scale, uint64_t seed) {
+SyntheticSpec AmazonLikeSpec(double scale, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "amazon";
   spec.seed = seed;
@@ -31,10 +31,14 @@ Dataset MakeAmazonLike(double scale, uint64_t seed) {
   spec.mean_influence = 0.12;  // Table II order: amazon 3rd (0.050 scaled)
   spec.importance = ImportanceKind::kLogNormalPrice;
   spec.importance_mu = 0.6;  // Table II: avg importance 1.8
-  return GenerateSynthetic(spec);
+  return spec;
 }
 
-Dataset MakeYelpLike(double scale, uint64_t seed) {
+Dataset MakeAmazonLike(double scale, uint64_t seed) {
+  return GenerateSynthetic(AmazonLikeSpec(scale, seed));
+}
+
+SyntheticSpec YelpLikeSpec(double scale, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "yelp";
   spec.seed = seed;
@@ -59,10 +63,14 @@ Dataset MakeYelpLike(double scale, uint64_t seed) {
   spec.sw_rewire = 0.15;
   spec.mean_influence = 0.18;  // Table II order: yelp strongest (0.121 scaled)
   spec.importance_mu = 0.45;    // Table II: avg importance 1.6
-  return GenerateSynthetic(spec);
+  return spec;
 }
 
-Dataset MakeDoubanLike(double scale, uint64_t seed) {
+Dataset MakeYelpLike(double scale, uint64_t seed) {
+  return GenerateSynthetic(YelpLikeSpec(scale, seed));
+}
+
+SyntheticSpec DoubanLikeSpec(double scale, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "douban";
   spec.seed = seed;
@@ -90,10 +98,14 @@ Dataset MakeDoubanLike(double scale, uint64_t seed) {
   spec.pa_edges_per_node = 5;
   spec.mean_influence = 0.06;  // Table II order: douban weakest (0.011 scaled)
   spec.importance_mu = 0.7;     // Table II: avg importance 2.1
-  return GenerateSynthetic(spec);
+  return spec;
 }
 
-Dataset MakeGowallaLike(double scale, uint64_t seed) {
+Dataset MakeDoubanLike(double scale, uint64_t seed) {
+  return GenerateSynthetic(DoubanLikeSpec(scale, seed));
+}
+
+SyntheticSpec GowallaLikeSpec(double scale, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "gowalla";
   spec.seed = seed;
@@ -117,10 +129,14 @@ Dataset MakeGowallaLike(double scale, uint64_t seed) {
   spec.pa_edges_per_node = 3;
   spec.mean_influence = 0.15;  // Table II order: gowalla 2nd (0.092 scaled)
   spec.importance = ImportanceKind::kUniformRandom;  // site offline
-  return GenerateSynthetic(spec);
+  return spec;
 }
 
-Dataset MakeFlixsterLike(double scale, uint64_t seed) {
+Dataset MakeGowallaLike(double scale, uint64_t seed) {
+  return GenerateSynthetic(GowallaLikeSpec(scale, seed));
+}
+
+SyntheticSpec FlixsterLikeSpec(double scale, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "flixster";
   spec.seed = seed;
@@ -149,7 +165,11 @@ Dataset MakeFlixsterLike(double scale, uint64_t seed) {
   spec.sw_rewire = 0.2;
   spec.mean_influence = 0.1;
   spec.importance = ImportanceKind::kUniformRandom;  // tickets cost alike
-  return GenerateSynthetic(spec);
+  return spec;
+}
+
+Dataset MakeFlixsterLike(double scale, uint64_t seed) {
+  return GenerateSynthetic(FlixsterLikeSpec(scale, seed));
 }
 
 Dataset MakeSmallAmazonSample(uint64_t seed) {

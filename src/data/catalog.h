@@ -12,6 +12,14 @@
 
 namespace imdpp::data {
 
+/// The scalable flavors below generate these specs; DatasetRegistry::Make
+/// checks one (SpecError) before it allocates anything.
+SyntheticSpec AmazonLikeSpec(double scale, uint64_t seed);
+SyntheticSpec YelpLikeSpec(double scale, uint64_t seed);
+SyntheticSpec DoubanLikeSpec(double scale, uint64_t seed);
+SyntheticSpec GowallaLikeSpec(double scale, uint64_t seed);
+SyntheticSpec FlixsterLikeSpec(double scale, uint64_t seed);
+
 /// Amazon-flavor: directed (Pokec-supplemented) heavy-tailed friendships,
 /// product KG with brands/categories/features, price importances.
 Dataset MakeAmazonLike(double scale = 1.0, uint64_t seed = 11);

@@ -19,11 +19,21 @@ namespace imdpp::data {
 
 namespace {
 
+/// A registered dataset: a factory, or — for the scalable catalog
+/// flavors — the spec it generates, so Make can check it first.
+struct Entry {
+  DatasetRegistry::Factory make = nullptr;
+  SyntheticSpec (*spec)(double scale, uint64_t seed) = nullptr;
+
+  friend bool operator==(const Entry& e, std::nullptr_t) {
+    return e.make == nullptr && e.spec == nullptr;
+  }
+};
+
 // Typed façade over the shared util::Registry contract; same Meyers-
 // singleton ordering guarantee as before the dedup.
-util::Registry<DatasetRegistry::Factory>& Impl() {
-  static auto* registry =
-      new util::Registry<DatasetRegistry::Factory>("dataset");
+util::Registry<Entry>& Impl() {
+  static auto* registry = new util::Registry<Entry>("dataset");
   return *registry;
 }
 
@@ -34,7 +44,7 @@ int Scaled(int base, double scale) {
 /// The "scale-<N>" family: a generic preferential-attachment synthetic
 /// sized for scalability sweeps — N users, item/feature counts that grow
 /// sublinearly the way the catalog flavors do.
-Dataset MakeScaleN(int num_users, uint64_t seed) {
+SyntheticSpec ScaleNSpec(int num_users, uint64_t seed) {
   SyntheticSpec spec;
   spec.name = "scale-" + std::to_string(num_users);
   spec.seed = seed == 0 ? 77 : seed;
@@ -46,7 +56,7 @@ Dataset MakeScaleN(int num_users, uint64_t seed) {
   spec.topology = SocialTopology::kPreferentialAttachment;
   spec.pa_edges_per_node = 4;
   spec.mean_influence = 0.12;
-  return GenerateSynthetic(spec);
+  return spec;
 }
 
 /// scale-<N> → N; -1 when the name is not of that family.
@@ -147,8 +157,16 @@ const std::vector<util::JsonRow<S>>& SpecRows() {
   return kRows;
 }
 
-/// The cross-field rules, checked on the scaled spec.
+/// The cross-field rules, checked on the scaled spec before anything is
+/// allocated.
 std::string SpecError(const SyntheticSpec& spec) {
+  const int64_t pairs = int64_t{spec.num_users} * spec.num_items;
+  if (pairs > kMaxUserItemPairs) {
+    return "num_users * num_items = " + std::to_string(spec.num_users) +
+           " * " + std::to_string(spec.num_items) + " = " +
+           std::to_string(pairs) + " must be <= " +
+           std::to_string(kMaxUserItemPairs);
+  }
   if (spec.topology == SocialTopology::kSmallWorld &&
       2LL * spec.sw_neighbors >= spec.num_users) {
     return "sw_neighbors must be < num_users / 2 on a small-world topology";
@@ -158,6 +176,16 @@ std::string SpecError(const SyntheticSpec& spec) {
     return "base_pref_lo must be <= base_pref_hi";
   }
   return "";
+}
+
+/// Generates `synth` once it passes SpecError; else kInvalidArgument
+/// naming `name`, and nothing allocated.
+util::Status GenerateChecked(const SyntheticSpec& synth,
+                             const std::string& name, Dataset* out) {
+  const std::string error = SpecError(synth);
+  if (!error.empty()) return util::InvalidArgumentError(name + ": " + error);
+  *out = GenerateSynthetic(synth);
+  return util::OkStatus();
 }
 
 util::Status MakeFromSpecFile(const DatasetSpec& spec, Dataset* out) {
@@ -186,12 +214,7 @@ util::Status MakeFromSpecFile(const DatasetSpec& spec, Dataset* out) {
     synth.num_categories = Scaled(synth.num_categories, spec.scale);
   }
   if (spec.seed != 0) synth.seed = spec.seed;
-  const std::string error = SpecError(synth);
-  if (!error.empty()) {
-    return util::InvalidArgumentError(spec.name + ": " + error);
-  }
-  *out = GenerateSynthetic(synth);
-  return util::OkStatus();
+  return GenerateChecked(synth, spec.name, out);
 }
 
 // ------------------------------------------------- built-in registrations
@@ -206,21 +229,25 @@ const bool kBuiltinsRegistered = [] {
   auto reg = [](const char* name, DatasetRegistry::Factory f) {
     DatasetRegistry::Register(name, f);
   };
+  auto flavor = [](const char* name,
+                   SyntheticSpec (*spec)(double scale, uint64_t seed)) {
+    Impl().Register(name, {.spec = spec});
+  };
   reg("fig1-toy", +[](double, uint64_t) { return MakeFig1Toy(); });
-  reg("amazon-like", +[](double s, uint64_t seed) {
-    return MakeAmazonLike(s, seed == 0 ? 11 : seed);
+  flavor("amazon-like", +[](double s, uint64_t seed) {
+    return AmazonLikeSpec(s, seed == 0 ? 11 : seed);
   });
-  reg("yelp-like", +[](double s, uint64_t seed) {
-    return MakeYelpLike(s, seed == 0 ? 22 : seed);
+  flavor("yelp-like", +[](double s, uint64_t seed) {
+    return YelpLikeSpec(s, seed == 0 ? 22 : seed);
   });
-  reg("douban-like", +[](double s, uint64_t seed) {
-    return MakeDoubanLike(s, seed == 0 ? 33 : seed);
+  flavor("douban-like", +[](double s, uint64_t seed) {
+    return DoubanLikeSpec(s, seed == 0 ? 33 : seed);
   });
-  reg("gowalla-like", +[](double s, uint64_t seed) {
-    return MakeGowallaLike(s, seed == 0 ? 44 : seed);
+  flavor("gowalla-like", +[](double s, uint64_t seed) {
+    return GowallaLikeSpec(s, seed == 0 ? 44 : seed);
   });
-  reg("flixster-like", +[](double s, uint64_t seed) {
-    return MakeFlixsterLike(s, seed == 0 ? 88 : seed);
+  flavor("flixster-like", +[](double s, uint64_t seed) {
+    return FlixsterLikeSpec(s, seed == 0 ? 88 : seed);
   });
   reg("amazon-100", +[](double, uint64_t seed) {
     return MakeSmallAmazonSample(seed == 0 ? 55 : seed);
@@ -255,7 +282,7 @@ DatasetSpec ParseDatasetSpec(std::string_view text) {
 }
 
 bool DatasetRegistry::Register(std::string name, Factory factory) {
-  return Impl().Register(std::move(name), factory);
+  return Impl().Register(std::move(name), {.make = factory});
 }
 
 std::string ScaleError(double scale, const std::string& where) {
@@ -271,15 +298,20 @@ util::Status DatasetRegistry::Make(const DatasetSpec& spec, Dataset* out) {
       [] { return util::FaultInjector::Global().Hit("data.load"); }));
   std::string error = ScaleError(spec.scale, "scale");
   if (!error.empty()) return util::InvalidArgumentError(std::move(error));
-  if (const Factory* factory = Impl().Find(spec.name)) {
-    *out = (*factory)(spec.scale, spec.seed);
+  if (const Entry* entry = Impl().Find(spec.name)) {
+    if (entry->spec != nullptr) {
+      return GenerateChecked(entry->spec(spec.scale, spec.seed), spec.name,
+                             out);
+    }
+    *out = entry->make(spec.scale, spec.seed);
     return util::OkStatus();
   }
   const int scale_n = ParseScaleN(spec.name);
   if (scale_n >= 0) {
-    *out = MakeScaleN(static_cast<int>(std::lround(scale_n * spec.scale)),
-                      spec.seed);
-    return util::OkStatus();
+    return GenerateChecked(
+        ScaleNSpec(static_cast<int>(std::lround(scale_n * spec.scale)),
+                   spec.seed),
+        spec.name, out);
   }
   if (LooksLikeSpecFile(spec.name)) {
     return MakeFromSpecFile(spec, out);

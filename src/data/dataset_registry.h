@@ -20,6 +20,7 @@
 #ifndef IMDPP_DATA_DATASET_REGISTRY_H_
 #define IMDPP_DATA_DATASET_REGISTRY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +52,14 @@ inline constexpr int kMaxBaseCount = 10'000'000;
 /// fits in int.
 inline constexpr double kMaxScale = 2147483647.0 / kMaxBaseCount;
 
+/// The largest users × items product a dataset may have: the generator's
+/// dense preference and cost matrices, their raw-cost copies, a Problem's
+/// copies and one simulation arena's per-pair buffers take about 48 bytes
+/// a pair, so 2^26 pairs stay near 3 GiB. Checked (SpecError) before
+/// anything is allocated, for the scalable flavors, scale-<N> and spec
+/// files alike.
+inline constexpr int64_t kMaxUserItemPairs = int64_t{1} << 26;
+
 /// The one scale rule, for every reader of a scale (--scale, "name@scale",
 /// a dataset entry's "scale") and for DatasetRegistry::Make: finite, > 0
 /// and <= kMaxScale. Returns "" for a valid scale, else an error naming
@@ -67,9 +76,12 @@ class DatasetRegistry {
   /// Materializes `spec` (registered key, scale-<N>, or JSON file path).
   /// Structured failures (ISSUE 8): an unknown name or missing spec file
   /// is kNotFound (the message lists the registered keys); a scale that
-  /// fails ScaleError, or a malformed spec file (an unknown key, a value
-  /// out of its row's range, a SpecError), is kInvalidArgument naming the
-  /// key; *out is untouched on failure. Runs the data.load fault point
+  /// fails ScaleError, a malformed spec file (an unknown key, a value
+  /// out of its row's range), or a scaled synthetic that fails the
+  /// cross-field check (SpecError: users × items above
+  /// kMaxUserItemPairs, a small world too small for its neighbours, an
+  /// inverted range) is kInvalidArgument naming the key; *out is untouched
+  /// on failure, and nothing is allocated. Runs the data.load fault point
   /// before any build.
   static util::Status Make(const DatasetSpec& spec, Dataset* out);
 

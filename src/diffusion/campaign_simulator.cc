@@ -306,7 +306,8 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const pin::InfluenceModel& act_model = dynamics_->influence();
   const pin::AssociationModel& assoc_model = dynamics_->association();
   const kg::RelevanceModel& rel = *problem_.relevance;
-  const bool associations = dynamics_->params().assoc_scale > 0.0;
+  const double assoc_scale = dynamics_->params().assoc_scale;
+  const bool associations = assoc_scale > 0.0;
   // Users who have adopted nothing still hold Wmeta0(u), so their net
   // relevances are entries of the start-perception table.
   IMDPP_DCHECK(scratch.start_serial_ == serial_);
@@ -324,6 +325,11 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     record = nullptr;
   }
   if (replay != nullptr) scratch.BeginReplay(*replay, t_begin);
+  // Whole attempts are bounded only where no coin has a side effect:
+  // round-keyed IC (see "Coins first" in the file comment).
+  const bool coins_first =
+      !aligned && config_.model == DiffusionModel::kIndependentCascade;
+  std::vector<double>& draws = scratch.extra_draws_;
   // Coin hashes are a left fold (HashExtend), so the coordinates a group
   // of coins shares are hashed once: (sseed, purpose[, round key]) here,
   // (…, t, step) per step and (…, src, u, x) per promotion below.
@@ -433,21 +439,54 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           const pin::UserState& su = state[static_cast<size_t>(u)];
           // A user can only be promoted an item she has not adopted.
           if (su.Has(x)) continue;
+          const double base_pref = problem_.BasePref(u, x);
+          const std::vector<ItemId>& related = rel.ComplementItems(x);
+          const std::vector<double>& bounds = rel.ComplementBounds(x);
+          const uint64_t promotion_prefix =
+              associations && !aligned ? HashExtend(extra_prefix, src, u, x)
+                                       : 0;
+          // Coins first (see the file comment): the attempt's coins are
+          // drawn before its perception math, and an attempt whose every
+          // coin lies at or above its bound changes nothing. The exact path
+          // reuses the adoption coin (coins_first holds for every
+          // round-keyed IC attempt) and the `drawn` extra coins.
+          double adopt_draw = 0.0;
+          size_t drawn = 0;
+          if (coins_first) {
+            const double pact_hi = act_model.Bound(e.weight);
+            const double ppref_hi = pref_model.Bound(su, base_pref);
+            adopt_draw = HashToUnit(HashExtend(adopt_prefix, src, u, x));
+            bool live = adopt_draw < pact_hi * ppref_hi;
+            if (!live && associations) {
+              if (draws.size() < related.size()) draws.resize(related.size());
+              const double scale = assoc_scale * pact_hi * ppref_hi;
+              while (!live && drawn < related.size()) {
+                draws[drawn] =
+                    HashToUnit(HashExtend(promotion_prefix, related[drawn]));
+                live = draws[drawn] < scale * bounds[drawn];
+                ++drawn;
+              }
+            }
+            if (!live) {
+              ++scratch.attempts_bounded_;
+              continue;
+            }
+          }
           const double pact =
               act_model.Eval(e.weight, state[static_cast<size_t>(src)], su);
           if (pact <= 0.0) continue;
-          const double ppref = pref_model.Eval(su, problem_.BasePref(u, x), x);
+          const double ppref = pref_model.Eval(su, base_pref, x);
           bool adopt = false;
           if (config_.model == DiffusionModel::kIndependentCascade) {
             const double p = pact * ppref;
             if (p > 0.0) {
-              const uint64_t h =
-                  aligned ? HashExtend(aligned_adopt,
-                                       scratch.NextAttempt(
-                                           PairKey(u, x, num_items)),
-                                       src, u, x)
-                          : HashExtend(adopt_prefix, src, u, x);
-              if (HashToUnit(h) < p) adopt = true;
+              const double draw =
+                  aligned ? HashToUnit(HashExtend(
+                                aligned_adopt,
+                                scratch.NextAttempt(PairKey(u, x, num_items)),
+                                src, u, x))
+                          : adopt_draw;
+              if (draw < p) adopt = true;
             }
           } else {
             // LT: accumulate preference-scaled influence mass against a
@@ -463,17 +502,24 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           // relevant items y, independently of the adoption of x. Only
           // items with complementary relevance can (ComplementItems).
           if (ppref <= 0.0 || !associations) continue;
-          const uint64_t promotion_prefix =
-              HashExtend(extra_prefix, src, u, x);
-          const std::vector<ItemId>& related = rel.ComplementItems(x);
           // A user with no adoption has no y to skip and still perceives
           // through Wmeta0(u), so the user's nets are one table row.
           const double* start_row =
               start_nets != nullptr && su.NumAdopted() == 0
                   ? start_nets->Row(u, x)
                   : nullptr;
+          const double scale = assoc_scale * pact * ppref;
           for (size_t r = 0; r < related.size(); ++r) {
             const ItemId y = related[r];
+            // A round-keyed coin is drawn first: at or above the pair's
+            // bound it loses whatever the exact net is.
+            double draw = 0.0;
+            if (!aligned) {
+              draw = r < drawn
+                         ? draws[r]
+                         : HashToUnit(HashExtend(promotion_prefix, y));
+              if (draw >= scale * bounds[r]) continue;
+            }
             double net;
             if (start_row != nullptr) {
               net = start_row[r];
@@ -483,13 +529,13 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
             }
             const double pe = assoc_model.ExtraProb(pact, ppref, net);
             if (pe > 0.0) {
-              const uint64_t h =
-                  aligned ? HashExtend(aligned_extra,
-                                       scratch.NextAttempt(
-                                           PairKey(u, y, num_items)),
-                                       src, u, x, y)
-                          : HashExtend(promotion_prefix, y);
-              if (HashToUnit(h) < pe) coin_won(k, u, y);
+              if (aligned) {
+                draw = HashToUnit(HashExtend(
+                    aligned_extra,
+                    scratch.NextAttempt(PairKey(u, y, num_items)), src, u, x,
+                    y));
+              }
+              if (draw < pe) coin_won(k, u, y);
             }
           }
         }

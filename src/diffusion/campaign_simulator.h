@@ -95,6 +95,42 @@
 // from-scratch one bit for bit. Replay and recording are for round-keyed
 // IC only: an LT attempt's outcome depends on threshold mass other srcs
 // accumulated, and attempt keying renumbers coins across schedules.
+//
+// Coins first: a coin whose uniform draw lies at or above its
+// probability changes nothing, so the probability only has to be bounded
+// from above, and because a coin is a pure hash of its coordinates it can
+// be drawn before the math that computes it. Three bounds:
+//   Pact  ≤ InfluenceModel::Bound(w)     = clip(w·(1+act_gain), 0, act_cap)
+//                                          (clip(w, 0, act_cap) when
+//                                          act_gain ≤ 0)
+//   Ppref ≤ PreferenceModel::Bound(u, b) = clip01(b + pref_gain) for an
+//                                          adopter with pref_gain > 0,
+//                                          else clip01(b)
+//   net   ≤ RelevanceModel::ComplementBounds(x)[k]
+//         = clip01(Σ_{complementary m} max(0, s(x,y|m)))
+// Each bound is the exact formula with its state-dependent operand
+// replaced by that operand's maximum (similarity 1, mean net relevance 1,
+// weights 1), evaluated with the same operations in the same order, and
+// a thresholded value multiplies them in the exact formula's order:
+// p_hi = Pact_hi·Ppref_hi, pe_hi = ((assoc_scale·Pact_hi)·Ppref_hi)·net_hi.
+// IEEE rounding is monotone (a ≤ a' ⇒ fl(a ∘ b) ≤ fl(a' ∘ b) for + and for
+// · on non-negative operands; clips are monotone), so every bound
+// dominates the exact value bit for bit, and a draw at or above it loses
+// the exact comparison too. Hence:
+//   * The association sweep (round-keyed, IC and LT) hashes y's coin
+//     first and reads the net relevance (table or RelNet) and computes
+//     Pext only when the draw is below ((assoc_scale·Pact)·Ppref)·bound.
+//   * A round-keyed IC attempt draws its adoption coin and its y coins
+//     against p_hi and pe_hi before anything else; when none falls below,
+//     the attempt skips Similarity, the preference and the sweep
+//     (counted in SimScratch::attempts_bounded). Otherwise the exact path
+//     reuses the drawn coins.
+// The whole-attempt skip is limited to where drawing a coin has no side
+// effect. LT adds every attempt's exact Pact·Ppref to a threshold
+// accumulator, so it keeps that work and gets only the sweep change.
+// Attempt-keyed racing coins advance the pair's attempt ordinal only for
+// a coin with p > 0, so drawing one early would renumber the rest; that
+// path keeps its exact operation sequence.
 #ifndef IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 #define IMDPP_DIFFUSION_CAMPAIGN_SIMULATOR_H_
 
@@ -227,10 +263,13 @@ class SimScratch {
   int adoptions() const { return adoptions_; }
   const std::vector<pin::UserState>& states() const { return states_; }
   /// Running totals over every realization this arena simulated: the
-  /// promotion attempts (frontier entry × out-edge) it computed, and the
-  /// ones it replayed from a ReplayLog instead. Bookkeeping only.
+  /// promotion attempts (frontier entry × out-edge) it computed, the ones
+  /// it replayed from a ReplayLog instead, and the computed ones whose
+  /// every coin fell at or above its bound ("Coins first" in the file
+  /// comment; a subset of computed). Bookkeeping only.
   int64_t attempts_computed() const { return attempts_computed_; }
   int64_t attempts_replayed() const { return attempts_replayed_; }
+  int64_t attempts_bounded() const { return attempts_bounded_; }
 
  private:
   friend class CampaignSimulator;
@@ -387,6 +426,11 @@ class SimScratch {
   std::vector<int> entry_next_;           ///< per entry of the base log
   int64_t attempts_computed_ = 0;
   int64_t attempts_replayed_ = 0;
+  int64_t attempts_bounded_ = 0;
+
+  /// An attempt's association coins drawn by its bound test, reused by
+  /// its exact path.
+  std::vector<double> extra_draws_;
 };
 
 /// The calling thread's shared simulation arena (one per thread, shaped

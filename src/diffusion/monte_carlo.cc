@@ -28,16 +28,19 @@ class ShardTally {
   explicit ShardTally(const SimScratch& scratch)
       : scratch_(scratch),
         computed_(scratch.attempts_computed()),
-        replayed_(scratch.attempts_replayed()) {}
+        replayed_(scratch.attempts_replayed()),
+        bounded_(scratch.attempts_bounded()) {}
   SampleWork Done(int rounds) const {
     return {rounds, scratch_.attempts_computed() - computed_,
-            scratch_.attempts_replayed() - replayed_};
+            scratch_.attempts_replayed() - replayed_,
+            scratch_.attempts_bounded() - bounded_};
   }
 
  private:
   const SimScratch& scratch_;
   int64_t computed_;
   int64_t replayed_;
+  int64_t bounded_;
 };
 
 /// A sample loop's work from its per-shard records, folded in shard order:
@@ -50,6 +53,7 @@ SampleWork FoldShards(const std::vector<SampleWork>& by_shard) {
     if (out.rounds < 0) out.rounds = w.rounds;
     out.attempts_computed += w.attempts_computed;
     out.attempts_replayed += w.attempts_replayed;
+    out.attempts_bounded += w.attempts_bounded;
   }
   out.rounds = std::max(out.rounds, 0);
   return out;
@@ -194,6 +198,7 @@ void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
       samples * (sim_.problem().num_promotions - work.rounds);
   num_attempts_computed_ += work.attempts_computed;
   num_attempts_replayed_ += work.attempts_replayed;
+  num_attempts_bounded_ += work.attempts_bounded;
 }
 
 SampleWork MonteCarloEngine::RunSamples(
@@ -481,6 +486,7 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
     engine_.num_rounds_simulated_ += built;
     engine_.num_rounds_skipped_ -= built;
     engine_.num_attempts_computed_ += work.attempts_computed;
+    engine_.num_attempts_bounded_ += work.attempts_bounded;
   };
   build(0, lattice.samples_ready, lattice.rounds_ready);
   build(lattice.samples_ready, samples_upto, 0);

@@ -54,7 +54,9 @@
 // T-rounds-per-sample baseline); num_memo_hits counts memoized estimates;
 // num_attempts_computed / num_attempts_replayed split the promotion
 // attempts (frontier entry × out-edge) every simulation walked, lattice
-// builds included, into computed vs replayed from a base log.
+// builds included, into computed vs replayed from a base log;
+// num_attempts_bounded counts the computed ones whose every coin fell at
+// or above its bound (campaign_simulator.h, "Coins first").
 #ifndef IMDPP_DIFFUSION_MONTE_CARLO_H_
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
@@ -74,12 +76,13 @@ namespace imdpp::diffusion {
 
 /// What one sample loop did: promotion rounds per sample (a schedule
 /// property, the same for every sample; −1 = nothing ran) and the
-/// promotion attempts its arenas computed and replayed, folded from
-/// per-shard tallies in shard order.
+/// promotion attempts its arenas computed, replayed and bounded, folded
+/// from per-shard tallies in shard order.
 struct SampleWork {
   int rounds = -1;
   int64_t attempts_computed = 0;
   int64_t attempts_replayed = 0;
+  int64_t attempts_bounded = 0;
 };
 
 /// The "mc" SigmaBackend: the accuracy reference every other backend is
@@ -223,6 +226,10 @@ class MonteCarloEngine : public SigmaBackend {
     util::MutexLock lock(mu_);
     return num_attempts_replayed_;
   }
+  int64_t num_attempts_bounded() const override IMDPP_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return num_attempts_bounded_;
+  }
 
   /// The token estimates check; never null (see the constructor).
   const util::CancelToken* cancel_token() const override {
@@ -343,6 +350,7 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t samples_saved_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_computed_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable int64_t num_attempts_bounded_ IMDPP_GUARDED_BY(mu_) = 0;
   /// Sigma() / EvalMarket() memo (disabled until EnableSigmaMemo).
   mutable SigmaMemo memo_ IMDPP_GUARDED_BY(mu_);
 };

@@ -126,6 +126,9 @@ class RisBackend final : public SigmaBackend {
   int64_t num_attempts_replayed() const override {
     return mc_.num_attempts_replayed();
   }
+  int64_t num_attempts_bounded() const override {
+    return mc_.num_attempts_bounded();
+  }
 
   /// Base counters/histogram plus the ris-specific instrumentation
   /// (sketch builds/reuses, coverage-query count) and the embedded

@@ -125,6 +125,7 @@ void SigmaBackend::AddMetrics(util::MetricsSnapshot& out) const {
   out.AddCounter(util::metric::kEvalSamplesSaved, num_samples_saved());
   out.AddCounter(util::metric::kEvalAttemptsComputed, num_attempts_computed());
   out.AddCounter(util::metric::kEvalAttemptsReplayed, num_attempts_replayed());
+  out.AddCounter(util::metric::kEvalAttemptsBounded, num_attempts_bounded());
   AddSigmaHistogram(out);
 }
 

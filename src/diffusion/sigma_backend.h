@@ -279,11 +279,13 @@ class SigmaBackend {
   virtual int64_t num_samples_saved() const { return 0; }
 
   /// Kernel counters: promotion attempts (frontier entry × out-edge) the
-  /// backend's simulations computed, and the ones they replayed from a
-  /// base realization instead (mc base replay). Zero on backends that
-  /// never simulate.
+  /// backend's simulations computed, the ones they replayed from a base
+  /// realization instead (mc base replay), and the computed ones whose
+  /// every coin fell at or above its bound (the kernel's coins-first
+  /// test). Zero on backends that never simulate.
   virtual int64_t num_attempts_computed() const { return 0; }
   virtual int64_t num_attempts_replayed() const { return 0; }
+  virtual int64_t num_attempts_bounded() const { return 0; }
 
   /// Books this backend's work into `out` under the canonical
   /// util::metric names: the counters above plus the histogram of

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "kg/meta_graph_matcher.h"
+#include "util/mathutil.h"
 
 namespace imdpp::kg {
 
@@ -57,27 +58,39 @@ RelevanceModel RelevanceModel::FromMatrices(
 void RelevanceModel::BuildRelated() {
   related_.assign(num_items_, {});
   complement_.assign(num_items_, {});
+  complement_bound_.assign(num_items_, {});
   // Rows are gathered in reused buffers and copied once, at their exact
   // size: growing each list push by push costs more than the scan.
   std::vector<ItemId> related, complement;
+  std::vector<double> bound;
   for (ItemId x = 0; x < num_items_; ++x) {
     related.clear();
     complement.clear();
+    bound.clear();
     for (ItemId y = 0; y < num_items_; ++y) {
       if (y == x) continue;
       bool any = false;
       bool comp = false;
+      // RelNet's complementary sum with every weight at 1, in its order.
+      double comp_sum = 0.0;
       const std::span<const float> s = PairScores(x, y);
       for (size_t m = 0; m < s.size(); ++m) {
         if (s[m] <= 0.0f) continue;
         any = true;
-        comp |= kinds_[m] == RelationKind::kComplementary;
+        if (kinds_[m] == RelationKind::kComplementary) {
+          comp = true;
+          comp_sum += s[m];
+        }
       }
       if (any) related.push_back(y);
-      if (comp) complement.push_back(y);
+      if (comp) {
+        complement.push_back(y);
+        bound.push_back(Clip01(comp_sum));
+      }
     }
     related_[x].assign(related.begin(), related.end());
     complement_[x].assign(complement.begin(), complement.end());
+    complement_bound_[x].assign(bound.begin(), bound.end());
   }
 }
 

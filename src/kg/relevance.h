@@ -7,6 +7,15 @@
 // puts everything one relevance evaluation reads in one contiguous run of
 // NumMetas floats. This class only holds the *shared* KG-derived part,
 // which never changes during a campaign.
+//
+// Pair bounds: beside each ComplementItems(x) list sits a per-pair upper
+// bound on the net relevance r^C − r^S that any user can perceive,
+// Clip01(Σ_{complementary m} max(0, s(x,y|m))) summed in meta order. A
+// weighting in [0, 1] scales every float term down (w·s ≤ s, and rounding
+// is monotone), so RelNet — and every start-perception table entry, which
+// is a RelNet — never exceeds it, bit for bit. The realization kernel
+// compares an association coin against it before computing the exact net
+// (diffusion/campaign_simulator.h, "Coins first").
 #ifndef IMDPP_KG_RELEVANCE_H_
 #define IMDPP_KG_RELEVANCE_H_
 
@@ -73,6 +82,13 @@ class RelevanceModel {
     return complement_[x];
   }
 
+  /// Entry k bounds RelNet(w, x, ComplementItems(x)[k]) from above for
+  /// every weighting w in [0, 1] (see the file comment).
+  const std::vector<double>& ComplementBounds(ItemId x) const {
+    IMDPP_DCHECK(x >= 0 && x < num_items_);
+    return complement_bound_[x];
+  }
+
   /// Restricts the model to its first `k` meta-graphs (sensitivity test,
   /// Fig. 13). k must be in [1, NumMetas()].
   RelevanceModel WithFirstMetas(int k) const;
@@ -97,6 +113,7 @@ class RelevanceModel {
   std::vector<float> scores_;        ///< pair-major, see the file comment
   std::vector<std::vector<ItemId>> related_;
   std::vector<std::vector<ItemId>> complement_;
+  std::vector<std::vector<double>> complement_bound_;
 };
 
 }  // namespace imdpp::kg

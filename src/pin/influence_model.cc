@@ -36,4 +36,9 @@ double InfluenceModel::Eval(double base_weight, const UserState& u,
               params_.act_cap);
 }
 
+double InfluenceModel::Bound(double base_weight) const {
+  if (params_.act_gain <= 0.0) return Clip(base_weight, 0.0, params_.act_cap);
+  return Clip(base_weight * (1.0 + params_.act_gain), 0.0, params_.act_cap);
+}
+
 }  // namespace imdpp::pin

@@ -9,6 +9,12 @@
 //
 // where base(u,v) is the static edge strength of the social graph. With
 // act_gain = 0 this degenerates to the classic IC edge probability.
+//
+// Bound(base) is the state-free upper bound the realization kernel tests a
+// coin against before evaluating the similarity: sim ≤ 1, so
+// Pact ≤ clip(base * (1 + act_gain), 0, act_cap), the same operations in
+// the same order with sim at 1 (rounding is monotone, so it dominates
+// Eval bit for bit).
 #ifndef IMDPP_PIN_INFLUENCE_MODEL_H_
 #define IMDPP_PIN_INFLUENCE_MODEL_H_
 
@@ -26,6 +32,9 @@ class InfluenceModel {
 
   /// Dynamic influence strength of edge with static weight `base_weight`.
   double Eval(double base_weight, const UserState& u, const UserState& v) const;
+
+  /// Upper bound of Eval(base_weight, u, v) over every pair of states.
+  double Bound(double base_weight) const;
 
  private:
   const PerceptionParams& params_;

@@ -28,4 +28,12 @@ double PreferenceModel::EvalUnchecked(const UserState& state, double base_pref,
   return Clip01(base_pref + params.pref_gain * delta);
 }
 
+double PreferenceModel::Bound(const UserState& state, double base_pref) const {
+  const PerceptionParams& params = pin_.params();
+  if (params.pref_gain <= 0.0 || state.Adopted().empty()) {
+    return Clip01(base_pref);
+  }
+  return Clip01(base_pref + params.pref_gain);
+}
+
 }  // namespace imdpp::pin

@@ -9,6 +9,12 @@
 //                        pref_gain * Σ_{a ∈ A(u)} (r^C(u,a,y) - r^S(u,a,y)) )
 //
 // Already-adopted items have preference 0 (they cannot be promoted again).
+//
+// Bound(state, base) is the upper bound the realization kernel tests a
+// coin against before evaluating the mean: every net relevance is at most
+// 1, so the mean is too, and Ppref ≤ clip01(base + pref_gain) — or
+// clip01(base) where Eval takes that branch (no adoption, pref_gain ≤ 0).
+// Rounding is monotone, so it dominates Eval bit for bit.
 #ifndef IMDPP_PIN_PREFERENCE_MODEL_H_
 #define IMDPP_PIN_PREFERENCE_MODEL_H_
 
@@ -27,6 +33,9 @@ class PreferenceModel {
   /// adoptions).
   double EvalUnchecked(const UserState& state, double base_pref,
                        kg::ItemId y) const;
+
+  /// Upper bound of Eval(state, base_pref, y) over every item y, O(1).
+  double Bound(const UserState& state, double base_pref) const;
 
  private:
   const PersonalItemNetwork& pin_;

@@ -34,6 +34,13 @@ template <typename T>
 using JsonReader = bool (*)(const Json& v, const std::string& where, T* out,
                             std::string* error);
 
+/// Whether an integer reader rejects `d` as a fraction (its message says
+/// "whole number") rather than as out of range, NaN or infinite (its
+/// message names the range).
+inline bool IsFraction(double d) {
+  return std::isfinite(d) && d != std::floor(d);
+}
+
 /// A whole number within int (NaN and infinities are not).
 inline bool ReadInt(const Json& v, const std::string& where, int* out,
                     std::string* error) {
@@ -46,6 +53,10 @@ inline bool ReadInt(const Json& v, const std::string& where, int* out,
       d <= std::numeric_limits<int>::max()) {
     *out = static_cast<int>(d);
     return true;
+  }
+  if (IsFraction(d)) {
+    *error = where + " must be a whole number";
+    return false;
   }
   *error = where + " must be an integer within [" +
            std::to_string(std::numeric_limits<int>::min()) + ", " +
@@ -102,6 +113,10 @@ inline bool ReadSeed(const Json& v, const std::string& where, uint64_t* out,
     if (d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d)) {
       *out = static_cast<uint64_t>(d);
       return true;
+    }
+    if (IsFraction(d)) {
+      *error = where + " must be a whole number";
+      return false;
     }
   } else if (v.is_string()) {
     const std::string& s = v.AsString();

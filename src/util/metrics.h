@@ -57,6 +57,7 @@ inline constexpr char kEvalEarlyStops[] = "eval.early_stops";
 inline constexpr char kEvalSamplesSaved[] = "eval.samples_saved";
 inline constexpr char kEvalAttemptsComputed[] = "eval.attempts_computed";
 inline constexpr char kEvalAttemptsReplayed[] = "eval.attempts_replayed";
+inline constexpr char kEvalAttemptsBounded[] = "eval.attempts_bounded";
 inline constexpr char kRisSketchBuilds[] = "ris.sketch_builds";
 inline constexpr char kRisSketchReuses[] = "ris.sketch_reuses";
 inline constexpr char kRisCoverageQueries[] = "ris.coverage_queries";

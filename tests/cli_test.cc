@@ -6,11 +6,13 @@
 // reproduces the estimates of the hand-rolled session loop the figure
 // harnesses used to contain (same estimates from the same seeds).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -531,6 +533,56 @@ TEST(Cli, NonPositiveOrNonFiniteScaleIsInvalidArgument) {
       << made.ToString();
 }
 
+// A dataset whose users × items matrices would not fit in memory fails
+// before anything is allocated: `--scale 214` on yelp-like (85,600 users ×
+// 10,272 items) used to be accepted and then killed by the kernel while
+// the generator filled its matrices, and a spec file or scale-<N> of that
+// size went the same way. Each rejection names the product and leaves the
+// peak resident set where it was.
+TEST(Cli, OversizedDatasetsFailBeforeAllocating) {
+  const std::string spec = WriteTempFile(
+      "huge_spec.json", R"({"num_users": 100000, "num_items": 10000})");
+  const std::vector<std::vector<std::string>> runs = {
+      {"plan", "--dataset", "yelp-like", "--scale", "214", "--planner",
+       "bgrd"},
+      {"plan", "--dataset", spec, "--planner", "bgrd"},
+      {"plan", "--dataset", "scale-100000", "--planner", "bgrd"},
+  };
+  const std::vector<data::DatasetSpec> specs = {
+      {"yelp-like", 214.0}, {spec}, {"scale-100000"}};
+  const auto peak_kib = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<int64_t>(usage.ru_maxrss);
+  };
+  const int64_t peak_before = peak_kib();
+  for (const std::vector<std::string>& args : runs) {
+    SCOPED_TRACE(args[2]);
+    const CliResult r = RunCli(args);
+    EXPECT_EQ(r.code, 2);
+    CliError error;
+    ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
+    EXPECT_EQ(error.code_name, "invalid_argument");
+    EXPECT_NE(error.message.find("num_users * num_items = "),
+              std::string::npos)
+        << r.err;
+  }
+  EXPECT_NE(RunCli(runs[0]).err.find("85600 * 10272 = 879283200"),
+            std::string::npos);
+  for (const data::DatasetSpec& s : specs) {
+    SCOPED_TRACE(s.name);
+    data::Dataset dataset;
+    const util::Status made = data::DatasetRegistry::Make(s, &dataset);
+    EXPECT_EQ(made.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(made.message().find("num_users * num_items"), std::string::npos)
+        << made.ToString();
+    EXPECT_EQ(dataset.social, nullptr);
+  }
+  // Each of those datasets would have filled float matrices of 3.5 GB or
+  // more.
+  EXPECT_LT(peak_kib() - peak_before, 256 * 1024);
+}
+
 // Each of these spec files aborted the process (a generator CHECK, a
 // SIGFPE on num_brands 0) or was silently truncated (2.7 items, a -1
 // seed cast); each now fails naming its key, from DatasetRegistry::Make
@@ -580,22 +632,25 @@ TEST(Cli, OutOfRangeSpecFileValuesAreInvalidArguments) {
 // --adaptive-budget 2.5 was truncated, and values past the range (or NaN)
 // went through an undefined cast.
 TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
-  const std::pair<const char*, const char*> cases[] = {
-      {"--promotions", "2.5"},
-      {"--selection-samples", "4294967297"},
-      {"--eval-samples", "1e300"},
-      {"--threads", "-3000000000"},
-      {"--theta", "nan"},
-      {"--deadline-ms", "0.5"},
-      {"--deadline-ms", "nan"},
-      {"--deadline-ms", "1e300"},
-      {"--adaptive-budget", "2.5"},
-      {"--adaptive-budget", "1e300"},
-      {"--seed", "-1"},
-      {"--seed", "99999999999999999999999"},
-      {"--dataset-seed", "-1"},
+  // A fraction is named as one; anything else names the range.
+  constexpr const char* kWhole = " must be a whole number";
+  constexpr const char* kRange = " must be an integer within [";
+  const std::tuple<const char*, const char*, const char*> cases[] = {
+      {"--promotions", "2.5", kWhole},
+      {"--selection-samples", "4294967297", kRange},
+      {"--eval-samples", "1e300", kRange},
+      {"--threads", "-3000000000", kRange},
+      {"--theta", "nan", kRange},
+      {"--deadline-ms", "0.5", kWhole},
+      {"--deadline-ms", "nan", kRange},
+      {"--deadline-ms", "1e300", kRange},
+      {"--adaptive-budget", "2.5", kWhole},
+      {"--adaptive-budget", "1e300", kRange},
+      {"--seed", "-1", kRange},
+      {"--seed", "99999999999999999999999", kRange},
+      {"--dataset-seed", "-1", kRange},
   };
-  for (const auto& [flag, value] : cases) {
+  for (const auto& [flag, value, message] : cases) {
     SCOPED_TRACE(std::string(flag) + " " + value);
     const CliResult r = RunCli(
         {"plan", "--dataset", "fig1-toy", "--planner", "bgrd", flag, value});
@@ -603,8 +658,7 @@ TEST(Cli, NonIntegerOrOutOfRangeIntFlagIsInvalidArgument) {
     CliError error;
     ASSERT_NO_FATAL_FAILURE(ReadCliError(r, &error));
     EXPECT_EQ(error.code_name, "invalid_argument");
-    EXPECT_NE(r.err.find(std::string(flag) + " must be an integer"),
-              std::string::npos)
+    EXPECT_NE(r.err.find(std::string(flag) + message), std::string::npos)
         << r.err;
   }
 }

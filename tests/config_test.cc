@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "config/config_loader.h"
@@ -321,18 +322,28 @@ TEST(ConfigLoader, RejectsOutOfRangeRunSettings) {
 
 // An integer knob holds a whole number within its type: fractions and
 // values past the range used to be cast (4294967297 samples ran as 1, a
-// "-1" seed wrapped to 2^64 - 1, a 1e300 seed was an undefined cast).
+// "-1" seed wrapped to 2^64 - 1, a 1e300 seed was an undefined cast). A
+// fraction is named as one, not as out of range.
 TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
-  for (const char* text :
-       {R"({"selection_samples": 4294967297})", R"({"eval_samples": 2.5})",
-        R"({"num_threads": -2147483649})", R"({"eval_samples": 1e300})",
-        R"({"campaign": {"max_steps": 3000000000}})",
-        // Seeds: no negative digit string, nothing past 2^64 - 1.
-        R"({"seed": "-1"})", R"({"seed": 1e300})",
-        R"({"seed": "99999999999999999999999"})",
-        R"({"seed": 18446744073709551616})", R"({"seed": 2.5})",
-        // A millisecond budget is a whole number within int64.
-        R"({"deadline_ms": 0.5})", R"({"deadline_ms": 1e300})"}) {
+  constexpr const char* kWhole = " must be a whole number";
+  constexpr const char* kRange = " must be an integer within [";
+  const std::tuple<const char*, const char*, const char*> cases[] = {
+      {R"({"selection_samples": 4294967297})", "selection_samples", kRange},
+      {R"({"eval_samples": 2.5})", "eval_samples", kWhole},
+      {R"({"num_threads": -2147483649})", "num_threads", kRange},
+      {R"({"eval_samples": 1e300})", "eval_samples", kRange},
+      {R"({"campaign": {"max_steps": 3000000000}})", "campaign.max_steps",
+       kRange},
+      // Seeds: no negative digit string, nothing past 2^64 - 1.
+      {R"({"seed": "-1"})", "seed", kRange},
+      {R"({"seed": 1e300})", "seed", kRange},
+      {R"({"seed": "99999999999999999999999"})", "seed", kRange},
+      {R"({"seed": 18446744073709551616})", "seed", kRange},
+      {R"({"seed": 2.5})", "seed", kWhole},
+      // A millisecond budget is a whole number within int64.
+      {R"({"deadline_ms": 0.5})", "deadline_ms", kWhole},
+      {R"({"deadline_ms": 1e300})", "deadline_ms", kRange}};
+  for (const auto& [text, key, message] : cases) {
     SCOPED_TRACE(text);
     api::PlannerConfig cfg;
     util::Json obj;
@@ -340,7 +351,8 @@ TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
     ASSERT_TRUE(util::Json::Parse(text, &obj, &error));
     const util::Status bad = config::ApplyPlannerConfigJson(obj, &cfg);
     EXPECT_EQ(bad.code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(bad.message().find("must be an integer"), std::string::npos)
+    EXPECT_NE(bad.message().find(std::string(key) + message),
+              std::string::npos)
         << bad.ToString();
   }
   int n = 0;
@@ -350,6 +362,11 @@ TEST(ConfigLoader, RejectsNonIntegerAndOutOfIntRangeValues) {
   EXPECT_FALSE(util::ReadInt(2147483648.0, "n", &n, &message));
   EXPECT_FALSE(util::ReadInt(std::nan(""), "n", &n, &message));
   EXPECT_FALSE(util::ReadInt(INFINITY, "n", &n, &message));
+  EXPECT_EQ(message, "n must be an integer within [-2147483648, 2147483647]");
+  EXPECT_FALSE(util::ReadInt(2.7, "n", &n, &message));
+  EXPECT_EQ(message, "n must be a whole number");
+  EXPECT_FALSE(util::ReadInt(-0.5, "n", &n, &message));
+  EXPECT_EQ(message, "n must be a whole number");
 }
 
 // One row per settable knob: keys and flags are unique, every flag is
@@ -436,24 +453,25 @@ TEST(ConfigLoader, ParsesDatasetSpecStrings) {
   EXPECT_DOUBLE_EQ(spec.scale, 1.0);
 }
 
-TEST(ConfigLoader, DatasetSpecFromJsonObject) {
+TEST(SweepSpec, DatasetEntryObjectSetsSpecAndOverrides) {
   util::Json obj;
   std::string error;
   ASSERT_TRUE(util::Json::Parse(
-      R"({"name": "amazon-like", "scale": 0.25, "seed": 99,)"
-      R"( "config": {"eval_samples": 8}})",
+      R"({"datasets": [{"name": "amazon-like", "scale": 0.25, "seed": 99,)"
+      R"( "config": {"eval_samples": 8}}],)"
+      R"( "planners": ["bgrd"], "budgets": [20], "promotions": [1]})",
       &obj, &error));
-  data::DatasetSpec spec;
-  util::Json overrides;
-  const util::Status parsed = config::DatasetSpecFromJson(obj, &spec,
-                                                          &overrides);
+  config::SweepSpec sweep;
+  const util::Status parsed = config::LoadSweepSpec(obj, &sweep);
   ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  ASSERT_EQ(sweep.datasets.size(), 1u);
+  const data::DatasetSpec& spec = sweep.datasets[0].spec;
   EXPECT_EQ(spec.name, "amazon-like");
   EXPECT_DOUBLE_EQ(spec.scale, 0.25);
   EXPECT_EQ(spec.seed, 99u);
   api::PlannerConfig cfg;
-  const util::Status applied = config::ApplyPlannerConfigJson(overrides,
-                                                              &cfg);
+  const util::Status applied =
+      config::ApplyPlannerConfigJson(sweep.datasets[0].overrides, &cfg);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
   EXPECT_EQ(cfg.eval_samples, 8);
 }
@@ -792,7 +810,7 @@ TEST(SweepSpec, EverySweepKeySetsItsOwnField) {
       {R"("planners": [{"planner": "ps", "confg": {}}])",
        "unknown planner entry key \"confg\""},
       {R"("thetas": 2)", "thetas must be an array"},
-      {R"("threads": [1.5])", "threads[] must be an integer"},
+      {R"("threads": [1.5])", "threads[] must be a whole number"},
       {R"("backends": ["zzz"])", "backends[]"},
   };
   for (const auto& [member, message] : bad_cases) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "data/dataset_registry.h"
 #include "diffusion/campaign_simulator.h"
+#include "diffusion/start_perception.h"
+#include "util/rng.h"
 #include "tests/test_util.h"
 
 namespace imdpp::diffusion {
@@ -260,6 +266,143 @@ TEST(CampaignSimulator, DynamicInfluenceStrengthensWithSimilarity) {
     boosted += started_sim.RunSample({{1, 0, 1}}, i).adoptions == 2;
   }
   EXPECT_GT(boosted, plain + 50);
+}
+
+
+// --- Coins first: every bound the kernel tests a coin against dominates
+// the exact value it stands in for, bit for bit (campaign_simulator.h).
+
+/// First pair of `rel` whose net relevance under `wmeta` exceeds its
+/// complement bound; reports it and returns false.
+bool PairBoundsHold(const kg::RelevanceModel& rel,
+                    std::span<const float> wmeta, const char* what) {
+  const pin::PerceptionParams params;
+  const pin::PersonalItemNetwork pin(rel, params);
+  for (kg::ItemId x = 0; x < rel.NumItems(); ++x) {
+    const std::vector<kg::ItemId>& related = rel.ComplementItems(x);
+    const std::vector<double>& bounds = rel.ComplementBounds(x);
+    if (bounds.size() != related.size()) {
+      ADD_FAILURE() << what << ": " << bounds.size() << " bounds for "
+                    << related.size() << " complement items of x=" << x;
+      return false;
+    }
+    for (size_t r = 0; r < related.size(); ++r) {
+      const double net = pin.RelNet(wmeta, x, related[r]);
+      if (!(net <= bounds[r])) {
+        ADD_FAILURE() << what << ": RelNet " << net << " > bound "
+                      << bounds[r] << " at x=" << x << " y=" << related[r];
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// The pair bound holds under the weightings at either end of [0, 1], under
+// random ones, for the meta subsets that get their own bounds, and for
+// every entry of the start-perception table.
+TEST(CoinsFirst, PairBoundsDominateNetRelevanceAndTheStartTable) {
+  Rng rng(20261019);
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 1.0, 0});
+    const kg::RelevanceModel& rel = *ds.relevance;
+    const size_t metas = static_cast<size_t>(rel.NumMetas());
+    std::vector<std::vector<float>> weightings{std::vector<float>(metas, 0.0f),
+                                               std::vector<float>(metas, 1.0f)};
+    for (int k = 0; k < 3; ++k) {
+      std::vector<float>& w = weightings.emplace_back(metas);
+      for (float& v : w) v = static_cast<float>(rng.NextUnit());
+    }
+    for (const std::vector<float>& w : weightings) {
+      ASSERT_TRUE(PairBoundsHold(rel, w, "full model"));
+    }
+    std::vector<int> reversed;
+    for (int m = rel.NumMetas() - 1; m >= 0; --m) reversed.push_back(m);
+    const kg::RelevanceModel subset = rel.WithMetaSubset(reversed);
+    const kg::RelevanceModel first = rel.WithFirstMetas(1);
+    ASSERT_TRUE(PairBoundsHold(subset, weightings[1], "meta subset"));
+    ASSERT_TRUE(PairBoundsHold(subset, weightings[2], "meta subset"));
+    ASSERT_TRUE(PairBoundsHold(first, std::vector<float>{1.0f}, "first meta"));
+
+    const Problem problem = ds.MakeProblem(/*budget=*/100.0, 2);
+    const StartPerceptionTable table(problem);
+    for (UserId u = 0; u < problem.NumUsers(); ++u) {
+      for (kg::ItemId x = 0; x < rel.NumItems(); ++x) {
+        const std::vector<double>& bounds = rel.ComplementBounds(x);
+        const double* row = table.Row(u, x);
+        for (size_t r = 0; r < bounds.size(); ++r) {
+          ASSERT_LE(row[r], bounds[r]) << "u=" << u << " x=" << x << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+/// The perception settings the model bounds must survive: the default
+/// dynamics, both frozen settings and a non-positive influence gain.
+std::vector<std::pair<const char*, pin::PerceptionParams>> BoundSettings() {
+  pin::PerceptionParams no_gain;
+  no_gain.act_gain = -0.5;
+  no_gain.pref_gain = 0.0;
+  return {{"default", pin::PerceptionParams()},
+          {"frozen", pin::PerceptionParams::FrozenDynamics()},
+          {"static", pin::PerceptionParams::StaticPerception()},
+          {"no gain", no_gain}};
+}
+
+// Pact and Ppref never exceed their bounds on user states that real
+// realizations reach. Base values of 1 hit the clips, where exact value
+// and bound meet, so a bound one ulp short fails here.
+TEST(CoinsFirst, ModelBoundsDominateEvalOnRealizedStates) {
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 1.0, 0});
+    for (const auto& [setting, params] : BoundSettings()) {
+      SCOPED_TRACE(name + " / " + setting);
+      const Problem problem = ds.MakeProblem(/*budget=*/100.0, 3, params);
+      const CampaignSimulator sim(problem, {});
+      const pin::InfluenceModel& act = sim.dynamics().influence();
+      const pin::PreferenceModel& pref = sim.dynamics().preference();
+      const int users = problem.NumUsers();
+      const int items = problem.NumItems();
+      SeedGroup seeds;
+      for (int k = 0; k < 6; ++k) {
+        seeds.push_back({(k * 37) % users, (k * 13) % items, 1 + k % 3});
+      }
+      int64_t equal_pact = 0;
+      int64_t equal_pref = 0;
+      for (uint64_t sample = 0; sample < 3; ++sample) {
+        const std::vector<pin::UserState> states =
+            sim.RunSample(seeds, sample, nullptr, /*keep_states=*/true).states;
+        for (UserId u = 0; u < users; ++u) {
+          const pin::UserState& su = states[static_cast<size_t>(u)];
+          for (const graph::Edge& e : problem.graph->OutEdges(u)) {
+            const pin::UserState& sv = states[static_cast<size_t>(e.to)];
+            for (double w : {static_cast<double>(e.weight), 0.5, 1.0}) {
+              const double bound = act.Bound(w);
+              for (const pin::UserState* other : {&sv, &su}) {
+                const double pact = act.Eval(w, su, *other);
+                ASSERT_LE(pact, bound) << "u=" << u << " w=" << w;
+                equal_pact += pact == bound;
+              }
+            }
+          }
+          if (su.NumAdopted() == 0 && u >= 20) continue;
+          for (kg::ItemId y = 0; y < items; ++y) {
+            for (double base : {problem.BasePref(u, y), 0.0, 1.0}) {
+              const double ppref = pref.Eval(su, base, y);
+              const double bound = pref.Bound(su, base);
+              ASSERT_LE(ppref, bound) << "u=" << u << " y=" << y;
+              equal_pref += ppref == bound;
+            }
+          }
+        }
+      }
+      // The bounds are tight somewhere, so the checks above have teeth.
+      EXPECT_GT(equal_pact, 0);
+      EXPECT_GT(equal_pref, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -1255,9 +1255,9 @@ TEST(BaseReplay, StartedProblemMatchesAFreshEngine) {
 // Replay moves attempts from computed to replayed and nothing else: for
 // every group, computed + replayed on the replay path equals computed on
 // a plain estimate of the same group (groups that diverge from the base
-// at round 1, so neither path resumes a checkpoint). The engine's fixed
-// argmax over set additions (Procedure 2's shape) replays most of its
-// attempts.
+// at round 1, so neither path resumes a checkpoint), and the bounded
+// attempts are a subset of the computed ones. The engine's fixed argmax
+// over set additions (Procedure 2's shape) replays most of its attempts.
 TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
   constexpr int kSamples = 10;
   const data::Dataset ds =
@@ -1289,8 +1289,12 @@ TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
     replayed += engine.num_attempts_replayed() - replayed0;
     EXPECT_EQ(computed + engine.num_attempts_replayed() - replayed0,
               plain.num_attempts_computed());
+    // Bounded attempts are computed ones whose coins all lost unseen.
+    EXPECT_GT(plain.num_attempts_bounded(), 0);
+    EXPECT_LE(plain.num_attempts_bounded(), plain.num_attempts_computed());
   }
   EXPECT_GT(replayed, 0);
+  EXPECT_LE(engine.num_attempts_bounded(), engine.num_attempts_computed());
 
   std::vector<SelectCandidate> additions;
   for (int k = 0; k < 12; ++k) {

@@ -133,6 +133,31 @@ TEST(PerfSmoke, AdaptiveDysimReplaysBaseRealizations) {
   EXPECT_GT(m.Counter(util::metric::kEvalAttemptsReplayed), 0);
 }
 
+// The coins-first bar: on the reference run (Dysim on yelp-like@0.5,
+// B = 300, T = 10, the CLI's effort), at least half of the promotion
+// attempts the kernel computes are settled by their coins' upper bounds,
+// without the similarity, preference or relevance math
+// (campaign_simulator.h, "Coins first"). Measured: 0.555.
+TEST(PerfSmoke, CoinsFirstBoundsHalfOfTheComputedAttempts) {
+  api::PlannerConfig cfg;
+  cfg.selection_samples = 10;
+  cfg.eval_samples = 24;
+  cfg.candidates.max_users = 24;
+  cfg.candidates.max_items = 8;
+  cfg.num_threads = 0;
+  api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
+  session.SetProblem(/*budget=*/300.0, kPromotions);
+  const api::PlanResult r = session.Run("dysim");
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  const int64_t computed =
+      r.metrics.Counter(util::metric::kEvalAttemptsComputed);
+  const int64_t bounded = r.metrics.Counter(util::metric::kEvalAttemptsBounded);
+  ASSERT_GT(computed, 0);
+  EXPECT_LE(bounded, computed);
+  EXPECT_GE(2 * bounded, computed)
+      << "bounded=" << bounded << " computed=" << computed;
+}
+
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same
 // Dysim pipeline on the same problem must simulate at most HALF the
 // promotion-rounds of the fixed-count run — paid for by early-stopping
