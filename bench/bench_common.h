@@ -2,6 +2,9 @@
 // reproduction harnesses. Every harness prints the same series the paper's
 // plot reports (algorithm x sweep-point -> σ and/or seconds) as an ASCII
 // table, plus a "shape" note saying what qualitative relation to expect.
+// Figures a sweep can express are configs/fig*.json files run by
+// `imdpp sweep`; a harness remains only for what a sweep cannot express
+// (OPT candidates, flattened importance, meta-graph subsets).
 //
 // All algorithms run through the unified api:: planner layer: a harness
 // names a registered planner ("dysim", "bgrd", "hag", "ps", "drhga",
@@ -16,14 +19,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "api/session.h"
-#include "config/config_loader.h"
 #include "data/catalog.h"
-#include "data/dataset_registry.h"
 #include "util/table.h"
 
 namespace imdpp::bench {
@@ -48,32 +47,6 @@ inline api::PlannerConfig MakeConfig(const Effort& e) {
   cfg.candidates.max_items = e.max_items;
   cfg.num_threads = e.num_threads;
   return cfg;
-}
-
-/// Materializes "name[@scale]" through the DatasetRegistry — the exact
-/// path the imdpp CLI and sweep configs resolve datasets by, so a harness
-/// and a config file can never disagree about what "yelp-like@0.5" means.
-inline data::Dataset MakeDataset(const std::string& spec) {
-  return data::DatasetRegistry::MakeOrDie(data::ParseDatasetSpec(spec));
-}
-
-/// Locates a checked-in config file (e.g. "configs/fig9_budget.json")
-/// whether the harness runs from the repo root, from build/, or from
-/// anywhere else (falling back to the source tree CMake baked in).
-inline std::string FindConfigFile(const std::string& relative) {
-  const std::string candidates[] = {
-      relative,
-      "../" + relative,
-#ifdef IMDPP_SOURCE_DIR
-      std::string(IMDPP_SOURCE_DIR) + "/" + relative,
-#endif
-  };
-  for (const std::string& path : candidates) {
-    if (std::ifstream(path).good()) return path;
-  }
-  std::fprintf(stderr, "cannot find %s (run from the repo root or build/)\n",
-               relative.c_str());
-  std::abort();
 }
 
 /// Paper-style display label for a registry name ("dysim" -> "Dysim").

@@ -1,8 +1,6 @@
-// Executes an expanded sweep grid on CampaignSessions — the shared engine
-// behind both `imdpp sweep` and the config-driven figure harnesses
-// (bench_fig9_budget runs the checked-in configs/fig9_budget.json through
-// this exact code path, so CLI sweeps reproduce the figure numbers by
-// construction).
+// Executes an expanded sweep grid on CampaignSessions — the engine behind
+// `imdpp sweep`, and so behind every figure that is a checked-in
+// configs/fig*.json.
 //
 // Session discipline mirrors the hand-rolled harness loops it replaced:
 // one CampaignSession per dataset axis entry (configured with the

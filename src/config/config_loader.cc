@@ -421,6 +421,7 @@ bool ExpandSweepImpl(const SweepSpec& spec, std::vector<SweepPoint>* points,
                 SweepPoint point;
                 point.dataset = ds.spec;
                 point.planner = pl.name;
+                point.planner_overrides = pl.overrides;
                 point.budget = b;
                 point.num_promotions = T;
                 point.theta = theta;

@@ -56,6 +56,9 @@ struct SweepPoint {
   int num_promotions = 0;
   int theta = -1;        ///< applied to market.overlap_theta; -1 = config's
   int num_threads = util::kAutoThreads;
+  /// The planner entry's own overrides as written (null = none), so the
+  /// output tells apart one planner listed with different configs.
+  util::Json planner_overrides;
   api::PlannerConfig config;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/dre.h"
@@ -257,9 +258,15 @@ DysimResult RunDysim(const Problem& problem, RunContext& run,
           int t_hat = sg.empty() ? 1 : diffusion::LatestTiming(sg);
           int t_hi = std::min(t_hat + 1, prefix[k]);
           int idx = 0;
-          diffusion::Seed best =
+          std::optional<diffusion::Seed> best =
               tdsi.PickBest(sg, pending, t_hat, t_hi, &idx);
-          sg.push_back(best);
+          if (!best) {
+            // Nothing picked (a cancelled race): stop this market without
+            // emitting a seed.
+            remaining_items.clear();
+            break;
+          }
+          sg.push_back(*best);
           pending.erase(pending.begin() + idx);
         }
       }

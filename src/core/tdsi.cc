@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -27,12 +26,12 @@ double TimingSelector::SubstantialInfluence(
   return SiOf(base, ev, cand.promotion);
 }
 
-Seed TimingSelector::PickBest(const SeedGroup& sg,
-                              const std::vector<Nominee>& pending, int t_lo,
-                              int t_hi, int* best_index) {
+std::optional<Seed> TimingSelector::PickBest(
+    const SeedGroup& sg, const std::vector<Nominee>& pending, int t_lo,
+    int t_hi, int* best_index) {
   IMDPP_CHECK(!pending.empty());
-  t_lo = std::max(1, t_lo);
-  t_hi = std::min(total_promotions_, std::max(t_lo, t_hi));
+  t_lo = std::clamp(t_lo, 1, total_promotions_);
+  t_hi = std::clamp(t_hi, t_lo, total_promotions_);
   // The group grows at the latest timings, so checkpoints from earlier
   // PickBest calls stay valid below t_lo.
   eval_->Rebase(sg);
@@ -45,9 +44,7 @@ Seed TimingSelector::PickBest(const SeedGroup& sg,
   // adaptive race optimizes the same objective the fixed loop does.
   std::vector<diffusion::SelectCandidate> candidates;
   std::vector<std::pair<int, Seed>> entries;  // (pending index, seed)
-  // t_hi < t_lo (a window entirely above T) leaves zero candidates, and
-  // SelectBest on nothing lands in the historical fallback below.
-  const size_t window = static_cast<size_t>(std::max(0, t_hi - t_lo + 1));
+  const size_t window = static_cast<size_t>(t_hi - t_lo + 1);
   candidates.reserve(pending.size() * window);
   entries.reserve(pending.size() * window);
   for (int i = 0; i < static_cast<int>(pending.size()); ++i) {
@@ -68,12 +65,7 @@ Seed TimingSelector::PickBest(const SeedGroup& sg,
   options.use_market = true;
   const diffusion::SelectBestResult r =
       eval_->SelectBest(candidates, options);
-  if (r.best_index < 0) {
-    // No candidate produced a finite SI (or the run was cancelled): the
-    // historical fallback — index 0, empty seed.
-    if (best_index != nullptr) *best_index = 0;
-    return Seed{};
-  }
+  if (r.best_index < 0) return std::nullopt;
   if (best_index != nullptr) *best_index = entries[r.best_index].first;
   return entries[r.best_index].second;
 }

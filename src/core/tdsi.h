@@ -20,6 +20,7 @@
 #define IMDPP_CORE_TDSI_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "diffusion/monte_carlo.h"
@@ -57,10 +58,14 @@ class TimingSelector {
                               const Seed& cand) const;
 
   /// Picks the (nominee, timing) pair with maximal SI over nominees in
-  /// `pending` and timings in [t_lo, t_hi] (clamped to [1, T]).
-  /// Returns the index into `pending` via `best_index`.
-  Seed PickBest(const SeedGroup& sg, const std::vector<Nominee>& pending,
-                int t_lo, int t_hi, int* best_index);
+  /// `pending` and timings in [t_lo, t_hi] (both clamped to [1, T]; a
+  /// window entirely above T becomes {T}).
+  /// Returns the index into `pending` via `best_index`. Returns nullopt
+  /// (and leaves `best_index` alone) when nothing was picked: the run was
+  /// cancelled mid-selection, or no candidate produced a finite SI.
+  std::optional<Seed> PickBest(const SeedGroup& sg,
+                               const std::vector<Nominee>& pending, int t_lo,
+                               int t_hi, int* best_index);
 
  private:
   /// SI from the two (prefix-resumed) market evaluations — the exact

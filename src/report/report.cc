@@ -121,6 +121,9 @@ util::Json SweepJson(const std::string& name,
     p.Set("dataset", rec.point.dataset.name);
     p.Set("scale", rec.point.dataset.scale);
     p.Set("planner", rec.point.planner);
+    if (rec.point.planner_overrides.size() > 0) {
+      p.Set("planner_config", rec.point.planner_overrides);
+    }
     p.Set("budget", rec.point.budget);
     p.Set("promotions", rec.point.num_promotions);
     if (rec.point.theta >= 0) p.Set("theta", rec.point.theta);

@@ -34,8 +34,10 @@ struct SweepRecord {
   api::PlanResult result;
 };
 
-/// {"name": ..., "points": [{dataset, scale, planner, budget, promotions,
-///  theta, threads, result: {...}}, ...]}
+/// {"name": ..., "points": [{dataset, scale, planner, planner_config,
+///  budget, promotions, theta, threads, backend, adaptive,
+///  result: {...}}, ...]}; planner_config is the planner entry's
+///  overrides, omitted when it has none.
 util::Json SweepJson(const std::string& name,
                      const std::vector<SweepRecord>& records,
                      bool include_timings = false);

@@ -205,7 +205,8 @@ TEST(Cli, SweepReproducesTheHandRolledFig9HarnessNumbers) {
       {{"yelp-like", 0.15, 0}, {"dysim", "bgrd"}},
   };
   for (const DatasetCase& c : cases) {
-    // The exact loop shape bench_fig9_budget.cc used to hand-roll.
+    // The session loop a figure harness hand-rolled before the figures
+    // became configs/fig*.json sweeps.
     api::CampaignSession session(data::DatasetRegistry::MakeOrDie(c.spec),
                                  cfg);
     for (double budget : {60.0, 100.0}) {
@@ -263,6 +264,32 @@ TEST(Cli, SweepWritesAlignedCsvAndFailsOnUnknownNames) {
   EXPECT_NE(bad_run.code, 0);
   EXPECT_NE(bad_run.err.find("zzz"), std::string::npos) << bad_run.err;
   EXPECT_NE(bad_run.err.find("dysim"), std::string::npos) << bad_run.err;
+}
+
+// A planner listed twice with different overrides (Fig. 10's ablation
+// variants, Fig. 11's market orders) stays tellable apart in the output:
+// each point carries its planner entry's overrides as planner_config, and
+// a plain-name entry carries none.
+TEST(Cli, SweepPointsCarryTheirPlannerEntryOverrides) {
+  const std::string path = WriteTempFile("sweep_variants.json", R"({
+    "datasets": ["fig1-toy"],
+    "planners": ["dysim",
+                 {"planner": "dysim",
+                  "config": {"dysim": {"use_item_priority": false}}}],
+    "budgets": [20],
+    "promotions": [2],
+    "config": {"selection_samples": 2, "eval_samples": 4}
+  })");
+  CliResult r = RunCli({"sweep", "--config", path, "--quiet"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  util::Json parsed = ParseOrDie(r.out);
+  const util::Json* points = parsed.Find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_EQ(points->size(), 2u);
+  EXPECT_EQ((*points)[0].Find("planner_config"), nullptr);
+  const util::Json* variant = (*points)[1].Find("planner_config");
+  ASSERT_NE(variant, nullptr);
+  EXPECT_EQ(variant->Dump(), R"({"dysim":{"use_item_priority":false}})");
 }
 
 // Prep-artifact acceptance (ISSUE 5): across a fig9-shaped sweep the

@@ -5,12 +5,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "api/registry.h"
 #include "config/config_loader.h"
 #include "data/dataset_registry.h"
 #include "util/json.h"
@@ -893,6 +896,52 @@ TEST(SweepSpec, NonPositiveDatasetScaleFails) {
   }
   EXPECT_EQ(data::ScaleError(0.5, "--scale"), "");
   EXPECT_NE(data::ScaleError(std::nan(""), "--scale"), "");
+}
+
+// Every checked-in sweep config loads, expands and names only registered
+// datasets and planners, without simulating. Each figure config expands
+// to its figure's grid; Figs. 10 and 11 run the b x T grid that holds
+// both of the paper's slices (sigma vs b at T = 8, sigma vs T at b = 300).
+TEST(SweepSpec, CheckedInConfigsLoadAndExpand) {
+  const std::map<std::string, size_t> kFigurePoints = {
+      {"fig9_budget.json", (5 + 5 + 4) * 5},      // HAG skips Douban
+      {"fig9_promotions.json", 2 * 4 * 5},        // datasets x T x planners
+      {"fig9_scalability.json", 4},               // datasets, Dysim only
+      {"fig10_ablation.json", 2 * 3 * 3 * 3},     // datasets x T x b x variants
+      {"fig11_market_orders.json", 2 * 3 * 3 * 5},  // ... x orders
+      {"fig14_theta.json", 4 * 5},                // datasets x thetas
+  };
+  size_t configs = 0;
+  size_t figures = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(IMDPP_SOURCE_DIR) + "/configs")) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
+    ++configs;
+    util::Json parsed;
+    util::Status status = config::LoadJsonFile(entry.path().string(), &parsed);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    config::SweepSpec spec;
+    status = config::LoadSweepSpec(parsed, &spec);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    std::vector<config::SweepPoint> points;
+    status = config::ExpandSweep(spec, &points);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_FALSE(points.empty());
+    for (const config::SweepPoint& point : points) {
+      EXPECT_TRUE(data::DatasetRegistry::Has(point.dataset.name))
+          << point.dataset.name;
+      EXPECT_TRUE(api::PlannerRegistry::Has(point.planner)) << point.planner;
+    }
+    if (name.rfind("fig", 0) != 0) continue;
+    ++figures;
+    const auto expected = kFigurePoints.find(name);
+    ASSERT_NE(expected, kFigurePoints.end()) << "no expected point count";
+    EXPECT_EQ(points.size(), expected->second);
+  }
+  EXPECT_EQ(figures, kFigurePoints.size());
+  EXPECT_GT(configs, figures);  // sweep_ci.json too
 }
 
 TEST(SweepSpec, MissingRequiredAxesFail) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 
 #include "core/dre.h"
 #include "core/market_order.h"
@@ -383,16 +384,19 @@ TEST(Tdsi, ImmediateAdoptionDominatesWhenNoFuture) {
   EXPECT_GT(si1, 2.9);
 }
 
+// A window entirely above T clamps to {T}: a real pick, not an empty
+// (−1, −1) seed.
 TEST(Tdsi, PickBestClampsWindow) {
   TinyWorld w = MakeWorld(3, {{0, 1, 1.0}, {1, 2, 1.0}}, DetSpec(1, 2));
   diffusion::MonteCarloEngine engine(w.problem, {}, 8);
   std::vector<graph::UserId> market{0, 1, 2};
   TimingSelector tdsi(engine, market, 2);
   int idx = -1;
-  diffusion::Seed s = tdsi.PickBest({}, {{0, 0}}, 5, 9, &idx);
+  std::optional<diffusion::Seed> s = tdsi.PickBest({}, {{0, 0}}, 5, 9, &idx);
+  ASSERT_TRUE(s.has_value());
   EXPECT_EQ(idx, 0);
-  EXPECT_LE(s.promotion, 2);
-  EXPECT_GE(s.promotion, 1);
+  EXPECT_EQ(s->user, 0);
+  EXPECT_EQ(s->promotion, 2);
 }
 
 TEST(Tdsi, PrefersInfluentialNominee) {
@@ -402,8 +406,10 @@ TEST(Tdsi, PrefersInfluentialNominee) {
   std::vector<graph::UserId> market{0, 1, 2, 3};
   TimingSelector tdsi(engine, market, 1);
   int idx = -1;
-  diffusion::Seed s = tdsi.PickBest({}, {{3, 0}, {0, 0}}, 1, 1, &idx);
-  EXPECT_EQ(s.user, 0);
+  std::optional<diffusion::Seed> s =
+      tdsi.PickBest({}, {{3, 0}, {0, 0}}, 1, 1, &idx);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->user, 0);
   EXPECT_EQ(idx, 1);
 }
 

@@ -299,6 +299,54 @@ TEST_F(FaultMatrix, DeadlineMidAdaptiveRaceStopsTheRunAndSessionRecovers) {
   }
 }
 
+// A cancellation that lands inside a racing TDSI step: the race picks
+// nothing, and Dysim must stop that market without emitting a seed (an
+// empty (−1, −1) seed reaching the Theorem-5 guard aborts the process).
+// The run reports kCancelled with an in-range partial schedule, and the
+// session then plans like a fresh one.
+TEST_F(FaultMatrix, CancelMidRacingTdsiStepStopsTheRunWithValidSeeds) {
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    api::PlannerConfig cfg = SmallConfig();
+    cfg.selection_samples = 12;
+    cfg.eval_samples = 24;
+    cfg.num_threads = threads;
+    cfg.eval.adaptive.enabled = true;
+    cfg.eval.adaptive.min_samples = 2;
+    cfg.eval.adaptive.block_samples = 2;
+    api::CampaignSession session(data::MakeSmallAmazonSample(), cfg);
+    session.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
+    ASSERT_TRUE(Injector().Arm("eval.sigma:145:cancelled").ok());
+    api::PlanResult cancelled = session.Run("dysim");
+    EXPECT_EQ(cancelled.status.code(), util::StatusCode::kCancelled)
+        << cancelled.status.ToString();
+    const data::Dataset& ds = session.dataset();
+    for (const diffusion::Seed& s : cancelled.seeds) {
+      EXPECT_GE(s.user, 0);
+      EXPECT_LT(s.user, ds.NumUsers());
+      EXPECT_GE(s.item, 0);
+      EXPECT_LT(s.item, ds.NumItems());
+      EXPECT_GE(s.promotion, 1);
+      EXPECT_LE(s.promotion, 2);
+    }
+
+    Injector().Reset();
+    api::PlanResult ok = session.Run("dysim");
+    ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+    api::CampaignSession fresh(data::MakeSmallAmazonSample(), cfg);
+    fresh.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
+    api::PlanResult want = fresh.Run("dysim");
+    EXPECT_EQ(ok.sigma, want.sigma);
+    EXPECT_EQ(ok.total_cost, want.total_cost);
+    ASSERT_EQ(ok.seeds.size(), want.seeds.size());
+    for (size_t i = 0; i < want.seeds.size(); ++i) {
+      EXPECT_EQ(ok.seeds[i].user, want.seeds[i].user) << i;
+      EXPECT_EQ(ok.seeds[i].item, want.seeds[i].item) << i;
+      EXPECT_EQ(ok.seeds[i].promotion, want.seeds[i].promotion) << i;
+    }
+  }
+}
+
 TEST_F(FaultMatrix, PreFiredTokenCancelsTheRunPromptly) {
   api::CampaignSession session(data::MakeFig1Toy(), SmallConfig());
   session.SetProblem(20.0, 2);
