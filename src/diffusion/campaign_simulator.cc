@@ -80,6 +80,9 @@ void SimScratch::Bind(const Problem& problem) {
   batch_pos_mark_.assign(static_cast<size_t>(num_users), 0);
   entry_mark_.assign(static_cast<size_t>(num_users), 0);
   entry_head_.assign(static_cast<size_t>(num_users), -1);
+  dirty_out_.resize(static_cast<size_t>(num_users));
+  dirty_out_mark_.assign(static_cast<size_t>(num_users), 0);
+  weight_slot_.assign(static_cast<size_t>(num_users), 0);
 }
 
 void SimScratch::BeginSample() {
@@ -105,10 +108,26 @@ void SimScratch::BeginStep() {
   }
 }
 
-void SimScratch::FlushWeightUpdates(const pin::PersonalItemNetwork& pin) {
+void SimScratch::FlushWeightUpdates(const pin::PersonalItemNetwork& pin,
+                                    const float* base_weights,
+                                    ReplayLog* record) {
   for (UserId u : touched_users_) {
-    pin.UpdateWeights(states_[static_cast<size_t>(u)],
-                      new_items_[static_cast<size_t>(u)]);
+    const auto ui = static_cast<size_t>(u);
+    std::vector<float>& w = states_[ui].wmeta();
+    if (base_weights != nullptr && !Dirty(u)) {
+      // Clean after the sync: u's state before the step and its batch are
+      // the base's, so the update's result is the one the base logged.
+      const float* logged =
+          base_weights + static_cast<size_t>(weight_slot_[ui]) * w.size();
+      std::copy(logged, logged + w.size(), w.begin());
+      ++weight_updates_replayed_;
+    } else {
+      pin.UpdateWeights(states_[ui], new_items_[ui]);
+      ++weight_updates_computed_;
+    }
+    if (record != nullptr) {
+      record->weights.insert(record->weights.end(), w.begin(), w.end());
+    }
   }
   touched_users_.clear();
 }
@@ -123,15 +142,19 @@ void ReplayLog::KeepRounds(int round) {
                    : calls.size());
   entries.resize(first.entries_begin);
   batch.resize(first.batch_begin);
+  weights.resize(first.weights_begin);
   steps.resize(keep);
 }
 
-void SimScratch::BeginReplay(const ReplayLog& log, int t_begin) {
+void SimScratch::BeginReplay(const ReplayLog& log, int t_begin,
+                             const graph::SocialGraph& graph) {
   if (++replay_epoch_ == 0) {
     std::fill(dirty_mark_.begin(), dirty_mark_.end(), 0u);
+    std::fill(dirty_out_mark_.begin(), dirty_out_mark_.end(), 0u);
     replay_epoch_ = 1;
   }
   replay_ = &log;
+  replay_graph_ = &graph;
   replay_cursor_ = 0;
   while (replay_cursor_ < log.steps.size() &&
          log.steps[replay_cursor_].round < t_begin) {
@@ -157,6 +180,30 @@ bool SimScratch::EnterReplayStep(int t, int step) {
   return true;
 }
 
+void SimScratch::MarkDirty(UserId u) {
+  if (Dirty(u)) return;
+  dirty_mark_[static_cast<size_t>(u)] = replay_epoch_;
+  // Every in-edge of u is now a dirty out-edge of its src.
+  const std::span<const graph::Edge> in = replay_graph_->InEdges(u);
+  const std::span<const uint32_t> slots = replay_graph_->InEdgeSlots(u);
+  for (size_t i = 0; i < in.size(); ++i) {
+    const auto src = static_cast<size_t>(in[i].to);
+    std::vector<uint32_t>& list = dirty_out_[src];
+    if (dirty_out_mark_[src] != replay_epoch_) {
+      dirty_out_mark_[src] = replay_epoch_;
+      list.clear();
+    }
+    list.insert(std::upper_bound(list.begin(), list.end(), slots[i]),
+                slots[i]);
+  }
+}
+
+std::span<const uint32_t> SimScratch::DirtyOutEdges(UserId src) const {
+  const auto si = static_cast<size_t>(src);
+  if (dirty_out_mark_[si] != replay_epoch_) return {};
+  return dirty_out_[si];
+}
+
 int SimScratch::FindEntry(UserId src, ItemId x) const {
   if (entry_mark_[static_cast<size_t>(src)] != step_epoch_ || Dirty(src)) {
     return -1;
@@ -168,7 +215,7 @@ int SimScratch::FindEntry(UserId src, ItemId x) const {
   return -1;
 }
 
-void SimScratch::SyncReplay(int t, int step) {
+const float* SimScratch::SyncReplay(int t, int step) {
   const ReplayLog& log = *replay_;
   auto at_or_after = [&](const ReplayLog::Step& s) {
     return s.round > t || (s.round == t && s.step >= step);
@@ -185,26 +232,30 @@ void SimScratch::SyncReplay(int t, int step) {
   const bool matched = replay_cursor_ < log.steps.size() &&
                        log.steps[replay_cursor_].round == t &&
                        log.steps[replay_cursor_].step == step;
+  const float* base_weights = nullptr;
   if (matched) {
-    // Walk the base's batch against this step's per-user item lists.
-    for (uint32_t i = log.steps[replay_cursor_].batch_begin;
-         i < log.BatchEnd(replay_cursor_); ++i) {
+    // Walk the base's batch against this step's per-user item lists. A
+    // user's first base adoption of the step gives its slot among the
+    // step's logged weightings (first-adoption order, like the flush).
+    const ReplayLog::Step& base = log.steps[replay_cursor_];
+    base_weights = log.weights.data() + base.weights_begin;
+    uint32_t slot = 0;
+    for (uint32_t i = base.batch_begin; i < log.BatchEnd(replay_cursor_);
+         ++i) {
       const auto [u, x] = log.batch[i];
       const auto ui = static_cast<size_t>(u);
-      if (Dirty(u)) continue;
-      if (touched_user_mark_[ui] != step_epoch_) {
-        MarkDirty(u);
-        continue;
-      }
       if (batch_pos_mark_[ui] != step_epoch_) {
         batch_pos_mark_[ui] = step_epoch_;
         batch_pos_[ui] = 0;
+        weight_slot_[ui] = slot++;
       }
+      const uint32_t pos = batch_pos_[ui]++;
+      if (Dirty(u)) continue;
       const std::vector<ItemId>& mine = new_items_[ui];
-      if (batch_pos_[ui] >= mine.size() || mine[batch_pos_[ui]] != x) {
+      if (touched_user_mark_[ui] != step_epoch_ || pos >= mine.size() ||
+          mine[pos] != x) {
         MarkDirty(u);
       }
-      ++batch_pos_[ui];
     }
     ++replay_cursor_;
   }
@@ -215,6 +266,7 @@ void SimScratch::SyncReplay(int t, int step) {
         matched && batch_pos_mark_[ui] == step_epoch_ ? batch_pos_[ui] : 0;
     if (matched_items != new_items_[ui].size()) MarkDirty(u);
   }
+  return base_weights;
 }
 
 CampaignSimulator::CampaignSimulator(const Problem& problem,
@@ -324,7 +376,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     replay = nullptr;
     record = nullptr;
   }
-  if (replay != nullptr) scratch.BeginReplay(*replay, t_begin);
+  if (replay != nullptr) scratch.BeginReplay(*replay, t_begin, g);
   // Whole attempts are bounded only where no coin has a side effect:
   // round-keyed IC (see "Coins first" in the file comment).
   const bool coins_first =
@@ -351,13 +403,16 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
     if (record == nullptr) return;
     record->steps.push_back({t, step,
                              static_cast<uint32_t>(record->entries.size()),
-                             static_cast<uint32_t>(record->batch.size())});
+                             static_cast<uint32_t>(record->batch.size()),
+                             static_cast<uint32_t>(record->weights.size())});
   };
   // Commits end every step: after the adoptions are queued, replay learns
-  // which users' batches left the base's, then perceptions update.
+  // which users' batches left the base's, then perceptions update (copied
+  // from the base's log for the users still clean).
   auto end_step = [&](int t, int step) {
-    if (replay != nullptr) scratch.SyncReplay(t, step);
-    scratch.FlushWeightUpdates(pin);
+    const float* base_weights =
+        replay != nullptr ? scratch.SyncReplay(t, step) : nullptr;
+    scratch.FlushWeightUpdates(pin, base_weights, record);
   };
 
   int rounds_run = 0;
@@ -413,32 +468,14 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           record->entries.push_back(
               {src, x, static_cast<uint32_t>(record->calls.size())});
         }
-        // An entry the base walked from the same src state (-1 = none):
-        // its logged calls stand in for the attempts at clean targets.
-        const int entry = replaying ? scratch.FindEntry(src, x) : -1;
-        uint32_t c = 0;
-        uint32_t c_end = 0;
-        if (entry >= 0) {
-          c = replay->entries[static_cast<size_t>(entry)].calls_begin;
-          c_end = replay->CallsEnd(static_cast<size_t>(entry));
-        }
-        for (uint32_t k = 0; k < degree; ++k) {
+        // The promotion attempt over out-edge k, computed.
+        auto attempt = [&](uint32_t k) {
+          ++scratch.attempts_computed_;
           const graph::Edge& e = edges[k];
           const UserId u = e.to;
-          if (entry >= 0) {
-            const bool clean = !scratch.Dirty(u);
-            for (; c < c_end && replay->calls[c].edge == k; ++c) {
-              if (clean) try_queue(u, replay->calls[c].item);
-            }
-            if (clean) {
-              ++scratch.attempts_replayed_;
-              continue;
-            }
-          }
-          ++scratch.attempts_computed_;
           const pin::UserState& su = state[static_cast<size_t>(u)];
-          // A user can only be promoted an item she has not adopted.
-          if (su.Has(x)) continue;
+          // A user can only be promoted an item not yet adopted.
+          if (su.Has(x)) return;
           const double base_pref = problem_.BasePref(u, x);
           const std::vector<ItemId>& related = rel.ComplementItems(x);
           const std::vector<double>& bounds = rel.ComplementBounds(x);
@@ -469,12 +506,12 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
             }
             if (!live) {
               ++scratch.attempts_bounded_;
-              continue;
+              return;
             }
           }
           const double pact =
               act_model.Eval(e.weight, state[static_cast<size_t>(src)], su);
-          if (pact <= 0.0) continue;
+          if (pact <= 0.0) return;
           const double ppref = pref_model.Eval(su, base_pref, x);
           bool adopt = false;
           if (config_.model == DiffusionModel::kIndependentCascade) {
@@ -501,7 +538,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           // Item associations: being promoted x can trigger adoption of
           // relevant items y, independently of the adoption of x. Only
           // items with complementary relevance can (ComplementItems).
-          if (ppref <= 0.0 || !associations) continue;
+          if (ppref <= 0.0 || !associations) return;
           // A user with no adoption has no y to skip and still perceives
           // through Wmeta0(u), so the user's nets are one table row.
           const double* start_row =
@@ -538,7 +575,32 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
               if (draw < pe) coin_won(k, u, y);
             }
           }
+        };
+        // An entry the base walked from the same src state (-1 = none):
+        // its logged calls stand in for the attempts at clean targets.
+        const int entry = replaying ? scratch.FindEntry(src, x) : -1;
+        if (entry < 0) {
+          for (uint32_t k = 0; k < degree; ++k) attempt(k);
+          continue;
         }
+        // Merge, in edge order, the base's calls at clean targets with
+        // the computed attempts at src's dirty out-edges; a dirty
+        // target's logged calls are dropped.
+        const std::span<const uint32_t> dirty = scratch.DirtyOutEdges(src);
+        uint32_t c = replay->entries[static_cast<size_t>(entry)].calls_begin;
+        const uint32_t c_end = replay->CallsEnd(static_cast<size_t>(entry));
+        auto replay_calls_before = [&](uint32_t k_end) {
+          for (; c < c_end && replay->calls[c].edge < k_end; ++c) {
+            try_queue(edges[replay->calls[c].edge].to, replay->calls[c].item);
+          }
+        };
+        for (const uint32_t k : dirty) {
+          replay_calls_before(k);
+          while (c < c_end && replay->calls[c].edge == k) ++c;
+          attempt(k);
+        }
+        replay_calls_before(degree);
+        scratch.attempts_replayed_ += degree - dirty.size();
       }
 
       // Commit simultaneously, then update perceptions (ripple effect).

@@ -83,18 +83,32 @@
 // Base replay: a promotion attempt — frontier entry (u', x) at (t, ζ)
 // walking one out-edge to u — makes its try-to-adopt calls as a pure
 // function of (sample, t, ζ, u', u, x) and the states of u' and u at the
-// step start. A simulation given a ReplayLog of a *base* realization of
-// the same sample (recorded by another SimulateRounds) therefore repeats
-// the base's logged calls for every attempt whose entry the base also had
-// at that (t, ζ) and whose src and target are both *clean*: a user is
-// clean while each of its per-step adoption batches equals the base's
-// (equal batches from equal states give equal states, because weight
-// updates are a function of the state and the batch alone). Every other
-// attempt is computed. The commit loop, σ accumulation, weight updates and
-// every read-out run as always, so a replayed realization is the
-// from-scratch one bit for bit. Replay and recording are for round-keyed
-// IC only: an LT attempt's outcome depends on threshold mass other srcs
-// accumulated, and attempt keying renumbers coins across schedules.
+// step start, and a step's weight update of an adopter is a pure function
+// of the adopter's state before the step and its batch. A ReplayLog of a
+// *base* realization of the same sample (recorded by another
+// SimulateRounds) holds, per step, the entries walked, their calls in
+// edge order, the commit batch, and each adopter's weighting after the
+// update. A user is *clean* while each of its per-step adoption batches
+// equals the base's (equal batches from equal states give equal states);
+// it turns dirty at the first step where they differ, or where the base
+// had a step this realization skipped, and stays dirty. Then:
+//   * Walk. Each source keeps the sorted slots of its out-edges whose
+//     targets are dirty (filed through graph::SocialGraph::InEdgeSlots
+//     when the target turns dirty). An entry the base also had at this
+//     (t, ζ), from a clean src, merges in edge order the base's logged
+//     calls at clean targets with the full attempts at its dirty
+//     out-edges; a dirty target's logged calls are dropped. The queued
+//     calls come in exactly the order a full walk makes them, and the
+//     walk costs the entry's calls plus its dirty out-edges, not its
+//     degree. Every other entry walks all its out-edges.
+//   * Weights. After the commit syncs the clean set, an adopter still
+//     clean had the base's state and batch, so its update is the base's:
+//     its logged weighting is copied instead of running UpdateWeights.
+// The commit loop, σ accumulation and every read-out run as always, so a
+// replayed realization is the from-scratch one bit for bit. Replay and
+// recording are for round-keyed IC only: an LT attempt's outcome depends
+// on threshold mass other srcs accumulated, and attempt keying renumbers
+// coins across schedules.
 //
 // Coins first: a coin whose uniform draw lies at or above its
 // probability changes nothing, so the probability only has to be bounded
@@ -137,11 +151,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "diffusion/problem.h"
 #include "diffusion/seed.h"
+#include "graph/social_graph.h"
 #include "pin/dynamics.h"
 #include "pin/user_state.h"
 
@@ -208,14 +224,18 @@ class SeedSchedule {
 /// sample replays (see "Base replay" in the file comment): every step the
 /// base simulated, in order (ζ = 0, the seeds' adoptions, included), the
 /// frontier entries each step walked, the try-to-adopt calls each entry's
-/// out-edges made, and each step's commit batch. Flat arrays: a step's
-/// entries and batch, and an entry's calls, run up to the next one's begin.
+/// out-edges made (in edge order), each step's commit batch, and each
+/// step's adopters' weightings after their update — NumMetas floats per
+/// adopter, in first-adoption order (the batch's order of first
+/// appearance). Flat arrays: a step's entries, batch and weightings, and
+/// an entry's calls, run up to the next one's begin.
 struct ReplayLog {
   struct Step {
     int round;
     int step;
     uint32_t entries_begin;
     uint32_t batch_begin;
+    uint32_t weights_begin;
   };
   struct Entry {
     UserId src;
@@ -230,6 +250,7 @@ struct ReplayLog {
   std::vector<Entry> entries;
   std::vector<Call> calls;
   std::vector<std::pair<UserId, ItemId>> batch;
+  std::vector<float> weights;
 
   uint32_t EntriesEnd(size_t step) const {
     return step + 1 < steps.size() ? steps[step + 1].entries_begin
@@ -270,6 +291,11 @@ class SimScratch {
   int64_t attempts_computed() const { return attempts_computed_; }
   int64_t attempts_replayed() const { return attempts_replayed_; }
   int64_t attempts_bounded() const { return attempts_bounded_; }
+  /// Running totals of the per-step weight updates of adopters (Sec. V-A):
+  /// computed by UpdateWeights, or copied from a ReplayLog's weightings
+  /// for a user the step left clean. Bookkeeping only.
+  int64_t weight_updates_computed() const { return weight_updates_computed_; }
+  int64_t weight_updates_replayed() const { return weight_updates_replayed_; }
 
  private:
   friend class CampaignSimulator;
@@ -342,20 +368,26 @@ class SimScratch {
     changed_mark_[static_cast<size_t>(u)] = 1;
     changed_.push_back(u);
   }
-  void FlushWeightUpdates(const pin::PersonalItemNetwork& pin);
+  /// Updates every adopter of the step: copies a clean user's weighting
+  /// from `base_weights` (SyncReplay's result; null = none), computes the
+  /// rest, and appends each result to `record` (optional).
+  void FlushWeightUpdates(const pin::PersonalItemNetwork& pin,
+                          const float* base_weights, ReplayLog* record);
 
   // --- Base replay (see the file comment). ---
-  /// Starts replaying `log` for a simulation resuming at round t_begin:
-  /// every user clean, the cursor on the base's first step of a round
-  /// >= t_begin.
-  void BeginReplay(const ReplayLog& log, int t_begin);
+  /// Starts replaying `log` for a simulation on `graph` resuming at round
+  /// t_begin: every user clean, the cursor on the base's first step of a
+  /// round >= t_begin.
+  void BeginReplay(const ReplayLog& log, int t_begin,
+                   const graph::SocialGraph& graph);
   bool Dirty(UserId u) const {
     return dirty_mark_[static_cast<size_t>(u)] == replay_epoch_;
   }
-  void MarkDirty(UserId u) {
-    if (Dirty(u)) return;
-    dirty_mark_[static_cast<size_t>(u)] = replay_epoch_;
-  }
+  /// Dirties u and files each of u's in-edges under its src's dirty
+  /// out-edges.
+  void MarkDirty(UserId u);
+  /// The slots of src's out-edges whose targets are dirty, ascending.
+  std::span<const uint32_t> DirtyOutEdges(UserId src) const;
   /// The base's step (t, step) when it has one: indexes its frontier
   /// entries by src for FindEntry and returns true. Call after the
   /// propagation step's BeginStep.
@@ -365,8 +397,10 @@ class SimScratch {
   int FindEntry(UserId src, ItemId x) const;
   /// After a commit at (t, step), before the weight flush: dirties every
   /// user whose batch at this step differs from the base's, and every
-  /// adopter of the base steps this realization skipped.
-  void SyncReplay(int t, int step);
+  /// adopter of the base steps this realization skipped. Returns the
+  /// base's logged weightings of this step (null when the base had no
+  /// such step), each clean adopter's at its weight_slot_.
+  const float* SyncReplay(int t, int step);
 
   int num_users_ = 0;
   int num_items_ = 0;
@@ -414,19 +448,26 @@ class SimScratch {
 
   // Base replay state of the current SimulateRounds call. Dirty users are
   // those with dirty_mark_[u] == replay_epoch_ (one bump per replayed
-  // call); the per-step stamps below use step_epoch_.
+  // call), and so are the dirty out-edge lists; the per-step stamps below
+  // use step_epoch_.
   const ReplayLog* replay_ = nullptr;
+  const graph::SocialGraph* replay_graph_ = nullptr;
   size_t replay_cursor_ = 0;  ///< first base step not yet synced
   std::vector<uint32_t> dirty_mark_;  ///< |V|
   uint32_t replay_epoch_ = 0;
+  std::vector<std::vector<uint32_t>> dirty_out_;  ///< |V| sorted slot lists
+  std::vector<uint32_t> dirty_out_mark_;          ///< |V|
   std::vector<uint32_t> batch_pos_;       ///< |V| per-user batch cursor
   std::vector<uint32_t> batch_pos_mark_;  ///< |V|
+  std::vector<uint32_t> weight_slot_;     ///< |V| base adopter's weight slot
   std::vector<uint32_t> entry_mark_;      ///< |V|
   std::vector<int> entry_head_;           ///< |V| first entry per src
   std::vector<int> entry_next_;           ///< per entry of the base log
   int64_t attempts_computed_ = 0;
   int64_t attempts_replayed_ = 0;
   int64_t attempts_bounded_ = 0;
+  int64_t weight_updates_computed_ = 0;
+  int64_t weight_updates_replayed_ = 0;
 
   /// An attempt's association coins drawn by its bound test, reused by
   /// its exact path.

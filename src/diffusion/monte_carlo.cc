@@ -21,26 +21,33 @@ constexpr int kMinParallelSamples = 8;
 /// when the problem dimensions actually change.
 SimScratch& LocalScratch() { return ThreadLocalSimScratch(); }
 
-/// One shard's SampleWork: the arena's attempt totals when the shard
-/// started, subtracted when it ends.
+/// One shard's SampleWork: the arena's attempt and weight-update totals
+/// when the shard started, subtracted when it ends.
 class ShardTally {
  public:
   explicit ShardTally(const SimScratch& scratch)
-      : scratch_(scratch),
-        computed_(scratch.attempts_computed()),
-        replayed_(scratch.attempts_replayed()),
-        bounded_(scratch.attempts_bounded()) {}
+      : scratch_(scratch), start_(Totals(scratch)) {}
   SampleWork Done(int rounds) const {
-    return {rounds, scratch_.attempts_computed() - computed_,
-            scratch_.attempts_replayed() - replayed_,
-            scratch_.attempts_bounded() - bounded_};
+    const SampleWork now = Totals(scratch_);
+    return {rounds,
+            now.attempts_computed - start_.attempts_computed,
+            now.attempts_replayed - start_.attempts_replayed,
+            now.attempts_bounded - start_.attempts_bounded,
+            now.weight_updates_computed - start_.weight_updates_computed,
+            now.weight_updates_replayed - start_.weight_updates_replayed};
   }
 
  private:
+  static SampleWork Totals(const SimScratch& scratch) {
+    return {0,
+            scratch.attempts_computed(),
+            scratch.attempts_replayed(),
+            scratch.attempts_bounded(),
+            scratch.weight_updates_computed(),
+            scratch.weight_updates_replayed()};
+  }
   const SimScratch& scratch_;
-  int64_t computed_;
-  int64_t replayed_;
-  int64_t bounded_;
+  SampleWork start_;
 };
 
 /// A sample loop's work from its per-shard records, folded in shard order:
@@ -54,6 +61,8 @@ SampleWork FoldShards(const std::vector<SampleWork>& by_shard) {
     out.attempts_computed += w.attempts_computed;
     out.attempts_replayed += w.attempts_replayed;
     out.attempts_bounded += w.attempts_bounded;
+    out.weight_updates_computed += w.weight_updates_computed;
+    out.weight_updates_replayed += w.weight_updates_replayed;
   }
   out.rounds = std::max(out.rounds, 0);
   return out;
@@ -199,6 +208,8 @@ void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
   num_attempts_computed_ += work.attempts_computed;
   num_attempts_replayed_ += work.attempts_replayed;
   num_attempts_bounded_ += work.attempts_bounded;
+  num_weight_updates_computed_ += work.weight_updates_computed;
+  num_weight_updates_replayed_ += work.weight_updates_replayed;
 }
 
 SampleWork MonteCarloEngine::RunSamples(
@@ -487,6 +498,7 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
     engine_.num_rounds_skipped_ -= built;
     engine_.num_attempts_computed_ += work.attempts_computed;
     engine_.num_attempts_bounded_ += work.attempts_bounded;
+    engine_.num_weight_updates_computed_ += work.weight_updates_computed;
   };
   build(0, lattice.samples_ready, lattice.rounds_ready);
   build(lattice.samples_ready, samples_upto, 0);

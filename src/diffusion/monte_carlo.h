@@ -32,8 +32,9 @@
 //     follow the cascade, not |V|.
 //   * base replay — the same lattice build records each sample's base
 //     realization as a ReplayLog, and the rounds a group re-simulates
-//     after its divergence replay the base's coin outcomes wherever the
-//     group leaves the state untouched (campaign_simulator.h, "Base
+//     after its divergence replay the base's coin outcomes and weight
+//     updates wherever the group leaves the state untouched, walking only
+//     the out-edges into users it changed (campaign_simulator.h, "Base
 //     replay"). Round-keyed IC only; exact by construction. The
 //     engine's fixed-mode SelectBest bases its loop at the candidates'
 //     longest common seed prefix, so a set-addition greedy (every
@@ -56,7 +57,9 @@
 // attempts (frontier entry × out-edge) every simulation walked, lattice
 // builds included, into computed vs replayed from a base log;
 // num_attempts_bounded counts the computed ones whose every coin fell at
-// or above its bound (campaign_simulator.h, "Coins first").
+// or above its bound (campaign_simulator.h, "Coins first");
+// num_weight_updates_computed / num_weight_updates_replayed split the
+// adopters' per-step weight updates the same way.
 #ifndef IMDPP_DIFFUSION_MONTE_CARLO_H_
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
@@ -75,14 +78,17 @@
 namespace imdpp::diffusion {
 
 /// What one sample loop did: promotion rounds per sample (a schedule
-/// property, the same for every sample; −1 = nothing ran) and the
-/// promotion attempts its arenas computed, replayed and bounded, folded
-/// from per-shard tallies in shard order.
+/// property, the same for every sample; −1 = nothing ran), the promotion
+/// attempts its arenas computed, replayed and bounded, and the weight
+/// updates they computed and replayed, folded from per-shard tallies in
+/// shard order.
 struct SampleWork {
   int rounds = -1;
   int64_t attempts_computed = 0;
   int64_t attempts_replayed = 0;
   int64_t attempts_bounded = 0;
+  int64_t weight_updates_computed = 0;
+  int64_t weight_updates_replayed = 0;
 };
 
 /// The "mc" SigmaBackend: the accuracy reference every other backend is
@@ -230,6 +236,16 @@ class MonteCarloEngine : public SigmaBackend {
     util::MutexLock lock(mu_);
     return num_attempts_bounded_;
   }
+  /// Weight updates computed / copied from a base log (see the file
+  /// comment). Their sum over one estimate does not depend on replay.
+  int64_t num_weight_updates_computed() const override IMDPP_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return num_weight_updates_computed_;
+  }
+  int64_t num_weight_updates_replayed() const override IMDPP_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    return num_weight_updates_replayed_;
+  }
 
   /// The token estimates check; never null (see the constructor).
   const util::CancelToken* cancel_token() const override {
@@ -351,6 +367,8 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t num_attempts_computed_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t num_attempts_bounded_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable int64_t num_weight_updates_computed_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable int64_t num_weight_updates_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
   /// Sigma() / EvalMarket() memo (disabled until EnableSigmaMemo).
   mutable SigmaMemo memo_ IMDPP_GUARDED_BY(mu_);
 };

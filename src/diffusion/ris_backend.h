@@ -129,6 +129,12 @@ class RisBackend final : public SigmaBackend {
   int64_t num_attempts_bounded() const override {
     return mc_.num_attempts_bounded();
   }
+  int64_t num_weight_updates_computed() const override {
+    return mc_.num_weight_updates_computed();
+  }
+  int64_t num_weight_updates_replayed() const override {
+    return mc_.num_weight_updates_replayed();
+  }
 
   /// Base counters/histogram plus the ris-specific instrumentation
   /// (sketch builds/reuses, coverage-query count) and the embedded

@@ -126,6 +126,10 @@ void SigmaBackend::AddMetrics(util::MetricsSnapshot& out) const {
   out.AddCounter(util::metric::kEvalAttemptsComputed, num_attempts_computed());
   out.AddCounter(util::metric::kEvalAttemptsReplayed, num_attempts_replayed());
   out.AddCounter(util::metric::kEvalAttemptsBounded, num_attempts_bounded());
+  out.AddCounter(util::metric::kEvalWeightUpdatesComputed,
+                 num_weight_updates_computed());
+  out.AddCounter(util::metric::kEvalWeightUpdatesReplayed,
+                 num_weight_updates_replayed());
   AddSigmaHistogram(out);
 }
 

@@ -286,6 +286,11 @@ class SigmaBackend {
   virtual int64_t num_attempts_computed() const { return 0; }
   virtual int64_t num_attempts_replayed() const { return 0; }
   virtual int64_t num_attempts_bounded() const { return 0; }
+  /// Adopters' per-step weight updates (Sec. V-A) the simulations
+  /// computed, and the ones they copied from a base realization's log
+  /// instead (mc base replay). Zero on backends that never simulate.
+  virtual int64_t num_weight_updates_computed() const { return 0; }
+  virtual int64_t num_weight_updates_replayed() const { return 0; }
 
   /// Books this backend's work into `out` under the canonical
   /// util::metric names: the counters above plus the histogram of

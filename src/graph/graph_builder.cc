@@ -43,10 +43,13 @@ SocialGraph GraphBuilder::Build() {
   }
   g.out_edges_.resize(dedup.size());
   g.in_edges_.resize(dedup.size());
+  g.in_slots_.resize(dedup.size());
   std::vector<int64_t> out_pos(g.out_offsets_.begin(),
                                g.out_offsets_.end() - 1);
   std::vector<int64_t> in_pos(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
   for (const Raw& r : dedup) {
+    g.in_slots_[in_pos[r.to]] =
+        static_cast<uint32_t>(out_pos[r.from] - g.out_offsets_[r.from]);
     g.out_edges_[out_pos[r.from]++] = Edge{r.to, r.weight};
     g.in_edges_[in_pos[r.to]++] = Edge{r.from, r.weight};
   }

@@ -3,6 +3,8 @@
 // The graph is stored in CSR form with both out- and in-adjacency so that
 // diffusion (out-edges of newly adopting users) and AIS aggregation
 // (in-edges of a candidate adopter, Eq. 13) are both cache-friendly.
+// Each source's out-edges are sorted by target, and each in-edge knows
+// its slot among its source's out-edges (InEdgeSlots).
 // Edge weights are the *initial* influence strengths; the dynamic strength
 // Pact(u,v,ζ_t) is derived on top of them by pin::InfluenceModel.
 #ifndef IMDPP_GRAPH_SOCIAL_GRAPH_H_
@@ -46,6 +48,14 @@ class SocialGraph {
             in_edges_.data() + in_offsets_[u + 1]};
   }
 
+  /// Aligned with InEdges(u): each in-edge's slot in its source's
+  /// out-edges, so OutEdges(InEdges(u)[i].to)[InEdgeSlots(u)[i]].to == u.
+  std::span<const uint32_t> InEdgeSlots(UserId u) const {
+    IMDPP_DCHECK(u >= 0 && u < num_users_);
+    return {in_slots_.data() + in_offsets_[u],
+            in_slots_.data() + in_offsets_[u + 1]};
+  }
+
   int OutDegree(UserId u) const {
     IMDPP_DCHECK(u >= 0 && u < num_users_);
     return static_cast<int>(out_offsets_[u + 1] - out_offsets_[u]);
@@ -74,6 +84,7 @@ class SocialGraph {
   std::vector<Edge> out_edges_;
   std::vector<int64_t> in_offsets_{0};
   std::vector<Edge> in_edges_;
+  std::vector<uint32_t> in_slots_;  ///< aligned with in_edges_
 };
 
 }  // namespace imdpp::graph

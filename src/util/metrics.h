@@ -58,6 +58,10 @@ inline constexpr char kEvalSamplesSaved[] = "eval.samples_saved";
 inline constexpr char kEvalAttemptsComputed[] = "eval.attempts_computed";
 inline constexpr char kEvalAttemptsReplayed[] = "eval.attempts_replayed";
 inline constexpr char kEvalAttemptsBounded[] = "eval.attempts_bounded";
+inline constexpr char kEvalWeightUpdatesComputed[] =
+    "eval.weight_updates_computed";
+inline constexpr char kEvalWeightUpdatesReplayed[] =
+    "eval.weight_updates_replayed";
 inline constexpr char kRisSketchBuilds[] = "ris.sketch_builds";
 inline constexpr char kRisSketchReuses[] = "ris.sketch_reuses";
 inline constexpr char kRisCoverageQueries[] = "ris.coverage_queries";

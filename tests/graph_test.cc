@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "data/dataset_registry.h"
 #include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
 #include "graph/topology.h"
@@ -62,6 +65,36 @@ TEST(SocialGraph, BaseWeightAbsentEdge) {
 TEST(SocialGraph, AverageInfluence) {
   SocialGraph g = Line3();
   EXPECT_NEAR(g.AverageInfluenceStrength(), 0.375, 1e-9);
+}
+
+// Each in-edge names its slot among its source's out-edges, and each
+// source's out-edges are sorted by target (base replay merges a source's
+// dirty out-edges into its logged calls in slot order): on every catalog
+// dataset's graph.
+TEST(SocialGraph, InEdgeSlotsPointBackAtTheirOutEdges) {
+  for (const std::string& name : data::DatasetRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 0.3, 0});
+    const SocialGraph& g = *ds.social;
+    int64_t in_edges = 0;
+    for (UserId u = 0; u < g.NumUsers(); ++u) {
+      const std::span<const Edge> in = g.InEdges(u);
+      const std::span<const uint32_t> slots = g.InEdgeSlots(u);
+      ASSERT_EQ(in.size(), slots.size());
+      for (size_t i = 0; i < in.size(); ++i) {
+        const std::span<const Edge> out = g.OutEdges(in[i].to);
+        ASSERT_LT(slots[i], out.size());
+        EXPECT_EQ(out[slots[i]].to, u);
+        EXPECT_EQ(out[slots[i]].weight, in[i].weight);
+      }
+      in_edges += static_cast<int64_t>(in.size());
+      const std::span<const Edge> out = g.OutEdges(u);
+      for (size_t k = 1; k < out.size(); ++k) {
+        EXPECT_LT(out[k - 1].to, out[k].to);
+      }
+    }
+    EXPECT_EQ(in_edges, g.NumEdges());
+  }
 }
 
 TEST(BfsHops, DistancesAndTruncation) {

@@ -1074,6 +1074,55 @@ void ExpectSameMarketEval(const MarketEval& a, const MarketEval& b) {
   EXPECT_EQ(std::bit_cast<uint64_t>(a.pi), std::bit_cast<uint64_t>(b.pi));
 }
 
+/// The `n` users with the most in-edges (ties to the lower id).
+std::vector<UserId> Hubs(const Problem& p, int n) {
+  std::vector<UserId> users(static_cast<size_t>(p.NumUsers()));
+  for (UserId u = 0; u < p.NumUsers(); ++u) users[static_cast<size_t>(u)] = u;
+  std::stable_sort(users.begin(), users.end(), [&](UserId a, UserId b) {
+    return p.graph->InDegree(a) > p.graph->InDegree(b);
+  });
+  users.resize(std::min(users.size(), static_cast<size_t>(n)));
+  return users;
+}
+
+/// Heavy dirt: a base of `prefix` plus seeds at the problem's hubs and at
+/// a few random users, all at rounds in [lo, hi], and the groups a search
+/// evaluates against it: one more item seeded at one hub (in the same
+/// rounds) per hub, plus ReplayVariants. A hub whose batches leave the
+/// base's dirties every in-edge it has, so these groups replay with many
+/// dirty out-edges and many computed weight updates.
+struct HeavyDirt {
+  SeedGroup base;
+  std::vector<SeedGroup> variants;
+};
+HeavyDirt HeavyDirtGroups(const Problem& p, Rng& rng, SeedGroup prefix,
+                          int lo, int hi) {
+  auto round = [&] {
+    return lo + static_cast<int>(
+                    rng.NextBelow(static_cast<uint32_t>(hi - lo + 1)));
+  };
+  auto item = [&] {
+    return static_cast<ItemId>(
+        rng.NextBelow(static_cast<uint32_t>(p.NumItems())));
+  };
+  HeavyDirt out{std::move(prefix), {}};
+  const std::vector<UserId> hubs = Hubs(p, 6);
+  for (UserId hub : hubs) out.base.push_back({hub, item(), round()});
+  for (Seed s : RandomSchedule(p, rng, 4)) {
+    s.promotion = round();
+    out.base.push_back(s);
+  }
+  for (UserId hub : hubs) {
+    SeedGroup g = out.base;
+    g.push_back({hub, item(), round()});
+    out.variants.push_back(std::move(g));
+  }
+  for (SeedGroup& g : ReplayVariants(p, out.base, rng)) {
+    out.variants.push_back(std::move(g));
+  }
+  return out;
+}
+
 /// What a fresh engine answers for one group.
 struct Reference {
   double sigma;
@@ -1108,14 +1157,19 @@ void ExpectReplayMatches(const MonteCarloEngine& engine, const Problem& p,
 // leaves the state untouched; every estimate must still be the fresh
 // engine's, bit for bit: on every catalog dataset, for random bases and
 // their supersets, subsets and time-shifted variants, at every thread
-// count. The bases follow each other through Rebase: the second diverges
-// from the first at round 1 but keeps its later rounds (so its groups
-// resume checkpoints past a divergence the first base's logs predate),
-// and the third has every seed at round 1 (the set-addition greedy).
+// count. The bases follow each other through Rebase. The second shares
+// only round 1 with the first, whose lattice reached the last round, so
+// the logs are cut back to round 1 and regrown; it seeds the problem's
+// hubs, and its groups change what the hubs adopt (heavy dirt). The third
+// diverges from the first at round 1 but keeps its later rounds (so its
+// groups resume checkpoints past a divergence the earlier bases' logs
+// predate), and the fourth has every seed at round 1 (the set-addition
+// greedy).
 TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
   constexpr int kSamples = 8;
   int64_t replayed = 0;
   int64_t computed = 0;
+  int64_t updates_replayed = 0;
   for (const std::string& name : data::DatasetRegistry::Names()) {
     SCOPED_TRACE(name);
     const data::Dataset ds = data::DatasetRegistry::MakeOrDie({name, 0.2, 0});
@@ -1123,20 +1177,29 @@ TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
     Rng rng(HashTuple(uint64_t{0x5eed}, name.size(), p.NumUsers()));
     std::vector<UserId> market;
     for (UserId u = 0; u < p.NumUsers(); u += 3) market.push_back(u);
-    const SeedGroup random_base = RandomSchedule(p, rng, 6);
+    SeedGroup random_base = RandomSchedule(p, rng, 6);
+    random_base.back().promotion = p.num_promotions;
+    SeedGroup round_one;
+    for (const Seed& s : random_base) {
+      if (s.promotion == 1) round_one.push_back(s);
+    }
+    const HeavyDirt hubs =
+        HeavyDirtGroups(p, rng, round_one, /*lo=*/2, p.num_promotions);
     SeedGroup early = random_base;
     early.insert(early.begin(), RandomSchedule(p, rng, 1).front());
     early.front().promotion = 1;
     SeedGroup first_round = random_base;
     for (Seed& s : first_round) s.promotion = 1;
-    const std::vector<SeedGroup> bases = {random_base, early, first_round};
-    std::vector<std::vector<SeedGroup>> groups;
+    const std::vector<SeedGroup> bases = {random_base, hubs.base, early,
+                                          first_round};
+    const std::vector<std::vector<SeedGroup>> groups = {
+        ReplayVariants(p, random_base, rng), hubs.variants,
+        ReplayVariants(p, early, rng), ReplayVariants(p, first_round, rng)};
     std::vector<std::vector<Reference>> want;
     const MonteCarloEngine fresh(p, {}, kSamples, /*num_threads=*/0);
-    for (const SeedGroup& base : bases) {
-      groups.push_back(ReplayVariants(p, base, rng));
+    for (const std::vector<SeedGroup>& base_groups : groups) {
       want.emplace_back();
-      for (const SeedGroup& g : groups.back()) {
+      for (const SeedGroup& g : base_groups) {
         want.back().push_back(
             {fresh.Sigma(g), fresh.EvalMarket(g, market), fresh.Expected(g)});
       }
@@ -1147,10 +1210,12 @@ TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
       ExpectReplayMatches(engine, p, market, bases, groups, want);
       replayed += engine.num_attempts_replayed();
       computed += engine.num_attempts_computed();
+      updates_replayed += engine.num_weight_updates_replayed();
     }
   }
   // Replay did the bulk of the work, so the comparisons exercised it.
   EXPECT_GT(replayed, computed);
+  EXPECT_GT(updates_replayed, 0);
 }
 
 // Where replay is off — LT and attempt-keyed races — every estimate still
@@ -1307,6 +1372,118 @@ TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
   const MonteCarloEngine greedy(p, {}, kSamples, /*num_threads=*/2);
   greedy.SelectBest(additions, SelectOptions{});
   EXPECT_GT(greedy.num_attempts_replayed(), greedy.num_attempts_computed());
+}
+
+void ExpectSameLog(const ReplayLog& a, const ReplayLog& b) {
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(a.steps[i].round, b.steps[i].round);
+    EXPECT_EQ(a.steps[i].step, b.steps[i].step);
+    EXPECT_EQ(a.steps[i].entries_begin, b.steps[i].entries_begin);
+    EXPECT_EQ(a.steps[i].batch_begin, b.steps[i].batch_begin);
+    EXPECT_EQ(a.steps[i].weights_begin, b.steps[i].weights_begin);
+  }
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].src, b.entries[i].src);
+    EXPECT_EQ(a.entries[i].item, b.entries[i].item);
+    EXPECT_EQ(a.entries[i].calls_begin, b.entries[i].calls_begin);
+  }
+  ASSERT_EQ(a.calls.size(), b.calls.size());
+  for (size_t i = 0; i < a.calls.size(); ++i) {
+    EXPECT_EQ(a.calls[i].edge, b.calls[i].edge);
+    EXPECT_EQ(a.calls[i].item, b.calls[i].item);
+  }
+  EXPECT_EQ(a.batch, b.batch);
+  ASSERT_EQ(a.weights.size(), b.weights.size());
+  for (size_t i = 0; i < a.weights.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(a.weights[i]),
+              std::bit_cast<uint32_t>(b.weights[i]));
+  }
+}
+
+// KeepRounds cuts every array of a log at a round boundary: a log
+// recorded through the last round and kept to round r is the log of the
+// same realization recorded through round r only — steps, entries,
+// calls, batch and weightings alike. (A weightings array left long
+// would keep growing across rebases.)
+TEST(BaseReplay, KeepRoundsEqualsALogRecordedThatFar) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"douban-like", 0.3, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/4);
+  Rng rng(31);
+  const SeedSchedule sched(
+      HeavyDirtGroups(p, rng, {}, /*lo=*/1, p.num_promotions).base, p);
+  const CampaignSimulator sim(p, {});
+  SimScratch scratch;
+  size_t weights = 0;
+  for (uint64_t sample = 0; sample < 4; ++sample) {
+    ReplayLog full;
+    sim.Restore(nullptr, scratch);
+    sim.SimulateRounds(sched, sample, 1, p.num_promotions, nullptr, scratch,
+                       CoinKeying::kRound, nullptr, &full);
+    weights += full.weights.size();
+    for (int r = 0; r <= p.num_promotions; ++r) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sample " << sample << " round " << r);
+      ReplayLog part;
+      sim.Restore(nullptr, scratch);
+      sim.SimulateRounds(sched, sample, 1, r, nullptr, scratch,
+                         CoinKeying::kRound, nullptr, &part);
+      ReplayLog kept = full;
+      kept.KeepRounds(r);
+      ExpectSameLog(kept, part);
+    }
+  }
+  EXPECT_GT(weights, 0u);
+}
+
+// Weight replay moves updates from computed to replayed and nothing else,
+// and the merged dirty-edge walk keeps the attempt split exact: on the
+// heavy-dirt groups that diverge from an all-round-1 base at round 1 (so
+// neither path resumes a checkpoint), computed + replayed on the replay
+// path equals computed on a plain estimate, for attempts and for weight
+// updates alike.
+TEST(BaseReplay, WeightUpdatesAreConservedAgainstAPlainEstimate) {
+  constexpr int kSamples = 10;
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"douban-like", 0.3, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/3);
+  Rng rng(37);
+  HeavyDirt dirt = HeavyDirtGroups(p, rng, {}, /*lo=*/1, /*hi=*/1);
+  // Keep the groups that differ from the base at round 1.
+  const SeedSchedule base_sched(dirt.base, p);
+  std::erase_if(dirt.variants, [&](const SeedGroup& g) {
+    return SeedSchedule(g, p).RoundSeeds(1) == base_sched.RoundSeeds(1);
+  });
+  ASSERT_GE(dirt.variants.size(), 6u);
+  const MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
+  CheckpointedEval eval(engine, dirt.base);
+  // The first estimate extends no log; the second builds it.
+  eval.Sigma(dirt.variants.front());
+  eval.Sigma(dirt.variants.back());
+  int64_t updates_replayed = 0;
+  for (const SeedGroup& g : dirt.variants) {
+    const MonteCarloEngine plain(p, {}, kSamples, /*num_threads=*/2);
+    const double want = plain.Sigma(g);
+    EXPECT_EQ(plain.num_attempts_replayed(), 0);
+    EXPECT_EQ(plain.num_weight_updates_replayed(), 0);
+    const int64_t attempts0 =
+        engine.num_attempts_computed() + engine.num_attempts_replayed();
+    const int64_t updates0 = engine.num_weight_updates_computed() +
+                             engine.num_weight_updates_replayed();
+    const int64_t replayed0 = engine.num_weight_updates_replayed();
+    EXPECT_EQ(std::bit_cast<uint64_t>(eval.Sigma(g)),
+              std::bit_cast<uint64_t>(want));
+    EXPECT_EQ(engine.num_attempts_computed() + engine.num_attempts_replayed() -
+                  attempts0,
+              plain.num_attempts_computed());
+    EXPECT_EQ(engine.num_weight_updates_computed() +
+                  engine.num_weight_updates_replayed() - updates0,
+              plain.num_weight_updates_computed());
+    updates_replayed += engine.num_weight_updates_replayed() - replayed0;
+  }
+  EXPECT_GT(updates_replayed, 0);
 }
 
 }  // namespace

@@ -133,21 +133,29 @@ TEST(PerfSmoke, AdaptiveDysimReplaysBaseRealizations) {
   EXPECT_GT(m.Counter(util::metric::kEvalAttemptsReplayed), 0);
 }
 
-// The coins-first bar: on the reference run (Dysim on yelp-like@0.5,
-// B = 300, T = 10, the CLI's effort), at least half of the promotion
-// attempts the kernel computes are settled by their coins' upper bounds,
-// without the similarity, preference or relevance math
+/// The reference run (Dysim on yelp-like@0.5, B = 300, T = 10, the CLI's
+/// effort), planned once for the tests that read its counters.
+const api::PlanResult& ReferenceDysimRun() {
+  static const api::PlanResult* const result = [] {
+    api::PlannerConfig cfg;
+    cfg.selection_samples = 10;
+    cfg.eval_samples = 24;
+    cfg.candidates.max_users = 24;
+    cfg.candidates.max_items = 8;
+    cfg.num_threads = 0;
+    api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
+    session.SetProblem(/*budget=*/300.0, kPromotions);
+    return new api::PlanResult(session.Run("dysim"));
+  }();
+  return *result;
+}
+
+// The coins-first bar: on the reference run, at least half of the
+// promotion attempts the kernel computes are settled by their coins'
+// upper bounds, without the similarity, preference or relevance math
 // (campaign_simulator.h, "Coins first"). Measured: 0.555.
 TEST(PerfSmoke, CoinsFirstBoundsHalfOfTheComputedAttempts) {
-  api::PlannerConfig cfg;
-  cfg.selection_samples = 10;
-  cfg.eval_samples = 24;
-  cfg.candidates.max_users = 24;
-  cfg.candidates.max_items = 8;
-  cfg.num_threads = 0;
-  api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
-  session.SetProblem(/*budget=*/300.0, kPromotions);
-  const api::PlanResult r = session.Run("dysim");
+  const api::PlanResult& r = ReferenceDysimRun();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   const int64_t computed =
       r.metrics.Counter(util::metric::kEvalAttemptsComputed);
@@ -156,6 +164,23 @@ TEST(PerfSmoke, CoinsFirstBoundsHalfOfTheComputedAttempts) {
   EXPECT_LE(bounded, computed);
   EXPECT_GE(2 * bounded, computed)
       << "bounded=" << bounded << " computed=" << computed;
+}
+
+// The weight-replay bar: on the reference run, at least half of the
+// adopters' weight updates are copied from a base realization's log
+// instead of computed (campaign_simulator.h, "Base replay"), so a copy
+// that silently stopped happening fails here without a wall clock.
+// Measured: 0.859.
+TEST(PerfSmoke, BaseReplayCopiesHalfOfTheWeightUpdates) {
+  const api::PlanResult& r = ReferenceDysimRun();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  const int64_t computed =
+      r.metrics.Counter(util::metric::kEvalWeightUpdatesComputed);
+  const int64_t replayed =
+      r.metrics.Counter(util::metric::kEvalWeightUpdatesReplayed);
+  ASSERT_GT(computed, 0);
+  EXPECT_GE(2 * replayed, computed + replayed)
+      << "replayed=" << replayed << " computed=" << computed;
 }
 
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same
