@@ -101,6 +101,44 @@ BENCHMARK(BM_SigmaEstimateThreads)
     ->Arg(8)
     ->UseRealTime();
 
+/// One fixed-count argmax vs thread count (Arg = num_threads): the
+/// reference run's first Procedure-2 round on yelp-like@0.5 (B = 300,
+/// T = 10, 10 samples) — each of the 192 pairs of the 24 x 8 pool alone at
+/// round 1, scored by σ̂ per cost — through one engine.SelectBest, which
+/// simulates them as one (shard, candidate) grid. items_per_second counts
+/// realizations; CI prints the 4-vs-0 real-time speedup next to
+/// BM_SigmaEstimateThreads's. The pick is bit-identical for every Arg.
+void BM_SelectBestThreads(benchmark::State& state) {
+  const data::Dataset& ds = YelpDs();
+  const diffusion::Problem p = ds.MakeProblem(300.0, 10);
+  constexpr int kSamples = 10;
+  std::vector<diffusion::SelectCandidate> candidates;
+  for (const diffusion::Nominee& n :
+       core::BuildCandidateUniverse(p, {.max_users = 24, .max_items = 8})) {
+    candidates.push_back(
+        {diffusion::AtFirstPromotion({n}),
+         [cost = p.Cost(n.user, n.item)](const diffusion::MarketEval& ev) {
+           return ev.sigma / cost;
+         }});
+  }
+  diffusion::SelectOptions options;
+  options.min_score = 0.0;
+  const diffusion::MonteCarloEngine engine(p, {}, kSamples,
+                                           static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.SelectBest(candidates, options));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(candidates.size()) * kSamples);
+  state.counters["threads"] = static_cast<double>(engine.num_threads());
+}
+BENCHMARK(BM_SelectBestThreads)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime();
+
 /// σ̂ estimation per registered backend on the scale series (ISSUE 7):
 /// the CI bench job reads both real_times out of BENCH_micro.json and
 /// asserts the sketch backend beats forward re-simulation wall-clock.

@@ -188,7 +188,7 @@ SeedGroup PlaceByRound(diffusion::ScheduleEval& eval,
     if (!util::CheckCancel(cancel).ok()) break;
     // Candidate i is round i+1. min_score = -1.0 is below any σ̂, so
     // ties keep the earliest round; −1 comes back only when the engine's
-    // token fired mid-race, and the nominee then goes to round 1.
+    // token fired inside the argmax, and the nominee then goes to round 1.
     std::vector<diffusion::SelectCandidate> timings(
         static_cast<size_t>(num_promotions));
     for (int t = 1; t <= num_promotions; ++t) {

@@ -1,6 +1,9 @@
 #include "diffusion/monte_carlo.h"
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "util/fault_injection.h"
@@ -10,9 +13,9 @@ namespace imdpp::diffusion {
 
 namespace {
 
-/// Serial cutoff (ISSUE 3): below this many realizations per estimate the
-/// pool dispatch overhead is not worth paying; run inline. Scheduling
-/// only — the shard layout and therefore the results are unchanged.
+/// Serial cutoff: below this many realizations per dispatch the pool
+/// overhead is not worth paying; run inline. Scheduling only — the shard
+/// layout and therefore the results are unchanged.
 constexpr int kMinParallelSamples = 8;
 
 /// Per-worker simulation arena. Thread-local rather than engine-owned so
@@ -153,51 +156,30 @@ bool MonteCarloEngine::BeginEstimate() const {
   return cancel_->Check().ok();
 }
 
-bool MonteCarloEngine::RunsParallel() const {
-  return num_threads_ > 1 && NumShards() > 1 &&
-         num_samples_ >= kMinParallelSamples;
+bool MonteCarloEngine::RunsParallel(int tasks, int64_t realizations) const {
+  return num_threads_ > 1 && tasks > 1 && realizations >= kMinParallelSamples;
 }
 
-void MonteCarloEngine::RunShards(const std::function<void(int)>& fn) const {
-  const int num_shards = NumShards();
-  if (RunsParallel()) {
-    util::ThreadPool* pool = shared_pool_.get();
-    if (pool == nullptr) {
-      if (pool_ == nullptr) {
-        // More workers than shards could never claim a task, so cap the
-        // spawn count; the shard layout (and thus the result) is unchanged.
-        pool_ = std::make_unique<util::ThreadPool>(
-            std::min(num_threads_, num_shards) - 1);
-      }
-      pool = pool_.get();
-    }
-    pool->ParallelFor(num_shards, fn);
-  } else {
-    for (int shard = 0; shard < num_shards; ++shard) fn(shard);
+void MonteCarloEngine::RunTasks(int n, int64_t realizations,
+                                const std::function<void(int)>& fn) const {
+  if (!RunsParallel(n, realizations)) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
   }
+  util::ThreadPool* pool = shared_pool_.get();
+  if (pool == nullptr) {
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<util::ThreadPool>(num_threads_ - 1);
+    }
+    pool = pool_.get();
+  }
+  pool->ParallelFor(n, fn);
 }
 
-bool MonteCarloEngine::MemoLookup(const SeedGroup& seeds,
-                                  double* sigma) const {
-  const double* hit = memo_.FindSigma(seeds);
-  if (hit == nullptr) return false;
+void MonteCarloEngine::BookMemoHit() const {
   ++num_memo_hits_;
-  num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
-                         sim_.problem().num_promotions;
-  *sigma = *hit;
-  return true;
-}
-
-bool MonteCarloEngine::MarketMemoLookup(const SeedGroup& seeds,
-                                        const std::vector<UserId>& users,
-                                        MarketEval* eval) const {
-  const MarketEval* hit = memo_.FindMarket(seeds, users);
-  if (hit == nullptr) return false;
-  ++num_memo_hits_;
-  num_rounds_skipped_ += static_cast<int64_t>(num_samples_) *
-                         sim_.problem().num_promotions;
-  *eval = *hit;
-  return true;
+  num_rounds_skipped_ +=
+      static_cast<int64_t>(num_samples_) * sim_.problem().num_promotions;
 }
 
 void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
@@ -212,15 +194,26 @@ void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
   num_weight_updates_replayed_ += work.weight_updates_replayed;
 }
 
-SampleWork MonteCarloEngine::RunSamples(
-    const SeedSchedule& sched, int resume,
-    const std::vector<SampleCheckpoint>* start,
-    const std::vector<ReplayLog>* replay, const std::vector<uint8_t>* mask,
-    CoinKeying keying, int begin, int end,
-    const std::function<void(int, int, const SimScratch&)>& visit) const {
+int MonteCarloEngine::SimulateSample(const SeedSchedule& sched,
+                                     const Resume& from,
+                                     const std::vector<uint8_t>* mask,
+                                     CoinKeying keying, int s,
+                                     SimScratch& scratch) const {
+  const auto si = static_cast<size_t>(s);
+  sim_.Restore(from.start == nullptr ? nullptr : &(*from.start)[si], scratch);
   const int t_end = sched.last_active_round();
+  if (t_end <= from.round) return 0;
+  return sim_.SimulateRounds(
+      sched, static_cast<uint64_t>(s), from.round + 1, t_end, mask, scratch,
+      keying, from.replay == nullptr ? nullptr : &(*from.replay)[si]);
+}
+
+SampleWork MonteCarloEngine::RunSamples(
+    const SeedSchedule& sched, const Resume& from,
+    const std::vector<uint8_t>* mask, CoinKeying keying, int begin, int end,
+    const std::function<void(int, const SimScratch&)>& visit) const {
   std::vector<SampleWork> by_shard(NumShards());
-  RunShards([&](int shard) {
+  RunTasks(NumShards(), num_samples_, [&](int shard) {
     SimScratch& scratch = LocalScratch();
     const ShardTally tally(scratch);
     const int lo = std::max(ShardBegin(shard), begin);
@@ -228,15 +221,8 @@ SampleWork MonteCarloEngine::RunSamples(
     int rounds = -1;
     for (int s = lo; s < hi; ++s) {
       if (!cancel_->Check().ok()) break;
-      const auto si = static_cast<size_t>(s);
-      sim_.Restore(start == nullptr ? nullptr : &(*start)[si], scratch);
-      rounds = 0;
-      if (t_end > resume) {
-        rounds = sim_.SimulateRounds(
-            sched, static_cast<uint64_t>(s), resume + 1, t_end, mask, scratch,
-            keying, replay == nullptr ? nullptr : &(*replay)[si]);
-      }
-      visit(shard, s, scratch);
+      rounds = SimulateSample(sched, from, mask, keying, s, scratch);
+      visit(s, scratch);
     }
     by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
   });
@@ -328,11 +314,12 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
       es.avg_wmeta_[i] += acc.avg_wmeta_[i];
     }
   };
-  if (RunsParallel()) {
+  if (RunsParallel(num_shards, num_samples_)) {
     // One partial per shard (workers complete out of order), folded in
     // shard order afterwards.
     std::vector<ExpectedState> partial(num_shards, es);
-    RunShards([&](int shard) { accumulate(shard, partial[shard]); });
+    RunTasks(num_shards, num_samples_,
+             [&](int shard) { accumulate(shard, partial[shard]); });
     for (const ExpectedState& acc : partial) fold(acc);
   } else {
     // Serial fallback: one partial reused shard by shard — the identical
@@ -461,7 +448,7 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
     if (s_begin >= s_end || from >= rounds_upto) return;
     const std::vector<SampleCheckpoint>* start = lattice.Row(from);
     std::vector<SampleWork> by_shard(static_cast<size_t>(engine_.NumShards()));
-    engine_.RunShards([&](int shard) {
+    engine_.RunTasks(engine_.NumShards(), num_samples, [&](int shard) {
       SimScratch& scratch = LocalScratch();
       const ShardTally tally(scratch);
       const int lo = std::max(engine_.ShardBegin(shard), s_begin);
@@ -510,92 +497,178 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
   lattice.samples_ready = samples_upto;
 }
 
-CheckpointedEval::Resume CheckpointedEval::Prepare(
-    const SeedSchedule& sched) {
-  const int shared = SharedRounds(sched);
+std::vector<CheckpointedEval::Resume> CheckpointedEval::Prepare(
+    const std::vector<SeedSchedule>& scheds) {
+  const int last = base_sched_.last_active_round();
   // Replay needs the base's log past the shared rounds, recorded for
   // round-keyed IC only.
-  const int last = base_sched_.last_active_round();
-  bool replay =
-      shared < last &&
+  const bool ic =
       engine_.sim_.config().model == DiffusionModel::kIndependentCascade;
+  std::vector<Resume> resumes(scheds.size());
+  int upto = 0;
+  int replaying = 0;
+  for (size_t i = 0; i < scheds.size(); ++i) {
+    resumes[i].round = SharedRounds(scheds[i]);
+    upto = std::max(upto, resumes[i].round);
+    replaying += ic && resumes[i].round < last;
+  }
   // Extending the log costs one base simulation per sample, which only a
-  // second replaying estimate earns back: the first one per base runs
-  // without it (a lone estimate — a race winner's re-evaluation — never
-  // builds).
-  if (replay && round_keyed_.rounds_ready < last && !replay_wanted_) {
+  // second replaying estimate earns back: two in one batch grow it before
+  // either runs; a lone one marks the base and the next one grows it (a
+  // race winner's re-evaluation alone never builds).
+  bool grow_log = replaying > 0;
+  if (grow_log && round_keyed_.rounds_ready < last &&
+      replaying + (replay_wanted_ ? 1 : 0) < 2) {
     replay_wanted_ = true;
-    replay = false;
+    grow_log = false;
   }
-  Grow(round_keyed_, replay ? last : shared, engine_.num_samples_);
-  Resume resume;
-  resume.round = std::min(shared, round_keyed_.rounds_ready);
-  resume.start = round_keyed_.Row(resume.round);
-  if (replay && round_keyed_.rounds_ready > resume.round) {
-    resume.replay = &round_keyed_.logs;
+  Grow(round_keyed_, grow_log ? last : upto, engine_.num_samples_);
+  for (Resume& resume : resumes) {
+    const int shared = resume.round;
+    resume.round = std::min(shared, round_keyed_.rounds_ready);
+    resume.start = round_keyed_.Row(resume.round);
+    // The logs hold exactly the lattice's rounds; past them a replaying
+    // realization computes every step.
+    if (ic && shared < last && round_keyed_.rounds_ready > resume.round) {
+      resume.replay = &round_keyed_.logs;
+    }
   }
-  return resume;
+  return resumes;
 }
 
-MarketEval CheckpointedEval::Eval(const SeedGroup& group, bool want_pi) {
-  const SeedSchedule sched(group, engine_.sim_.problem());
-  const Resume resume = Prepare(sched);
-  std::vector<MarketEval> partial(engine_.NumShards());
-  const SampleWork work = engine_.RunSamples(
-      sched, resume.round, resume.start, resume.replay, MarketMask(),
-      CoinKeying::kRound, 0, engine_.num_samples_,
-      [&](int shard, int, const SimScratch& scratch) {
-        MarketEval& acc = partial[static_cast<size_t>(shard)];
-        acc.sigma += scratch.sigma();
-        acc.sigma_market += scratch.sigma_market();
-        if (want_pi) {
-          acc.pi += engine_.sim_.LikelihoodPi(scratch.states(), market_);
-        }
-      });
-  if (engine_.Cancelled()) return MarketEval{};
-  MarketEval out;
-  for (const MarketEval& acc : partial) {  // fixed shard order
-    out.sigma += acc.sigma;
-    out.sigma_market += acc.sigma_market;
-    out.pi += acc.pi;
+bool CheckpointedEval::EvalBatch(const std::vector<const SeedGroup*>& groups,
+                                 bool market, bool span_each,
+                                 std::vector<MarketEval>* out) {
+  const int num_samples = engine_.num_samples_;
+  SigmaMemo& memo = engine_.memo_;
+  out->assign(groups.size(), MarketEval{});
+  // Pre-pass, in candidate order: each estimate's fault gate and memo
+  // lookup. A group repeating an earlier miss that the memo will store is
+  // a hit, as it would be one call later; the other misses run.
+  constexpr int kRun = -1;
+  constexpr int kMemoHit = -2;
+  std::vector<int> source(groups.size(), kRun);  // or the miss it repeats
+  std::vector<int> runs;                         // the misses, in order
+  std::vector<SeedSchedule> scheds;
+  std::map<std::reference_wrapper<const SeedGroup>, int, std::less<SeedGroup>>
+      stored;
+  const size_t room = memo.Room(market);
+  for (size_t j = 0; j < groups.size(); ++j) {
+    if (!engine_.BeginEstimate()) return false;
+    const SeedGroup& group = *groups[j];
+    if (market) {
+      const MarketEval* found = memo.FindMarket(group, market_);
+      if (found != nullptr) (*out)[j] = *found;
+      source[j] = found != nullptr ? kMemoHit : kRun;
+    } else {
+      const double* found = memo.FindSigma(group);
+      if (found != nullptr) (*out)[j].sigma = *found;
+      source[j] = found != nullptr ? kMemoHit : kRun;
+    }
+    if (source[j] == kRun) {
+      const auto it = stored.find(group);
+      if (it != stored.end()) source[j] = it->second;
+    }
+    if (source[j] != kRun) {
+      engine_.BookMemoHit();
+      continue;
+    }
+    if (stored.size() < room) stored.emplace(group, static_cast<int>(j));
+    runs.push_back(static_cast<int>(j));
+    scheds.emplace_back(group, engine_.sim_.problem());
   }
-  engine_.Charge(engine_.num_samples_, work);
-  out.sigma /= engine_.num_samples_;
-  out.sigma_market /= engine_.num_samples_;
-  out.pi /= engine_.num_samples_;
-  return out;
+  // One grid, sample-major: task = shard × n + r runs shard `shard`'s
+  // samples of miss r, so each sample's checkpoint and log stay hot across
+  // the candidates. Every task writes its own partial.
+  const std::vector<Resume> resumes = Prepare(scheds);
+  struct Partial {
+    MarketEval sum;
+    SampleWork work;
+  };
+  const int n = static_cast<int>(runs.size());
+  const int shards = engine_.NumShards();
+  std::vector<Partial> partials(static_cast<size_t>(shards) * runs.size());
+  const std::vector<uint8_t>* mask = MarketMask();
+  engine_.RunTasks(
+      shards * n, static_cast<int64_t>(n) * num_samples, [&](int task) {
+        const int shard = task / n;
+        const auto r = static_cast<size_t>(task % n);
+        SimScratch& scratch = LocalScratch();
+        const ShardTally tally(scratch);
+        Partial& part = partials[static_cast<size_t>(task)];
+        int rounds = -1;
+        const int end = engine_.ShardBegin(shard + 1);
+        for (int s = engine_.ShardBegin(shard); s < end; ++s) {
+          if (!engine_.cancel_->Check().ok()) break;
+          rounds = engine_.SimulateSample(scheds[r], resumes[r], mask,
+                                          CoinKeying::kRound, s, scratch);
+          part.sum.sigma += scratch.sigma();
+          part.sum.sigma_market += scratch.sigma_market();
+          if (market) {
+            part.sum.pi +=
+                engine_.sim_.LikelihoodPi(scratch.states(), market_);
+          }
+        }
+        part.work = tally.Done(rounds);
+      });
+  // A partial estimate must never be charged or poison the memo.
+  if (engine_.Cancelled()) return false;
+  // Each miss's partials folded in shard order: a lone estimate's bits.
+  std::vector<SampleWork> by_shard(static_cast<size_t>(shards));
+  for (size_t r = 0; r < runs.size(); ++r) {
+    MarketEval sum;
+    for (int shard = 0; shard < shards; ++shard) {
+      const Partial& part =
+          partials[static_cast<size_t>(shard) * runs.size() + r];
+      sum.sigma += part.sum.sigma;
+      sum.sigma_market += part.sum.sigma_market;
+      sum.pi += part.sum.pi;
+      by_shard[static_cast<size_t>(shard)] = part.work;
+    }
+    engine_.Charge(num_samples, FoldShards(by_shard));
+    MarketEval& eval = (*out)[static_cast<size_t>(runs[r])];
+    eval.sigma = sum.sigma / num_samples;
+    if (market) {
+      eval.sigma_market = sum.sigma_market / num_samples;
+      eval.pi = sum.pi / num_samples;
+    }
+  }
+  // Post-pass, in candidate order: the memo stores and σ̂ records each
+  // call of the loop would make.
+  for (size_t j = 0; j < groups.size(); ++j) {
+    std::optional<util::trace::Span> span;
+    if (span_each) span.emplace(market ? "mc.eval_market" : "mc.sigma");
+    MarketEval& eval = (*out)[j];
+    if (source[j] >= 0) {
+      eval = (*out)[static_cast<size_t>(source[j])];
+    } else if (source[j] == kRun && market) {
+      memo.StoreMarket(*groups[j], market_, eval);
+    } else if (source[j] == kRun) {
+      memo.StoreSigma(*groups[j], eval.sigma);
+    }
+    engine_.RecordSigmaEstimate(eval.sigma);
+  }
+  return true;
 }
 
 double CheckpointedEval::Sigma(const SeedGroup& group) {
   util::trace::Span span("mc.sigma");
   util::MutexLock lock(engine_.mu_);
-  if (!engine_.BeginEstimate()) return 0.0;
-  double memoized = 0.0;
-  if (engine_.MemoLookup(group, &memoized)) {
-    engine_.RecordSigmaEstimate(memoized);
-    return memoized;
+  std::vector<MarketEval> out;
+  if (!EvalBatch({&group}, /*market=*/false, /*span_each=*/false, &out)) {
+    return 0.0;
   }
-  const double sigma = Eval(group, /*want_pi=*/false).sigma;
-  if (engine_.Cancelled()) return sigma;  // partial: keep it out of the memo
-  engine_.memo_.StoreSigma(group, sigma);
-  engine_.RecordSigmaEstimate(sigma);
-  return sigma;
+  return out.front().sigma;
 }
 
 MarketEval CheckpointedEval::EvalMarket(const SeedGroup& group) {
   util::trace::Span span("mc.eval_market");
   util::MutexLock lock(engine_.mu_);
-  if (!engine_.BeginEstimate()) return MarketEval{};
-  MarketEval memoized;
-  if (engine_.MarketMemoLookup(group, market_, &memoized)) {
-    engine_.RecordSigmaEstimate(memoized.sigma);
-    return memoized;
+  std::vector<MarketEval> out;
+  if (!EvalBatch({&group}, /*market=*/true, /*span_each=*/false, &out)) {
+    return MarketEval{};
   }
-  const MarketEval out = Eval(group, /*want_pi=*/true);
-  if (engine_.Cancelled()) return out;  // partial: keep it out of the memo
-  engine_.memo_.StoreMarket(group, market_, out);
-  engine_.RecordSigmaEstimate(out.sigma);
-  return out;
+  return out.front();
 }
 
 ExpectedState CheckpointedEval::Expected(const SeedGroup& group) {
@@ -604,9 +677,9 @@ ExpectedState CheckpointedEval::Expected(const SeedGroup& group) {
   if (!engine_.BeginEstimate()) {
     return ExpectedState(p.NumUsers(), p.NumItems(), p.NumMetas());
   }
-  const SeedSchedule sched(group, p);
-  const Resume resume = Prepare(sched);
-  return engine_.ExpectedFrom(sched, resume.round + 1, resume.start,
+  const std::vector<SeedSchedule> scheds{SeedSchedule(group, p)};
+  const Resume resume = Prepare(scheds).front();
+  return engine_.ExpectedFrom(scheds.front(), resume.round + 1, resume.start,
                               resume.replay);
 }
 
@@ -614,7 +687,19 @@ SelectBestResult CheckpointedEval::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) {
   if (!options.adaptive.enabled || candidates.size() < 2) {
-    return ScheduleEval::SelectBest(candidates, options);
+    util::trace::Span span("mc.select_best");
+    std::vector<const SeedGroup*> groups;
+    groups.reserve(candidates.size());
+    for (const SelectCandidate& c : candidates) groups.push_back(&c.group);
+    std::vector<MarketEval> evals;
+    {
+      util::MutexLock lock(engine_.mu_);
+      if (!EvalBatch(groups, options.use_market, /*span_each=*/true,
+                     &evals)) {
+        return SelectBestResult{};
+      }
+    }
+    return PickBest(candidates, evals, options.min_score);
   }
   const bool want_market = options.use_market;
   if (want_market) IMDPP_CHECK(!market_.empty());
@@ -656,9 +741,9 @@ SelectBestResult CheckpointedEval::SelectBest(
       const Racer& racer = racers[static_cast<size_t>(cand)];
       const auto& score = candidates[static_cast<size_t>(cand)].score;
       const SampleWork work = engine_.RunSamples(
-          racer.sched, racer.resume, attempt_keyed_.Row(racer.resume),
-          /*replay=*/nullptr, MarketMask(), CoinKeying::kAttempt, begin, end,
-          [&](int, int s, const SimScratch& scratch) {
+          racer.sched, {racer.resume, attempt_keyed_.Row(racer.resume)},
+          MarketMask(), CoinKeying::kAttempt, begin, end,
+          [&](int s, const SimScratch& scratch) {
             MarketEval eval;
             eval.sigma = scratch.sigma();
             eval.sigma_market = scratch.sigma_market();

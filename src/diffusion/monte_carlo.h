@@ -8,15 +8,20 @@
 // paired: Sigma(S ∪ {s}) - Sigma(S) is a low-variance paired estimate of
 // the marginal gain.
 //
-// Parallelism: the per-sample loop is embarrassingly parallel (every
-// realization is a pure function of its sample index), so estimates are
-// sharded across a util::ThreadPool — either an engine-owned lazy pool or
-// a pool shared with other engines (one per CampaignSession / per
-// RunDysim). The shard layout depends only on the sample count — never the
-// thread count — and per-shard partial sums are reduced in shard order, so
-// every estimate is bit-identical for any num_threads (including the 0 =
-// serial fallback). That keeps the paired marginal-gain property exact
-// under threading.
+// Parallelism: every realization is a pure function of its sample index,
+// so the sample loop is embarrassingly parallel. Its tasks run on a
+// util::ThreadPool — either an engine-owned lazy pool or a pool shared
+// with other engines (one per CampaignSession / per RunDysim). The samples
+// split into shards whose layout depends only on the sample count — never
+// the thread count — and every estimate sums its samples per shard and
+// folds the shard partials in shard order, so it is bit-identical for any
+// num_threads (including the 0 = serial fallback). That keeps the paired
+// marginal-gain property exact under threading. A fixed-count argmax
+// (SelectBest) is one batch: one pool dispatch over a grid of (shard,
+// candidate) tasks in sample-major order, each task writing its own
+// partial, folded per candidate in shard order. The threads thus
+// parallelize across candidates, not only inside one estimate, and every
+// estimate keeps the bits of a lone Sigma.
 //
 // Evaluation fast path: every estimate runs on per-worker SimScratch
 // arenas (zero per-sample allocation, resets that touch only the users
@@ -47,9 +52,10 @@
 // Expected and adaptive SelectBest are a CheckpointedEval with an empty
 // base, whose every realization resumes at round 0, from the problem
 // start (a started problem's observed state for adaptive replanning,
-// Problem::StartedAt). Inside it there is one σ/σ_τ/π
-// sample loop (RunSamples), one Expected loop (ExpectedFrom), one race
-// and one checkpoint-lattice builder, instantiated once per coin keying.
+// Problem::StartedAt). Inside it there is one fixed-count σ/σ_τ/π batch
+// (EvalBatch — Sigma and EvalMarket are batches of one), one Expected
+// loop (ExpectedFrom), one race and one checkpoint-lattice builder,
+// instantiated once per coin keying.
 // Work accounting: num_rounds_simulated / num_rounds_skipped split every
 // estimate's promotion-rounds into executed vs avoided (vs the naive
 // T-rounds-per-sample baseline); num_memo_hits counts memoized estimates;
@@ -151,11 +157,11 @@ class MonteCarloEngine : public SigmaBackend {
   std::unique_ptr<ScheduleEval> MakeScheduleEval(
       SeedGroup base, std::vector<UserId> market = {}) const override;
 
-  /// Greedy σ-scored argmax (ISSUE 10). Fixed mode (the default) runs the
-  /// reference loop on a CheckpointedEval based at the candidates' longest
-  /// common seed prefix (empty for a single candidate), so each estimate
-  /// resumes the shared rounds and replays the base where its candidate
-  /// leaves it untouched — the estimates, call order and memo traffic of
+  /// Greedy σ-scored argmax. Fixed mode (the default) runs one
+  /// batch on a CheckpointedEval based at the candidates' longest common
+  /// seed prefix (empty for a single candidate), so each estimate resumes
+  /// the shared rounds and replays the base where its candidate leaves it
+  /// untouched — the estimates, memo traffic and pick of
   /// SigmaBackend::SelectBest, bit for bit. options.adaptive.enabled runs
   /// the CheckpointedEval race with an empty base, so every racer resumes
   /// at round 0. See CheckpointedEval::SelectBest for the stopping, winner
@@ -273,41 +279,45 @@ class MonteCarloEngine : public SigmaBackend {
   int ShardBegin(int shard) const {
     return util::ShardBegin(num_samples_, shard);
   }
-  /// Whether RunShards will use a pool (purely a scheduling question —
-  /// results never depend on it). Serial below kMinParallelSamples: pool
-  /// dispatch is not worth it for a handful of realizations.
-  bool RunsParallel() const;
-  /// Runs fn(shard) for every shard — on the pool when parallel, inline
-  /// otherwise. Pure scheduling; callers do their own work accounting.
-  /// Holds the engine mutex across the fan-out: tasks never touch guarded
-  /// engine state (they write per-shard slots), and no task path
-  /// re-enters the engine, so this cannot deadlock.
-  void RunShards(const std::function<void(int)>& fn) const
+  /// Whether RunTasks(tasks, realizations, ...) will use a pool (purely a
+  /// scheduling question — results never depend on it). Serial below
+  /// kMinParallelSamples realizations: pool dispatch is not worth it for a
+  /// handful of them.
+  bool RunsParallel(int tasks, int64_t realizations) const;
+  /// Runs fn(0) ... fn(n-1), which together simulate `realizations` —
+  /// on the pool when parallel, inline in index order otherwise. Pure
+  /// scheduling; each task writes its own slot and callers do their own
+  /// work accounting. Holds the engine mutex across the fan-out: tasks
+  /// never touch guarded engine state, and no task path re-enters the
+  /// engine, so this cannot deadlock.
+  void RunTasks(int n, int64_t realizations,
+                const std::function<void(int)>& fn) const
       IMDPP_REQUIRES(mu_);
 
-  /// The one sample loop behind every σ/σ_τ/π estimate and every race
-  /// block: for each sample s in [begin, end), restores the realization
-  /// after round `resume` — from (*start)[s] when `start` is set, else
-  /// from the problem start — simulates the remaining
-  /// rounds of `sched` with `keying` (replaying (*replay)[s] when set),
-  /// and calls visit(shard, s, scratch). Returns the loop's work; callers
-  /// check Cancelled() after.
+  /// Where a realization starts: after round `round`, from (*start)[s]
+  /// (null = the problem start), replaying (*replay)[s] (null = none).
+  struct Resume {
+    int round = 0;
+    const std::vector<SampleCheckpoint>* start = nullptr;
+    const std::vector<ReplayLog>* replay = nullptr;
+  };
+  /// One realization of the fixed batch and the race loop: restores
+  /// sample `s` at `from`, simulates the remaining rounds of `sched` with
+  /// `keying` and returns the promotion rounds it executed.
+  int SimulateSample(const SeedSchedule& sched, const Resume& from,
+                     const std::vector<uint8_t>* mask, CoinKeying keying,
+                     int s, SimScratch& scratch) const;
+  /// The race's sample loop: for each sample s in [begin, end), one
+  /// SimulateSample, then visit(s, scratch). Returns the loop's work;
+  /// callers check Cancelled() after.
   SampleWork RunSamples(
-      const SeedSchedule& sched, int resume,
-      const std::vector<SampleCheckpoint>* start,
-      const std::vector<ReplayLog>* replay,
+      const SeedSchedule& sched, const Resume& from,
       const std::vector<uint8_t>* mask, CoinKeying keying, int begin,
-      int end,
-      const std::function<void(int, int, const SimScratch&)>& visit) const
-      IMDPP_REQUIRES(mu_);
+      int end, const std::function<void(int, const SimScratch&)>& visit)
+      const IMDPP_REQUIRES(mu_);
 
-  /// Memo lookup; on hit books the skipped work and returns true.
-  bool MemoLookup(const SeedGroup& seeds, double* sigma) const
-      IMDPP_REQUIRES(mu_);
-  /// Same, for EvalMarket keyed on (seed vector, market user list).
-  bool MarketMemoLookup(const SeedGroup& seeds,
-                        const std::vector<UserId>& users,
-                        MarketEval* eval) const IMDPP_REQUIRES(mu_);
+  /// Books one memoized estimate: no simulation, every round skipped.
+  void BookMemoHit() const IMDPP_REQUIRES(mu_);
   /// The one Expected loop: runs promotions [t_begin, t_end(sched)] per
   /// sample on top of `start` (per-sample checkpoints; nullptr = the
   /// problem start) and averages the final states. The accumulation shape
@@ -393,18 +403,21 @@ class MonteCarloEngine : public SigmaBackend {
 /// across iterations of those loops.
 ///
 /// Base replay: the round-keyed lattice build also records each sample's
-/// base realization as a ReplayLog. An estimate whose group diverges
-/// before the base's last active round grows the lattice (and the log) to
-/// that round once per base — from the second such estimate on, so a lone
-/// estimate never pays for a build — then replays the base's coin
-/// outcomes in the rounds it re-simulates wherever the group leaves the
-/// state untouched.
+/// base realization as a ReplayLog. Estimates whose groups diverge before
+/// the base's last active round grow the lattice (and the log) to that
+/// round once per base, then replay the base's coin outcomes in the rounds
+/// they re-simulate wherever their group leaves the state untouched. The
+/// build costs one base simulation per sample, so it happens once two
+/// such estimates are known: a batch holding two grows the log before any
+/// of its candidates runs, so all of them replay; a lone estimate marks
+/// the base and the next one grows it (a race winner's re-evaluation
+/// alone never builds).
 /// Rebase keeps the log rounds it keeps checkpoints for. Off for LT (the
 /// log is never recorded).
 ///
 /// With an empty base every estimate resumes at round 0: that is the
 /// engine's own estimate path. All estimates run on the engine's sharded
-/// sample loop and are charged to its work counters.
+/// sample loops and are charged to its work counters.
 class CheckpointedEval final : public ScheduleEval {
  public:
   /// `market` fixes the user list for EvalMarket() (empty = σ_τ and π
@@ -439,9 +452,11 @@ class CheckpointedEval final : public ScheduleEval {
   const SeedGroup& base() const override { return base_; }
 
   /// Greedy argmax over `candidates` against the shared base (ISSUE 10).
-  /// Fixed mode runs the base-class reference loop (through this
-  /// evaluator's checkpointed Sigma/EvalMarket). Adaptive mode races
-  /// candidates with empirical-Bernstein stopping on paired per-sample
+  /// Fixed mode evaluates every candidate as one EvalBatch — the
+  /// estimates, memo traffic and strict-`>` pick of the base-class loop
+  /// over this evaluator's Sigma/EvalMarket, bit for bit — and returns
+  /// best_index −1 when the cancel token fires inside it. Adaptive mode
+  /// races candidates with empirical-Bernstein stopping on paired per-sample
   /// values, block by block, each racer resuming from its own divergence
   /// boundary on the attempt-keyed lattice; then it re-evaluates the
   /// winner at the full sample count through the normal memo-aware path,
@@ -494,20 +509,30 @@ class CheckpointedEval final : public ScheduleEval {
   const std::vector<uint8_t>* MarketMask() const {
     return market_mask_.empty() ? nullptr : &market_mask_;
   }
-  /// Where a round-keyed estimate of a schedule starts: the round it
-  /// resumes after, that round's checkpoints (null = round 0) and the
-  /// base logs it replays (null = none).
-  struct Resume {
-    int round = 0;
-    const std::vector<SampleCheckpoint>* start = nullptr;
-    const std::vector<ReplayLog>* replay = nullptr;
-  };
-  /// SharedRounds(sched), with the round-keyed lattice grown to it for
-  /// every sample — or, when `sched` diverges before the base's last
-  /// active round and replay applies, to that round with its logs (a
-  /// cancelled build leaves it short; resume and replay less then).
-  Resume Prepare(const SeedSchedule& sched) IMDPP_REQUIRES(engine_.mu_);
-  MarketEval Eval(const SeedGroup& group, bool want_pi)
+  using Resume = MonteCarloEngine::Resume;
+  /// Where the round-keyed estimates of `scheds` start: each at
+  /// SharedRounds(sched), with the round-keyed lattice grown once for
+  /// every sample to the latest of them — or, when replay applies (see
+  /// "Base replay" above), to the base's last active round with its logs,
+  /// which the schedules diverging before that round replay. Row and log
+  /// pointers are taken after the one Grow, which may resize the lattice.
+  /// A cancelled build leaves the lattice short; they resume and replay
+  /// less then.
+  std::vector<Resume> Prepare(const std::vector<SeedSchedule>& scheds)
+      IMDPP_REQUIRES(engine_.mu_);
+  /// The fixed-count batch behind Sigma, EvalMarket and fixed SelectBest:
+  /// estimates every group (EvalMarket's σ/σ_τ/π with `market`, else σ
+  /// only) into (*out)[i], in candidate order and with the call-by-call
+  /// loop's bits and books. A serial pre-pass runs each estimate's
+  /// eval.sigma gate and memo lookup (a group repeating an earlier one the
+  /// memo will store is a hit) and Prepares the misses; one grid of
+  /// (shard, miss) tasks simulates them; a serial post-pass charges,
+  /// stores and records each — inside its own mc.sigma / mc.eval_market
+  /// span when `span_each` (a batch of one runs inside its caller's).
+  /// False = the token fired: nothing of the batch's simulations is
+  /// charged or stored, and *out is garbage.
+  bool EvalBatch(const std::vector<const SeedGroup*>& groups, bool market,
+                 bool span_each, std::vector<MarketEval>* out)
       IMDPP_REQUIRES(engine_.mu_);
 
   const MonteCarloEngine& engine_;

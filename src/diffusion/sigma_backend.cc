@@ -42,25 +42,18 @@ class ForwardingScheduleEval final : public ScheduleEval {
 };
 
 /// The fixed-count reference loop of both base SelectBest entry points:
-/// every candidate in order through `evaluate`, keeping the strict-`>`
-/// running best. Backends without a racing override run it even when
-/// racing is on (correct, never early-stopping — e.g. "ris").
+/// every candidate in order through `evaluate`, then the strict-`>` pick.
+/// Backends without a racing override run it even when racing is on
+/// (correct, never early-stopping — e.g. "ris").
 template <typename EvaluateFn>
 SelectBestResult FixedSelectBest(const std::vector<SelectCandidate>& candidates,
                                  double min_score, const EvaluateFn& evaluate) {
-  SelectBestResult result;
-  result.best_score = min_score;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const MarketEval eval = evaluate(candidates[i].group);
-    const double score =
-        candidates[i].score ? candidates[i].score(eval) : eval.sigma;
-    if (score > result.best_score) {
-      result.best_score = score;
-      result.best_index = static_cast<int>(i);
-      result.best_eval = eval;
-    }
+  std::vector<MarketEval> evals;
+  evals.reserve(candidates.size());
+  for (const SelectCandidate& c : candidates) {
+    evals.push_back(evaluate(c.group));
   }
-  return result;
+  return PickBest(candidates, evals, min_score);
 }
 
 /// Meyers singleton: safe against static-initialization ordering with the
@@ -72,6 +65,23 @@ util::Registry<SigmaBackendRegistry::Factory>& Impl() {
 }
 
 }  // namespace
+
+SelectBestResult PickBest(const std::vector<SelectCandidate>& candidates,
+                          const std::vector<MarketEval>& evals,
+                          double min_score) {
+  SelectBestResult result;
+  result.best_score = min_score;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const double score =
+        candidates[i].score ? candidates[i].score(evals[i]) : evals[i].sigma;
+    if (score > result.best_score) {
+      result.best_score = score;
+      result.best_index = static_cast<int>(i);
+      result.best_eval = evals[i];
+    }
+  }
+  return result;
+}
 
 std::unique_ptr<ScheduleEval> SigmaBackend::MakeScheduleEval(
     SeedGroup base, std::vector<UserId> market) const {

@@ -144,9 +144,9 @@ struct SelectCandidate {
 
 /// How a SelectBest argmax runs.
 struct SelectOptions {
-  /// enabled=false (the default) = the fixed-count reference loop:
-  /// bit-identical estimates, call order and side effects to the hand
-  /// written loops it replaced.
+  /// enabled=false (the default) = the fixed-count reference argmax:
+  /// estimates, memo traffic, counters and pick bit-identical to the
+  /// hand-written loops it replaced.
   AdaptiveEvalConfig adaptive;
   /// Evaluate candidates through EvalMarket (σ, σ_τ, π̂) instead of
   /// Sigma. Only meaningful on a ScheduleEval bound to a market.
@@ -160,7 +160,8 @@ struct SelectOptions {
 /// The outcome of a SelectBest argmax.
 struct SelectBestResult {
   /// Winning candidate, or −1 (nothing beat min_score, or the backend's
-  /// cancel token fired mid-race — callers check the token either way).
+  /// cancel token fired mid-race or mid-batch — callers check the token
+  /// either way).
   int best_index = -1;
   /// The winner's full-precision score (adaptive mode re-evaluates the
   /// winner at the full sample count through the normal estimate path,
@@ -174,6 +175,14 @@ struct SelectBestResult {
   /// num_samples on the engine-level fixed loop; 0 on a ScheduleEval's.
   int64_t samples_used = 0;
 };
+
+/// The fixed-count pick over `candidates` and their estimates `evals`
+/// (same order): the first candidate whose score strictly beats the
+/// running best, which starts at `min_score` (and stays there, with
+/// best_index −1, when none does). samples_used is left 0.
+SelectBestResult PickBest(const std::vector<SelectCandidate>& candidates,
+                          const std::vector<MarketEval>& evals,
+                          double min_score);
 
 /// One backend-owned evaluator bound to a mutable *base* seed group (and
 /// optionally a fixed market): the shape TDSI's PickBest, the greedy
@@ -200,8 +209,9 @@ class ScheduleEval {
   /// fixed-count reference loop shared with SigmaBackend::SelectBest:
   /// every candidate in order through Sigma/EvalMarket — the call
   /// sequence, memo traffic and bits of the hand-written loops it
-  /// replaced — keeping the strict-`>` running best. Backends with
-  /// sequential stopping override it and race when enabled.
+  /// replaced — then PickBest. Overrides must keep those estimates, books
+  /// and pick: the mc backend evaluates the candidates as one batch
+  /// (monte_carlo.h) and races them when racing is enabled.
   virtual SelectBestResult SelectBest(
       const std::vector<SelectCandidate>& candidates,
       const SelectOptions& options);
@@ -232,8 +242,9 @@ class SigmaBackend {
   /// Greedy σ-scored argmax over `candidates` (the engine-level twin of
   /// ScheduleEval::SelectBest, for consumers without a bound market —
   /// options.use_market is not supported here). The base implementation
-  /// is the same fixed-count reference loop, over Sigma();
-  /// backends flagged capabilities().select_best race with sequential
+  /// is the same fixed-count reference loop, over Sigma(); the mc backend
+  /// runs it as one batch with the loop's estimates, books and pick.
+  /// Backends flagged capabilities().select_best race with sequential
   /// stopping when options.adaptive.enabled.
   virtual SelectBestResult SelectBest(
       const std::vector<SelectCandidate>& candidates,

@@ -21,6 +21,13 @@ class SigmaMemo {
  public:
   void set_capacity(size_t capacity) { capacity_ = capacity; }
 
+  /// How many more Sigma() (`market` false) or EvalMarket() answers the
+  /// memo will store: 0 when disabled or full.
+  size_t Room(bool market) const {
+    const size_t used = market ? market_entries_ : sigma_.size();
+    return used < capacity_ ? capacity_ - used : 0;
+  }
+
   /// The memoized Sigma() answer for `seeds`, or nullptr.
   const double* FindSigma(const SeedGroup& seeds) const {
     if (capacity_ == 0) return nullptr;

@@ -139,6 +139,31 @@ TEST(SelectNominees, EmptyCandidates) {
   EXPECT_DOUBLE_EQ(r.total_cost, 0.0);
 }
 
+// Pools of more than 512 pairs take Procedure 2's lazy (CELF) heap. Its
+// picks on a 640-pair pool (amazon-like@0.3, 40 users x 16 items, B =
+// 300, T = 4, 16 samples) are pinned, and must not depend on the thread
+// count.
+TEST(SelectNominees, LazyPathPicksArePinnedAndThreadInvariant) {
+  const data::Dataset amazon = data::MakeAmazonLike(0.3);
+  const diffusion::Problem p = amazon.MakeProblem(300.0, 4);
+  CandidateConfig pool;
+  pool.max_users = 40;
+  pool.max_items = 16;
+  const std::vector<Nominee> cands = BuildCandidateUniverse(p, pool);
+  ASSERT_GT(cands.size(), 512u);
+  const std::vector<Nominee> pinned = {
+      {37, 5}, {32, 5}, {22, 5}, {35, 5}, {23, 5}, {18, 5},
+      {31, 5}, {42, 5}, {13, 5}, {6, 6},  {40, 5}, {24, 5},
+      {26, 5}, {41, 5}, {9, 13}, {14, 5}, {30, 13}};
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE(threads);
+    diffusion::MonteCarloEngine engine(p, {}, 16, threads);
+    const SelectionResult r = SelectNominees(engine, p, cands, p.budget);
+    EXPECT_EQ(r.nominees, pinned);
+    EXPECT_EQ(r.total_cost, 299.09827995300293);
+  }
+}
+
 // ---- RatioGreedy against the Procedure-2 loop it replaced ------------------
 
 /// Procedure 2's exact branch as it was hand-written before it ran through

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "core/nominee_selection.h"
 #include "data/catalog.h"
 #include "diffusion/monte_carlo.h"
 #include "diffusion/sigma_backend.h"
@@ -563,6 +564,72 @@ TEST(DeterminismGate, KernelGoldenBitsMatchThePinnedTable) {
     EXPECT_EQ(got[0], g.sigma_bits) << ev.sigma;
     EXPECT_EQ(got[1], g.market_bits) << ev.sigma_market;
     EXPECT_EQ(got[2], g.pi_bits) << ev.pi;
+  }
+}
+
+// The reference run's Procedure-2 argmaxes (yelp-like@0.5, B = 300,
+// T = 10, 10 samples, the 24 x 8 pool): its first greedy round (every pair
+// alone) and a later one (a ten-nominee base plus each other pair), scored
+// by gain per cost. A fixed engine.SelectBest runs each as one batch; its
+// pick and the winner's bits equal the candidate-by-candidate σ loop's at
+// every thread count.
+TEST(DeterminismGate, FixedSelectBestMatchesTheSigmaLoopAtEveryThreadCount) {
+  const data::Dataset yelp = data::MakeYelpLike(0.5);
+  const diffusion::Problem p = yelp.MakeProblem(300.0, 10);
+  constexpr int kSamples = 10;
+  const std::vector<diffusion::Nominee> pool =
+      core::BuildCandidateUniverse(p, {.max_users = 24, .max_items = 8});
+  std::vector<diffusion::Nominee> base;
+  for (size_t i = 0; i < pool.size() && base.size() < 10; i += 19) {
+    base.push_back(pool[i]);
+  }
+  for (const std::vector<diffusion::Nominee>& chosen :
+       {std::vector<diffusion::Nominee>{}, base}) {
+    SCOPED_TRACE(chosen.size());
+    const diffusion::MonteCarloEngine ref(p, {}, kSamples, /*num_threads=*/0);
+    const double base_sigma =
+        chosen.empty() ? 0.0 : ref.Sigma(diffusion::AtFirstPromotion(chosen));
+    std::vector<diffusion::SelectCandidate> candidates;
+    for (const diffusion::Nominee& n : pool) {
+      if (std::find(chosen.begin(), chosen.end(), n) != chosen.end()) {
+        continue;
+      }
+      std::vector<diffusion::Nominee> with = chosen;
+      with.push_back(n);
+      const double cost = p.Cost(n.user, n.item);
+      candidates.push_back(
+          {diffusion::AtFirstPromotion(with),
+           [base_sigma, cost](const diffusion::MarketEval& ev) {
+             return (ev.sigma - base_sigma) / cost;
+           }});
+    }
+    diffusion::SelectOptions options;
+    options.min_score = 0.0;
+    diffusion::SelectBestResult want;
+    want.best_score = options.min_score;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const double sigma = ref.Sigma(candidates[i].group);
+      const double score = candidates[i].score({.sigma = sigma});
+      if (score > want.best_score) {
+        want.best_score = score;
+        want.best_index = static_cast<int>(i);
+        want.best_eval.sigma = sigma;
+      }
+    }
+    ASSERT_GE(want.best_index, 0);
+    for (int threads : {0, 1, 2, 3, 4}) {
+      SCOPED_TRACE(threads);
+      const diffusion::MonteCarloEngine engine(p, {}, kSamples, threads);
+      const diffusion::SelectBestResult got =
+          engine.SelectBest(candidates, options);
+      EXPECT_EQ(got.best_index, want.best_index);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
+                std::bit_cast<uint64_t>(want.best_score));
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.best_eval.sigma),
+                std::bit_cast<uint64_t>(want.best_eval.sigma));
+      EXPECT_EQ(engine.num_simulations(), ref.num_simulations() -
+                                              (chosen.empty() ? 0 : kSamples));
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "config/config_loader.h"
 #include "data/catalog.h"
 #include "data/dataset_registry.h"
+#include "diffusion/monte_carlo.h"
 #include "prep/prep.h"
 #include "util/cancel.h"
 #include "util/fault_injection.h"
@@ -196,6 +197,95 @@ TEST_F(FaultMatrix, PoolEnqueueFaultDegradesToBitIdenticalSerial) {
     EXPECT_EQ(degraded.seeds[i].user, want.seeds[i].user) << i;
     EXPECT_EQ(degraded.seeds[i].item, want.seeds[i].item) << i;
     EXPECT_EQ(degraded.seeds[i].promotion, want.seeds[i].promotion) << i;
+  }
+}
+
+/// Six singleton candidates {(u, 0, 1)} on the 100-user sample.
+std::vector<diffusion::SelectCandidate> Singletons() {
+  std::vector<diffusion::SelectCandidate> candidates;
+  for (graph::UserId u = 0; u < 6; ++u) {
+    candidates.push_back({{{u, 0, 1}}, nullptr});
+  }
+  return candidates;
+}
+
+// A fixed SelectBest simulates its candidates as one batch. An eval.sigma
+// fault inside it (here the 4th candidate's gate, after a memo hit and two
+// misses) stops the batch before it simulates: best_index −1, the error
+// on the token, no estimate charged, stored or recorded — never a pick
+// scored on a zeroed estimate. The run's session then plans like a fresh
+// one.
+TEST_F(FaultMatrix, EvalSigmaFaultInsideABatchPicksNothing) {
+  const data::Dataset ds = data::MakeSmallAmazonSample();
+  const diffusion::Problem problem = ds.MakeProblem(100.0, 2);
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    diffusion::MonteCarloEngine engine(problem, {}, 8, threads);
+    engine.EnableSigmaMemo();
+    const std::vector<diffusion::SelectCandidate> candidates = Singletons();
+    engine.Sigma(candidates.front().group);
+    const int64_t simulations = engine.num_simulations();
+    const int64_t rounds = engine.num_rounds_simulated();
+    util::MetricsSnapshot before;
+    engine.AddSigmaHistogram(before);
+    ASSERT_TRUE(Injector().Arm("eval.sigma:4").ok());
+    const diffusion::SelectBestResult r =
+        engine.SelectBest(candidates, diffusion::SelectOptions{});
+    Injector().Reset();
+    EXPECT_EQ(r.best_index, -1);
+    EXPECT_EQ(engine.cancel_token()->status().code(),
+              util::StatusCode::kInternal);
+    EXPECT_EQ(engine.num_simulations(), simulations);
+    EXPECT_EQ(engine.num_rounds_simulated(), rounds);
+    util::MetricsSnapshot after;
+    engine.AddSigmaHistogram(after);
+    EXPECT_EQ(after.Histogram(util::metric::kEvalSigmaHat)->count,
+              before.Histogram(util::metric::kEvalSigmaHat)->count);
+  }
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    api::PlannerConfig cfg = SmallConfig();
+    cfg.num_threads = threads;
+    api::CampaignSession session(data::MakeSmallAmazonSample(), cfg);
+    session.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
+    ASSERT_TRUE(Injector().Arm("eval.sigma:3").ok());
+    api::PlanResult failed = session.Run("dysim");
+    EXPECT_EQ(failed.status.code(), util::StatusCode::kInternal)
+        << failed.status.ToString();
+    Injector().Reset();
+    api::PlanResult recovered = session.Run("dysim");
+    ASSERT_TRUE(recovered.status.ok()) << recovered.status.ToString();
+    api::CampaignSession fresh(data::MakeSmallAmazonSample(), cfg);
+    fresh.SetProblem(/*budget=*/100.0, /*num_promotions=*/2);
+    api::PlanResult want = fresh.Run("dysim");
+    EXPECT_EQ(recovered.sigma, want.sigma);
+    EXPECT_EQ(recovered.seeds, want.seeds);
+  }
+}
+
+// pool.enqueue inside a batch degrades its one grid dispatch to inline
+// execution: the same pick and bits as an unfaulted engine.
+TEST_F(FaultMatrix, PoolEnqueueFaultRunsTheBatchInline) {
+  const data::Dataset ds = data::MakeSmallAmazonSample();
+  const diffusion::Problem problem = ds.MakeProblem(100.0, 2);
+  const std::vector<diffusion::SelectCandidate> candidates = Singletons();
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(threads);
+    const diffusion::MonteCarloEngine clean(problem, {}, 8, threads);
+    const diffusion::SelectBestResult want =
+        clean.SelectBest(candidates, diffusion::SelectOptions{});
+    ASSERT_GE(want.best_index, 0);
+    ASSERT_TRUE(Injector().Arm("pool.enqueue").ok());
+    const util::RobustnessCounters before = util::SnapshotRobustnessCounters();
+    const diffusion::MonteCarloEngine degraded(problem, {}, 8, threads);
+    const diffusion::SelectBestResult got =
+        degraded.SelectBest(candidates, diffusion::SelectOptions{});
+    const util::RobustnessCounters after = util::SnapshotRobustnessCounters();
+    Injector().Reset();
+    EXPECT_EQ(got.best_index, want.best_index);
+    EXPECT_EQ(got.best_score, want.best_score);
+    EXPECT_EQ(degraded.num_simulations(), clean.num_simulations());
+    EXPECT_EQ(after.fallbacks - before.fallbacks, threads > 1 ? 1 : 0);
   }
 }
 

@@ -17,7 +17,7 @@ void PerSlotPatternIsFine(int n, double* slots) {
 }
 
 void MarkedFixedOrderMergeIsFine(int n, double& total) {
-  RunShards(n, [&](int shard) {
+  RunTasks(n, [&](int shard) {
     // imdpp-lint: fixed-order-merge — serialized merge shard-by-shard
     total += shard * 0.5;
   });

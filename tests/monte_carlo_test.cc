@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "pin/personal_item_network.h"
 #include "tests/test_util.h"
 #include "util/hash.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace imdpp::diffusion {
@@ -1484,6 +1486,255 @@ TEST(BaseReplay, WeightUpdatesAreConservedAgainstAPlainEstimate) {
     updates_replayed += engine.num_weight_updates_replayed() - replayed0;
   }
   EXPECT_GT(updates_replayed, 0);
+}
+
+// --- One batch per argmax ---------------------------------------------
+
+/// The reference a fixed SelectBest reproduces: every candidate in order
+/// through `eval`'s Sigma (or EvalMarket), keeping the strict-`>` best.
+SelectBestResult SigmaLoop(ScheduleEval& eval,
+                           const std::vector<SelectCandidate>& candidates,
+                           const SelectOptions& options) {
+  SelectBestResult best;
+  best.best_score = options.min_score;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const MarketEval ev = options.use_market
+                              ? eval.EvalMarket(candidates[i].group)
+                              : MarketEval{.sigma = eval.Sigma(
+                                               candidates[i].group)};
+    const double score =
+        candidates[i].score ? candidates[i].score(ev) : ev.sigma;
+    if (score > best.best_score) {
+      best.best_score = score;
+      best.best_index = static_cast<int>(i);
+      best.best_eval = ev;
+    }
+  }
+  return best;
+}
+
+/// Same pick, same bits, and the same books: simulations, rounds, memo
+/// hits and σ̂ histogram equal; the attempt and weight-update totals equal
+/// (only their computed/replayed splits may move).
+void ExpectSameArgmax(const SelectBestResult& got, const MonteCarloEngine& a,
+                      const SelectBestResult& want,
+                      const MonteCarloEngine& b) {
+  EXPECT_EQ(got.best_index, want.best_index);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
+            std::bit_cast<uint64_t>(want.best_score));
+  ExpectSameMarketEval(got.best_eval, want.best_eval);
+  EXPECT_EQ(a.num_simulations(), b.num_simulations());
+  EXPECT_EQ(a.num_rounds_simulated(), b.num_rounds_simulated());
+  EXPECT_EQ(a.num_rounds_skipped(), b.num_rounds_skipped());
+  EXPECT_EQ(a.num_memo_hits(), b.num_memo_hits());
+  EXPECT_EQ(a.num_attempts_computed() + a.num_attempts_replayed(),
+            b.num_attempts_computed() + b.num_attempts_replayed());
+  EXPECT_EQ(a.num_weight_updates_computed() + a.num_weight_updates_replayed(),
+            b.num_weight_updates_computed() + b.num_weight_updates_replayed());
+  util::MetricsSnapshot ma;
+  util::MetricsSnapshot mb;
+  a.AddSigmaHistogram(ma);
+  b.AddSigmaHistogram(mb);
+  const util::HistogramData* ha = ma.Histogram(util::metric::kEvalSigmaHat);
+  const util::HistogramData* hb = mb.Histogram(util::metric::kEvalSigmaHat);
+  ASSERT_EQ(ha == nullptr, hb == nullptr);
+  if (ha == nullptr) return;
+  EXPECT_EQ(ha->count, hb->count);
+  EXPECT_EQ(std::bit_cast<uint64_t>(ha->sum), std::bit_cast<uint64_t>(hb->sum));
+  EXPECT_EQ(ha->buckets, hb->buckets);
+}
+
+/// One argmax shape: the evaluator's base, its market, the candidates and
+/// the options, run twice in a row on one evaluator (the second time warm:
+/// lattice grown, memo filled when on).
+struct ArgmaxCase {
+  std::string name;
+  SeedGroup base;
+  std::vector<UserId> market;
+  std::vector<SelectCandidate> candidates;
+  SelectOptions options;
+};
+
+std::vector<ArgmaxCase> ArgmaxCases(const Problem& p, Rng& rng) {
+  std::vector<ArgmaxCase> cases;
+  SeedGroup chosen = RandomSchedule(p, rng, 6);
+  for (Seed& s : chosen) s.promotion = 1;
+  {  // Procedure 2: the chosen set plus one nominee, scored by gain/cost.
+    ArgmaxCase c{"set additions", chosen, {}, {}, {}};
+    c.options.min_score = 0.0;
+    for (int k = 0; k < 12; ++k) {
+      SeedGroup g = chosen;
+      g.push_back(RandomSchedule(p, rng, 1).front());
+      g.back().promotion = 1;
+      c.candidates.push_back(
+          {std::move(g), [k](const MarketEval& ev) {
+             return (ev.sigma - 1.0) / (1.0 + k % 3);
+           }});
+    }
+    cases.push_back(std::move(c));
+  }
+  SeedGroup placed = RandomSchedule(p, rng, 5);
+  {  // Round placement: the placed seeds plus one nominee at every round.
+    ArgmaxCase c{"timing placement", placed, {}, {}, {}};
+    c.options.min_score = -1.0;
+    const Seed nominee = RandomSchedule(p, rng, 1).front();
+    for (int t = 1; t <= p.num_promotions; ++t) {
+      SeedGroup g = placed;
+      g.push_back({nominee.user, nominee.item, t});
+      c.candidates.push_back({std::move(g), nullptr});
+    }
+    cases.push_back(std::move(c));
+  }
+  {  // Refinement: one seed of the schedule moved to every round.
+    SeedGroup others = placed;
+    const Seed moving = others.back();
+    others.pop_back();
+    ArgmaxCase c{"timing moves", others, {}, {}, {}};
+    for (int t = 1; t <= p.num_promotions; ++t) {
+      SeedGroup g = others;
+      g.push_back({moving.user, moving.item, t});
+      c.candidates.push_back({std::move(g), nullptr});
+    }
+    cases.push_back(std::move(c));
+  }
+  {  // TDSI: a market-bound evaluator scoring σ_τ and π.
+    ArgmaxCase c{"market", placed, Hubs(p, 24), {}, {}};
+    c.options.use_market = true;
+    for (int k = 0; k < 8; ++k) {
+      SeedGroup g = placed;
+      g.push_back(RandomSchedule(p, rng, 1).front());
+      c.candidates.push_back(
+          {std::move(g), [](const MarketEval& ev) {
+             return ev.sigma_market + 10.0 * ev.pi;
+           }});
+    }
+    cases.push_back(std::move(c));
+  }
+  {  // No candidate beats min_score: nothing is picked.
+    ArgmaxCase c = cases.front();
+    c.name = "unbeaten min_score";
+    c.options.min_score = 1e9;
+    cases.push_back(std::move(c));
+  }
+  {  // Repeated groups inside one batch.
+    const std::vector<SelectCandidate>& adds = cases.front().candidates;
+    ArgmaxCase c{"duplicates", chosen, {}, {}, {}};
+    for (size_t i : {0, 1, 0, 2, 1, 1, 3}) c.candidates.push_back(adds[i]);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Every case through a fixed CheckpointedEval::SelectBest at threads 0–4
+/// (and through the engine's own SelectBest, based at the candidates'
+/// common prefix), against the Sigma loop on a serial engine.
+void ExpectBatchesMatchTheLoop(const Problem& p, const CampaignConfig& config,
+                               int samples, bool memo, uint64_t seed) {
+  Rng rng(seed);
+  for (const ArgmaxCase& c : ArgmaxCases(p, rng)) {
+    SCOPED_TRACE(c.name);
+    auto make = [&](int threads) {
+      auto engine =
+          std::make_unique<MonteCarloEngine>(p, config, samples, threads);
+      if (memo) engine->EnableSigmaMemo();
+      return engine;
+    };
+    const std::unique_ptr<MonteCarloEngine> ref = make(0);
+    CheckpointedEval loop(*ref, c.base, c.market);
+    std::vector<SelectBestResult> want;
+    for (int pass = 0; pass < 2; ++pass) {
+      want.push_back(SigmaLoop(loop, c.candidates, c.options));
+    }
+    for (int threads : {0, 1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads);
+      const std::unique_ptr<MonteCarloEngine> engine = make(threads);
+      CheckpointedEval eval(*engine, c.base, c.market);
+      for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(::testing::Message() << "pass " << pass);
+        const SelectBestResult got = eval.SelectBest(c.candidates, c.options);
+        EXPECT_EQ(got.samples_used, 0);
+        if (pass == 0) {
+          // The first pass's books alone: the reference after one loop.
+          const std::unique_ptr<MonteCarloEngine> once = make(0);
+          CheckpointedEval fresh(*once, c.base, c.market);
+          ExpectSameArgmax(got, *engine,
+                           SigmaLoop(fresh, c.candidates, c.options), *once);
+        } else {
+          ExpectSameArgmax(got, *engine, want[1], *ref);
+        }
+      }
+      if (c.options.use_market) continue;
+      // The engine-level argmax: a batch on an evaluator based at the
+      // candidates' longest common seed prefix.
+      SeedGroup prefix = c.candidates.front().group;
+      for (const SelectCandidate& cand : c.candidates) {
+        size_t n = 0;
+        while (n < prefix.size() && n < cand.group.size() &&
+               prefix[n] == cand.group[n]) {
+          ++n;
+        }
+        prefix.resize(n);
+      }
+      const std::unique_ptr<MonteCarloEngine> flat = make(threads);
+      const std::unique_ptr<MonteCarloEngine> flat_ref = make(0);
+      CheckpointedEval prefix_loop(*flat_ref, prefix);
+      const SelectBestResult got = flat->SelectBest(c.candidates, c.options);
+      EXPECT_EQ(got.samples_used,
+                static_cast<int64_t>(c.candidates.size()) * samples);
+      ExpectSameArgmax(got, *flat,
+                       SigmaLoop(prefix_loop, c.candidates, c.options),
+                       *flat_ref);
+    }
+  }
+}
+
+// A fixed SelectBest simulates its candidates as one batch: one grid of
+// (shard, candidate) tasks, one replay decision. Every estimate, the pick
+// and every counter but the computed/replayed splits must equal the
+// reference candidate-by-candidate Sigma loop, at every thread count,
+// cold and warm, with the memo on and off: for set additions, timing
+// placements and moves, a market-bound π score, an unbeaten min_score and
+// repeated groups; at 40 samples (shards of two samples); and under LT,
+// which never replays.
+TEST(BatchedSelectBest, MatchesTheSigmaLoopOnEveryArgmaxShape) {
+  const data::Dataset ds =
+      data::DatasetRegistry::MakeOrDie({"yelp-like", 0.2, 0});
+  const Problem p = ds.MakeProblem(/*budget=*/100.0, /*num_promotions=*/4);
+  for (bool memo : {false, true}) {
+    SCOPED_TRACE(memo ? "memo on" : "memo off");
+    ExpectBatchesMatchTheLoop(p, {}, /*samples=*/8, memo, 41);
+  }
+  {
+    SCOPED_TRACE("40 samples");
+    ExpectBatchesMatchTheLoop(p, {}, /*samples=*/40, /*memo=*/false, 43);
+  }
+  {
+    SCOPED_TRACE("LT");
+    CampaignConfig lt;
+    lt.model = DiffusionModel::kLinearThreshold;
+    ExpectBatchesMatchTheLoop(p, lt, /*samples=*/8, /*memo=*/true, 47);
+  }
+}
+
+// Inside one batch, a group that repeats an earlier one is a memo hit
+// exactly when the memo would have stored the earlier estimate: with room
+// for one entry, the first group's repeat hits and the second's does not.
+TEST(BatchedSelectBest, RepeatsHitOnlyWhatTheMemoWouldStore) {
+  TinyWorld w = NoisyWorld();
+  const SeedGroup a{{0, 0, 1}};
+  const SeedGroup b{{2, 1, 1}};
+  const std::vector<SelectCandidate> candidates = {
+      {a, nullptr}, {b, nullptr}, {a, nullptr}, {b, nullptr}};
+  MonteCarloEngine batch(w.problem, {}, 16, /*num_threads=*/2);
+  MonteCarloEngine loop(w.problem, {}, 16, /*num_threads=*/0);
+  batch.EnableSigmaMemo(/*max_entries=*/1);
+  loop.EnableSigmaMemo(/*max_entries=*/1);
+  CheckpointedEval batch_eval(batch, {});
+  CheckpointedEval loop_eval(loop, {});
+  const SelectBestResult got = batch_eval.SelectBest(candidates, {});
+  ExpectSameArgmax(got, batch, SigmaLoop(loop_eval, candidates, {}), loop);
+  EXPECT_EQ(batch.num_memo_hits(), 1);
+  EXPECT_EQ(batch.num_simulations(), 3 * 16);
 }
 
 }  // namespace

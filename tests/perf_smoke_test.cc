@@ -12,6 +12,9 @@
 // placements and estimates.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "api/session.h"
 #include "core/adaptive_dysim.h"
 #include "core/dysim.h"
@@ -181,6 +184,83 @@ TEST(PerfSmoke, BaseReplayCopiesHalfOfTheWeightUpdates) {
   ASSERT_GT(computed, 0);
   EXPECT_GE(2 * replayed, computed + replayed)
       << "replayed=" << replayed << " computed=" << computed;
+}
+
+/// Procedure 2's argmax on yelp-like@0.5 (T = 10): a four-nominee base at
+/// round 1, and the base plus one of twelve further nominees.
+struct SetAdditions {
+  SeedGroup base;
+  std::vector<SelectCandidate> candidates;
+};
+SetAdditions MakeSetAdditions() {
+  SetAdditions out;
+  out.base = {{0, 0, 1}, {14, 18, 1}, {52, 15, 1}, {111, 10, 1}};
+  for (UserId u = 1; u <= 12; ++u) {
+    SeedGroup g = out.base;
+    g.push_back({u * 7, static_cast<ItemId>(u % 5), 1});
+    out.candidates.push_back({std::move(g), nullptr});
+  }
+  return out;
+}
+
+// The batch bar: a fixed SelectBest is one pool dispatch, however many
+// candidates it holds. On a warm evaluator (lattice and log already
+// grown) at 2 threads, with the metric registry armed, one argmax of 12
+// candidates adds exactly 1 to pool.batches, not one per candidate.
+// Arming registers entries that outlive Reset, which the disarmed bar
+// below must not see, so the armed part runs in a child process.
+TEST(PerfSmoke, FixedSelectBestIsOnePoolBatch) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  data::Dataset ds = data::MakeYelpLike(0.5);
+  Problem problem = ds.MakeProblem(/*budget=*/300.0, kPromotions);
+  const SetAdditions adds = MakeSetAdditions();
+  EXPECT_EXIT(
+      {
+        MonteCarloEngine engine(problem, {}, /*num_samples=*/10,
+                                /*num_threads=*/2);
+        CheckpointedEval eval(engine, adds.base);
+        eval.SelectBest(adds.candidates, {});
+        util::MetricRegistry& reg = util::MetricRegistry::Global();
+        reg.Reset();
+        reg.Enable();
+        eval.SelectBest(adds.candidates, {});
+        reg.Disable();
+        std::fprintf(stderr, "pool.batches=%lld\n",
+                     static_cast<long long>(reg.Snapshot().Counter(
+                         util::metric::kPoolBatches)));
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "pool\\.batches=1\n");
+}
+
+// The replay-decision bar: a batch holding two candidates that replay
+// grows the base's log before any of them runs, so its first candidate
+// replays too. On a fresh evaluator the batch computes exactly the
+// lattice build's attempts (the base simulated once per sample) plus what
+// the same batch computes on a warm evaluator.
+TEST(PerfSmoke, FirstBatchOnAFreshBaseReplaysEveryCandidate) {
+  data::Dataset ds = data::MakeYelpLike(0.5);
+  Problem problem = ds.MakeProblem(/*budget=*/300.0, kPromotions);
+  const SetAdditions adds = MakeSetAdditions();
+  constexpr int kBatchSamples = 10;
+  MonteCarloEngine warm(problem, {}, kBatchSamples, /*num_threads=*/0);
+  CheckpointedEval warm_eval(warm, adds.base);
+  warm_eval.SelectBest(adds.candidates, {});
+  const int64_t warm0 = warm.num_attempts_computed();
+  warm_eval.SelectBest(adds.candidates, {});
+  const int64_t warm_batch = warm.num_attempts_computed() - warm0;
+
+  MonteCarloEngine base(problem, {}, kBatchSamples, /*num_threads=*/0);
+  base.Sigma(adds.base);
+  const int64_t build = base.num_attempts_computed();
+
+  MonteCarloEngine fresh(problem, {}, kBatchSamples, /*num_threads=*/0);
+  CheckpointedEval fresh_eval(fresh, adds.base);
+  fresh_eval.SelectBest(adds.candidates, {});
+  ASSERT_GT(warm_batch, 0);
+  EXPECT_EQ(fresh.num_attempts_computed(), build + warm_batch)
+      << "build=" << build << " warm batch=" << warm_batch;
+  EXPECT_GT(fresh.num_attempts_replayed(), fresh.num_attempts_computed());
 }
 
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same

@@ -519,7 +519,7 @@ void CheckFloatAccum(const FileCtx& ctx, std::vector<Diagnostic>& diags) {
   for (size_t i = 0; i + 1 < t.size(); ++i) {
     if (!t[i].is_ident || t[i + 1].text != "(") continue;
     const std::string& fn = t[i].text;
-    if (fn != "ParallelFor" && fn != "RunShards" && fn != "RunBatch") {
+    if (fn != "ParallelFor" && fn != "RunTasks" && fn != "RunBatch") {
       continue;
     }
     size_t call_close = MatchForward(t, i + 1, '(', ')');

@@ -26,7 +26,7 @@
 //                            instrumented clock (ISSUE 9).
 //   no-float-accum-in-parallel  `x += ...` on a by-reference capture
 //                            inside a lambda handed to ParallelFor /
-//                            RunShards / RunBatch without a
+//                            RunTasks / RunBatch without a
 //                            `// imdpp-lint: fixed-order-merge` marker:
 //                            cross-task float accumulation reintroduces
 //                            scheduling order into the arithmetic.
