@@ -350,8 +350,8 @@ void BM_RatioPickReplay(benchmark::State& state) {
     const diffusion::SelectBestResult r =
         core::PickByRatio(engine, base, base_sigma, additions, {});
     benchmark::DoNotOptimize(r.best_index);
-    computed += engine.num_attempts_computed();
-    replayed += engine.num_attempts_replayed();
+    computed += engine.kernel_work().attempts_computed;
+    replayed += engine.kernel_work().attempts_replayed;
   }
   if (computed + replayed > 0) {
     state.counters["attempts_replayed_share"] =

@@ -21,7 +21,13 @@
 #   * `imdpp sweep` JSON of configs/sweep_ci.json, and of a sweep whose
 #     dataset entries are objects (scale, seed, config, planners; one of
 #     them the spec file at scale 0.5) and whose planner entries are
-#     objects with a config.
+#     objects with a config;
+#   * the --metrics-out files of the yelp-like@0.3 T=10 runs and of the
+#     amazon-like@0.3 --adaptive runs, with the timing-valued keys dropped
+#     (names ending in millis, micros or seconds, util::IsTimingMetric).
+#     That puts the counters plan JSON omits under the byte check: the
+#     kernel work (eval.attempts_*, eval.weight_*, eval.assoc_*), the
+#     eval.sigma_hat histogram and the pool.* dispatch counts.
 # A refactor or kernel change that claims bit-identity must leave every
 # diff empty; a deliberate re-baseline shows up here and is named in its
 # change description. A run that fails records its exit code and stderr
@@ -107,6 +113,25 @@ cat > "$SWEEP_OBJECTS" <<JSON
             "candidates": {"max_users": 16, "max_items": 6}}}
 JSON
 
+# Rewrites a --metrics-out file without its timing-valued keys (the
+# util::IsTimingMetric suffixes), keeping the key order.
+drop_timings() {  # <metrics file>
+  [[ -f "$1" ]] || return 0
+  python3 - "$1" <<'PY'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    metrics = json.load(f)
+kept = {k: v for k, v in metrics.items()
+        if not k.endswith(("millis", "micros", "seconds"))}
+with open(path, "w") as f:
+    json.dump(kept, f, indent=2)
+    f.write("\n")
+PY
+}
+
 run_all() {  # <imdpp binary> <output dir>
   local bin="$1" out="$2" planner mode
   rm -rf "$out"
@@ -114,12 +139,14 @@ run_all() {  # <imdpp binary> <output dir>
   for planner in $PLANNERS; do
     for mode in fixed adaptive; do
       local flags=()
-      [[ "$mode" == adaptive ]] && flags=(--adaptive)
+      [[ "$mode" == adaptive ]] &&
+        flags=(--adaptive --metrics-out "$out/metrics.$planner.adaptive.json")
       "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
         --budget 150 --promotions 4 --threads 2 "${flags[@]}" \
         > "$out/plan.$planner.$mode.json" 2>&1 \
         || echo "exit $?" >> "$out/plan.$planner.$mode.json"
     done
+    drop_timings "$out/metrics.$planner.adaptive.json"
     if [[ "$planner" != adaptive ]]; then
       "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
         --budget 150 --promotions 4 --threads 2 --backend ris \
@@ -129,8 +156,10 @@ run_all() {  # <imdpp binary> <output dir>
     [[ "$planner" == opt ]] && continue
     "$bin" plan --dataset yelp-like@0.3 --planner "$planner" \
       --budget 300 --promotions 10 --threads 2 \
+      --metrics-out "$out/metrics.$planner.yelp-t10.json" \
       > "$out/plan.$planner.yelp-t10.json" 2>&1 \
       || echo "exit $?" >> "$out/plan.$planner.yelp-t10.json"
+    drop_timings "$out/metrics.$planner.yelp-t10.json"
     "$bin" plan --dataset amazon-like@0.3 --planner "$planner" \
       --budget 150 --promotions 4 --threads 2 --config "$LT_CONFIG" \
       > "$out/plan.$planner.lt.json" 2>&1 \

@@ -120,10 +120,11 @@ void SimScratch::FlushWeightUpdates(const pin::PersonalItemNetwork& pin,
       const float* logged =
           base_weights + static_cast<size_t>(weight_slot_[ui]) * w.size();
       std::copy(logged, logged + w.size(), w.begin());
-      ++weight_updates_replayed_;
+      ++work_.weight_updates_replayed;
     } else {
-      pin.UpdateWeights(states_[ui], new_items_[ui]);
-      ++weight_updates_computed_;
+      work_.weight_pairs_computed +=
+          pin.UpdateWeights(states_[ui], new_items_[ui]);
+      ++work_.weight_updates_computed;
     }
     if (record != nullptr) {
       record->weights.insert(record->weights.end(), w.begin(), w.end());
@@ -366,6 +367,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
   const StartPerceptionTable* start_nets = start_perception_.get();
   const uint64_t sseed = HashTuple(config_.base_seed, sample_idx);
   std::vector<pin::UserState>& state = scratch.states_;
+  KernelWork& work = scratch.work_;
   // Attempt-keyed flips hash the per-pair attempt ordinal instead of
   // (round, step): distinct hash inputs per draw (the joint distribution
   // is exactly the historical measure), but a time-shifted cascade's k-th
@@ -470,7 +472,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
         }
         // The promotion attempt over out-edge k, computed.
         auto attempt = [&](uint32_t k) {
-          ++scratch.attempts_computed_;
+          ++work.attempts_computed;
           const graph::Edge& e = edges[k];
           const UserId u = e.to;
           const pin::UserState& su = state[static_cast<size_t>(u)];
@@ -504,8 +506,9 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                 ++drawn;
               }
             }
+            work.assoc_coins_drawn += static_cast<int64_t>(drawn);
             if (!live) {
-              ++scratch.attempts_bounded_;
+              ++work.attempts_bounded;
               return;
             }
           }
@@ -546,6 +549,10 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                   ? start_nets->Row(u, x)
                   : nullptr;
           const double scale = assoc_scale * pact * ppref;
+          // Counted per attempt: the round-keyed sweep hashes every coin
+          // the pre-draw did not, an aligned one each coin it draws.
+          int64_t aligned_coins = 0;
+          int64_t nets = 0;
           for (size_t r = 0; r < related.size(); ++r) {
             const ItemId y = related[r];
             // A round-keyed coin is drawn first: at or above the pair's
@@ -564,6 +571,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
               if (su.Has(y)) continue;
               net = pin.RelNet(su.wmeta(), x, y);
             }
+            ++nets;
             const double pe = assoc_model.ExtraProb(pact, ppref, net);
             if (pe > 0.0) {
               if (aligned) {
@@ -571,10 +579,16 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
                     aligned_extra,
                     scratch.NextAttempt(PairKey(u, y, num_items)), src, u, x,
                     y));
+                ++aligned_coins;
               }
               if (draw < pe) coin_won(k, u, y);
             }
           }
+          work.assoc_coins_drawn +=
+              aligned ? aligned_coins
+                      : static_cast<int64_t>(related.size() - drawn);
+          (start_row != nullptr ? work.assoc_nets_table
+                                : work.assoc_nets_relnet) += nets;
         };
         // An entry the base walked from the same src state (-1 = none):
         // its logged calls stand in for the attempts at clean targets.
@@ -600,7 +614,7 @@ int CampaignSimulator::SimulateRounds(const SeedSchedule& sched,
           attempt(k);
         }
         replay_calls_before(degree);
-        scratch.attempts_replayed_ += degree - dirty.size();
+        work.attempts_replayed += degree - dirty.size();
       }
 
       // Commit simultaneously, then update perceptions (ripple effect).

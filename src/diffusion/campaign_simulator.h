@@ -137,7 +137,7 @@
 //   * A round-keyed IC attempt draws its adoption coin and its y coins
 //     against p_hi and pe_hi before anything else; when none falls below,
 //     the attempt skips Similarity, the preference and the sweep
-//     (counted in SimScratch::attempts_bounded). Otherwise the exact path
+//     (counted in KernelWork::attempts_bounded). Otherwise the exact path
 //     reuses the drawn coins.
 // The whole-attempt skip is limited to where drawing a coin has no side
 // effect. LT adds every attempt's exact Pact·Ppref to a threshold
@@ -155,6 +155,7 @@
 #include <utility>
 #include <vector>
 
+#include "diffusion/kernel_work.h"
 #include "diffusion/problem.h"
 #include "diffusion/seed.h"
 #include "graph/social_graph.h"
@@ -283,19 +284,9 @@ class SimScratch {
   double sigma_market() const { return sigma_market_; }
   int adoptions() const { return adoptions_; }
   const std::vector<pin::UserState>& states() const { return states_; }
-  /// Running totals over every realization this arena simulated: the
-  /// promotion attempts (frontier entry × out-edge) it computed, the ones
-  /// it replayed from a ReplayLog instead, and the computed ones whose
-  /// every coin fell at or above its bound ("Coins first" in the file
-  /// comment; a subset of computed). Bookkeeping only.
-  int64_t attempts_computed() const { return attempts_computed_; }
-  int64_t attempts_replayed() const { return attempts_replayed_; }
-  int64_t attempts_bounded() const { return attempts_bounded_; }
-  /// Running totals of the per-step weight updates of adopters (Sec. V-A):
-  /// computed by UpdateWeights, or copied from a ReplayLog's weightings
-  /// for a user the step left clean. Bookkeeping only.
-  int64_t weight_updates_computed() const { return weight_updates_computed_; }
-  int64_t weight_updates_replayed() const { return weight_updates_replayed_; }
+  /// Running totals over every realization this arena simulated
+  /// (kernel_work.h). Bookkeeping only.
+  const KernelWork& work() const { return work_; }
 
  private:
   friend class CampaignSimulator;
@@ -463,11 +454,7 @@ class SimScratch {
   std::vector<uint32_t> entry_mark_;      ///< |V|
   std::vector<int> entry_head_;           ///< |V| first entry per src
   std::vector<int> entry_next_;           ///< per entry of the base log
-  int64_t attempts_computed_ = 0;
-  int64_t attempts_replayed_ = 0;
-  int64_t attempts_bounded_ = 0;
-  int64_t weight_updates_computed_ = 0;
-  int64_t weight_updates_replayed_ = 0;
+  KernelWork work_;
 
   /// An attempt's association coins drawn by its bound test, reused by
   /// its exact path.

@@ -24,48 +24,17 @@ constexpr int kMinParallelSamples = 8;
 /// when the problem dimensions actually change.
 SimScratch& LocalScratch() { return ThreadLocalSimScratch(); }
 
-/// One shard's SampleWork: the arena's attempt and weight-update totals
-/// when the shard started, subtracted when it ends.
-class ShardTally {
- public:
-  explicit ShardTally(const SimScratch& scratch)
-      : scratch_(scratch), start_(Totals(scratch)) {}
-  SampleWork Done(int rounds) const {
-    const SampleWork now = Totals(scratch_);
-    return {rounds,
-            now.attempts_computed - start_.attempts_computed,
-            now.attempts_replayed - start_.attempts_replayed,
-            now.attempts_bounded - start_.attempts_bounded,
-            now.weight_updates_computed - start_.weight_updates_computed,
-            now.weight_updates_replayed - start_.weight_updates_replayed};
-  }
-
- private:
-  static SampleWork Totals(const SimScratch& scratch) {
-    return {0,
-            scratch.attempts_computed(),
-            scratch.attempts_replayed(),
-            scratch.attempts_bounded(),
-            scratch.weight_updates_computed(),
-            scratch.weight_updates_replayed()};
-  }
-  const SimScratch& scratch_;
-  SampleWork start_;
-};
-
-/// A sample loop's work from its per-shard records, folded in shard order:
-/// the rounds of the first shard that ran a sample (−1 = ran none) — a
-/// fixed function of the shard layout and the range, and a schedule
-/// property, the same for every sample — and the summed attempts.
+/// A sample loop's work from its per-shard records (each shard's tally
+/// is its arena's work() when it ended minus when it started), folded in
+/// shard order: the rounds of the first shard that ran a sample (−1 = ran
+/// none) — a fixed function of the shard layout and the range, and a
+/// schedule property, the same for every sample — and the summed kernel
+/// work.
 SampleWork FoldShards(const std::vector<SampleWork>& by_shard) {
   SampleWork out;
   for (const SampleWork& w : by_shard) {
     if (out.rounds < 0) out.rounds = w.rounds;
-    out.attempts_computed += w.attempts_computed;
-    out.attempts_replayed += w.attempts_replayed;
-    out.attempts_bounded += w.attempts_bounded;
-    out.weight_updates_computed += w.weight_updates_computed;
-    out.weight_updates_replayed += w.weight_updates_replayed;
+    out.kernel += w.kernel;
   }
   out.rounds = std::max(out.rounds, 0);
   return out;
@@ -187,11 +156,7 @@ void MonteCarloEngine::Charge(int64_t samples, const SampleWork& work) const {
   num_rounds_simulated_ += samples * work.rounds;
   num_rounds_skipped_ +=
       samples * (sim_.problem().num_promotions - work.rounds);
-  num_attempts_computed_ += work.attempts_computed;
-  num_attempts_replayed_ += work.attempts_replayed;
-  num_attempts_bounded_ += work.attempts_bounded;
-  num_weight_updates_computed_ += work.weight_updates_computed;
-  num_weight_updates_replayed_ += work.weight_updates_replayed;
+  kernel_work_ += work.kernel;
 }
 
 int MonteCarloEngine::SimulateSample(const SeedSchedule& sched,
@@ -215,7 +180,7 @@ SampleWork MonteCarloEngine::RunSamples(
   std::vector<SampleWork> by_shard(NumShards());
   RunTasks(NumShards(), num_samples_, [&](int shard) {
     SimScratch& scratch = LocalScratch();
-    const ShardTally tally(scratch);
+    const KernelWork start_work = scratch.work();
     const int lo = std::max(ShardBegin(shard), begin);
     const int hi = std::min(ShardBegin(shard + 1), end);
     int rounds = -1;
@@ -224,7 +189,8 @@ SampleWork MonteCarloEngine::RunSamples(
       rounds = SimulateSample(sched, from, mask, keying, s, scratch);
       visit(s, scratch);
     }
-    by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
+    by_shard[static_cast<size_t>(shard)] = {rounds,
+                                            scratch.work() - start_work};
   });
   return FoldShards(by_shard);
 }
@@ -259,11 +225,8 @@ SelectBestResult MonteCarloEngine::SelectBest(
     // not.
     SeedGroup base;
     if (candidates.size() >= 2) base = CommonPrefix(candidates);
-    SelectBestResult result =
-        CheckpointedEval(*this, std::move(base)).SelectBest(candidates, options);
-    result.samples_used =
-        static_cast<int64_t>(candidates.size()) * num_samples_;
-    return result;
+    return CheckpointedEval(*this, std::move(base))
+        .SelectBest(candidates, options);
   }
   return CheckpointedEval(*this, {}).SelectBest(candidates, options);
 }
@@ -282,7 +245,7 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
   // identical for every thread count.
   auto accumulate = [&](int shard, ExpectedState& acc) {
     SimScratch& scratch = LocalScratch();
-    const ShardTally tally(scratch);
+    const KernelWork start_work = scratch.work();
     int rounds = -1;
     const int end = ShardBegin(shard + 1);
     for (int s = ShardBegin(shard); s < end; ++s) {
@@ -304,7 +267,8 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
         }
       }
     }
-    by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
+    by_shard[static_cast<size_t>(shard)] = {rounds,
+                                            scratch.work() - start_work};
   };
   auto fold = [&](const ExpectedState& acc) {
     for (size_t i = 0; i < es.adoption_prob_.size(); ++i) {
@@ -344,12 +308,11 @@ ExpectedState MonteCarloEngine::ExpectedFrom(
   return es;
 }
 
-MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
+int MonteCarloEngine::RaceSelect(
     int num_candidates, const AdaptiveEvalConfig& config,
     const std::function<SampleWork(int, int, int, AdaptiveEval&)>& eval_block)
     const {
   AdaptiveEval race(num_candidates, num_samples_, config);
-  RaceOutcome out;
   while (!race.done()) {
     const int begin = race.block_begin();
     const int end = race.block_end();
@@ -359,9 +322,8 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
       // A fired token mid-block leaves that block uncharged (mirroring
       // interrupted plain estimates); earlier completed blocks stay
       // booked — the caller reads the error off the token.
-      if (work.rounds < 0) return RaceOutcome{};
+      if (work.rounds < 0) return -1;
       Charge(end - begin, work);
-      out.samples += end - begin;
     }
     race.EndBlock();
   }
@@ -372,8 +334,7 @@ MonteCarloEngine::RaceOutcome MonteCarloEngine::RaceSelect(
   blocks_run_ += race.blocks_run();
   early_stops_ += race.early_stops();
   samples_saved_ += race.samples_saved();
-  out.winner = race.Winner();
-  return out;
+  return race.Winner();
 }
 
 // --------------------------------------------------------------------------
@@ -450,7 +411,7 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
     std::vector<SampleWork> by_shard(static_cast<size_t>(engine_.NumShards()));
     engine_.RunTasks(engine_.NumShards(), num_samples, [&](int shard) {
       SimScratch& scratch = LocalScratch();
-      const ShardTally tally(scratch);
+      const KernelWork start_work = scratch.work();
       const int lo = std::max(engine_.ShardBegin(shard), s_begin);
       const int hi = std::min(engine_.ShardBegin(shard + 1), s_end);
       int rounds = -1;
@@ -472,20 +433,20 @@ void CheckpointedEval::Grow(Lattice& lattice, int rounds_upto,
                                lattice.cp[static_cast<size_t>(k - 1)][si]);
         }
       }
-      by_shard[static_cast<size_t>(shard)] = tally.Done(rounds);
+      by_shard[static_cast<size_t>(shard)] = {rounds,
+                                              scratch.work() - start_work};
     });
     if (engine_.Cancelled()) return;
     // Move the build's rounds from the skipped to the simulated bucket, so
     // simulated + skipped stays exactly the naive T-rounds-per-sample
     // total over the estimates made (a transiently negative skipped count
-    // just means checkpoints were built but not yet reused).
+    // just means checkpoints were built but not yet reused). A build never
+    // replays, so its whole kernel tally is computed work.
     const SampleWork work = FoldShards(by_shard);
     const int64_t built = static_cast<int64_t>(s_end - s_begin) * work.rounds;
     engine_.num_rounds_simulated_ += built;
     engine_.num_rounds_skipped_ -= built;
-    engine_.num_attempts_computed_ += work.attempts_computed;
-    engine_.num_attempts_bounded_ += work.attempts_bounded;
-    engine_.num_weight_updates_computed_ += work.weight_updates_computed;
+    engine_.kernel_work_ += work.kernel;
   };
   build(0, lattice.samples_ready, lattice.rounds_ready);
   build(lattice.samples_ready, samples_upto, 0);
@@ -594,7 +555,7 @@ bool CheckpointedEval::EvalBatch(const std::vector<const SeedGroup*>& groups,
         const int shard = task / n;
         const auto r = static_cast<size_t>(task % n);
         SimScratch& scratch = LocalScratch();
-        const ShardTally tally(scratch);
+        const KernelWork start_work = scratch.work();
         Partial& part = partials[static_cast<size_t>(task)];
         int rounds = -1;
         const int end = engine_.ShardBegin(shard + 1);
@@ -609,7 +570,7 @@ bool CheckpointedEval::EvalBatch(const std::vector<const SeedGroup*>& groups,
                 engine_.sim_.LikelihoodPi(scratch.states(), market_);
           }
         }
-        part.work = tally.Done(rounds);
+        part.work = {rounds, scratch.work() - start_work};
       });
   // A partial estimate must never be charged or poison the memo.
   if (engine_.Cancelled()) return false;
@@ -705,7 +666,6 @@ SelectBestResult CheckpointedEval::SelectBest(
   if (want_market) IMDPP_CHECK(!market_.empty());
   util::trace::Span span("mc.select_best");
   int winner = -1;
-  int64_t raced_samples = 0;
   {
     util::MutexLock lock(engine_.mu_);
     if (!engine_.BeginEstimate()) return SelectBestResult{};
@@ -754,10 +714,8 @@ SelectBestResult CheckpointedEval::SelectBest(
           });
       return engine_.Cancelled() ? SampleWork{} : work;
     };
-    const MonteCarloEngine::RaceOutcome raced = engine_.RaceSelect(
-        static_cast<int>(candidates.size()), options.adaptive, eval_block);
-    winner = raced.winner;
-    raced_samples = raced.samples;
+    winner = engine_.RaceSelect(static_cast<int>(candidates.size()),
+                                options.adaptive, eval_block);
   }
   if (winner < 0) return SelectBestResult{};
   // Full-precision winner re-evaluation through the normal estimate path
@@ -773,7 +731,6 @@ SelectBestResult CheckpointedEval::SelectBest(
                            ? candidates[static_cast<size_t>(winner)].score(eval)
                            : eval.sigma;
   SelectBestResult result;
-  result.samples_used = raced_samples + engine_.num_samples_;
   if (score > options.min_score) {
     result.best_index = winner;
     result.best_score = score;

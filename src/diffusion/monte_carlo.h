@@ -59,13 +59,9 @@
 // Work accounting: num_rounds_simulated / num_rounds_skipped split every
 // estimate's promotion-rounds into executed vs avoided (vs the naive
 // T-rounds-per-sample baseline); num_memo_hits counts memoized estimates;
-// num_attempts_computed / num_attempts_replayed split the promotion
-// attempts (frontier entry × out-edge) every simulation walked, lattice
-// builds included, into computed vs replayed from a base log;
-// num_attempts_bounded counts the computed ones whose every coin fell at
-// or above its bound (campaign_simulator.h, "Coins first");
-// num_weight_updates_computed / num_weight_updates_replayed split the
-// adopters' per-step weight updates the same way.
+// kernel_work() totals what every simulation's kernel did, lattice builds
+// included (kernel_work.h: attempts computed, replayed and bounded, weight
+// updates, association coins and nets).
 #ifndef IMDPP_DIFFUSION_MONTE_CARLO_H_
 #define IMDPP_DIFFUSION_MONTE_CARLO_H_
 
@@ -84,17 +80,11 @@
 namespace imdpp::diffusion {
 
 /// What one sample loop did: promotion rounds per sample (a schedule
-/// property, the same for every sample; −1 = nothing ran), the promotion
-/// attempts its arenas computed, replayed and bounded, and the weight
-/// updates they computed and replayed, folded from per-shard tallies in
-/// shard order.
+/// property, the same for every sample; −1 = nothing ran) and its arenas'
+/// kernel work, folded from per-shard tallies in shard order.
 struct SampleWork {
   int rounds = -1;
-  int64_t attempts_computed = 0;
-  int64_t attempts_replayed = 0;
-  int64_t attempts_bounded = 0;
-  int64_t weight_updates_computed = 0;
-  int64_t weight_updates_replayed = 0;
+  KernelWork kernel;
 };
 
 /// The "mc" SigmaBackend: the accuracy reference every other backend is
@@ -228,29 +218,12 @@ class MonteCarloEngine : public SigmaBackend {
     util::MutexLock lock(mu_);
     return samples_saved_;
   }
-  /// Promotion attempts computed / replayed from a base log (see the file
-  /// comment). Their sum over one estimate does not depend on replay.
-  int64_t num_attempts_computed() const override IMDPP_EXCLUDES(mu_) {
+  /// Every simulation's kernel work (see the file comment). Over one
+  /// estimate, computed + replayed attempts and weight updates do not
+  /// depend on replay.
+  KernelWork kernel_work() const override IMDPP_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    return num_attempts_computed_;
-  }
-  int64_t num_attempts_replayed() const override IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return num_attempts_replayed_;
-  }
-  int64_t num_attempts_bounded() const override IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return num_attempts_bounded_;
-  }
-  /// Weight updates computed / copied from a base log (see the file
-  /// comment). Their sum over one estimate does not depend on replay.
-  int64_t num_weight_updates_computed() const override IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return num_weight_updates_computed_;
-  }
-  int64_t num_weight_updates_replayed() const override IMDPP_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return num_weight_updates_replayed_;
+    return kernel_work_;
   }
 
   /// The token estimates check; never null (see the constructor).
@@ -329,7 +302,7 @@ class MonteCarloEngine : public SigmaBackend {
                              const std::vector<ReplayLog>* replay) const
       IMDPP_REQUIRES(mu_);
   /// Books `samples` realizations that each executed `work.rounds` of the
-  /// T promotion rounds (the rest are skips), and the loop's attempts.
+  /// T promotion rounds (the rest are skips), and the loop's kernel work.
   void Charge(int64_t samples, const SampleWork& work) const
       IMDPP_REQUIRES(mu_);
 
@@ -338,13 +311,9 @@ class MonteCarloEngine : public SigmaBackend {
   /// per-sample slots and returns the block's work, rounds −1 when the
   /// cancel token fired), charges each candidate-block, and on
   /// completion books the whole-sample skips plus the adaptive counters.
-  /// winner −1 = cancelled mid-race (nothing terminal booked; partial
-  /// blocks stay charged, mirroring interrupted estimates).
-  struct RaceOutcome {
-    int winner = -1;
-    int64_t samples = 0;  ///< realizations actually simulated
-  };
-  RaceOutcome RaceSelect(
+  /// Returns the winner; −1 = cancelled mid-race (nothing terminal booked;
+  /// partial blocks stay charged, mirroring interrupted estimates).
+  int RaceSelect(
       int num_candidates, const AdaptiveEvalConfig& config,
       const std::function<SampleWork(int, int, int, AdaptiveEval&)>&
           eval_block)
@@ -374,11 +343,7 @@ class MonteCarloEngine : public SigmaBackend {
   mutable int64_t blocks_run_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t early_stops_ IMDPP_GUARDED_BY(mu_) = 0;
   mutable int64_t samples_saved_ IMDPP_GUARDED_BY(mu_) = 0;
-  mutable int64_t num_attempts_computed_ IMDPP_GUARDED_BY(mu_) = 0;
-  mutable int64_t num_attempts_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
-  mutable int64_t num_attempts_bounded_ IMDPP_GUARDED_BY(mu_) = 0;
-  mutable int64_t num_weight_updates_computed_ IMDPP_GUARDED_BY(mu_) = 0;
-  mutable int64_t num_weight_updates_replayed_ IMDPP_GUARDED_BY(mu_) = 0;
+  mutable KernelWork kernel_work_ IMDPP_GUARDED_BY(mu_);
   /// Sigma() / EvalMarket() memo (disabled until EnableSigmaMemo).
   mutable SigmaMemo memo_ IMDPP_GUARDED_BY(mu_);
 };

@@ -120,21 +120,7 @@ class RisBackend final : public SigmaBackend {
     util::MutexLock lock(mu_);
     return num_memo_hits_ + mc_.num_memo_hits();
   }
-  int64_t num_attempts_computed() const override {
-    return mc_.num_attempts_computed();
-  }
-  int64_t num_attempts_replayed() const override {
-    return mc_.num_attempts_replayed();
-  }
-  int64_t num_attempts_bounded() const override {
-    return mc_.num_attempts_bounded();
-  }
-  int64_t num_weight_updates_computed() const override {
-    return mc_.num_weight_updates_computed();
-  }
-  int64_t num_weight_updates_replayed() const override {
-    return mc_.num_weight_updates_replayed();
-  }
+  KernelWork kernel_work() const override { return mc_.kernel_work(); }
 
   /// Base counters/histogram plus the ris-specific instrumentation
   /// (sketch builds/reuses, coverage-query count) and the embedded

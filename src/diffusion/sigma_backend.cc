@@ -103,12 +103,9 @@ SelectBestResult SigmaBackend::SelectBest(
     const std::vector<SelectCandidate>& candidates,
     const SelectOptions& options) const {
   IMDPP_CHECK(!options.use_market);  // market argmaxes need a ScheduleEval
-  SelectBestResult result = FixedSelectBest(
+  return FixedSelectBest(
       candidates, options.min_score,
       [&](const SeedGroup& g) { return MarketEval{.sigma = Sigma(g)}; });
-  result.samples_used =
-      static_cast<int64_t>(candidates.size()) * num_samples();
-  return result;
 }
 
 void SigmaBackend::RecordSigmaEstimate(double sigma) const {
@@ -133,13 +130,7 @@ void SigmaBackend::AddMetrics(util::MetricsSnapshot& out) const {
   out.AddCounter(util::metric::kEvalBlocksRun, num_blocks_run());
   out.AddCounter(util::metric::kEvalEarlyStops, num_early_stops());
   out.AddCounter(util::metric::kEvalSamplesSaved, num_samples_saved());
-  out.AddCounter(util::metric::kEvalAttemptsComputed, num_attempts_computed());
-  out.AddCounter(util::metric::kEvalAttemptsReplayed, num_attempts_replayed());
-  out.AddCounter(util::metric::kEvalAttemptsBounded, num_attempts_bounded());
-  out.AddCounter(util::metric::kEvalWeightUpdatesComputed,
-                 num_weight_updates_computed());
-  out.AddCounter(util::metric::kEvalWeightUpdatesReplayed,
-                 num_weight_updates_replayed());
+  kernel_work().AddTo(out);
   AddSigmaHistogram(out);
 }
 

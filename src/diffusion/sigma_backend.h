@@ -43,6 +43,7 @@
 
 #include "diffusion/adaptive_eval.h"
 #include "diffusion/campaign_simulator.h"
+#include "diffusion/kernel_work.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
@@ -170,16 +171,12 @@ struct SelectBestResult {
   /// The winner's full-precision evaluation (sigma only when scoring
   /// through Sigma).
   MarketEval best_eval;
-  /// Realizations spent (diagnostics; no planner reads it): a race's
-  /// sampled blocks plus the winner's re-evaluation; candidates ×
-  /// num_samples on the engine-level fixed loop; 0 on a ScheduleEval's.
-  int64_t samples_used = 0;
 };
 
 /// The fixed-count pick over `candidates` and their estimates `evals`
 /// (same order): the first candidate whose score strictly beats the
 /// running best, which starts at `min_score` (and stays there, with
-/// best_index −1, when none does). samples_used is left 0.
+/// best_index −1, when none does).
 SelectBestResult PickBest(const std::vector<SelectCandidate>& candidates,
                           const std::vector<MarketEval>& evals,
                           double min_score);
@@ -289,24 +286,15 @@ class SigmaBackend {
   virtual int64_t num_early_stops() const { return 0; }
   virtual int64_t num_samples_saved() const { return 0; }
 
-  /// Kernel counters: promotion attempts (frontier entry × out-edge) the
-  /// backend's simulations computed, the ones they replayed from a base
-  /// realization instead (mc base replay), and the computed ones whose
-  /// every coin fell at or above its bound (the kernel's coins-first
-  /// test). Zero on backends that never simulate.
-  virtual int64_t num_attempts_computed() const { return 0; }
-  virtual int64_t num_attempts_replayed() const { return 0; }
-  virtual int64_t num_attempts_bounded() const { return 0; }
-  /// Adopters' per-step weight updates (Sec. V-A) the simulations
-  /// computed, and the ones they copied from a base realization's log
-  /// instead (mc base replay). Zero on backends that never simulate.
-  virtual int64_t num_weight_updates_computed() const { return 0; }
-  virtual int64_t num_weight_updates_replayed() const { return 0; }
+  /// What the simulation kernel did across the backend's simulations
+  /// (kernel_work.h). Zero on backends that never simulate.
+  virtual KernelWork kernel_work() const { return {}; }
 
   /// Books this backend's work into `out` under the canonical
-  /// util::metric names: the counters above plus the histogram of
-  /// every σ̂ the backend returned (eval.sigma_hat). Backends with
-  /// extra instrumentation (ris sketch counters) extend this.
+  /// util::metric names: the counters above, the kernel work, and the
+  /// histogram of every σ̂ the backend returned (eval.sigma_hat).
+  /// Backends with extra instrumentation (ris sketch counters) extend
+  /// this.
   virtual void AddMetrics(util::MetricsSnapshot& out) const;
 
   /// Just the σ̂ histogram — for backends that embed another backend

@@ -4,9 +4,9 @@
 
 namespace imdpp::pin {
 
-void PersonalItemNetwork::UpdateWeights(
+int PersonalItemNetwork::UpdateWeights(
     UserState& state, std::span<const kg::ItemId> newly_adopted) const {
-  if (params_.meta_learning_rate <= 0.0 || newly_adopted.empty()) return;
+  if (params_.meta_learning_rate <= 0.0 || newly_adopted.empty()) return 0;
   const size_t metas = static_cast<size_t>(rel_.NumMetas());
   std::vector<float>& w = state.wmeta();
   IMDPP_DCHECK(w.size() >= metas);
@@ -44,13 +44,14 @@ void PersonalItemNetwork::UpdateWeights(
       }
     }
   }
-  if (pairs == 0) return;
+  if (pairs == 0) return 0;
   for (size_t m = 0; m < metas; ++m) {
     const double step = params_.meta_learning_rate *
                         (evidence[m] / static_cast<double>(pairs)) *
                         (1.0 - w[m]);
     w[m] = static_cast<float>(Clip01(w[m] + step));
   }
+  return pairs;
 }
 
 }  // namespace imdpp::pin

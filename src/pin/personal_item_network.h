@@ -51,8 +51,9 @@ class PersonalItemNetwork {
 
   /// Applies the weight update to `state` given the items newly adopted at
   /// this step. Call *after* the items were added to the adoption set.
-  void UpdateWeights(UserState& state,
-                     std::span<const kg::ItemId> newly_adopted) const;
+  /// Returns the item pairs whose evidence it summed (0 = no update).
+  int UpdateWeights(UserState& state,
+                    std::span<const kg::ItemId> newly_adopted) const;
 
   const kg::RelevanceModel& relevance() const { return rel_; }
   const PerceptionParams& params() const { return params_; }

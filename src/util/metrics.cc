@@ -224,16 +224,22 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
   for (const auto& [name, entry] : metrics_) {
     switch (entry.kind) {
       case MetricKind::kCounter:
-        out.AddCounter(name, entry.counter->value());
+        if (const int64_t value = entry.counter->value(); value != 0) {
+          out.AddCounter(name, value);
+        }
         break;
       case MetricKind::kGauge:
-        out.SetGauge(name, entry.gauge->value());
+        if (const double value = entry.gauge->value(); value != 0.0) {
+          out.SetGauge(name, value);
+        }
         break;
       case MetricKind::kSum:
         break;  // registry entries are never kSum
-      case MetricKind::kHistogram:
-        out.MergeHistogram(name, entry.histogram->Snapshot());
+      case MetricKind::kHistogram: {
+        const HistogramData data = entry.histogram->Snapshot();
+        if (!data.empty()) out.MergeHistogram(name, data);
         break;
+      }
     }
   }
   return out;

@@ -62,6 +62,10 @@ inline constexpr char kEvalWeightUpdatesComputed[] =
     "eval.weight_updates_computed";
 inline constexpr char kEvalWeightUpdatesReplayed[] =
     "eval.weight_updates_replayed";
+inline constexpr char kEvalWeightPairsComputed[] = "eval.weight_pairs_computed";
+inline constexpr char kEvalAssocCoinsDrawn[] = "eval.assoc_coins_drawn";
+inline constexpr char kEvalAssocNetsTable[] = "eval.assoc_nets_table";
+inline constexpr char kEvalAssocNetsRelnet[] = "eval.assoc_nets_relnet";
 inline constexpr char kRisSketchBuilds[] = "ris.sketch_builds";
 inline constexpr char kRisSketchReuses[] = "ris.sketch_reuses";
 inline constexpr char kRisCoverageQueries[] = "ris.coverage_queries";
@@ -234,7 +238,9 @@ class MetricRegistry {
                           const std::vector<double>& bounds)
       IMDPP_EXCLUDES(mu_);
 
-  /// Name-ordered snapshot of every registered metric.
+  /// Name-ordered snapshot of every registered metric that recorded
+  /// something: zero-valued counters and gauges and empty histograms are
+  /// left out, so a snapshot after Reset() is empty.
   MetricsSnapshot Snapshot() const IMDPP_EXCLUDES(mu_);
 
   /// Zeroes every registered metric (handles stay valid). Tests and

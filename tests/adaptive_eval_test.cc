@@ -277,9 +277,9 @@ TEST(AdaptiveSelectBest, FixedPathIsBitIdenticalToTheHandLoop) {
   const SelectBestResult r = seam.SelectBest(candidates, options);
   EXPECT_EQ(r.best_index, want_index);
   EXPECT_EQ(r.best_score, want_score);  // bit-identity, not tolerance
-  EXPECT_EQ(r.samples_used,
-            static_cast<int64_t>(candidates.size()) * kSamples);
   // Identical work accounting: the seam ran the exact same estimates.
+  EXPECT_EQ(seam.num_simulations(),
+            static_cast<int64_t>(candidates.size()) * kSamples);
   EXPECT_EQ(seam.num_simulations(), by_hand.num_simulations());
   EXPECT_EQ(seam.num_rounds_simulated(), by_hand.num_rounds_simulated());
   EXPECT_EQ(seam.num_blocks_run(), 0);
@@ -301,6 +301,7 @@ TEST(AdaptiveSelectBest, DuplicateCandidatesStopEarlyAndBookCounters) {
   SelectOptions options;
   options.adaptive = SmallBlocks();
   const SelectBestResult r = engine.SelectBest(candidates, options);
+  const int64_t spent = engine.num_simulations();
   EXPECT_EQ(r.best_index, 0);
   EXPECT_EQ(r.best_score, engine.Sigma(candidates[0].group));
   EXPECT_GT(engine.num_blocks_run(), 0);
@@ -308,8 +309,9 @@ TEST(AdaptiveSelectBest, DuplicateCandidatesStopEarlyAndBookCounters) {
   EXPECT_GT(engine.num_samples_saved(), 0);
   // Both candidates advanced only to the first boundary; the winner's
   // full-precision re-evaluation adds the full budget once.
-  EXPECT_LT(r.samples_used,
-            static_cast<int64_t>(candidates.size()) * kSamples);
+  EXPECT_LT(spent, static_cast<int64_t>(candidates.size()) * kSamples);
+  EXPECT_EQ(spent, static_cast<int64_t>(candidates.size()) * kSamples -
+                       engine.num_samples_saved() + kSamples);
 }
 
 TEST(AdaptiveSelectBest, TimeShiftedCandidatesRaceAsExactTies) {
@@ -332,13 +334,14 @@ TEST(AdaptiveSelectBest, TimeShiftedCandidatesRaceAsExactTies) {
   SelectOptions options;
   options.adaptive = SmallBlocks();
   const SelectBestResult r = engine.SelectBest(candidates, options);
+  const int64_t spent = engine.num_simulations();
   EXPECT_EQ(r.best_index, 0);  // ties keep the first index
   EXPECT_EQ(r.best_score, engine.Sigma(candidates[0].group));
   EXPECT_EQ(engine.num_early_stops(), 2);
   // All three advanced only to the first boundary (min_samples each).
   EXPECT_EQ(engine.num_samples_saved(),
             3 * static_cast<int64_t>(kSamples - SmallBlocks().min_samples));
-  EXPECT_EQ(r.samples_used,
+  EXPECT_EQ(spent,
             3 * static_cast<int64_t>(SmallBlocks().min_samples) + kSamples);
 }
 
@@ -369,7 +372,7 @@ TEST(AdaptiveSelectBest, WinnerScoreMatchesFixedWithinToleranceEverywhere) {
     EXPECT_GE(got.best_score, want.best_score - 0.1 * denom)
         << "fixed=" << want.best_score << " adaptive=" << got.best_score;
     // And never more samples than the fixed budget (+ the winner re-eval).
-    EXPECT_LE(got.samples_used, want.samples_used + kSamples);
+    EXPECT_LE(raced.num_simulations(), fixed.num_simulations() + kSamples);
   }
 }
 
@@ -388,6 +391,7 @@ TEST(AdaptiveSelectBest, BitIdenticalAcrossThreadCounts) {
 
   SelectBestResult first;
   int64_t first_rounds = -1;
+  int64_t first_simulations = -1;
   bool have_first = false;
   for (int threads : {0, 1, 2, 4}) {
     SCOPED_TRACE(threads);
@@ -396,12 +400,13 @@ TEST(AdaptiveSelectBest, BitIdenticalAcrossThreadCounts) {
     if (!have_first) {
       first = r;
       first_rounds = engine.num_rounds_simulated();
+      first_simulations = engine.num_simulations();
       have_first = true;
       continue;
     }
     EXPECT_EQ(r.best_index, first.best_index);
     EXPECT_EQ(r.best_score, first.best_score);
-    EXPECT_EQ(r.samples_used, first.samples_used);
+    EXPECT_EQ(engine.num_simulations(), first_simulations);
     EXPECT_EQ(engine.num_rounds_simulated(), first_rounds);
   }
 }

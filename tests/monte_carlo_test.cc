@@ -1210,9 +1210,9 @@ TEST(BaseReplay, EstimatesMatchAFreshEngineOnEveryCatalogDataset) {
       SCOPED_TRACE(::testing::Message() << "threads " << threads);
       const MonteCarloEngine engine(p, {}, kSamples, threads);
       ExpectReplayMatches(engine, p, market, bases, groups, want);
-      replayed += engine.num_attempts_replayed();
-      computed += engine.num_attempts_computed();
-      updates_replayed += engine.num_weight_updates_replayed();
+      replayed += engine.kernel_work().attempts_replayed;
+      computed += engine.kernel_work().attempts_computed;
+      updates_replayed += engine.kernel_work().weight_updates_replayed;
     }
   }
   // Replay did the bulk of the work, so the comparisons exercised it.
@@ -1243,8 +1243,8 @@ TEST(BaseReplay, OffForLinearThresholdAndRaces) {
     }
     const MonteCarloEngine engine(p, lt, kSamples, /*num_threads=*/2);
     ExpectReplayMatches(engine, p, market, {base}, {variants}, {want});
-    EXPECT_GT(engine.num_attempts_computed(), 0);
-    EXPECT_EQ(engine.num_attempts_replayed(), 0);
+    EXPECT_GT(engine.kernel_work().attempts_computed, 0);
+    EXPECT_EQ(engine.kernel_work().attempts_replayed, 0);
   }
   {  // Races draw attempt-keyed coins, resumed from the attempt lattice.
     std::vector<SelectCandidate> candidates;
@@ -1263,7 +1263,7 @@ TEST(BaseReplay, OffForLinearThresholdAndRaces) {
     EXPECT_EQ(got.best_index, want.best_index);
     EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
               std::bit_cast<uint64_t>(want.best_score));
-    EXPECT_EQ(engine.num_attempts_replayed(), 0);
+    EXPECT_EQ(engine.kernel_work().attempts_replayed, 0);
   }
 }
 
@@ -1291,7 +1291,7 @@ TEST(BaseReplay, StartedProblemMatchesAFreshEngine) {
   }
   const MonteCarloEngine engine(p, {}, kSamples, /*num_threads=*/2);
   ExpectReplayMatches(engine, p, market, {base}, {variants}, {want});
-  EXPECT_GT(engine.num_attempts_replayed(), 0);
+  EXPECT_GT(engine.kernel_work().attempts_replayed, 0);
 
   SeedGroup chosen = base;
   for (Seed& seed : chosen) seed.promotion = 1;
@@ -1316,7 +1316,7 @@ TEST(BaseReplay, StartedProblemMatchesAFreshEngine) {
   EXPECT_EQ(got.best_index, loop.best_index);
   EXPECT_EQ(std::bit_cast<uint64_t>(got.best_score),
             std::bit_cast<uint64_t>(loop.best_score));
-  EXPECT_GT(picker.num_attempts_replayed(), 0);
+  EXPECT_GT(picker.kernel_work().attempts_replayed, 0);
 }
 
 // Replay moves attempts from computed to replayed and nothing else: for
@@ -1343,25 +1343,26 @@ TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
   for (const SeedGroup& g : variants) {
     const MonteCarloEngine plain(p, {}, kSamples, /*num_threads=*/2);
     const double want = plain.Sigma(g);
-    EXPECT_EQ(plain.num_attempts_replayed(), 0);
+    EXPECT_EQ(plain.kernel_work().attempts_replayed, 0);
     // The first estimate extends no log; the second builds it (the build's
     // attempts are computed work too), so count from the third on.
     eval.Sigma(variants.front());
     eval.Sigma(variants.back());
-    const int64_t computed0 = engine.num_attempts_computed();
-    const int64_t replayed0 = engine.num_attempts_replayed();
+    const KernelWork before = engine.kernel_work();
     EXPECT_EQ(std::bit_cast<uint64_t>(eval.Sigma(g)),
               std::bit_cast<uint64_t>(want));
-    const int64_t computed = engine.num_attempts_computed() - computed0;
-    replayed += engine.num_attempts_replayed() - replayed0;
-    EXPECT_EQ(computed + engine.num_attempts_replayed() - replayed0,
-              plain.num_attempts_computed());
+    const KernelWork spent = engine.kernel_work() - before;
+    const KernelWork naive = plain.kernel_work();
+    replayed += spent.attempts_replayed;
+    EXPECT_EQ(spent.attempts_computed + spent.attempts_replayed,
+              naive.attempts_computed);
     // Bounded attempts are computed ones whose coins all lost unseen.
-    EXPECT_GT(plain.num_attempts_bounded(), 0);
-    EXPECT_LE(plain.num_attempts_bounded(), plain.num_attempts_computed());
+    EXPECT_GT(naive.attempts_bounded, 0);
+    EXPECT_LE(naive.attempts_bounded, naive.attempts_computed);
   }
   EXPECT_GT(replayed, 0);
-  EXPECT_LE(engine.num_attempts_bounded(), engine.num_attempts_computed());
+  const KernelWork total = engine.kernel_work();
+  EXPECT_LE(total.attempts_bounded, total.attempts_computed);
 
   std::vector<SelectCandidate> additions;
   for (int k = 0; k < 12; ++k) {
@@ -1373,7 +1374,8 @@ TEST(BaseReplay, AttemptsAreConservedAgainstAPlainEstimate) {
   }
   const MonteCarloEngine greedy(p, {}, kSamples, /*num_threads=*/2);
   greedy.SelectBest(additions, SelectOptions{});
-  EXPECT_GT(greedy.num_attempts_replayed(), greedy.num_attempts_computed());
+  EXPECT_GT(greedy.kernel_work().attempts_replayed,
+            greedy.kernel_work().attempts_computed);
 }
 
 void ExpectSameLog(const ReplayLog& a, const ReplayLog& b) {
@@ -1468,22 +1470,18 @@ TEST(BaseReplay, WeightUpdatesAreConservedAgainstAPlainEstimate) {
   for (const SeedGroup& g : dirt.variants) {
     const MonteCarloEngine plain(p, {}, kSamples, /*num_threads=*/2);
     const double want = plain.Sigma(g);
-    EXPECT_EQ(plain.num_attempts_replayed(), 0);
-    EXPECT_EQ(plain.num_weight_updates_replayed(), 0);
-    const int64_t attempts0 =
-        engine.num_attempts_computed() + engine.num_attempts_replayed();
-    const int64_t updates0 = engine.num_weight_updates_computed() +
-                             engine.num_weight_updates_replayed();
-    const int64_t replayed0 = engine.num_weight_updates_replayed();
+    const KernelWork naive = plain.kernel_work();
+    EXPECT_EQ(naive.attempts_replayed, 0);
+    EXPECT_EQ(naive.weight_updates_replayed, 0);
+    const KernelWork before = engine.kernel_work();
     EXPECT_EQ(std::bit_cast<uint64_t>(eval.Sigma(g)),
               std::bit_cast<uint64_t>(want));
-    EXPECT_EQ(engine.num_attempts_computed() + engine.num_attempts_replayed() -
-                  attempts0,
-              plain.num_attempts_computed());
-    EXPECT_EQ(engine.num_weight_updates_computed() +
-                  engine.num_weight_updates_replayed() - updates0,
-              plain.num_weight_updates_computed());
-    updates_replayed += engine.num_weight_updates_replayed() - replayed0;
+    const KernelWork spent = engine.kernel_work() - before;
+    EXPECT_EQ(spent.attempts_computed + spent.attempts_replayed,
+              naive.attempts_computed);
+    EXPECT_EQ(spent.weight_updates_computed + spent.weight_updates_replayed,
+              naive.weight_updates_computed);
+    updates_replayed += spent.weight_updates_replayed;
   }
   EXPECT_GT(updates_replayed, 0);
 }
@@ -1527,10 +1525,12 @@ void ExpectSameArgmax(const SelectBestResult& got, const MonteCarloEngine& a,
   EXPECT_EQ(a.num_rounds_simulated(), b.num_rounds_simulated());
   EXPECT_EQ(a.num_rounds_skipped(), b.num_rounds_skipped());
   EXPECT_EQ(a.num_memo_hits(), b.num_memo_hits());
-  EXPECT_EQ(a.num_attempts_computed() + a.num_attempts_replayed(),
-            b.num_attempts_computed() + b.num_attempts_replayed());
-  EXPECT_EQ(a.num_weight_updates_computed() + a.num_weight_updates_replayed(),
-            b.num_weight_updates_computed() + b.num_weight_updates_replayed());
+  const KernelWork wa = a.kernel_work();
+  const KernelWork wb = b.kernel_work();
+  EXPECT_EQ(wa.attempts_computed + wa.attempts_replayed,
+            wb.attempts_computed + wb.attempts_replayed);
+  EXPECT_EQ(wa.weight_updates_computed + wa.weight_updates_replayed,
+            wb.weight_updates_computed + wb.weight_updates_replayed);
   util::MetricsSnapshot ma;
   util::MetricsSnapshot mb;
   a.AddSigmaHistogram(ma);
@@ -1652,7 +1652,7 @@ void ExpectBatchesMatchTheLoop(const Problem& p, const CampaignConfig& config,
       for (int pass = 0; pass < 2; ++pass) {
         SCOPED_TRACE(::testing::Message() << "pass " << pass);
         const SelectBestResult got = eval.SelectBest(c.candidates, c.options);
-        EXPECT_EQ(got.samples_used, 0);
+        EXPECT_EQ(engine->num_samples_saved(), 0);
         if (pass == 0) {
           // The first pass's books alone: the reference after one loop.
           const std::unique_ptr<MonteCarloEngine> once = make(0);
@@ -1679,7 +1679,8 @@ void ExpectBatchesMatchTheLoop(const Problem& p, const CampaignConfig& config,
       const std::unique_ptr<MonteCarloEngine> flat_ref = make(0);
       CheckpointedEval prefix_loop(*flat_ref, prefix);
       const SelectBestResult got = flat->SelectBest(c.candidates, c.options);
-      EXPECT_EQ(got.samples_used,
+      // Every candidate is simulated or served from the memo.
+      EXPECT_EQ(flat->num_simulations() + flat->num_memo_hits() * samples,
                 static_cast<int64_t>(c.candidates.size()) * samples);
       ExpectSameArgmax(got, *flat,
                        SigmaLoop(prefix_loop, c.candidates, c.options),

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "data/catalog.h"
+#include "diffusion/monte_carlo.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -130,6 +134,58 @@ TEST(MetricRegistry, ArmedPoolRecordsBatchAndTaskMetrics) {
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->count, 8);
   reg.Reset();
+}
+
+// Reset zeroes the entries but keeps their handles; a snapshot after it
+// must be empty, so a disarmed check later in the same process sees no
+// leftovers of an armed one.
+TEST(MetricRegistry, SnapshotAfterResetIsEmpty) {
+  MetricRegistry& reg = MetricRegistry::Global();
+  reg.Reset();
+  reg.Enable();
+  MetricRegistry::Counter& hits = reg.GetCounter("test.reset_hits");
+  hits.Add(3);
+  reg.GetGauge("test.reset_depth").Set(2.0);
+  reg.GetHistogram("test.reset_values", DefaultValueBounds()).Observe(1.0);
+  reg.Disable();
+  ASSERT_EQ(reg.Snapshot().Counter("test.reset_hits"), 3);
+  reg.Reset();
+  EXPECT_TRUE(reg.Snapshot().empty());
+  hits.Add(1);  // the handle outlives Reset
+  EXPECT_EQ(reg.Snapshot().Counter("test.reset_hits"), 1);
+  reg.Reset();
+}
+
+// -------------------------------------------------------- metric catalog
+
+// README's metric catalog names every counter an mc engine's AddMetrics
+// books, so a counter cannot land undocumented.
+TEST(MetricCatalog, ReadmeListsEveryCounterAnMcEngineBooks) {
+  std::ifstream file(std::string(IMDPP_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(file.good());
+  std::stringstream readme;
+  readme << file.rdbuf();
+  const std::string text = readme.str();
+  const size_t table =
+      text.find("| Metric |", text.find("**Metric catalog.**"));
+  ASSERT_NE(table, std::string::npos);
+  const std::string catalog =
+      text.substr(table, text.find("\n\n", table) - table);
+
+  const data::Dataset ds = data::MakeFig1Toy();
+  const diffusion::Problem problem =
+      ds.MakeProblem(/*budget=*/20.0, /*num_promotions=*/2);
+  const diffusion::MonteCarloEngine engine(problem, {}, /*num_samples=*/4,
+                                           /*num_threads=*/0);
+  MetricsSnapshot booked;
+  engine.AddMetrics(booked);
+  int counters = 0;
+  for (const auto& [name, value] : booked.entries()) {
+    if (value.kind != MetricKind::kCounter) continue;
+    ++counters;
+    EXPECT_NE(catalog.find("`" + name + "`"), std::string::npos) << name;
+  }
+  EXPECT_GE(counters, 16);
 }
 
 // ----------------------------------------------------------------- trace

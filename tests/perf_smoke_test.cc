@@ -12,9 +12,6 @@
 // placements and estimates.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "api/session.h"
 #include "core/adaptive_dysim.h"
 #include "core/dysim.h"
@@ -138,19 +135,50 @@ TEST(PerfSmoke, AdaptiveDysimReplaysBaseRealizations) {
 
 /// The reference run (Dysim on yelp-like@0.5, B = 300, T = 10, the CLI's
 /// effort), planned once for the tests that read its counters.
+api::PlanResult RunReferenceDysim(int num_threads) {
+  api::PlannerConfig cfg;
+  cfg.selection_samples = 10;
+  cfg.eval_samples = 24;
+  cfg.candidates.max_users = 24;
+  cfg.candidates.max_items = 8;
+  cfg.num_threads = num_threads;
+  api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
+  session.SetProblem(/*budget=*/300.0, kPromotions);
+  return session.Run("dysim");
+}
+
 const api::PlanResult& ReferenceDysimRun() {
-  static const api::PlanResult* const result = [] {
-    api::PlannerConfig cfg;
-    cfg.selection_samples = 10;
-    cfg.eval_samples = 24;
-    cfg.candidates.max_users = 24;
-    cfg.candidates.max_items = 8;
-    cfg.num_threads = 0;
-    api::CampaignSession session(data::MakeYelpLike(0.5), cfg);
-    session.SetProblem(/*budget=*/300.0, kPromotions);
-    return new api::PlanResult(session.Run("dysim"));
-  }();
+  static const api::PlanResult* const result =
+      new api::PlanResult(RunReferenceDysim(/*num_threads=*/0));
   return *result;
+}
+
+// The kernel work record is a function of the plan, not of the threads:
+// every counter of it (kernel_work.h) books the same value on the
+// reference run at 0, 1 and 4 threads. Each net relevance the association
+// sweep reads follows a drawn coin, so table + RelNet nets never exceed
+// the coins drawn.
+TEST(PerfSmoke, KernelWorkIsThreadInvariantOnTheReferenceRun) {
+  const api::PlanResult& serial = ReferenceDysimRun();
+  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+  for (const char* name :
+       {util::metric::kEvalWeightPairsComputed,
+        util::metric::kEvalAssocCoinsDrawn, util::metric::kEvalAssocNetsTable,
+        util::metric::kEvalAssocNetsRelnet}) {
+    EXPECT_GT(serial.metrics.Counter(name), 0) << name;
+  }
+  EXPECT_LE(serial.metrics.Counter(util::metric::kEvalAssocNetsTable) +
+                serial.metrics.Counter(util::metric::kEvalAssocNetsRelnet),
+            serial.metrics.Counter(util::metric::kEvalAssocCoinsDrawn));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const api::PlanResult r = RunReferenceDysim(threads);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    for (const KernelWorkField& f : kKernelWorkFields) {
+      EXPECT_EQ(r.metrics.Counter(f.metric), serial.metrics.Counter(f.metric))
+          << f.metric;
+    }
+  }
 }
 
 // The coins-first bar: on the reference run, at least half of the
@@ -207,30 +235,21 @@ SetAdditions MakeSetAdditions() {
 // candidates it holds. On a warm evaluator (lattice and log already
 // grown) at 2 threads, with the metric registry armed, one argmax of 12
 // candidates adds exactly 1 to pool.batches, not one per candidate.
-// Arming registers entries that outlive Reset, which the disarmed bar
-// below must not see, so the armed part runs in a child process.
 TEST(PerfSmoke, FixedSelectBestIsOnePoolBatch) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   data::Dataset ds = data::MakeYelpLike(0.5);
   Problem problem = ds.MakeProblem(/*budget=*/300.0, kPromotions);
   const SetAdditions adds = MakeSetAdditions();
-  EXPECT_EXIT(
-      {
-        MonteCarloEngine engine(problem, {}, /*num_samples=*/10,
-                                /*num_threads=*/2);
-        CheckpointedEval eval(engine, adds.base);
-        eval.SelectBest(adds.candidates, {});
-        util::MetricRegistry& reg = util::MetricRegistry::Global();
-        reg.Reset();
-        reg.Enable();
-        eval.SelectBest(adds.candidates, {});
-        reg.Disable();
-        std::fprintf(stderr, "pool.batches=%lld\n",
-                     static_cast<long long>(reg.Snapshot().Counter(
-                         util::metric::kPoolBatches)));
-        std::exit(0);
-      },
-      ::testing::ExitedWithCode(0), "pool\\.batches=1\n");
+  MonteCarloEngine engine(problem, {}, /*num_samples=*/10,
+                          /*num_threads=*/2);
+  CheckpointedEval eval(engine, adds.base);
+  eval.SelectBest(adds.candidates, {});
+  util::MetricRegistry& reg = util::MetricRegistry::Global();
+  reg.Reset();
+  reg.Enable();
+  eval.SelectBest(adds.candidates, {});
+  reg.Disable();
+  EXPECT_EQ(reg.Snapshot().Counter(util::metric::kPoolBatches), 1);
+  reg.Reset();
 }
 
 // The replay-decision bar: a batch holding two candidates that replay
@@ -246,21 +265,22 @@ TEST(PerfSmoke, FirstBatchOnAFreshBaseReplaysEveryCandidate) {
   MonteCarloEngine warm(problem, {}, kBatchSamples, /*num_threads=*/0);
   CheckpointedEval warm_eval(warm, adds.base);
   warm_eval.SelectBest(adds.candidates, {});
-  const int64_t warm0 = warm.num_attempts_computed();
+  const int64_t warm0 = warm.kernel_work().attempts_computed;
   warm_eval.SelectBest(adds.candidates, {});
-  const int64_t warm_batch = warm.num_attempts_computed() - warm0;
+  const int64_t warm_batch = warm.kernel_work().attempts_computed - warm0;
 
   MonteCarloEngine base(problem, {}, kBatchSamples, /*num_threads=*/0);
   base.Sigma(adds.base);
-  const int64_t build = base.num_attempts_computed();
+  const int64_t build = base.kernel_work().attempts_computed;
 
   MonteCarloEngine fresh(problem, {}, kBatchSamples, /*num_threads=*/0);
   CheckpointedEval fresh_eval(fresh, adds.base);
   fresh_eval.SelectBest(adds.candidates, {});
   ASSERT_GT(warm_batch, 0);
-  EXPECT_EQ(fresh.num_attempts_computed(), build + warm_batch)
+  EXPECT_EQ(fresh.kernel_work().attempts_computed, build + warm_batch)
       << "build=" << build << " warm batch=" << warm_batch;
-  EXPECT_GT(fresh.num_attempts_replayed(), fresh.num_attempts_computed());
+  EXPECT_GT(fresh.kernel_work().attempts_replayed,
+            fresh.kernel_work().attempts_computed);
 }
 
 // ISSUE 10: the adaptive-racing bar. With eval.adaptive on, the same
